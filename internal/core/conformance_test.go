@@ -54,7 +54,9 @@ func cofsSystem(seed int64, cfg params.Config) *conformance.System {
 // cofsCaps declares what a COFS deployment supports. Negative-dentry
 // leases exist only in lease-cache mode and the stale-free standby
 // read battery only applies when the deployment routes reads through
-// its standbys; everything else holds across the whole matrix.
+// its standbys; everything else — snapshot listings included, on every
+// store backend, since they rest on the store contract's View — holds
+// across the whole matrix.
 func cofsCaps(cfg params.Config) conformance.Capabilities {
 	return conformance.Capabilities{
 		Permissions:          true,
@@ -64,6 +66,7 @@ func cofsCaps(cfg params.Config) conformance.Capabilities {
 		CrashRecover:         true,
 		Handoff:              true,
 		StandbyReads:         cfg.COFS.StandbyReads,
+		SnapshotReads:        true,
 	}
 }
 

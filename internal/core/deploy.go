@@ -137,7 +137,8 @@ func (d *Deployment) Counters() *stats.Counters {
 }
 
 // serviceCounters collects the counters that live on the MDSCluster
-// itself — request/lease totals, row-lock figures, reshard accounting.
+// itself — request/lease totals, row-lock figures, reshard accounting,
+// the shard stores' view and transaction-mutex figures.
 // Unlike the transport stats (Session.prior, MDSCluster.priorPeer/
 // priorStandbyReads) these have no built-in carry-over across a
 // failover, so Standby.Promote snapshots the demoted plane's set into
@@ -164,5 +165,16 @@ func serviceCounters(svc *MDSCluster) *stats.Counters {
 	c.Add("mds.reshard-lease-recalls", rs.Recalls)
 	c.Add("mds.reshard-wal-handoff", rs.HandoffRecords)
 	c.Add("mds.reshard-retired", rs.Retired)
+	// The store's read/write split: snapshot reads taken, and what the
+	// transactions still serialized on the per-shard mutex made their
+	// callers wait.
+	var views int64
+	var txWait time.Duration
+	for _, s := range svc.Shards() {
+		views += s.DB.Views
+		txWait += s.DB.TxWait()
+	}
+	c.Add("mdb.views", views)
+	c.Add("mdb.tx_wait_ms", int64(txWait/time.Millisecond))
 	return c
 }

@@ -99,6 +99,46 @@ func verifyAll(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []st
 	})
 }
 
+// inoOf resolves path from node 0 (its own simulation step).
+func inoOf(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path string) vfs.Ino {
+	t.Helper()
+	var ino vfs.Ino
+	step(tb, "resolve", func(p *sim.Proc) {
+		attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), path)
+		if err != nil {
+			t.Errorf("resolve %s: %v", path, err)
+		}
+		ino = attr.Ino
+	})
+	return ino
+}
+
+// listWhole lists dir with attributes through node's session and
+// fails the test unless the listing is whole: exactly want entries, each
+// carrying its own attributes (an entry with zero attributes is a live
+// row the service reported attribute-less). With downOK a listing may
+// instead fail with ErrNotExist — what a crashed plane answers until it
+// has recovered. Reports whether a whole listing came back.
+func listWhole(t *testing.T, p *sim.Proc, d *core.Deployment, node int, dir vfs.Ino, want int, downOK bool) bool {
+	t.Helper()
+	ents, attrs, err := d.Service.ReaddirPlus(p, d.FSs[node].Session(), cluster.Ctx(node, 7), dir)
+	if err != nil {
+		if !downOK || err != vfs.ErrNotExist {
+			t.Errorf("node %d: listing at %v: %v", node, p.Now(), err)
+		}
+		return false
+	}
+	if len(ents) != want {
+		t.Errorf("node %d: partial listing at %v: %d entries, want %d", node, p.Now(), len(ents), want)
+	}
+	for i, e := range ents {
+		if attrs[i].Ino != e.Ino {
+			t.Errorf("node %d: listing at %v reports live row %q without attributes", node, p.Now(), e.Name)
+		}
+	}
+	return true
+}
+
 func TestReshardGrow(t *testing.T) {
 	cases := []struct{ from, to int }{{1, 2}, {2, 4}, {1, 4}}
 	for _, tc := range cases {
@@ -201,7 +241,27 @@ func TestReshardUnderStorm(t *testing.T) {
 			const nodes, filesPerNode, prebuilt = 4, 96, 64
 			tb, d := reshardRig(t, 700+int64(tc.from), nodes, tc.from, nil)
 			ctx0 := cluster.Ctx(0, 1)
+			// A directory nobody mutates, holding files (rows beside its
+			// dentries) and subdirectories (rows placed on other shards):
+			// listers read it throughout the migration, and every listing
+			// must be whole whichever shard holds which row at the time.
+			const stillFiles, stillDirs = 24, 6
 			step(tb, "setup", func(p *sim.Proc) {
+				for i := 0; i < stillFiles+stillDirs; i++ {
+					var err error
+					if i < stillDirs {
+						err = d.Mounts[0].MkdirAll(p, ctx0, fmt.Sprintf("/still/sub%02d", i), 0777)
+					} else {
+						var f *vfs.File
+						if f, err = d.Mounts[0].Create(p, ctx0, fmt.Sprintf("/still/f%02d", i), 0644); err == nil {
+							f.Close(p)
+						}
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				for n := 0; n < nodes; n++ {
 					if err := d.Mounts[0].Mkdir(p, ctx0, fmt.Sprintf("/work%d", n), 0777); err != nil {
 						t.Error(err)
@@ -220,6 +280,7 @@ func TestReshardUnderStorm(t *testing.T) {
 					}
 				}
 			})
+			still := inoOf(t, tb, d, "/still")
 			// The storm: each node creates, stats, renames and removes in
 			// its own directory, with cross-node stats of node 0's files.
 			for n := 0; n < nodes; n++ {
@@ -273,12 +334,27 @@ func TestReshardUnderStorm(t *testing.T) {
 			}
 			// Mid-storm, the plane reshards.
 			var reshardErr error
+			resharded := false
 			tb.Env.SpawnAfter("reshard", 2*time.Millisecond, func(p *sim.Proc) {
 				reshardErr = d.Service.Reshard(p, tc.to)
+				resharded = true
 			})
+			listings := 0
+			for _, n := range []int{1, nodes - 1} {
+				n := n
+				tb.Env.Spawn(fmt.Sprintf("lister%d", n), func(p *sim.Proc) {
+					for !resharded {
+						listWhole(t, p, d, n, still, stillFiles+stillDirs, false)
+						listings++
+					}
+				})
+			}
 			tb.Run()
 			if reshardErr != nil {
 				t.Fatalf("mid-storm reshard: %v", reshardErr)
+			}
+			if listings < 8 {
+				t.Fatalf("only %d listings raced the migration", listings)
 			}
 			if err := d.Service.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after storm+reshard: %v", err)

@@ -963,48 +963,112 @@ type readdirReply struct {
 // serves a whole `ls -l`. The client prefills its attribute cache from
 // the reply (see FS.Readdir), turning the per-entry stat round trips of
 // the paper's "large directory traversals" trigger into local hits. The
-// listing is served from the dentry table's parent index, and the
 // response transfer cost scales with the number of entries.
+//
+// The listing — the directory's own row, its dentries off the parent
+// index, and the attributes of every child whose inode row lives here —
+// is one snapshot read (mdb.DB.View) taken at the instant of the
+// ownership claim: it holds exactly the names the directory had at that
+// instant, waits for no writer and makes none wait. Children whose
+// inode rows live on other shards (subdirectories placed elsewhere,
+// files renamed in) are then fetched in one batched dirty read per
+// remote shard. Like the attributes a client would otherwise stat one
+// by one, the remote rows are not read in the listing's snapshot.
 func (s *Service) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, []vfs.Attr, error) {
-	if s.sharded() {
-		return s.readdirSharded(p, sess, ctx, dir)
-	}
 	r := callDyn(p, s, sess, rpc.OpReaddir, 96, s.cfg.ServiceCPUPerOp, func(p *sim.Proc) readdirReply {
 		var out readdirReply
 		if err := s.claim(dir); err != nil {
 			return readdirReply{err: err}
 		}
-		s.DB.Transaction(p, func(tx *mdb.Tx) {
-			if s.staleProtocol(nil) {
-				out.err = ErrWrongEpoch
-				return
-			}
+		var remote [][]int // shard id -> indexes of the entries it owns
+		s.DB.View(p, func(tx *mdb.Tx) {
 			if _, err := s.dirRow(tx, ctx, dir, false); err != nil {
 				out.err = err
 				return
 			}
 			keys := mdb.IndexKeys(tx, s.dentries, "parent", parentIndexKey(dir))
 			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
+			out.entries = make([]vfs.DirEntry, 0, len(keys))
+			out.attrs = make([]vfs.Attr, 0, len(keys))
 			for _, k := range keys {
 				de, ok := mdb.Get(tx, s.dentries, k)
 				if !ok {
 					continue
 				}
-				row, _ := mdb.Get(tx, s.inodes, de.Child)
-				out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: row.Type})
-				out.attrs = append(out.attrs, row.attr())
+				out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: de.Type})
+				var attr vfs.Attr
+				if s.owns(de.Child) {
+					row, _ := mdb.Get(tx, s.inodes, de.Child)
+					attr = row.attr()
+				} else {
+					remote = addRemote(remote, s.cluster.Of(de.Child), len(out.attrs))
+				}
+				out.attrs = append(out.attrs, attr)
 			}
 		})
 		for i, e := range out.entries {
 			if out.attrs[i].Ino == 0 {
-				continue
+				continue // remote row, granted below by its owner
 			}
 			s.grantDentry(p, sess, dir, e.Name, e.Ino)
 			s.grantAttr(p, sess, e.Ino, "")
 		}
+		// Entries whose row migrated between the listing and its shard's
+		// batched read come back marked moved and are re-resolved at the
+		// current owner on the next round (server-side redirect chasing,
+		// like peerGetattr): a live row is never reported attribute-less
+		// just because it changed shards mid-listing.
+		for remote != nil {
+			var next [][]int
+			for sh, idxs := range remote {
+				if len(idxs) == 0 {
+					continue
+				}
+				ts := s.cluster.shards[sh]
+				type batchReply struct {
+					attrs []vfs.Attr
+					moved []int
+				}
+				br := peerCall(p, s, ts, int64(96+16*len(idxs)), int64(32+160*len(idxs)),
+					ts.cfg.ServiceCPUPerOp*3/4, func(p *sim.Proc) batchReply {
+						res := batchReply{attrs: make([]vfs.Attr, len(idxs))}
+						for j, i := range idxs {
+							ino := out.entries[i].Ino
+							if row, ok := mdb.DirtyGet(p, ts.inodes, ino); ok {
+								res.attrs[j] = row.attr()
+								ts.grantAttr(p, sess, ino, "")
+							} else if !ts.owns(ino) {
+								res.moved = append(res.moved, i)
+							}
+						}
+						return res
+					})
+				for j, i := range idxs {
+					out.attrs[i] = br.attrs[j]
+					if br.attrs[j].Ino != 0 {
+						s.grantDentry(p, sess, dir, out.entries[i].Name, out.entries[i].Ino)
+					}
+				}
+				for _, i := range br.moved {
+					next = addRemote(next, s.cluster.Of(out.entries[i].Ino), i)
+				}
+			}
+			remote = next
+		}
 		return out
 	}, func(r readdirReply) int64 { return 96 + int64(len(r.entries))*160 })
 	return r.entries, r.attrs, r.err
+}
+
+// addRemote records entry index i under shard sh in a per-shard index
+// list, growing it on demand (a live reshard can add shards between two
+// rounds of a listing).
+func addRemote(remote [][]int, sh, i int) [][]int {
+	for len(remote) <= sh {
+		remote = append(remote, nil)
+	}
+	remote[sh] = append(remote[sh], i)
+	return remote
 }
 
 // Readdir lists the virtual directory (names and types only).
@@ -1033,7 +1097,7 @@ func (s *Service) CountObjects(p *sim.Proc, sess *Session) (int64, int64) {
 	type counts struct{ files, dirs int64 }
 	r := call(p, s, sess, rpc.OpStatFS, 64, 128, func(p *sim.Proc) counts {
 		var out counts
-		s.DB.Transaction(p, func(tx *mdb.Tx) {
+		s.DB.View(p, func(tx *mdb.Tx) {
 			for _, row := range mdb.Select(tx, s.inodes, func(k vfs.Ino, v inodeRow) bool { return true }) {
 				out.files++
 				if row.Type == vfs.TypeDir {

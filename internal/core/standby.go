@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"cofs/internal/mdb"
 	"cofs/internal/rpc"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
@@ -38,12 +39,12 @@ import (
 // primary: two round trips, counted in mds.standby-fallbacks. The
 // standby never guesses.
 //
-// The capture inside each body is yield-free (Peek/Stamp only); the
-// table op time the primary would have charged is charged afterwards in
-// one block (mdb.ChargeOps), so no ship round can interleave mid-scan
-// and tear the snapshot. No leases are granted here: leases are the
-// primary's (standby-served reads don't populate the client cache, and
-// recalls keep flowing from the primary alone).
+// Each body reads the standby's tables through the same snapshot read
+// the primary's scans use (mdb.DB.View): yield-free at one instant, so
+// no ship round can interleave mid-scan and tear the proof, with the
+// table op time charged afterwards in one block. No leases are granted
+// here: leases are the primary's (standby-served reads don't populate
+// the client cache, and recalls keep flowing from the primary alone).
 
 // pauseStandbyReads suspends standby serving for the duration of a
 // reshard (called at Reshard start): mid-migration a source shard's
@@ -152,40 +153,47 @@ func (sb *Standby) lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name strin
 		if !ok {
 			return sbAttrReply{}
 		}
-		dk := dentryKey{Parent: parent, Name: name}
-		if stamp, ok := pr.dentries.Stamp(dk); ok && stamp > cursor {
-			return sbAttrReply{}
-		}
-		de, deOK := st.dentries.Peek(dk)
-		if !deOK {
-			// The name provably does not exist (its last record — if it
-			// ever had one — was a delete the cursor covers). Mirror the
-			// primary's miss path off the parent's inode, which must be
-			// covered too before its type can be trusted.
-			if stamp, ok := pr.inodes.Stamp(parent); ok && stamp > cursor {
-				return sbAttrReply{}
+		var out sbAttrReply
+		st.DB.View(p, func(tx *mdb.Tx) {
+			dk := dentryKey{Parent: parent, Name: name}
+			if stamp, ok := pr.dentries.Stamp(dk); ok && stamp > cursor {
+				return
 			}
-			din, dirOK := st.inodes.Peek(parent)
-			st.DB.ChargeOps(p, 2)
-			if dirOK && din.Type != vfs.TypeDir {
-				return sbAttrReply{err: vfs.ErrNotDir, served: true}
+			de, deOK := mdb.Get(tx, st.dentries, dk)
+			if !deOK {
+				// The name provably does not exist (its last record — if it
+				// ever had one — was a delete the cursor covers). Mirror the
+				// primary's miss path off the parent's inode, which must be
+				// covered too before its type can be trusted.
+				if stamp, ok := pr.inodes.Stamp(parent); ok && stamp > cursor {
+					tx.Abort()
+					return
+				}
+				din, dirOK := mdb.Get(tx, st.inodes, parent)
+				out = sbAttrReply{err: vfs.ErrNotExist, served: true}
+				if dirOK && din.Type != vfs.TypeDir {
+					out.err = vfs.ErrNotDir
+				}
+				return
 			}
-			return sbAttrReply{err: vfs.ErrNotExist, served: true}
-		}
-		if sb.primary.Of(de.Child) != si {
-			// The child's inode lives on another shard: the one-hop peer
-			// read stays on the primary plane.
-			return sbAttrReply{}
-		}
-		if stamp, ok := pr.inodes.Stamp(de.Child); ok && stamp > cursor {
-			return sbAttrReply{}
-		}
-		row, rowOK := st.inodes.Peek(de.Child)
-		st.DB.ChargeOps(p, 2)
-		if !rowOK {
-			return sbAttrReply{err: vfs.ErrNotExist, served: true}
-		}
-		return sbAttrReply{attr: row.attr(), served: true}
+			if sb.primary.Of(de.Child) != si {
+				// The child's inode lives on another shard: the one-hop peer
+				// read stays on the primary plane.
+				tx.Abort()
+				return
+			}
+			if stamp, ok := pr.inodes.Stamp(de.Child); ok && stamp > cursor {
+				tx.Abort()
+				return
+			}
+			row, rowOK := mdb.Get(tx, st.inodes, de.Child)
+			if !rowOK {
+				out = sbAttrReply{err: vfs.ErrNotExist, served: true}
+				return
+			}
+			out = sbAttrReply{attr: row.attr(), served: true}
+		})
+		return out
 	})
 	sb.obsEnd(p, ob, r.served)
 	if !r.served {
@@ -216,12 +224,13 @@ func (sb *Standby) getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, er
 		if stamp, ok := pr.inodes.Stamp(id); ok && stamp > cursor {
 			return sbAttrReply{}
 		}
-		row, rowOK := st.inodes.Peek(id)
-		st.DB.ChargeOps(p, 1)
-		if !rowOK {
-			return sbAttrReply{err: vfs.ErrNotExist, served: true}
-		}
-		return sbAttrReply{attr: row.attr(), served: true}
+		out := sbAttrReply{err: vfs.ErrNotExist, served: true}
+		st.DB.View(p, func(tx *mdb.Tx) {
+			if row, ok := mdb.Get(tx, st.inodes, id); ok {
+				out = sbAttrReply{attr: row.attr(), served: true}
+			}
+		})
+		return out
 	})
 	sb.obsEnd(p, ob, r.served)
 	if !r.served {
@@ -264,39 +273,32 @@ func (sb *Standby) readdirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.
 		if stamp, ok := pr.inodes.Stamp(dir); ok && stamp > cursor {
 			return sbReaddirReply{}
 		}
-		din, dirOK := st.inodes.Peek(dir)
-		if !dirOK {
-			st.DB.ChargeOps(p, 1)
-			return sbReaddirReply{err: vfs.ErrNotExist, served: true}
-		}
-		if din.Type != vfs.TypeDir {
-			st.DB.ChargeOps(p, 1)
-			return sbReaddirReply{err: vfs.ErrNotDir, served: true}
-		}
-		if !canAccess(ctx, din.UID, din.GID, din.Mode, 4) {
-			st.DB.ChargeOps(p, 1)
-			return sbReaddirReply{err: vfs.ErrPerm, served: true}
-		}
-		keys := st.dentries.PeekIndexKeys("parent", parentIndexKey(dir))
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
 		var out sbReaddirReply
-		for _, k := range keys {
-			de, ok := st.dentries.Peek(k)
-			if !ok {
-				continue
+		st.DB.View(p, func(tx *mdb.Tx) {
+			if _, err := st.dirRow(tx, ctx, dir, false); err != nil {
+				out = sbReaddirReply{err: err, served: true}
+				return
 			}
-			if sb.primary.Of(de.Child) != si {
-				return sbReaddirReply{}
+			keys := mdb.IndexKeys(tx, st.dentries, "parent", parentIndexKey(dir))
+			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
+			out.entries = make([]vfs.DirEntry, 0, len(keys))
+			out.attrs = make([]vfs.Attr, 0, len(keys))
+			for _, k := range keys {
+				de, ok := mdb.Get(tx, st.dentries, k)
+				if !ok {
+					continue
+				}
+				if stamp, ok := pr.inodes.Stamp(de.Child); sb.primary.Of(de.Child) != si || ok && stamp > cursor {
+					out = sbReaddirReply{}
+					tx.Abort()
+					return
+				}
+				row, _ := mdb.Get(tx, st.inodes, de.Child)
+				out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: row.Type})
+				out.attrs = append(out.attrs, row.attr())
 			}
-			if stamp, ok := pr.inodes.Stamp(de.Child); ok && stamp > cursor {
-				return sbReaddirReply{}
-			}
-			row, _ := st.inodes.Peek(de.Child)
-			out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: row.Type})
-			out.attrs = append(out.attrs, row.attr())
-		}
-		st.DB.ChargeOps(p, 2+2*len(keys))
-		out.served = true
+			out.served = true
+		})
 		return out
 	}, func(r sbReaddirReply) int64 { return 96 + int64(len(r.entries))*160 })
 	sb.obsEnd(p, ob, r.served)

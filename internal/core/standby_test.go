@@ -250,11 +250,38 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 		}
 	})
 
-	step(tb, "crash-recover", func(p *sim.Proc) {
+	// Listers on two nodes race the crash and the replay: a listing may
+	// find the plane down (a crashed shard answers ErrNotExist until its
+	// log is replayed), but one that returns entries must return all 30,
+	// with attributes — the tables vanish and reappear between listings,
+	// never under one.
+	out := inoOf(t, tb, d, "/out")
+	recovered := false
+	whole, down := 0, 0
+	for k := 0; k < 8; k++ {
+		n := 1 + k%2
+		// Staggered, so some request reaches a shard inside the (sub-
+		// millisecond) window between its crash and its replay.
+		tb.Env.SpawnAfter("lister", time.Duration(k)*130*time.Microsecond, func(p *sim.Proc) {
+			for !recovered {
+				if listWhole(t, p, d, n, out, 30, true) {
+					whole++
+				} else {
+					down++
+				}
+			}
+		})
+	}
+	tb.Env.SpawnAfter("crash-recover", 3*time.Millisecond, func(p *sim.Proc) {
 		d.Service.Crash()
 		d.Service.Recover(p)
 		d.Service.AdoptIDCounter()
+		recovered = true
 	})
+	tb.Run()
+	if whole == 0 || down == 0 {
+		t.Fatalf("listers saw the plane up %d times and down %d times: they did not race the crash", whole, down)
+	}
 
 	// The namespace the recovered primary serves is the oracle; the
 	// cold-cache node must read exactly it, whether its reads land on
@@ -397,9 +424,37 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	}
 	preReads := sb.Reads
 
-	d.Service.Crash()
-	if lost := sb.Promote(d); lost != 0 {
-		t.Logf("failover lost %d unshipped records (allowed)", lost)
+	// The failover happens under listers: requests in flight across the
+	// switch finish on the dead plane (whole if they already took their
+	// snapshot, ErrNotExist if they arrive after the crash), later ones
+	// on the promoted plane — and no listing is ever partial.
+	out := inoOf(t, tb, d, "/out")
+	promoted := false
+	before, after := 0, 0
+	for _, n := range []int{0, 1} {
+		n := n
+		tb.Env.Spawn("lister", func(p *sim.Proc) {
+			for i := 0; i < 12; i++ {
+				if listWhole(t, p, d, n, out, 20, true) {
+					if promoted {
+						after++
+					} else {
+						before++
+					}
+				}
+			}
+		})
+	}
+	tb.Env.SpawnAfter("failover", 4*time.Millisecond, func(p *sim.Proc) {
+		d.Service.Crash()
+		if lost := sb.Promote(d); lost != 0 {
+			t.Logf("failover lost %d unshipped records (allowed)", lost)
+		}
+		promoted = true
+	})
+	tb.Run()
+	if before == 0 || after == 0 {
+		t.Fatalf("%d whole listings before the failover, %d after: the listers did not straddle it", before, after)
 	}
 	step(tb, "after-promote", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {

@@ -12,6 +12,7 @@ import (
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/store"
+	"cofs/internal/vfs"
 )
 
 // These tests pin the store-provider seam (internal/store,
@@ -79,20 +80,22 @@ func TestStoreDefaultCostIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreAbsoluteCostPin holds the default backend to the
-// pre-interface baseline figure itself, not just to a sibling run:
-// the BenchmarkMetadataCache nocache-1shards storm (seed 1) must
-// reproduce the vms/op recorded in bench/baseline.json before the
-// provider registry existed. If this moves, the refactor changed the
-// simulation, not just the wiring.
+// TestStoreAbsoluteCostPin holds the default backend to the absolute
+// figure recorded in bench/baseline.json, not just to a sibling run:
+// the BenchmarkMetadataCache nocache-1shards storm (seed 1). The pin
+// was 0.525928 from the provider registry's introduction until the
+// storm's 24 readdirs of a 256-entry directory became snapshot reads
+// (mdb.DB.View): each used to hold the shard's transaction mutex for
+// 514 per-row sleeps, stalling every utime behind it. If this moves,
+// a change altered the simulation, not just the wiring.
 func TestStoreAbsoluteCostPin(t *testing.T) {
-	const want = 0.525928 // bench/baseline.json metadata-cache/nocache-1shards
+	const want = 0.454666 // bench/baseline.json metadata-cache/nocache-1shards
 	sum, _ := experiments.ClientCacheStorm(1, params.Default())
 	if sum.N() != 6144 {
 		t.Fatalf("storm measured %d stats, baseline measured 6144", sum.N())
 	}
 	if sum.MeanMs() != want {
-		t.Fatalf("default store drifted from the pre-interface baseline: %v vms/op, want %v", sum.MeanMs(), want)
+		t.Fatalf("default store drifted from the recorded baseline: %v vms/op, want %v", sum.MeanMs(), want)
 	}
 }
 
@@ -149,4 +152,73 @@ func TestStoreUnknownFailsFast(t *testing.T) {
 	cfg.COFS.MetadataStore = "bogus"
 	tb := cluster.New(7, 1, cfg)
 	core.Deploy(tb, nil)
+}
+
+// TestReaddirOffTheTransactionMutex pins the non-blocking half of the
+// snapshot-read contract at the service level, in virtual time: a
+// create issued while another node's 512-entry readdir is being served
+// by the same shard completes in exactly its uncontended latency (the
+// scan used to hold the shard's transaction mutex for its 1026 per-row
+// sleeps, ~22 ms), and two concurrent readdirs overlap instead of
+// running back to back.
+func TestReaddirOffTheTransactionMutex(t *testing.T) {
+	const entries = 512
+	tb := cluster.New(21, 3, params.Default())
+	d := core.Deploy(tb, nil)
+	tb.Run()
+	svc := d.Service
+	step(tb, "mkdir", func(p *sim.Proc) {
+		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/big", 0777); err != nil {
+			t.Error(err)
+		}
+	})
+	big := inoOf(t, tb, d, "/big")
+	step(tb, "build", func(p *sim.Proc) {
+		ctx := cluster.Ctx(0, 1)
+		for i := 0; i < entries; i++ {
+			if _, _, err := svc.Create(p, d.FSs[0].Session(), ctx, big, fmt.Sprintf("f%03d", i), vfs.TypeRegular, 0644, "", ""); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	create := func(p *sim.Proc, name string) time.Duration {
+		start := p.Now()
+		if _, _, err := svc.Create(p, d.FSs[2].Session(), cluster.Ctx(2, 1), core.RootID, name, vfs.TypeRegular, 0644, "", ""); err != nil {
+			t.Error(err)
+		}
+		return p.Now() - start
+	}
+	list := func(p *sim.Proc, node int) time.Duration {
+		start := p.Now()
+		listWhole(t, p, d, node, big, entries, false)
+		return p.Now() - start
+	}
+	var createAlone, listAlone time.Duration
+	step(tb, "alone", func(p *sim.Proc) {
+		createAlone = create(p, "alone")
+		listAlone = list(p, 1)
+	})
+
+	var createBeside time.Duration
+	tb.Env.Spawn("lister", func(p *sim.Proc) { list(p, 1) })
+	tb.Env.SpawnAfter("creator", listAlone/4, func(p *sim.Proc) { createBeside = create(p, "beside") })
+	tb.Run()
+	if createBeside != createAlone {
+		t.Errorf("create beside a %d-entry readdir took %v, alone %v", entries, createBeside, createAlone)
+	}
+
+	start := tb.Env.Now()
+	tb.Env.Spawn("lister1", func(p *sim.Proc) { list(p, 1) })
+	tb.Env.Spawn("lister2", func(p *sim.Proc) { list(p, 2) })
+	tb.Run()
+	if both := tb.Env.Now() - start; both > listAlone*5/4 {
+		t.Errorf("two concurrent %d-entry readdirs took %v, one takes %v: they did not overlap", entries, both, listAlone)
+	}
+	if wait := svc.Shards()[0].DB.TxWait(); wait != 0 {
+		t.Errorf("transactions waited %v on the shard's mutex in a run whose only contention was readdirs", wait)
+	}
+	if got := d.Counters().Get("mdb.views"); got != 4 {
+		t.Errorf("mdb.views = %d, want 4 (one per readdir)", got)
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"cofs/internal/lock"
 	"cofs/internal/mdb"
@@ -648,103 +647,4 @@ func (s *Service) linkRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino
 		return out
 	})
 	return r.attr, r.err
-}
-
-// readdirSharded is ReaddirPlus for a sharded plane: the listing itself
-// is one shard's index scan; attributes of entries whose inodes live
-// elsewhere are fetched with one batched RPC per involved shard. With
-// leases enabled, each entry's leases are granted by the shard that
-// owns the row: dentries (and co-located attributes) by the
-// coordinator, remote attributes by the shard the batched peer read
-// runs on.
-func (s *Service) readdirSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, []vfs.Attr, error) {
-	r := callDyn(p, s, sess, rpc.OpReaddir, 96, s.cfg.ServiceCPUPerOp, func(p *sim.Proc) readdirReply {
-		var out readdirReply
-		if err := s.claim(dir); err != nil {
-			return readdirReply{err: err}
-		}
-		remote := make(map[int][]int) // shard id -> entry indexes
-		s.DB.Transaction(p, func(tx *mdb.Tx) {
-			if _, err := s.dirRow(tx, ctx, dir, false); err != nil {
-				out.err = err
-				return
-			}
-			keys := mdb.IndexKeys(tx, s.dentries, "parent", parentIndexKey(dir))
-			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
-			for _, k := range keys {
-				de, ok := mdb.Get(tx, s.dentries, k)
-				if !ok {
-					continue
-				}
-				i := len(out.entries)
-				out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: de.Type})
-				out.attrs = append(out.attrs, vfs.Attr{})
-				if s.owns(de.Child) {
-					row, _ := mdb.Get(tx, s.inodes, de.Child)
-					out.attrs[i] = row.attr()
-				} else {
-					sh := s.cluster.Of(de.Child)
-					remote[sh] = append(remote[sh], i)
-				}
-			}
-		})
-		if out.err != nil {
-			return out
-		}
-		for i, e := range out.entries {
-			if out.attrs[i].Ino == 0 {
-				continue // remote row, granted below by its owner
-			}
-			s.grantDentry(p, sess, dir, e.Name, e.Ino)
-			s.grantAttr(p, sess, e.Ino, "")
-		}
-		// Entries whose row migrated between the listing and its shard's
-		// batched read come back marked moved and are re-resolved at the
-		// current owner on the next round (server-side redirect chasing,
-		// like peerGetattr): a live row is never reported attribute-less
-		// just because it changed shards mid-listing.
-		for len(remote) > 0 {
-			shardIDs := make([]int, 0, len(remote))
-			for sh := range remote {
-				shardIDs = append(shardIDs, sh)
-			}
-			sort.Ints(shardIDs)
-			next := make(map[int][]int)
-			for _, sh := range shardIDs {
-				idxs := remote[sh]
-				ts := s.cluster.shards[sh]
-				type batchReply struct {
-					attrs []vfs.Attr
-					moved []int
-				}
-				br := peerCall(p, s, ts, int64(96+16*len(idxs)), int64(32+160*len(idxs)),
-					ts.cfg.ServiceCPUPerOp*3/4, func(p *sim.Proc) batchReply {
-						res := batchReply{attrs: make([]vfs.Attr, len(idxs))}
-						for j, i := range idxs {
-							ino := out.entries[i].Ino
-							if row, ok := mdb.DirtyGet(p, ts.inodes, ino); ok {
-								res.attrs[j] = row.attr()
-								ts.grantAttr(p, sess, ino, "")
-							} else if !ts.owns(ino) {
-								res.moved = append(res.moved, i)
-							}
-						}
-						return res
-					})
-				for j, i := range idxs {
-					out.attrs[i] = br.attrs[j]
-					if br.attrs[j].Ino != 0 {
-						s.grantDentry(p, sess, dir, out.entries[i].Name, out.entries[i].Ino)
-					}
-				}
-				for _, i := range br.moved {
-					owner := s.cluster.Of(out.entries[i].Ino)
-					next[owner] = append(next[owner], i)
-				}
-			}
-			remote = next
-		}
-		return out
-	}, func(r readdirReply) int64 { return 96 + int64(len(r.entries))*160 })
-	return r.entries, r.attrs, r.err
 }

@@ -1,6 +1,10 @@
 package mdb
 
-import "cofs/internal/sim"
+import (
+	"time"
+
+	"cofs/internal/sim"
+)
 
 // This file is the WAL export/import half of crash-consistent row
 // migration (docs/resharding.md). A migrated row group used to start
@@ -50,15 +54,18 @@ func (db *DB) ImportHandoff(p *sim.Proc, h *Handoff) {
 	}
 	db.Transactions++
 	db.txMu.Lock(p)
+	// The batch lands without yielding, like a transaction's write set,
+	// so a snapshot read (View) sees all of it or none; its per-record
+	// CPU cost follows as one charge, still under the mutex.
 	for _, rec := range h.recs {
-		if db.opTime > 0 {
-			p.Sleep(db.opTime)
-		}
 		db.tables[rec.table].applyWAL(rec)
 	}
 	db.wal.pushAll(h.recs)
 	db.stampTail(h.Len())
 	db.staged += h.Len()
+	if db.opTime > 0 {
+		p.Sleep(db.opTime * time.Duration(h.Len()))
+	}
 	db.txMu.Unlock(p)
 	db.Commits++
 	if db.trace != nil {

@@ -6,9 +6,10 @@
 // crash recovery by log replay.
 //
 // The store is deliberately single-node (as deployed in the paper);
-// transactions serialize on one transaction mutex, which matches the
-// soft-real-time profile of small metadata queries, and all timing is
-// charged to the calling simulated process.
+// write transactions serialize on one transaction mutex, which matches
+// the soft-real-time profile of small metadata queries; read-only
+// snapshot transactions (View) never take it. All timing is charged to
+// the calling simulated process.
 package mdb
 
 import (
@@ -89,9 +90,11 @@ type DB struct {
 	// scratch is the one reusable transaction handle: txMu serializes
 	// transactions and they cannot nest, so at most one is live at a
 	// time. scratchLog keeps the write-set buffer's capacity between
-	// transactions.
+	// transactions. viewTx is View's handle: a view closure is
+	// yield-free, so at most one is live at a time too.
 	scratch    Tx
 	scratchLog []walRec
+	viewTx     Tx
 
 	// staged counts WAL records imported by a live row migration but
 	// not yet sealed by an epoch install; handedOff counts records
@@ -123,6 +126,7 @@ type DB struct {
 
 	Commits      int64
 	Transactions int64
+	Views        int64
 	DirtyOps     int64
 	LogFlushes   int64
 }
@@ -187,21 +191,6 @@ func (db *DB) stampTail(n int) {
 			t.setStamp(rec.key, db.seqBase+int64(pos))
 		}
 	})
-}
-
-// ChargeOps charges p the CPU cost of n table operations without
-// touching any table. The standby read path captures its rows with
-// yield-free Peeks at a single instant — so a shipping round cannot
-// interleave mid-scan — and pays the per-operation charge afterwards,
-// keeping its cost in line with the dirty reads it replaces.
-func (db *DB) ChargeOps(p *sim.Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	db.DirtyOps += int64(n)
-	if db.opTime > 0 {
-		p.Sleep(db.opTime * time.Duration(n))
-	}
 }
 
 // NewAsync creates a database whose log is flushed in the background
@@ -378,23 +367,57 @@ type Tx struct {
 	log     []walRec
 	durable bool
 	ops     int
+	view    bool // read-only snapshot handle (DB.View)
 }
 
-// Transaction runs fn as a serializable transaction: table operations
-// are exclusive with other transactions; on return, mutations of
-// disc-copies tables are forced to the log (group commit). Mirrors
-// mnesia:transaction.
 // Freeze acquires the database's transaction mutex, blocking until any
 // in-flight transaction commits and keeping new ones from starting
 // until Thaw. Between the two, table state is transaction-consistent —
 // the resharder's plan scan runs under a whole-plane freeze so a row
 // mid-commit (allocated, not yet applied) cannot slip past it. Dirty
-// reads are unaffected, like always.
+// reads and views are unaffected, like always.
 func (db *DB) Freeze(p *sim.Proc) { db.txMu.Lock(p) }
 
 // Thaw releases a Freeze.
 func (db *DB) Thaw(p *sim.Proc) { db.txMu.Unlock(p) }
 
+// TxWait is the cumulative virtual time procs have spent blocked on the
+// transaction mutex (Transaction, ImportHandoff, Freeze): what write
+// serialization costs the shard's callers.
+func (db *DB) TxWait() time.Duration { return db.txMu.WaitTotal }
+
+// View runs fn as a read-only snapshot transaction: every read through
+// tx observes the committed table state of one virtual instant — the
+// operation's linearization point — because fn runs without yielding
+// and commits apply their write sets without yielding. It never touches
+// the transaction mutex, so a scan neither waits for writers nor makes
+// them wait (Mnesia read transactions lock the records they read, not
+// the table). The CPU cost of the ops fn performed is charged to p as
+// one block after fn returns. Put and Delete through tx panic, and so
+// does a closure that lets virtual time advance.
+func (db *DB) View(p *sim.Proc, fn func(tx *Tx)) {
+	db.Views++
+	tx := &db.viewTx
+	if tx.p != nil {
+		panic("mdb: View entered while another view is open")
+	}
+	*tx = Tx{db: db, p: p, view: true}
+	at := p.Now()
+	fn(tx)
+	ops := tx.ops
+	tx.p = nil
+	if p.Now() != at {
+		panic("mdb: View closure yielded")
+	}
+	if db.opTime > 0 && ops > 0 {
+		p.Sleep(db.opTime * time.Duration(ops))
+	}
+}
+
+// Transaction runs fn as a serializable read-write transaction: table
+// operations are exclusive with other transactions; on return,
+// mutations of disc-copies tables are forced to the log (group commit).
+// Mirrors mnesia:transaction.
 func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	db.Transactions++
 	db.txMu.Lock(p)
@@ -430,10 +453,35 @@ func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	}
 }
 
+// charge accounts one table operation: a transaction pays for it on the
+// spot, a view counts it for the single charge after its closure.
 func (tx *Tx) charge() {
 	tx.ops++
-	if tx.db.opTime > 0 {
+	if !tx.view && tx.db.opTime > 0 {
 		tx.p.Sleep(tx.db.opTime)
+	}
+}
+
+// Abort abandons a view whose caller decided, before trusting anything
+// it read, that it cannot answer (a standby that cannot prove its rows
+// fresh): the ops counted so far are not charged. The closure should
+// return right after.
+func (tx *Tx) Abort() {
+	if !tx.view {
+		panic("mdb: Abort outside a View")
+	}
+	tx.ops = 0
+}
+
+// write appends one record to the transaction's write set.
+func (tx *Tx) write(rec walRec, class Storage) {
+	if tx.view {
+		panic("mdb: write through a View handle")
+	}
+	tx.charge()
+	tx.log = append(tx.log, rec)
+	if class == DiscCopies {
+		tx.durable = true
 	}
 }
 
@@ -459,20 +507,12 @@ func Get[K comparable, V any](tx *Tx, t *Table[K, V], key K) (V, bool) {
 
 // Put writes a row within a transaction.
 func Put[K comparable, V any](tx *Tx, t *Table[K, V], key K, val V) {
-	tx.charge()
-	tx.log = append(tx.log, walRec{table: t.tblName, op: walPut, key: key, val: val})
-	if t.class == DiscCopies {
-		tx.durable = true
-	}
+	tx.write(walRec{table: t.tblName, op: walPut, key: key, val: val}, t.class)
 }
 
 // Delete removes a row within a transaction.
 func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
-	tx.charge()
-	tx.log = append(tx.log, walRec{table: t.tblName, op: walDelete, key: key})
-	if t.class == DiscCopies {
-		tx.durable = true
-	}
+	tx.write(walRec{table: t.tblName, op: walDelete, key: key}, t.class)
 }
 
 // IndexKeys returns the primary keys whose indexed value equals bucket,
@@ -484,14 +524,6 @@ func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
 // same transaction.
 func IndexKeys[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) []K {
 	tx.charge()
-	return t.PeekIndexKeys(indexName, bucket)
-}
-
-// PeekIndexKeys is the committed-index read of IndexKeys without
-// transaction or timing charges: yield-free, like Peek. The standby
-// read path scans a directory with it at one instant and charges the
-// operation cost afterwards (see DB.ChargeOps).
-func (t *Table[K, V]) PeekIndexKeys(indexName, bucket string) []K {
 	var ix *index[K, V]
 	for _, cand := range t.indexes {
 		if cand.name == indexName {

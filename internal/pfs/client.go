@@ -708,7 +708,12 @@ func (c *Client) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry,
 			seen[key] = true
 			c.ensureDirBlock(p, dir, len(din.entries), name)
 		}
-		ino := din.entries[name]
+		// The block fetch above may have slept: an entry unlinked or
+		// renamed away meanwhile is no longer part of the listing.
+		ino, ok := din.entries[name]
+		if !ok {
+			continue
+		}
 		out = append(out, vfs.DirEntry{Name: name, Ino: ino, Type: c.srv.inodes[ino].attr.Type})
 	}
 	return out, nil

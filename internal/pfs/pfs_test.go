@@ -599,3 +599,63 @@ func TestRelinquishFlushesDirtyState(t *testing.T) {
 	})
 	tb.Run()
 }
+
+// TestReaddirSurvivesConcurrentUnlink: a lister sleeps fetching each
+// directory block, and names it collected before the sleep may be
+// unlinked meanwhile. It must skip them — every entry it returns was
+// live, with its real type — instead of dereferencing a dead inode.
+func TestReaddirSurvivesConcurrentUnlink(t *testing.T) {
+	const files = 512 // several directory blocks
+	tb := cluster.New(9, 3, params.Default())
+	ctx0 := cluster.Ctx(0, 1)
+	tb.Env.Spawn("populate", func(p *sim.Proc) {
+		if err := tb.Mounts[0].Mkdir(p, ctx0, "/d", 0777); err != nil {
+			panic(err)
+		}
+		for i := 0; i < files; i++ {
+			f, err := tb.Mounts[0].Create(p, ctx0, fmt.Sprintf("/d/f%03d", i), 0644)
+			if err != nil {
+				panic(err)
+			}
+			f.Close(p)
+		}
+	})
+	tb.Run()
+	tb.Env.Spawn("unlinker", func(p *sim.Proc) {
+		for i := 0; i < files; i++ {
+			if err := tb.Mounts[0].Unlink(p, ctx0, fmt.Sprintf("/d/f%03d", i)); err != nil {
+				panic(err)
+			}
+		}
+	})
+	short := 0
+	for n := 1; n <= 2; n++ {
+		n := n
+		tb.Env.Spawn("lister", func(p *sim.Proc) {
+			for {
+				ents, err := tb.Mounts[n].Readdir(p, cluster.Ctx(n, 1), "/d")
+				if err != nil {
+					panic(err)
+				}
+				for _, e := range ents {
+					if e.Type != vfs.TypeRegular {
+						t.Errorf("listing returned %q with type %v", e.Name, e.Type)
+					}
+				}
+				if len(ents) == 0 {
+					return
+				}
+				if len(ents) < files {
+					short++
+				}
+			}
+		})
+	}
+	tb.Run()
+	if short == 0 {
+		t.Fatal("no listing overlapped the unlink storm: the test exercised nothing")
+	}
+	if err := tb.FS.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,6 +27,8 @@ import (
 const (
 	seedRows = 24 // rows committed on the source before migrating
 	moveRows = 8  // rows shipped in the handoff batch (keys 0..7)
+
+	opTime = 10 * time.Microsecond // per table operation, every test shard
 )
 
 // shard pairs a backend database with its row table.
@@ -38,7 +40,7 @@ type shard struct {
 func openShard(t *testing.T, backend, name string, env *sim.Env) shard {
 	t.Helper()
 	d := disk.New(env, name, params.Default().Disk)
-	db, err := store.Open(backend, env, d, store.Options{OpTime: 10 * time.Microsecond})
+	db, err := store.Open(backend, env, d, store.Options{OpTime: opTime})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,18 @@ import (
 // the WAL-handoff cursor protocol with its exactly-once ownership
 // accounting. *mdb.DB is the one implementation of the front-end; what
 // varies per provider is the durability engine behind it.
+//
+// Transaction is the serialized read-write transaction. View is the
+// read-only one, and its contract is what the service's directory
+// scans rest on: the closure observes the committed state of a single
+// virtual instant (commits and handoff imports land atomically with
+// respect to it), it neither waits for nor delays a Transaction, Freeze
+// or ImportHandoff, and its operations are charged to the caller as one
+// block after the closure returns (view_test.go holds every backend to
+// it).
 type MetadataStore interface {
 	Transaction(p *sim.Proc, fn func(tx *mdb.Tx))
+	View(p *sim.Proc, fn func(tx *mdb.Tx))
 	Freeze(p *sim.Proc)
 	Thaw(p *sim.Proc)
 	Crash()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
 
@@ -179,6 +180,58 @@ var batteryCases = []testCase{
 		ents, err := c.M.Readdir(c.P, c.S.User, "/sp")
 		if c.must(err, "readdir on promoted plane") && len(ents) != 5 {
 			c.Errorf("promoted dir has %d entries, want 5", len(ents))
+		}
+	}},
+
+	{name: "ReaddirIsOneSnapshot", needs: CapSnapshotReads, fn: func(c *C) {
+		// One file flips between the first and the last name of a
+		// directory while another process lists it: every listing must
+		// hold the file under exactly one of its names, next to every
+		// bystander. The flipper works through the second mount when the
+		// system has one, so the renames come from another node.
+		const bystanders, flips = 24, 24
+		c.must(c.M.Mkdir(c.P, c.S.User, "/snap", 0777), "mkdir")
+		c.create(c.S.User, "/snap/a", 0666)
+		for i := 0; i < bystanders; i++ {
+			c.create(c.S.User, fmt.Sprintf("/snap/m%02d", i), 0644)
+		}
+		fm, fctx := c.M, c.S.User
+		if c.S.Mount2 != nil {
+			fm, fctx = c.S.Mount2, c.S.User2
+		}
+		flipped := false
+		c.S.Env.Spawn("conformance.flipper", func(p *sim.Proc) {
+			from, to := "/snap/a", "/snap/z"
+			for i := 0; i < flips; i++ {
+				if err := fm.Rename(p, fctx, from, to); err != nil {
+					c.Errorf("flip %d (%s -> %s): %v", i, from, to, err)
+				}
+				from, to = to, from
+				p.Sleep(50 * time.Microsecond)
+			}
+			flipped = true
+		})
+		listings := 0
+		for !flipped {
+			ents, err := c.M.Readdir(c.P, c.S.User, "/snap")
+			if !c.must(err, "readdir during the rename storm") {
+				return
+			}
+			listings++
+			names := 0
+			for _, e := range ents {
+				if e.Name == "a" || e.Name == "z" {
+					names++
+				}
+			}
+			if names != 1 || len(ents) != bystanders+1 {
+				c.Errorf("listing %d holds the flipping file under %d names among %d entries, want 1 among %d",
+					listings, names, len(ents), bystanders+1)
+			}
+			c.P.Sleep(10 * time.Microsecond) // a zero-cost provider must still let the flipper run
+		}
+		if listings < 4 {
+			c.Errorf("only %d listings overlapped %d renames: the case exercised nothing", listings, flips)
 		}
 	}},
 

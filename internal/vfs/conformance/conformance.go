@@ -71,6 +71,12 @@ const (
 	// shipping lags. The system must be deployed with standby reads
 	// enabled for the claim to mean anything.
 	CapStandbyReads
+	// CapSnapshotReads: a directory listing is one snapshot — it holds
+	// exactly the names the directory had at a single instant between
+	// the call and its return, however long the scan takes and whatever
+	// renames land meanwhile (a readdir that collects names across
+	// yields can return both names of a file being renamed, or neither).
+	CapSnapshotReads
 )
 
 var capabilityNames = []struct {
@@ -84,6 +90,7 @@ var capabilityNames = []struct {
 	{CapCrashRecover, "crash-recover"},
 	{CapHandoff, "handoff"},
 	{CapStandbyReads, "standby-reads"},
+	{CapSnapshotReads, "snapshot-reads"},
 }
 
 // String names the set bits, comma-separated.
@@ -110,6 +117,7 @@ type Capabilities struct {
 	CrashRecover         bool
 	Handoff              bool
 	StandbyReads         bool
+	SnapshotReads        bool
 }
 
 func (cs Capabilities) mask() Capability {
@@ -134,6 +142,9 @@ func (cs Capabilities) mask() Capability {
 	}
 	if cs.StandbyReads {
 		m |= CapStandbyReads
+	}
+	if cs.SnapshotReads {
+		m |= CapSnapshotReads
 	}
 	return m
 }

@@ -18,6 +18,7 @@ func memProvider(name string, fuse params.FUSEParams) Provider {
 		Capabilities: Capabilities{
 			Hardlinks:          true,
 			RenameOverNonempty: true,
+			SnapshotReads:      true,
 		},
 		New: func(t *testing.T) *System {
 			env := sim.NewEnv(1)

@@ -3,6 +3,7 @@ package conformance
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cofs/internal/params"
 	"cofs/internal/sim"
@@ -36,6 +37,39 @@ func (b brokenFS) Rename(p *sim.Proc, ctx vfs.Ctx, srcDir vfs.Ino, srcName strin
 		_ = b.Filesystem.Unlink(p, ctx, dstDir, dstName)
 	}
 	return nil
+}
+
+// tornFS wraps the reference file system with a listing that is not a
+// snapshot: it scans the first half of the name space, yields, and
+// scans the second half — what a lock-free readdir that sleeps per row
+// does. A file renamed across the split meanwhile shows up under both
+// names or neither.
+type tornFS struct {
+	vfs.Filesystem
+}
+
+func (f tornFS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
+	first, err := f.Filesystem.Readdir(p, ctx, dir)
+	if err != nil {
+		return nil, err
+	}
+	p.Sleep(100 * time.Microsecond)
+	second, err := f.Filesystem.Readdir(p, ctx, dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []vfs.DirEntry
+	for _, e := range first {
+		if e.Name < "n" {
+			out = append(out, e)
+		}
+	}
+	for _, e := range second {
+		if e.Name >= "n" {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // metaProvider mounts fs with the given capability claims.
@@ -103,6 +137,7 @@ func TestSuiteReportsCapabilitySkips(t *testing.T) {
 		"CrashRecoverDurableNamespace":         "crash-recover",
 		"ReshardGrowShrinkPreservesNamespace":  "handoff",
 		"StandbyReadsNeverStale":               "standby-reads",
+		"ReaddirIsOneSnapshot":                 "snapshot-reads",
 	}
 	for name, capName := range gated {
 		r := caseResult(t, results, name)
@@ -144,5 +179,22 @@ func TestSuiteVerifiesCapabilityClaims(t *testing.T) {
 		} else if len(r.Failures) == 0 {
 			t.Errorf("%s passed against a file system that enforces nothing", name)
 		}
+	}
+}
+
+// TestSuiteCatchesTornReaddir: a provider that claims snapshot listings
+// but assembles them across a yield must fail the snapshot case, and
+// the reference file system, whose listing is one step, must pass it.
+func TestSuiteCatchesTornReaddir(t *testing.T) {
+	caps := Capabilities{SnapshotReads: true}
+	torn := caseResult(t, Results(t, metaProvider("torn-readdir", caps,
+		func() vfs.Filesystem { return tornFS{vfs.NewMemFS()} })), "ReaddirIsOneSnapshot")
+	if torn.Skipped || len(torn.Failures) == 0 {
+		t.Errorf("ReaddirIsOneSnapshot = %+v, want failures: the suite missed a listing torn by a rename", torn)
+	}
+	whole := caseResult(t, Results(t, metaProvider("whole-readdir", caps,
+		func() vfs.Filesystem { return vfs.NewMemFS() })), "ReaddirIsOneSnapshot")
+	if whole.Skipped || len(whole.Failures) > 0 {
+		t.Errorf("ReaddirIsOneSnapshot = %+v, want a clean pass on the reference file system", whole)
 	}
 }
