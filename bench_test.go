@@ -435,7 +435,9 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 // mode-aware default. Every create meets on the parent directory's
 // inode row: exclusive-only serializes the whole validate→commit spans
 // there, shared/exclusive overlaps them (the dentry rows written stay
-// exclusive), so vms/op must improve at 2 and 4 shards. One shard has
+// exclusive), so the creates stop waiting at the service; the mean is
+// dominated by the underlying file system's token-trading tail and
+// follows only loosely (docs/transactions.md has the figures). One shard has
 // no lock table at all — both rows are the identical baseline
 // (TestTxnLocksUncontendedCostIdentical pins the uncontended
 // equivalence at 2 and 4 shards).

@@ -165,9 +165,9 @@ func serviceCounters(svc *MDSCluster) *stats.Counters {
 	c.Add("mds.reshard-lease-recalls", rs.Recalls)
 	c.Add("mds.reshard-wal-handoff", rs.HandoffRecords)
 	c.Add("mds.reshard-retired", rs.Retired)
-	// The store's read/write split: snapshot reads taken, and what the
-	// transactions still serialized on the per-shard mutex made their
-	// callers wait.
+	// Snapshot reads taken, and what Freeze windows (a live reshard's
+	// plan scan, an mdls compaction) made write transactions wait: zero
+	// on a plane nobody froze.
 	var views int64
 	var txWait time.Duration
 	for _, s := range svc.Shards() {

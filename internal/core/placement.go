@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"cofs/internal/vfs"
 )
@@ -90,12 +91,33 @@ func (hp HashPlacement) BucketDir(node, pid int, parent vfs.Ino, rnd uint64) str
 	if fanout < 1 {
 		fanout = 1
 	}
-	h := hash3(node, pid, parent) % uint64(fanout)
-	dir := fmt.Sprintf("o/%03x", h)
+	// "o/%03x" and, below it, "/r%02d": built in one stack buffer — this
+	// runs once per create.
+	var buf [32]byte
+	b := appendPadded(append(buf[:0], "o/"...), hash3(node, pid, parent)%uint64(fanout), 16, 3)
 	if hp.RandomSubdirs > 1 {
-		dir = fmt.Sprintf("%s/r%02d", dir, rnd%uint64(hp.RandomSubdirs))
+		b = appendPadded(append(b, "/r"...), rnd%uint64(hp.RandomSubdirs), 10, 2)
 	}
-	return dir
+	return string(b)
+}
+
+// appendPadded appends v in base, zero-padded to at least width digits:
+// what fmt's %0<width>x and %0<width>d print for an unsigned value.
+func appendPadded(b []byte, v uint64, base, width int) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendUint(tmp[:0], v, base)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
+// underlyingPath composes the mapping a regular file's create records:
+// "<bucket>/f%016x" of its inode number, in one allocation.
+func underlyingPath(bucket string, id vfs.Ino) string {
+	var buf [64]byte
+	b := append(append(buf[:0], bucket...), "/f"...)
+	return string(appendPadded(b, uint64(id), 16, 16))
 }
 
 // InitDirs implements Placement: the hash level — and, when enabled,

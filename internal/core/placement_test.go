@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,6 +108,41 @@ func TestDegeneratePolicies(t *testing.T) {
 	for _, p := range []Placement{HashPlacement{Fanout: 4}, NodeHashPlacement{Fanout: 4}, FlatPlacement{}} {
 		if p.Name() == "" {
 			t.Fatal("placement must have a name")
+		}
+	}
+}
+
+// TestCreatePathStringsMatchFormatVerbs pins the strings a create
+// builds by hand (strconv into one buffer) against the format verbs
+// they replaced, byte for byte: padding narrower and wider than the
+// value, both placement levels, bucket names past the stack buffer.
+func TestCreatePathStringsMatchFormatVerbs(t *testing.T) {
+	for _, tc := range []struct {
+		fanout, subdirs int
+		rnd             uint64
+	}{
+		{1, 0, 0}, {64, 1, 7}, {64, 8, 0}, {64, 8, 13}, {1024, 1, 0},
+		{4096, 128, 127}, {1 << 20, 1000, 999}, {0, 2, 1 << 63},
+	} {
+		hp := HashPlacement{Fanout: tc.fanout, RandomSubdirs: tc.subdirs}
+		for node := 0; node < 40; node++ {
+			parent := vfs.Ino(node*7919 + 1)
+			fanout := uint64(max(tc.fanout, 1))
+			want := fmt.Sprintf("o/%03x", hash3(node, node+1, parent)%fanout)
+			if tc.subdirs > 1 {
+				want = fmt.Sprintf("%s/r%02d", want, tc.rnd%uint64(tc.subdirs))
+			}
+			if got := hp.BucketDir(node, node+1, parent, tc.rnd); got != want {
+				t.Fatalf("BucketDir(fanout %d, subdirs %d, node %d) = %q, want %q", tc.fanout, tc.subdirs, node, got, want)
+			}
+		}
+	}
+	for _, bucket := range []string{"o/03f", "o/03f/r07", "flat", "", strings.Repeat("deep/", 20)} {
+		for _, id := range []vfs.Ino{0, 1, 0xabc, 1 << 40, 1<<63 + 5} {
+			want := fmt.Sprintf("%s/f%016x", bucket, uint64(id))
+			if got := underlyingPath(bucket, id); got != want {
+				t.Fatalf("underlyingPath(%q, %#x) = %q, want %q", bucket, uint64(id), got, want)
+			}
 		}
 	}
 }

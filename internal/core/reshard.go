@@ -134,13 +134,14 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	c.growTo(n)
 	c.ensureReshardRig()
 
-	// Freeze every shard's transaction mutex (in shard order — no
-	// transaction ever spans two shards' mutexes, so ordered
-	// acquisition cannot deadlock) for the boundary/plan computation:
-	// every allocID runs inside its shard's transaction, so a frozen
-	// plane has no id allocated but not yet visible in the tables — the
-	// window that would otherwise strand a mid-commit create's row on a
-	// shard the new map does not assign it.
+	// Freeze every shard's store (in shard order — no transaction ever
+	// spans two shards' gates, so ordered acquisition cannot deadlock)
+	// for the boundary/plan computation. Store transactions are atomic
+	// at an instant — an id is allocated and its row visible in the
+	// same instant — so no create is ever mid-commit; what the gate
+	// still orders the scan behind is an engine's own freeze (an mdls
+	// compaction rewriting its journal), and it keeps writers out should
+	// anything below ever yield.
 	for _, s := range c.shards {
 		s.DB.Freeze(p)
 	}

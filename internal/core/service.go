@@ -606,7 +606,7 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: id, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
 			if bucket != "" {
-				out.upath = fmt.Sprintf("%s/f%016x", bucket, uint64(id))
+				out.upath = underlyingPath(bucket, id)
 				mdb.Put(tx, s.mappings, id, out.upath)
 			}
 			out.attr = row.attr()

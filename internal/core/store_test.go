@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/experiments"
@@ -86,10 +87,12 @@ func TestStoreDefaultCostIdentical(t *testing.T) {
 // was 0.525928 from the provider registry's introduction until the
 // storm's 24 readdirs of a 256-entry directory became snapshot reads
 // (mdb.DB.View): each used to hold the shard's transaction mutex for
-// 514 per-row sleeps, stalling every utime behind it. If this moves,
-// a change altered the simulation, not just the wiring.
+// 514 per-row sleeps, stalling every utime behind it), and 0.454666
+// from then until write transactions left that mutex too (the storm's
+// utimes now overlap each other; the stats beside them were redrawn).
+// If this moves, a change altered the simulation, not just the wiring.
 func TestStoreAbsoluteCostPin(t *testing.T) {
-	const want = 0.454666 // bench/baseline.json metadata-cache/nocache-1shards
+	const want = 0.455145 // bench/baseline.json metadata-cache/nocache-1shards
 	sum, _ := experiments.ClientCacheStorm(1, params.Default())
 	if sum.N() != 6144 {
 		t.Fatalf("storm measured %d stats, baseline measured 6144", sum.N())
@@ -160,7 +163,12 @@ func TestStoreUnknownFailsFast(t *testing.T) {
 // by the same shard completes in exactly its uncontended latency (the
 // scan used to hold the shard's transaction mutex for its 1026 per-row
 // sleeps, ~22 ms), and two concurrent readdirs overlap instead of
-// running back to back.
+// running back to back. The writers twin: two creates of different
+// names in one directory, issued at the same instant, both complete in
+// the uncontended latency give or take the requests' turn on the
+// server's link (a few us, under one table operation) — a create's six
+// table operations used to be six sleeps under that mutex, so the
+// second finished six operations late.
 func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	const entries = 512
 	tb := cluster.New(21, 3, params.Default())
@@ -182,9 +190,9 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 			}
 		}
 	})
-	create := func(p *sim.Proc, name string) time.Duration {
+	createFrom := func(p *sim.Proc, node int, name string) time.Duration {
 		start := p.Now()
-		if _, _, err := svc.Create(p, d.FSs[2].Session(), cluster.Ctx(2, 1), core.RootID, name, vfs.TypeRegular, 0644, "", ""); err != nil {
+		if _, _, err := svc.Create(p, d.FSs[node].Session(), cluster.Ctx(node, 1), core.RootID, name, vfs.TypeRegular, 0644, "", ""); err != nil {
 			t.Error(err)
 		}
 		return p.Now() - start
@@ -196,13 +204,13 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	}
 	var createAlone, listAlone time.Duration
 	step(tb, "alone", func(p *sim.Proc) {
-		createAlone = create(p, "alone")
+		createAlone = createFrom(p, 2, "alone")
 		listAlone = list(p, 1)
 	})
 
 	var createBeside time.Duration
 	tb.Env.Spawn("lister", func(p *sim.Proc) { list(p, 1) })
-	tb.Env.SpawnAfter("creator", listAlone/4, func(p *sim.Proc) { createBeside = create(p, "beside") })
+	tb.Env.SpawnAfter("creator", listAlone/4, func(p *sim.Proc) { createBeside = createFrom(p, 2, "beside") })
 	tb.Run()
 	if createBeside != createAlone {
 		t.Errorf("create beside a %d-entry readdir took %v, alone %v", entries, createBeside, createAlone)
@@ -215,10 +223,55 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	if both := tb.Env.Now() - start; both > listAlone*5/4 {
 		t.Errorf("two concurrent %d-entry readdirs took %v, one takes %v: they did not overlap", entries, both, listAlone)
 	}
+
+	var twins [2]time.Duration
+	for i := range twins {
+		tb.Env.Spawn("twin", func(p *sim.Proc) { twins[i] = createFrom(p, 1+i, fmt.Sprintf("twin%d", i)) })
+	}
+	tb.Run()
+	for i, took := range twins {
+		if took < createAlone || took-createAlone >= params.Default().COFS.DBOpTime {
+			t.Errorf("create %d of two issued together took %v, alone %v", i, took, createAlone)
+		}
+	}
 	if wait := svc.Shards()[0].DB.TxWait(); wait != 0 {
-		t.Errorf("transactions waited %v on the shard's mutex in a run whose only contention was readdirs", wait)
+		t.Errorf("transactions waited %v on the shard's mutex in a run that never froze it", wait)
 	}
 	if got := d.Counters().Get("mdb.views"); got != 4 {
 		t.Errorf("mdb.views = %d, want 4 (one per readdir)", got)
+	}
+}
+
+// TestCreateStormNeverWaitsOnTheTransactionMutex is the regression
+// guard on the counter that sized the write path's old serialization
+// (mdb.tx_wait_ms read 238 and 712 in the fresh reshard-under-load
+// records): a fresh 4-shard plane under an 8-rank mdtest create storm —
+// private trees, so the mkdirs run two-phase and every shard commits —
+// must not make a single transaction wait. The mutex is only the
+// Freeze/Thaw gate, and nothing froze this plane.
+func TestCreateStormNeverWaitsOnTheTransactionMutex(t *testing.T) {
+	cfg := params.Default()
+	cfg.COFS.MetadataShards = 4
+	tb := cluster.New(1, 4, cfg)
+	d := core.Deploy(tb, nil)
+	res := bench.MDTest(bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}, bench.MDTestConfig{
+		Nodes: 4, ProcsPerNode: 2, Depth: 1, Branch: 4, FilesPerRank: 64,
+	})
+	if res.TotalOps() == 0 {
+		t.Fatal("the storm ran no operations")
+	}
+	for i, s := range d.Service.Shards() {
+		if s.DB.Transactions == 0 {
+			t.Errorf("shard %d committed nothing: the storm no longer loads every shard", i)
+		}
+		if wait := s.DB.TxWait(); wait != 0 {
+			t.Errorf("shard %d: transactions waited %v on the mutex of a plane nobody froze", i, wait)
+		}
+	}
+	if got := d.Counters().Get("mdb.tx_wait_ms"); got != 0 {
+		t.Errorf("mdb.tx_wait_ms = %d, want 0", got)
+	}
+	if err := d.Service.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cofs/internal/lock"
 	"cofs/internal/mdb"
 	"cofs/internal/rpc"
@@ -124,7 +122,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 				}
 				mdb.Put(tx, ts.inodes, id, pre.row)
 				if t == vfs.TypeRegular && bucket != "" {
-					pre.upath = fmt.Sprintf("%s/f%016x", bucket, uint64(id))
+					pre.upath = underlyingPath(bucket, id)
 					mdb.Put(tx, ts.mappings, id, pre.upath)
 				}
 			})

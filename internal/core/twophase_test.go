@@ -467,3 +467,110 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestUnshardedRacesRestOnAtomicTransactions replays, on the one-shard
+// plane, the races the lock table closes on a sharded one. That plane
+// takes no row locks (lockRows is a no-op): each mutation is a single
+// store transaction, and all that isolates two of them is that a
+// transaction's closure and write set land at one virtual instant
+// (docs/transactions.md). Sixteen mkdirs of one name issued at the same
+// instant must yield one directory, fifteen EEXIST and a parent whose
+// link count and mtime reflect exactly one of them; an rmdir racing a
+// create into the same directory, swept across each other's windows in
+// both orders, must end ENOTEMPTY with the file in place or with the
+// directory gone and the create's ENOENT — never a file whose parent
+// was removed.
+func TestUnshardedRacesRestOnAtomicTransactions(t *testing.T) {
+	t.Run("SameNameCreates", func(t *testing.T) {
+		const procs = 16
+		tb, d := txnRig(t, 43, 4, 1, nil)
+		svc := d.Service
+		step(tb, "setup", func(p *sim.Proc) {
+			if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
+				t.Fatal(err)
+			}
+		})
+		parent := inoOf(t, tb, d, "/d")
+		var won vfs.Attr
+		wins, exists := 0, 0
+		for i := 0; i < procs; i++ {
+			tb.Env.Spawn("mkdir", func(p *sim.Proc) {
+				node := i % 4
+				attr, _, err := svc.Create(p, d.FSs[node].Session(), cluster.Ctx(node, 1), parent, "same", vfs.TypeDir, 0777, "", "")
+				switch err {
+				case nil:
+					wins++
+					won = attr
+				case vfs.ErrExist:
+					exists++
+				default:
+					t.Errorf("mkdir %d: %v", i, err)
+				}
+			})
+		}
+		tb.Run()
+		if wins != 1 || exists != procs-1 {
+			t.Fatalf("%d mkdirs of one name: %d succeeded, %d EEXIST", procs, wins, exists)
+		}
+		step(tb, "verify", func(p *sim.Proc) {
+			attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), "/d")
+			if err != nil || attr.Nlink != 3 || attr.Mtime != won.Mtime {
+				t.Errorf("parent after the race: nlink %d mtime %v (%v), want nlink 3 and the winner's instant %v",
+					attr.Nlink, attr.Mtime, err, won.Mtime)
+			}
+		})
+		if err := svc.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if svc.Shards()[0].DB.TxWait() != 0 {
+			t.Errorf("TxWait = %v on a plane nobody froze", svc.Shards()[0].DB.TxWait())
+		}
+	})
+
+	t.Run("RmdirVsCreate", func(t *testing.T) {
+		emptied, kept := 0, 0
+		for _, rmdirFirst := range []bool{true, false} {
+			for _, delta := range raceOffsets() {
+				tb, d := txnRig(t, 47, 2, 1, nil)
+				ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
+				step(tb, "setup", func(p *sim.Proc) {
+					if err := d.Mounts[0].Mkdir(p, ctx0, "/d", 0777); err != nil {
+						t.Fatal(err)
+					}
+				})
+				var rmErr, crErr error
+				rmdir := func(p *sim.Proc) { rmErr = d.Mounts[0].Rmdir(p, ctx0, "/d") }
+				create := func(p *sim.Proc) {
+					f, err := d.Mounts[1].Create(p, ctx1, "/d/f", 0644)
+					if crErr = err; err == nil {
+						f.Close(p)
+					}
+				}
+				first, second := rmdir, create
+				if !rmdirFirst {
+					first, second = create, rmdir
+				}
+				tb.Env.Spawn("first", first)
+				tb.Env.SpawnAfter("second", delta, second)
+				tb.Run()
+				switch {
+				case rmErr == nil && crErr == vfs.ErrNotExist:
+					emptied++
+				case rmErr == vfs.ErrNotEmpty && crErr == nil:
+					kept++
+				default:
+					t.Fatalf("rmdirFirst=%v offset %v: rmdir %v, create %v: not a serial outcome", rmdirFirst, delta, rmErr, crErr)
+				}
+				if err := d.Service.CheckInvariants(); err != nil {
+					t.Fatalf("rmdirFirst=%v offset %v: %v", rmdirFirst, delta, err)
+				}
+				if rep := runFsck(tb, d); !rep.OK() {
+					t.Fatalf("rmdirFirst=%v offset %v: fsck not clean:\n%s", rmdirFirst, delta, rep)
+				}
+			}
+		}
+		if emptied == 0 || kept == 0 {
+			t.Fatalf("%d races removed the directory and %d kept it: the sweep no longer covers both orders", emptied, kept)
+		}
+	})
+}

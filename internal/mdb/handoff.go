@@ -1,10 +1,6 @@
 package mdb
 
-import (
-	"time"
-
-	"cofs/internal/sim"
-)
+import "cofs/internal/sim"
 
 // This file is the WAL export/import half of crash-consistent row
 // migration (docs/resharding.md). A migrated row group used to start
@@ -56,17 +52,11 @@ func (db *DB) ImportHandoff(p *sim.Proc, h *Handoff) {
 	db.txMu.Lock(p)
 	// The batch lands without yielding, like a transaction's write set,
 	// so a snapshot read (View) sees all of it or none; its per-record
-	// CPU cost follows as one charge, still under the mutex.
-	for _, rec := range h.recs {
-		db.tables[rec.table].applyWAL(rec)
-	}
-	db.wal.pushAll(h.recs)
-	db.stampTail(h.Len())
+	// CPU cost follows as one charge, off the mutex.
+	db.land(h.recs)
 	db.staged += h.Len()
-	if db.opTime > 0 {
-		p.Sleep(db.opTime * time.Duration(h.Len()))
-	}
 	db.txMu.Unlock(p)
+	db.pay(p, h.Len())
 	db.Commits++
 	if db.trace != nil {
 		db.trace.Begin(p, db.traceGroup, "wal.sync", -1)

@@ -5,11 +5,15 @@
 // log with group commit on the service node's local ext3-like disk, plus
 // crash recovery by log replay.
 //
-// The store is deliberately single-node (as deployed in the paper);
-// write transactions serialize on one transaction mutex, which matches
-// the soft-real-time profile of small metadata queries; read-only
-// snapshot transactions (View) never take it. All timing is charged to
-// the calling simulated process.
+// The store is deliberately single-node (as deployed in the paper).
+// Both transaction kinds — read-write (Transaction) and read-only
+// snapshot (View) — run their closure without yielding at one virtual
+// instant, which under the cooperative scheduler makes each atomic and
+// the history serial, and are charged their table operations as one
+// block afterwards. The transaction mutex is only the Freeze/Thaw gate:
+// write transactions pass through it, nothing holds it across time on
+// the request path. All timing is charged to the calling simulated
+// process.
 package mdb
 
 import (
@@ -87,14 +91,11 @@ type DB struct {
 	// (engine.go); walEngine unless NewWithEngine installed another.
 	engine Engine
 
-	// scratch is the one reusable transaction handle: txMu serializes
-	// transactions and they cannot nest, so at most one is live at a
-	// time. scratchLog keeps the write-set buffer's capacity between
-	// transactions. viewTx is View's handle: a view closure is
-	// yield-free, so at most one is live at a time too.
-	scratch    Tx
-	scratchLog []walRec
-	viewTx     Tx
+	// tx is the one reusable transaction handle: closures are
+	// yield-free and cannot nest, so at most one — view or transaction —
+	// is open at a time. Its write-set buffer keeps its capacity between
+	// transactions.
+	tx Tx
 
 	// staged counts WAL records imported by a live row migration but
 	// not yet sealed by an epoch install; handedOff counts records
@@ -359,8 +360,9 @@ func (ix *index[K, V]) remove(key K, val V) {
 	}
 }
 
-// Tx is a transaction handle. Operations performed through it charge CPU
-// time and are logged for durable tables at commit.
+// Tx is a transaction handle. Operations performed through it are
+// counted for the charge that follows the closure, and writes are
+// logged for durable tables at commit.
 type Tx struct {
 	db      *DB
 	p       *sim.Proc
@@ -370,76 +372,88 @@ type Tx struct {
 	view    bool // read-only snapshot handle (DB.View)
 }
 
-// Freeze acquires the database's transaction mutex, blocking until any
-// in-flight transaction commits and keeping new ones from starting
-// until Thaw. Between the two, table state is transaction-consistent —
-// the resharder's plan scan runs under a whole-plane freeze so a row
-// mid-commit (allocated, not yet applied) cannot slip past it. Dirty
-// reads and views are unaffected, like always.
+// Freeze acquires the database's transaction mutex, keeping write
+// transactions and handoff imports from starting until Thaw. Between
+// the two, table state and the commit sequence stand still — the
+// resharder's plan scan and the mdls compaction run under it. Nothing
+// else holds the mutex across time, so a Freeze on a thawed database
+// never waits. Views are unaffected, like always.
 func (db *DB) Freeze(p *sim.Proc) { db.txMu.Lock(p) }
 
 // Thaw releases a Freeze.
 func (db *DB) Thaw(p *sim.Proc) { db.txMu.Unlock(p) }
 
 // TxWait is the cumulative virtual time procs have spent blocked on the
-// transaction mutex (Transaction, ImportHandoff, Freeze): what write
-// serialization costs the shard's callers.
+// transaction mutex: what Freeze windows cost the shard's writers. Zero
+// on a plane nobody froze.
 func (db *DB) TxWait() time.Duration { return db.txMu.WaitTotal }
 
-// View runs fn as a read-only snapshot transaction: every read through
-// tx observes the committed table state of one virtual instant — the
-// operation's linearization point — because fn runs without yielding
-// and commits apply their write sets without yielding. It never touches
-// the transaction mutex, so a scan neither waits for writers nor makes
-// them wait (Mnesia read transactions lock the records they read, not
-// the table). The CPU cost of the ops fn performed is charged to p as
-// one block after fn returns. Put and Delete through tx panic, and so
-// does a closure that lets virtual time advance.
-func (db *DB) View(p *sim.Proc, fn func(tx *Tx)) {
-	db.Views++
-	tx := &db.viewTx
+// atomically runs fn on the shared handle at one virtual instant and
+// lands its write set — tables, WAL, stamps — in that same instant. It
+// returns the table operations fn performed and whether any touched a
+// disc-copies table. A nested entry or a closure that lets the clock
+// advance panics: the closure would no longer be atomic.
+func (db *DB) atomically(p *sim.Proc, view bool, fn func(tx *Tx)) (ops int, durable bool) {
+	tx := &db.tx
 	if tx.p != nil {
-		panic("mdb: View entered while another view is open")
+		panic("mdb: transaction entered while another is open")
 	}
-	*tx = Tx{db: db, p: p, view: true}
+	*tx = Tx{db: db, p: p, view: view, log: tx.log[:0]}
 	at := p.Now()
 	fn(tx)
-	ops := tx.ops
 	tx.p = nil
 	if p.Now() != at {
-		panic("mdb: View closure yielded")
+		panic("mdb: transaction closure yielded")
 	}
+	db.land(tx.log)
+	return tx.ops, tx.durable
+}
+
+// land applies recs to the tables and appends them to the log in one
+// step: no view or transaction can observe part of them.
+func (db *DB) land(recs []walRec) {
+	for _, rec := range recs {
+		db.tables[rec.table].applyWAL(rec)
+	}
+	db.wal.pushAll(recs)
+	db.stampTail(len(recs))
+}
+
+// pay charges ops table operations to p as one block.
+func (db *DB) pay(p *sim.Proc, ops int) {
 	if db.opTime > 0 && ops > 0 {
 		p.Sleep(db.opTime * time.Duration(ops))
 	}
 }
 
-// Transaction runs fn as a serializable read-write transaction: table
-// operations are exclusive with other transactions; on return,
-// mutations of disc-copies tables are forced to the log (group commit).
-// Mirrors mnesia:transaction.
+// View runs fn as a read-only snapshot transaction: every read through
+// tx observes the committed table state of one virtual instant — the
+// operation's linearization point — because fn runs without yielding
+// and commits apply their write sets without yielding. It never touches
+// the transaction mutex, so a scan proceeds under a Freeze (Mnesia read
+// transactions lock the records they read, not the table). The CPU cost
+// of the ops fn performed is charged to p as one block after fn
+// returns. Put and Delete through tx panic, and so does a closure that
+// lets virtual time advance.
+func (db *DB) View(p *sim.Proc, fn func(tx *Tx)) {
+	db.Views++
+	ops, _ := db.atomically(p, true, fn)
+	db.pay(p, ops)
+}
+
+// Transaction runs fn as a serializable read-write transaction under
+// the same rule as View: fn runs without yielding at one virtual
+// instant, its write set is applied and appended to the log in that
+// instant, and only then — off the transaction mutex — are its ops
+// charged to p as one block and mutations of disc-copies tables forced
+// to the log (group commit). A closure that lets virtual time advance
+// panics. Mirrors mnesia:transaction.
 func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	db.Transactions++
 	db.txMu.Lock(p)
-	tx := &db.scratch
-	tx.db, tx.p = db, p
-	tx.log = db.scratchLog[:0]
-	tx.durable = false
-	tx.ops = 0
-	fn(tx)
-	// Apply the write set.
-	for _, rec := range tx.log {
-		db.tables[rec.table].applyWAL(rec)
-	}
-	db.wal.pushAll(tx.log)
-	db.stampTail(len(tx.log))
-	// Capture before Unlock: once this proc next blocks (the disk
-	// commit below), a queued transaction may take over the scratch
-	// handle. The buffer hand-back also zeroes nothing — records were
-	// just copied into wal, which now keeps them alive anyway.
-	durable := tx.durable
-	db.scratchLog = tx.log[:0]
+	ops, durable := db.atomically(p, false, fn)
 	db.txMu.Unlock(p)
+	db.pay(p, ops)
 	if durable {
 		db.Commits++
 		if db.trace != nil {
@@ -453,14 +467,9 @@ func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	}
 }
 
-// charge accounts one table operation: a transaction pays for it on the
-// spot, a view counts it for the single charge after its closure.
-func (tx *Tx) charge() {
-	tx.ops++
-	if !tx.view && tx.db.opTime > 0 {
-		tx.p.Sleep(tx.db.opTime)
-	}
-}
+// charge counts one table operation for the single charge that follows
+// the closure.
+func (tx *Tx) charge() { tx.ops++ }
 
 // Abort abandons a view whose caller decided, before trusting anything
 // it read, that it cannot answer (a standby that cannot prove its rows

@@ -11,35 +11,35 @@ import (
 	"cofs/internal/sim"
 )
 
-// TestConcurrentTransactionsSerializable runs randomized read-modify-
-// write transactions from several processes and checks the result equals
-// some serial execution: for pure counter increments, that means no lost
-// updates — the total must equal the number of committed increments.
+// TestConcurrentTransactionsSerializable starts read-modify-write
+// transactions from several processes at randomized instants — a tenth
+// of an op time apart, so arrivals collide at the same instant and land
+// inside each other's deferred charges — and checks the result equals
+// some serial execution: for pure counter increments that means no lost
+// update, the total equals the number of increments. No transaction
+// waits for another: each finishes two op times after it started.
 func TestConcurrentTransactionsSerializable(t *testing.T) {
 	f := func(delays []uint8) bool {
-		if len(delays) == 0 {
-			return true
-		}
 		if len(delays) > 24 {
 			delays = delays[:24]
 		}
 		env := sim.NewEnv(1)
 		db, _ := newDB(env)
 		tbl := NewTable[int, int](db, "ctr", RamCopies)
+		prompt := true
 		for _, d := range delays {
-			delay := time.Duration(d) * 10 * time.Microsecond
-			env.Spawn("inc", func(p *sim.Proc) {
-				p.Sleep(delay)
+			delay := time.Duration(d%32) * db.opTime / 10
+			env.SpawnAfter("inc", delay, func(p *sim.Proc) {
 				db.Transaction(p, func(tx *Tx) {
 					v, _ := Get(tx, tbl, 0)
-					p.Sleep(50 * time.Microsecond) // widen the race window
 					Put(tx, tbl, 0, v+1)
 				})
+				prompt = prompt && p.Now() == delay+2*db.opTime
 			})
 		}
 		env.MustRun()
 		v, _ := tbl.Peek(0)
-		return v == len(delays)
+		return v == len(delays) && prompt && db.TxWait() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

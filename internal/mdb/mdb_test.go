@@ -144,31 +144,6 @@ func TestSelect(t *testing.T) {
 	env.MustRun()
 }
 
-func TestTransactionsSerialize(t *testing.T) {
-	env := sim.NewEnv(1)
-	db, _ := newDB(env)
-	tbl := NewTable[int, int](db, "ctr", RamCopies)
-	inside := 0
-	for i := 0; i < 4; i++ {
-		env.Spawn("w", func(p *sim.Proc) {
-			db.Transaction(p, func(tx *Tx) {
-				inside++
-				if inside != 1 {
-					t.Error("transactions overlapped")
-				}
-				v, _ := Get(tx, tbl, 0)
-				p.Sleep(time.Millisecond)
-				Put(tx, tbl, 0, v+1)
-				inside--
-			})
-		})
-	}
-	env.MustRun()
-	if v := tbl.data[0]; v != 4 {
-		t.Fatalf("counter = %d, want 4 (lost update)", v)
-	}
-}
-
 func TestDurableCommitChargesDisk(t *testing.T) {
 	env := sim.NewEnv(1)
 	db, d := newDB(env)

@@ -14,9 +14,10 @@ import (
 // package access: misuse of the handle, and the one writer that used to
 // apply records across sleeps.
 
-// viewPanic runs fn inside a View on a fresh database and returns the
-// panic message it raised ("" if none).
-func viewPanic(fn func(p *sim.Proc, tx *Tx, tbl *Table[int, string])) (msg string) {
+// closurePanic runs fn inside a View (or, with write set, a
+// Transaction) on a fresh database and returns the panic message it
+// raised ("" if none).
+func closurePanic(write bool, fn func(p *sim.Proc, tx *Tx, tbl *Table[int, string])) (msg string) {
 	env := sim.NewEnv(1)
 	db, _ := newDB(env)
 	tbl := NewTable[int, string](db, "rows", DiscCopies)
@@ -26,7 +27,11 @@ func viewPanic(fn func(p *sim.Proc, tx *Tx, tbl *Table[int, string])) (msg strin
 				msg = r.(string)
 			}
 		}()
-		db.View(p, func(tx *Tx) { fn(p, tx, tbl) })
+		run := db.View
+		if write {
+			run = db.Transaction
+		}
+		run(p, func(tx *Tx) { fn(p, tx, tbl) })
 	})
 	env.MustRun()
 	return msg
@@ -37,19 +42,30 @@ func TestViewHandleIsReadOnly(t *testing.T) {
 		"Put":    func(p *sim.Proc, tx *Tx, tbl *Table[int, string]) { Put(tx, tbl, 1, "x") },
 		"Delete": func(p *sim.Proc, tx *Tx, tbl *Table[int, string]) { Delete(tx, tbl, 1) },
 	} {
-		if msg := viewPanic(fn); !strings.Contains(msg, "write through a View") {
+		if msg := closurePanic(false, fn); !strings.Contains(msg, "write through a View") {
 			t.Errorf("%s through a view handle: panic %q, want a write-through-View panic", name, msg)
 		}
 	}
 }
 
-func TestViewCatchesYieldingClosure(t *testing.T) {
-	msg := viewPanic(func(p *sim.Proc, tx *Tx, tbl *Table[int, string]) {
-		Get(tx, tbl, 1)
-		p.Sleep(time.Microsecond) // the snapshot would straddle two instants
-	})
-	if !strings.Contains(msg, "yielded") {
-		t.Fatalf("yielding view closure: panic %q, want the yield to be caught", msg)
+// TestClosureYieldIsCaught: a view or transaction closure that lets the
+// clock advance would straddle two instants — no longer a snapshot, no
+// longer atomic — and so would one opened inside another.
+func TestClosureYieldIsCaught(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		msg := closurePanic(write, func(p *sim.Proc, tx *Tx, tbl *Table[int, string]) {
+			Get(tx, tbl, 1)
+			p.Sleep(time.Microsecond)
+		})
+		if !strings.Contains(msg, "yielded") {
+			t.Errorf("yielding closure (write=%v): panic %q, want the yield to be caught", write, msg)
+		}
+		msg = closurePanic(write, func(p *sim.Proc, tx *Tx, tbl *Table[int, string]) {
+			tx.db.View(p, func(*Tx) {})
+		})
+		if !strings.Contains(msg, "while another is open") {
+			t.Errorf("nested closure (write=%v): panic %q, want the nesting to be caught", write, msg)
+		}
 	}
 }
 
@@ -94,10 +110,11 @@ func TestViewAbortChargesNothing(t *testing.T) {
 	env.MustRun()
 }
 
-// TestImportHandoffAtomicToViews: ImportHandoff used to apply its
+// TestImportHandoffAtomicToViews: ImportHandoff once applied its
 // records one sleep apart, which a reader off the transaction mutex
 // would see as a half-imported batch. The batch must land at one
-// instant — at the same total cost, still under the mutex.
+// instant, and — like a transaction — pay its per-record charge after
+// releasing the mutex, so a writer arriving mid-charge does not wait.
 func TestImportHandoffAtomicToViews(t *testing.T) {
 	const rows = 64
 	env := sim.NewEnv(1)
@@ -107,15 +124,12 @@ func TestImportHandoffAtomicToViews(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		HandoffPut(h, tbl, i, "moved")
 	}
-	var importStart time.Duration
-	env.Spawn("import", func(p *sim.Proc) {
-		importStart = p.Now()
-		db.ImportHandoff(p, h)
-	})
-	// One viewer every half op time, from before the import takes the
-	// mutex until after it releases it.
+	importAt := rows / 2 * db.opTime
+	env.SpawnAfter("import", importAt, func(p *sim.Proc) { db.ImportHandoff(p, h) })
+	// One viewer every half op time, from well before the import's
+	// instant until well after its charge.
 	partial, empty, full := 0, 0, 0
-	for k := 0; k < 2*rows+4; k++ {
+	for k := 0; k < 4*rows; k++ {
 		env.SpawnAfter("viewer", time.Duration(k)*db.opTime/2, func(p *sim.Proc) {
 			n := 0
 			db.View(p, func(tx *Tx) {
@@ -136,8 +150,7 @@ func TestImportHandoffAtomicToViews(t *testing.T) {
 		})
 	}
 	var txnDone time.Duration
-	env.Spawn("writer", func(p *sim.Proc) {
-		p.Sleep(db.opTime) // arrive mid-import
+	env.SpawnAfter("writer", importAt+db.opTime, func(p *sim.Proc) { // arrive mid-charge
 		db.Transaction(p, func(tx *Tx) { Get(tx, tbl, 0) })
 		txnDone = p.Now()
 	})
@@ -145,15 +158,13 @@ func TestImportHandoffAtomicToViews(t *testing.T) {
 	if partial != 0 {
 		t.Fatalf("%d views saw a half-imported batch (%d empty, %d full)", partial, empty, full)
 	}
-	if full < 2*rows {
-		t.Fatalf("only %d views saw the batch: none ran while the import held the mutex", full)
+	if empty < rows-1 || full < 2*rows {
+		t.Fatalf("%d views before the batch and %d after: the storm did not straddle the import", empty, full)
 	}
-	// Same total cost: the mutex is held for rows x opTime from the
-	// import's start, so the queued transaction finishes one op later.
-	if want := importStart + rows*db.opTime + db.opTime; txnDone != want {
-		t.Fatalf("transaction queued behind the import finished at %v, want %v", txnDone, want)
+	if want := importAt + 2*db.opTime; txnDone != want {
+		t.Fatalf("transaction started inside the import's charge finished at %v, want %v", txnDone, want)
 	}
-	if db.TxWait() != (rows-1)*db.opTime {
-		t.Fatalf("TxWait = %v, want %v (the one queued transaction)", db.TxWait(), (rows-1)*db.opTime)
+	if db.TxWait() != 0 {
+		t.Fatalf("TxWait = %v, want 0: the import charged under the mutex", db.TxWait())
 	}
 }

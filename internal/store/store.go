@@ -27,14 +27,21 @@ import (
 // accounting. *mdb.DB is the one implementation of the front-end; what
 // varies per provider is the durability engine behind it.
 //
-// Transaction is the serialized read-write transaction. View is the
-// read-only one, and its contract is what the service's directory
-// scans rest on: the closure observes the committed state of a single
-// virtual instant (commits and handoff imports land atomically with
-// respect to it), it neither waits for nor delays a Transaction, Freeze
-// or ImportHandoff, and its operations are charged to the caller as one
-// block after the closure returns (view_test.go holds every backend to
-// it).
+// Transaction (read-write) and View (read-only) share one rule: the
+// closure runs without yielding at a single virtual instant — a closure
+// that lets the clock advance panics — so it observes the committed
+// state of that instant and, for a Transaction, its write set is
+// applied and logged in it (as is an ImportHandoff batch). That makes
+// every transaction atomic and the history serial with no lock held
+// across time; isolation of multi-transaction operations is the
+// caller's row locks' job. The closure's operations are charged to the
+// caller as one block after it returns, and a Transaction's durable
+// commit (the engine's) follows the charge. Freeze/Thaw is the one
+// gate: between them no Transaction or ImportHandoff starts and the
+// commit sequence stands still; a View runs regardless. Nothing on the
+// request path holds the gate across time, so only an engine that
+// freezes to compact (mdls) makes writers wait. view_test.go and
+// transaction_test.go hold every backend to this.
 type MetadataStore interface {
 	Transaction(p *sim.Proc, fn func(tx *mdb.Tx))
 	View(p *sim.Proc, fn func(tx *mdb.Tx))
