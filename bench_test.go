@@ -330,7 +330,7 @@ func BenchmarkAblationFalseSharing(b *testing.B) {
 // no randomization level (cold-bucket first touches would otherwise
 // swamp the per-op mean). vms/op must decrease as shards grow.
 func BenchmarkShardScaling(b *testing.B) {
-	run := func(seed int64, shards int) *bench.MDTestResult {
+	run := func(seed int64, shards int) (*bench.MDTestResult, *core.Deployment) {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = shards
 		cfg.COFS.DirFanout = 1024
@@ -339,19 +339,21 @@ func BenchmarkShardScaling(b *testing.B) {
 		tb := cluster.New(seed, 16, cfg)
 		d := core.Deploy(tb, nil)
 		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		return bench.MDTest(t, bench.MDTestConfig{
+		res := bench.MDTest(t, bench.MDTestConfig{
 			Nodes: 16, ProcsPerNode: 4, Depth: 1, Branch: 4, FilesPerRank: 128,
 			Shared: false,
 		})
+		return res, d
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		b.Run(fmt.Sprintf("mdtest-create-%dshards", shards), func(b *testing.B) {
 			var res *bench.MDTestResult
+			var d *core.Deployment
 			var mt bench.Meter
 			for i := 0; i < b.N; i++ {
 				mt.Start()
-				res = run(int64(i+1), shards)
+				res, d = run(int64(i+1), shards)
 				mt.Stop()
 			}
 			reportMs(b, res.MeanMs("file-create"))
@@ -361,6 +363,7 @@ func BenchmarkShardScaling(b *testing.B) {
 				Extra:    map[string]float64{"vms_per_op_stat": res.MeanMs("file-stat")},
 			}
 			mt.Fill(&rec, res.TotalOps())
+			rec.SetSimCounters(d.Counters())
 			if err := bench.WriteRecord(rec); err != nil {
 				b.Logf("bench record: %v", err)
 			}
@@ -370,7 +373,7 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("mdtest-stat-%dshards", shards), func(b *testing.B) {
 			var res *bench.MDTestResult
 			for i := 0; i < b.N; i++ {
-				res = run(int64(i+1), shards)
+				res, _ = run(int64(i+1), shards)
 			}
 			reportMs(b, res.MeanMs("file-stat"))
 		})
@@ -388,7 +391,7 @@ func BenchmarkShardScaling(b *testing.B) {
 // the figures the bench gate holds the harness to — alongside the
 // usual deterministic vms/op.
 func BenchmarkMillionFileStorm(b *testing.B) {
-	run := func(seed int64) *bench.MDTestResult {
+	run := func(seed int64) (*bench.MDTestResult, *core.Deployment) {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = 8
 		cfg.COFS.DirFanout = 4096
@@ -397,17 +400,19 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 		tb := cluster.New(seed, 64, cfg)
 		d := core.Deploy(tb, nil)
 		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		return bench.MDTest(t, bench.MDTestConfig{
+		res := bench.MDTest(t, bench.MDTestConfig{
 			Nodes: 64, ProcsPerNode: 16, Depth: 1, Branch: 4, FilesPerRank: 1024,
 			Shared: false,
 			Phases: []string{"tree-create", "file-create", "file-stat"},
 		})
+		return res, d
 	}
 	var res *bench.MDTestResult
+	var d *core.Deployment
 	var mt bench.Meter
 	for i := 0; i < b.N; i++ {
 		mt.Start()
-		res = run(int64(i + 1))
+		res, d = run(int64(i + 1))
 		mt.Stop()
 	}
 	reportMs(b, res.MeanMs("file-create"))
@@ -421,6 +426,7 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 		},
 	}
 	mt.Fill(&rec, res.TotalOps())
+	rec.SetSimCounters(d.Counters())
 	if err := bench.WriteRecord(rec); err != nil {
 		b.Logf("bench record: %v", err)
 	}
@@ -481,6 +487,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 			shards, mode := shards, mode
 			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
 				var sum *stats.Summary
+				var c *stats.Counters
 				var mt bench.Meter
 				for i := 0; i < b.N; i++ {
 					cfg := params.Default()
@@ -489,7 +496,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 						cfg.COFS.AttrLease = 30 * time.Second
 					}
 					mt.Start()
-					sum, _ = experiments.ClientCacheStorm(int64(i+1), cfg)
+					sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
 					mt.Stop()
 				}
 				reportMs(b, sum.MeanMs())
@@ -500,6 +507,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 					P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
 				}
 				mt.Fill(&rec, sum.N())
+				rec.SetSimCounters(c)
 				if err := bench.WriteRecord(rec); err != nil {
 					b.Logf("bench record: %v", err)
 				}
@@ -520,12 +528,13 @@ func BenchmarkStoreBackends(b *testing.B) {
 		backend := backend
 		b.Run(backend+"-smoke", func(b *testing.B) {
 			var sum *stats.Summary
+			var c *stats.Counters
 			var mt bench.Meter
 			for i := 0; i < b.N; i++ {
 				cfg := params.Default()
 				cfg.COFS.MetadataStore = backend
 				mt.Start()
-				sum, _ = experiments.ClientCacheStorm(int64(i+1), cfg)
+				sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
 				mt.Stop()
 			}
 			reportMs(b, sum.MeanMs())
@@ -536,6 +545,7 @@ func BenchmarkStoreBackends(b *testing.B) {
 				P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
 			}
 			mt.Fill(&rec, sum.N())
+			rec.SetSimCounters(c)
 			if err := bench.WriteRecord(rec); err != nil {
 				b.Logf("bench record: %v", err)
 			}

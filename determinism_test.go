@@ -4,8 +4,8 @@ package cofs_test
 // virtual-time figure is a pure function of the seed and configuration
 // — bit-identical across runs, Go versions and host load — because the
 // kernel wakes exactly one runnable process at a time and orders events
-// by (instant, issue sequence). The allocation-lean kernel rewrite
-// (internal/sim: typed event heap, pooled wake channels, the Sleep(0)
+// by (instant, issue sequence). The kernel's shortcuts (internal/sim:
+// typed event heap, coroutine switches on reused carriers, the own-wake
 // fast path) must not perturb that ordering; internal/sim's golden
 // order test pins the kernel's event sequence directly, and this
 // battery pins the end-to-end consequence: two identical mdtest storms

@@ -97,6 +97,18 @@ func (r *Record) SetCounters(c *stats.Counters) {
 	}
 }
 
+// SetSimCounters fills Record.Counters with only the simulation kernel's
+// counters (sim.*) of a deployment counter set: the deterministic
+// host-cost axis of a record that carries no layer counters.
+func (r *Record) SetSimCounters(c *stats.Counters) {
+	r.Counters = make(map[string]int64)
+	for _, name := range c.Names() {
+		if strings.HasPrefix(name, "sim.") {
+			r.Counters[name] = c.Get(name)
+		}
+	}
+}
+
 // WriteRecord writes r as BENCH_<name>.json (path separators and
 // spaces in the name become dashes) in the directory named by
 // $COFS_BENCH_DIR, defaulting to the current directory. Benchmarks

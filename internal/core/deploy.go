@@ -105,7 +105,8 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
 // batching), the client cache (hits, misses, dentry/negative hits,
 // revocations), the service lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
-// spent waiting). Tools print it; tests assert against it.
+// spent waiting), and the simulation kernel's own work (sim.Env.Stats).
+// Tools print it; tests assert against it.
 func (d *Deployment) Counters() *stats.Counters {
 	c := stats.NewCounters()
 	for _, fs := range d.FSs {
@@ -133,6 +134,12 @@ func (d *Deployment) Counters() *stats.Counters {
 	c.Add("mds.standby-fallbacks", sbFalls)
 	c.Merge(serviceCounters(d.Service))
 	c.Merge(d.retired)
+	// The kernel underneath it all: what the run cost the simulator.
+	ks := d.Service.net.Env().Stats()
+	c.Add("sim.events", ks.Events)
+	c.Add("sim.switches", ks.Switches)
+	c.Add("sim.fast-sleeps", ks.FastSleeps)
+	c.Add("sim.spawns", ks.Spawns)
 	return c
 }
 

@@ -28,9 +28,10 @@ type FS struct {
 	rng   *rand.Rand
 
 	// buckets tracks per-bucket fill so the MaxEntriesPerDir cap can
-	// spill to a fresh generation. Buckets are private to this client
-	// by construction (the hash includes the node), so local counts are
-	// exact.
+	// spill to a fresh generation. The counts are this client's own:
+	// the hash includes the node but is taken mod Fanout, so two nodes
+	// can land in one bucket, which then holds up to the cap from each
+	// (see the package comment in placement.go).
 	buckets map[string]*bucketState
 	// madeDirs remembers underlying directories already created.
 	madeDirs map[string]bool

@@ -9,7 +9,11 @@
 //     process, plus a randomization level, capping underlying directories
 //     at MaxEntriesPerDir (512 in the paper) — so parallel creates into
 //     one shared virtual directory land in many small, mostly
-//     node-private underlying directories.
+//     node-private underlying directories. Mostly: the hash is reduced
+//     mod Fanout, so buckets of different nodes do collide (about 30
+//     pairs among 64 streams at 1024 buckets), and because each client
+//     counts only its own entries (FS.buckets) MaxEntriesPerDir is a
+//     per-client cap that a shared bucket can exceed.
 //   - The metadata driver and service (service.go) keep the virtual
 //     hierarchy and file attributes in Mnesia-style tables; they hold no
 //     data-placement information whatsoever.

@@ -101,11 +101,12 @@ func (t *token) remove(c Client) {
 
 // Stats aggregates manager-side counters.
 type Stats struct {
-	Acquires    int64
-	LocalGrants int64 // grants that required no revocation
-	Revocations int64
-	Transfers   int64 // acquisitions that moved the token between nodes
-	WaitTotal   time.Duration
+	Acquires     int64 // every grant, Acquire and GrantInline alike
+	InlineGrants int64 // the GrantInline share: no round trip paid
+	LocalGrants  int64 // grants that required no revocation
+	Revocations  int64
+	Transfers    int64 // acquisitions that moved the token between nodes
+	WaitTotal    time.Duration
 }
 
 // Manager is the centralized token server.
@@ -236,6 +237,7 @@ func (m *Manager) revoke(p *sim.Proc, holder Client, r Resource, to Mode) {
 // creation implicitly granting the creator the new inode's block token).
 // Conflicting holders are still revoked with full round trips.
 func (m *Manager) GrantInline(p *sim.Proc, c Client, r Resource, mode Mode) {
+	m.Stats.InlineGrants++
 	m.grant(p, c, r, mode)
 }
 

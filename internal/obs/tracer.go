@@ -9,8 +9,7 @@
 // bytes. Both halves are nil-by-default hooks — a deployment that does
 // not enable them (params.COFSParams.Trace/Metrics) never calls into
 // this package, keeping the disabled path allocation-free and
-// bit-identical (the same convention as sim.Env.Trace and
-// lock.RowLocks.OnGrant).
+// bit-identical (the same convention as lock.RowLocks.OnGrant).
 package obs
 
 import (

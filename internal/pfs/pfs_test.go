@@ -524,6 +524,18 @@ func TestTokenInvariantsAfterMixedWorkload(t *testing.T) {
 	if err := tb.FS.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// The manager counts every grant; the clients count the ones they
+	// paid a round trip for. The difference is the inline grants (one
+	// per create), so token round trips are Acquires − InlineGrants.
+	var paid int64
+	for _, c := range tb.Clients {
+		paid += c.Stats.TokenAcquires
+	}
+	ts := tb.FS.Tokens.Stats
+	if ts.InlineGrants != 200 || ts.Acquires-ts.InlineGrants != paid {
+		t.Fatalf("manager: %d acquires, %d inline (want 200, one per create); clients paid %d round trips, want the difference",
+			ts.Acquires, ts.InlineGrants, paid)
+	}
 }
 
 // TestRelinquishMakesNextUserCheap verifies the install-time admin path:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -29,51 +30,116 @@ func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSleepZeroFastPath checks that an unopposed Sleep(0) neither
-// schedules an event nor reorders anything: sequence numbers consumed by
-// the fast path would show up as a changed golden order (order_test.go),
-// and the event count shows up here.
-func TestSleepZeroFastPath(t *testing.T) {
-	env := NewEnv(1)
-	ran := false
-	env.Spawn("z", func(p *Proc) {
-		seqBefore := env.seq
-		p.Sleep(0) // queue empty apart from us: must not schedule
-		if env.seq != seqBefore {
-			t.Error("unopposed Sleep(0) consumed a sequence number")
-		}
-		ran = true
+// TestOwnWakeFastPath pins the three boundary cases of the shortcut in
+// Sleep: it is taken only when the sleeper's own wake would be the very
+// next event popped, and taking it consumes no sequence number — one
+// consumed would also show up as a changed golden order (order_test.go).
+func TestOwnWakeFastPath(t *testing.T) {
+	const d = 10 * time.Microsecond
+
+	t.Run("head one tick later: taken", func(t *testing.T) {
+		env := NewEnv(1)
+		env.Spawn("z", func(p *Proc) {
+			env.After(d+1, func() {})
+			seq, st := env.seq, env.Stats()
+			p.Sleep(d)
+			if env.Now() != d {
+				t.Errorf("clock %v after Sleep(%v), want %v", env.Now(), d, d)
+			}
+			if env.seq != seq {
+				t.Error("fast path consumed a sequence number")
+			}
+			if got := env.Stats(); got.FastSleeps != st.FastSleeps+1 || got.Events != st.Events || got.Switches != st.Switches {
+				t.Errorf("stats %+v after %+v: want one fast sleep, no event, no switch", got, st)
+			}
+		})
+		env.MustRun()
 	})
+
+	t.Run("head at the same instant: not taken", func(t *testing.T) {
+		env := NewEnv(1)
+		var order []string
+		env.Spawn("z", func(p *Proc) {
+			// Due at now+d too, with a lower sequence number.
+			env.SpawnAfter("earlier", d, func(*Proc) { order = append(order, "earlier") })
+			st := env.Stats()
+			p.Sleep(d)
+			order = append(order, "sleeper")
+			if got := env.Stats(); got.FastSleeps != st.FastSleeps || got.Switches != st.Switches+2 {
+				t.Errorf("stats %+v after %+v: want no fast sleep and two switches", got, st)
+			}
+		})
+		env.MustRun()
+		if len(order) != 2 || order[0] != "earlier" {
+			t.Fatalf("order %v, want the earlier-sequenced event first", order)
+		}
+	})
+
+	t.Run("callback inside the interval: not taken", func(t *testing.T) {
+		env := NewEnv(1)
+		var sawAt time.Duration = -1
+		env.Spawn("z", func(p *Proc) {
+			env.After(d/2, func() { sawAt = env.Now() })
+			st := env.Stats()
+			p.Sleep(d)
+			if got := env.Stats(); got.FastSleeps != st.FastSleeps || got.Events != st.Events+2 {
+				t.Errorf("stats %+v after %+v: want no fast sleep and two events", got, st)
+			}
+		})
+		env.MustRun()
+		if sawAt != d/2 {
+			t.Fatalf("callback saw clock %v, want the un-advanced %v", sawAt, d/2)
+		}
+	})
+}
+
+// TestCarrierReuse checks that procs run on the coroutines finished procs
+// left behind, and that a proc holds none before it first runs.
+func TestCarrierReuse(t *testing.T) {
+	env := NewEnv(1)
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	late := env.SpawnAfter("late", time.Second, body)
+	for wave := 0; wave < 4; wave++ {
+		env.After(time.Duration(wave)*time.Millisecond, func() {
+			if late.c != nil {
+				t.Error("a proc that has not run yet holds a coroutine")
+			}
+			for i := 0; i < 100; i++ {
+				env.Spawn("short", body)
+			}
+		})
+	}
 	env.MustRun()
-	if !ran {
-		t.Fatal("proc did not run")
+	if !late.done {
+		t.Fatal("late proc never ran")
+	}
+	if st := env.Stats(); st.Spawns != 401 || st.Carriers > 100 {
+		t.Fatalf("%d spawns ran on %d coroutines, want 401 on at most 100", st.Spawns, st.Carriers)
 	}
 }
 
-// TestWakeChannelReuse checks that finished procs donate their wake
-// channels back to the environment's free list.
-func TestWakeChannelReuse(t *testing.T) {
+// TestNoGoroutineOutlivesRun checks that Run stops its idle carriers: a
+// coroutine is a goroutine, and none may be left once Run has returned.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	env := NewEnv(1)
-	for i := 0; i < 4; i++ {
-		env.Spawn("gen0", func(p *Proc) { p.Sleep(time.Millisecond) })
+	for _, runs := range []int{1, 50} {
+		for r := 0; r < runs; r++ {
+			for i := 0; i < 8; i++ {
+				env.Spawn("w", func(p *Proc) { p.Sleep(time.Millisecond) })
+			}
+			env.MustRun()
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("%d goroutines after %d more Run(s), want the starting %d", got, runs, before)
+		}
 	}
-	env.MustRun()
-	if got := len(env.freeWake); got != 4 {
-		t.Fatalf("free list has %d channels after 4 procs finished, want 4", got)
-	}
-	for i := 0; i < 4; i++ {
-		env.Spawn("gen1", func(p *Proc) { p.Sleep(time.Millisecond) })
-	}
-	if got := len(env.freeWake); got != 0 {
-		t.Fatalf("free list has %d channels after 4 respawns, want 0", got)
-	}
-	env.MustRun()
 }
 
 // BenchmarkKernelTimerCascade measures the fn-event hot loop: a chain of
 // After timers re-arming at each firing, the pattern behind leases,
-// retries, and flush timers. Runs entirely in the kernel goroutine — no
-// goroutine handoffs.
+// retries, and flush timers. Runs entirely in the kernel loop — no
+// coroutine switches.
 func BenchmarkKernelTimerCascade(b *testing.B) {
 	env := NewEnv(1)
 	b.ReportAllocs()
@@ -93,8 +159,9 @@ func BenchmarkKernelTimerCascade(b *testing.B) {
 }
 
 // BenchmarkKernelSpawnChurn measures process lifecycle cost: spawn a
-// process, let it sleep once and exit, repeat. Exercises the wake-channel
-// free list and the goroutine handoff path.
+// process, let it sleep once and exit, repeat. All 100 start at once in
+// a fresh Run, so every one of them creates its coroutine: this is the
+// cold-spawn cost, which carrier reuse does not help.
 func BenchmarkKernelSpawnChurn(b *testing.B) {
 	env := NewEnv(1)
 	body := func(p *Proc) { p.Sleep(time.Microsecond) }
@@ -107,7 +174,7 @@ func BenchmarkKernelSpawnChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelContendedMutex measures the park/unpark handoff path
+// BenchmarkKernelContendedMutex measures the park/unpark switch path
 // under FIFO contention.
 func BenchmarkKernelContendedMutex(b *testing.B) {
 	env := NewEnv(1)

@@ -1,22 +1,29 @@
-// Package sim provides a deterministic, goroutine-based discrete-event
+// Package sim provides a deterministic, coroutine-based discrete-event
 // simulation kernel with a virtual clock.
 //
 // Model code runs inside simulated processes (Proc). A process advances
 // virtual time by calling Sleep, or blocks on synchronization primitives
 // (Mutex, Resource, Queue, WaitGroup, Cond) built on the kernel's
 // park/unpark mechanism. Exactly one process executes at a time; the kernel
-// hands control to the process whose next event has the smallest timestamp,
+// resumes the process whose next event has the smallest timestamp,
 // breaking ties by event sequence number, so runs are fully deterministic.
 //
-// The kernel is built for million-event runs (docs/simulator.md): the
-// event queue is a typed binary heap that never boxes events through
-// interfaces, kernel-only callback events (After) run inline in the
-// kernel loop without a goroutine handoff, zero-length sleeps that
-// cannot be overtaken return without touching the queue, finished
-// processes donate their wake channels to a free list, and RNG streams
-// are cached handles (Stream) instead of per-call map lookups. None of
-// these shortcuts may change event order: the ordering contract is
-// pinned by TestKernelEventOrderGolden.
+// The kernel is built for million-event runs (docs/simulator.md):
+// processes are iter.Pull coroutines that the loop in Run resumes by a
+// direct switch, never through the Go scheduler, and a finished process
+// leaves its coroutine to the next one spawned; the event queue is a typed
+// binary heap that never boxes events through interfaces; kernel-only
+// callback events (After) run inline in the loop without a switch; a Sleep
+// whose own wake would be the next event popped advances the clock and
+// keeps control; RNG streams are cached handles (Stream) instead of
+// per-call map lookups; Stats counts it all. None of these shortcuts may
+// change event order, which TestKernelEventOrderGolden pins.
+//
+// A panic or a runtime.Goexit (t.Fatal, t.SkipNow) inside a process runs
+// that process's deferred functions, then unwinds the goroutine that
+// called Run — a panic is recoverable around Run, value intact — and Run
+// may be called again. The other processes stay suspended where they
+// blocked, as after a deadlock return: nothing else outlives its Run.
 //
 // The kernel is not safe for use from multiple OS threads outside the
 // simulated processes: all interaction must happen through a Proc.
@@ -24,6 +31,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -34,35 +42,37 @@ type Env struct {
 	now     time.Duration
 	events  eventQueue
 	seq     uint64
-	yield   chan struct{} // signaled by a proc when it parks or exits
-	live    int           // procs spawned and not yet finished
-	parked  int           // procs blocked with no scheduled event
+	live    int // procs spawned and not yet finished
 	running bool
 	seed    int64
 	rngs    map[string]*rand.Rand
+	stats   Stats
+	// idle is the LIFO of carriers left by finished procs: a coroutine
+	// costs a dozen allocations to create, so spawn-heavy models
+	// (per-request processes, timer respawns) reuse these instead.
+	idle []*carrier
+}
 
-	// freeWake recycles the wake channels of finished processes, so
-	// spawn-heavy models (per-request processes, timer respawns) stop
-	// allocating a channel per process.
-	freeWake []chan struct{}
-
-	// Trace, when non-nil, receives a line per kernel decision. Used by
-	// tests and cofsctl; nil in normal runs.
-	Trace func(format string, args ...any)
+// Stats counts kernel work since NewEnv. All five are deterministic.
+type Stats struct {
+	Events     int64 // events popped by Run: proc wakes and After callbacks
+	Switches   int64 // kernel-to-proc coroutine switches (the proc wakes)
+	FastSleeps int64 // Sleeps that kept control: no event, no switch
+	Spawns     int64 // procs created
+	Carriers   int64 // coroutines created; Spawns minus this were reuses
 }
 
 // NewEnv returns an empty environment whose RNG streams derive from seed.
 // The same seed always produces the same simulation.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		seed:  seed,
-		rngs:  make(map[string]*rand.Rand),
-	}
+	return &Env{seed: seed, rngs: make(map[string]*rand.Rand)}
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
+
+// Stats returns the kernel's counters.
+func (e *Env) Stats() Stats { return e.stats }
 
 // Stream returns a deterministic random stream identified by name.
 // Streams are independent of each other and of event interleaving, so
@@ -95,7 +105,7 @@ type event struct {
 	at  time.Duration
 	seq uint64
 	p   *Proc  // proc to wake, or nil for fn-only events
-	fn  func() // optional callback run in the kernel goroutine
+	fn  func() // optional callback run in the kernel loop
 }
 
 // eventQueue is a typed binary min-heap ordered by (at, seq). The
@@ -171,15 +181,49 @@ func (e *Env) scheduleAt(at time.Duration, p *Proc) {
 }
 
 // Proc is a simulated process. All blocking primitives take the Proc so the
-// kernel knows which goroutine to park.
+// kernel knows which coroutine to suspend.
 type Proc struct {
-	env  *Env
-	wake chan struct{}
-	name string
-	// waiting is true while the proc is parked with no scheduled event;
-	// used for deadlock detection.
-	waiting bool
+	env     *Env
+	c       *carrier // nil until the first wake and again once done
+	fn      func(p *Proc)
+	name    string
+	waiting bool // parked with no scheduled event: unpark may wake it
 	done    bool
+}
+
+// carrier is a coroutine that runs procs one after another: p to completion,
+// then whichever proc the kernel has put in p when it next resumes it.
+type carrier struct {
+	p     *Proc
+	next  func() (struct{}, bool) // kernel side: resume
+	yield func(struct{}) bool     // proc side: suspend
+	stop  func()
+}
+
+func (e *Env) newCarrier() *carrier {
+	e.stats.Carriers++
+	c := &carrier{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.p.run()
+			if !yield(struct{}{}) {
+				return // stopped while idle, by Run on its way out
+			}
+		}
+	})
+	return c
+}
+
+// run is deferred-safe: a proc killed by a panic or runtime.Goexit still
+// counts as finished while the unwinding carries on into Run's caller.
+func (p *Proc) run() {
+	defer func() {
+		p.done = true
+		p.fn = nil // a finished proc still referenced must not pin its closure
+		p.env.live--
+	}()
+	p.fn(p)
 }
 
 // Name returns the process name given at Spawn time.
@@ -202,27 +246,9 @@ func (e *Env) SpawnAfter(name string, delay time.Duration, fn func(p *Proc)) *Pr
 	if delay < 0 {
 		panic("sim: negative spawn delay")
 	}
-	var wake chan struct{}
-	if n := len(e.freeWake); n > 0 {
-		wake = e.freeWake[n-1]
-		e.freeWake = e.freeWake[:n-1]
-	} else {
-		wake = make(chan struct{})
-	}
-	p := &Proc{env: e, wake: wake, name: name}
+	p := &Proc{env: e, fn: fn, name: name}
 	e.live++
-	go func() {
-		<-p.wake
-		// The hand-back to the kernel is deferred so that a process
-		// killed by runtime.Goexit (e.g. t.Fatal inside a simulated
-		// process) still yields instead of wedging the kernel.
-		defer func() {
-			p.done = true
-			e.live--
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
+	e.stats.Spawns++
 	e.scheduleAt(e.now+delay, p)
 	return p
 }
@@ -233,22 +259,25 @@ func (p *Proc) Sleep(d time.Duration) {
 		panic("sim: negative sleep")
 	}
 	e := p.env
-	if d == 0 && (e.events.len() == 0 || e.events.a[0].at > e.now) {
-		// Fast path: the event Sleep(0) would schedule carries the
-		// highest sequence number at the current instant, so it runs
-		// next iff no other event is due now. When none is, parking
-		// and immediately being woken is two goroutine handoffs for
-		// nothing — keep control instead. Event order is unchanged.
+	at := e.now + d
+	if e.events.len() == 0 || e.events.a[0].at > at {
+		// Own-wake fast path: the event this Sleep would schedule
+		// carries the highest sequence number at its instant, so it is
+		// the next one popped iff nothing else is due up to and
+		// including that instant. Then suspending only to be resumed
+		// at once is two switches for nothing: advance the clock and
+		// keep control. No sequence number is used; order is unchanged.
+		e.now = at
+		e.stats.FastSleeps++
 		return
 	}
-	e.scheduleAt(e.now+d, p)
+	e.scheduleAt(at, p)
 	p.block()
 }
 
 // park blocks the process until some other process unparks it. The caller
 // must guarantee an eventual Unpark, otherwise Run reports a deadlock.
 func (p *Proc) park() {
-	p.env.parked++
 	p.waiting = true
 	p.block()
 }
@@ -259,16 +288,11 @@ func (e *Env) unpark(p *Proc) {
 		panic(fmt.Sprintf("sim: unpark of non-parked proc %q", p.name))
 	}
 	p.waiting = false
-	e.parked--
 	e.scheduleAt(e.now, p)
 }
 
-// block hands control back to the kernel and waits to be woken.
-func (p *Proc) block() {
-	e := p.env
-	e.yield <- struct{}{}
-	<-p.wake
-}
+// block switches back to the kernel loop and returns when it resumes p.
+func (p *Proc) block() { p.c.yield(struct{}{}) }
 
 // After schedules fn to run in the kernel context after delay. fn must not
 // block; it is intended for timers and unparks. Model code should prefer
@@ -282,34 +306,47 @@ func (e *Env) After(delay time.Duration, fn func()) {
 //
 // Kernel-only fn events — timers, and the cascades they trigger by
 // scheduling further same-instant events — run inline in this loop, so
-// an entire timer/unpark cascade costs heap operations only; goroutine
-// handoffs happen exclusively for proc wakeups, two channel operations
-// each.
+// an entire timer/unpark cascade costs heap operations only; coroutine
+// switches happen exclusively for proc wakeups, one in and one out.
 func (e *Env) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run reentered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		// Idle carriers are stopped, never ones mid-proc: a suspended
+		// proc's yield would return and it would run on as if woken.
+		for _, c := range e.idle {
+			c.stop()
+		}
+		e.idle = nil
+	}()
 	for e.events.len() > 0 {
 		ev := e.events.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
+		e.stats.Events++
 		if ev.fn != nil {
 			ev.fn()
 			continue
 		}
 		p := ev.p
-		p.wake <- struct{}{}
-		<-e.yield
+		if p.c == nil { // first wake: board a carrier
+			if n := len(e.idle); n > 0 {
+				p.c, e.idle = e.idle[n-1], e.idle[:n-1]
+			} else {
+				p.c = e.newCarrier()
+			}
+			p.c.p = p
+		}
+		e.stats.Switches++
+		p.c.next()
 		if p.done {
-			// The proc finished while we waited: its wake channel has
-			// no further senders or receivers, so a future Spawn can
-			// reuse it.
-			e.freeWake = append(e.freeWake, p.wake)
-			p.wake = nil
+			e.idle = append(e.idle, p.c)
+			p.c = nil
 		}
 	}
 	if e.live > 0 {

@@ -320,12 +320,38 @@ func TestNegativeSleepPanics(t *testing.T) {
 	}
 }
 
+// runUnwound calls env.Run on a goroutine of its own and reports how that
+// goroutine ended: whether Run returned, and the panic value if it
+// panicked. Neither means it was unwound by runtime.Goexit.
+func runUnwound(env *Env) (returned bool, panicked any) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		env.Run()
+		returned = true
+	}()
+	<-done
+	return returned, panicked
+}
+
+// rerun checks that env runs again after a proc died in its last Run,
+// picking the simulation up where the unwinding left it.
+func rerun(t *testing.T, env *Env, survived *bool) {
+	t.Helper()
+	if err := env.Run(); err != nil || !*survived || env.live != 0 {
+		t.Fatalf("second Run: err %v, survivor finished %v, live %d; want nil, true, 0", err, *survived, env.live)
+	}
+}
+
 func TestGoexitInProcDoesNotWedgeKernel(t *testing.T) {
-	// A process killed by runtime.Goexit (what t.Fatal does) must still
-	// hand control back to the kernel.
+	// A process killed by runtime.Goexit (what t.Fatal and t.SkipNow do)
+	// takes the goroutine that called Run with it, so a failed test stops
+	// instead of simulating on.
 	env := NewEnv(1)
-	reached := false
+	deferred, reached := false, false
 	env.Spawn("dying", func(p *Proc) {
+		defer func() { deferred = true }()
 		p.Sleep(time.Millisecond)
 		runtime.Goexit()
 	})
@@ -333,10 +359,40 @@ func TestGoexitInProcDoesNotWedgeKernel(t *testing.T) {
 		p.Sleep(2 * time.Millisecond)
 		reached = true
 	})
-	env.MustRun()
-	if !reached {
-		t.Fatal("survivor never ran after Goexit")
+	if returned, panicked := runUnwound(env); returned || panicked != nil {
+		t.Fatalf("Run returned (%v) or panicked (%v), want its caller unwound by Goexit", returned, panicked)
 	}
+	if !deferred {
+		t.Error("the dying proc's deferred function did not run")
+	}
+	if reached {
+		t.Error("the simulation ran on after the Goexit")
+	}
+	if env.live != 1 || env.running {
+		t.Fatalf("live %d, running %v after the unwind; want 1 (the survivor) and false", env.live, env.running)
+	}
+	rerun(t, env, &reached)
+}
+
+func TestPanicInProcReachesRunCaller(t *testing.T) {
+	env := NewEnv(1)
+	deferred, reached := false, false
+	env.Spawn("dying", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	env.Spawn("survivor", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		reached = true
+	})
+	if returned, panicked := runUnwound(env); returned || panicked != "boom" {
+		t.Fatalf("Run returned (%v), recovered %v; want the proc's panic value", returned, panicked)
+	}
+	if !deferred || env.live != 1 || env.running {
+		t.Fatalf("deferred ran %v, live %d, running %v; want true, 1, false", deferred, env.live, env.running)
+	}
+	rerun(t, env, &reached)
 }
 
 func TestResourceReleaseByOtherProcAllowed(t *testing.T) {
