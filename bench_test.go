@@ -474,6 +474,12 @@ func BenchmarkGroupCommitOverlap(b *testing.B) {
 	}
 }
 
+// traversalUs is the whole-pass counter of experiments.ClientCacheStorm:
+// vms/op of the records built on that storm times only the stats, so a
+// change that moves cost into the listing (or out of it onto the first
+// stat) is gated here, exactly.
+const traversalUs = "storm.traversal-us"
+
 // BenchmarkMetadataCache documents the section IV-B win: the
 // metarates-style stat/utime storm (4 nodes repeatedly `ls -l`-ing a
 // shared 256-file directory with cross-node utime sweeps in between),
@@ -508,6 +514,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 				}
 				mt.Fill(&rec, sum.N())
 				rec.SetSimCounters(c)
+				rec.Counters[traversalUs] = c.Get(traversalUs)
 				if err := bench.WriteRecord(rec); err != nil {
 					b.Logf("bench record: %v", err)
 				}
@@ -546,6 +553,7 @@ func BenchmarkStoreBackends(b *testing.B) {
 			}
 			mt.Fill(&rec, sum.N())
 			rec.SetSimCounters(c)
+			rec.Counters[traversalUs] = c.Get(traversalUs)
 			if err := bench.WriteRecord(rec); err != nil {
 				b.Logf("bench record: %v", err)
 			}
@@ -560,9 +568,11 @@ func BenchmarkStoreBackends(b *testing.B) {
 // (off) and once routed through the per-shard hot standbys (on). The
 // off rows must stay bit-identical to the pre-standby plane (the
 // cost-identity contract of the StandbyReads knob); the on rows pin
-// the win — stats escape the mutation-loaded primaries — and the
-// mds.standby-reads / mds.standby-fallbacks counters in the record pin
-// how many reads the freshness gate actually served versus redirected.
+// what the standbys change — stats and names-only listings leave the
+// mutation-loaded primaries, which shortens the tail and, on this
+// storm, leaves the mean where it was — and the mds.standby-reads /
+// mds.standby-fallbacks counters in the record pin how many reads the
+// freshness gate actually served versus redirected.
 func BenchmarkStandbyReads(b *testing.B) {
 	for _, shards := range []int{1, 2} {
 		for _, mode := range []string{"off", "on"} {
@@ -576,7 +586,7 @@ func BenchmarkStandbyReads(b *testing.B) {
 					cfg.COFS.MetadataShards = shards
 					cfg.COFS.StandbyReads = mode == "on"
 					mt.Start()
-					sum, c = experiments.StandbyReadStorm(int64(i+1), cfg)
+					sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
 					mt.Stop()
 				}
 				reportMs(b, sum.MeanMs())

@@ -12,7 +12,9 @@ package cofs_test
 // over a sharded metadata plane — including one that reshards the
 // plane mid-run, the most schedule-sensitive path the repo has —
 // produce identical latencies, identical final virtual clocks and
-// identical per-layer counters.
+// identical per-layer counters. So does a directory traversal storm,
+// whose listings read an index bucket in whatever order the host's map
+// yields it and owe their order to the sort by name alone.
 
 import (
 	"fmt"
@@ -23,8 +25,10 @@ import (
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
+	"cofs/internal/experiments"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/stats"
 )
 
 // stormFingerprint runs one mdtest storm — 32 ranks (8 nodes x 4
@@ -74,10 +78,31 @@ func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 	for _, ph := range bench.MDTestPhases {
 		fmt.Fprintf(&sb, "%s ops %d mean %x vms\n", ph, res.PhaseOps[ph], res.MeanMs(ph))
 	}
-	c := d.Counters()
+	writeCounters(&sb, d.Counters())
+	return sb.String()
+}
+
+// writeCounters renders every counter of c, one per line.
+func writeCounters(sb *strings.Builder, c *stats.Counters) {
 	for _, name := range c.Names() {
-		fmt.Fprintf(&sb, "%s %d\n", name, c.Get(name))
+		fmt.Fprintf(sb, "%s %d\n", name, c.Get(name))
 	}
+}
+
+// traversalFingerprint runs the `ls -l` storm (experiments.
+// ClientCacheStorm: 8 ranks listing and stat-ing a shared 256-file
+// directory between utime sweeps) on 4 shards with the lease cache on —
+// names-only listings, stataheads, plus listings and the recalls they
+// book all land inside it — and renders the stat distribution and every
+// counter, the whole-pass virtual time among them.
+func traversalFingerprint(seed int64) string {
+	cfg := params.Default()
+	cfg.COFS.MetadataShards = 4
+	cfg.COFS.AttrLease = 30 * time.Second
+	sum, c := experiments.ClientCacheStorm(seed, cfg)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "stats %d mean %x vms p50 %d p99 %d\n", sum.N(), sum.MeanMs(), sum.Percentile(50), sum.Percentile(99))
+	writeCounters(&sb, c)
 	return sb.String()
 }
 
@@ -87,20 +112,23 @@ func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 // host-side state — exactly the regression the allocation work must
 // never introduce.
 func TestSameSeedDeterminism(t *testing.T) {
+	storm := func(reshard, standby bool) func(*testing.T) string {
+		return func(t *testing.T) string { return stormFingerprint(t, 42, reshard, standby) }
+	}
 	cases := []struct {
-		name    string
-		reshard bool
-		standby bool
+		name string
+		run  func(*testing.T) string
 	}{
-		{"storm-4shards", false, false},
-		{"storm-2to4-midreshard", true, false},
-		{"storm-standby-reads-midreshard", true, true},
+		{"storm-4shards", storm(false, false)},
+		{"storm-2to4-midreshard", storm(true, false)},
+		{"storm-standby-reads-midreshard", storm(true, true)},
+		{"traversal-4shards", func(*testing.T) string { return traversalFingerprint(42) }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			first := stormFingerprint(t, 42, tc.reshard, tc.standby)
-			second := stormFingerprint(t, 42, tc.reshard, tc.standby)
+			first := tc.run(t)
+			second := tc.run(t)
 			if first == second {
 				return
 			}

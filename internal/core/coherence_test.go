@@ -216,23 +216,39 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				tb, d := coherenceRig(t, 600+int64(shards), shards)
 				A, B := d.Mounts[0], d.Mounts[1]
 				step(tb, "setup", func(p *sim.Proc) {
-					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
+					if err := B.Mkdir(p, ctxB, "/d", 0777); err != nil {
 						t.Error(err)
 						return
 					}
 					for i := 0; i < 4; i++ {
-						f, err := A.Create(p, ctxA, fmt.Sprintf("/d/f%d", i), 0644)
+						f, err := B.Create(p, ctxB, fmt.Sprintf("/d/f%d", i), 0644)
 						if err != nil {
 							t.Error(err)
 							return
 						}
 						f.Close(p)
 					}
-					// READDIRPLUS fills A's cache with every entry.
-					if _, err := A.Readdir(p, ctxA, "/d"); err != nil {
+					// A lists /d and stats what came first: the statahead
+					// fills A's cache with every entry. (Straight at the FS
+					// layer: with this rig's 1 ns entry timeout a path walk
+					// in between would spend the listing's record.)
+					dir, err := A.Stat(p, ctxA, "/d")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ents, err := d.FSs[0].Readdir(p, ctxA, dir.Ino)
+					if err != nil || len(ents) != 4 {
+						t.Errorf("listing: %d entries, %v", len(ents), err)
+						return
+					}
+					if _, err := d.FSs[0].Getattr(p, ctxA, ents[0].Ino); err != nil {
 						t.Error(err)
 					}
 				})
+				if n := d.FSs[0].Stats.Stataheads; n != 1 {
+					t.Fatalf("%d stataheads filled A's cache, want 1", n)
+				}
 				step(tb, "mutate", func(p *sim.Proc) {
 					if _, err := B.Chmod(p, ctxB, "/d/f2", 0600); err != nil {
 						t.Error(err)
@@ -241,11 +257,15 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				step(tb, "verify", func(p *sim.Proc) {
 					attr, err := A.Stat(p, ctxA, "/d/f2")
 					if err != nil || attr.Mode != 0600 {
-						t.Errorf("readdir-filled attr stale after cross-node chmod: %o, %v", attr.Mode, err)
+						t.Errorf("statahead-filled attr stale after cross-node chmod: %o, %v", attr.Mode, err)
 					}
 					// The untouched sibling still serves from cache.
+					before := d.FSs[0].Stats.ServiceOps
 					if attr, err := A.Stat(p, ctxA, "/d/f1"); err != nil || attr.Mode != 0644 {
 						t.Errorf("sibling attr wrong: %o, %v", attr.Mode, err)
+					}
+					if after := d.FSs[0].Stats.ServiceOps; after != before {
+						t.Errorf("sibling stat went to the service (%d -> %d ops): the statahead filled nothing", before, after)
 					}
 				})
 			})

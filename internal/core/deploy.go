@@ -103,7 +103,8 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
 // Counters aggregates the deployment's per-layer observability
 // counters: the RPC transport (client and shard-to-shard channels,
 // batching), the client cache (hits, misses, dentry/negative hits,
-// revocations), the service lease recalls, and the cross-shard
+// revocations, attribute-carrying listings and stataheads), the service
+// lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
 // spent waiting), and the simulation kernel's own work (sim.Env.Stats).
 // Tools print it; tests assert against it.
@@ -123,6 +124,8 @@ func (d *Deployment) Counters() *stats.Counters {
 		c.Add("cache.negative-hits", cs.NegativeHits)
 		c.Add("cache.lease-installs", cs.Installs)
 		c.Add("cache.lease-revoked", cs.Revocations)
+		c.Add("cache.plus-listings", fs.Stats.PlusListings)
+		c.Add("cache.stataheads", fs.Stats.Stataheads)
 	}
 	ps := d.Service.PeerTransportStats()
 	c.Add("rpc.peer.calls", ps.Calls)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"cofs/internal/lru"
 	"cofs/internal/netsim"
 	"cofs/internal/params"
 	"cofs/internal/sim"
@@ -43,8 +44,23 @@ type FS struct {
 	// (section IV-B future work; see attrcache.go). In lease mode the
 	// metadata shards install and recall its entries.
 	attrs *clientCache
+	// listed and advised carry the attributes-on-demand rule (see
+	// Readdir): what each process's last listing returned first, and the
+	// directories whose next listing should bring attributes along.
+	// Both stay empty while the cache is disabled; advised is bounded
+	// like the cache it feeds, listed by the processes of the node.
+	listed  map[int]listing
+	advised *lru.Cache[vfs.Ino, struct{}]
 
 	Stats FSStats
+}
+
+// listing is what FS remembers of a process's last non-empty listing:
+// the directory and the entry it returned first.
+type listing struct {
+	dir   vfs.Ino
+	first vfs.Ino
+	name  string
 }
 
 // FSStats aggregates client-side COFS counters.
@@ -55,6 +71,10 @@ type FSStats struct {
 	BucketSpills     int64
 	WriteBacks       int64
 	LazyOpensSkipped int64
+	// PlusListings counts listings fetched with attributes, Stataheads
+	// the ones among them issued from inside a stat (see Readdir).
+	PlusListings int64
+	Stataheads   int64
 }
 
 type bucketState struct {
@@ -93,6 +113,8 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 		handles:  make(map[vfs.Handle]*cofsHandle),
 		nextH:    1,
 		attrs:    cache,
+		listed:   make(map[int]listing),
+		advised:  lru.New[vfs.Ino, struct{}](cache.attrs.Capacity()),
 	}
 }
 
@@ -171,27 +193,46 @@ func (f *FS) ensureUnderDir(p *sim.Proc, dir string) error {
 // aggressive-caching extension of section IV-B applied to the paper's
 // per-component FUSE lookup traffic.
 func (f *FS) Lookup(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) (vfs.Attr, error) {
-	if child, negative, ok := f.attrs.lookupDentry(p, dir, name); ok {
-		if negative {
-			f.attrs.Stats.NegativeHits++
-			return vfs.Attr{}, vfs.ErrNotExist
-		}
-		if e, ok2 := f.attrs.get(p, child); ok2 {
-			f.attrs.Stats.DentryHits++
-			return e.attr, nil
-		}
+	attr, err, ok := f.cachedLookup(p, dir, name)
+	if f.statahead(p, ctx, 0, dir, name, ok) {
+		attr, err, ok = f.cachedLookup(p, dir, name)
+	}
+	if ok {
+		return attr, err
 	}
 	f.Stats.ServiceOps++
-	attr, err := f.svc.Lookup(p, f.sess, dir, name)
+	attr, err = f.svc.Lookup(p, f.sess, dir, name)
 	if err == nil {
 		f.attrs.put(p, attr, "")
 	}
 	return attr, err
 }
 
+// cachedLookup resolves (dir, name) from the client cache alone.
+func (f *FS) cachedLookup(p *sim.Proc, dir vfs.Ino, name string) (vfs.Attr, error, bool) {
+	child, negative, ok := f.attrs.lookupDentry(p, dir, name)
+	if !ok {
+		return vfs.Attr{}, nil, false
+	}
+	if negative {
+		f.attrs.Stats.NegativeHits++
+		return vfs.Attr{}, vfs.ErrNotExist, true
+	}
+	e, ok := f.attrs.get(p, child)
+	if !ok {
+		return vfs.Attr{}, nil, false
+	}
+	f.attrs.Stats.DentryHits++
+	return e.attr, nil, true
+}
+
 // Getattr implements vfs.Filesystem.
 func (f *FS) Getattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (vfs.Attr, error) {
-	if e, ok := f.attrs.get(p, ino); ok {
+	e, ok := f.attrs.get(p, ino)
+	if f.statahead(p, ctx, ino, 0, "", ok) {
+		e, ok = f.attrs.get(p, ino)
+	}
+	if ok {
 		return e.attr, nil
 	}
 	f.Stats.ServiceOps++
@@ -494,13 +535,43 @@ func (f *FS) Readlink(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (string, error) {
 	return f.svc.Readlink(p, f.sess, ino)
 }
 
-// Readdir implements vfs.Filesystem. The service replies READDIRPLUS-
-// style with every entry's attributes; when the client attribute cache
-// is enabled they are installed locally, so a following `ls -l` stat
-// sweep never goes back to the service (section IV-B's aggressive-
-// caching extension applied to the paper's directory-traversal trigger).
+// Readdir implements vfs.Filesystem. A listing carries attributes only
+// when the access pattern asks for them — the policy Lustre's statahead
+// and Linux NFS's READDIRPLUS heuristic converged on. By default it is
+// names-only: no child row read, nothing leased, nothing installed, so
+// listing a directory neither evicts the client's hot entries nor books
+// a recall onto every later mutation under it. FS remembers, per
+// process, what the listing returned first; when that process's next
+// Getattr or Lookup targets exactly that entry, an `ls -l` has begun
+// and the directory is advised: its next listing is fetched
+// READDIRPLUS-style and prefills the cache, so the stat sweep that
+// follows never goes back to the service (section IV-B's aggressive
+// caching applied to the paper's directory-traversal trigger). If that
+// first stat missed the cache, the bulk fetch is issued right there
+// instead of one RPC per entry (statahead). A plus listing consumes the
+// advice; only another first-entry stat renews it, so a process that
+// stops stat-ing stops paying for attributes. With the cache disabled
+// nothing is remembered and every listing is names-only.
 func (f *FS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
+	var ents []vfs.DirEntry
+	var err error
+	if f.advised.Remove(dir) {
+		ents, err = f.readdirPlus(p, ctx, dir)
+	} else {
+		f.Stats.ServiceOps++
+		ents, err = f.svc.Readdir(p, f.sess, ctx, dir)
+	}
+	if err == nil && len(ents) > 0 && f.attrs.enabled() {
+		f.listed[ctx.PID] = listing{dir: dir, first: ents[0].Ino, name: ents[0].Name}
+	}
+	return ents, err
+}
+
+// readdirPlus lists dir with attributes and, in TTL mode, caches them
+// (in lease mode the shards install what they grant, lease.go).
+func (f *FS) readdirPlus(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
 	f.Stats.ServiceOps++
+	f.Stats.PlusListings++
 	ents, attrs, err := f.svc.ReaddirPlus(p, f.sess, ctx, dir)
 	if err != nil {
 		return nil, err
@@ -512,6 +583,33 @@ func (f *FS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, err
 		f.attrs.put(p, a, "")
 	}
 	return ents, nil
+}
+
+// statahead applies the rule of Readdir to a stat of ino (Getattr) or of
+// (dir, name) (Lookup) that the cache did or did not serve (hit). It
+// spends the process's listing record whatever the target, so only the
+// very next stat after a listing can start a traversal. If the target
+// is what that listing returned first, the listed directory is advised
+// and, on a miss, its attributes are fetched in one RPC right away: the
+// result says whether the caller should probe the cache again. The
+// fetch's error is dropped — a caller that still misses issues the
+// single RPC it would have issued anyway, which reports its own.
+func (f *FS) statahead(p *sim.Proc, ctx vfs.Ctx, ino, dir vfs.Ino, name string, hit bool) bool {
+	l, ok := f.listed[ctx.PID]
+	if !ok {
+		return false
+	}
+	delete(f.listed, ctx.PID)
+	if l.first != ino && (l.dir != dir || l.name != name) {
+		return false
+	}
+	f.advised.Put(l.dir, struct{}{})
+	if hit {
+		return false
+	}
+	f.Stats.Stataheads++
+	_, _ = f.readdirPlus(p, ctx, l.dir)
+	return true
 }
 
 // StatFS implements vfs.Filesystem.

@@ -403,28 +403,35 @@ func (c *MDSCluster) Link(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, p
 	return attr, err
 }
 
-// ReaddirPlus lists dir with attributes; coordinated by dir's shard,
-// or served whole from its standby when every row of the listing is
+// ReaddirPlus lists dir with every entry's attributes, leased to the
+// caller along with the dentries (Service.readdir).
+func (c *MDSCluster) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, []vfs.Attr, error) {
+	return c.readdir(p, sess, ctx, dir, true)
+}
+
+// Readdir lists dir's names, ids and types only: no attribute is read,
+// shipped or leased.
+func (c *MDSCluster) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
+	ents, _, err := c.readdir(p, sess, ctx, dir, false)
+	return ents, err
+}
+
+// readdir routes either kind of listing: coordinated by dir's shard, or
+// served whole from its standby when every row the listing returns is
 // provably covered by the replication cursor.
-func (c *MDSCluster) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) (ents []vfs.DirEntry, attrs []vfs.Attr, err error) {
+func (c *MDSCluster) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino, plus bool) (ents []vfs.DirEntry, attrs []vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.readdir", dir)
 	defer c.obsEnd(p, ob)
 	if sb := c.readStandby(); sb != nil {
-		if ents, attrs, err, ok := sb.readdirPlus(p, sess, ctx, dir); ok {
+		if ents, attrs, err, ok := sb.readdir(p, sess, ctx, dir, plus); ok {
 			return ents, attrs, err
 		}
 	}
 	c.routed(p, sess, dir, func(s *Service) error {
-		ents, attrs, err = s.ReaddirPlus(p, sess, ctx, dir)
+		ents, attrs, err = s.readdir(p, sess, ctx, dir, plus)
 		return err
 	})
 	return ents, attrs, err
-}
-
-// Readdir lists dir (names and types only).
-func (c *MDSCluster) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
-	ents, _, err := c.ReaddirPlus(p, sess, ctx, dir)
-	return ents, err
 }
 
 // WriteBack records a writer's size/mtime at close on id's shard.

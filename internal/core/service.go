@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"cofs/internal/disk"
@@ -724,7 +725,7 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 					out.err = vfs.ErrNotDir
 					return
 				}
-				if n := len(mdb.IndexKeys(tx, s.dentries, "parent", parentIndexKey(id))); n > 0 {
+				if mdb.IndexLen(tx, s.dentries, "parent", parentIndexKey(id)) > 0 {
 					out.err = vfs.ErrNotEmpty
 					return
 				}
@@ -831,7 +832,7 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 						out.err = vfs.ErrIsDir
 						return
 					}
-					if n := len(mdb.IndexKeys(tx, s.dentries, "parent", parentIndexKey(existing))); n > 0 {
+					if mdb.IndexLen(tx, s.dentries, "parent", parentIndexKey(existing)) > 0 {
 						out.err = vfs.ErrNotEmpty
 						return
 					}
@@ -958,23 +959,27 @@ type readdirReply struct {
 	err     error
 }
 
-// ReaddirPlus lists the virtual directory and returns every entry's
-// attributes in the same response (NFSv3 READDIRPLUS style): one RPC
-// serves a whole `ls -l`. The client prefills its attribute cache from
-// the reply (see FS.Readdir), turning the per-entry stat round trips of
-// the paper's "large directory traversals" trigger into local hits. The
-// response transfer cost scales with the number of entries.
+// readdir is the one listing body. Names-only (plus false) it returns
+// the directory's names, ids and types — the type is denormalized into
+// the dentry — and touches nothing else: no child inode row, no peer
+// shard, no lease. With plus it also returns every entry's attributes in
+// the same response (NFSv3 READDIRPLUS style) and leases them and their
+// dentries to the caller, so one RPC serves a whole `ls -l`; the client
+// asks for that only when it sees a process stat what it lists (see
+// FS.Readdir). The response transfer cost scales with the number of
+// entries, 64 bytes each names-only and 160 with attributes.
 //
 // The listing — the directory's own row, its dentries off the parent
-// index, and the attributes of every child whose inode row lives here —
-// is one snapshot read (mdb.DB.View) taken at the instant of the
-// ownership claim: it holds exactly the names the directory had at that
-// instant, waits for no writer and makes none wait. Children whose
-// inode rows live on other shards (subdirectories placed elsewhere,
-// files renamed in) are then fetched in one batched dirty read per
-// remote shard. Like the attributes a client would otherwise stat one
-// by one, the remote rows are not read in the listing's snapshot.
-func (s *Service) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, []vfs.Attr, error) {
+// index and, with plus, the attributes of every child whose inode row
+// lives here — is one snapshot read (mdb.DB.View) taken at the instant
+// of the ownership claim: it holds exactly the names the directory had
+// at that instant, waits for no writer and makes none wait. Children
+// whose inode rows live on other shards (subdirectories placed
+// elsewhere, files renamed in) are then fetched in one batched dirty
+// read per remote shard. Like the attributes a client would otherwise
+// stat one by one, the remote rows are not read in the listing's
+// snapshot.
+func (s *Service) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino, plus bool) ([]vfs.DirEntry, []vfs.Attr, error) {
 	r := callDyn(p, s, sess, rpc.OpReaddir, 96, s.cfg.ServiceCPUPerOp, func(p *sim.Proc) readdirReply {
 		var out readdirReply
 		if err := s.claim(dir); err != nil {
@@ -986,30 +991,27 @@ func (s *Service) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.I
 				out.err = err
 				return
 			}
-			keys := mdb.IndexKeys(tx, s.dentries, "parent", parentIndexKey(dir))
-			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
-			out.entries = make([]vfs.DirEntry, 0, len(keys))
-			out.attrs = make([]vfs.Attr, 0, len(keys))
-			for _, k := range keys {
-				de, ok := mdb.Get(tx, s.dentries, k)
-				if !ok {
-					continue
-				}
-				out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: de.Type})
+			out.entries = listDentries(tx, s.dentries, dir)
+			if !plus {
+				return
+			}
+			out.attrs = make([]vfs.Attr, 0, len(out.entries))
+			for _, e := range out.entries {
 				var attr vfs.Attr
-				if s.owns(de.Child) {
-					row, _ := mdb.Get(tx, s.inodes, de.Child)
+				if s.owns(e.Ino) {
+					row, _ := mdb.Get(tx, s.inodes, e.Ino)
 					attr = row.attr()
 				} else {
-					remote = addRemote(remote, s.cluster.Of(de.Child), len(out.attrs))
+					remote = addRemote(remote, s.cluster.Of(e.Ino), len(out.attrs))
 				}
 				out.attrs = append(out.attrs, attr)
 			}
 		})
-		for i, e := range out.entries {
-			if out.attrs[i].Ino == 0 {
+		for i, attr := range out.attrs {
+			if attr.Ino == 0 {
 				continue // remote row, granted below by its owner
 			}
+			e := out.entries[i]
 			s.grantDentry(p, sess, dir, e.Name, e.Ino)
 			s.grantAttr(p, sess, e.Ino, "")
 		}
@@ -1056,8 +1058,33 @@ func (s *Service) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.I
 			remote = next
 		}
 		return out
-	}, func(r readdirReply) int64 { return 96 + int64(len(r.entries))*160 })
+	}, func(r readdirReply) int64 { return listingBytes(len(r.entries), plus) })
 	return r.entries, r.attrs, r.err
+}
+
+// listingBytes is the size of a listing reply: a name, id and type per
+// entry, plus its attributes when the listing carries them.
+func listingBytes(entries int, plus bool) int64 {
+	perEntry := int64(64)
+	if plus {
+		perEntry = 160
+	}
+	return 96 + int64(entries)*perEntry
+}
+
+// listDentries reads dir's entries inside a snapshot: one index read
+// plus one Get per dentry, ordered by name (unique within a directory,
+// so the order is deterministic whatever the index yields).
+func listDentries(tx *mdb.Tx, dentries *mdb.Table[dentryKey, dentryRow], dir vfs.Ino) []vfs.DirEntry {
+	keys := mdb.IndexScan(tx, dentries, "parent", parentIndexKey(dir))
+	slices.SortFunc(keys, func(a, b dentryKey) int { return strings.Compare(a.Name, b.Name) })
+	ents := make([]vfs.DirEntry, 0, len(keys))
+	for _, k := range keys {
+		if de, ok := mdb.Get(tx, dentries, k); ok {
+			ents = append(ents, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: de.Type})
+		}
+	}
+	return ents
 }
 
 // addRemote records entry index i under shard sh in a per-shard index
@@ -1069,12 +1096,6 @@ func addRemote(remote [][]int, sh, i int) [][]int {
 	}
 	remote[sh] = append(remote[sh], i)
 	return remote
-}
-
-// Readdir lists the virtual directory (names and types only).
-func (s *Service) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
-	ents, _, err := s.ReaddirPlus(p, sess, ctx, dir)
-	return ents, err
 }
 
 // WriteBack records a writer's size/mtime at close (close-to-open

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"cofs/internal/mdb"
@@ -248,16 +247,18 @@ type sbReaddirReply struct {
 	served  bool
 }
 
-// readdirPlus lists dir from the standby. Membership is sound because
-// every dentry mutation's transaction also writes the parent directory's
-// inode row (Create/Remove/Rename/Link all bump nlink or mtime), and a
+// readdir lists dir from the standby. Membership is sound because every
+// dentry mutation's transaction also writes the parent directory's inode
+// row (Create/Remove/Rename/Link all bump nlink or mtime), and a
 // transaction's records enter the WAL atomically: the directory inode's
 // stamp being covered by the cursor therefore proves every dentry
 // mutation under dir has been fully applied on the standby, and the
-// standby's parent index for dir is exactly the primary's. Any entry
-// whose own attributes cannot be proved fresh — or whose inode lives on
-// a foreign shard — turns the whole listing into a redirect.
-func (sb *Standby) readdirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, []vfs.Attr, error, bool) {
+// standby's parent index for dir is exactly the primary's. That is the
+// whole proof a names-only listing needs — names, ids and types all come
+// from the dentries. With plus, any entry whose own attributes cannot be
+// proved fresh — or whose inode lives on a foreign shard — turns the
+// whole listing into a redirect.
+func (sb *Standby) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino, plus bool) ([]vfs.DirEntry, []vfs.Attr, error, bool) {
 	si, ok := sb.route(sess, dir)
 	if !ok {
 		return nil, nil, nil, false
@@ -279,28 +280,23 @@ func (sb *Standby) readdirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.
 				out = sbReaddirReply{err: err, served: true}
 				return
 			}
-			keys := mdb.IndexKeys(tx, st.dentries, "parent", parentIndexKey(dir))
-			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
-			out.entries = make([]vfs.DirEntry, 0, len(keys))
-			out.attrs = make([]vfs.Attr, 0, len(keys))
-			for _, k := range keys {
-				de, ok := mdb.Get(tx, st.dentries, k)
-				if !ok {
-					continue
+			out.entries = listDentries(tx, st.dentries, dir)
+			if plus {
+				out.attrs = make([]vfs.Attr, 0, len(out.entries))
+				for _, e := range out.entries {
+					if stamp, ok := pr.inodes.Stamp(e.Ino); sb.primary.Of(e.Ino) != si || ok && stamp > cursor {
+						out = sbReaddirReply{}
+						tx.Abort()
+						return
+					}
+					row, _ := mdb.Get(tx, st.inodes, e.Ino)
+					out.attrs = append(out.attrs, row.attr())
 				}
-				if stamp, ok := pr.inodes.Stamp(de.Child); sb.primary.Of(de.Child) != si || ok && stamp > cursor {
-					out = sbReaddirReply{}
-					tx.Abort()
-					return
-				}
-				row, _ := mdb.Get(tx, st.inodes, de.Child)
-				out.entries = append(out.entries, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: row.Type})
-				out.attrs = append(out.attrs, row.attr())
 			}
 			out.served = true
 		})
 		return out
-	}, func(r sbReaddirReply) int64 { return 96 + int64(len(r.entries))*160 })
+	}, func(r sbReaddirReply) int64 { return listingBytes(len(r.entries), plus) })
 	sb.obsEnd(p, ob, r.served)
 	if !r.served {
 		sb.Fallbacks++

@@ -1,0 +1,402 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"cofs/internal/cluster"
+	"cofs/internal/params"
+	"cofs/internal/sim"
+	"cofs/internal/vfs"
+)
+
+// These tests pin the attributes-on-demand rule (FS.Readdir): a listing
+// is names-only unless the process that listed goes on to stat the
+// listing's first entry, and then the attributes of the whole directory
+// arrive in one RPC. Every assertion is an exact counter: what went to
+// the service, what the client installed, what the shards lease.
+
+const lsFiles = 8
+
+// lsRig deploys a 2-node, 2-shard COFS and has node 0 fill /d with
+// lsFiles files; node 1 is the cold traverser. tweak picks the cache
+// mode. The FUSE entry timeout stays at its default, so a stat right
+// after a listing resolves through the mount's dentry cache and reaches
+// FS as a Getattr of the listed id, like the kernel's would.
+func lsRig(t *testing.T, seed int64, tweak func(*params.Config)) (*cluster.Testbed, *Deployment) {
+	t.Helper()
+	cfg := params.Default()
+	cfg.COFS.MetadataShards = 2
+	tweak(&cfg)
+	tb := cluster.New(seed, 2, cfg)
+	d := Deploy(tb, nil)
+	drained(tb, "fill", func(p *sim.Proc) {
+		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+		if err := m.Mkdir(p, ctx, "/d", 0777); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < lsFiles; i++ {
+			f, err := m.Create(p, ctx, fmt.Sprintf("/d/f%d", i), 0644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close(p)
+		}
+		// Warm node 1's path to the directory so the passes below count
+		// nothing but the traversal itself.
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return tb, d
+}
+
+func leaseMode(c *params.Config) { c.COFS.AttrLease = 30 * time.Second }
+func ttlMode(c *params.Config)   { c.COFS.AttrCacheTimeout = time.Second }
+
+// drained runs fn as one simulation phase and drains it.
+func drained(tb *cluster.Testbed, name string, fn func(p *sim.Proc)) {
+	tb.Env.Spawn(name, fn)
+	tb.Run()
+}
+
+// lsL is one `ls -l` of /d from node 1 by process pid: the listing, then
+// a stat of the first `stats` entries in listing order.
+func lsL(t *testing.T, p *sim.Proc, d *Deployment, pid, stats int) {
+	t.Helper()
+	m, ctx := d.Mounts[1], cluster.Ctx(1, pid)
+	ents, err := m.Readdir(p, ctx, "/d")
+	if err != nil || len(ents) != lsFiles {
+		t.Fatalf("readdir: %d entries, %v", len(ents), err)
+	}
+	for _, e := range ents[:stats] {
+		if _, err := m.Stat(p, ctx, "/d/"+e.Name); err != nil {
+			t.Fatalf("stat %s: %v", e.Name, err)
+		}
+	}
+}
+
+// tally is what one step cost: service requests by kind, the
+// client-side listing counters of node 1, and the (row, session) pairs
+// in the shards' lease tables.
+type tally struct {
+	requests, getattrs, lookups int64
+	plus, stataheads, installs  int64
+	leases                      int
+}
+
+func snapshot(d *Deployment) tally {
+	ss := d.Service.Stats()
+	fs := d.FSs[1]
+	t := tally{
+		requests: ss.Requests, getattrs: ss.Getattrs, lookups: ss.Lookups,
+		plus: fs.Stats.PlusListings, stataheads: fs.Stats.Stataheads,
+		installs: fs.CacheStats().Installs,
+	}
+	for _, s := range d.Service.Shards() {
+		if s.leases.enabled() {
+			for _, holders := range s.leases.holders {
+				t.leases += len(holders)
+			}
+		}
+	}
+	return t
+}
+
+// since runs fn drained and returns what it added to every counter.
+func since(tb *cluster.Testbed, d *Deployment, fn func(p *sim.Proc)) tally {
+	a := snapshot(d)
+	drained(tb, "step", fn)
+	b := snapshot(d)
+	return tally{
+		requests: b.requests - a.requests, getattrs: b.getattrs - a.getattrs, lookups: b.lookups - a.lookups,
+		plus: b.plus - a.plus, stataheads: b.stataheads - a.stataheads, installs: b.installs - a.installs,
+		leases: b.leases - a.leases,
+	}
+}
+
+func TestNamesOnlyListingInstallsNothing(t *testing.T) {
+	tb, d := lsRig(t, 1, leaseMode)
+	drained(tb, "more-types", func(p *sim.Proc) {
+		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+		if err := m.Mkdir(p, ctx, "/d/sub", 0755); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Symlink(p, ctx, "f0", "/d/sym"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var ents []vfs.DirEntry
+	got := since(tb, d, func(p *sim.Proc) {
+		var err error
+		if ents, err = d.Mounts[1].Readdir(p, cluster.Ctx(1, 1), "/d"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := (tally{requests: 1}); got != want {
+		t.Fatalf("a names-only listing cost %+v, want %+v", got, want)
+	}
+	if len(ents) != lsFiles+2 {
+		t.Fatalf("listing holds %d entries, want %d", len(ents), lsFiles+2)
+	}
+	// Names, ids and types all come from the dentries.
+	for i, e := range ents {
+		want := vfs.TypeRegular
+		switch e.Name {
+		case "sub":
+			want = vfs.TypeDir
+		case "sym":
+			want = vfs.TypeSymlink
+		}
+		if e.Type != want || e.Ino == 0 {
+			t.Errorf("entry %q: type %v ino %d, want type %v", e.Name, e.Type, e.Ino, want)
+		}
+		if i > 0 && ents[i-1].Name >= e.Name {
+			t.Errorf("listing out of order at %q", e.Name)
+		}
+	}
+}
+
+// TestStataheadLsL: a cold `ls -l` costs one names-only listing plus one
+// attribute-carrying listing issued from inside the first stat, and no
+// per-entry RPC; every repeat costs exactly one plus listing, which is
+// what each one cost before listings were names-only by default. Lease
+// and TTL caches follow the same rule.
+func TestStataheadLsL(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		tweak func(*params.Config)
+		// Installs per plus listing: a dentry and an attribute lease per
+		// entry in lease mode, none in TTL mode (nothing is leased).
+		installs int64
+	}{{"lease", leaseMode, 2 * lsFiles}, {"ttl", ttlMode, 0}} {
+		t.Run(mode.name, func(t *testing.T) {
+			tb, d := lsRig(t, 2, mode.tweak)
+			cold := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+			want := tally{requests: 2, plus: 1, stataheads: 1, installs: mode.installs, leases: int(mode.installs)}
+			if cold != want {
+				t.Fatalf("cold ls -l cost %+v, want %+v", cold, want)
+			}
+			for pass := 2; pass <= 3; pass++ {
+				again := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+				// Re-granting a held lease adds nothing to the lease table.
+				want := tally{requests: 1, plus: 1, installs: mode.installs}
+				if again != want {
+					t.Fatalf("ls -l pass %d cost %+v, want %+v", pass, again, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStataheadAdviceIsConsumed: a plus listing spends the advice that
+// asked for it; a process that lists again without stat-ing the first
+// entry is back to names-only.
+func TestStataheadAdviceIsConsumed(t *testing.T) {
+	tb, d := lsRig(t, 3, leaseMode)
+	drained(tb, "advise", func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
+	plus := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	if want := (tally{requests: 1, plus: 1, installs: 2 * lsFiles}); plus != want {
+		t.Fatalf("advised listing cost %+v, want %+v", plus, want)
+	}
+	// The process's next stat is not of the first entry: nothing earned.
+	drained(tb, "stat-other", func(p *sim.Proc) {
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), fmt.Sprintf("/d/f%d", lsFiles-1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	plain := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	if want := (tally{requests: 1}); plain != want {
+		t.Fatalf("listing after unclaimed advice cost %+v, want %+v", plain, want)
+	}
+	if n := d.FSs[1].advised.Len(); n != 0 {
+		t.Fatalf("%d directories still advised", n)
+	}
+}
+
+// TestStataheadIsPerProcess: the record belongs to the process that
+// listed. Another process stat-ing the same entry starts nothing; the
+// lister's own stat then finds the attribute cached, so the traversal
+// it starts needs no statahead and only advises the next listing.
+func TestStataheadIsPerProcess(t *testing.T) {
+	tb, d := lsRig(t, 4, leaseMode)
+	drained(tb, "pid1-lists", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	other := since(tb, d, func(p *sim.Proc) {
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 2), "/d/f0"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := (tally{requests: 1, getattrs: 1, installs: 1, leases: 1}); other != want {
+		t.Fatalf("another process's stat cost %+v, want one plain getattr %+v", other, want)
+	}
+	own := since(tb, d, func(p *sim.Proc) {
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d/f0"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := (tally{}); own != want {
+		t.Fatalf("the lister's cached first-entry stat cost %+v, want nothing", own)
+	}
+	next := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	if next.plus != 1 || next.stataheads != 0 || next.requests != 1 {
+		t.Fatalf("listing after a cached first-entry stat cost %+v, want one plus listing", next)
+	}
+}
+
+// TestStataheadFirstEntryUnlinked: the first entry disappears between
+// the listing and the stat. The statahead lists a directory that no
+// longer holds it, the re-probe misses, and the single RPC reports the
+// truth.
+func TestStataheadFirstEntryUnlinked(t *testing.T) {
+	tb, d := lsRig(t, 5, leaseMode)
+	drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	drained(tb, "unlink", func(p *sim.Proc) {
+		if err := d.Mounts[0].Unlink(p, cluster.Ctx(0, 1), "/d/f0"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := since(tb, d, func(p *sim.Proc) {
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d/f0"); err != vfs.ErrNotExist {
+			t.Fatalf("stat of the unlinked first entry: %v, want ErrNotExist", err)
+		}
+	})
+	if got.stataheads != 1 || got.plus != 1 || got.getattrs != 1 {
+		t.Fatalf("stat of the unlinked first entry cost %+v, want one statahead and one getattr", got)
+	}
+	if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStataheadNeedsACache: with the client cache disabled (the paper
+// profile) there is nowhere to put attributes, so no listing ever asks
+// for them and nothing is remembered.
+func TestStataheadNeedsACache(t *testing.T) {
+	tb, d := lsRig(t, 6, func(*params.Config) {})
+	for pass := 1; pass <= 2; pass++ {
+		got := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+		if want := (tally{requests: 1 + lsFiles, getattrs: lsFiles}); got != want {
+			t.Fatalf("ls -l pass %d without a cache cost %+v, want %+v", pass, got, want)
+		}
+	}
+	fs := d.FSs[1]
+	if len(fs.listed) != 0 || fs.advised.Len() != 0 {
+		t.Fatalf("cache-less client remembers %d listings, %d advised directories", len(fs.listed), fs.advised.Len())
+	}
+}
+
+// TestStandbyNamesOnlyListing: a names-only listing needs only the
+// directory's own stamp under the replication cursor. With shipping
+// delayed and a child's inode inside the window, the standby serves the
+// names-only listing and redirects the plus one; once the directory
+// itself is inside the window both go to the primary. Neither is ever
+// stale, and types come from the dentries either way. On two shards a
+// child whose inode lives on the other shard does not stop a names-only
+// listing either.
+func TestStandbyNamesOnlyListing(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			cfg := params.Default()
+			cfg.COFS.MetadataShards = shards
+			cfg.COFS.StandbyReads = true
+			tb := cluster.New(7, 2, cfg)
+			d := Deploy(tb, nil)
+			sb := DeployStandby(tb, d, 10*time.Millisecond)
+			tb.Run()
+			m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+			const subdirs = 6
+			var dir vfs.Ino
+			drained(tb, "fill", func(p *sim.Proc) {
+				if err := m.Mkdir(p, ctx, "/d", 0777); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < subdirs; i++ {
+					if err := m.Mkdir(p, ctx, fmt.Sprintf("/d/sub%d", i), 0755); err != nil {
+						t.Fatal(err)
+					}
+				}
+				f, err := m.Create(p, ctx, "/d/f", 0644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close(p)
+				attr, err := m.Stat(p, ctx, "/d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir = attr.Ino
+			})
+			foreign := 0
+			for _, s := range d.Service.Shards() {
+				s.dentries.Each(func(k dentryKey, de dentryRow) {
+					if k.Parent == dir && d.Service.Of(de.Child) != d.Service.Of(dir) {
+						foreign++
+					}
+				})
+			}
+			if (shards > 1) != (foreign > 0) {
+				t.Fatalf("%d of /d's children live on a foreign shard at %d shards", foreign, shards)
+			}
+
+			sess, rctx := d.FSs[1].Session(), cluster.Ctx(1, 1)
+			list := func(p *sim.Proc, plus bool, wantEnts int, wantServed bool) []vfs.Attr {
+				t.Helper()
+				reads, falls := sb.Reads, sb.Fallbacks
+				var ents []vfs.DirEntry
+				var attrs []vfs.Attr
+				var err error
+				if plus {
+					ents, attrs, err = d.Service.ReaddirPlus(p, sess, rctx, dir)
+				} else {
+					ents, err = d.Service.Readdir(p, sess, rctx, dir)
+				}
+				if err != nil || len(ents) != wantEnts {
+					t.Fatalf("listing (plus=%v): %d entries, %v; want %d", plus, len(ents), err, wantEnts)
+				}
+				for _, e := range ents {
+					want := vfs.TypeDir
+					if e.Name[0] == 'f' {
+						want = vfs.TypeRegular
+					}
+					if e.Type != want {
+						t.Errorf("listing (plus=%v): %s has type %v, want %v", plus, e.Name, e.Type, want)
+					}
+				}
+				served := sb.Reads == reads+1 && sb.Fallbacks == falls
+				fellBack := sb.Reads == reads && sb.Fallbacks == falls+1
+				if served != wantServed || fellBack == wantServed {
+					t.Fatalf("listing (plus=%v): standby reads %d->%d, fallbacks %d->%d; want served=%v",
+						plus, reads, sb.Reads, falls, sb.Fallbacks, wantServed)
+				}
+				return attrs
+			}
+
+			// Everything shipped: names-only is served whatever shard the
+			// children live on; plus only when they are all local.
+			drained(tb, "shipped", func(p *sim.Proc) {
+				list(p, false, subdirs+1, true)
+				list(p, true, subdirs+1, foreign == 0)
+			})
+			drained(tb, "child-in-window", func(p *sim.Proc) {
+				if _, err := m.Chmod(p, ctx, "/d/f", 0600); err != nil {
+					t.Fatal(err)
+				}
+				list(p, false, subdirs+1, true)
+				attrs := list(p, true, subdirs+1, false)
+				if attrs[0].Mode != 0600 {
+					t.Fatalf("plus listing inside the shipping window returned mode %o, want 600", attrs[0].Mode)
+				}
+			})
+			drained(tb, "directory-in-window", func(p *sim.Proc) {
+				f, err := m.Create(p, ctx, "/d/f2", 0644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close(p)
+				list(p, false, subdirs+2, false)
+				list(p, true, subdirs+2, false)
+			})
+		})
+	}
+}

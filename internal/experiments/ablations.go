@@ -178,15 +178,31 @@ func flushCreateMs(seed int64, interval time.Duration) float64 {
 }
 
 // ClientCacheStorm is the stat/utime storm behind the client-cache
-// ablation and BenchmarkMetadataCache: 4 nodes repeatedly `ls -l` a
-// shared 256-file directory (readdir + per-file stat, three passes)
-// with a utime sweep over each node's own quarter between passes (so
-// lease revocations actually happen). It returns the full stat latency
-// distribution (mean, count and percentiles) and the deployment's
-// per-layer counters. This is the
-// paper's section IV-B trigger — repeated directory traversals over
-// cache-warm files — where GPFS serves from its client cache and the
-// measured COFS prototype paid a round trip per stat.
+// ablation, BenchmarkMetadataCache, BenchmarkStoreBackends and
+// BenchmarkStandbyReads: 4 nodes x 2 procs repeatedly `ls -l` a shared
+// 256-file directory (readdir + per-file stat, three passes) with a
+// utime sweep over each rank's own slice between passes, so lease
+// revocations actually happen and mutations keep landing on the
+// primaries the whole time. This is the paper's section IV-B trigger —
+// repeated directory traversals over cache-warm files — where GPFS
+// serves from its client cache and the measured COFS prototype paid a
+// round trip per stat.
+//
+// With cfg.COFS.StandbyReads set the deployment gets a hot standby
+// (2 ms shipping delay) and the read traffic rides the standby shards
+// whenever the replication cursor covers the row; rows inside the
+// shipping window fall back to the primary as a redirect, so the
+// measured mean carries the protocol's real cost, not a best case
+// (docs/replication.md; mds.standby-reads and mds.standby-fallbacks
+// show where the reads were served).
+//
+// It returns the full stat latency distribution (mean, count and
+// percentiles) and the deployment's per-layer counters plus
+// storm.traversal-us: the virtual microseconds of every `ls -l` pass —
+// listing and sweep, summed over ranks and passes — because a listing
+// that fetches attributes moves cost between the listing, the first
+// stat and the rest of the sweep, and only the whole pass says whether
+// the traversal got cheaper.
 func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Counters) {
 	const (
 		nodes = 4
@@ -195,6 +211,9 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 		quota = files / (nodes * procs)
 	)
 	t, tb, d := cofsTarget(seed, nodes, cfg, nil)
+	if cfg.COFS.StandbyReads {
+		core.DeployStandby(tb, d, 2*time.Millisecond)
+	}
 	t.Env.Spawn("setup", func(p *sim.Proc) {
 		ctx := cluster.Ctx(0, 1)
 		if err := t.Mounts[0].MkdirAll(p, ctx, "/data", 0777); err != nil {
@@ -210,6 +229,7 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 	})
 	tb.Run()
 	sum := &stats.Summary{}
+	var traversal time.Duration
 	for n := 0; n < nodes; n++ {
 		for pr := 0; pr < procs; pr++ {
 			node, rank := n, n*procs+pr
@@ -217,6 +237,7 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 				m := t.Mounts[node]
 				ctx := cluster.Ctx(node, 1+rank%procs)
 				for pass := 0; pass < 3; pass++ {
+					listed := p.Now()
 					if _, err := m.Readdir(p, ctx, "/data"); err != nil {
 						panic(err)
 					}
@@ -227,7 +248,10 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 						}
 						sum.Add(p.Now() - start)
 					}
-					// Touch this rank's slice: cross-node revocation load.
+					traversal += p.Now() - listed
+					// Touch this rank's slice: cross-node revocation load
+					// (and a live stale window for the other ranks' stats
+					// over these rows).
 					for i := rank * quota; i < (rank+1)*quota; i++ {
 						if _, err := m.Utime(p, ctx, fmt.Sprintf("/data/f%04d", i)); err != nil {
 							panic(err)
@@ -238,7 +262,9 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 		}
 	}
 	tb.Run()
-	return sum, d.Counters()
+	c := d.Counters()
+	c.Add("storm.traversal-us", int64(traversal/time.Microsecond))
+	return sum, c
 }
 
 // AblationClientCache sweeps the client-side knobs of the IV-B

@@ -527,28 +527,44 @@ func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
 // IndexKeys returns the primary keys whose indexed value equals bucket,
 // in deterministic (sorted by formatted key) order.
 //
-// Unlike Get, IndexKeys reads the committed index only: a transaction's
-// own uncommitted Puts and Deletes are NOT reflected (they reach the
-// index at commit). Query the index before mutating related rows in the
-// same transaction.
+// Unlike Get, the index reads serve the committed index only: a
+// transaction's own uncommitted Puts and Deletes are NOT reflected (they
+// reach the index at commit). Query the index before mutating related
+// rows in the same transaction.
 func IndexKeys[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) []K {
-	tx.charge()
-	var ix *index[K, V]
-	for _, cand := range t.indexes {
-		if cand.name == indexName {
-			ix = cand
-			break
-		}
-	}
-	if ix == nil {
-		panic(fmt.Sprintf("mdb: table %s has no index %s", t.tblName, indexName))
-	}
-	keys := make([]K, 0, len(ix.buckets[bucket]))
-	for k := range ix.buckets[bucket] {
-		keys = append(keys, k)
-	}
+	keys := IndexScan(tx, t, indexName, bucket)
 	sortFormatted(keys)
 	return keys
+}
+
+// IndexScan is IndexKeys without the order: the bucket's keys as the
+// index map yields them, for callers that sort by a cheaper key of their
+// own (a directory listing orders by name). Same single table operation.
+func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) []K {
+	b := t.indexBucket(tx, indexName, bucket)
+	keys := make([]K, 0, len(b))
+	for k := range b {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// IndexLen counts the bucket's keys (emptiness checks); one table
+// operation, like IndexKeys.
+func IndexLen[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) int {
+	return len(t.indexBucket(tx, indexName, bucket))
+}
+
+// indexBucket charges one table operation and returns the committed key
+// set of bucket in the named index (nil when empty).
+func (t *Table[K, V]) indexBucket(tx *Tx, indexName, bucket string) map[K]struct{} {
+	tx.charge()
+	for _, ix := range t.indexes {
+		if ix.name == indexName {
+			return ix.buckets[bucket]
+		}
+	}
+	panic(fmt.Sprintf("mdb: table %s has no index %s", t.tblName, indexName))
 }
 
 // sortFormatted sorts keys by their fmt.Sprint rendering — the store's

@@ -2,6 +2,8 @@ package mdb
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,6 +87,18 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 							ok = false
 							return
 						}
+					}
+					// The unordered read and the count see the same
+					// bucket, each for one table operation.
+					before := tx.ops
+					unordered := IndexScan(tx, tbl, "b", bucket)
+					n := IndexLen(tx, tbl, "b", bucket)
+					sort.Slice(unordered, func(i, j int) bool { return unordered[i] < unordered[j] })
+					sorted := append([]uint8(nil), viaIndex...)
+					sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+					if tx.ops != before+2 || n != len(viaIndex) || !slices.Equal(unordered, sorted) {
+						ok = false
+						return
 					}
 				}
 			})

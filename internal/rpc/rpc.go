@@ -18,7 +18,7 @@
 // is in flight, later requests queue; when the wire frees, the first
 // queued requester is promoted to carrier and flies the whole queue as
 // one message (one RPC header, one serialization, one hop-latency
-// charge for the lot — the mdtest create storm and the ReaddirPlus +
+// charge for the lot — the mdtest create storm and the Readdir +
 // N×Getattr pattern collapse to a handful of round trips).
 package rpc
 

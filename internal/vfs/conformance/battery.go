@@ -228,6 +228,16 @@ var batteryCases = []testCase{
 				c.Errorf("listing %d holds the flipping file under %d names among %d entries, want 1 among %d",
 					listings, names, len(ents), bystanders+1)
 			}
+			// A provider may list differently for a process that stats what
+			// it lists (COFS fetches attributes along with the names once a
+			// listing's first entry is stat-ed): do so after every other
+			// listing, so both kinds are held to the snapshot. The entry may
+			// be the flipping file, renamed away by now.
+			if listings%2 == 1 && len(ents) > 0 {
+				if _, err := c.M.Stat(c.P, c.S.User, "/snap/"+ents[0].Name); err != nil && err != vfs.ErrNotExist {
+					c.Errorf("stat of listing %d's first entry: %v", listings, err)
+				}
+			}
 			c.P.Sleep(10 * time.Microsecond) // a zero-cost provider must still let the flipper run
 		}
 		if listings < 4 {
