@@ -266,6 +266,92 @@ func BenchmarkTraceReplayBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSmallFileIO is the gated record of the striped data path
+// (docs/datapath.md): 16 streams (8 nodes x 2 procs) each write 32 files
+// of 256 KiB, read the files the same-numbered stream of the next node
+// wrote (so no read is served from the reader's own page pool) and unlink
+// their own, with a barrier between the phases — on bare GPFS and on COFS
+// in the grown profile (4 shards, 30 s leases, batched RPCs). The records
+// carry the per-kind means and the bytes the block store moved per file:
+// a read that fetches more than the file has shows there first.
+func BenchmarkSmallFileIO(b *testing.B) {
+	const nodes, procs, files, fileBytes = 8, 2, 32, 256 << 10
+	name := func(node, pid, i int) string { return fmt.Sprintf("/small/n%d.p%d/out-%02d", node, pid, i) }
+	phases := make([]*trace.Trace, 3)
+	for i := range phases {
+		phases[i] = &trace.Trace{}
+	}
+	for node := 0; node < nodes; node++ {
+		for pid := 0; pid < procs; pid++ {
+			dir := trace.Op{Node: node, PID: pid, Kind: trace.Mkdir, Path: fmt.Sprintf("/small/n%d.p%d", node, pid), Mode: 0755}
+			phases[0].Ops = append(phases[0].Ops, dir)
+			for i := 0; i < files; i++ {
+				op := trace.Op{Node: node, PID: pid, Mode: 0644, Bytes: fileBytes}
+				op.Kind, op.Path = trace.WriteFile, name(node, pid, i)
+				phases[0].Ops = append(phases[0].Ops, op)
+				op.Kind, op.Path = trace.ReadFile, name((node+1)%nodes, pid, i)
+				phases[1].Ops = append(phases[1].Ops, op)
+				op.Kind, op.Path = trace.Unlink, name(node, pid, i)
+				phases[2].Ops = append(phases[2].Ops, op)
+			}
+		}
+	}
+	for _, stack := range []string{"gpfs", "cofs-4shards"} {
+		b.Run(stack, func(b *testing.B) {
+			var mt bench.Meter
+			var tb *cluster.Testbed
+			var d *core.Deployment
+			perKind := map[trace.Kind]*stats.Summary{}
+			for i := 0; i < b.N; i++ {
+				cfg := params.Default()
+				cfg.COFS.MetadataShards = 4
+				cfg.COFS.AttrLease = 30 * time.Second
+				cfg.COFS.RPCBatch = true
+				mt.Start()
+				tb = cluster.New(int64(i+1), nodes, cfg)
+				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+				if stack != "gpfs" {
+					d = core.Deploy(tb, nil)
+					t.Mounts = d.Mounts
+				}
+				for _, tr := range phases {
+					res, err := trace.Replay(t, tr, trace.ReplayOptions{})
+					if err != nil || res.Errors > 0 {
+						b.Fatalf("replay: %v (errors %d, first %v)", err, res.Errors, res.FirstErr)
+					}
+					for k, sum := range res.PerKind {
+						perKind[k] = sum
+					}
+				}
+				mt.Stop()
+			}
+			const fileCount = nodes * procs * files
+			const ops = 3 * fileCount // each file is written, read and unlinked once
+			w, r, u := perKind[trace.WriteFile].MeanMs(), perKind[trace.ReadFile].MeanMs(), perKind[trace.Unlink].MeanMs()
+			reportMs(b, (w+r+u)/3)
+			b.ReportMetric(r, "vms/op-read")
+			rec := bench.Record{
+				Name: "small-file-io/" + stack, VmsPerOp: (w + r + u) / 3,
+				Extra: map[string]float64{
+					"vms_per_op_write":       w,
+					"vms_per_op_read":        r,
+					"vms_per_op_unlink":      u,
+					"bytes_read_per_file":    float64(tb.FS.Data.BytesRead) / fileCount,
+					"bytes_written_per_file": float64(tb.FS.Data.BytesWritten) / fileCount,
+				},
+			}
+			mt.Fill(&rec, ops)
+			if d != nil {
+				rec.Shards = 4
+				rec.SetSimCounters(d.Counters())
+			}
+			if err := bench.WriteRecord(rec); err != nil {
+				b.Logf("bench record: %v", err)
+			}
+		})
+	}
+}
+
 // BenchmarkAblationDirCap regenerates the directory-cap ablation's three
 // interesting points: an over-small cap, the paper's 512, and unbounded.
 func BenchmarkAblationDirCap(b *testing.B) {

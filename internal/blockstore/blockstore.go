@@ -55,18 +55,13 @@ func (s *Store) diskPos(st Stripe) int64 {
 	return int64(st.Ino)<<20 + st.Idx
 }
 
-// StripesFor returns the stripes covering [off, off+n) of file ino.
-func (s *Store) StripesFor(ino uint64, off, n int64) []Stripe {
+// StripeRange returns the half-open range [first, end) of stripe indexes
+// covering [off, off+n) of a file; it is empty when n <= 0.
+func (s *Store) StripeRange(off, n int64) (first, end int64) {
 	if n <= 0 {
-		return nil
+		return 0, 0
 	}
-	first := off / s.stripeSize
-	last := (off + n - 1) / s.stripeSize
-	out := make([]Stripe, 0, last-first+1)
-	for i := first; i <= last; i++ {
-		out = append(out, Stripe{Ino: ino, Idx: i})
-	}
-	return out
+	return off / s.stripeSize, (off+n-1)/s.stripeSize + 1
 }
 
 // Read transfers the given stripes from their servers to the client,
@@ -81,6 +76,8 @@ func (s *Store) Write(p *sim.Proc, client *netsim.Host, stripes []Stripe, sizes 
 	s.transfer(p, client, stripes, sizes, true)
 }
 
+// transfer does not retain stripes or sizes, so callers can pass
+// stack-backed slices.
 func (s *Store) transfer(p *sim.Proc, client *netsim.Host, stripes []Stripe, sizes []int64, write bool) {
 	if len(stripes) != len(sizes) {
 		panic("blockstore: stripes/sizes length mismatch")
@@ -88,44 +85,58 @@ func (s *Store) transfer(p *sim.Proc, client *netsim.Host, stripes []Stripe, siz
 	if len(stripes) == 0 {
 		return
 	}
-	// Group stripes by server; each server's queue is drained by one
-	// helper process so transfers to different servers overlap while
-	// each disk stays serialized.
-	type req struct {
-		st   Stripe
-		size int64
-	}
-	byServer := make(map[int][]req)
-	order := []int{}
+	first, oneServer := s.serverOf(stripes[0]), true
 	for i, st := range stripes {
-		sv := s.serverOf(st)
-		if _, ok := byServer[sv]; !ok {
-			order = append(order, sv)
-		}
-		byServer[sv] = append(byServer[sv], req{st: st, size: sizes[i]})
+		oneServer = oneServer && s.serverOf(st) == first
 		if write {
 			s.BytesWritten += sizes[i]
 		} else {
 			s.BytesRead += sizes[i]
 		}
 	}
-	env := p.Env()
-	wg := sim.NewWaitGroup(env)
+	// One server is one queue: nothing to overlap, so the caller drains
+	// it itself.
+	if oneServer {
+		for i, st := range stripes {
+			s.move(p, client, first, st, sizes[i], write)
+		}
+		return
+	}
+	// Group stripes by server; each server's queue is drained by one
+	// helper process (spawned in first-appearance order) so transfers to
+	// different servers overlap while each disk stays serialized.
+	type req struct {
+		st   Stripe
+		size int64
+	}
+	queues := make([][]req, len(s.servers))
+	var order []int
+	for i, st := range stripes {
+		sv := s.serverOf(st)
+		if queues[sv] == nil {
+			order = append(order, sv)
+		}
+		queues[sv] = append(queues[sv], req{st: st, size: sizes[i]})
+	}
+	wg := sim.NewWaitGroup(p.Env())
 	for _, sv := range order {
-		server := sv
-		reqs := byServer[sv]
 		wg.Go("stripe-xfer", func(p *sim.Proc) {
-			for _, r := range reqs {
-				pos := s.diskPos(r.st)
-				if write {
-					s.net.Transfer(p, client, s.servers[server], r.size)
-					s.disks[server].Write(p, pos, r.size)
-				} else {
-					s.disks[server].Read(p, pos, r.size)
-					s.net.Transfer(p, s.servers[server], client, r.size)
-				}
+			for _, r := range queues[sv] {
+				s.move(p, client, sv, r.st, r.size, write)
 			}
 		})
 	}
 	wg.Wait(p)
+}
+
+// move carries one stripe's bytes between the client and server sv.
+func (s *Store) move(p *sim.Proc, client *netsim.Host, sv int, st Stripe, size int64, write bool) {
+	pos := s.diskPos(st)
+	if write {
+		s.net.Transfer(p, client, s.servers[sv], size)
+		s.disks[sv].Write(p, pos, size)
+	} else {
+		s.disks[sv].Read(p, pos, size)
+		s.net.Transfer(p, s.servers[sv], client, size)
+	}
 }

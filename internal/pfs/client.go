@@ -54,7 +54,9 @@ type Client struct {
 	busy     map[lock.Resource]int
 	busyCond *sim.Cond
 
-	pagepool     *lru.Cache[blockstore.Stripe, struct{}]
+	// pagepool maps a cached stripe to how many of its leading bytes
+	// the node holds.
+	pagepool     *lru.Cache[blockstore.Stripe, int64]
 	dirtyStripes map[blockstore.Stripe]int64
 
 	handles map[vfs.Handle]*handleState
@@ -80,7 +82,7 @@ func (s *Server) NewClient(host *netsim.Host, node int) *Client {
 		dirty:        make(map[lock.Resource]uint8),
 		busy:         make(map[lock.Resource]int),
 		busyCond:     sim.NewCond(s.env),
-		pagepool:     lru.New[blockstore.Stripe, struct{}](poolStripes),
+		pagepool:     lru.New[blockstore.Stripe, int64](poolStripes),
 		dirtyStripes: make(map[blockstore.Stripe]int64),
 		handles:      make(map[vfs.Handle]*handleState),
 		nextH:        1,

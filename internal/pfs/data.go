@@ -1,7 +1,8 @@
 package pfs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"cofs/internal/blockstore"
@@ -45,20 +46,25 @@ func (c *Client) Read(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle, off, n int64) (int
 	if off+n > in.attr.Size {
 		n = in.attr.Size - off
 	}
+	// Fetch what the file has in each stripe the pool holds too little
+	// of: a short file or a file tail is not a full stripe.
 	stripeSize := c.srv.Data.StripeSize()
-	var missing []blockstore.Stripe
-	var sizes []int64
-	for _, st := range c.srv.Data.StripesFor(uint64(hs.ino), off, n) {
-		if _, ok := c.pagepool.Get(st); ok {
+	var stBuf [8]blockstore.Stripe
+	var szBuf [8]int64
+	missing, sizes := stBuf[:0], szBuf[:0]
+	for idx, end := c.srv.Data.StripeRange(off, n); idx < end; idx++ {
+		st := blockstore.Stripe{Ino: uint64(hs.ino), Idx: idx}
+		valid := min(stripeSize, in.attr.Size-idx*stripeSize)
+		if have, ok := c.pagepool.Get(st); ok && have >= valid {
 			continue
 		}
 		missing = append(missing, st)
-		sizes = append(sizes, stripeSize)
+		sizes = append(sizes, valid)
 	}
 	if len(missing) > 0 {
 		c.srv.Data.Read(p, c.host, missing, sizes)
-		for _, st := range missing {
-			c.pagepool.Put(st, struct{}{})
+		for i, st := range missing {
+			c.pagepool.Put(st, sizes[i])
 		}
 	}
 	c.memCopy(p, n)
@@ -87,17 +93,16 @@ func (c *Client) Write(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle, off, n int64) (in
 		c.srv.Tokens.Acquire(p, c, rr, lock.ModeExclusive)
 	}
 	stripeSize := c.srv.Data.StripeSize()
-	for _, st := range c.srv.Data.StripesFor(uint64(hs.ino), off, n) {
-		c.pagepool.Put(st, struct{}{})
-		// Track how much of the stripe is actually dirty so a small
-		// file does not write back a full stripe.
-		stripeStart := st.Idx * stripeSize
-		covered := min64(off+n, stripeStart+stripeSize) - max64(off, stripeStart)
-		if c.dirtyStripes[st]+covered > stripeSize {
-			c.dirtyStripes[st] = stripeSize
-		} else {
-			c.dirtyStripes[st] += covered
-		}
+	for idx, end := c.srv.Data.StripeRange(off, n); idx < end; idx++ {
+		st := blockstore.Stripe{Ino: uint64(hs.ino), Idx: idx}
+		// The pool holds the stripe up to the highest byte written or
+		// fetched; the dirty extent is tracked apart so a small file
+		// does not write back a full stripe.
+		stripeStart := idx * stripeSize
+		hi := min(off+n, stripeStart+stripeSize)
+		have, _ := c.pagepool.Peek(st)
+		c.pagepool.Put(st, max(have, hi-stripeStart))
+		c.dirtyStripes[st] = min(stripeSize, c.dirtyStripes[st]+hi-max(off, stripeStart))
 	}
 	c.memCopy(p, n)
 	if off+n > in.attr.Size {
@@ -124,8 +129,9 @@ func (c *Client) Fsync(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle) error {
 
 // flushData writes back the dirty stripes of one file.
 func (c *Client) flushData(p *sim.Proc, ino vfs.Ino) {
-	var stripes []blockstore.Stripe
-	var sizes []int64
+	var stBuf [8]blockstore.Stripe
+	var szBuf [8]int64
+	stripes, sizes := stBuf[:0], szBuf[:0]
 	for st := range c.dirtyStripes {
 		if st.Ino == uint64(ino) {
 			stripes = append(stripes, st)
@@ -162,26 +168,11 @@ func (c *Client) flushAllData(p *sim.Proc) {
 	c.srv.Data.Write(p, c.host, stripes, sizes)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
+// sortStripes orders a flush by (file, stripe index) without letting a
+// stack-backed slice escape.
 func sortStripes(stripes []blockstore.Stripe) {
-	sort.Slice(stripes, func(i, j int) bool {
-		if stripes[i].Ino != stripes[j].Ino {
-			return stripes[i].Ino < stripes[j].Ino
-		}
-		return stripes[i].Idx < stripes[j].Idx
+	slices.SortFunc(stripes, func(a, b blockstore.Stripe) int {
+		return cmp.Or(cmp.Compare(a.Ino, b.Ino), cmp.Compare(a.Idx, b.Idx))
 	})
 }
 

@@ -534,6 +534,34 @@ var cases = []testCase{
 		}
 	}},
 
+	{name: "ReadSeesAppendedBytes", fn: func(c *C) {
+		// A reader that has already read (and may have cached) a short
+		// file must see the bytes appended afterwards, then read the
+		// grown file again unchanged.
+		c.write(c.S.User, "/f", 256<<10)
+		f, err := c.M.Open(c.P, c.S.User, "/f", vfs.OpenRead)
+		if !c.must(err, "open") {
+			return
+		}
+		defer f.Close(c.P)
+		if got, err := f.ReadAt(c.P, 0, 1<<20); err != nil || got != 256<<10 {
+			c.Errorf("read before append: got (%d, %v), want (%d, nil)", got, err, 256<<10)
+		}
+		w, err := c.M.Open(c.P, c.S.User, "/f", vfs.OpenWrite)
+		if !c.must(err, "open for append") {
+			return
+		}
+		if _, err := w.WriteAt(c.P, 256<<10, 256<<10); err != nil {
+			c.Errorf("append: %v", err)
+		}
+		c.must(w.Close(c.P), "close appender")
+		for _, pass := range []string{"after append", "again"} {
+			if got, err := f.ReadAt(c.P, 0, 1<<20); err != nil || got != 512<<10 {
+				c.Errorf("read %s: got (%d, %v), want (%d, nil)", pass, got, err, 512<<10)
+			}
+		}
+	}},
+
 	{name: "NegativeOffsetRejected", fn: func(c *C) {
 		c.write(c.S.User, "/f", 10)
 		f, err := c.M.Open(c.P, c.S.User, "/f", vfs.OpenRead)
