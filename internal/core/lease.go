@@ -42,14 +42,27 @@ func dentLease(parent vfs.Ino, name string) leaseKey {
 	return leaseKey{parent: parent, name: name}
 }
 
-// leaseTable tracks the lease holders of one shard's rows.
+// leaseTable tracks the lease holders of one shard's rows. Each key's
+// holders are a linked list threaded through one table-wide slab, so a
+// grant allocates nothing once the slab and the free list of released
+// slots cover the live holders.
 type leaseTable struct {
 	term    time.Duration
-	holders map[leaseKey]map[*Session]time.Duration // session -> expiry
+	holders map[leaseKey]int32 // head of the key's holder list in slab
+	slab    []leaseHolder
+	free    int32 // head of the list of released slab slots; -1 if none
 	// sweepAt is the table size that triggers the next lazy sweep of
 	// fully-expired keys (stat-once workloads otherwise retain one
-	// holder map per row ever leased).
+	// holder list per row ever leased).
 	sweepAt int
+}
+
+// leaseHolder is one (key, session) lease: the session and its expiry,
+// linked to the key's next holder (or, released, to the next free slot).
+type leaseHolder struct {
+	sess *Session
+	exp  time.Duration
+	next int32 // -1 ends the list
 }
 
 const leaseSweepFloor = 1 << 12
@@ -60,9 +73,42 @@ func newLeaseTable(term time.Duration) *leaseTable {
 	}
 	return &leaseTable{
 		term:    term,
-		holders: make(map[leaseKey]map[*Session]time.Duration),
+		holders: make(map[leaseKey]int32),
+		free:    -1,
 		sweepAt: leaseSweepFloor,
 	}
+}
+
+// alloc stores h in a free slab slot (or a new one) and returns its index.
+func (lt *leaseTable) alloc(h leaseHolder) int32 {
+	if i := lt.free; i >= 0 {
+		lt.free = lt.slab[i].next
+		lt.slab[i] = h
+		return i
+	}
+	lt.slab = append(lt.slab, h)
+	return int32(len(lt.slab) - 1)
+}
+
+// release returns slot i to the free list, dropping its session.
+func (lt *leaseTable) release(i int32) {
+	lt.slab[i] = leaseHolder{next: lt.free}
+	lt.free = i
+}
+
+// prune releases the expired holders of the list at head and returns
+// the list's new head (-1 when none is left).
+func (lt *leaseTable) prune(now time.Duration, head int32) int32 {
+	for link := &head; *link >= 0; {
+		if h := &lt.slab[*link]; now >= h.exp {
+			i := *link
+			*link = h.next
+			lt.release(i)
+		} else {
+			link = &h.next
+		}
+	}
+	return head
 }
 
 func (lt *leaseTable) enabled() bool { return lt != nil }
@@ -75,19 +121,24 @@ func (lt *leaseTable) enabled() bool { return lt != nil }
 // read-mostly workloads do not accumulate dead (row, session) pairs
 // forever.
 func (lt *leaseTable) grant(now time.Duration, key leaseKey, sess *Session) time.Duration {
-	hs, ok := lt.holders[key]
+	old, ok := lt.holders[key]
 	if !ok {
-		hs = make(map[*Session]time.Duration)
-		lt.holders[key] = hs
-	} else {
-		for other, exp := range hs {
-			if now >= exp {
-				delete(hs, other)
-			}
-		}
+		old = -1
 	}
+	head := lt.prune(now, old)
 	exp := now + lt.term
-	hs[sess] = exp
+	i := head
+	for i >= 0 && lt.slab[i].sess != sess {
+		i = lt.slab[i].next
+	}
+	if i >= 0 {
+		lt.slab[i].exp = exp
+	} else {
+		head = lt.alloc(leaseHolder{sess: sess, exp: exp, next: head})
+	}
+	if !ok || head != old {
+		lt.holders[key] = head
+	}
 	if len(lt.holders) >= lt.sweepAt {
 		lt.sweep(now)
 	}
@@ -97,14 +148,11 @@ func (lt *leaseTable) grant(now time.Duration, key leaseKey, sess *Session) time
 // sweep drops expired holders and the keys they leave empty, then sets
 // the next trigger to double the live size (amortized O(1) per grant).
 func (lt *leaseTable) sweep(now time.Duration) {
-	for key, hs := range lt.holders {
-		for sess, exp := range hs {
-			if now >= exp {
-				delete(hs, sess)
-			}
-		}
-		if len(hs) == 0 {
+	for key, head := range lt.holders {
+		if head = lt.prune(now, head); head < 0 {
 			delete(lt.holders, key)
+		} else {
+			lt.holders[key] = head
 		}
 	}
 	lt.sweepAt = 2 * len(lt.holders)
@@ -117,17 +165,20 @@ func (lt *leaseTable) sweep(now time.Duration) {
 // than except) whose lease had not yet expired — the ones that must be
 // recalled. The result is ordered by client node for determinism.
 func (lt *leaseTable) revoke(now time.Duration, key leaseKey, except *Session) []*Session {
-	hs, ok := lt.holders[key]
+	i, ok := lt.holders[key]
 	if !ok {
 		return nil
 	}
 	delete(lt.holders, key)
 	var victims []*Session
-	for sess, exp := range hs {
-		if sess == except || now >= exp {
-			continue // self-invalidation rides the reply; expired needs nothing
+	for i >= 0 {
+		h := lt.slab[i]
+		lt.release(i)
+		i = h.next
+		// Self-invalidation rides the reply; expired needs nothing.
+		if h.sess != except && now < h.exp {
+			victims = append(victims, h.sess)
 		}
-		victims = append(victims, sess)
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].node < victims[j].node })
 	return victims

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -67,9 +66,6 @@ type dentryRow struct {
 	Child  vfs.Ino
 	Type   vfs.FileType
 }
-
-// parentIndexKey renders the index bucket for a directory.
-func parentIndexKey(dir vfs.Ino) string { return strconv.FormatUint(uint64(dir), 10) }
 
 // ServiceStats aggregates service-side counters.
 type ServiceStats struct {
@@ -174,7 +170,7 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 	}
 	s.inodes = mdb.NewTable[vfs.Ino, inodeRow](db, "inode", mdb.DiscCopies)
 	s.dentries = mdb.NewTable[dentryKey, dentryRow](db, "dentry", mdb.DiscCopies)
-	s.dentries.AddIndex("parent", func(r dentryRow) string { return parentIndexKey(r.Parent) })
+	s.dentries.AddIndex("parent", func(r dentryRow) uint64 { return uint64(r.Parent) })
 	s.mappings = mdb.NewTable[vfs.Ino, string](db, "mapping", mdb.DiscCopies)
 
 	if shardID == 0 {
@@ -725,7 +721,7 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 					out.err = vfs.ErrNotDir
 					return
 				}
-				if mdb.IndexLen(tx, s.dentries, "parent", parentIndexKey(id)) > 0 {
+				if mdb.IndexLen(tx, s.dentries, "parent", uint64(id)) > 0 {
 					out.err = vfs.ErrNotEmpty
 					return
 				}
@@ -832,7 +828,7 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 						out.err = vfs.ErrIsDir
 						return
 					}
-					if mdb.IndexLen(tx, s.dentries, "parent", parentIndexKey(existing)) > 0 {
+					if mdb.IndexLen(tx, s.dentries, "parent", uint64(existing)) > 0 {
 						out.err = vfs.ErrNotEmpty
 						return
 					}
@@ -1076,7 +1072,7 @@ func listingBytes(entries int, plus bool) int64 {
 // plus one Get per dentry, ordered by name (unique within a directory,
 // so the order is deterministic whatever the index yields).
 func listDentries(tx *mdb.Tx, dentries *mdb.Table[dentryKey, dentryRow], dir vfs.Ino) []vfs.DirEntry {
-	keys := mdb.IndexScan(tx, dentries, "parent", parentIndexKey(dir))
+	keys := mdb.IndexScan(tx, dentries, "parent", uint64(dir))
 	slices.SortFunc(keys, func(a, b dentryKey) int { return strings.Compare(a.Name, b.Name) })
 	ents := make([]vfs.DirEntry, 0, len(keys))
 	for _, k := range keys {

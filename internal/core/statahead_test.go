@@ -96,8 +96,10 @@ func snapshot(d *Deployment) tally {
 	}
 	for _, s := range d.Service.Shards() {
 		if s.leases.enabled() {
-			for _, holders := range s.leases.holders {
-				t.leases += len(holders)
+			for _, head := range s.leases.holders {
+				for i := head; i >= 0; i = s.leases.slab[i].next {
+					t.leases++
+				}
 			}
 		}
 	}

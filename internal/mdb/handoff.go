@@ -28,7 +28,7 @@ func (h *Handoff) Len() int { return len(h.recs) }
 
 // HandoffPut appends row (key, val) of table t to the cursor.
 func HandoffPut[K comparable, V any](h *Handoff, t *Table[K, V], key K, val V) {
-	h.recs = append(h.recs, walRec{table: t.tblName, op: walPut, key: key, val: val})
+	h.recs = append(h.recs, t.rec(walPut, key, val))
 }
 
 // ImportHandoff applies the cursor to this database as one durable

@@ -43,12 +43,24 @@ const (
 	walDelete
 )
 
+// walRec is one logged write. kv is the *entry[K, V] of the named
+// table's types; the entry is immutable once logged, because the WAL,
+// a replica's copy of it and a Handoff may all share it.
 type walRec struct {
 	table string
 	op    walOp
-	key   any
-	val   any
+	kv    any
 }
+
+// entry is a logged key and value (the value is the zero V for a
+// delete).
+type entry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// entrySlabChunk is the entry count of one slab chunk (Table.rec).
+const entrySlabChunk = 256
 
 type table interface {
 	name() string
@@ -57,7 +69,7 @@ type table interface {
 	clear()
 	rows() int
 	snapshotWAL() []walRec
-	setStamp(key any, seq int64)
+	setStamp(rec walRec, seq int64)
 }
 
 // DB is a collection of tables sharing a transaction lock and a WAL.
@@ -189,7 +201,7 @@ func (db *DB) stampTail(n int) {
 	db.wal.each(pos, end, func(rec walRec) {
 		pos++
 		if t, ok := db.tables[rec.table]; ok {
-			t.setStamp(rec.key, db.seqBase+int64(pos))
+			t.setStamp(rec, db.seqBase+int64(pos))
 		}
 	})
 }
@@ -239,12 +251,15 @@ type Table[K comparable, V any] struct {
 	// record — put or delete, so a covered absence is as provable as a
 	// covered row. Allocated lazily, and only when the DB tracks stamps.
 	stamps map[K]int64
+	// slab is the chunk the next logged entry is carved from. Entries
+	// are never reused: a chunk is freed when no record refers to it.
+	slab []entry[K, V]
 }
 
 type index[K comparable, V any] struct {
 	name    string
-	extract func(V) string
-	buckets map[string]map[K]struct{}
+	extract func(V) uint64
+	buckets map[uint64]map[K]struct{}
 }
 
 // NewTable registers a table with the database. Creating a DiscCopies
@@ -268,15 +283,25 @@ func NewTable[K comparable, V any](db *DB, name string, class Storage) *Table[K,
 
 // AddIndex registers a secondary index computed by extract. Must be
 // called before any rows are inserted.
-func (t *Table[K, V]) AddIndex(name string, extract func(V) string) {
+func (t *Table[K, V]) AddIndex(name string, extract func(V) uint64) {
 	if len(t.data) > 0 {
 		panic("mdb: AddIndex on non-empty table")
 	}
 	t.indexes = append(t.indexes, &index[K, V]{
 		name:    name,
 		extract: extract,
-		buckets: make(map[string]map[K]struct{}),
+		buckets: make(map[uint64]map[K]struct{}),
 	})
+}
+
+// rec builds the WAL record of one write to t, carving its entry from
+// the table's slab.
+func (t *Table[K, V]) rec(op walOp, key K, val V) walRec {
+	if len(t.slab) == cap(t.slab) {
+		t.slab = make([]entry[K, V], 0, entrySlabChunk)
+	}
+	t.slab = append(t.slab, entry[K, V]{key: key, val: val})
+	return walRec{table: t.tblName, op: op, kv: &t.slab[len(t.slab)-1]}
 }
 
 func (t *Table[K, V]) name() string     { return t.tblName }
@@ -286,7 +311,7 @@ func (t *Table[K, V]) rows() int        { return len(t.data) }
 func (t *Table[K, V]) clear() {
 	t.data = make(map[K]V)
 	for _, ix := range t.indexes {
-		ix.buckets = make(map[string]map[K]struct{})
+		ix.buckets = make(map[uint64]map[K]struct{})
 	}
 	// Stamps describe rows relative to the WAL; a crash or resync that
 	// wipes the tables invalidates them too (Recover re-stamps replayed
@@ -294,11 +319,11 @@ func (t *Table[K, V]) clear() {
 	t.stamps = nil
 }
 
-func (t *Table[K, V]) setStamp(key any, seq int64) {
+func (t *Table[K, V]) setStamp(rec walRec, seq int64) {
 	if t.stamps == nil {
 		t.stamps = make(map[K]int64)
 	}
-	t.stamps[key.(K)] = seq
+	t.stamps[rec.kv.(*entry[K, V]).key] = seq
 }
 
 // Stamp returns the absolute commit sequence of the key's last WAL
@@ -312,12 +337,12 @@ func (t *Table[K, V]) Stamp(key K) (int64, bool) {
 }
 
 func (t *Table[K, V]) applyWAL(rec walRec) {
-	key := rec.key.(K)
+	e := rec.kv.(*entry[K, V])
 	switch rec.op {
 	case walPut:
-		t.put(key, rec.val.(V))
+		t.put(e.key, e.val)
 	case walDelete:
-		t.del(key)
+		t.del(e.key)
 	}
 }
 
@@ -501,12 +526,8 @@ func Get[K comparable, V any](tx *Tx, t *Table[K, V], key K) (V, bool) {
 	for i := len(tx.log) - 1; i >= 0; i-- {
 		rec := tx.log[i]
 		if rec.table == t.tblName {
-			if k, ok := rec.key.(K); ok && k == key {
-				if rec.op == walDelete {
-					var zero V
-					return zero, false
-				}
-				return rec.val.(V), true
+			if e := rec.kv.(*entry[K, V]); e.key == key {
+				return e.val, rec.op == walPut
 			}
 		}
 	}
@@ -516,12 +537,13 @@ func Get[K comparable, V any](tx *Tx, t *Table[K, V], key K) (V, bool) {
 
 // Put writes a row within a transaction.
 func Put[K comparable, V any](tx *Tx, t *Table[K, V], key K, val V) {
-	tx.write(walRec{table: t.tblName, op: walPut, key: key, val: val}, t.class)
+	tx.write(t.rec(walPut, key, val), t.class)
 }
 
 // Delete removes a row within a transaction.
 func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
-	tx.write(walRec{table: t.tblName, op: walDelete, key: key}, t.class)
+	var zero V
+	tx.write(t.rec(walDelete, key, zero), t.class)
 }
 
 // IndexKeys returns the primary keys whose indexed value equals bucket,
@@ -531,7 +553,7 @@ func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
 // transaction's own uncommitted Puts and Deletes are NOT reflected (they
 // reach the index at commit). Query the index before mutating related
 // rows in the same transaction.
-func IndexKeys[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) []K {
+func IndexKeys[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) []K {
 	keys := IndexScan(tx, t, indexName, bucket)
 	sortFormatted(keys)
 	return keys
@@ -540,7 +562,7 @@ func IndexKeys[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket st
 // IndexScan is IndexKeys without the order: the bucket's keys as the
 // index map yields them, for callers that sort by a cheaper key of their
 // own (a directory listing orders by name). Same single table operation.
-func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) []K {
+func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) []K {
 	b := t.indexBucket(tx, indexName, bucket)
 	keys := make([]K, 0, len(b))
 	for k := range b {
@@ -551,13 +573,13 @@ func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket st
 
 // IndexLen counts the bucket's keys (emptiness checks); one table
 // operation, like IndexKeys.
-func IndexLen[K comparable, V any](tx *Tx, t *Table[K, V], indexName, bucket string) int {
+func IndexLen[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) int {
 	return len(t.indexBucket(tx, indexName, bucket))
 }
 
 // indexBucket charges one table operation and returns the committed key
 // set of bucket in the named index (nil when empty).
-func (t *Table[K, V]) indexBucket(tx *Tx, indexName, bucket string) map[K]struct{} {
+func (t *Table[K, V]) indexBucket(tx *Tx, indexName string, bucket uint64) map[K]struct{} {
 	tx.charge()
 	for _, ix := range t.indexes {
 		if ix.name == indexName {
@@ -654,7 +676,7 @@ func (db *DB) Recover(p *sim.Proc) {
 			if db.trackStamps {
 				// Crash wiped the stamps with the tables; replay
 				// re-stamps every durable record at its log position.
-				t.setStamp(rec.key, db.seqBase+int64(pos))
+				t.setStamp(rec, db.seqBase+int64(pos))
 			}
 		}
 	})
@@ -710,7 +732,7 @@ func (t *Table[K, V]) snapshotWAL() []walRec {
 	sortFormatted(keys)
 	out := make([]walRec, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, walRec{table: t.tblName, op: walPut, key: k, val: t.data[k]})
+		out = append(out, t.rec(walPut, k, t.data[k]))
 	}
 	return out
 }
@@ -746,8 +768,7 @@ func SelectKeys[K comparable, V any](tx *Tx, t *Table[K, V], pred func(K, V) boo
 // the WAL so recovery reproduces it.
 func (t *Table[K, V]) Bootstrap(key K, val V) {
 	t.put(key, val)
-	rec := walRec{table: t.tblName, op: walPut, key: key, val: val}
-	t.db.wal.push(rec)
+	t.db.wal.push(t.rec(walPut, key, val))
 	t.db.stampTail(1)
 	t.db.walFlushed = t.db.wal.len()
 }

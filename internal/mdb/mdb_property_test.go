@@ -1,7 +1,6 @@
 package mdb
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -60,7 +59,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		env := sim.NewEnv(1)
 		db, _ := newDB(env)
 		tbl := NewTable[uint8, uint8](db, "t", RamCopies)
-		tbl.AddIndex("b", func(v uint8) string { return fmt.Sprint(v % 4) })
+		tbl.AddIndex("b", func(v uint8) uint64 { return uint64(v % 4) })
 		ok := true
 		env.Spawn("t", func(p *sim.Proc) {
 			for _, o := range ops {
@@ -74,10 +73,9 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 				})
 			}
 			db.Transaction(p, func(tx *Tx) {
-				for b := 0; b < 4; b++ {
-					bucket := fmt.Sprint(b)
+				for bucket := uint64(0); bucket < 4; bucket++ {
 					viaIndex := IndexKeys(tx, tbl, "b", bucket)
-					viaScan := SelectKeys(tx, tbl, func(k, v uint8) bool { return fmt.Sprint(v%4) == bucket })
+					viaScan := SelectKeys(tx, tbl, func(k, v uint8) bool { return uint64(v%4) == bucket })
 					if len(viaIndex) != len(viaScan) {
 						ok = false
 						return

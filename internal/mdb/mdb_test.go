@@ -86,7 +86,7 @@ func TestSecondaryIndex(t *testing.T) {
 	env := sim.NewEnv(1)
 	db, _ := newDB(env)
 	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
-	tbl.AddIndex("parent", func(v row) string { return fmt.Sprint(v.Parent) })
+	tbl.AddIndex("parent", func(v row) uint64 { return uint64(v.Parent) })
 	run(t, func(p *sim.Proc) {
 		_ = p
 	})
@@ -99,7 +99,7 @@ func TestSecondaryIndex(t *testing.T) {
 			Put(tx, tbl, 3, row{Parent: 20, Name: "c"})
 		})
 		db.Transaction(p, func(tx *Tx) {
-			keys := IndexKeys(tx, tbl, "parent", "10")
+			keys := IndexKeys(tx, tbl, "parent", 10)
 			if len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
 				t.Errorf("index keys = %v", keys)
 			}
@@ -107,16 +107,16 @@ func TestSecondaryIndex(t *testing.T) {
 			Put(tx, tbl, 2, row{Parent: 20, Name: "b"})
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := IndexKeys(tx, tbl, "parent", "10"); len(got) != 1 {
+			if got := IndexKeys(tx, tbl, "parent", 10); len(got) != 1 {
 				t.Errorf("bucket 10 = %v", got)
 			}
-			if got := IndexKeys(tx, tbl, "parent", "20"); len(got) != 2 {
+			if got := IndexKeys(tx, tbl, "parent", 20); len(got) != 2 {
 				t.Errorf("bucket 20 = %v", got)
 			}
 			Delete(tx, tbl, 3)
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := IndexKeys(tx, tbl, "parent", "20"); len(got) != 1 {
+			if got := IndexKeys(tx, tbl, "parent", 20); len(got) != 1 {
 				t.Errorf("after delete bucket 20 = %v", got)
 			}
 		})
@@ -312,25 +312,25 @@ func TestIndexIgnoresUncommittedWrites(t *testing.T) {
 	db := New(env, nil, 0)
 	type row struct{ Parent int }
 	tbl := NewTable[int, row](db, "t", RamCopies)
-	tbl.AddIndex("parent", func(v row) string { return fmt.Sprint(v.Parent) })
+	tbl.AddIndex("parent", func(v row) uint64 { return uint64(v.Parent) })
 	env.Spawn("t", func(p *sim.Proc) {
 		db.Transaction(p, func(tx *Tx) {
 			Put(tx, tbl, 1, row{Parent: 7})
-			if got := len(IndexKeys(tx, tbl, "parent", "7")); got != 0 {
+			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 0 {
 				t.Errorf("uncommitted put visible via index: %d keys", got)
 			}
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := len(IndexKeys(tx, tbl, "parent", "7")); got != 1 {
+			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 1 {
 				t.Errorf("committed put not visible via index: %d keys", got)
 			}
 			Delete(tx, tbl, 1)
-			if got := len(IndexKeys(tx, tbl, "parent", "7")); got != 1 {
+			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 1 {
 				t.Errorf("uncommitted delete visible via index: %d keys", got)
 			}
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := len(IndexKeys(tx, tbl, "parent", "7")); got != 0 {
+			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 0 {
 				t.Errorf("committed delete not applied to index: %d keys", got)
 			}
 		})

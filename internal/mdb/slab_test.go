@@ -1,0 +1,181 @@
+package mdb
+
+import (
+	"runtime/debug"
+	"strconv"
+	"testing"
+	"time"
+
+	"cofs/internal/disk"
+	"cofs/internal/params"
+	"cofs/internal/sim"
+)
+
+// skipUnderRace skips an allocation pin in a -race build, whose
+// instrumentation allocates on its own.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates")
+			}
+		}
+	}
+}
+
+// TestTransactionAllocsPerOp pins the typed write set: a transaction
+// putting, reading and deleting rows of the service's three table
+// shapes allocates only the slab and WAL chunks its records fill, well
+// under one allocation per twenty table operations.
+func TestTransactionAllocsPerOp(t *testing.T) {
+	skipUnderRace(t)
+	type inodeRow struct {
+		ID                  uint64
+		Type                uint8
+		Mode, UID, GID      uint32
+		Nlink               int
+		Size                int64
+		Atime, Mtime, Ctime time.Duration
+		Target              string
+	}
+	type dentryKey struct {
+		Parent uint64
+		Name   string
+	}
+	type dentryRow struct {
+		Parent uint64
+		Name   string
+		Child  uint64
+		Type   uint8
+	}
+	env := sim.NewEnv(1)
+	db := NewAsync(env, disk.New(env, "mdb", params.Default().Disk), 0, time.Hour)
+	inodes := NewTable[uint64, inodeRow](db, "inode", DiscCopies)
+	dentries := NewTable[dentryKey, dentryRow](db, "dentry", DiscCopies)
+	dentries.AddIndex("parent", func(r dentryRow) uint64 { return r.Parent })
+	mappings := NewTable[uint64, string](db, "mapping", DiscCopies)
+	// A row that stays keeps the directory's index bucket alive.
+	dentries.Bootstrap(dentryKey{1, "keep"}, dentryRow{Parent: 1, Name: "keep", Child: 2})
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = "f" + strconv.Itoa(i)
+	}
+	const txns, opsPerTxn = 1000, 9
+	pass := func(p *sim.Proc) {
+		for i := 0; i < txns; i++ {
+			id := uint64(100 + i%len(names))
+			k := dentryKey{1, names[i%len(names)]}
+			db.Transaction(p, func(tx *Tx) {
+				Put(tx, inodes, id, inodeRow{ID: id, Nlink: 1})
+				Put(tx, dentries, k, dentryRow{Parent: 1, Name: k.Name, Child: id})
+				Put(tx, mappings, id, "obj")
+				Get(tx, inodes, id)
+				Get(tx, dentries, k)
+				Get(tx, mappings, id)
+				Delete(tx, inodes, id)
+				Delete(tx, dentries, k)
+				Delete(tx, mappings, id)
+			})
+		}
+	}
+	var perOp float64
+	env.Spawn("t", func(p *sim.Proc) {
+		pass(p)
+		perOp = testing.AllocsPerRun(5, func() { pass(p) }) / (txns * opsPerTxn)
+	})
+	env.MustRun()
+	if perOp >= 0.05 {
+		t.Fatalf("%.4f allocs per table operation, want < 0.05", perOp)
+	}
+}
+
+// TestIndexAddRemoveAllocsNothing pins the typed index key: adding and
+// removing a row under a bucket that stays non-empty allocates nothing.
+func TestIndexAddRemoveAllocsNothing(t *testing.T) {
+	skipUnderRace(t)
+	env := sim.NewEnv(1)
+	db, _ := newDB(env)
+	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+	tbl.Bootstrap(1, row{Parent: 7, Name: "keep"})
+	ix, v := tbl.indexes[0], row{Parent: 7, Name: "x"}
+	if n := testing.AllocsPerRun(1000, func() { ix.add(2, v); ix.remove(2, v) }); n != 0 {
+		t.Fatalf("index add+remove allocates %v, want 0", n)
+	}
+}
+
+// TestRecoverKeepsFlushedValue re-puts one key across several slab
+// chunks and crashes before the log is flushed again: recovery must
+// replay the value the flushed record logged, not a later one.
+func TestRecoverKeepsFlushedValue(t *testing.T) {
+	env := sim.NewEnv(1)
+	db := NewAsync(env, disk.New(env, "mdb", params.Default().Disk), 0, time.Hour)
+	tbl := NewTable[int, int](db, "t", DiscCopies)
+	env.Spawn("t", func(p *sim.Proc) {
+		db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 1, -1) })
+		db.engine.Force(p, db)
+		for i := 0; i < 3*entrySlabChunk; i++ {
+			db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 1, i) })
+		}
+		db.Crash()
+		db.Recover(p)
+		if v, ok := tbl.Peek(1); !ok || v != -1 {
+			t.Errorf("recovered (%d, %v), want the flushed (-1, true)", v, ok)
+		}
+	})
+	env.MustRun()
+}
+
+// TestReplicaAppliesLoggedValues re-puts one key across several slab
+// chunks before the replica ships: the standby must apply and log each
+// record with the value it was written with.
+func TestReplicaAppliesLoggedValues(t *testing.T) {
+	const puts = 3 * entrySlabChunk
+	env, src, dst, st, dt, _ := replPair(t, time.Millisecond)
+	env.Spawn("writer", func(p *sim.Proc) {
+		for i := 0; i < puts; i++ {
+			src.Transaction(p, func(tx *Tx) { Put(tx, st, 1, strconv.Itoa(i)) })
+		}
+	})
+	env.MustRun()
+	if dst.wal.len() != puts {
+		t.Fatalf("standby logged %d records, want %d", dst.wal.len(), puts)
+	}
+	i := 0
+	dst.wal.each(0, puts, func(rec walRec) {
+		if got := rec.kv.(*entry[int, string]).val; got != strconv.Itoa(i) {
+			t.Errorf("standby record %d carries %q, want %q", i, got, strconv.Itoa(i))
+		}
+		i++
+	})
+	dst.Crash()
+	env.Spawn("recover", func(p *sim.Proc) { dst.Recover(p) })
+	env.MustRun()
+	if v, ok := dt.Peek(1); !ok || v != strconv.Itoa(puts-1) {
+		t.Errorf("standby recovered (%q, %v), want (%q, true)", v, ok, strconv.Itoa(puts-1))
+	}
+}
+
+// TestHandoffImportsValueAtBuild builds a handoff, then keeps writing
+// the same key on the source past a slab chunk: the import must carry
+// the value the handoff was built with.
+func TestHandoffImportsValueAtBuild(t *testing.T) {
+	env := sim.NewEnv(1)
+	src, _ := newDB(env)
+	dst, _ := newDB(env)
+	st := NewTable[int, string](src, "t", DiscCopies)
+	dt := NewTable[int, string](dst, "t", DiscCopies)
+	env.Spawn("t", func(p *sim.Proc) {
+		src.Transaction(p, func(tx *Tx) { Put(tx, st, 1, "old") })
+		h := &Handoff{}
+		HandoffPut(h, st, 1, "old")
+		for i := 0; i < 2*entrySlabChunk; i++ {
+			src.Transaction(p, func(tx *Tx) { Put(tx, st, 1, "new") })
+		}
+		dst.ImportHandoff(p, h)
+		if v, ok := dt.Peek(1); !ok || v != "old" {
+			t.Errorf("imported (%q, %v), want (old, true)", v, ok)
+		}
+	})
+	env.MustRun()
+}

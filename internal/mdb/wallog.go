@@ -43,7 +43,8 @@ func (l *walLog) each(from, to int, fn func(walRec)) {
 }
 
 // truncate drops records [n, len). Dropped slots are zeroed so the
-// truncated tail does not pin keys/values (walRec holds interfaces).
+// truncated tail does not pin the slab chunks its entries were carved
+// from.
 func (l *walLog) truncate(n int) {
 	if n >= l.n {
 		return

@@ -59,7 +59,7 @@ type Client struct {
 	pagepool     *lru.Cache[blockstore.Stripe, int64]
 	dirtyStripes map[blockstore.Stripe]int64
 
-	handles map[vfs.Handle]*handleState
+	handles map[vfs.Handle]handleState
 	nextH   vfs.Handle
 
 	Stats ClientStats
@@ -84,7 +84,7 @@ func (s *Server) NewClient(host *netsim.Host, node int) *Client {
 		busyCond:     sim.NewCond(s.env),
 		pagepool:     lru.New[blockstore.Stripe, int64](poolStripes),
 		dirtyStripes: make(map[blockstore.Stripe]int64),
-		handles:      make(map[vfs.Handle]*handleState),
+		handles:      make(map[vfs.Handle]handleState),
 		nextH:        1,
 	}
 	s.clients = append(s.clients, c)
@@ -413,7 +413,7 @@ func (c *Client) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode
 func (c *Client) newHandle(ino vfs.Ino, flags vfs.OpenFlags) vfs.Handle {
 	h := c.nextH
 	c.nextH++
-	c.handles[h] = &handleState{ino: ino, flags: flags}
+	c.handles[h] = handleState{ino: ino, flags: flags}
 	return h
 }
 

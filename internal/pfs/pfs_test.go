@@ -2,6 +2,7 @@ package pfs_test
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -838,6 +839,50 @@ func TestFlushSpawnsOnlyAcrossServers(t *testing.T) {
 			if wrote, spawned := tb.FS.Data.BytesWritten-bytes, tb.Env.Stats().Spawns-procs; wrote != 0 || spawned != 0 {
 				t.Errorf("%s: close of a clean file wrote %d with %d helpers", tc.path, wrote, spawned)
 			}
+		}
+	})
+}
+
+// skipUnderRace skips an allocation pin in a -race build, whose
+// instrumentation allocates on its own.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates")
+			}
+		}
+	}
+}
+
+// TestCreateReleaseUnlinkAllocs pins the model's per-file records: in a
+// warm directory, a create, release and unlink allocate at most one
+// object — inodes come from a slab and handles are stored by value.
+func TestCreateReleaseUnlinkAllocs(t *testing.T) {
+	skipUnderRace(t)
+	single(t, func(tb *cluster.Testbed, p *sim.Proc, m *vfs.Mount) {
+		c := tb.Clients[0]
+		dir, err := c.Mkdir(p, ctx, c.Root(), "d", 0755)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			_, h, err := c.Create(p, ctx, dir.Ino, "f", 0644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Release(p, ctx, h); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Unlink(p, ctx, dir.Ino, "f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(1000, cycle); n > 1 {
+			t.Fatalf("create+release+unlink allocates %v, want <= 1", n)
 		}
 	})
 }

@@ -84,6 +84,10 @@ type Server struct {
 	Data   *blockstore.Store
 
 	inodes map[vfs.Ino]*inode
+	// inodeSlab is the chunk the next allocated inode is carved from.
+	// Slots are never reused, because a caller may hold an *inode
+	// across a sleep; a chunk is freed once all its inodes are.
+	inodeSlab []inode
 	// Per-allocator sequence numbers for region-scattered inode
 	// allocation (see allocInode).
 	allocSeq map[int]uint64
@@ -148,6 +152,8 @@ const (
 	regionsPerNode = 37
 	// regionCapacity is the number of inodes one region can hold.
 	regionCapacity = 1 << 24
+	// inodeSlabChunk is the inode count of one allocation slab chunk.
+	inodeSlabChunk = 256
 )
 
 func (s *Server) allocInode(node int, t vfs.FileType, mode, uid, gid uint32) *inode {
@@ -158,9 +164,13 @@ func (s *Server) allocInode(node int, t vfs.FileType, mode, uid, gid uint32) *in
 	if _, clash := s.inodes[ino]; clash {
 		panic("pfs: inode allocation collision")
 	}
-	in := &inode{
-		attr: vfs.Attr{Ino: ino, Type: t, Mode: mode, UID: uid, GID: gid, Nlink: 1},
+	if len(s.inodeSlab) == cap(s.inodeSlab) {
+		s.inodeSlab = make([]inode, 0, inodeSlabChunk)
 	}
+	s.inodeSlab = append(s.inodeSlab, inode{
+		attr: vfs.Attr{Ino: ino, Type: t, Mode: mode, UID: uid, GID: gid, Nlink: 1},
+	})
+	in := &s.inodeSlab[len(s.inodeSlab)-1]
 	if t == vfs.TypeDir {
 		in.entries = make(map[string]vfs.Ino)
 	}

@@ -97,10 +97,6 @@ func (r *Request) respSize() int64 {
 	return r.RespFixed
 }
 
-// Fixed is a RespBytes helper for replies of static size. Prefer setting
-// RespFixed directly; Fixed survives for call sites built before it.
-func Fixed(n int64) func() int64 { return func() int64 { return n } }
-
 // ConnStats counts transport-level events on one Conn.
 type ConnStats struct {
 	// Calls is the number of requests submitted.

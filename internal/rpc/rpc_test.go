@@ -31,7 +31,7 @@ func TestUnbatchedCallMatchesNetsimCall(t *testing.T) {
 			if useConn {
 				c := Dial(net, client, server, false)
 				c.Call(p, Request{Op: OpGetattr, ReqBytes: 96, CPU: cpu,
-					Run: func(p *sim.Proc) {}, RespBytes: Fixed(192)})
+					Run: func(p *sim.Proc) {}, RespFixed: 192})
 			} else {
 				netsim.Call(p, net, client, server, 96, 192, func(p *sim.Proc) struct{} {
 					p.Sleep(cpu)
@@ -62,7 +62,7 @@ func TestBatchingCoalesces(t *testing.T) {
 			for j := 0; j < 8; j++ {
 				ran := false
 				c.Call(p, Request{Op: OpCreate, ReqBytes: 128, CPU: 50 * time.Microsecond,
-					Run: func(p *sim.Proc) { ran = true }, RespBytes: Fixed(64)})
+					Run: func(p *sim.Proc) { ran = true }, RespFixed: 64})
 				if !ran {
 					t.Errorf("caller %d call %d: body never ran", i, j)
 					return
@@ -98,7 +98,7 @@ func TestBatchingDeterministic(t *testing.T) {
 			env.Spawn("caller", func(p *sim.Proc) {
 				for j := 0; j < 4; j++ {
 					c.Call(p, Request{ReqBytes: 100, CPU: 30 * time.Microsecond,
-						Run: func(p *sim.Proc) {}, RespBytes: Fixed(100)})
+						Run: func(p *sim.Proc) {}, RespFixed: 100})
 				}
 			})
 		}
@@ -121,7 +121,7 @@ func TestBatchRespectsMaxBatch(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		env.Spawn("caller", func(p *sim.Proc) {
 			c.Call(p, Request{ReqBytes: 64, CPU: 20 * time.Microsecond,
-				Run: func(p *sim.Proc) {}, RespBytes: Fixed(32)})
+				Run: func(p *sim.Proc) {}, RespFixed: 32})
 			completed++
 		})
 	}
