@@ -529,8 +529,8 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 // there, shared/exclusive overlaps them (the dentry rows written stay
 // exclusive), so the creates stop waiting at the service; the mean is
 // dominated by the underlying file system's token-trading tail and
-// follows only loosely (docs/transactions.md has the figures). One shard has
-// no lock table at all — both rows are the identical baseline
+// follows only loosely (docs/transactions.md has the figures). One shard
+// never takes a row lock — both rows are the identical baseline
 // (TestTxnLocksUncontendedCostIdentical pins the uncontended
 // equivalence at 2 and 4 shards).
 func BenchmarkGroupCommitOverlap(b *testing.B) {

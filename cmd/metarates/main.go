@@ -6,8 +6,12 @@
 //
 // Usage:
 //
-//	metarates [-fs gpfs|cofs] [-nodes N] [-shards M] [-procs P] [-files F] [-dir D] [-ops list] [-seed S]
-//	          [-reshard-at op -reshard-to M2]
+//	metarates [-fs gpfs|cofs] [-nodes N] [-procs P] [-files F] [-dir D] [-ops list] [-seed S]
+//	          [-reshard-at op -reshard-to M2] [deployment flags]
+//
+// The deployment flags (-shards, -store, -attr-lease, ..., -trace,
+// -metrics, -slowlog, profiles) are the ones every COFS tool shares
+// (bench.ToolFlags).
 package main
 
 import (
@@ -15,62 +19,34 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
-	"cofs/internal/store"
 )
 
 func main() {
 	fsKind := flag.String("fs", "gpfs", "file system under test: gpfs or cofs")
 	nodes := flag.Int("nodes", 4, "number of compute nodes")
-	shards := flag.Int("shards", 1, "cofs metadata service shards")
-	storeName := flag.String("store", "", "cofs metadata store backend (default "+store.DefaultName+"; see docs/backends.md)")
 	procs := flag.Int("procs", 1, "processes per node")
 	files := flag.Int("files", 256, "files per process")
 	dir := flag.String("dir", "/shared", "shared directory")
 	ops := flag.String("ops", strings.Join(bench.DefaultOps, ","), "comma-separated operations")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	attrLease := flag.Duration("attr-lease", 0, "cofs client cache lease term (0 disables the coherent cache)")
-	rpcBatch := flag.Bool("rpc-batch", false, "cofs: coalesce concurrent RPCs to the same shard into one round trip")
-	exclLocks := flag.Bool("excl-locks", false, "cofs: revert the row-lock table to exclusive-only locks")
-	standbyReads := flag.Bool("standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
 	reshardAt := flag.String("reshard-at", "", "cofs: reshard the metadata plane mid-run, when this operation's phase starts")
 	reshardTo := flag.Int("reshard-to", 0, "cofs: target shard count of the mid-run reshard")
-	traceOut := flag.String("trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
-	metrics := flag.Bool("metrics", false, "cofs: collect and print per-(op, shard) latency histograms and skew rates")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a host allocation profile to this file")
+	tool := bench.BindToolFlags(flag.CommandLine)
 	flag.Parse()
-	defer bench.MustProfile(*cpuprofile, *memprofile)()
+	cfg, stop := tool.Start("metarates")
+	defer stop()
 
-	cfg := params.Default()
-	if _, ok := store.Lookup(*storeName); !ok && *storeName != "" {
-		fmt.Fprintf(os.Stderr, "metarates: unknown -store %q (registered: %s)\n", *storeName, strings.Join(store.Names(), ", "))
-		os.Exit(2)
-	}
-	cfg.COFS.MetadataStore = *storeName
-	cfg.COFS.MetadataShards = *shards
-	cfg.COFS.AttrLease = *attrLease
-	cfg.COFS.RPCBatch = *rpcBatch
-	cfg.COFS.ExclusiveRowLocks = *exclLocks
-	cfg.COFS.StandbyReads = *standbyReads
-	cfg.COFS.Trace = *traceOut != ""
-	cfg.COFS.Metrics = *metrics
 	tb := cluster.New(*seed, *nodes, cfg)
 	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
 	var deployment *core.Deployment
 	switch *fsKind {
 	case "gpfs":
 	case "cofs":
-		deployment = core.Deploy(tb, nil)
-		if *standbyReads {
-			core.DeployStandby(tb, deployment, 5*time.Millisecond)
-			tb.Run()
-		}
+		deployment = tool.Deploy(tb)
 		target.Mounts = deployment.Mounts
 	default:
 		fmt.Fprintln(os.Stderr, "metarates: -fs must be gpfs or cofs")
@@ -120,26 +96,9 @@ func main() {
 			fmt.Printf("cofs shards after run: %d (rows per shard: %v)\n",
 				deployment.Service.ServingShards(), deployment.Service.ShardCounts())
 		}
-		fmt.Printf("cofs per-layer counters (store=%s):\n", deployment.Service.StoreName())
-		deployment.Counters().Fprint(os.Stdout, "  ")
-		if m := deployment.Metrics(); m != nil {
-			fmt.Println("cofs latency histograms (virtual time):")
-			m.Fprint(os.Stdout, "  ")
-			fmt.Println("cofs per-shard rates (sliding window):")
-			m.FprintRates(os.Stdout, "  ", tb.Env.Now())
-		}
-		if tr := deployment.Tracer(); tr != nil && *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "metarates: %v\n", err)
-				os.Exit(1)
-			}
-			if err := tr.WriteChrome(f); err != nil {
-				fmt.Fprintf(os.Stderr, "metarates: writing trace: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("trace: %d spans -> %s\n", tr.Spans, *traceOut)
+		if err := tool.Report(os.Stdout, tb, deployment); err != nil {
+			fmt.Fprintf(os.Stderr, "metarates: %v\n", err)
+			os.Exit(1)
 		}
 	}
 	fmt.Printf("virtual time elapsed: %v\n", tb.Env.Now())

@@ -1,16 +1,15 @@
 package bench
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
 // Profile starts the host-side profiles behind the tools' -cpuprofile
-// and -memprofile flags (cofsctl, mdtest, metarates): a CPU profile
-// begun immediately, and an allocation profile written when the
-// returned stop function runs. Either path may be empty to skip that
+// and -memprofile flags (ToolFlags.Start): a CPU profile begun
+// immediately, and an allocation profile written when the returned stop
+// function runs. Either path may be empty to skip that
 // profile. The tools defer stop at the end of a run, so the profile
 // covers the whole simulation — the workflow docs/simulator.md
 // describes for hunting harness hot spots.
@@ -50,21 +49,4 @@ func Profile(cpuFile, memFile string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// MustProfile is Profile for tool mains: flag-level errors are fatal,
-// and the returned stop reports its own failure to stderr instead of
-// returning it (profile write errors should not change a tool's exit
-// status after a successful run).
-func MustProfile(cpuFile, memFile string) func() {
-	stop, err := Profile(cpuFile, memFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-		os.Exit(2)
-	}
-	return func() {
-		if err := stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-		}
-	}
 }

@@ -1,0 +1,138 @@
+package bench
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strings"
+	"time"
+
+	"cofs/internal/cluster"
+	"cofs/internal/core"
+	"cofs/internal/params"
+	"cofs/internal/store"
+)
+
+// ToolFlags is the deployment surface the tools share (cofsctl, mdtest,
+// metarates): the flags that shape a COFS deployment and its
+// observability, the deploy step, and the end-of-run report. Each tool
+// binds it beside its own workload flags, so the three cannot drift.
+type ToolFlags struct {
+	Shards       int
+	Store        string
+	AttrLease    time.Duration
+	RPCBatch     bool
+	ExclLocks    bool
+	StandbyReads bool
+	Trace        string
+	Metrics      bool
+	Slowlog      time.Duration
+	CPUProfile   string
+	MemProfile   string
+}
+
+// BindToolFlags registers the shared flags on fs.
+func BindToolFlags(fs *flag.FlagSet) *ToolFlags {
+	f := &ToolFlags{}
+	fs.IntVar(&f.Shards, "shards", 1, "cofs metadata service shards")
+	fs.StringVar(&f.Store, "store", "", "cofs metadata store backend (default "+store.DefaultName+"; see docs/backends.md)")
+	fs.DurationVar(&f.AttrLease, "attr-lease", 0, "cofs client cache lease term (0 disables the coherent cache)")
+	fs.BoolVar(&f.RPCBatch, "rpc-batch", false, "cofs: coalesce concurrent RPCs to the same shard into one round trip")
+	fs.BoolVar(&f.ExclLocks, "excl-locks", false, "cofs: revert the row-lock table to exclusive-only locks (no shared read-dependency grants)")
+	fs.BoolVar(&f.StandbyReads, "standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
+	fs.StringVar(&f.Trace, "trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
+	fs.BoolVar(&f.Metrics, "metrics", false, "cofs: collect and print per-(op, shard) latency histograms and skew rates")
+	fs.DurationVar(&f.Slowlog, "slowlog", 0, "cofs: print the slowest operation spans at or above this virtual-time threshold (implies tracing)")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a host allocation profile to this file")
+	return f
+}
+
+// Config validates the flags and assembles the testbed configuration:
+// params.Default with the flags applied. An unknown -store is an error
+// naming the registered backends.
+func (f *ToolFlags) Config() (params.Config, error) {
+	cfg := params.Default()
+	if _, ok := store.Lookup(f.Store); !ok && f.Store != "" {
+		return cfg, fmt.Errorf("unknown -store %q (registered: %s)", f.Store, strings.Join(store.Names(), ", "))
+	}
+	cfg.COFS.MetadataStore = f.Store
+	cfg.COFS.MetadataShards = f.Shards
+	cfg.COFS.AttrLease = f.AttrLease
+	cfg.COFS.RPCBatch = f.RPCBatch
+	cfg.COFS.ExclusiveRowLocks = f.ExclLocks
+	cfg.COFS.StandbyReads = f.StandbyReads
+	cfg.COFS.Trace = f.Trace != "" || f.Slowlog > 0
+	cfg.COFS.Metrics = f.Metrics
+	return cfg, nil
+}
+
+// Start is Config plus the host profiles, for tool mains: a bad flag
+// value or an uncreatable profile is fatal with exit status 2, like a
+// flag-parse error. The returned stop ends the profiles and reports its
+// own failure to stderr instead of returning it (a profile write error
+// should not change a tool's exit status after a successful run).
+func (f *ToolFlags) Start(tool string) (params.Config, func()) {
+	cfg, err := f.Config()
+	var stop func() error
+	if err == nil {
+		stop, err = Profile(f.CPUProfile, f.MemProfile)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		os.Exit(2)
+	}
+	return cfg, func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: profile: %v\n", tool, err)
+		}
+	}
+}
+
+// Deploy installs COFS on tb and, with -standby-reads, a hot standby
+// plane shipping 5 ms behind it.
+func (f *ToolFlags) Deploy(tb *cluster.Testbed) *core.Deployment {
+	d := core.Deploy(tb, nil)
+	if f.StandbyReads {
+		core.DeployStandby(tb, d, 5*time.Millisecond)
+		tb.Run()
+	}
+	return d
+}
+
+// Report writes the end-of-run report of a deployment to w: the
+// per-layer counters, then — as the flags asked — the latency
+// histograms and per-shard rates, the slowest spans, and the Chrome
+// trace file.
+func (f *ToolFlags) Report(w io.Writer, tb *cluster.Testbed, d *core.Deployment) error {
+	fmt.Fprintf(w, "== cofs per-layer counters (store=%s) ==\n", d.Service.StoreName())
+	d.Counters().Fprint(w, "  ")
+	if m := d.Metrics(); m != nil {
+		fmt.Fprintln(w, "== cofs latency histograms (virtual time) ==")
+		m.Fprint(w, "  ")
+		fmt.Fprintln(w, "== cofs per-shard rates (sliding window) ==")
+		m.FprintRates(w, "  ", tb.Env.Now())
+	}
+	tr := d.Tracer()
+	if tr == nil {
+		return nil
+	}
+	if f.Slowlog > 0 {
+		fmt.Fprintf(w, "== cofs slowest spans (threshold %v) ==\n", f.Slowlog)
+		tr.FprintSlow(w, f.Slowlog, 16)
+	}
+	if f.Trace == "" {
+		return nil
+	}
+	var chrome bytes.Buffer
+	if err := tr.WriteChrome(&chrome); err != nil {
+		return fmt.Errorf("writing trace: %w", err)
+	}
+	if err := os.WriteFile(f.Trace, chrome.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace: %d spans -> %s\n", tr.Spans, f.Trace)
+	return nil
+}

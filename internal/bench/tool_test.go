@@ -1,0 +1,131 @@
+package bench_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"cofs/internal/bench"
+	"cofs/internal/cluster"
+	"cofs/internal/params"
+	"cofs/internal/sim"
+	"cofs/internal/store"
+)
+
+// parseTool binds the shared tool flags to a fresh flag set and parses
+// args into them.
+func parseTool(t *testing.T, args ...string) *bench.ToolFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := bench.BindToolFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return f
+}
+
+func TestToolFlagsDefaultIsDefaultConfig(t *testing.T) {
+	cfg, err := parseTool(t).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg, params.Default()) {
+		t.Fatalf("no flags gave %+v, want params.Default() %+v", cfg.COFS, params.Default().COFS)
+	}
+}
+
+func TestToolFlagsEachSetsItsField(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want func(cfg *params.Config)
+	}{
+		{[]string{"-shards", "3"}, func(cfg *params.Config) { cfg.COFS.MetadataShards = 3 }},
+		{[]string{"-store", "mdls"}, func(cfg *params.Config) { cfg.COFS.MetadataStore = "mdls" }},
+		{[]string{"-attr-lease", "2s"}, func(cfg *params.Config) { cfg.COFS.AttrLease = 2 * time.Second }},
+		{[]string{"-rpc-batch"}, func(cfg *params.Config) { cfg.COFS.RPCBatch = true }},
+		{[]string{"-excl-locks"}, func(cfg *params.Config) { cfg.COFS.ExclusiveRowLocks = true }},
+		{[]string{"-standby-reads"}, func(cfg *params.Config) { cfg.COFS.StandbyReads = true }},
+		{[]string{"-trace", "out.json"}, func(cfg *params.Config) { cfg.COFS.Trace = true }},
+		{[]string{"-metrics"}, func(cfg *params.Config) { cfg.COFS.Metrics = true }},
+		// The slow-op log reads spans, so it turns the tracer on.
+		{[]string{"-slowlog", "1ms"}, func(cfg *params.Config) { cfg.COFS.Trace = true }},
+		// Host profiles shape no deployment.
+		{[]string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}, func(*params.Config) {}},
+	} {
+		cfg, err := parseTool(t, tc.args...).Config()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		want := params.Default()
+		tc.want(&want)
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("%v gave %+v, want %+v", tc.args, cfg.COFS, want.COFS)
+		}
+	}
+	f := parseTool(t, "-cpuprofile", "cpu.out", "-memprofile", "mem.out", "-slowlog", "2ms", "-trace", "t.json")
+	if f.CPUProfile != "cpu.out" || f.MemProfile != "mem.out" || f.Slowlog != 2*time.Millisecond || f.Trace != "t.json" {
+		t.Errorf("flags not kept for the run: %+v", f)
+	}
+}
+
+func TestToolFlagsUnknownStoreListsRegistry(t *testing.T) {
+	_, err := parseTool(t, "-store", "nope").Config()
+	if err == nil {
+		t.Fatal("unknown -store accepted")
+	}
+	for _, name := range store.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name registered store %q", err, name)
+		}
+	}
+}
+
+// TestToolFlagsReport deploys through the binding and checks that the
+// end-of-run report carries every section the flags asked for, and
+// that the exported trace is valid JSON.
+func TestToolFlagsReport(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.json")
+	f := parseTool(t, "-shards", "2", "-metrics", "-slowlog", "1ns", "-trace", out)
+	cfg, err := f.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := cluster.New(1, 2, cfg)
+	d := f.Deploy(tb)
+	tb.Env.Spawn("mkdir", func(p *sim.Proc) {
+		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
+			t.Error(err)
+		}
+	})
+	tb.Run()
+	var b bytes.Buffer
+	if err := f.Report(&b, tb, d); err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{
+		"== cofs per-layer counters (store=mdb) ==",
+		"== cofs latency histograms (virtual time) ==",
+		"== cofs per-shard rates (sliding window) ==",
+		"== cofs slowest spans (threshold 1ns) ==",
+		"trace: ",
+	} {
+		if !strings.Contains(b.String(), section) {
+			t.Errorf("report lacks %q:\n%s", section, b.String())
+		}
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(raw) {
+		t.Fatal("exported trace is not valid JSON")
+	}
+}

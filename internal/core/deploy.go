@@ -175,9 +175,9 @@ func serviceCounters(svc *MDSCluster) *stats.Counters {
 	c.Add("mds.reshard-lease-recalls", rs.Recalls)
 	c.Add("mds.reshard-wal-handoff", rs.HandoffRecords)
 	c.Add("mds.reshard-retired", rs.Retired)
-	// Snapshot reads taken, and what Freeze windows (a live reshard's
-	// plan scan, an mdls compaction) made write transactions wait: zero
-	// on a plane nobody froze.
+	// Snapshot reads taken, and what Freeze windows (an mdls
+	// compaction) made write transactions wait: zero on a plane nobody
+	// froze.
 	var views int64
 	var txWait time.Duration
 	for _, s := range svc.Shards() {

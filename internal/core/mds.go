@@ -112,11 +112,10 @@ type MDSCluster struct {
 	sessions []*Session
 	// rowLocks is the plane's ordered row-lock table: cross-shard
 	// mutations hold per-inode/per-dentry locks across their whole
-	// validate→commit span (txnlock.go, docs/transactions.md). Nil on
-	// unsharded planes — a single shard commits every mutation in one
-	// serialized transaction — and when COFSParams.DisableTxnLocks
-	// reverts to the unlocked protocol for regression replays. Growing
-	// an unsharded plane creates it (Reshard).
+	// validate→commit span (txnlock.go, docs/transactions.md). An
+	// unsharded plane has one too but never takes a lock — a single
+	// shard commits every mutation in one serialized transaction
+	// (lockRows) — until a Reshard grows it.
 	rowLocks *lock.RowLocks
 	// txnFree recycles rowTxn footprints (struct plus req buffer): every
 	// sharded mutation opens one, and a storm opens millions
@@ -175,15 +174,13 @@ func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MD
 		full:       cfg,
 		net:        net,
 		lockShards: len(hosts),
+		rowLocks:   lock.NewRowLocks(net.Env()),
 		hostPrefix: "cofs-mds",
 	}
 	if c.lockShards < 1 {
 		c.lockShards = 1
 	}
-	if len(hosts) > 1 && !cfg.COFS.DisableTxnLocks {
-		c.rowLocks = lock.NewRowLocks(net.Env())
-		c.rowLocks.ExclusiveOnly = cfg.COFS.ExclusiveRowLocks
-	}
+	c.rowLocks.ExclusiveOnly = cfg.COFS.ExclusiveRowLocks
 	for i, h := range hosts {
 		c.shards = append(c.shards, newShard(net, h, cfg, c, i))
 	}
@@ -276,7 +273,7 @@ func (c *MDSCluster) StoreName() string { return c.shards[0].DB.EngineName() }
 // the same way: refetch and re-route.
 func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *Service) error) {
 	for {
-		si := sess.mapView(c).Of(uint64(ino))
+		si := sess.view.Of(uint64(ino))
 		if si >= len(c.shards) || si >= len(sess.conns) {
 			sess.refetchMap(p, c)
 			continue
@@ -529,13 +526,8 @@ func (c *MDSCluster) Stats() ServiceStats {
 // LockStats returns the plane's row-lock counters: locks taken, grants
 // taken Shared, in-place Shared→Exclusive upgrades, acquisitions that
 // had to wait, and the virtual time spent waiting (all zero on an
-// unsharded plane or with DisableTxnLocks set).
-func (c *MDSCluster) LockStats() lock.RowLockStats {
-	if c.rowLocks == nil {
-		return lock.RowLockStats{}
-	}
-	return c.rowLocks.Stats
-}
+// unsharded plane).
+func (c *MDSCluster) LockStats() lock.RowLockStats { return c.rowLocks.Stats }
 
 // PeerTransportStats aggregates the shard-to-shard channel counters of
 // the two-phase protocol across the plane, including the migration

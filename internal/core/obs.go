@@ -247,7 +247,7 @@ func (sb *Standby) obsEnd(p *sim.Proc, ob sbObs, served bool) {
 // The server-side helpers (twophase.go, reshard.go) use it so their
 // phase spans nest inside whatever the client opened.
 func (s *Service) span(p *sim.Proc, name string) bool {
-	if s.cluster == nil || s.cluster.obs == nil || s.cluster.obs.tr == nil {
+	if s.cluster.obs == nil || s.cluster.obs.tr == nil {
 		return false
 	}
 	s.cluster.obs.tr.Begin(p, "", name, s.shardID)

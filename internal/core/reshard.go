@@ -97,19 +97,11 @@ func (c *MDSCluster) stepAbort(at ReshardPoint) bool {
 // serving, blocking the calling process for the duration of the
 // migration (virtual time; concurrent traffic proceeds, throttled only
 // by each batch's row locks). It returns an error — without touching
-// the plane — when a migration is already in flight, when the plane
-// runs without the row-lock layer (DisableTxnLocks), or when epoch
-// routing is disabled (DisableReshardEpochs). Resharding to the current
-// count is a no-op.
+// the plane — when a migration is already in flight. Resharding to the
+// current count is a no-op.
 func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	if n < 1 {
 		return fmt.Errorf("core: reshard to %d shards", n)
-	}
-	if c.cfg.DisableReshardEpochs {
-		return fmt.Errorf("core: resharding disabled (DisableReshardEpochs)")
-	}
-	if c.cfg.DisableTxnLocks {
-		return fmt.Errorf("core: resharding requires the row-lock layer (DisableTxnLocks is set)")
 	}
 	cur := c.Maps.Current()
 	if c.resharding || cur.Migrating() {
@@ -134,17 +126,15 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	c.growTo(n)
 	c.ensureReshardRig()
 
-	// Freeze every shard's store (in shard order — no transaction ever
-	// spans two shards' gates, so ordered acquisition cannot deadlock)
-	// for the boundary/plan computation. Store transactions are atomic
-	// at an instant — an id is allocated and its row visible in the
-	// same instant — so no create is ever mid-commit; what the gate
-	// still orders the scan behind is an engine's own freeze (an mdls
-	// compaction rewriting its journal), and it keeps writers out should
-	// anything below ever yield.
-	for _, s := range c.shards {
-		s.DB.Freeze(p)
-	}
+	// From here to Begin nothing yields, so the boundary, the allocator
+	// switch, the plan scan and the epoch are one instant: no allocation
+	// or commit can slip between the plan and the epoch that starts
+	// executing it. Store transactions are atomic at an instant too (an
+	// id is allocated and its row visible in the same instant), so no
+	// create is ever mid-commit here. An mdls compaction freezing a
+	// shard's store meanwhile delays only the migration's first batch,
+	// whose transactions wait for the Thaw.
+	//
 	// The newborn boundary: every id allocated so far is at or below
 	// it, every id allocated after Begin is above it.
 	var split vfs.Ino
@@ -162,22 +152,13 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 			s.setAllocStride(-1, 0, 0)
 		}
 	}
-	// Plan: every live group whose owner changes. The boundary, the
-	// allocator switch above, this scan and Begin below all run under
-	// the freeze without a yield, so no allocation or commit can slip
-	// between the plan and the epoch that starts executing it.
+	// Plan: every live group whose owner changes.
 	moves := reshard.PlanMoves(cur.New, n, uint64(split), c.liveGroups())
 	if _, err := c.Maps.Begin(n, uint64(split)); err != nil {
-		for i := len(c.shards) - 1; i >= 0; i-- {
-			c.shards[i].DB.Thaw(p)
-		}
 		c.resumeStandbyReads()
 		return err
 	}
 	c.rstats.Epochs++
-	for i := len(c.shards) - 1; i >= 0; i-- {
-		c.shards[i].DB.Thaw(p)
-	}
 
 	if err := c.runMigration(p, moves); err != nil {
 		return err
@@ -187,7 +168,8 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 
 // liveGroups collects every inode id on the plane (each stands for its
 // row group), without timing charges: callers charge the scan where it
-// belongs (Reshard scans under the freeze, recovery after the replay).
+// belongs (Reshard scans at the epoch's instant, recovery after the
+// replay).
 func (c *MDSCluster) liveGroups() []uint64 {
 	var groups []uint64
 	for _, s := range c.shards {
@@ -242,19 +224,13 @@ func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 
 // growTo extends the plane to n serving shards: new shards on new
 // hosts (named like AddServiceHosts names them), the peer mesh
-// completed, the row-lock table created if the plane was unsharded,
-// every connected session dialed to the new shards, and every attached
-// standby plane grown shard-for-shard. Runs without a yield; nothing
-// routes at the new shards until an epoch says so.
+// completed, every connected session dialed to the new shards, and
+// every attached standby plane grown shard-for-shard. Runs without a
+// yield; nothing routes at the new shards until an epoch says so.
 func (c *MDSCluster) growTo(n int) {
 	for i := len(c.shards); i < n; i++ {
 		host := c.net.AddHost(fmt.Sprintf("%s%d", c.hostPrefix, i), c.cfg.ServiceWorkers, 0)
 		c.shards = append(c.shards, newShard(c.net, host, c.full, c, i))
-	}
-	if len(c.shards) > 1 && c.rowLocks == nil && !c.cfg.DisableTxnLocks {
-		c.rowLocks = lock.NewRowLocks(c.net.Env())
-		c.rowLocks.ExclusiveOnly = c.cfg.ExclusiveRowLocks
-		c.wireLockObs()
 	}
 	for _, s := range c.shards {
 		for len(s.peers) < len(c.shards) {
@@ -394,10 +370,8 @@ func (c *MDSCluster) moveBatch(p *sim.Proc, batch []reshard.Move) error {
 		c.obs.tr.Begin(p, "", "reshard.batch", -1)
 		defer c.obs.tr.End(p)
 	}
-	if c.rowLocks != nil {
-		c.rowLocks.Acquire(p, reqs, nil)
-		defer c.rowLocks.Release(p, reqs)
-	}
+	c.rowLocks.Acquire(p, reqs, nil)
+	defer c.rowLocks.Release(p, reqs)
 
 	// One locked sweep per (source, target) pair, in deterministic
 	// order; each sweep installs its own epoch between the copy and the

@@ -25,8 +25,11 @@ import (
 //     Exclusive row locks serialize a migration against a conflicting
 //     two-phase mutation of the same rows at every interleaving.
 //   - With Reshard never called, the dormant machinery charges nothing:
-//     virtual end time and message count are bit-identical to routing
-//     with the static map (COFSParams.DisableReshardEpochs).
+//     virtual end time and message count stay on absolute pins, the
+//     figures static routing produced.
+//   - A reshard started while an mdls compaction holds a shard's store
+//     frozen waits only in its first batch, and moves what a reshard
+//     started after the stall moves.
 //   - After a reshard settles, steady-state latency matches a fresh
 //     deploy at the target shard count.
 
@@ -224,6 +227,64 @@ func TestReshardShrink(t *testing.T) {
 	})
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after post-shrink creates: %v", err)
+	}
+}
+
+// TestReshardDuringCompactionStall starts a 2→4 reshard of an mdls
+// plane while shard 0's store is frozen for a compaction (the body of
+// the engine's compaction: Freeze, checkpoint image, Thaw). The
+// boundary, plan and first epoch do not wait for the stall; the
+// migration's first transaction on the frozen shard does. The result
+// must be indistinguishable from a reshard started after the stall:
+// the same groups moved, invariants and fsck clean, every path still
+// resolving.
+func TestReshardDuringCompactionStall(t *testing.T) {
+	run := func(during bool) int64 {
+		tb, d := reshardRig(t, 880, 2, 2, func(cfg *params.Config) { cfg.COFS.MetadataStore = "mdls" })
+		paths := buildTree(t, tb, d, 8, 64)
+		db := d.Service.Shards()[0].DB
+		reshard := func(p *sim.Proc) {
+			if err := d.Service.Reshard(p, 4); err != nil {
+				t.Errorf("reshard: %v", err)
+			}
+		}
+		tb.Env.Spawn("compaction", func(p *sim.Proc) {
+			db.Freeze(p)
+			if during {
+				tb.Env.Spawn("reshard", reshard)
+			}
+			db.Checkpoint(p)
+			if during {
+				if !d.Service.Maps.Current().Migrating() {
+					t.Error("the reshard's first epoch waited for the compaction stall")
+				}
+				if moved := d.Service.ReshardStats().GroupsMoved; moved != 0 {
+					t.Errorf("%d groups moved while shard 0 was frozen", moved)
+				}
+			}
+			db.Thaw(p)
+			if !during {
+				reshard(p)
+			}
+		})
+		tb.Run()
+		if during && db.TxWait() == 0 {
+			t.Error("no transaction waited for the compaction stall: the migration did not run into it")
+		}
+		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatalf("invariants after reshard: %v", err)
+		}
+		step(tb, "fsck", func(p *sim.Proc) {
+			if rep := core.Fsck(p, d.Service, tb.Mounts[0]); !rep.OK() {
+				t.Errorf("fsck after reshard:\n%v", rep)
+			}
+		})
+		verifyAll(t, tb, d, paths)
+		return d.Service.ReshardStats().GroupsMoved
+	}
+	during, after := run(true), run(false)
+	if during == 0 || during != after {
+		t.Fatalf("groups moved: %d during the stall, %d after it", during, after)
 	}
 }
 
@@ -473,13 +534,13 @@ func TestReshardVsRenameInterleaving(t *testing.T) {
 
 // TestReshardVsCreateInterleaving sweeps Reshard's start offset across
 // a single-node create loop, densely covering the window where a
-// create transaction has allocated its id (from the old stride, so at
-// or below the migration's split) but not yet committed its row. The
-// resharder freezes every shard's transaction mutex around the plan
-// scan, so such a row is either visible to the plan (and migrated) or
-// not yet allocated (and newborn): at no offset may a file end up on a
-// shard the settled map does not assign it, which CheckInvariants and
-// the per-file stats pin.
+// create transaction would have allocated its id (from the old stride,
+// so at or below the migration's split) but not yet committed its row.
+// A store transaction allocates and commits at one instant, and the
+// plan scan runs at the epoch's instant, so such a row is either
+// visible to the plan (and migrated) or not yet allocated (and
+// newborn): at no offset may a file end up on a shard the settled map
+// does not assign it, which CheckInvariants and the per-file stats pin.
 func TestReshardVsCreateInterleaving(t *testing.T) {
 	const files = 40
 	run := func(delta time.Duration) {
@@ -524,53 +585,54 @@ func TestReshardVsCreateInterleaving(t *testing.T) {
 }
 
 // TestReshardDormantCostIdentical pins the bit-identical-figures
-// guarantee: with Reshard never called, a workload must land on exactly
-// the same virtual clock and move exactly the same number of network
-// messages whether clients route through the epoch-versioned map
-// machinery (the default) or straight off the static map
-// (COFSParams.DisableReshardEpochs) — at one shard and at four.
+// guarantee: with Reshard never called, the epoch-versioned map
+// machinery charges nothing, so a workload lands on exactly the virtual
+// clock and network message count that static routing produced — at
+// one shard and at four. The figures are absolute: any drift means the
+// dormant machinery (or something under it) started charging.
 func TestReshardDormantCostIdentical(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			run := func(disable bool) (time.Duration, int64) {
-				cfg := params.Default()
-				cfg.COFS.MetadataShards = shards
-				cfg.COFS.DisableReshardEpochs = disable
-				tb := cluster.New(42, 2, cfg)
-				d := core.Deploy(tb, nil)
-				tb.Run()
-				ctx := cluster.Ctx(0, 1)
-				step(tb, "workload", func(p *sim.Proc) {
-					m := d.Mounts[0]
-					for i := 0; i < 8; i++ {
-						if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
-							t.Fatal(err)
-						}
-						f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
-						if err != nil {
-							t.Fatal(err)
-						}
-						f.Close(p)
-						m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
-					}
-					if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+	for _, tc := range []struct {
+		shards int
+		now    time.Duration
+		msgs   int64
+	}{
+		{1, 1420877401 * time.Nanosecond, 502},
+		{4, 1451526778 * time.Nanosecond, 526},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
+			cfg := params.Default()
+			cfg.COFS.MetadataShards = tc.shards
+			tb := cluster.New(42, 2, cfg)
+			d := core.Deploy(tb, nil)
+			tb.Run()
+			ctx := cluster.Ctx(0, 1)
+			step(tb, "workload", func(p *sim.Proc) {
+				m := d.Mounts[0]
+				for i := 0; i < 8; i++ {
+					if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
+					f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := m.Readdir(p, ctx, "/t"); err != nil {
-						t.Fatal(err)
-					}
-				})
-				return tb.Env.Now(), tb.Net.Messages
-			}
-			epochNow, epochMsgs := run(false)
-			staticNow, staticMsgs := run(true)
-			if epochNow != staticNow || epochMsgs != staticMsgs {
-				t.Fatalf("dormant epoch routing is not free: epoch (%v, %d msgs) vs static (%v, %d msgs)",
-					epochNow, epochMsgs, staticNow, staticMsgs)
+					f.Close(p)
+					m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
+				}
+				if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Readdir(p, ctx, "/t"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if now, msgs := tb.Env.Now(), tb.Net.Messages; now != tc.now || msgs != tc.msgs {
+				t.Fatalf("dormant epoch routing is not free: (%v, %d msgs), pinned (%v, %d msgs)",
+					now, msgs, tc.now, tc.msgs)
 			}
 		})
 	}
@@ -625,24 +687,8 @@ func TestReshardSteadyStateMatchesFreshDeploy(t *testing.T) {
 }
 
 // TestReshardRefusals pins the guard rails: no resharding mid-flight
-// resharding (exercised implicitly), with the lock layer off, or with
-// epoch routing disabled; and resharding to the current count is a
-// no-op.
+// resharding, and resharding to the current count is a no-op.
 func TestReshardRefusals(t *testing.T) {
-	tb, d := reshardRig(t, 1000, 1, 2, func(cfg *params.Config) { cfg.COFS.DisableTxnLocks = true })
-	step(tb, "locked-off", func(p *sim.Proc) {
-		if err := d.Service.Reshard(p, 4); err == nil {
-			t.Error("reshard accepted with DisableTxnLocks set")
-		}
-	})
-
-	tb2, d2 := reshardRig(t, 1001, 1, 2, func(cfg *params.Config) { cfg.COFS.DisableReshardEpochs = true })
-	step(tb2, "epochs-off", func(p *sim.Proc) {
-		if err := d2.Service.Reshard(p, 4); err == nil {
-			t.Error("reshard accepted with DisableReshardEpochs set")
-		}
-	})
-
 	tb3, d3 := reshardRig(t, 1002, 1, 2, nil)
 	step(tb3, "noop", func(p *sim.Proc) {
 		if err := d3.Service.Reshard(p, 2); err != nil {

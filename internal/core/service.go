@@ -151,10 +151,6 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 		db.TrackStamps()
 	}
 	base := firstID(shardID, c.lockShards)
-	stride := vfs.Ino(c.lockShards)
-	if stride < 1 {
-		stride = 1
-	}
 	s := &Service{
 		net:         net,
 		host:        host,
@@ -165,7 +161,7 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 		DB:          db,
 		nextID:      base,
 		allocBase:   base,
-		allocStride: stride,
+		allocStride: vfs.Ino(c.lockShards),
 		leases:      newLeaseTable(cfg.COFS.AttrLease),
 	}
 	s.inodes = mdb.NewTable[vfs.Ino, inodeRow](db, "inode", mdb.DiscCopies)
@@ -193,7 +189,7 @@ func firstID(shardID, shards int) vfs.Ino {
 }
 
 // sharded reports whether cross-shard coordination can be needed.
-func (s *Service) sharded() bool { return s.cluster != nil && len(s.cluster.shards) > 1 }
+func (s *Service) sharded() bool { return len(s.cluster.shards) > 1 }
 
 // owns reports whether this shard holds ino's inode row at the current
 // shard-map epoch.

@@ -54,17 +54,6 @@ func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache) *S
 	return sess
 }
 
-// mapView returns the shard-map version this session routes by. With
-// COFSParams.DisableReshardEpochs the plane reverts to static routing
-// straight off the authoritative map (the regression knob the
-// never-resharded cost baseline diffs against).
-func (sess *Session) mapView(c *MDSCluster) *reshard.Map {
-	if c.cfg.DisableReshardEpochs {
-		return c.Maps.Current()
-	}
-	return sess.view
-}
-
 // refetchMap fetches the current shard-map version after a redirect:
 // one round trip to shard 0, which serves the map on the coordinator's
 // behalf. The response carries the map descriptor plus the moved set

@@ -31,8 +31,8 @@ import (
 // is what preserves the plane invariants (MDSCluster.CheckInvariants)
 // that the unlocked protocol could break under concurrent renames and
 // removes; lease recalls still fire at each commit instant, inside the
-// locked span. Uncontended acquisitions charge nothing, keeping the
-// uncontended path cost-identical to the unlocked protocol.
+// locked span. Uncontended acquisitions charge nothing, so an
+// uncontended mutation costs exactly its protocol messages.
 
 // peerGetattr reads an inode's attributes from its owning shard (one
 // dirty-read hop). The attribute lease, if any, is granted by the
@@ -131,9 +131,9 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		row := pr.row
 		s.spanNext(p, open, "2pc.commit")
 		// Phase 2: commit the dentry and parent bookkeeping. The
-		// re-validation only matters for mutations that raced phase 0 —
-		// impossible while the row locks are held, reachable again under
-		// DisableTxnLocks — and its failure aborts the prepared row.
+		// re-validation is defensive: the row locks held since phase 0
+		// keep every conflicting mutation out, and a failure would
+		// abort the prepared row.
 		s.DB.Transaction(p, func(tx *mdb.Tx) {
 			din, err := s.dirRow(tx, ctx, parent, true)
 			if err != nil {

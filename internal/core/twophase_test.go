@@ -17,23 +17,21 @@ import (
 // (twophase.go, txnlock.go, docs/transactions.md) from both sides:
 //
 //   - The interleaving replays reproduce, deterministically, the
-//     rename-vs-rename and rename-vs-remove races that the unlocked
-//     validate→commit protocol loses (the ROADMAP open item PR 2's
-//     concurrency storm found). Each replay sweeps the start offset of
-//     the second mutation across the first one's protocol window; with
-//     COFSParams.DisableTxnLocks (the unlocked protocol) some offset
-//     must corrupt the plane invariants, and with the lock layer on no
-//     offset may — and the final namespace must be one of the two
-//     serial outcomes.
+//     rename-vs-rename and rename-vs-remove races that an unlocked
+//     validate→commit protocol loses (the races a concurrency storm
+//     once found). Each replay sweeps the start offset of the second
+//     mutation across the first one's protocol window; no offset may
+//     corrupt the plane invariants, and the final namespace must be one
+//     of the two serial outcomes.
 //   - The cost baseline runs a single-process workload over every
-//     cross-shard path with the lock layer on and off: virtual end
-//     time and network message count must match exactly, pinning that
-//     uncontended lock acquisition charges nothing.
+//     cross-shard path with both lock modes: virtual end time and
+//     network message count must match each other and an absolute pin,
+//     so uncontended lock acquisition charges nothing.
 
 // txnRig deploys an n-node COFS at the given shard count; mut, if
 // non-nil, adjusts the configuration before deployment (the tests here
 // use it to select the lock-layer mode: the default shared/exclusive
-// table, COFSParams.ExclusiveRowLocks, or COFSParams.DisableTxnLocks).
+// table or COFSParams.ExclusiveRowLocks).
 func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Config)) (*cluster.Testbed, *core.Deployment) {
 	t.Helper()
 	cfg := params.Default()
@@ -48,8 +46,7 @@ func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Co
 	return tb, d
 }
 
-// unlockedCfg / exclusiveCfg select the regression lock modes.
-func unlockedCfg(cfg *params.Config)  { cfg.COFS.DisableTxnLocks = true }
+// exclusiveCfg selects the exclusive-only lock mode.
 func exclusiveCfg(cfg *params.Config) { cfg.COFS.ExclusiveRowLocks = true }
 
 // raceOffsets is the sweep of start delays for the second mutation of
@@ -66,13 +63,12 @@ func raceOffsets() []time.Duration {
 }
 
 // TestRenameRenameRaceInterleaving replays two concurrent renames of
-// different sources onto the same destination name. Unlocked, both can
-// validate the destination as absent and both install it — the second
-// install silently overwrites the first, stranding a file with nlink=1
-// and no dentry (the exact "inode N nlink=1, 0 dentries" failure from
-// the ROADMAP open item). Lock-ordered, the destination dentry's lock
-// serializes the two renames: the loser sees the winner's entry and
-// replaces it properly.
+// different sources onto the same destination name. Unlocked, both
+// could validate the destination as absent and both install it — the
+// second install silently overwriting the first, stranding a file with
+// nlink=1 and no dentry ("inode N nlink=1, 0 dentries"). Lock-ordered,
+// the destination dentry's lock serializes the two renames: the loser
+// sees the winner's entry and replaces it properly.
 func TestRenameRenameRaceInterleaving(t *testing.T) {
 	type outcome struct {
 		invErr   error
@@ -80,12 +76,8 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 		srcsGone bool // /a/x and /b/y both ENOENT
 		counters *stats.Counters
 	}
-	run := func(delta time.Duration, unlocked bool) outcome {
-		var mut func(*params.Config)
-		if unlocked {
-			mut = unlockedCfg
-		}
-		tb, d := txnRig(t, 31, 2, 2, mut)
+	run := func(delta time.Duration) outcome {
+		tb, d := txnRig(t, 31, 2, 2, nil)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
 		step(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/b", "/c"} {
@@ -121,19 +113,9 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 		return out
 	}
 
-	corrupted := 0
-	for _, delta := range raceOffsets() {
-		if run(delta, true).invErr != nil {
-			corrupted++
-		}
-	}
-	if corrupted == 0 {
-		t.Fatal("no offset corrupted the unlocked protocol: the replay no longer exercises the race")
-	}
-
 	var conflicts int64
 	for _, delta := range raceOffsets() {
-		out := run(delta, false)
+		out := run(delta)
 		if out.invErr != nil {
 			t.Fatalf("offset %v: lock-ordered protocol broke invariants: %v", delta, out.invErr)
 		}
@@ -155,19 +137,16 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 
 // TestRenameRemoveRaceInterleaving replays a rename replacing a
 // hard-linked destination against a concurrent remove of that same
-// destination name. Unlocked, both can observe the old entry and both
+// destination name. Unlocked, both could observe the old entry and both
 // drop one of the target's links — two decrements for one removed
 // dentry — leaving the surviving name pointing at a reclaimed inode.
 // Lock-ordered, the remove and the rename serialize on the destination
 // dentry and the target's inode row, so exactly one link dies and the
 // other name keeps a live inode with nlink=1 in either serial order.
 func TestRenameRemoveRaceInterleaving(t *testing.T) {
-	run := func(delta time.Duration, unlocked bool) (nlink int, statErr error, invErr error) {
-		var mut func(*params.Config)
-		if unlocked {
-			mut = unlockedCfg
-		}
-		tb, d := txnRig(t, 33, 2, 2, mut)
+	var conflicts int64
+	run := func(delta time.Duration) (nlink int, statErr error, invErr error) {
+		tb, d := txnRig(t, 33, 2, 2, nil)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
 		step(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/c", "/d"} {
@@ -200,28 +179,21 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 			attr, err := d.Mounts[0].Stat(p, ctx0, "/d/w")
 			nlink, statErr = attr.Nlink, err
 		})
+		conflicts += d.Counters().Get("mds.lock-conflicts")
 		return nlink, statErr, invErr
 	}
 
-	corrupted := 0
 	for _, delta := range raceOffsets() {
-		_, _, invErr := run(delta, true)
-		if invErr != nil {
-			corrupted++
-		}
-	}
-	if corrupted == 0 {
-		t.Fatal("no offset corrupted the unlocked protocol: the replay no longer exercises the race")
-	}
-
-	for _, delta := range raceOffsets() {
-		nlink, statErr, invErr := run(delta, false)
+		nlink, statErr, invErr := run(delta)
 		if invErr != nil {
 			t.Fatalf("offset %v: lock-ordered protocol broke invariants: %v", delta, invErr)
 		}
 		if statErr != nil || nlink != 1 {
 			t.Fatalf("offset %v: surviving hard link wrong: nlink=%d, %v", delta, nlink, statErr)
 		}
+	}
+	if conflicts == 0 {
+		t.Fatal("no offset made the rename and the remove contend a row lock: the replay no longer overlaps them")
 	}
 }
 
@@ -386,21 +358,26 @@ func TestCreateStormGroupCommitBatching(t *testing.T) {
 }
 
 // TestTxnLocksUncontendedCostIdentical pins the cost contract of the
-// lock layer, three ways: with no contention, acquiring and releasing
-// row locks charges nothing — a single-process workload over every
-// cross-shard mutation path must land on exactly the same virtual
-// clock and move exactly the same number of network messages with the
-// shared/exclusive table, with the exclusive-only table
-// (COFSParams.ExclusiveRowLocks), and with the layer off entirely
-// (COFSParams.DisableTxnLocks). The three-way diff keeps the
-// bit-identical-figures guarantee pinned for the mode split too. (PR 2
-// pinned the RPC transport the same way.)
+// lock layer: with no contention, acquiring and releasing row locks
+// charges nothing — a single-process workload over every cross-shard
+// mutation path must land on exactly the same virtual clock and move
+// exactly the same number of network messages with the
+// shared/exclusive table and with the exclusive-only table
+// (COFSParams.ExclusiveRowLocks), and both must equal an absolute pin:
+// the figures the same workload produced with no lock layer at all.
 func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		now    time.Duration
+		msgs   int64
+	}{
+		{2, 1421298390 * time.Nanosecond, 610},
+		{4, 1459748619 * time.Nanosecond, 650},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
 			run := func(mut func(*params.Config)) (time.Duration, int64, int64, int64) {
-				tb, d := txnRig(t, 55, 2, shards, mut)
+				tb, d := txnRig(t, 55, 2, tc.shards, mut)
 				ctx := cluster.Ctx(0, 1)
 				step(tb, "workload", func(p *sim.Proc) {
 					m := d.Mounts[0]
@@ -445,7 +422,6 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 			}
 			sxNow, sxMsgs, sxAcquires, sxConflicts := run(nil)
 			exclNow, exclMsgs, exclAcquires, exclConflicts := run(exclusiveCfg)
-			offNow, offMsgs, _, _ := run(unlockedCfg)
 			if sxAcquires == 0 || exclAcquires == 0 {
 				t.Fatal("workload took no row locks: it no longer exercises the lock layer")
 			}
@@ -457,9 +433,9 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 				t.Fatalf("uncontended costs diverge: shared/exclusive (%v, %d msgs) vs exclusive-only (%v, %d msgs)",
 					sxNow, sxMsgs, exclNow, exclMsgs)
 			}
-			if sxNow != offNow || sxMsgs != offMsgs {
-				t.Fatalf("uncontended costs diverge: shared/exclusive (%v, %d msgs) vs locks off (%v, %d msgs)",
-					sxNow, sxMsgs, offNow, offMsgs)
+			if sxNow != tc.now || sxMsgs != tc.msgs {
+				t.Fatalf("uncontended locks are not free: (%v, %d msgs), pinned (%v, %d msgs)",
+					sxNow, sxMsgs, tc.now, tc.msgs)
 			}
 			if sxAcquires != exclAcquires {
 				t.Fatalf("the two lock modes acquired different footprints: %d vs %d rows", sxAcquires, exclAcquires)

@@ -40,9 +40,9 @@ import (
 // tells the caller whether it ever waited: if it did, the validation
 // reads that produced the discovery may be stale and must be re-run. On
 // the uncontended path no acquisition waits, nothing re-runs and nothing
-// is charged, so uncontended costs are bit-identical to the unlocked
-// protocol (pinned by TestTxnLocksUncontendedCostIdentical, in all
-// three modes: locks off, exclusive-only, shared/exclusive).
+// is charged, so an uncontended mutation costs exactly its protocol
+// messages (pinned absolutely by TestTxnLocksUncontendedCostIdentical,
+// identical in both modes: exclusive-only and shared/exclusive).
 
 // Row-lock kinds of the metadata plane.
 const (
@@ -63,27 +63,18 @@ func (c *MDSCluster) lockShard(id vfs.Ino) int {
 
 // inoKey names id's inode row in the canonical lock order.
 func (s *Service) inoKey(id vfs.Ino) lock.RowKey {
-	k := lock.RowKey{Kind: lockKindInode, ID: uint64(id)}
-	if s.cluster != nil {
-		k.Shard = s.cluster.lockShard(id)
-	}
-	return k
+	return lock.RowKey{Shard: s.cluster.lockShard(id), Kind: lockKindInode, ID: uint64(id)}
 }
 
 // dentKey names the (parent, name) dentry row in the canonical lock
 // order; it lives on the parent directory's shard, like the row itself.
 func (s *Service) dentKey(parent vfs.Ino, name string) lock.RowKey {
-	k := lock.RowKey{Kind: lockKindDentry, ID: uint64(parent), Name: name}
-	if s.cluster != nil {
-		k.Shard = s.cluster.lockShard(parent)
-	}
-	return k
+	return lock.RowKey{Shard: s.cluster.lockShard(parent), Kind: lockKindDentry, ID: uint64(parent), Name: name}
 }
 
 // rowTxn is one mutation's footprint in the plane's row-lock table. A
-// nil rowTxn (unsharded plane, or COFSParams.DisableTxnLocks) is a
-// valid no-op: every method tolerates it, so call sites stay
-// unconditional.
+// nil rowTxn (unsharded plane) is a valid no-op: every method tolerates
+// it, so call sites stay unconditional.
 type rowTxn struct {
 	s    *Service
 	held []lock.Req
@@ -101,10 +92,9 @@ type rowTxn struct {
 // re-enters the method and takes the locked sharded path. The check
 // runs inside the mutation's serialized table transaction, so it
 // happens-before or happens-after a migration batch's transactions,
-// never between them. Always false on a plane that never reshards, and
-// on DisableTxnLocks planes (which refuse to reshard).
+// never between them. Always false on a plane that never reshards.
 func (s *Service) staleProtocol(t *rowTxn) bool {
-	if t == nil && s.sharded() && s.cluster.rowLocks != nil {
+	if t == nil && s.sharded() {
 		s.cluster.rstats.Redirects++
 		return true
 	}
@@ -118,7 +108,7 @@ func (s *Service) staleProtocol(t *rowTxn) bool {
 // discipline as peerCall, so waiting transactions cannot starve the
 // pool of the shard whose progress they depend on.
 func (s *Service) lockRows(p *sim.Proc, reqs ...lock.Req) *rowTxn {
-	if !s.sharded() || s.cluster.rowLocks == nil {
+	if !s.sharded() {
 		return nil
 	}
 	c := s.cluster

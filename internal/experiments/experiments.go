@@ -10,7 +10,6 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/stats"
-	"cofs/internal/vfs"
 )
 
 // gpfsTarget assembles a bare GPFS-like testbed as a bench target.
@@ -92,6 +91,3 @@ func Fig2(w io.Writer, seed int64) {
 	}
 	fmt.Fprintln(w)
 }
-
-// ensure vfs is linked for future drivers.
-var _ = vfs.TypeRegular

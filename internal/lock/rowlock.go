@@ -30,8 +30,9 @@ import (
 //
 // Cost model: conceptually each lock lives on the shard owning its row
 // and acquisition piggybacks on protocol messages that already flow, so
-// an uncontended Acquire charges nothing — the simulation stays
-// bit-identical on uncontended paths. A contended Acquire parks the
+// an uncontended Acquire charges nothing and never yields — an
+// uncontended mutation costs exactly its protocol messages, in either
+// mode. A contended Acquire parks the
 // calling process FIFO until the holders release: the wait is real
 // virtual time, surfaced in RowLockStats and (via the deployment
 // counters) in "mds.lock-*".

@@ -399,10 +399,10 @@ type Tx struct {
 
 // Freeze acquires the database's transaction mutex, keeping write
 // transactions and handoff imports from starting until Thaw. Between
-// the two, table state and the commit sequence stand still — the
-// resharder's plan scan and the mdls compaction run under it. Nothing
-// else holds the mutex across time, so a Freeze on a thawed database
-// never waits. Views are unaffected, like always.
+// the two, table state and the commit sequence stand still — the mdls
+// compaction rewrites its journal under it. Nothing else holds the
+// mutex across time, so a Freeze on a thawed database never waits.
+// Views are unaffected, like always.
 func (db *DB) Freeze(p *sim.Proc) { db.txMu.Lock(p) }
 
 // Thaw releases a Freeze.

@@ -83,8 +83,8 @@ func viewInstantConsistent(t *testing.T, backend string) {
 }
 
 // viewOffTheMutex: a 512-row scan and a transaction started under it do
-// not delay each other, and a Freeze (the resharder's plan scan, mdls's
-// compaction stall) does not stop a view.
+// not delay each other, and a Freeze (mdls's compaction stall) does not
+// stop a view.
 func viewOffTheMutex(t *testing.T, backend string) {
 	const rows = 512
 	env := sim.NewEnv(1)
