@@ -1,11 +1,12 @@
-// Benchmarks regenerating every evaluation artifact of the paper, one
-// per table/figure, plus ablations. Each benchmark iteration runs a full
-// deterministic simulation and reports the paper's metric (virtual ms
-// per metadata operation, or virtual MB/s) as custom units, so
-// `go test -bench=.` reproduces the evaluation:
+// Benchmarks that emit the gated BENCH_*.json records cmd/benchgate
+// holds to bench/baseline.json: every paper figure and ablation
+// (BenchmarkPaperFigures, one figure/<name> record per
+// internal/experiments driver), plus the scaling, cache, resharding and
+// data-path runs that have no paper figure. Each run is a deterministic
+// simulation, so `go test -run xxx -bench . -benchtime 1x .` regenerates
+// the records:
 //
-//	BenchmarkFig4Create/gpfs-4n   ... 20.5 vms/op
-//	BenchmarkFig4Create/cofs-4n   ...  1.9 vms/op
+//	BenchmarkPaperFigures/fig4   ... figure/fig4: "cofs 8n (ms)@512" = 2.640, ...
 package cofs_test
 
 import (
@@ -24,244 +25,25 @@ import (
 	"cofs/internal/trace"
 )
 
-// metaratesMs runs one metarates configuration and returns the mean
-// virtual latency of op in milliseconds.
-func metaratesMs(seed int64, useCOFS bool, nodes, filesPerProc int, op string) float64 {
-	tb := cluster.New(seed, nodes, params.Default())
-	t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-	if useCOFS {
-		t.Mounts = core.Deploy(tb, nil).Mounts
-	}
-	res := bench.Metarates(t, bench.MetaratesConfig{
-		Nodes: nodes, ProcsPerNode: 1, FilesPerProc: filesPerProc,
-		Dir: "/shared", Ops: []string{op},
-	})
-	return res.MeanMs(op)
-}
-
-// reportMs attaches the paper's metric to the benchmark output.
-func reportMs(b *testing.B, ms float64) {
-	b.Helper()
-	b.ReportMetric(ms, "vms/op")
-}
-
-// BenchmarkFig1SingleNodeGPFS regenerates Fig. 1: single-node latency
-// versus directory size on bare GPFS.
-func BenchmarkFig1SingleNodeGPFS(b *testing.B) {
-	for _, op := range bench.DefaultOps {
-		for _, size := range []int{256, 1024, 2560} {
-			b.Run(fmt.Sprintf("%s-%dfiles", op, size), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), false, 1, size, op)
-				}
-				reportMs(b, ms)
-			})
-		}
-	}
-}
-
-// BenchmarkFig2ParallelGPFS regenerates Fig. 2: parallel shared-directory
-// latency on bare GPFS at 4 and 8 nodes.
-func BenchmarkFig2ParallelGPFS(b *testing.B) {
-	for _, nodes := range []int{4, 8} {
-		for _, op := range bench.DefaultOps {
-			b.Run(fmt.Sprintf("%s-%dn-1024files", op, nodes), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), false, nodes, 1024/nodes, op)
-				}
-				reportMs(b, ms)
-			})
-		}
-	}
-}
-
-// BenchmarkFig4Create regenerates Fig. 4: create latency, GPFS vs COFS.
-func BenchmarkFig4Create(b *testing.B) {
-	for _, stack := range []string{"gpfs", "cofs"} {
-		for _, nodes := range []int{4, 8} {
-			b.Run(fmt.Sprintf("%s-%dn-512perNode", stack, nodes), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), stack == "cofs", nodes, 512, "create")
-				}
-				reportMs(b, ms)
-			})
-		}
-	}
-}
-
-// BenchmarkFig5Stat regenerates Fig. 5: stat latency, GPFS vs COFS.
-func BenchmarkFig5Stat(b *testing.B) {
-	for _, stack := range []string{"gpfs", "cofs"} {
-		for _, nodes := range []int{4, 8} {
-			b.Run(fmt.Sprintf("%s-%dn-2048perNode", stack, nodes), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), stack == "cofs", nodes, 2048, "stat")
-				}
-				reportMs(b, ms)
-			})
-		}
-	}
-}
-
-// BenchmarkFig6Scale64 regenerates Fig. 6: 64 nodes on the hierarchical
-// topology, 256 files per node (create and stat; utime/open track stat).
-func BenchmarkFig6Scale64(b *testing.B) {
-	for _, stack := range []string{"gpfs", "cofs"} {
-		for _, op := range []string{"create", "stat"} {
-			b.Run(fmt.Sprintf("%s-%s", stack, op), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = metaratesMs(int64(i+1), stack == "cofs", 64, 256, op)
-				}
-				reportMs(b, ms)
-			})
-		}
-	}
-}
-
-// iorMBps runs one IOR configuration and returns (write, read) MB/s.
-func iorMBps(seed int64, useCOFS bool, nodes int, size int64, shared, random bool) (float64, float64) {
-	tb := cluster.New(seed, nodes, params.Default())
-	t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-	if useCOFS {
-		t.Mounts = core.Deploy(tb, nil).Mounts
-	}
-	res := bench.IOR(t, bench.IORConfig{
-		Nodes: nodes, AggregateBytes: size, TransferSize: 1 << 20,
-		Shared: shared, Random: random, Dir: "/ior", ReadBack: true,
-	})
-	return res.WriteMBps, res.ReadMBps
-}
-
-// BenchmarkTable1IOR regenerates Table I: IOR aggregate rates across the
-// paper's pattern matrix (4 nodes, 256 MB aggregate shown; the
-// experiments driver sweeps the full matrix).
-func BenchmarkTable1IOR(b *testing.B) {
-	cases := []struct {
-		name           string
-		shared, random bool
-	}{
-		{"separate-seq", false, false},
-		{"separate-random", false, true},
-		{"shared-seq", true, false},
-		{"shared-random", true, true},
-	}
-	for _, stack := range []string{"gpfs", "cofs"} {
-		for _, tc := range cases {
-			b.Run(stack+"-"+tc.name, func(b *testing.B) {
-				var wr, rd float64
-				for i := 0; i < b.N; i++ {
-					wr, rd = iorMBps(int64(i+1), stack == "cofs", 4, 256<<20, tc.shared, tc.random)
-				}
-				b.ReportMetric(wr, "vMB/s-write")
-				b.ReportMetric(rd, "vMB/s-read")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationPlacement regenerates the placement-policy ablation on
-// the Fig. 4 create workload.
-func BenchmarkAblationPlacement(b *testing.B) {
-	full := params.Default()
-	policies := []struct {
-		name  string
-		place core.Placement
-	}{
-		{"paper-hash-rand-cap", nil},
-		{"no-randomization", core.HashPlacement{Fanout: full.COFS.DirFanout, RandomSubdirs: 1}},
-		{"node-hash-only", core.NodeHashPlacement{Fanout: full.COFS.DirFanout}},
-		{"flat-baseline", core.FlatPlacement{}},
-	}
-	for _, pol := range policies {
-		b.Run(pol.name, func(b *testing.B) {
-			var ms float64
+// BenchmarkPaperFigures computes every figure of the evaluation
+// (experiments.All at seed 1) and records each as figure/<name>, every
+// point of the figure an extra metric: cmd/benchgate holds each point
+// to its baseline exactly and names the one that moved.
+func BenchmarkPaperFigures(b *testing.B) {
+	for _, d := range experiments.All {
+		b.Run(d.Name, func(b *testing.B) {
+			var f experiments.Figure
+			var mt bench.Meter
 			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, params.Default())
-				d := core.Deploy(tb, pol.place)
-				t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-				res := bench.Metarates(t, bench.MetaratesConfig{
-					Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
-					Dir: "/shared", Ops: []string{"create"},
-				})
-				ms = res.MeanMs("create")
+				mt.Start()
+				f = d.Run(1)
+				mt.Stop()
 			}
-			reportMs(b, ms)
-		})
-	}
-}
-
-// BenchmarkSimKernel measures raw event throughput of the simulation
-// kernel itself (not a paper artifact; a repo health metric).
-func BenchmarkSimKernel(b *testing.B) {
-	tb := cluster.New(1, 1, params.Default())
-	_ = tb
-	b.Run("create-stat-cycle", func(b *testing.B) {
-		tb := cluster.New(1, 1, params.Default())
-		t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = bench.Metarates(t, bench.MetaratesConfig{
-				Nodes: 1, ProcsPerNode: 1, FilesPerProc: 64,
-				Dir: fmt.Sprintf("/b%d", i), Ops: []string{"create", "stat"},
-			})
-		}
-	})
-}
-
-// BenchmarkMDTest runs the mdtest-style tree benchmark (extension) on
-// both stacks in the contended shared-tree configuration, reporting the
-// file-stat phase latency (the cross-node attribute path the paper's
-// mechanism analysis centres on).
-func BenchmarkMDTest(b *testing.B) {
-	for _, stack := range []string{"gpfs", "cofs"} {
-		b.Run(stack+"-shared-shift", func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, params.Default())
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-				if stack == "cofs" {
-					t.Mounts = core.Deploy(tb, nil).Mounts
-				}
-				res := bench.MDTest(t, bench.MDTestConfig{
-					Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 128,
-					Shared: true, StatShift: true,
-				})
-				ms = res.MeanMs("file-stat")
+			rec := bench.Record{Name: "figure/" + d.Name, Extra: f.Points()}
+			mt.Fill(&rec, 0)
+			if err := bench.WriteRecord(rec); err != nil {
+				b.Logf("bench record: %v", err)
 			}
-			reportMs(b, ms)
-		})
-	}
-}
-
-// BenchmarkTraceReplayBatch replays the batch-jobs trace (the paper's
-// second motivating workload) on both stacks and reports the mean job
-// output write latency.
-func BenchmarkTraceReplayBatch(b *testing.B) {
-	for _, stack := range []string{"gpfs", "cofs"} {
-		b.Run(stack, func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				tb := cluster.New(int64(i+1), 4, params.Default())
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-				if stack == "cofs" {
-					t.Mounts = core.Deploy(tb, nil).Mounts
-				}
-				tr := trace.GenBatchJobs(trace.BatchConfig{
-					Nodes: 4, Jobs: 64, FilesPerJob: 4, BytesPerFile: 4 << 10,
-					Stagger: 20 * time.Millisecond,
-				})
-				res, err := trace.Replay(t, tr, trace.ReplayOptions{Timed: true})
-				if err != nil || res.Errors > 0 {
-					b.Fatalf("replay: %v (errors %d, first %v)", err, res.Errors, res.FirstErr)
-				}
-				ms = res.PerKind[trace.WriteFile].MeanMs()
-			}
-			reportMs(b, ms)
 		})
 	}
 }
@@ -328,7 +110,7 @@ func BenchmarkSmallFileIO(b *testing.B) {
 			const fileCount = nodes * procs * files
 			const ops = 3 * fileCount // each file is written, read and unlinked once
 			w, r, u := perKind[trace.WriteFile].MeanMs(), perKind[trace.ReadFile].MeanMs(), perKind[trace.Unlink].MeanMs()
-			reportMs(b, (w+r+u)/3)
+			b.ReportMetric((w+r+u)/3, "vms/op")
 			b.ReportMetric(r, "vms/op-read")
 			rec := bench.Record{
 				Name: "small-file-io/" + stack, VmsPerOp: (w + r + u) / 3,
@@ -348,59 +130,6 @@ func BenchmarkSmallFileIO(b *testing.B) {
 			if err := bench.WriteRecord(rec); err != nil {
 				b.Logf("bench record: %v", err)
 			}
-		})
-	}
-}
-
-// BenchmarkAblationDirCap regenerates the directory-cap ablation's three
-// interesting points: an over-small cap, the paper's 512, and unbounded.
-func BenchmarkAblationDirCap(b *testing.B) {
-	for _, cap := range []int{64, 512, 0} {
-		name := fmt.Sprintf("cap-%d", cap)
-		if cap == 0 {
-			name = "cap-unbounded"
-		}
-		b.Run(name, func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				cfg := params.Default()
-				cfg.COFS.MaxEntriesPerDir = cap
-				cfg.COFS.RandomSubdirs = 1
-				tb := cluster.New(int64(i+1), 4, cfg)
-				// One bucket per node, as in the experiments driver:
-				// the cap is the only variable (the default policy's
-				// occasional node collisions would add noise).
-				d := core.Deploy(tb, core.NodeHashPlacement{Fanout: 64})
-				t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-				res := bench.Metarates(t, bench.MetaratesConfig{
-					Nodes: 4, ProcsPerNode: 1, FilesPerProc: 2048,
-					Dir: "/shared", Ops: []string{"create"},
-				})
-				ms = res.MeanMs("create")
-			}
-			reportMs(b, ms)
-		})
-	}
-}
-
-// BenchmarkAblationFalseSharing regenerates the packed-inode ablation's
-// endpoints (1 vs 32 inodes per lock unit) on the 4-node stat workload.
-func BenchmarkAblationFalseSharing(b *testing.B) {
-	for _, pack := range []int{1, 32} {
-		b.Run(fmt.Sprintf("inodesPerBlock-%d", pack), func(b *testing.B) {
-			var ms float64
-			for i := 0; i < b.N; i++ {
-				cfg := params.Default()
-				cfg.PFS.InodesPerBlock = pack
-				tb := cluster.New(int64(i+1), 4, cfg)
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-				res := bench.Metarates(t, bench.MetaratesConfig{
-					Nodes: 4, ProcsPerNode: 1, FilesPerProc: 128,
-					Dir: "/shared", Ops: []string{"stat"},
-				})
-				ms = res.MeanMs("stat")
-			}
-			reportMs(b, ms)
 		})
 	}
 }
@@ -442,7 +171,8 @@ func BenchmarkShardScaling(b *testing.B) {
 				res, d = run(int64(i+1), shards)
 				mt.Stop()
 			}
-			reportMs(b, res.MeanMs("file-create"))
+			b.ReportMetric(res.MeanMs("file-create"), "vms/op")
+			b.ReportMetric(res.MeanMs("file-stat"), "vms/op-stat")
 			rec := bench.Record{
 				Name: fmt.Sprintf("shard-scaling/create-%dshards", shards), Shards: shards,
 				VmsPerOp: res.MeanMs("file-create"),
@@ -453,15 +183,6 @@ func BenchmarkShardScaling(b *testing.B) {
 			if err := bench.WriteRecord(rec); err != nil {
 				b.Logf("bench record: %v", err)
 			}
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("mdtest-stat-%dshards", shards), func(b *testing.B) {
-			var res *bench.MDTestResult
-			for i := 0; i < b.N; i++ {
-				res, _ = run(int64(i+1), shards)
-			}
-			reportMs(b, res.MeanMs("file-stat"))
 		})
 	}
 }
@@ -501,7 +222,7 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 		res, d = run(int64(i + 1))
 		mt.Stop()
 	}
-	reportMs(b, res.MeanMs("file-create"))
+	b.ReportMetric(res.MeanMs("file-create"), "vms/op")
 	b.ReportMetric(res.MeanMs("file-stat"), "vms/op-stat")
 	rec := bench.Record{
 		Name: "million-file-storm", Shards: 8,
@@ -515,48 +236,6 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 	rec.SetSimCounters(d.Counters())
 	if err := bench.WriteRecord(rec); err != nil {
 		b.Logf("bench record: %v", err)
-	}
-}
-
-// BenchmarkGroupCommitOverlap measures the group-commit overlap the
-// shared/exclusive row-lock split recovers (docs/transactions.md): a
-// same-directory create storm — 16 ranks (4 nodes x 4 procs) all
-// creating and deleting distinct files in one shared virtual directory
-// — at 1, 2 and 4 metadata shards, with the exclusive-only table
-// (COFSParams.ExclusiveRowLocks, PR 3's behaviour) versus the
-// mode-aware default. Every create meets on the parent directory's
-// inode row: exclusive-only serializes the whole validate→commit spans
-// there, shared/exclusive overlaps them (the dentry rows written stay
-// exclusive), so the creates stop waiting at the service; the mean is
-// dominated by the underlying file system's token-trading tail and
-// follows only loosely (docs/transactions.md has the figures). One shard
-// never takes a row lock — both rows are the identical baseline
-// (TestTxnLocksUncontendedCostIdentical pins the uncontended
-// equivalence at 2 and 4 shards).
-func BenchmarkGroupCommitOverlap(b *testing.B) {
-	run := func(seed int64, shards int, excl bool) float64 {
-		cfg := params.Default()
-		cfg.COFS.MetadataShards = shards
-		cfg.COFS.ExclusiveRowLocks = excl
-		tb := cluster.New(seed, 4, cfg)
-		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		res := bench.Metarates(t, bench.MetaratesConfig{
-			Nodes: 4, ProcsPerNode: 4, FilesPerProc: 128,
-			Dir: "/shared", Ops: []string{"create"},
-		})
-		return res.MeanMs("create")
-	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []string{"exclusive", "shared-exclusive"} {
-			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
-				var ms float64
-				for i := 0; i < b.N; i++ {
-					ms = run(int64(i+1), shards, mode == "exclusive")
-				}
-				reportMs(b, ms)
-			})
-		}
 	}
 }
 
@@ -591,7 +270,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 					sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
 					mt.Stop()
 				}
-				reportMs(b, sum.MeanMs())
+				b.ReportMetric(sum.MeanMs(), "vms/op")
 				rec := bench.Record{
 					Name: fmt.Sprintf("metadata-cache/%s-%dshards", mode, shards), Shards: shards,
 					VmsPerOp: sum.MeanMs(),
@@ -630,7 +309,7 @@ func BenchmarkStoreBackends(b *testing.B) {
 				sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
 				mt.Stop()
 			}
-			reportMs(b, sum.MeanMs())
+			b.ReportMetric(sum.MeanMs(), "vms/op")
 			rec := bench.Record{
 				Name: "store-backend/" + backend + "-smoke", Shards: 1,
 				VmsPerOp: sum.MeanMs(),
@@ -675,7 +354,7 @@ func BenchmarkStandbyReads(b *testing.B) {
 					sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
 					mt.Stop()
 				}
-				reportMs(b, sum.MeanMs())
+				b.ReportMetric(sum.MeanMs(), "vms/op")
 				rec := bench.Record{
 					Name: fmt.Sprintf("standby-reads/%s-%dshards", mode, shards), Shards: shards,
 					VmsPerOp: sum.MeanMs(),
@@ -859,21 +538,4 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 			b.Logf("bench record: %v", err)
 		}
 	})
-}
-
-// BenchmarkFailover measures a full standby promotion: replicated
-// workload, primary crash, promote, first create on the new service.
-func BenchmarkFailover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := cluster.New(int64(i+1), 2, params.Default())
-		d := core.Deploy(tb, nil)
-		sb := core.DeployStandby(tb, d, time.Millisecond)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		_ = bench.Metarates(t, bench.MetaratesConfig{
-			Nodes: 2, ProcsPerNode: 1, FilesPerProc: 128,
-			Dir: "/shared", Ops: []string{"create"},
-		})
-		d.Service.Crash()
-		sb.Promote(d)
-	}
 }

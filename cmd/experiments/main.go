@@ -1,17 +1,19 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation. Each subcommand prints the data series behind one artifact
-// in the same units the paper uses (ms per operation, MB/s).
+// in the same units the paper uses (ms per operation, MB/s); `all` prints
+// every one, in registry order (experiments.All).
 //
 // Usage:
 //
-//	experiments [-seed N] fig1|fig2|fig4|fig5|fig6|table1|ablation|attrcache|traversal|
-//	            dircap|falsesharing|network|flush|clientcache|mdtest|all
+//	experiments [-seed N] <figure>...|all
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"cofs/internal/experiments"
 )
@@ -19,55 +21,35 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-	}
-	all := []string{"fig1", "fig2", "fig4", "fig5", "fig6", "table1", "ablation", "attrcache", "traversal",
-		"dircap", "falsesharing", "network", "flush", "clientcache", "mdtest"}
-	runs := args
-	if len(args) == 1 && args[0] == "all" {
-		runs = all
-	}
-	for _, name := range runs {
-		switch name {
-		case "fig1":
-			experiments.Fig1(os.Stdout, *seed)
-		case "fig2":
-			experiments.Fig2(os.Stdout, *seed)
-		case "fig4":
-			experiments.Fig4(os.Stdout, *seed)
-		case "fig5":
-			experiments.Fig5(os.Stdout, *seed)
-		case "fig6":
-			experiments.Fig6(os.Stdout, *seed)
-		case "table1":
-			experiments.Table1(os.Stdout, *seed)
-		case "ablation":
-			experiments.Ablation(os.Stdout, *seed)
-		case "attrcache":
-			experiments.AttrCache(os.Stdout, *seed)
-		case "traversal":
-			experiments.Traversal(os.Stdout, *seed)
-		case "dircap":
-			experiments.AblationDirCap(os.Stdout, *seed)
-		case "falsesharing":
-			experiments.AblationFalseSharing(os.Stdout, *seed)
-		case "network":
-			experiments.AblationNetwork(os.Stdout, *seed)
-		case "flush":
-			experiments.AblationFlush(os.Stdout, *seed)
-		case "clientcache":
-			experiments.AblationClientCache(os.Stdout, *seed)
-		case "mdtest":
-			experiments.MDTestExp(os.Stdout, *seed)
-		default:
-			usage()
+	drivers, err := resolve(flag.Args())
+	if err != nil {
+		names := make([]string, len(experiments.All))
+		for i, d := range experiments.All {
+			names[i] = d.Name
 		}
+		fmt.Fprintf(os.Stderr, "experiments: %v\nusage: experiments [-seed N] %s|all\n", err, strings.Join(names, "|"))
+		os.Exit(2)
+	}
+	for _, d := range drivers {
+		d.Run(*seed).Fprint(os.Stdout)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] fig1|fig2|fig4|fig5|fig6|table1|ablation|attrcache|traversal|dircap|falsesharing|network|flush|clientcache|mdtest|all")
-	os.Exit(2)
+// resolve maps verbs to registry drivers; "all" alone is every driver.
+func resolve(args []string) ([]experiments.Driver, error) {
+	if len(args) == 1 && args[0] == "all" {
+		return experiments.All, nil
+	}
+	if len(args) == 0 {
+		return nil, fmt.Errorf("no figure named")
+	}
+	var out []experiments.Driver
+	for _, name := range args {
+		i := slices.IndexFunc(experiments.All, func(d experiments.Driver) bool { return d.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown figure %q", name)
+		}
+		out = append(out, experiments.All[i])
+	}
+	return out, nil
 }

@@ -212,7 +212,8 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 // validate→commit window is commit-wide, the regime where group-commit
 // overlap matters. This pins the recovered overlap itself (the ROADMAP
 // open item), not just the benchmark number;
-// BenchmarkGroupCommitOverlap measures the same effect at storm scale.
+// the groupcommit figure (internal/experiments) measures the same
+// effect at storm scale.
 func TestCreateCreateOverlapInterleaving(t *testing.T) {
 	type outcome struct {
 		done              time.Duration // the later create's completion instant

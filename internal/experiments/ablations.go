@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"cofs/internal/bench"
@@ -32,48 +31,32 @@ import (
 // ~512): larger caps let the underlying directory outgrow the
 // create-delegation window and every create past it becomes a server
 // round trip, while tiny caps only add spill overhead.
-func AblationDirCap(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Ablation: underlying directory cap (4 nodes, 2048 files/node, no randomization) ==")
-	caps := []int{64, 128, 256, 512, 1024, 4096, 0} // 0 = unbounded
-	create := &stats.Series{Label: "create (ms)"}
-	spills := &stats.Series{Label: "bucket spills"}
-	for _, cap := range caps {
-		ms, sp := dirCapCreate(seed, cap)
-		x := float64(cap)
-		if cap == 0 {
-			x = 1 << 20 // render "unbounded" as a large x
+func AblationDirCap(seed int64) Figure {
+	t := Table{X: "dir cap (0->inf)", Cols: []Col{{Label: "create (ms)"}, {Label: "bucket spills"}}}
+	for _, cap := range []int{64, 128, 256, 512, 1024, 4096, 0} { // 0 = unbounded
+		// Placement is pinned to one bucket per node so the cap is the
+		// only variable: the default policy's hash collisions would add
+		// cross-node noise to the sweep.
+		cfg := params.Default()
+		cfg.COFS.MaxEntriesPerDir = cap
+		cfg.COFS.RandomSubdirs = 1
+		ct, _, d := cofsTarget(seed, 4, cfg, core.NodeHashPlacement{Fanout: 64})
+		ms := meanMs(ct, 4, 1, 2048, "create")
+		var spills int64
+		for _, fs := range d.FSs {
+			spills += fs.Stats.BucketSpills
 		}
-		create.Append(x, ms)
-		spills.Append(x, float64(sp))
+		x := fmt.Sprint(cap)
+		if cap == 0 {
+			x = fmt.Sprintf("%.4g", float64(1<<20)) // "unbounded" as a large x
+		}
+		t.Rows = append(t.Rows, Row{X: x, Y: []float64{ms, float64(spills)}})
 	}
-	fmt.Fprint(w, stats.Table("dir cap (0->inf)", create, spills))
-	fmt.Fprintln(w, "(x = 1048576 denotes an unbounded directory)")
-	fmt.Fprintln(w)
-}
-
-// dirCapCreate measures one dir-cap point: mean create latency and
-// total bucket spills (4 nodes, 2048 files/node). Placement is pinned
-// to one bucket per node so the cap is the only variable — the default
-// policy's hash collisions would add cross-node noise to the sweep.
-func dirCapCreate(seed int64, cap int) (ms float64, spills int64) {
-	cfg := params.Default()
-	cfg.COFS.MaxEntriesPerDir = cap
-	cfg.COFS.RandomSubdirs = 1
-	t, _, d := cofsTarget(seed, 4, cfg, core.NodeHashPlacement{Fanout: 64})
-	res := bench.Metarates(t, bench.MetaratesConfig{
-		Nodes: 4, ProcsPerNode: 1, FilesPerProc: 2048,
-		Dir: "/shared", Ops: []string{"create"},
-	})
-	for _, fs := range d.FSs {
-		spills += fs.Stats.BucketSpills
+	return Figure{
+		Title:  "Ablation: underlying directory cap (4 nodes, 2048 files/node, no randomization)",
+		Tables: []Table{t},
+		Notes:  []string{"(x = 1048576 denotes an unbounded directory)"},
 	}
-	return res.MeanMs("create"), spills
-}
-
-// dirCapCreateMs is dirCapCreate without the spill count (tests).
-func dirCapCreateMs(seed int64, cap int) float64 {
-	ms, _ := dirCapCreate(seed, cap)
-	return ms
 }
 
 // AblationFalseSharing sweeps the GPFS-like stack's InodesPerBlock on
@@ -84,35 +67,22 @@ func dirCapCreateMs(seed int64, cap int) float64 {
 // (bandwidth amortization, which is why the serial column *improves*
 // with packing) and cross-node accesses to entries that share a block
 // conflict (false sharing). The parallel/serial penalty ratio isolates
-// the second effect: with one inode per lock unit there is nothing to
-// falsely share and the ratio stays near 1, while realistic packing
-// makes the parallel case pay multi-fold. This demonstrates mechanism
-// (3) of DESIGN.md section 5 experimentally.
-func AblationFalseSharing(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Ablation: packed-inode false sharing (bare GPFS-like, 128 files/node) ==")
-	packs := []int{1, 4, 8, 16, 32, 64, 128}
-	serialS := &stats.Series{Label: "1-node stat (ms)"}
-	parS := &stats.Series{Label: "4-node stat (ms)"}
-	ratioS := &stats.Series{Label: "penalty ratio"}
-	for _, pack := range packs {
+// the second effect: realistic packing makes the parallel case pay
+// several times what one inode per lock unit costs. This demonstrates
+// mechanism (3) of DESIGN.md section 5 experimentally.
+func AblationFalseSharing(seed int64) Figure {
+	t := Table{X: "inodes per block", Cols: []Col{{Label: "1-node stat (ms)"}, {Label: "4-node stat (ms)"}, {Label: "penalty ratio"}}}
+	for _, pack := range []int{1, 4, 8, 16, 32, 64, 128} {
 		cfg := params.Default()
 		cfg.PFS.InodesPerBlock = pack
-		run := func(nodes int) float64 {
-			t, _ := gpfsTarget(seed, nodes, cfg)
-			res := bench.Metarates(t, bench.MetaratesConfig{
-				Nodes: nodes, ProcsPerNode: 1, FilesPerProc: 128,
-				Dir: "/shared", Ops: []string{"stat"},
-			})
-			return res.MeanMs("stat")
-		}
-		serial := run(1)
-		par := run(4)
-		serialS.Append(float64(pack), serial)
-		parS.Append(float64(pack), par)
-		ratioS.Append(float64(pack), par/serial)
+		serial := meanMs(target(seed, "gpfs", 1, cfg), 1, 1, 128, "stat")
+		par := meanMs(target(seed, "gpfs", 4, cfg), 4, 1, 128, "stat")
+		t.Rows = append(t.Rows, Row{X: fmt.Sprint(pack), Y: []float64{serial, par, par / serial}})
 	}
-	fmt.Fprint(w, stats.Table("inodes per block", serialS, parS, ratioS))
-	fmt.Fprintln(w)
+	return Figure{
+		Title:  "Ablation: packed-inode false sharing (bare GPFS-like, 128 files/node)",
+		Tables: []Table{t},
+	}
 }
 
 // AblationNetwork sweeps the per-hop network latency for both stacks on
@@ -121,29 +91,19 @@ func AblationFalseSharing(w io.Writer, seed int64) {
 // two round trips (service + local create), so the gap widens with
 // latency — the effect that made the paper's 64-node hierarchical
 // (higher-latency) cluster *more* favourable to COFS, not less.
-func AblationNetwork(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Ablation: network hop latency vs create time (4 nodes, 512 files/node) ==")
-	hops := []time.Duration{25 * time.Microsecond, 55 * time.Microsecond, 110 * time.Microsecond, 220 * time.Microsecond}
-	g := &stats.Series{Label: "gpfs create (ms)"}
-	c := &stats.Series{Label: "cofs create (ms)"}
-	for _, hop := range hops {
+func AblationNetwork(seed int64) Figure {
+	t := Table{X: "hop latency (us)", Cols: []Col{{Label: "gpfs create (ms)"}, {Label: "cofs create (ms)"}}}
+	for _, us := range []int{25, 55, 110, 220} {
 		cfg := params.Default()
-		cfg.Network.HopLatency = hop
-		gt, _ := gpfsTarget(seed, 4, cfg)
-		gres := bench.Metarates(gt, bench.MetaratesConfig{
-			Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
-			Dir: "/shared", Ops: []string{"create"},
-		})
-		g.Append(float64(hop.Microseconds()), gres.MeanMs("create"))
-		ct, _, _ := cofsTarget(seed, 4, cfg, nil)
-		cres := bench.Metarates(ct, bench.MetaratesConfig{
-			Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
-			Dir: "/shared", Ops: []string{"create"},
-		})
-		c.Append(float64(hop.Microseconds()), cres.MeanMs("create"))
+		cfg.Network.HopLatency = time.Duration(us) * time.Microsecond
+		g := meanMs(target(seed, "gpfs", 4, cfg), 4, 1, 512, "create")
+		c := meanMs(target(seed, "cofs", 4, cfg), 4, 1, 512, "create")
+		t.Rows = append(t.Rows, Row{X: fmt.Sprint(us), Y: []float64{g, c}})
 	}
-	fmt.Fprint(w, stats.Table("hop latency (us)", g, c))
-	fmt.Fprintln(w)
+	return Figure{
+		Title:  "Ablation: network hop latency vs create time (4 nodes, 512 files/node)",
+		Tables: []Table{t},
+	}
 }
 
 // AblationFlush sweeps the metadata service's log flush policy: 0 forces
@@ -151,30 +111,21 @@ func AblationNetwork(w io.Writer, seed int64) {
 // Mnesia with sync transactions), larger intervals batch flushes in the
 // background (the soft-real-time trade the paper's prototype makes; a
 // crash loses at most one interval of commits — see examples/failover).
-func AblationFlush(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Ablation: service log flush policy vs create time (4 nodes, 512 files/node) ==")
-	fmt.Fprintf(w, "%-28s%14s\n", "flush policy", "create (ms)")
+func AblationFlush(seed int64) Figure {
+	t := Table{X: "flush policy", Cols: []Col{{Label: "create (ms)"}}}
 	for _, iv := range []time.Duration{0, 10 * time.Millisecond, 100 * time.Millisecond, time.Second} {
 		name := "sync (flush per commit)"
 		if iv > 0 {
 			name = fmt.Sprintf("async, %v interval", iv)
 		}
-		fmt.Fprintf(w, "%-28s%14.3f\n", name, flushCreateMs(seed, iv))
+		cfg := params.Default()
+		cfg.COFS.LogFlushInterval = iv
+		t.Rows = append(t.Rows, Row{X: name, Y: []float64{meanMs(target(seed, "cofs", 4, cfg), 4, 1, 512, "create")}})
 	}
-	fmt.Fprintln(w)
-}
-
-// flushCreateMs measures one flush-policy point: mean create latency at
-// the given WAL flush interval (0 = force per commit).
-func flushCreateMs(seed int64, interval time.Duration) float64 {
-	cfg := params.Default()
-	cfg.COFS.LogFlushInterval = interval
-	t, _, _ := cofsTarget(seed, 4, cfg, nil)
-	res := bench.Metarates(t, bench.MetaratesConfig{
-		Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
-		Dir: "/shared", Ops: []string{"create"},
-	})
-	return res.MeanMs("create")
+	return Figure{
+		Title:  "Ablation: service log flush policy vs create time (4 nodes, 512 files/node)",
+		Tables: []Table{t},
+	}
 }
 
 // ClientCacheStorm is the stat/utime storm behind the client-cache
@@ -273,8 +224,7 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 // metadata shards. The lease rows must beat the baseline on stat while
 // staying coherent (the conformance battery pins correctness; this
 // table pins the win).
-func AblationClientCache(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Ablation: client cache & RPC transport (4 nodes, ls -l storm over 256 shared files) ==")
+func AblationClientCache(seed int64) Figure {
 	type row struct {
 		name  string
 		tweak func(*params.Config)
@@ -289,25 +239,36 @@ func AblationClientCache(w io.Writer, seed int64) {
 			c.COFS.RPCBatch = true
 		}},
 	}
+	f := Figure{
+		Title: "Ablation: client cache & RPC transport (4 nodes, ls -l storm over 256 shared files)",
+		Notes: []string{
+			"(leases trade a few round trips and recalls for coherence the TTL cache",
+			" cannot give; batching trades per-op latency at low load for fewer wire",
+			" messages — its win is message-count and overhead at high fan-in.)",
+		},
+	}
 	for _, shards := range []int{1, 4} {
-		fmt.Fprintf(w, "-- %d metadata shard(s) --\n", shards)
-		fmt.Fprintf(w, "%-34s%12s%12s%12s%12s%12s\n", "configuration", "stat (ms)", "rpcs", "round trips", "cache hits", "recalls")
+		t := Table{
+			Name:    fmt.Sprintf("%d shards", shards),
+			Heading: fmt.Sprintf("-- %d metadata shard(s) --", shards),
+			X:       "configuration",
+			Cols: []Col{{Label: "stat (ms)"}, {Label: "rpcs", Fmt: "%.0f"}, {Label: "round trips", Fmt: "%.0f"},
+				{Label: "cache hits", Fmt: "%.0f"}, {Label: "recalls", Fmt: "%.0f"}},
+		}
 		for _, r := range rows {
 			cfg := params.Default()
 			cfg.COFS.MetadataShards = shards
 			r.tweak(&cfg)
 			sum, c := ClientCacheStorm(seed, cfg)
-			fmt.Fprintf(w, "%-34s%12.3f%12d%12d%12d%12d\n", r.name, sum.MeanMs(),
-				c.Get("rpc.client.calls"),
-				c.Get("rpc.client.roundtrips"),
-				c.Get("cache.attr-hits")+c.Get("cache.dentry-hits"),
-				c.Get("mds.lease-revocations"))
+			t.Rows = append(t.Rows, Row{X: r.name, Y: []float64{sum.MeanMs(),
+				float64(c.Get("rpc.client.calls")),
+				float64(c.Get("rpc.client.roundtrips")),
+				float64(c.Get("cache.attr-hits") + c.Get("cache.dentry-hits")),
+				float64(c.Get("mds.lease-revocations"))}})
 		}
+		f.Tables = append(f.Tables, t)
 	}
-	fmt.Fprintln(w, "(leases trade a few round trips and recalls for coherence the TTL cache")
-	fmt.Fprintln(w, " cannot give; batching trades per-op latency at low load for fewer wire")
-	fmt.Fprintln(w, " messages — its win is message-count and overhead at high fan-in.)")
-	fmt.Fprintln(w)
+	return f
 }
 
 // MDTestExp runs the mdtest-style tree benchmark (internal/bench) on
@@ -315,19 +276,40 @@ func AblationClientCache(w io.Writer, seed int64) {
 // stats (rank r stats rank r+1's files, guaranteeing cross-node
 // attribute reads). It extends the paper's flat-shared-directory
 // evaluation to tree-shaped namespaces.
-func MDTestExp(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Extension: mdtest (shared tree, 4 nodes, depth 2 x branch 4, 256 files/rank, shifted stats) ==")
-	cfg := bench.MDTestConfig{
-		Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 256,
-		Shared: true, StatShift: true,
-	}
-	gt, _ := gpfsTarget(seed, 4, params.Default())
-	g := bench.MDTest(gt, cfg)
-	ct, _, _ := cofsTarget(seed, 4, params.Default(), nil)
-	c := bench.MDTest(ct, cfg)
-	fmt.Fprintf(w, "%-14s%16s%16s%14s\n", "phase", "gpfs ops/s", "cofs ops/s", "speedup")
+func MDTestExp(seed int64) Figure {
+	cfg := bench.MDTestConfig{Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 256, Shared: true, StatShift: true}
+	g := bench.MDTest(target(seed, "gpfs", 4, params.Default()), cfg)
+	c := bench.MDTest(target(seed, "cofs", 4, params.Default()), cfg)
+	t := Table{X: "phase", Cols: []Col{{"gpfs ops/s", "%.1f"}, {"cofs ops/s", "%.1f"}, {"speedup", "%.1fx"}}}
 	for _, ph := range bench.MDTestPhases {
-		fmt.Fprintf(w, "%-14s%16.1f%16.1f%13.1fx\n", ph, g.Rate(ph), c.Rate(ph), c.Rate(ph)/g.Rate(ph))
+		t.Rows = append(t.Rows, Row{X: ph, Y: []float64{g.Rate(ph), c.Rate(ph), c.Rate(ph) / g.Rate(ph)}})
 	}
-	fmt.Fprintln(w)
+	return Figure{
+		Title:  "Extension: mdtest (shared tree, 4 nodes, depth 2 x branch 4, 256 files/rank, shifted stats)",
+		Tables: []Table{t},
+	}
+}
+
+// GroupCommit measures the group-commit overlap the shared/exclusive
+// row-lock split recovers (docs/transactions.md): 16 ranks creating
+// distinct files in one shared directory at 1, 2 and 4 metadata shards,
+// exclusive-only row locks (COFSParams.ExclusiveRowLocks) against the
+// mode-aware default. One shard takes no row locks, so its two columns
+// are the same baseline.
+func GroupCommit(seed int64) Figure {
+	t := Table{X: "metadata shards", Cols: []Col{{Label: "exclusive (ms)"}, {Label: "shared-exclusive (ms)"}}}
+	for _, shards := range []int{1, 2, 4} {
+		r := Row{X: fmt.Sprint(shards)}
+		for _, excl := range []bool{true, false} {
+			cfg := params.Default()
+			cfg.COFS.MetadataShards = shards
+			cfg.COFS.ExclusiveRowLocks = excl
+			r.Y = append(r.Y, meanMs(target(seed, "cofs", 4, cfg), 4, 4, 128, "create"))
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	return Figure{
+		Title:  "Ablation: row-lock modes vs same-directory create storm (4 nodes x 4 procs, 128 files/proc)",
+		Tables: []Table{t},
+	}
 }

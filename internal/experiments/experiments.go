@@ -1,15 +1,14 @@
 // Package experiments holds one driver per table/figure of the paper's
-// evaluation, shared by cmd/experiments and the repository benchmarks.
+// evaluation. A driver returns its Figure; cmd/experiments prints it and
+// BenchmarkPaperFigures records every point for the bench gate.
 package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/params"
-	"cofs/internal/stats"
 )
 
 // gpfsTarget assembles a bare GPFS-like testbed as a bench target.
@@ -18,76 +17,82 @@ func gpfsTarget(seed int64, nodes int, cfg params.Config) (bench.Target, *cluste
 	return bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}, tb
 }
 
+// target assembles a testbed of the named stack: "cofs" over GPFS with
+// the default placement, or bare "gpfs".
+func target(seed int64, stack string, nodes int, cfg params.Config) bench.Target {
+	if stack == "cofs" {
+		t, _, _ := cofsTarget(seed, nodes, cfg, nil)
+		return t
+	}
+	t, _ := gpfsTarget(seed, nodes, cfg)
+	return t
+}
+
+// meanMs runs metarates' op alone in the shared directory and returns
+// its mean virtual latency in milliseconds.
+func meanMs(t bench.Target, nodes, procs, files int, op string) float64 {
+	return bench.Metarates(t, bench.MetaratesConfig{
+		Nodes: nodes, ProcsPerNode: procs, FilesPerProc: files,
+		Dir: "/shared", Ops: []string{op},
+	}).MeanMs(op)
+}
+
 // Fig1 reproduces "Effect of the number of entries in a directory in
 // GPFS": single node, 1 and 2 processes, average metadata operation time
 // versus directory size, bare GPFS.
-func Fig1(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Fig. 1: single-node GPFS metadata latency vs directory size ==")
-	sizes := []int{64, 128, 256, 512, 768, 1024, 1280, 1536, 2048, 2560}
-	ops := bench.DefaultOps
-	series := map[string][2]*stats.Series{}
-	for _, op := range ops {
-		series[op] = [2]*stats.Series{
-			{Label: "1 proc (ms)"},
-			{Label: "2 procs (ms)"},
-		}
+func Fig1(seed int64) Figure {
+	f := Figure{Title: "Fig. 1: single-node GPFS metadata latency vs directory size"}
+	for _, op := range bench.DefaultOps {
+		f.Tables = append(f.Tables, Table{
+			Name: op, Heading: fmt.Sprintf("\n-- avg time per %s --", op),
+			X: "files per dir", Cols: []Col{{Label: "1 proc (ms)"}, {Label: "2 procs (ms)"}},
+		})
 	}
-	for _, procs := range []int{1, 2} {
-		for _, size := range sizes {
+	for _, size := range []int{64, 128, 256, 512, 768, 1024, 1280, 1536, 2048, 2560} {
+		rows := make([]Row, len(f.Tables))
+		for procs := 1; procs <= 2; procs++ {
 			t, _ := gpfsTarget(seed, 1, params.Default())
 			res := bench.Metarates(t, bench.MetaratesConfig{
-				Nodes:        1,
-				ProcsPerNode: procs,
-				FilesPerProc: size / procs,
-				Dir:          "/shared",
+				Nodes: 1, ProcsPerNode: procs, FilesPerProc: size / procs, Dir: "/shared",
 			})
-			for _, op := range ops {
-				series[op][procs-1].Append(float64(size), res.MeanMs(op))
+			for i, op := range bench.DefaultOps {
+				rows[i].X = fmt.Sprint(size)
+				rows[i].Y = append(rows[i].Y, res.MeanMs(op))
 			}
 		}
+		for i := range f.Tables {
+			f.Tables[i].Rows = append(f.Tables[i].Rows, rows[i])
+		}
 	}
-	for _, op := range ops {
-		fmt.Fprintf(w, "\n-- avg time per %s --\n", op)
-		s := series[op]
-		fmt.Fprint(w, stats.Table("files per dir", s[0], s[1]))
-	}
-	fmt.Fprintln(w)
+	return f
 }
 
 // Fig2 reproduces "Parallel metadata behavior of GPFS": 4 and 8 nodes,
 // 1024/4096/16384 files in one shared directory.
-func Fig2(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Fig. 2: parallel GPFS metadata latency (shared directory) ==")
-	ops := bench.DefaultOps
-	totals := []int{1024, 4096, 16384}
+func Fig2(seed int64) Figure {
+	f := Figure{Title: "Fig. 2: parallel GPFS metadata latency (shared directory)"}
 	for _, nodes := range []int{4, 8} {
-		rows := make([]*stats.Series, len(totals))
-		for i, total := range totals {
-			rows[i] = &stats.Series{Label: fmt.Sprintf("%d files (ms)", total)}
-			t, _ := gpfsTarget(seed, nodes, params.Default())
-			res := bench.Metarates(t, bench.MetaratesConfig{
-				Nodes:        nodes,
-				ProcsPerNode: 1,
-				FilesPerProc: total / nodes,
-				Dir:          "/shared",
-			})
-			for opIdx, op := range ops {
-				rows[i].Append(float64(opIdx), res.MeanMs(op))
+		t := Table{
+			Name:    fmt.Sprintf("%d nodes", nodes),
+			Heading: fmt.Sprintf("\n-- %d nodes (rows: create/stat/utime/open) --", nodes),
+			X:       "op",
+		}
+		var res []*bench.MetaratesResult
+		for _, total := range []int{1024, 4096, 16384} {
+			t.Cols = append(t.Cols, Col{Label: fmt.Sprintf("%d files (ms)", total)})
+			gt, _ := gpfsTarget(seed, nodes, params.Default())
+			res = append(res, bench.Metarates(gt, bench.MetaratesConfig{
+				Nodes: nodes, ProcsPerNode: 1, FilesPerProc: total / nodes, Dir: "/shared",
+			}))
+		}
+		for _, op := range bench.DefaultOps {
+			r := Row{X: op}
+			for _, rs := range res {
+				r.Y = append(r.Y, rs.MeanMs(op))
 			}
+			t.Rows = append(t.Rows, r)
 		}
-		fmt.Fprintf(w, "\n-- %d nodes (rows: create/stat/utime/open) --\n", nodes)
-		fmt.Fprintf(w, "%-16s", "op")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%16s", r.Label)
-		}
-		fmt.Fprintln(w)
-		for opIdx, op := range ops {
-			fmt.Fprintf(w, "%-16s", op)
-			for _, r := range rows {
-				fmt.Fprintf(w, "%16.3f", r.Y[opIdx])
-			}
-			fmt.Fprintln(w)
-		}
+		f.Tables = append(f.Tables, t)
 	}
-	fmt.Fprintln(w)
+	return f
 }

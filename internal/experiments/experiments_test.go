@@ -8,21 +8,6 @@ import (
 	"cofs/internal/params"
 )
 
-func TestSweepOpSmoke(t *testing.T) {
-	s := sweepOp(1, "create", []int{2}, []int{32})
-	g, ok := s["gpfs2"]
-	if !ok || len(g.Y) != 1 {
-		t.Fatalf("missing gpfs series: %+v", s)
-	}
-	c := s["cofs2"]
-	if c.Y[0] <= 0 || g.Y[0] <= 0 {
-		t.Fatalf("non-positive latencies: gpfs=%v cofs=%v", g.Y[0], c.Y[0])
-	}
-	if c.Y[0] >= g.Y[0] {
-		t.Fatalf("cofs %.2f not faster than gpfs %.2f", c.Y[0], g.Y[0])
-	}
-}
-
 func TestTargetsIndependent(t *testing.T) {
 	// Two testbeds from the same seed are identical; the helpers must
 	// not share state between calls.

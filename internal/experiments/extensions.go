@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -21,16 +20,19 @@ import (
 // metadata server": a node repeatedly reopening and reading its own
 // small, cache-hot files. That workload is run on GPFS, on the measured
 // COFS prototype, and on COFS with the client attribute/mapping cache.
-func AttrCache(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Extension (paper §IV-B): client attr caching vs the Table I small-file cell ==")
+func AttrCache(seed int64) Figure {
 	g := smallReopenMBps(seed, "gpfs", 0)
 	off := smallReopenMBps(seed, "cofs", 0)
 	on := smallReopenMBps(seed, "cofs", time.Second)
-	fmt.Fprintf(w, "%-34s%26s\n", "configuration", "small-file re-read (MB/s)")
-	fmt.Fprintf(w, "%-34s%26.1f\n", "gpfs (page-pool cached)", g)
-	fmt.Fprintf(w, "%-34s%26.1f\n", "cofs, no attr cache (paper)", off)
-	fmt.Fprintf(w, "%-34s%26.1f\n", "cofs + client attr cache", on)
-	fmt.Fprintf(w, "gap to gpfs: %.1fx -> %.1fx\n\n", g/off, g/on)
+	return Figure{
+		Title: "Extension (paper §IV-B): client attr caching vs the Table I small-file cell",
+		Tables: []Table{{X: "configuration", Cols: []Col{{"small-file re-read (MB/s)", "%.1f"}}, Rows: []Row{
+			{X: "gpfs (page-pool cached)", Y: []float64{g}},
+			{X: "cofs, no attr cache (paper)", Y: []float64{off}},
+			{X: "cofs + client attr cache", Y: []float64{on}},
+		}}},
+		Notes: []string{fmt.Sprintf("gap to gpfs: %.1fx -> %.1fx", g/off, g/on)},
+	}
 }
 
 // smallReopenMBps has each of 4 nodes write 64 files of 256 KiB, then
@@ -45,12 +47,7 @@ func smallReopenMBps(seed int64, stack string, ttl time.Duration) float64 {
 	)
 	cfg := params.Default()
 	cfg.COFS.AttrCacheTimeout = ttl
-	var t bench.Target
-	if stack == "cofs" {
-		t, _, _ = cofsTarget(seed, nodes, cfg, nil)
-	} else {
-		t, _ = gpfsTarget(seed, nodes, cfg)
-	}
+	t := target(seed, stack, nodes, cfg)
 	t.Env.Spawn("mkdir", func(p *sim.Proc) {
 		if err := t.Mounts[0].MkdirAll(p, cluster.Ctx(0, 1), "/small", 0777); err != nil {
 			panic(err)
@@ -104,45 +101,45 @@ func smallReopenMBps(seed int64, stack string, ttl time.Duration) float64 {
 // a node that did not create the files, on GPFS vs COFS. It is run
 // twice back to back: the cold pass is the first time the node sees the
 // directory, the second what every repeat costs.
-func Traversal(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Extension (paper §II motivation): large directory traversal (ls -l), ms/entry ==")
+func Traversal(seed int64) Figure {
 	sizes := []int{512, 2048, 8192}
-	var series []*stats.Series
-	for _, stack := range []string{"gpfs", "cofs", "cofs+cache"} {
-		cold := &stats.Series{Label: stack + " cold"}
-		again := &stats.Series{Label: stack + " 2nd"}
-		for _, size := range sizes {
-			c, a := traversalMs(seed, stack, size)
-			cold.Append(float64(size), c)
-			again.Append(float64(size), a)
-		}
-		series = append(series, cold, again)
+	stacks := []string{"gpfs", "cofs", "cofs+cache"}
+	t := Table{X: "dir entries"}
+	for _, stack := range stacks {
+		t.Cols = append(t.Cols, Col{Label: stack + " cold"}, Col{Label: stack + " 2nd"})
 	}
-	fmt.Fprint(w, stats.Table("dir entries", series...))
-	fmt.Fprintln(w, "(cofs+cache: listings are names-only until a process stats what it just")
-	fmt.Fprintln(w, " listed; the cold pass pays that listing, then one READDIRPLUS from inside")
-	fmt.Fprintln(w, " the first stat prefills the client attribute cache and the sweep is served")
-	fmt.Fprintln(w, " locally; the second pass lists with attributes straight away — section")
-	fmt.Fprintln(w, " IV-B extension, docs/rpc.md)")
-	fmt.Fprintln(w)
+	for _, size := range sizes {
+		r := Row{X: fmt.Sprint(size)}
+		for _, stack := range stacks {
+			c, a := traversalMs(seed, stack, size)
+			r.Y = append(r.Y, c, a)
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	return Figure{
+		Title:  "Extension (paper §II motivation): large directory traversal (ls -l), ms/entry",
+		Tables: []Table{t},
+		Notes: []string{
+			"(cofs+cache: listings are names-only until a process stats what it just",
+			" listed; the cold pass pays that listing, then one READDIRPLUS from inside",
+			" the first stat prefills the client attribute cache and the sweep is served",
+			" locally; the second pass lists with attributes straight away — section",
+			" IV-B extension, docs/rpc.md)",
+		},
+	}
 }
 
 // traversalMs creates size files from node 0, then has node 1 list the
 // directory and stat every entry, twice; returns the mean virtual ms per
 // entry of the cold pass and of the second.
 func traversalMs(seed int64, stack string, size int) (cold, again float64) {
-	var t bench.Target
-	switch stack {
-	case "cofs":
-		t, _, _ = cofsTarget(seed, 2, params.Default(), nil)
-	case "cofs+cache":
-		cfg := params.Default()
+	cfg := params.Default()
+	if stack == "cofs+cache" {
+		stack = "cofs"
 		cfg.COFS.AttrCacheTimeout = cfg.FUSE.EntryTimeout
 		cfg.COFS.AttrCacheEntries = 16384
-		t, _, _ = cofsTarget(seed, 2, cfg, nil)
-	default:
-		t, _ = gpfsTarget(seed, 2, params.Default())
 	}
+	t := target(seed, stack, 2, cfg)
 	t.Env.Spawn("fill", func(p *sim.Proc) {
 		m := t.Mounts[0]
 		ctx := cluster.Ctx(0, 1)
@@ -181,4 +178,26 @@ func traversalMs(seed int64, stack string, size int) (cold, again float64) {
 	})
 	t.Env.MustRun()
 	return float64(perEntry[0]) / 1e6, float64(perEntry[1]) / 1e6
+}
+
+// BatchJobs replays the batch-jobs trace, the paper's second motivating
+// workload (many jobs writing small output files at once), on both
+// stacks and reports the mean job-output write latency.
+func BatchJobs(seed int64) Figure {
+	t := Table{X: "stack", Cols: []Col{{Label: "output write (ms)"}}}
+	for _, stack := range []string{"gpfs", "cofs"} {
+		tr := trace.GenBatchJobs(trace.BatchConfig{
+			Nodes: 4, Jobs: 64, FilesPerJob: 4, BytesPerFile: 4 << 10,
+			Stagger: 20 * time.Millisecond,
+		})
+		res, err := trace.Replay(target(seed, stack, 4, params.Default()), tr, trace.ReplayOptions{Timed: true})
+		if err != nil || res.Errors > 0 {
+			panic(fmt.Sprintf("replay: %v (errors %d, first %v)", err, res.Errors, res.FirstErr))
+		}
+		t.Rows = append(t.Rows, Row{X: stack, Y: []float64{res.PerKind[trace.WriteFile].MeanMs()}})
+	}
+	return Figure{
+		Title:  "Extension (paper §II motivation): batch-jobs trace replay (4 nodes, 64 jobs x 4 files of 4 KiB)",
+		Tables: []Table{t},
+	}
 }

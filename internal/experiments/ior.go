@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"cofs/internal/bench"
 	"cofs/internal/params"
@@ -19,37 +18,41 @@ type table1Case struct {
 // pattern": IOR aggregate rates for GPFS vs COFS across access patterns,
 // file layouts, node counts and aggregate sizes, with the qualitative
 // verdicts the paper tabulates.
-func Table1(w io.Writer, seed int64) {
-	fmt.Fprintln(w, "== Table I: IOR data-transfer rates, GPFS vs COFS over GPFS (MB/s) ==")
+func Table1(seed int64) Figure {
+	f := Figure{
+		Title: "Table I: IOR data-transfer rates, GPFS vs COFS over GPFS (MB/s)",
+		Notes: []string{"\nverdicts: 'comparable' within 15%, otherwise the faster stack and factor."},
+	}
 	cases := []table1Case{
 		{name: "separate files", shared: false, random: false},
 		{name: "separate files (random)", shared: false, random: true},
 		{name: "single shared file", shared: true, random: false},
 		{name: "single shared file (random)", shared: true, random: true},
 	}
-	sizes := []int64{256 << 20, 1 << 30, 4 << 30}
-	nodes := []int{1, 4, 8}
 	for _, tc := range cases {
-		fmt.Fprintf(w, "\n-- %s --\n", tc.name)
-		fmt.Fprintf(w, "%-8s%-10s%12s%12s%12s%12s%14s\n",
-			"nodes", "aggr", "gpfs wr", "cofs wr", "gpfs rd", "cofs rd", "verdict(wr/rd)")
-		for _, n := range nodes {
-			for _, size := range sizes {
-				g := runIOR(seed, n, size, tc, false)
-				c := runIOR(seed, n, size, tc, true)
-				fmt.Fprintf(w, "%-8d%-10s%12.1f%12.1f%12.1f%12.1f%9s/%s\n",
-					n, byteLabel(size),
-					g.WriteMBps, c.WriteMBps, g.ReadMBps, c.ReadMBps,
-					verdict(g.WriteMBps, c.WriteMBps), verdict(g.ReadMBps, c.ReadMBps))
+		t := Table{Name: tc.name, Heading: "\n-- " + tc.name + " --", X: "nodes aggr"}
+		for _, label := range []string{"gpfs wr", "cofs wr", "gpfs rd", "cofs rd"} {
+			t.Cols = append(t.Cols, Col{Label: label, Fmt: "%.1f"})
+		}
+		t.Cols = append(t.Cols, Col{Label: "verdict(wr/rd)"})
+		for _, n := range []int{1, 4, 8} {
+			for _, size := range []int64{256 << 20, 1 << 30, 4 << 30} {
+				g := runIOR(seed, "gpfs", n, size, tc)
+				c := runIOR(seed, "cofs", n, size, tc)
+				t.Rows = append(t.Rows, Row{
+					X:    fmt.Sprintf("%d %s", n, byteLabel(size)),
+					Y:    []float64{g.WriteMBps, c.WriteMBps, g.ReadMBps, c.ReadMBps},
+					Text: []string{verdict(g.WriteMBps, c.WriteMBps) + "/" + verdict(g.ReadMBps, c.ReadMBps)},
+				})
 			}
 		}
+		f.Tables = append(f.Tables, t)
 	}
-	fmt.Fprintln(w, "\nverdicts: 'comparable' within 15%, otherwise the faster stack and factor.")
-	fmt.Fprintln(w)
+	return f
 }
 
-func runIOR(seed int64, nodes int, size int64, tc table1Case, useCOFS bool) *bench.IORResult {
-	cfg := bench.IORConfig{
+func runIOR(seed int64, stack string, nodes int, size int64, tc table1Case) *bench.IORResult {
+	return bench.IOR(target(seed, stack, nodes, params.Default()), bench.IORConfig{
 		Nodes:          nodes,
 		AggregateBytes: size,
 		TransferSize:   1 << 20,
@@ -57,13 +60,7 @@ func runIOR(seed int64, nodes int, size int64, tc table1Case, useCOFS bool) *ben
 		Random:         tc.random,
 		Dir:            "/ior",
 		ReadBack:       true,
-	}
-	if useCOFS {
-		t, _, _ := cofsTarget(seed, nodes, params.Default(), nil)
-		return bench.IOR(t, cfg)
-	}
-	t, _ := gpfsTarget(seed, nodes, params.Default())
-	return bench.IOR(t, cfg)
+	})
 }
 
 func byteLabel(n int64) string {

@@ -189,7 +189,7 @@ type COFSParams struct {
 	// parent directory's inode row under concurrent creates), takes
 	// its row exclusively, serializing same-directory mutations across
 	// their whole validate→commit spans. Comparison and regression
-	// knob (BenchmarkGroupCommitOverlap measures the group-commit
+	// knob (`experiments groupcommit` measures the group-commit
 	// overlap the shared/exclusive split recovers); the zero value
 	// keeps the mode-aware table. Uncontended acquisition charges
 	// nothing in either mode, so uncontended workloads are

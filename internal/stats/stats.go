@@ -125,22 +125,46 @@ func (s *Series) Append(x, y float64) {
 // Table renders a set of series sharing the same X axis as an aligned text
 // table with the given column headers.
 func Table(xHeader string, series ...*Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", xHeader)
+	rows := [][]string{{xHeader}}
 	for _, s := range series {
-		fmt.Fprintf(&b, "%16s", s.Label)
+		rows[0] = append(rows[0], s.Label)
 	}
-	b.WriteByte('\n')
-	if len(series) == 0 {
-		return b.String()
+	if len(series) > 0 {
+		for i, x := range series[0].X {
+			row := []string{fmt.Sprintf("%.4g", x)}
+			for _, s := range series {
+				cell := "-"
+				if i < len(s.Y) {
+					cell = fmt.Sprintf("%.3f", s.Y[i])
+				}
+				row = append(row, cell)
+			}
+			rows = append(rows, row)
+		}
 	}
-	for i := range series[0].X {
-		fmt.Fprintf(&b, "%-16.4g", series[0].X[i])
-		for _, s := range series {
-			if i < len(s.Y) {
-				fmt.Fprintf(&b, "%16.3f", s.Y[i])
+	return Grid(rows)
+}
+
+// Grid renders rows of cells as aligned text columns, the first
+// left-aligned and the rest right-aligned. A column is 16 wide, or one
+// wider than its widest cell, so two cells never touch.
+func Grid(rows [][]string) string {
+	var width []int
+	for _, r := range rows {
+		for i, c := range r {
+			if i == len(width) {
+				width = append(width, 16)
+			}
+			width[i] = max(width[i], len(c)+1)
+		}
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		for i, c := range r {
+			if i == 0 {
+				fmt.Fprintf(&b, "%-*s", width[i], c)
 			} else {
-				fmt.Fprintf(&b, "%16s", "-")
+				fmt.Fprintf(&b, "%*s", width[i], c)
 			}
 		}
 		b.WriteByte('\n')

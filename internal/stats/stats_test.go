@@ -163,6 +163,30 @@ func TestTableRaggedSeries(t *testing.T) {
 	}
 }
 
+// TestTableLongLabelsKeepASpace: a label wider than the default column
+// (here 20 characters, header and x alike) still leaves a space before
+// its neighbour, and the rows stay aligned under it.
+func TestTableLongLabelsKeepASpace(t *testing.T) {
+	a := &Series{Label: "1-node stat (ms) abc"}
+	b := &Series{Label: "4-node stat (ms) xyz"}
+	a.Append(1, 0.5)
+	b.Append(1, 9.25)
+	out := Table("inodes per block abc", a, b)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	want := []string{
+		"inodes per block abc  1-node stat (ms) abc 4-node stat (ms) xyz",
+		"1                                    0.500                9.250",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), out)
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Errorf("line %d:\n got %q\nwant %q", i, lines[i], want[i])
+		}
+	}
+}
+
 func TestMBps(t *testing.T) {
 	got := MBps(100<<20, 2*time.Second)
 	if math.Abs(got-50) > 1e-9 {
