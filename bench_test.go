@@ -53,7 +53,7 @@ func BenchmarkPaperFigures(b *testing.B) {
 // of 256 KiB, read the files the same-numbered stream of the next node
 // wrote (so no read is served from the reader's own page pool) and unlink
 // their own, with a barrier between the phases — on bare GPFS and on COFS
-// in the grown profile (4 shards, 30 s leases, batched RPCs). The records
+// in the grown profile (4 shards, 30 s leases). The records
 // carry the per-kind means and the bytes the block store moved per file:
 // a read that fetches more than the file has shows there first.
 func BenchmarkSmallFileIO(b *testing.B) {
@@ -88,7 +88,6 @@ func BenchmarkSmallFileIO(b *testing.B) {
 				cfg := params.Default()
 				cfg.COFS.MetadataShards = 4
 				cfg.COFS.AttrLease = 30 * time.Second
-				cfg.COFS.RPCBatch = true
 				mt.Start()
 				tb = cluster.New(int64(i+1), nodes, cfg)
 				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}

@@ -27,8 +27,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"cofs/internal/bench"
@@ -142,12 +144,7 @@ func writeBaseline(path string, recs map[string]bench.Record) error {
 // the gated battery.
 func compare(base, cur map[string]bench.Record, wallTol, allocTol, pctTol float64) []string {
 	var problems []string
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(base)) {
 		b := base[name]
 		c, ok := cur[name]
 		if !ok {
@@ -156,19 +153,17 @@ func compare(base, cur map[string]bench.Record, wallTol, allocTol, pctTol float6
 		}
 		problems = append(problems, compareOne(name, b, c, wallTol, allocTol, pctTol)...)
 	}
-	curNames := make([]string, 0, len(cur))
-	for name := range cur {
+	for _, name := range slices.Sorted(maps.Keys(cur)) {
 		if _, ok := base[name]; !ok {
-			curNames = append(curNames, name)
+			problems = append(problems, fmt.Sprintf("%s: produced by the battery but missing from the baseline", name))
 		}
-	}
-	sort.Strings(curNames)
-	for _, name := range curNames {
-		problems = append(problems, fmt.Sprintf("%s: produced by the battery but missing from the baseline", name))
 	}
 	return problems
 }
 
+// compareOne checks one record against its baseline entry. Map-valued
+// metrics are walked in key order, so the problem list is the same on
+// every run.
 func compareOne(name string, b, c bench.Record, wallTol, allocTol, pctTol float64) []string {
 	var problems []string
 	exact := func(metric string, want, got float64) {
@@ -182,21 +177,21 @@ func compareOne(name string, b, c bench.Record, wallTol, allocTol, pctTol float6
 	if b.Shards != c.Shards {
 		problems = append(problems, fmt.Sprintf("%s: shards = %d, baseline %d", name, c.Shards, b.Shards))
 	}
-	for k, want := range b.Extra {
-		exact("extra."+k, want, c.Extra[k])
+	for _, k := range slices.Sorted(maps.Keys(b.Extra)) {
+		exact("extra."+k, b.Extra[k], c.Extra[k])
 	}
-	for k := range c.Extra {
+	for _, k := range slices.Sorted(maps.Keys(c.Extra)) {
 		if _, ok := b.Extra[k]; !ok {
 			problems = append(problems, fmt.Sprintf("%s: extra.%s not in baseline", name, k))
 		}
 	}
-	for k, want := range b.Counters {
-		if got := c.Counters[k]; got != want {
+	for _, k := range slices.Sorted(maps.Keys(b.Counters)) {
+		if want, got := b.Counters[k], c.Counters[k]; got != want {
 			problems = append(problems,
 				fmt.Sprintf("%s: counter %s = %d, baseline %d (deterministic; must match exactly)", name, k, got, want))
 		}
 	}
-	for k := range c.Counters {
+	for _, k := range slices.Sorted(maps.Keys(c.Counters)) {
 		if _, ok := b.Counters[k]; !ok {
 			problems = append(problems, fmt.Sprintf("%s: counter %s not in baseline", name, k))
 		}

@@ -23,7 +23,6 @@ type ToolFlags struct {
 	Shards       int
 	Store        string
 	AttrLease    time.Duration
-	RPCBatch     bool
 	ExclLocks    bool
 	StandbyReads bool
 	Trace        string
@@ -39,7 +38,6 @@ func BindToolFlags(fs *flag.FlagSet) *ToolFlags {
 	fs.IntVar(&f.Shards, "shards", 1, "cofs metadata service shards")
 	fs.StringVar(&f.Store, "store", "", "cofs metadata store backend (default "+store.DefaultName+"; see docs/backends.md)")
 	fs.DurationVar(&f.AttrLease, "attr-lease", 0, "cofs client cache lease term (0 disables the coherent cache)")
-	fs.BoolVar(&f.RPCBatch, "rpc-batch", false, "cofs: coalesce concurrent RPCs to the same shard into one round trip")
 	fs.BoolVar(&f.ExclLocks, "excl-locks", false, "cofs: revert the row-lock table to exclusive-only locks (no shared read-dependency grants)")
 	fs.BoolVar(&f.StandbyReads, "standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
 	fs.StringVar(&f.Trace, "trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
@@ -61,7 +59,6 @@ func (f *ToolFlags) Config() (params.Config, error) {
 	cfg.COFS.MetadataStore = f.Store
 	cfg.COFS.MetadataShards = f.Shards
 	cfg.COFS.AttrLease = f.AttrLease
-	cfg.COFS.RPCBatch = f.RPCBatch
 	cfg.COFS.ExclusiveRowLocks = f.ExclLocks
 	cfg.COFS.StandbyReads = f.StandbyReads
 	cfg.COFS.Trace = f.Trace != "" || f.Slowlog > 0

@@ -459,76 +459,3 @@ func TestLeaseCoherenceUnderConcurrency(t *testing.T) {
 		})
 	}
 }
-
-// TestRPCBatchPreservesSemantics runs a contended multi-proc workload
-// with batching on and off: the final namespace must be identical, and
-// the batched run must move strictly fewer network messages.
-func TestRPCBatchPreservesSemantics(t *testing.T) {
-	type outcome struct {
-		listing  []vfs.DirEntry
-		messages int64
-		batched  int64
-	}
-	run := func(batch bool) outcome {
-		cfg := params.Default()
-		cfg.COFS.RPCBatch = batch
-		tb := cluster.New(77, 2, cfg)
-		d := core.Deploy(tb, nil)
-		step(tb, "setup", func(p *sim.Proc) {
-			if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/w", 0777); err != nil {
-				t.Error(err)
-			}
-		})
-		for node := 0; node < 2; node++ {
-			for pid := 1; pid <= 4; pid++ {
-				node, pid := node, pid
-				tb.Env.Spawn("load", func(p *sim.Proc) {
-					m := d.Mounts[node]
-					ctx := cluster.Ctx(node, pid)
-					for i := 0; i < 32; i++ {
-						name := fmt.Sprintf("/w/f-%d-%d-%d", node, pid, i)
-						f, err := m.Create(p, ctx, name, 0644)
-						if err != nil {
-							t.Errorf("create %s: %v", name, err)
-							return
-						}
-						f.Close(p)
-						if i%4 == 0 {
-							m.Stat(p, ctx, name)
-						}
-					}
-				})
-			}
-		}
-		tb.Run()
-		var listing []vfs.DirEntry
-		step(tb, "list", func(p *sim.Proc) {
-			l, err := d.Mounts[0].Readdir(p, cluster.Ctx(0, 1), "/w")
-			if err != nil {
-				t.Error(err)
-			}
-			listing = l
-		})
-		if err := d.Service.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{listing: listing, messages: tb.Net.Messages, batched: d.Counters().Get("rpc.client.batched-reqs")}
-	}
-	off, on := run(false), run(true)
-	if len(off.listing) != len(on.listing) || len(off.listing) != 2*4*32 {
-		t.Fatalf("listing sizes diverge: off=%d on=%d", len(off.listing), len(on.listing))
-	}
-	// Compare names and types: inode ids may legitimately differ because
-	// batching reorders concurrent arrivals at the allocator.
-	for i := range off.listing {
-		if off.listing[i].Name != on.listing[i].Name || off.listing[i].Type != on.listing[i].Type {
-			t.Fatalf("entry %d diverges: %+v vs %+v", i, off.listing[i], on.listing[i])
-		}
-	}
-	if on.batched == 0 {
-		t.Fatal("batched run formed no batches")
-	}
-	if on.messages >= off.messages {
-		t.Fatalf("batching did not reduce network messages: %d vs %d", on.messages, off.messages)
-	}
-}

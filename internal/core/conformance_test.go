@@ -127,7 +127,6 @@ func TestConformanceMatrix(t *testing.T) {
 						cfg.COFS.StandbyReads = sbr
 						if lease {
 							cfg.COFS.AttrLease = 30 * time.Second
-							cfg.COFS.RPCBatch = true
 						}
 						mode := "nolease"
 						if lease {

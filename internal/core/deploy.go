@@ -101,8 +101,8 @@ func (d *Deployment) Tracer() *obs.Tracer { return d.Service.Tracer() }
 func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
 
 // Counters aggregates the deployment's per-layer observability
-// counters: the RPC transport (client and shard-to-shard channels,
-// batching), the client cache (hits, misses, dentry/negative hits,
+// counters: the RPC transport (client and shard-to-shard channels),
+// the client cache (hits, misses, dentry/negative hits,
 // revocations, attribute-carrying listings and stataheads), the service
 // lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
@@ -114,8 +114,6 @@ func (d *Deployment) Counters() *stats.Counters {
 		ts := fs.Session().TransportStats()
 		c.Add("rpc.client.calls", ts.Calls)
 		c.Add("rpc.client.roundtrips", ts.Wire)
-		c.Add("rpc.client.batches", ts.Batches)
-		c.Add("rpc.client.batched-reqs", ts.Batched)
 		c.Add("rpc.client.lease-recalls", ts.Recalls)
 		cs := fs.CacheStats()
 		c.Add("cache.attr-hits", cs.Hits)
@@ -130,8 +128,6 @@ func (d *Deployment) Counters() *stats.Counters {
 	ps := d.Service.PeerTransportStats()
 	c.Add("rpc.peer.calls", ps.Calls)
 	c.Add("rpc.peer.roundtrips", ps.Wire)
-	c.Add("rpc.peer.batches", ps.Batches)
-	c.Add("rpc.peer.batched-reqs", ps.Batched)
 	sbReads, sbFalls := d.Service.StandbyReadStats()
 	c.Add("mds.standby-reads", sbReads)
 	c.Add("mds.standby-fallbacks", sbFalls)

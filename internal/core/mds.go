@@ -188,7 +188,7 @@ func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MD
 		s.peers = make([]*rpc.Conn, len(c.shards))
 		for j, t := range c.shards {
 			if t != s {
-				s.peers[j] = rpc.Dial(net, s.host, t.host, cfg.COFS.RPCBatch)
+				s.peers[j] = rpc.Dial(net, s.host, t.host, false)
 			}
 		}
 	}

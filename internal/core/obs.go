@@ -101,8 +101,8 @@ func (c *MDSCluster) wireShardObs(i int) {
 }
 
 // wireSessionObs hooks a session's channels into the plane: transport
-// spans on every conn, and the coalescing queue depth of the channel to
-// shard i mirrored into that shard's queue gauge.
+// spans on every conn, and the channel to shard i sampling that shard's
+// worker-queue depth into its queue gauge.
 func (c *MDSCluster) wireSessionObs(sess *Session) {
 	o := c.obs
 	if o == nil {

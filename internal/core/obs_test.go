@@ -241,6 +241,46 @@ func TestMetricsSkewDetection(t *testing.T) {
 	}
 }
 
+// TestQueueGaugeSamplesWorkerQueue: a shard's queue gauge reads the
+// requests waiting for one of its workers as each request arrives. A
+// one-shard stat storm from more concurrent callers than the shard has
+// workers finds requests waiting; a lone caller never does.
+func TestQueueGaugeSamplesWorkerQueue(t *testing.T) {
+	high := func(callers int) int64 {
+		cfg := params.Default()
+		cfg.COFS.Metrics = true
+		tb := cluster.New(41, 4, cfg)
+		d := core.Deploy(tb, nil)
+		tb.Env.Spawn("setup", func(p *sim.Proc) {
+			f, err := d.Mounts[0].Create(p, cluster.Ctx(0, 1), "/f", 0644)
+			if err != nil {
+				panic(err)
+			}
+			f.Close(p)
+		})
+		tb.Run()
+		for i := 0; i < callers; i++ {
+			node := i % len(d.Mounts)
+			tb.Env.Spawn("stat", func(p *sim.Proc) {
+				for j := 0; j < 20; j++ {
+					if _, err := d.Mounts[node].Stat(p, cluster.Ctx(node, i+1), "/f"); err != nil {
+						panic(err)
+					}
+				}
+			})
+		}
+		tb.Run()
+		return d.Metrics().QueueGauge(0).High()
+	}
+	storm := 4 * params.Default().COFS.ServiceWorkers
+	if h := high(storm); h == 0 {
+		t.Errorf("%d concurrent callers: queue gauge high 0, want > 0", storm)
+	}
+	if h := high(1); h != 0 {
+		t.Errorf("lone caller: queue gauge high %d, want 0", h)
+	}
+}
+
 // TestCountersCumulativeAcrossPromote pins the failover counter
 // contract (stats.Counters.Merge consumed by Deployment.Counters):
 // service-plane totals must not reset when a standby is promoted.

@@ -31,9 +31,8 @@ func TestCOFSMemFSOracleDeepProperty(t *testing.T) {
 }
 
 // TestCOFSOracleWithLeaseCache repeats the deep oracle property with
-// the coherent lease cache enabled (and once with RPC batching too):
-// lease-served hits and recalls must never change what a client
-// observes, at 1 and 2 shards.
+// the coherent lease cache enabled: lease-served hits and recalls must
+// never change what a client observes, at 1 and 2 shards.
 func TestCOFSOracleWithLeaseCache(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		shards := shards
@@ -43,12 +42,6 @@ func TestCOFSOracleWithLeaseCache(t *testing.T) {
 			})
 		})
 	}
-	t.Run("1shards-batch", func(t *testing.T) {
-		testOracleDeep(t, 1, func(cfg *params.Config) {
-			cfg.COFS.AttrLease = 30 * time.Second
-			cfg.COFS.RPCBatch = true
-		})
-	})
 }
 
 func testOracleDeep(t *testing.T, shards int, tweak func(*params.Config)) {

@@ -98,7 +98,7 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 		for _, sess := range d.Service.sessions {
 			for _, s := range sc.shards {
 				sess.sbconns = append(sess.sbconns,
-					rpc.Dial(s.net, sess.host, s.host, tb.Cfg.COFS.RPCBatch))
+					rpc.Dial(s.net, sess.host, s.host, false))
 			}
 			// Re-wire so the fresh standby channels trace like the rest.
 			d.Service.wireSessionObs(sess)
@@ -129,7 +129,7 @@ func (sb *Standby) grow(primary *MDSCluster) {
 			}
 			for i := old; i < len(sc.shards); i++ {
 				sess.sbconns = append(sess.sbconns,
-					rpc.Dial(sc.net, sess.host, sc.shards[i].host, sc.cfg.RPCBatch))
+					rpc.Dial(sc.net, sess.host, sc.shards[i].host, false))
 			}
 			primary.wireSessionObs(sess)
 		}

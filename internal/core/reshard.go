@@ -238,13 +238,13 @@ func (c *MDSCluster) growTo(n int) {
 		}
 		for j, t := range c.shards {
 			if t != s && s.peers[j] == nil {
-				s.peers[j] = rpc.Dial(c.net, s.host, t.host, c.cfg.RPCBatch)
+				s.peers[j] = rpc.Dial(c.net, s.host, t.host, false)
 			}
 		}
 	}
 	for _, sess := range c.sessions {
 		for i := len(sess.conns); i < len(c.shards); i++ {
-			sess.conns = append(sess.conns, rpc.Dial(c.net, sess.host, c.shards[i].host, c.cfg.RPCBatch))
+			sess.conns = append(sess.conns, rpc.Dial(c.net, sess.host, c.shards[i].host, false))
 		}
 	}
 	if c.obs != nil {

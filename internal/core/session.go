@@ -35,18 +35,18 @@ type Session struct {
 	prior rpc.ConnStats
 }
 
-// Connect attaches a client to the plane: one channel per shard,
-// batching per the plane's RPCBatch knob. The cache is the client's
-// attribute/dentry cache; shards install lease-granted entries into it
-// and recall them on conflicting mutations.
+// Connect attaches a client to the plane: one channel per shard. The
+// cache is the client's attribute/dentry cache; shards install
+// lease-granted entries into it and recall them on conflicting
+// mutations.
 func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache) *Session {
 	sess := &Session{node: node, host: host, cache: cache, view: c.Maps.Current()}
 	for _, s := range c.shards {
-		sess.conns = append(sess.conns, rpc.Dial(s.net, host, s.host, c.cfg.RPCBatch))
+		sess.conns = append(sess.conns, rpc.Dial(s.net, host, s.host, false))
 	}
 	if sb := c.readStandby(); sb != nil {
 		for _, s := range sb.Cluster.shards {
-			sess.sbconns = append(sess.sbconns, rpc.Dial(s.net, host, s.host, c.cfg.RPCBatch))
+			sess.sbconns = append(sess.sbconns, rpc.Dial(s.net, host, s.host, false))
 		}
 	}
 	c.sessions = append(c.sessions, sess)

@@ -218,33 +218,26 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 	return sum, c
 }
 
-// AblationClientCache sweeps the client-side knobs of the IV-B
-// extension on the stat/utime storm: the TTL-only cache, the coherent
-// lease cache, and RPC batching, alone and combined, at 1 and 4
-// metadata shards. The lease rows must beat the baseline on stat while
-// staying coherent (the conformance battery pins correctness; this
-// table pins the win).
+// AblationClientCache sweeps the client-side caches of the IV-B
+// extension on the stat/utime storm: none, the TTL-only cache and the
+// coherent lease cache, at 1 and 4 metadata shards. The lease rows must
+// beat the baseline on stat while staying coherent (the conformance
+// battery pins correctness; this table pins the win).
 func AblationClientCache(seed int64) Figure {
 	type row struct {
 		name  string
 		tweak func(*params.Config)
 	}
 	rows := []row{
-		{"paper (no cache, no batching)", func(c *params.Config) {}},
-		{"rpc batching only", func(c *params.Config) { c.COFS.RPCBatch = true }},
+		{"paper (no cache)", func(c *params.Config) {}},
 		{"ttl cache 1s (incoherent)", func(c *params.Config) { c.COFS.AttrCacheTimeout = time.Second }},
 		{"lease cache 30s (coherent)", func(c *params.Config) { c.COFS.AttrLease = 30 * time.Second }},
-		{"lease + batching", func(c *params.Config) {
-			c.COFS.AttrLease = 30 * time.Second
-			c.COFS.RPCBatch = true
-		}},
 	}
 	f := Figure{
 		Title: "Ablation: client cache & RPC transport (4 nodes, ls -l storm over 256 shared files)",
 		Notes: []string{
 			"(leases trade a few round trips and recalls for coherence the TTL cache",
-			" cannot give; batching trades per-op latency at low load for fewer wire",
-			" messages — its win is message-count and overhead at high fan-in.)",
+			" cannot give.)",
 		},
 	}
 	for _, shards := range []int{1, 4} {

@@ -238,7 +238,7 @@ func TestFlushSyncCostsMore(t *testing.T) {
 func TestClientCacheLeasesCutStatTime(t *testing.T) {
 	p := figure(t, "clientcache")
 	for _, shards := range []string{"1 shards/", "4 shards/"} {
-		base, lease := at(t, p, shards+"stat (ms)@paper (no cache, no batching)"), at(t, p, shards+"stat (ms)@lease cache 30s (coherent)")
+		base, lease := at(t, p, shards+"stat (ms)@paper (no cache)"), at(t, p, shards+"stat (ms)@lease cache 30s (coherent)")
 		if lease >= base {
 			t.Errorf("%s lease stat %.3f ms not below baseline %.3f", shards, lease, base)
 		}

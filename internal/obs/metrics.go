@@ -187,7 +187,8 @@ const (
 type Metrics struct {
 	hists map[HKey]*Histogram
 	order []HKey
-	// queues[i] tracks shard i's RPC batch queue depth; lock tracks
+	// queues[i] tracks shard i's worker-queue depth (requests waiting
+	// for a worker, sampled as each request arrives); lock tracks
 	// row-lock table occupancy (live locked rows).
 	queues []*Gauge
 	lock   Gauge

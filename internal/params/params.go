@@ -210,11 +210,8 @@ type COFSParams struct {
 	// checkpoint+journal store. Unknown names fail deployment fast with
 	// the registered list.
 	MetadataStore string
-	// RPCBatch enables request batching on the client→shard (and
-	// shard→shard) RPC channels: concurrent requests to the same shard
-	// coalesce into one wire round trip while the previous one is in
-	// flight. Off by default — the paper's prototype issues one RPC per
-	// operation.
+	// RPCBatch has no effect; it goes once the repository benchmark
+	// stops setting it.
 	RPCBatch bool
 	// StandbyReads routes read operations (Lookup/Getattr/Readdir/
 	// ReaddirPlus) to a deployed hot standby's shards when the shard's
@@ -299,7 +296,6 @@ func Default() Config {
 			AttrCacheEntries: 4096,
 			AttrLease:        0, // coherent lease cache off (paper prototype)
 			ReshardBatchRows: 64,
-			RPCBatch:         false, // one RPC per op (paper prototype)
 		},
 	}
 }

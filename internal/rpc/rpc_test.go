@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"math"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -48,52 +50,47 @@ func TestUnbatchedCallMatchesNetsimCall(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces drives many concurrent callers through one
-// batched Conn: every request must be answered exactly once, and the
-// wire round trips must be strictly fewer than the requests.
-func TestBatchingCoalesces(t *testing.T) {
-	env, net, client, server := testNet(2)
-	c := Dial(net, client, server, true)
-	const callers = 16
-	done := make([]bool, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		env.Spawn("caller", func(p *sim.Proc) {
-			for j := 0; j < 8; j++ {
-				ran := false
-				c.Call(p, Request{Op: OpCreate, ReqBytes: 128, CPU: 50 * time.Microsecond,
-					Run: func(p *sim.Proc) { ran = true }, RespFixed: 64})
-				if !ran {
-					t.Errorf("caller %d call %d: body never ran", i, j)
-					return
-				}
-			}
-			done[i] = true
-		})
-	}
-	env.MustRun()
-	for i, d := range done {
-		if !d {
-			t.Fatalf("caller %d never finished", i)
+// TestConcurrentCallsOverlap: two calls issued at the same instant on
+// one Conn to a 4-worker server both finish at the single-call latency.
+// The NICs are unbounded so the calls share nothing but the server's
+// workers, of which there are enough; neither waits out the other's
+// round trip.
+func TestConcurrentCallsOverlap(t *testing.T) {
+	req := Request{Op: OpGetattr, ReqBytes: 96, CPU: 200 * time.Microsecond,
+		Run: func(p *sim.Proc) {}, RespFixed: 192}
+	run := func(callers int) []time.Duration {
+		env := sim.NewEnv(2)
+		np := params.Default().Network
+		np.EdgeBandwidth, np.UplinkBandwidth = math.Inf(1), math.Inf(1)
+		net := netsim.New(env, np)
+		c := Dial(net, net.AddHost("client", 2, 0), net.AddHost("server", 4, 0), false)
+		done := make([]time.Duration, callers)
+		for i := range done {
+			env.Spawn("caller", func(p *sim.Proc) {
+				c.Call(p, req)
+				done[i] = p.Now()
+			})
 		}
+		env.MustRun()
+		if c.Stats.Calls != int64(callers) || c.Stats.Wire != int64(callers) {
+			t.Fatalf("%d callers: %+v, want one round trip per call", callers, c.Stats)
+		}
+		return done
 	}
-	if c.Stats.Calls != callers*8 {
-		t.Fatalf("calls=%d, want %d", c.Stats.Calls, callers*8)
-	}
-	if c.Stats.Wire >= c.Stats.Calls {
-		t.Fatalf("no coalescing: %d round trips for %d calls", c.Stats.Wire, c.Stats.Calls)
-	}
-	if c.Stats.Batches == 0 || c.Stats.Batched == 0 {
-		t.Fatalf("no batches formed: %+v", c.Stats)
+	single := run(1)[0]
+	for i, d := range run(2) {
+		if d != single {
+			t.Errorf("call %d finished at %v, a lone call at %v", i, d, single)
+		}
 	}
 }
 
-// TestBatchingDeterministic repeats a concurrent batched run and
-// requires identical virtual completion times.
-func TestBatchingDeterministic(t *testing.T) {
+// TestConcurrentCallsDeterministic repeats a run of concurrent callers
+// on one Conn and requires identical virtual completion times.
+func TestConcurrentCallsDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		env, net, client, server := testNet(7)
-		c := Dial(net, client, server, true)
+		c := Dial(net, client, server, false)
 		for i := 0; i < 8; i++ {
 			env.Spawn("caller", func(p *sim.Proc) {
 				for j := 0; j < 4; j++ {
@@ -106,33 +103,38 @@ func TestBatchingDeterministic(t *testing.T) {
 		return env.Now()
 	}
 	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic batching: %v vs %v", a, b)
+		t.Fatalf("nondeterministic concurrent calls: %v vs %v", a, b)
 	}
 }
 
-// TestBatchRespectsMaxBatch floods the conn far past MaxBatch and
-// checks no single round trip exceeded the cap (every call still
-// completes).
-func TestBatchRespectsMaxBatch(t *testing.T) {
+// TestCallAllocsNothing pins the one-exchange path: a call whose body
+// captures a local allocates nothing, because no request outlives its
+// caller's stack.
+func TestCallAllocsNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates")
+			}
+		}
+	}
 	env, net, client, server := testNet(3)
-	c := Dial(net, client, server, true)
-	const callers = MaxBatch * 2
-	completed := 0
-	for i := 0; i < callers; i++ {
-		env.Spawn("caller", func(p *sim.Proc) {
-			c.Call(p, Request{ReqBytes: 64, CPU: 20 * time.Microsecond,
-				Run: func(p *sim.Proc) {}, RespFixed: 32})
-			completed++
-		})
-	}
+	c := Dial(net, client, server, false)
+	env.Spawn("t", func(p *sim.Proc) {
+		served := 0
+		call := func() {
+			c.Call(p, Request{Op: OpGetattr, ReqBytes: 96, CPU: 10 * time.Microsecond,
+				Run: func(p *sim.Proc) { served++ }, RespFixed: 192})
+		}
+		call()
+		if n := testing.AllocsPerRun(1000, call); n != 0 {
+			t.Errorf("Call allocates %v, want 0", n)
+		}
+		if served != 1002 {
+			t.Errorf("served %d calls, want 1002", served)
+		}
+	})
 	env.MustRun()
-	if completed != callers {
-		t.Fatalf("completed %d of %d calls", completed, callers)
-	}
-	// Wire trips must be at least ceil(callers / MaxBatch).
-	if min := int64(callers / MaxBatch); c.Stats.Wire < min {
-		t.Fatalf("wire=%d below the MaxBatch floor %d", c.Stats.Wire, min)
-	}
 }
 
 // TestDynamicResponseSize checks RespBytes is evaluated after Run (the
