@@ -19,13 +19,6 @@ type Deployment struct {
 	Service *MDSCluster
 	FSs     []*FS
 	Mounts  []*vfs.Mount
-	// retired accumulates the service-plane counters of metadata planes
-	// this deployment demoted at failover (Standby.Promote). Counters()
-	// merges it so the per-layer report stays cumulative across a
-	// promotion — the Counters-level sibling of MDSCluster.priorPeer and
-	// Session.prior, which keep the transport figures cumulative. Nil
-	// until the first promotion.
-	retired *stats.Counters
 }
 
 // Deploy installs COFS on the testbed with the given placement policy
@@ -41,25 +34,12 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 			RandomSubdirs: cfg.COFS.RandomSubdirs,
 		}
 	}
-	shards := cfg.COFS.MetadataShards
-	if shards < 1 {
-		shards = 1
-	}
-	hosts := tb.AddServiceHosts("cofs-mds", shards, cfg.COFS.ServiceWorkers)
-	svc := NewMDSCluster(tb.Net, hosts, cfg)
-	if cfg.COFS.Trace || cfg.COFS.Metrics {
-		// Attached before the install traffic below so traces are
-		// complete from the first operation.
-		var tr *obs.Tracer
-		var m *obs.Metrics
-		if cfg.COFS.Trace {
-			tr = obs.NewTracer()
-		}
-		if cfg.COFS.Metrics {
-			m = obs.NewMetrics()
-		}
-		svc.EnableObs(tr, m)
-	}
+	// One observation scope for the whole deployment, handed to the
+	// plane at construction so traces are complete from the first
+	// operation and every later plane (standbys, and the one Promote
+	// installs) reports into the same tracer, registry and counters.
+	svc := newMDSCluster(tb, "cofs-mds", max(cfg.COFS.MetadataShards, 1), newScope(cfg.COFS))
+	svc.obs.planes = append(svc.obs.planes, svc)
 	d := &Deployment{Service: svc}
 	// Install-time initialization: pre-create the hash (and random)
 	// levels of the object tree from one node, so runtime creates land
@@ -92,13 +72,13 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 
 // Tracer returns the deployment's span tracer, nil unless
 // COFSParams.Trace enabled it at deploy time.
-func (d *Deployment) Tracer() *obs.Tracer { return d.Service.Tracer() }
+func (d *Deployment) Tracer() *obs.Tracer { return d.Service.obs.tr }
 
 // Metrics returns the deployment's metrics registry — per-(op, shard)
 // latency histograms, queue/lock gauges and the per-shard sliding
 // request/row-move windows (the skew feed) — nil unless
 // COFSParams.Metrics enabled it at deploy time.
-func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
+func (d *Deployment) Metrics() *obs.Metrics { return d.Service.obs.m }
 
 // Counters aggregates the deployment's per-layer observability
 // counters: the RPC transport (client and shard-to-shard channels),
@@ -107,14 +87,18 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.Metrics() }
 // lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
 // spent waiting), and the simulation kernel's own work (sim.Env.Stats).
-// Tools print it; tests assert against it.
+// Tools print it; tests assert against it. Every figure is cumulative
+// over the whole run: the transport sums every channel the deployment
+// ever dialed and the service figures every plane that ever served, so
+// a retirement or a failover never moves a counter backwards.
 func (d *Deployment) Counters() *stats.Counters {
 	c := stats.NewCounters()
+	o := d.Service.obs
+	ts := transport(o.client)
+	c.Add("rpc.client.calls", ts.Calls)
+	c.Add("rpc.client.roundtrips", ts.Wire)
+	c.Add("rpc.client.lease-recalls", ts.Recalls)
 	for _, fs := range d.FSs {
-		ts := fs.Session().TransportStats()
-		c.Add("rpc.client.calls", ts.Calls)
-		c.Add("rpc.client.roundtrips", ts.Wire)
-		c.Add("rpc.client.lease-recalls", ts.Recalls)
 		cs := fs.CacheStats()
 		c.Add("cache.attr-hits", cs.Hits)
 		c.Add("cache.attr-misses", cs.Misses)
@@ -125,14 +109,12 @@ func (d *Deployment) Counters() *stats.Counters {
 		c.Add("cache.plus-listings", fs.Stats.PlusListings)
 		c.Add("cache.stataheads", fs.Stats.Stataheads)
 	}
-	ps := d.Service.PeerTransportStats()
+	ps := transport(o.peer)
 	c.Add("rpc.peer.calls", ps.Calls)
 	c.Add("rpc.peer.roundtrips", ps.Wire)
-	sbReads, sbFalls := d.Service.StandbyReadStats()
-	c.Add("mds.standby-reads", sbReads)
-	c.Add("mds.standby-fallbacks", sbFalls)
-	c.Merge(serviceCounters(d.Service))
-	c.Merge(d.retired)
+	for _, svc := range o.planes {
+		planeCounters(c, svc)
+	}
 	// The kernel underneath it all: what the run cost the simulator.
 	ks := d.Service.net.Env().Stats()
 	c.Add("sim.events", ks.Events)
@@ -142,15 +124,19 @@ func (d *Deployment) Counters() *stats.Counters {
 	return c
 }
 
-// serviceCounters collects the counters that live on the MDSCluster
-// itself — request/lease totals, row-lock figures, reshard accounting,
-// the shard stores' view and transaction-mutex figures.
-// Unlike the transport stats (Session.prior, MDSCluster.priorPeer/
-// priorStandbyReads) these have no built-in carry-over across a
-// failover, so Standby.Promote snapshots the demoted plane's set into
-// Deployment.retired and Counters merges both.
-func serviceCounters(svc *MDSCluster) *stats.Counters {
-	c := stats.NewCounters()
+// planeCounters adds the counters that live on one metadata plane into
+// c — its standbys' read offload, request/lease totals, row-lock
+// figures, reshard accounting, the shard stores' view and
+// transaction-mutex figures. Counters calls it for every plane that
+// served; a standby plane's own counts join when Promote records it.
+func planeCounters(c *stats.Counters, svc *MDSCluster) {
+	var sbReads, sbFalls int64
+	for _, sb := range svc.standbys {
+		sbReads += sb.Reads
+		sbFalls += sb.Fallbacks
+	}
+	c.Add("mds.standby-reads", sbReads)
+	c.Add("mds.standby-fallbacks", sbFalls)
 	ss := svc.Stats()
 	c.Add("mds.requests", ss.Requests)
 	c.Add("mds.lease-revocations", ss.Revocations)
@@ -176,11 +162,10 @@ func serviceCounters(svc *MDSCluster) *stats.Counters {
 	// froze.
 	var views int64
 	var txWait time.Duration
-	for _, s := range svc.Shards() {
+	for _, s := range svc.built {
 		views += s.DB.Views
 		txWait += s.DB.TxWait()
 	}
 	c.Add("mdb.views", views)
 	c.Add("mdb.tx_wait_ms", int64(txWait/time.Millisecond))
-	return c
 }

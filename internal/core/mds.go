@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"cofs/internal/cluster"
 	"cofs/internal/lock"
 	"cofs/internal/netsim"
 	"cofs/internal/params"
@@ -99,6 +100,9 @@ type MDSCluster struct {
 	full   params.Config
 	net    *netsim.Net
 	shards []*Service
+	// built is every shard the plane ever ran, retired ones included: the
+	// service counters sum over it, so a shrink takes no counts with it.
+	built []*Service
 	// lockShards freezes the deploy-time shard count for the canonical
 	// row-lock order (lock.RowKey.Shard): the ordering component must
 	// name the same shard for the same row at every epoch, or two
@@ -135,10 +139,6 @@ type MDSCluster struct {
 	// nothing (the simulation is cooperative: there is no yield between
 	// reading and setting it).
 	resharding bool
-	// priorPeer carries the peer-channel counters of a plane this one
-	// replaced at failover, keeping the per-layer report cumulative
-	// like the client-side counters.
-	priorPeer rpc.ConnStats
 	// hostPrefix names hosts growTo provisions, matching the
 	// AddServiceHosts convention of the plane's deploy ("cofs-mds" for
 	// primaries, "cofs-mds-standby" for standby planes).
@@ -147,52 +147,55 @@ type MDSCluster struct {
 	// (replication.go): a reshard grows and retires them in lockstep so
 	// the standby shape always tracks the current epoch.
 	standbys []*Standby
-	// priorStandbyReads/-Fallbacks carry the standby read counters of a
-	// plane this one replaced at Promote, like priorPeer above.
-	priorStandbyReads     int64
-	priorStandbyFallbacks int64
 	// onReshardStep/reshardSeq drive the crash-injection step hook
 	// (OnReshardStep); recovering suppresses it while recoverReshard
 	// replays an interrupted migration.
 	onReshardStep func(seq int, at ReshardPoint) bool
 	reshardSeq    int
 	recovering    bool
-	// obs is the optional tracing/metrics plane (obs.go). Nil by
-	// default; every hook nil-checks it, so a plane that never enables
-	// observability pays nothing.
-	obs *obsPlane
+	// obs is the deployment's observation scope (obs.go), shared by
+	// every plane of the deployment and wired into each shard, channel
+	// and lock table as it is built.
+	obs *scope
 }
 
-// NewMDSCluster creates one metadata shard per host. The hosts must be
-// on the deployment's network; each shard gets a freshly attached local
-// disk named after its host, plus an RPC channel to every peer shard
-// for the two-phase protocol traffic.
-func NewMDSCluster(net *netsim.Net, hosts []*netsim.Host, cfg params.Config) *MDSCluster {
+// newMDSCluster builds a metadata plane of n shards on new service hosts
+// named prefix, prefix1, ... (standby planes use their own prefix),
+// reporting into the deployment scope o. Each shard gets a freshly
+// attached local disk named after its host, plus an RPC channel to every
+// peer shard for the two-phase protocol traffic.
+func newMDSCluster(tb *cluster.Testbed, prefix string, n int, o *scope) *MDSCluster {
+	cfg := tb.Cfg
 	c := &MDSCluster{
-		Maps:       reshard.NewCoordinator(len(hosts)),
+		Maps:       reshard.NewCoordinator(n),
 		cfg:        cfg.COFS,
 		full:       cfg,
-		net:        net,
-		lockShards: len(hosts),
-		rowLocks:   lock.NewRowLocks(net.Env()),
-		hostPrefix: "cofs-mds",
+		net:        tb.Net,
+		lockShards: max(n, 1),
+		rowLocks:   o.rowLocks(tb.Env, cfg.COFS.ExclusiveRowLocks),
+		hostPrefix: prefix,
+		obs:        o,
 	}
-	if c.lockShards < 1 {
-		c.lockShards = 1
+	for i, h := range tb.AddServiceHosts(prefix, n, cfg.COFS.ServiceWorkers) {
+		c.shards = append(c.shards, newShard(tb.Net, h, cfg, c, i))
 	}
-	c.rowLocks.ExclusiveOnly = cfg.COFS.ExclusiveRowLocks
-	for i, h := range hosts {
-		c.shards = append(c.shards, newShard(net, h, cfg, c, i))
-	}
+	c.meshPeers()
+	return c
+}
+
+// meshPeers completes the shard-to-shard channel mesh: every shard gets
+// a channel to each other shard it has none to yet.
+func (c *MDSCluster) meshPeers() {
 	for _, s := range c.shards {
-		s.peers = make([]*rpc.Conn, len(c.shards))
+		for len(s.peers) < len(c.shards) {
+			s.peers = append(s.peers, nil)
+		}
 		for j, t := range c.shards {
-			if t != s {
-				s.peers[j] = rpc.Dial(net, s.host, t.host, false)
+			if t != s && s.peers[j] == nil {
+				s.peers[j] = c.obs.dial(s.host, t, peerChan)
 			}
 		}
 	}
-	return c
 }
 
 // Shards returns the shard services in shard-id order (tooling/tests).
@@ -236,18 +239,6 @@ func (c *MDSCluster) readStandby() *Standby {
 		}
 	}
 	return nil
-}
-
-// StandbyReadStats sums the standby-served read and fallback counters
-// across the plane's standbys, including planes this one replaced at
-// Promote.
-func (c *MDSCluster) StandbyReadStats() (reads, fallbacks int64) {
-	reads, fallbacks = c.priorStandbyReads, c.priorStandbyFallbacks
-	for _, sb := range c.standbys {
-		reads += sb.Reads
-		fallbacks += sb.Fallbacks
-	}
-	return reads, fallbacks
 }
 
 // StoreName reports which store backend the plane's shards deploy
@@ -507,10 +498,11 @@ func (c *MDSCluster) AdoptIDCounter() {
 	}
 }
 
-// Stats aggregates the per-shard service counters.
+// Stats aggregates the per-shard service counters of every shard the
+// plane ever ran, retired ones included.
 func (c *MDSCluster) Stats() ServiceStats {
 	var out ServiceStats
-	for _, s := range c.shards {
+	for _, s := range c.built {
 		out.Requests += s.Stats.Requests
 		out.Creates += s.Stats.Creates
 		out.Lookups += s.Stats.Lookups
@@ -528,24 +520,6 @@ func (c *MDSCluster) Stats() ServiceStats {
 // had to wait, and the virtual time spent waiting (all zero on an
 // unsharded plane).
 func (c *MDSCluster) LockStats() lock.RowLockStats { return c.rowLocks.Stats }
-
-// PeerTransportStats aggregates the shard-to-shard channel counters of
-// the two-phase protocol across the plane, including the migration
-// channels of any reshard.
-func (c *MDSCluster) PeerTransportStats() rpc.ConnStats {
-	out := c.priorPeer
-	for _, s := range c.shards {
-		for _, pc := range s.peers {
-			if pc != nil {
-				out.Add(pc.Stats)
-			}
-		}
-	}
-	for _, rc := range c.reshardConns {
-		out.Add(rc.Stats)
-	}
-	return out
-}
 
 // WALLen reports the plane's owned log length (cofsctl): each shard's
 // WAL net of migration bookkeeping, so a handed-off record counts

@@ -4,15 +4,21 @@ import (
 	"time"
 
 	"cofs/internal/lock"
+	"cofs/internal/netsim"
 	"cofs/internal/obs"
+	"cofs/internal/params"
+	"cofs/internal/rpc"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
 
 // This file wires the observability plane (internal/obs) through the
-// metadata plane. The plane is nil by default and every hook below
-// starts with a nil check, so a deployment that never enables it pays
-// nothing — no allocations, no virtual time, bit-identical costs
+// metadata plane. Deploy builds one scope per deployment and hands it to
+// every plane at construction; shards, channels and lock tables are
+// wired as they are built, so a layer cannot exist unwired. The tracer
+// and registry are nil by default and every hook below nil-checks them,
+// so a deployment that never enables them pays nothing — no
+// allocations, no virtual time, bit-identical costs
 // (docs/observability.md, "Zero cost when off").
 //
 // Span taxonomy rooted here:
@@ -28,115 +34,91 @@ import (
 //
 // The transport (rpc.send/queue/serve/recv) and WAL
 // (wal.commit/flush/sync) child spans are recorded by their own layers
-// once the Conn.Trace / DB.SetTrace hooks below are set.
+// through the Conn.Trace and DB.SetTrace hooks set at birth.
 
-// obsPlane bundles the optional tracer and metrics registry one
-// MDSCluster reports into. Either half may be nil (trace-only or
-// metrics-only runs).
-type obsPlane struct {
+// scope is the observation scope of one deployment: the optional tracer
+// and metrics registry (either may be nil: trace-only, metrics-only or
+// obs-off runs), plus the lists the cumulative per-layer counters sum
+// over. Every channel is entered in its role's list when dial creates
+// it, and every plane that served is recorded by Deploy and Promote;
+// Deployment.Counters sums over both, so a retired channel, shard or
+// plane stays counted where it was entered.
+type scope struct {
 	tr *obs.Tracer
 	m  *obs.Metrics
+	// client holds every session channel (to primary and standby
+	// shards), peer every shard-to-shard and migration channel: the
+	// rpc.client.* and rpc.peer.* counters.
+	client, peer []*rpc.Conn
+	// planes are the metadata planes that served, in order: the
+	// deployed primary, then each promoted standby.
+	planes []*MDSCluster
 }
 
-// EnableObs attaches an observability plane to the cluster and wires
-// every existing shard, session and migration channel into it. Shards
-// and sessions created later (growTo, Connect) are wired at creation.
-// Call with at least one non-nil argument; before any client traffic
-// for complete traces.
-func (c *MDSCluster) EnableObs(tr *obs.Tracer, m *obs.Metrics) {
-	if tr == nil && m == nil {
-		return
+// newScope builds a deployment's scope as COFSParams.Trace/Metrics ask.
+func newScope(cfg params.COFSParams) *scope {
+	o := &scope{}
+	if cfg.Trace {
+		o.tr = obs.NewTracer()
 	}
-	c.obs = &obsPlane{tr: tr, m: m}
-	if m != nil {
-		m.GrowShards(len(c.shards))
+	if cfg.Metrics {
+		o.m = obs.NewMetrics()
 	}
-	for i := range c.shards {
-		c.wireShardObs(i)
-	}
-	for _, sess := range c.sessions {
-		c.wireSessionObs(sess)
-	}
-	for _, conn := range c.reshardConns {
-		conn.Trace = tr
-	}
-	c.wireLockObs()
+	return o
 }
 
-// Tracer returns the cluster's tracer, nil when tracing is off.
-func (c *MDSCluster) Tracer() *obs.Tracer {
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.tr
-}
+// chanRole is what a channel carries, which decides how dial wires it.
+type chanRole uint8
 
-// Metrics returns the cluster's metrics registry, nil when metrics are
-// off.
-func (c *MDSCluster) Metrics() *obs.Metrics {
-	if c.obs == nil {
-		return nil
-	}
-	return c.obs.m
-}
+const (
+	// sessionChan is a session's channel to a primary shard: a client
+	// channel sampling the shard's worker-queue gauge.
+	sessionChan chanRole = iota
+	// standbyChan is a session's channel to a standby shard.
+	standbyChan
+	// peerChan is a shard-to-shard or coordinator-to-shard channel.
+	peerChan
+)
 
-// wireShardObs hooks shard i's own event sources into the plane: its
-// database (WAL spans, stamped at the Engine seam so every store
-// backend is covered) and its peer channels (transport spans of the
-// two-phase protocol).
-func (c *MDSCluster) wireShardObs(i int) {
-	o := c.obs
-	if o == nil {
-		return
-	}
-	s := c.shards[i]
-	if o.tr != nil {
-		s.DB.SetTrace(o.tr, s.host.Name)
-		for _, pc := range s.peers {
-			if pc != nil {
-				pc.Trace = o.tr
-			}
+// dial is the one place internal/core opens a channel: from local to
+// shard to, traced when the scope traces, entered in its role's total.
+func (o *scope) dial(local *netsim.Host, to *Service, role chanRole) *rpc.Conn {
+	conn := rpc.Dial(to.net, local, to.host, false)
+	conn.Trace = o.tr
+	switch role {
+	case sessionChan:
+		if o.m != nil {
+			conn.Queue = o.m.QueueGauge(to.shardID)
 		}
+		o.client = append(o.client, conn)
+	case standbyChan:
+		o.client = append(o.client, conn)
+	default:
+		o.peer = append(o.peer, conn)
 	}
+	return conn
 }
 
-// wireSessionObs hooks a session's channels into the plane: transport
-// spans on every conn, and the channel to shard i sampling that shard's
-// worker-queue depth into its queue gauge.
-func (c *MDSCluster) wireSessionObs(sess *Session) {
-	o := c.obs
-	if o == nil {
-		return
+// transport sums the counters of a role's channels.
+func transport(conns []*rpc.Conn) rpc.ConnStats {
+	var out rpc.ConnStats
+	for _, c := range conns {
+		out.Add(c.Stats)
 	}
-	for i, conn := range sess.conns {
-		if o.tr != nil {
-			conn.Trace = o.tr
-		}
-		if o.m != nil && i < o.m.Shards() {
-			conn.Queue = o.m.QueueGauge(i)
-		}
-	}
-	for _, conn := range sess.sbconns {
-		if o.tr != nil {
-			conn.Trace = o.tr
-		}
-	}
+	return out
 }
 
-// wireLockObs hooks the row-lock table: each contended acquisition
-// becomes a retroactive lock.wait span (safe because the waiter was
-// parked for the whole window — its track gained no events in between)
-// plus a latency sample, and every grant refreshes the lock-table
-// occupancy gauge. Overwrites any prior hooks; the lock-schedule fuzz
-// harness installs its own OnGrant but never enables obs.
-func (c *MDSCluster) wireLockObs() {
-	o := c.obs
-	rl := c.rowLocks
-	if o == nil || rl == nil {
-		return
-	}
-	if o.tr != nil || o.m != nil {
-		tr, m := o.tr, o.m
+// rowLocks builds a plane's row-lock table, wired at birth: each
+// contended acquisition becomes a retroactive lock.wait span (safe
+// because the waiter was parked for the whole window — its track gained
+// no events in between) plus a latency sample, and every grant refreshes
+// the lock-table occupancy gauge. The lock-schedule fuzz harness
+// installs its own OnGrant on tables no scope owns.
+func (o *scope) rowLocks(env *sim.Env, exclusiveOnly bool) *lock.RowLocks {
+	rl := lock.NewRowLocks(env)
+	rl.ExclusiveOnly = exclusiveOnly
+	tr, m := o.tr, o.m
+	if tr != nil || m != nil {
 		rl.OnWait = func(p *sim.Proc, key lock.RowKey, mode lock.Mode, start time.Duration) {
 			if tr != nil {
 				tr.Complete(p, "", "lock.wait", start, key.Shard)
@@ -146,12 +128,12 @@ func (c *MDSCluster) wireLockObs() {
 			}
 		}
 	}
-	if o.m != nil {
-		m := o.m
+	if m != nil {
 		rl.OnGrant = func(p *sim.Proc, key lock.RowKey, mode lock.Mode) {
 			m.LockGauge().Set(int64(rl.Len()))
 		}
 	}
+	return rl
 }
 
 // opObs is the span/metrics context of one client operation, returned
@@ -166,12 +148,12 @@ type opObs struct {
 
 // obsBegin opens the op.<name> span for one client operation on the
 // calling proc's track (grouped under the client host) and feeds the
-// routing shard's request window — the skew signal the auto-reshard
-// controller consumes. ino is the operation's routing key; the shard is
-// resolved only when the plane is enabled.
+// routing shard's request window — the per-shard load obs.Skew condenses
+// for an operator deciding whether to Reshard. ino is the operation's
+// routing key; the shard is resolved only when the plane is enabled.
 func (c *MDSCluster) obsBegin(p *sim.Proc, sess *Session, op string, ino vfs.Ino) opObs {
 	o := c.obs
-	if o == nil {
+	if o.tr == nil && o.m == nil {
 		return opObs{}
 	}
 	shard := c.Of(ino)
@@ -214,7 +196,7 @@ type sbObs struct {
 // metrics at obsEnd instead.
 func (sb *Standby) obsBegin(p *sim.Proc, si int) sbObs {
 	o := sb.primary.obs
-	if o == nil {
+	if o.tr == nil && o.m == nil {
 		return sbObs{}
 	}
 	if o.tr != nil {
@@ -247,7 +229,7 @@ func (sb *Standby) obsEnd(p *sim.Proc, ob sbObs, served bool) {
 // The server-side helpers (twophase.go, reshard.go) use it so their
 // phase spans nest inside whatever the client opened.
 func (s *Service) span(p *sim.Proc, name string) bool {
-	if s.cluster.obs == nil || s.cluster.obs.tr == nil {
+	if s.cluster.obs.tr == nil {
 		return false
 	}
 	s.cluster.obs.tr.Begin(p, "", name, s.shardID)

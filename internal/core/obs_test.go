@@ -181,6 +181,131 @@ func TestObsOffCostIdentity(t *testing.T) {
 			t.Fatal("obs-on deployment lost its tracer or metrics")
 		}
 	}
+	t.Run("grow-and-promote", func(t *testing.T) {
+		tbOff, _, _, _ := growPromoteRun(t, false, false)
+		tbOn, d, promoteAt, atPromote := growPromoteRun(t, true, true)
+		if tbOff.Env.Now() != tbOn.Env.Now() || tbOff.Net.Messages != tbOn.Net.Messages {
+			t.Fatalf("obs-on run diverged: off (%v, %d msgs) vs on (%v, %d msgs)",
+				tbOff.Env.Now(), tbOff.Net.Messages, tbOn.Env.Now(), tbOn.Net.Messages)
+		}
+		// The grown shards' queue gauges exist and the promoted plane's
+		// channels to them sample them: wired at dial time, not re-wired.
+		m := d.Metrics()
+		if m.Shards() != 4 {
+			t.Fatalf("registry has %d shards after the grow, want 4", m.Shards())
+		}
+		for i := 2; i < 4; i++ {
+			if got := m.QueueGauge(i).Samples(); got <= atPromote[i] {
+				t.Errorf("shard %d queue gauge: %d samples at promotion, %d after: the promoted plane's channels do not sample it", i, atPromote[i], got)
+			}
+		}
+		// The trace balances, and the promoted plane traces its client
+		// ops and their transport.
+		var b strings.Builder
+		if err := d.Tracer().WriteChrome(&b); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []chromeEvent `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+			t.Fatalf("trace is not valid JSON: %v", err)
+		}
+		type key struct{ pid, tid int }
+		depth := map[key]int{}
+		late := map[string]bool{}
+		for _, ev := range doc.TraceEvents {
+			k := key{ev.Pid, ev.Tid}
+			switch ev.Ph {
+			case "B":
+				depth[k]++
+				if ev.Ts > float64(promoteAt)/1e3 {
+					late[strings.SplitN(ev.Name, ".", 2)[0]] = true
+				}
+			case "E":
+				if depth[k]--; depth[k] < 0 {
+					t.Fatalf("track %v closes a span it never opened", k)
+				}
+			}
+		}
+		for k, n := range depth {
+			if n != 0 {
+				t.Fatalf("track %v ends with %d unbalanced spans", k, n)
+			}
+		}
+		if !late["op"] || !late["rpc"] {
+			t.Fatalf("no op.* or rpc.* span after the promotion at %v: got span families %v", promoteAt, late)
+		}
+	})
+}
+
+// growPromoteRun is the wiring-from-birth scenario: a 2-shard plane with
+// a standby grows to 4 shards under traffic, the primaries die, the
+// standby is promoted, and it serves traffic spread over all 4 shards.
+// It returns the promotion instant and each shard's queue-gauge samples
+// at that instant (nil with metrics off).
+func growPromoteRun(t *testing.T, trace, metrics bool) (*cluster.Testbed, *core.Deployment, time.Duration, []int64) {
+	t.Helper()
+	cfg := params.Default()
+	cfg.COFS.MetadataShards = 2
+	cfg.COFS.Trace = trace
+	cfg.COFS.Metrics = metrics
+	tb := cluster.New(17, 2, cfg)
+	d := core.Deploy(tb, nil)
+	sb := core.DeployStandby(tb, d, time.Millisecond)
+	tb.Run()
+	obsWorkload(tb, d)
+	tb.Env.Spawn("grow", func(p *sim.Proc) {
+		if err := d.Service.Reshard(p, 4); err != nil {
+			t.Errorf("reshard: %v", err)
+		}
+	})
+	tb.Env.Spawn("traffic", func(p *sim.Proc) {
+		ctx := cluster.Ctx(1, 1)
+		for i := 1; i < 16; i++ {
+			if _, err := d.Mounts[1].Stat(p, ctx, fmt.Sprintf("/w/a/f%02d", i)); err != nil {
+				t.Errorf("stat during grow: %v", err)
+				return
+			}
+		}
+	})
+	tb.Run()
+	d.Service.Crash()
+	sb.Promote(d)
+	promoteAt := tb.Env.Now()
+	var atPromote []int64
+	if m := d.Metrics(); m != nil {
+		for i := 0; i < m.Shards(); i++ {
+			atPromote = append(atPromote, m.QueueGauge(i).Samples())
+		}
+	}
+	tb.Env.Spawn("post", func(p *sim.Proc) {
+		// Start strictly after the promotion instant, so every span this
+		// traffic opens is stamped later than anything the dead plane did.
+		p.Sleep(time.Millisecond)
+		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+		// New directories hash over all four shards; each file commits
+		// and is read back on its directory's shard.
+		for i := 0; i < 16; i++ {
+			dir := fmt.Sprintf("/p%02d", i)
+			if err := m.Mkdir(p, ctx, dir, 0777); err != nil {
+				t.Errorf("mkdir after promote: %v", err)
+				return
+			}
+			f, err := m.Create(p, ctx, dir+"/f", 0644)
+			if err != nil {
+				t.Errorf("create after promote: %v", err)
+				return
+			}
+			f.Close(p)
+			if _, err := m.Stat(p, ctx, dir+"/f"); err != nil {
+				t.Errorf("stat after promote: %v", err)
+				return
+			}
+		}
+	})
+	tb.Run()
+	return tb, d, promoteAt, atPromote
 }
 
 // TestMetricsSkewDetection injects a hot shard — every rank hammers
@@ -282,45 +407,125 @@ func TestQueueGaugeSamplesWorkerQueue(t *testing.T) {
 }
 
 // TestCountersCumulativeAcrossPromote pins the failover counter
-// contract (stats.Counters.Merge consumed by Deployment.Counters):
-// service-plane totals must not reset when a standby is promoted.
+// contract: Deployment.Counters never moves backwards — not across a
+// shrink's retirement, not across a promotion — and the promotion itself
+// moves no transport, reshard, lock or standby counter: the demoted
+// plane keeps what it counted, and the promoted one has counted none of
+// those yet. A retirement is counted once, by the plane that settled it,
+// however many planes retired shards in lockstep.
 func TestCountersCumulativeAcrossPromote(t *testing.T) {
-	tb := cluster.New(31, 2, params.Default())
-	d := core.Deploy(tb, nil)
-	sb := core.DeployStandby(tb, d, time.Millisecond)
-	tb.Run()
-	ctx := cluster.Ctx(0, 1)
-	tb.Env.Spawn("pre", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		if err := m.MkdirAll(p, ctx, "/c", 0777); err != nil {
-			panic(err)
-		}
-		for i := 0; i < 20; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/c/f%02d", i), 0644)
-			if err != nil {
-				panic(err)
-			}
-			f.Close(p)
-		}
-	})
-	tb.Run()
-	pre := d.Counters().Get("mds.requests")
-	if pre == 0 {
-		t.Fatal("no requests before failover")
+	cases := []struct {
+		name         string
+		seed         int64
+		shards       int
+		shrinkTo     int // 0: no reshard
+		standbyReads bool
+	}{
+		{"1shard", 31, 1, 0, false},
+		{"shrink-4to2-standby-reads", 9100, 4, 2, true},
 	}
-	d.Service.Crash()
-	sb.Promote(d)
-	tb.Env.Spawn("post", func(p *sim.Proc) {
-		m := d.Mounts[1]
-		for i := 0; i < 20; i++ {
-			if _, err := m.Stat(p, ctx, fmt.Sprintf("/c/f%02d", i)); err != nil {
-				panic(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := params.Default()
+			cfg.COFS.MetadataShards = tc.shards
+			cfg.COFS.StandbyReads = tc.standbyReads
+			tb := cluster.New(tc.seed, 2, cfg)
+			d := core.Deploy(tb, nil)
+			sb := core.DeployStandby(tb, d, time.Millisecond)
+			tb.Run()
+			var snaps []map[string]int64
+			snap := func() map[string]int64 {
+				cs := d.Counters()
+				s := make(map[string]int64)
+				for _, name := range cs.Names() {
+					s[name] = cs.Get(name)
+				}
+				snaps = append(snaps, s)
+				return s
 			}
-		}
-	})
-	tb.Run()
-	post := d.Counters().Get("mds.requests")
-	if post <= pre {
-		t.Fatalf("mds.requests reset at failover: %d before, %d after (+20 stats served)", pre, post)
+			// Eight directories hash over every shard, so the shards a
+			// shrink retires have served requests of their own.
+			path := func(i int) string { return fmt.Sprintf("/c%d/f%02d", i%8, i) }
+			statAll := func(p *sim.Proc) {
+				for i := 0; i < 24; i++ {
+					if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), path(i)); err != nil {
+						t.Errorf("stat %s: %v", path(i), err)
+						return
+					}
+				}
+			}
+			step(tb, "pre", func(p *sim.Proc) {
+				m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+				for i := 0; i < 24; i++ {
+					if i < 8 {
+						if err := m.Mkdir(p, ctx, fmt.Sprintf("/c%d", i), 0777); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					f, err := m.Create(p, ctx, path(i), 0644)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					f.Close(p)
+				}
+			})
+			step(tb, "stat", statAll)
+			snap()
+			if tc.shrinkTo > 0 {
+				// No traffic rides the migration, so nothing the retired
+				// shards counted can hide behind new requests.
+				step(tb, "shrink", func(p *sim.Proc) {
+					if err := d.Service.Reshard(p, tc.shrinkTo); err != nil {
+						t.Errorf("reshard: %v", err)
+					}
+				})
+				snap()
+				// The standby serves again at the settled shape.
+				step(tb, "stat-settled", statAll)
+			}
+			before := snap()
+			if before["mds.requests"] == 0 {
+				t.Fatal("no requests before failover")
+			}
+			d.Service.Crash()
+			sb.Promote(d)
+			promoted := snap()
+			for name, v := range before {
+				for _, prefix := range []string{"rpc.", "mds.reshard-", "mds.lock-", "mds.standby-"} {
+					if strings.HasPrefix(name, prefix) && promoted[name] != v {
+						t.Errorf("Promote alone moved %s from %d to %d", name, v, promoted[name])
+					}
+				}
+			}
+			step(tb, "post", statAll)
+			after := snap()
+			for i := 1; i < len(snaps); i++ {
+				for name, v := range snaps[i-1] {
+					if got := snaps[i][name]; got < v {
+						t.Errorf("%s moved backwards between snapshots %d and %d: %d -> %d", name, i-1, i, v, got)
+					}
+				}
+			}
+			if after["mds.requests"] <= before["mds.requests"] {
+				t.Errorf("mds.requests reset at failover: %d before, %d after (+24 stats served)",
+					before["mds.requests"], after["mds.requests"])
+			}
+			if tc.shrinkTo > 0 {
+				if before["mds.standby-reads"] == 0 {
+					t.Error("the standby served no reads before the failover: test is vacuous")
+				}
+				want := int64(tc.shards - tc.shrinkTo)
+				for _, s := range []struct {
+					when string
+					c    map[string]int64
+				}{{"before", before}, {"after", after}} {
+					if got := s.c["mds.reshard-retired"]; got != want {
+						t.Errorf("mds.reshard-retired = %d %s the promotion, want %d", got, s.when, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -5,9 +5,7 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/mdb"
-	"cofs/internal/rpc"
 	"cofs/internal/sim"
-	"cofs/internal/stats"
 	"cofs/internal/vfs"
 )
 
@@ -76,10 +74,10 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 		// reshard or after it settles.
 		panic("core: DeployStandby during a live reshard (attach before Reshard or after it settles)")
 	}
-	n := len(d.Service.Shards())
-	hosts := tb.AddServiceHosts("cofs-mds-standby", n, tb.Cfg.COFS.ServiceWorkers)
-	sc := NewMDSCluster(tb.Net, hosts, tb.Cfg)
-	sc.hostPrefix = "cofs-mds-standby"
+	// The standby plane reports into the deployment's scope from birth:
+	// its shards and channels are wired as they are built, so the plane
+	// Promote installs is already observed.
+	sc := newMDSCluster(tb, "cofs-mds-standby", len(d.Service.Shards()), d.Service.obs)
 	// The standby routes, validates and — after Promote — recovers by
 	// the primary's epoch log: sharing the coordinator keeps the
 	// standby plane shaped by the current epoch, whatever the shard
@@ -96,12 +94,7 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 		// before it attached get their standby channels now.
 		sb.serveReads = true
 		for _, sess := range d.Service.sessions {
-			for _, s := range sc.shards {
-				sess.sbconns = append(sess.sbconns,
-					rpc.Dial(s.net, sess.host, s.host, false))
-			}
-			// Re-wire so the fresh standby channels trace like the rest.
-			d.Service.wireSessionObs(sess)
+			d.Service.dialSession(sess)
 		}
 	}
 	return sb
@@ -110,29 +103,15 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 // grow extends the standby plane to the primary's shard count (called
 // by the primary's growTo at the start of a reshard): new standby
 // shards on new standby hosts, each shipping from its new primary
-// shard with the deploy-time delay.
+// shard with the deploy-time delay. The primary then dials its sessions
+// to them before serving resumes at the settled epoch (reads are paused
+// for the whole migration).
 func (sb *Standby) grow(primary *MDSCluster) {
 	sc := sb.Cluster
-	old := len(sb.Replicas)
 	sc.growTo(len(primary.shards))
 	for i := len(sb.Replicas); i < len(primary.shards); i++ {
 		sb.Replicas = append(sb.Replicas,
 			mdb.Replicate(sc.net.Env(), primary.shards[i].DB, sc.shards[i].DB, sb.delay))
-	}
-	if sb.serveReads {
-		// Every session needs channels to the new standby shards before
-		// serving resumes at the settled epoch (reads are paused for the
-		// whole migration).
-		for _, sess := range primary.sessions {
-			if len(sess.sbconns) != old {
-				continue
-			}
-			for i := old; i < len(sc.shards); i++ {
-				sess.sbconns = append(sess.sbconns,
-					rpc.Dial(sc.net, sess.host, sc.shards[i].host, false))
-			}
-			primary.wireSessionObs(sess)
-		}
 	}
 }
 
@@ -140,28 +119,17 @@ func (sb *Standby) grow(primary *MDSCluster) {
 // settles (called by the primary's retireDrained): the shipping tail —
 // the source's final delete commits — is drained synchronously first,
 // so the standby's drained shards end as empty as the primary's, then
-// the standby shards themselves retire (hosts released, channels
-// folded).
+// the sessions drop their channels to them and the standby shards
+// themselves retire (hosts released).
 func (sb *Standby) retire(p *sim.Proc, n int) {
 	for i := n; i < len(sb.Replicas); i++ {
 		sb.Replicas[i].Flush(p)
 		sb.Replicas[i].Stop()
 	}
-	if len(sb.Replicas) > n {
-		sb.Replicas = sb.Replicas[:n]
-	}
+	sb.Replicas = sb.Replicas[:min(n, len(sb.Replicas))]
 	if sb.serveReads {
-		// Fold the retired standby channels' counters like the primary
-		// channels next to them, so the transport report stays
-		// cumulative.
 		for _, sess := range sb.primary.sessions {
-			if len(sess.sbconns) <= n {
-				continue
-			}
-			for _, c := range sess.sbconns[n:] {
-				sess.prior.Add(c.Stats)
-			}
-			sess.sbconns = sess.sbconns[:n]
+			sess.sbconns = sess.sbconns[:min(n, len(sess.sbconns))]
 		}
 	}
 	sb.Cluster.retireDrained(p)
@@ -213,26 +181,12 @@ func (sb *Standby) Promote(d *Deployment) int {
 		}
 	}
 	sc.AdoptIDCounter()
-	if d.Service.obs != nil {
-		// The promoted plane keeps reporting into the deployment's
-		// tracer/metrics; wired before SetService so the re-dialed
-		// sessions below pick the hooks up at Connect.
-		sc.EnableObs(d.Service.obs.tr, d.Service.obs.m)
-	}
 	for _, fs := range d.FSs {
 		fs.SetService(sc)
 	}
-	// Keep the per-layer transport report cumulative across the
-	// switch, as the per-session counters already are.
-	sc.priorPeer = d.Service.PeerTransportStats()
-	sc.priorStandbyReads, sc.priorStandbyFallbacks = d.Service.StandbyReadStats()
-	// The service-plane counters (requests, locks, reshard accounting)
-	// have no prior-folding of their own: snapshot the demoted plane's
-	// set for Deployment.Counters to merge back in.
-	if d.retired == nil {
-		d.retired = stats.NewCounters()
-	}
-	d.retired.Merge(serviceCounters(d.Service))
+	// The promoted plane serves from here on: Deployment.Counters sums
+	// it beside the demoted one, which keeps every count it made.
+	sc.obs.planes = append(sc.obs.planes, sc)
 	d.Service = sc
 	if cur.Migrating() {
 		sc.net.Env().Spawn("promote-reshard-recover", func(p *sim.Proc) {
@@ -281,9 +235,7 @@ func (s *Service) AdoptIDCounter() {
 // outlive the state that backed them, and any leases were granted by
 // the dead plane.
 func (f *FS) SetService(svc *MDSCluster) {
-	old := f.sess
 	f.svc = svc
 	f.sess = svc.Connect(f.host, f.node, f.attrs)
-	f.sess.prior = old.TransportStats()
 	f.attrs.purge()
 }

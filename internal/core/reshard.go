@@ -44,7 +44,8 @@ import (
 //     count, indistinguishable from a fresh deploy's. A shrink then
 //     retires the drained shards entirely — sessions drop their
 //     channels, standby shipping stops, hosts are released
-//     (retireDrained).
+//     (retireDrained) — and the settling plane alone counts the
+//     retirement.
 //
 // Requests racing a move are redirected (ErrWrongEpoch) and retry off a
 // refetched map; see service.go's claim/missErr and session.go.
@@ -217,6 +218,10 @@ func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 				i, s.inodes.Len(), s.dentries.Len(), s.mappings.Len())
 		}
 	}
+	// The settling plane counts the retirement; a standby plane retiring
+	// its drained shards in lockstep (Standby.retire) does not count it
+	// again.
+	c.rstats.Retired += int64(len(c.shards) - n)
 	c.retireDrained(p)
 	c.resumeStandbyReads()
 	return nil
@@ -224,45 +229,21 @@ func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 
 // growTo extends the plane to n serving shards: new shards on new
 // hosts (named like AddServiceHosts names them), the peer mesh
-// completed, every connected session dialed to the new shards, and
-// every attached standby plane grown shard-for-shard. Runs without a
-// yield; nothing routes at the new shards until an epoch says so.
+// completed, every attached standby plane grown shard-for-shard, and
+// every connected session dialed to the new shards of both. Runs
+// without a yield; nothing routes at the new shards until an epoch says
+// so.
 func (c *MDSCluster) growTo(n int) {
 	for i := len(c.shards); i < n; i++ {
 		host := c.net.AddHost(fmt.Sprintf("%s%d", c.hostPrefix, i), c.cfg.ServiceWorkers, 0)
 		c.shards = append(c.shards, newShard(c.net, host, c.full, c, i))
 	}
-	for _, s := range c.shards {
-		for len(s.peers) < len(c.shards) {
-			s.peers = append(s.peers, nil)
-		}
-		for j, t := range c.shards {
-			if t != s && s.peers[j] == nil {
-				s.peers[j] = rpc.Dial(c.net, s.host, t.host, false)
-			}
-		}
-	}
-	for _, sess := range c.sessions {
-		for i := len(sess.conns); i < len(c.shards); i++ {
-			sess.conns = append(sess.conns, rpc.Dial(c.net, sess.host, c.shards[i].host, false))
-		}
-	}
-	if c.obs != nil {
-		if c.obs.m != nil {
-			c.obs.m.GrowShards(len(c.shards))
-		}
-		// Re-wire every shard, not just the new ones: the peer-mesh
-		// completion above also dials new channels on pre-existing
-		// shards, and each session gained conns.
-		for i := range c.shards {
-			c.wireShardObs(i)
-		}
-		for _, sess := range c.sessions {
-			c.wireSessionObs(sess)
-		}
-	}
+	c.meshPeers()
 	for _, sb := range c.standbys {
 		sb.grow(c)
+	}
+	for _, sess := range c.sessions {
+		c.dialSession(sess)
 	}
 }
 
@@ -274,66 +255,33 @@ func (c *MDSCluster) ensureReshardRig() {
 		c.reshardHost = c.net.AddHost("cofs-reshard", 1, 0)
 	}
 	for i := len(c.reshardConns); i < len(c.shards); i++ {
-		conn := rpc.Dial(c.net, c.reshardHost, c.shards[i].host, false)
-		if c.obs != nil {
-			conn.Trace = c.obs.tr
-		}
-		c.reshardConns = append(c.reshardConns, conn)
+		c.reshardConns = append(c.reshardConns, c.obs.dial(c.reshardHost, c.shards[i], peerChan))
 	}
 }
 
 // retireDrained completes a shrink after the map settles: the drained
 // shards — empty, unrouted, owning nothing — leave the plane entirely.
-// Sessions drop their channels to them (folding the channel counters
-// into the session's cumulative prior, the same convention failover
-// re-dials use), surviving shards drop their peer channels, attached
-// standby planes drain and stop their shipping, and the hosts are
-// released back to the testbed. A no-op unless shards were drained.
+// Sessions and surviving shards drop their channels to them (the
+// deployment scope keeps those channels counted), attached standby
+// planes drain and stop their shipping, and the hosts are released back
+// to the testbed. A no-op unless shards were drained.
 func (c *MDSCluster) retireDrained(p *sim.Proc) {
 	n := c.Maps.Current().Target()
 	if n < 1 || n >= len(c.shards) {
 		return
 	}
 	for _, sess := range c.sessions {
-		if len(sess.conns) <= n {
-			continue
-		}
-		for _, conn := range sess.conns[n:] {
-			sess.prior.Add(conn.Stats)
-		}
-		sess.conns = sess.conns[:n]
+		sess.conns = sess.conns[:min(n, len(sess.conns))]
 	}
-	for i, s := range c.shards {
-		if i < n {
-			for j := n; j < len(s.peers); j++ {
-				if s.peers[j] != nil {
-					c.priorPeer.Add(s.peers[j].Stats)
-				}
-			}
-			if len(s.peers) > n {
-				s.peers = s.peers[:n]
-			}
-		} else {
-			for _, pc := range s.peers {
-				if pc != nil {
-					c.priorPeer.Add(pc.Stats)
-				}
-			}
-			s.peers = nil
-		}
+	for _, s := range c.shards[:n] {
+		s.peers = s.peers[:min(n, len(s.peers))]
 	}
-	if len(c.reshardConns) > n {
-		for _, rc := range c.reshardConns[n:] {
-			c.priorPeer.Add(rc.Stats)
-		}
-		c.reshardConns = c.reshardConns[:n]
-	}
+	c.reshardConns = c.reshardConns[:min(n, len(c.reshardConns))]
 	for _, sb := range c.standbys {
 		sb.retire(p, n)
 	}
-	for i := n; i < len(c.shards); i++ {
-		c.net.ReleaseHost(c.shards[i].host)
-		c.rstats.Retired++
+	for _, s := range c.shards[n:] {
+		c.net.ReleaseHost(s.host)
 	}
 	c.shards = c.shards[:n]
 }
@@ -366,7 +314,7 @@ func (c *MDSCluster) moveBatch(p *sim.Proc, batch []reshard.Move) error {
 		reqs = append(reqs, lock.X(c.shards[0].inoKey(vfs.Ino(mv.Group))))
 	}
 	reqs = lock.SortReqs(reqs)
-	if c.obs != nil && c.obs.tr != nil {
+	if c.obs.tr != nil {
 		c.obs.tr.Begin(p, "", "reshard.batch", -1)
 		defer c.obs.tr.End(p)
 	}
@@ -515,9 +463,9 @@ func (c *MDSCluster) movePair(p *sim.Proc, src, dst int, ids []vfs.Ino) error {
 			rows := int64(len(freight.inodes) + len(freight.dents) + len(freight.mappings))
 			c.rstats.RowsMoved += rows
 			c.rstats.BytesMoved += freight.bytes
-			if c.obs != nil && c.obs.m != nil {
+			if c.obs.m != nil {
 				// Feed the destination's row-move window: arriving rows
-				// are the rebalance cost the skew controller weighs.
+				// are the rebalance cost a reshard puts on the target.
 				c.obs.m.AddRowMoves(dst, rows, p.Now())
 			}
 			if interrupted = c.stepAbort(ReshardInstalled); interrupted {

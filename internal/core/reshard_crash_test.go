@@ -261,7 +261,7 @@ func TestShrinkRetiresDrainedShards(t *testing.T) {
 	verifyAll(t, tb, d, paths)
 	after := d.Counters()
 	if got := after.Get("rpc.client.calls"); got < before {
-		t.Errorf("rpc.client.calls dropped from %d to %d across retirement; channel counters must fold, not vanish", before, got)
+		t.Errorf("rpc.client.calls dropped from %d to %d across retirement; retired channels must stay counted", before, got)
 	}
 	if got := after.Get("mds.reshard-retired"); got != 2 {
 		t.Errorf("mds.reshard-retired = %d, want 2", got)

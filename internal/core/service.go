@@ -128,7 +128,9 @@ type Service struct {
 
 // newShard creates metadata shard shardID of cluster c on host, with its
 // database on a freshly attached local disk (the paper used a 25 GB ext3
-// volume per service node). Shard 0 bootstraps the root directory.
+// volume per service node), traced from birth when the deployment
+// traces, and enters it in c.built. Shard 0 bootstraps the root
+// directory.
 func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSCluster, shardID int) *Service {
 	env := net.Env()
 	diskName := "cofs-mdb"
@@ -150,6 +152,7 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 		// committed" (see mdb.TrackStamps).
 		db.TrackStamps()
 	}
+	db.SetTrace(c.obs.tr, host.Name)
 	base := firstID(shardID, c.lockShards)
 	s := &Service{
 		net:         net,
@@ -173,6 +176,7 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 		// Bootstrap the root directory outside simulated time.
 		s.inodes.Bootstrap(RootID, inodeRow{ID: RootID, Type: vfs.TypeDir, Mode: 0777, Nlink: 2})
 	}
+	c.built = append(c.built, s)
 	return s
 }
 

@@ -29,10 +29,6 @@ type Session struct {
 	// shard redirects with ErrWrongEpoch, so with no migration in
 	// flight the session shares the plane's settled version forever.
 	view *reshard.Map
-	// prior carries the transport counters of sessions this one
-	// replaced (failover re-dial), so the per-layer report stays
-	// cumulative like the cache counters next to it.
-	prior rpc.ConnStats
 }
 
 // Connect attaches a client to the plane: one channel per shard. The
@@ -41,17 +37,24 @@ type Session struct {
 // mutations.
 func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache) *Session {
 	sess := &Session{node: node, host: host, cache: cache, view: c.Maps.Current()}
-	for _, s := range c.shards {
-		sess.conns = append(sess.conns, rpc.Dial(s.net, host, s.host, false))
+	c.dialSession(sess)
+	c.sessions = append(c.sessions, sess)
+	return sess
+}
+
+// dialSession dials every channel sess lacks: one per shard of the
+// plane, plus one per shard of the read-serving standby when the plane
+// has one. Connect, a grow and a standby attach all extend sessions
+// through it.
+func (c *MDSCluster) dialSession(sess *Session) {
+	for i := len(sess.conns); i < len(c.shards); i++ {
+		sess.conns = append(sess.conns, c.obs.dial(sess.host, c.shards[i], sessionChan))
 	}
 	if sb := c.readStandby(); sb != nil {
-		for _, s := range sb.Cluster.shards {
-			sess.sbconns = append(sess.sbconns, rpc.Dial(s.net, host, s.host, false))
+		for i := len(sess.sbconns); i < len(sb.Cluster.shards); i++ {
+			sess.sbconns = append(sess.sbconns, c.obs.dial(sess.host, sb.Cluster.shards[i], standbyChan))
 		}
 	}
-	c.sessions = append(c.sessions, sess)
-	c.wireSessionObs(sess)
-	return sess
 }
 
 // refetchMap fetches the current shard-map version after a redirect:
@@ -68,17 +71,4 @@ func (sess *Session) refetchMap(p *sim.Proc, c *MDSCluster) {
 			return 128 + int64(sess.view.MovedCount)/8
 		},
 	})
-}
-
-// TransportStats aggregates the session's per-shard channel counters,
-// including those of any session it replaced at failover.
-func (sess *Session) TransportStats() rpc.ConnStats {
-	out := sess.prior
-	for _, c := range sess.conns {
-		out.Add(c.Stats)
-	}
-	for _, c := range sess.sbconns {
-		out.Add(c.Stats)
-	}
-	return out
 }

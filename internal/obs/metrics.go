@@ -88,16 +88,18 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Gauge tracks a current level and its high-water mark (queue depth,
-// lock-table occupancy).
+// Gauge tracks a current level, its high-water mark and how often it
+// was sampled (queue depth, lock-table occupancy).
 type Gauge struct {
-	cur  int64
-	high int64
+	cur     int64
+	high    int64
+	samples int64
 }
 
 // Set replaces the gauge's current level.
 func (g *Gauge) Set(v int64) {
 	g.cur = v
+	g.samples++
 	if v > g.high {
 		g.high = v
 	}
@@ -112,11 +114,15 @@ func (g *Gauge) Cur() int64 { return g.cur }
 // High returns the highest level ever set.
 func (g *Gauge) High() int64 { return g.high }
 
+// Samples returns how many times the level was set: a queue gauge is
+// set once per request its channels deliver, so a gauge nothing samples
+// marks a channel nobody wired.
+func (g *Gauge) Samples() int64 { return g.samples }
+
 // Window is a sliding-window event counter over virtual time: a ring of
 // fixed-width slots stamped with their epoch, so expiry is lazy and
 // recording is O(1) with no allocation. Rate reports events per virtual
-// second over the covered window — the per-shard skew signal the
-// auto-reshard controller consumes.
+// second over the covered window — the per-shard load Skew condenses.
 type Window struct {
 	slots  []int64
 	epochs []int64
@@ -193,7 +199,7 @@ type Metrics struct {
 	queues []*Gauge
 	lock   Gauge
 	// req[i] / moves[i] are shard i's sliding-window request and
-	// row-move counts — the reshard controller's skew feed.
+	// row-move counts — the skew feed.
 	req      []*Window
 	moves    []*Window
 	winSlots int
@@ -218,7 +224,8 @@ func (m *Metrics) SetWindow(slots int, width time.Duration) {
 }
 
 // GrowShards ensures per-shard gauges and windows exist for shards
-// [0,n); resharding calls it again as the plane grows.
+// [0,n). The per-shard accessors call it, so the registry grows with
+// the plane on first use.
 func (m *Metrics) GrowShards(n int) {
 	for len(m.queues) < n {
 		m.queues = append(m.queues, &Gauge{})
@@ -307,9 +314,10 @@ func (m *Metrics) RowMoveRates(now time.Duration) []float64 {
 	return out
 }
 
-// Skew condenses a per-shard rate vector into the controller's trigger
-// signal: the hottest shard and its load as a multiple of the median
-// shard. A one-shard or idle plane reports ratio 1.
+// Skew condenses a per-shard rate vector into one imbalance figure: the
+// hottest shard and its load as a multiple of the median shard. Nothing
+// acts on it — Reshard(n) is an operator's call. A one-shard or idle
+// plane reports ratio 1.
 func Skew(rates []float64) (hot int, ratio float64) {
 	if len(rates) == 0 {
 		return -1, 1
@@ -317,8 +325,8 @@ func Skew(rates []float64) (hot int, ratio float64) {
 	sorted := append([]float64(nil), rates...)
 	sort.Float64s(sorted)
 	// Lower median on even counts: with two shards the upper median IS
-	// the max, which would pin the ratio at 1 and blind the controller
-	// exactly at the plane size reshards start from.
+	// the max, which would pin the ratio at 1 and hide the skew exactly
+	// at the plane size reshards start from.
 	median := sorted[(len(sorted)-1)/2]
 	max, hot := rates[0], 0
 	for i, r := range rates {

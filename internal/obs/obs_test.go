@@ -75,6 +75,9 @@ func TestGaugeHighWater(t *testing.T) {
 	if g.High() != 7 {
 		t.Fatalf("high=%d, want 7", g.High())
 	}
+	if g.Samples() != 3 {
+		t.Fatalf("samples=%d, want 3", g.Samples())
+	}
 }
 
 // ---- Window ----

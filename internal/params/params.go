@@ -236,7 +236,7 @@ type COFSParams struct {
 	// (internal/obs): per-(op,shard) log-bucketed latency histograms
 	// (p50/p95/p99), queue-depth and lock-occupancy gauges, and
 	// per-shard sliding-window request/row-move rates — the skew feed
-	// the auto-reshard controller consumes — exposed as
+	// an operator reads (obs.Skew) before calling Reshard — exposed as
 	// Deployment.Metrics(). Off by default with the same zero-cost
 	// contract as Trace.
 	Metrics bool

@@ -173,9 +173,8 @@ func Grid(rows [][]string) string {
 }
 
 // Counters is an ordered set of named int64 counters: the per-layer
-// observability surface the tools print (RPCs sent, batches formed,
-// cache hits, lease revocations, ...). Names keep first-Add order so
-// reports are stable.
+// observability surface the tools print (RPCs sent, cache hits, lease
+// revocations, ...). Names keep first-Add order so reports are stable.
 type Counters struct {
 	names []string
 	vals  map[string]int64
@@ -201,10 +200,8 @@ func (c *Counters) Get(name string) int64 { return c.vals[name] }
 // Names returns the counter names in registration order.
 func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
 
-// Merge folds every counter of other into c, registering names c has
-// not seen. Retired-shard and drained-session counters fold into the
-// survivor's set this way instead of each call site keeping its own
-// cumulative-priors arithmetic.
+// Merge adds every counter of other into c, registering names c has
+// not seen; a nil other adds nothing.
 func (c *Counters) Merge(other *Counters) {
 	if other == nil {
 		return

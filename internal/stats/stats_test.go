@@ -255,7 +255,7 @@ func TestCountersMerge(t *testing.T) {
 	if got := b.Get("rpc.calls"); got != 5 {
 		t.Fatalf("merge mutated its source: %d", got)
 	}
-	a.Merge(nil) // nil source is a no-op, the failover path's empty case
+	a.Merge(nil) // a nil source is a no-op
 	if got := a.Get("rpc.calls"); got != 15 {
 		t.Fatalf("nil merge changed counters: %d", got)
 	}
