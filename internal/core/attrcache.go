@@ -32,13 +32,15 @@ import (
 //     so a valid entry is never stale — at any MetadataShards or node
 //     count. Lease mode also caches dentries, positive and negative, so
 //     repeated Lookup of a hot name (or of a name that does not exist)
-//     costs no round trip at all.
+//     costs no round trip at all. It also caches directory listings,
+//     each riding its directory's attribute entry (installListing).
 type clientCache struct {
 	ttl   time.Duration // TTL mode window (legacy revalidation)
 	lease time.Duration // lease term; > 0 selects lease mode
 
 	attrs *lru.Cache[vfs.Ino, attrCacheEntry]
 	dents *lru.Cache[dentCacheKey, dentCacheEntry]
+	lists listingCache
 
 	Stats CacheStats
 }
@@ -57,6 +59,8 @@ type CacheStats struct {
 	Installs int64
 	// Revocations counts entries dropped by a shard's lease recall.
 	Revocations int64
+	// ListingHits counts listings served from the cache (lease mode).
+	ListingHits int64
 }
 
 type attrCacheEntry struct {
@@ -85,12 +89,15 @@ func newClientCache(cfg params.COFSParams) *clientCache {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &clientCache{
+	c := &clientCache{
 		ttl:   cfg.AttrCacheTimeout,
 		lease: cfg.AttrLease,
 		attrs: lru.New[vfs.Ino, attrCacheEntry](capacity),
 		dents: lru.New[dentCacheKey, dentCacheEntry](capacity),
+		lists: newListingCache(capacity),
 	}
+	c.attrs.OnEvict = func(ino vfs.Ino, _ attrCacheEntry) { c.lists.remove(ino) }
+	return c
 }
 
 func (c *clientCache) enabled() bool { return c.ttl > 0 || c.lease > 0 }
@@ -107,7 +114,7 @@ func (c *clientCache) get(p *sim.Proc, ino vfs.Ino) (attrCacheEntry, bool) {
 	if c.leased() {
 		if !ok || p.Now() >= e.exp {
 			if ok {
-				c.attrs.Remove(ino)
+				c.removeAttr(ino)
 			}
 			c.Stats.Misses++
 			return attrCacheEntry{}, false
@@ -117,7 +124,7 @@ func (c *clientCache) get(p *sim.Proc, ino vfs.Ino) (attrCacheEntry, bool) {
 	}
 	if !ok || p.Now()-e.at > c.ttl {
 		if ok {
-			c.attrs.Remove(ino)
+			c.removeAttr(ino)
 		}
 		c.Stats.Misses++
 		return attrCacheEntry{}, false
@@ -185,12 +192,47 @@ func (c *clientCache) installDentry(parent vfs.Ino, name string, child vfs.Ino, 
 	c.dents.Put(dentCacheKey{parent: parent, name: name}, dentCacheEntry{child: child, exp: exp})
 }
 
+// fitsListing reports whether a listing of n entries may be cached:
+// never one longer than the whole budget.
+func (c *clientCache) fitsListing(n int) bool { return n <= c.lists.budget }
+
+// installListing installs a directory's listing together with its
+// lease-granted attribute entry. Like installAttr it runs at the grant
+// instant.
+func (c *clientCache) installListing(dir vfs.Attr, ents []vfs.DirEntry, exp time.Duration) {
+	c.Stats.Installs++
+	c.attrs.Put(dir.Ino, attrCacheEntry{attr: dir, exp: exp})
+	c.lists.put(dir.Ino, ents)
+}
+
+// listing returns dir's cached listing and the directory's attributes
+// while its attribute entry is leased. The entries are the cache's own:
+// callers copy them before handing them out.
+func (c *clientCache) listing(p *sim.Proc, dir vfs.Ino) ([]vfs.DirEntry, vfs.Attr, bool) {
+	ents, ok := c.lists.byDir.Get(dir)
+	if !ok {
+		return nil, vfs.Attr{}, false
+	}
+	e, ok := c.attrs.Get(dir)
+	if !ok || p.Now() >= e.exp {
+		c.removeAttr(dir)
+		return nil, vfs.Attr{}, false
+	}
+	return ents, e.attr, true
+}
+
+// removeAttr forgets an attribute entry and the listing riding it.
+func (c *clientCache) removeAttr(ino vfs.Ino) {
+	c.attrs.Remove(ino)
+	c.lists.remove(ino)
+}
+
 // drop forgets an attribute entry (unlink, truncate, local
 // modification — the mutating client's own invalidation, which rides
 // the operation itself rather than a lease recall).
 func (c *clientCache) drop(ino vfs.Ino) {
 	if c.enabled() {
-		c.attrs.Remove(ino)
+		c.removeAttr(ino)
 	}
 }
 
@@ -201,20 +243,19 @@ func (c *clientCache) dropDentry(parent vfs.Ino, name string) {
 	}
 }
 
-// revokeAttr is drop on behalf of a shard's lease recall.
-func (c *clientCache) revokeAttr(ino vfs.Ino) {
-	if _, ok := c.attrs.Peek(ino); ok {
+// revoke drops the entry a shard's lease recall names.
+func (c *clientCache) revoke(key leaseKey) {
+	if key.name != "" {
+		k := dentCacheKey{parent: key.parent, name: key.name}
+		if c.dents.Remove(k) {
+			c.Stats.Revocations++
+		}
+		return
+	}
+	if c.attrs.Contains(key.ino) {
 		c.Stats.Revocations++
 	}
-	c.attrs.Remove(ino)
-}
-
-// revokeDentry drops a cached name resolution on a shard's recall.
-func (c *clientCache) revokeDentry(parent vfs.Ino, name string) {
-	if _, ok := c.dents.Peek(dentCacheKey{parent: parent, name: name}); ok {
-		c.Stats.Revocations++
-	}
-	c.dents.Remove(dentCacheKey{parent: parent, name: name})
+	c.removeAttr(key.ino)
 }
 
 // purge forgets everything (failover: the client reconnected to a
@@ -222,4 +263,71 @@ func (c *clientCache) revokeDentry(parent vfs.Ino, name string) {
 func (c *clientCache) purge() {
 	c.attrs.Clear()
 	c.dents.Clear()
+	c.lists.clear()
+}
+
+// listingCache holds lease-mode directory listings under a budget of
+// names: installing a listing evicts the least recently used ones until
+// the names fit, so a client never holds more listed names than its
+// attribute capacity. Every listing lives exactly as long as its
+// directory's attribute entry (clientCache.removeAttr and the attribute
+// LRU's eviction hook remove it), so there are never more listings than
+// attribute entries and byDir never evicts on its own.
+type listingCache struct {
+	byDir  *lru.Cache[vfs.Ino, []vfs.DirEntry]
+	names  int // entries of the cached listings
+	budget int
+	// spares are the entry arrays of removed listings, kept while cached
+	// and spare entries together fit the budget: installs copy into them,
+	// so listings dying and being listed again allocate nothing.
+	spares [][]vfs.DirEntry
+	kept   int // capacity of the spares
+}
+
+func newListingCache(budget int) listingCache {
+	return listingCache{byDir: lru.New[vfs.Ino, []vfs.DirEntry](budget), budget: budget}
+}
+
+// put caches a copy of ents as dir's listing.
+func (lc *listingCache) put(dir vfs.Ino, ents []vfs.DirEntry) {
+	lc.remove(dir)
+	for lc.names+len(ents) > lc.budget {
+		oldest, _, ok := lc.byDir.Oldest()
+		if !ok {
+			break
+		}
+		lc.remove(oldest)
+	}
+	var arr []vfs.DirEntry
+	if n := len(lc.spares); n > 0 {
+		arr, lc.spares = lc.spares[n-1], lc.spares[:n-1]
+		lc.kept -= cap(arr)
+	}
+	if cap(arr) < len(ents) {
+		arr = make([]vfs.DirEntry, len(ents)) // capacity exactly len: kept counts it
+	}
+	arr = arr[:len(ents)]
+	copy(arr, ents)
+	lc.byDir.Put(dir, arr)
+	lc.names += len(ents)
+}
+
+func (lc *listingCache) remove(dir vfs.Ino) {
+	ents, ok := lc.byDir.Peek(dir)
+	if !ok {
+		return
+	}
+	lc.byDir.Remove(dir)
+	lc.names -= len(ents)
+	if lc.names+lc.kept+cap(ents) <= lc.budget {
+		clear(ents[:cap(ents)])
+		lc.spares = append(lc.spares, ents[:0])
+		lc.kept += cap(ents)
+	}
+}
+
+func (lc *listingCache) clear() {
+	lc.byDir.Clear()
+	clear(lc.spares)
+	lc.spares, lc.names, lc.kept = lc.spares[:0], 0, 0
 }

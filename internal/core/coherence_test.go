@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"path"
 	"testing"
 	"time"
 
@@ -270,6 +271,114 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				})
 			})
 
+			t.Run("listing", func(t *testing.T) {
+				tb, d := coherenceRig(t, 800+int64(shards), shards)
+				A, B := d.Mounts[0], d.Mounts[1]
+				oracle := vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})
+				// The rename partner of /d: a directory whose dentries live on
+				// another shard whenever there is one.
+				sm := core.ShardMap{Shards: shards}
+				other := "/o0"
+				for i := 0; shards > 1 && sm.DirTarget(core.RootID, other[1:]) == sm.DirTarget(core.RootID, "d"); i++ {
+					other = fmt.Sprintf("/o%d", i)
+				}
+				// on applies one mutation to B and to the oracle alike.
+				on := func(p *sim.Proc, fn func(m *vfs.Mount) error) {
+					for _, m := range []*vfs.Mount{B, oracle} {
+						if err := fn(m); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				step(tb, "setup", func(p *sim.Proc) {
+					on(p, func(m *vfs.Mount) error { return m.Mkdir(p, ctxB, "/d", 0777) })
+					on(p, func(m *vfs.Mount) error { return m.Mkdir(p, ctxB, other, 0777) })
+					for _, f := range []string{"/d/f0", "/d/f1", "/d/f2", "/d/f3", other + "/x"} {
+						on(p, func(m *vfs.Mount) error {
+							h, err := m.Create(p, ctxB, f, 0644)
+							if err == nil {
+								err = h.Close(p)
+							}
+							return err
+						})
+					}
+				})
+				if shards > 1 {
+					var dAttr, oAttr vfs.Attr
+					step(tb, "placement", func(p *sim.Proc) {
+						dAttr, _ = B.Stat(p, ctxB, "/d")
+						oAttr, _ = B.Stat(p, ctxB, other)
+					})
+					if d.Service.Of(dAttr.Ino) == d.Service.Of(oAttr.Ino) {
+						t.Fatalf("/d and %s share shard %d: the renames would not cross shards", other, d.Service.Of(dAttr.Ino))
+					}
+				}
+				// listTwice has A list /d twice; both listings must equal the
+				// oracle's, and wantHits of them come from A's cache.
+				listTwice := func(what string, wantHits int64) {
+					t.Helper()
+					before := d.Counters().Get("cache.listing-hits")
+					step(tb, "list", func(p *sim.Proc) {
+						want, err := oracle.Readdir(p, ctxB, "/d")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := 0; i < 2; i++ {
+							got, err := A.Readdir(p, ctxA, "/d")
+							if err != nil || len(got) != len(want) {
+								t.Errorf("after %s: A's listing %v, %v; oracle %v", what, got, err, want)
+								return
+							}
+							for j := range got {
+								if got[j].Name != want[j].Name || got[j].Type != want[j].Type {
+									t.Errorf("after %s: A's listing %v, oracle %v", what, got, want)
+									return
+								}
+							}
+						}
+					})
+					if hits := d.Counters().Get("cache.listing-hits") - before; hits != wantHits {
+						t.Errorf("after %s: %d of A's two listings were cache hits, want %d", what, hits, wantHits)
+					}
+					if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
+						t.Fatalf("after %s: %v", what, err)
+					}
+				}
+				// The first listing rides the lease A's path walk took on /d;
+				// the second is served from A's cache.
+				listTwice("setup", 1)
+				for _, m := range []struct {
+					what string
+					fn   func(p *sim.Proc, m *vfs.Mount) error
+				}{
+					{"create", func(p *sim.Proc, m *vfs.Mount) error {
+						h, err := m.Create(p, ctxB, "/d/new", 0644)
+						if err == nil {
+							err = h.Close(p)
+						}
+						return err
+					}},
+					{"unlink", func(p *sim.Proc, m *vfs.Mount) error { return m.Unlink(p, ctxB, "/d/f0") }},
+					{"mkdir", func(p *sim.Proc, m *vfs.Mount) error { return m.Mkdir(p, ctxB, "/d/sub", 0755) }},
+					{"rmdir", func(p *sim.Proc, m *vfs.Mount) error { return m.Rmdir(p, ctxB, "/d/sub") }},
+					{"link", func(p *sim.Proc, m *vfs.Mount) error { return m.Link(p, ctxB, "/d/f1", "/d/hard") }},
+					{"rename out", func(p *sim.Proc, m *vfs.Mount) error { return m.Rename(p, ctxB, "/d/f2", other+"/f2") }},
+					{"rename in", func(p *sim.Proc, m *vfs.Mount) error { return m.Rename(p, ctxB, other+"/x", "/d/x") }},
+				} {
+					step(tb, m.what, func(p *sim.Proc) { on(p, func(mt *vfs.Mount) error { return m.fn(p, mt) }) })
+					listTwice(m.what, 1)
+				}
+				// A child's attributes are not the listing: it stays cached.
+				step(tb, "chmod", func(p *sim.Proc) {
+					on(p, func(m *vfs.Mount) error { _, err := m.Chmod(p, ctxB, "/d/f3", 0600); return err })
+				})
+				listTwice("chmod of a child", 2)
+				if err := d.Service.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+
 			t.Run("link-nlink", func(t *testing.T) {
 				tb, d := coherenceRig(t, 700+int64(shards), shards)
 				A, B := d.Mounts[0], d.Mounts[1]
@@ -441,6 +550,12 @@ func TestLeaseCoherenceUnderConcurrency(t *testing.T) {
 										f.WriteAt(p, 0, int64(64+node))
 										f.Close(p)
 									}
+								case 7:
+									// Listings ride the lease the path walk
+									// took on the directory: the checker
+									// below holds every cached one to the
+									// shard's table.
+									m.Readdir(p, ctx, path.Dir(name(i)))
 								default:
 									m.Stat(p, ctx, name(i))
 								}
@@ -455,6 +570,9 @@ func TestLeaseCoherenceUnderConcurrency(t *testing.T) {
 				if err := d.Service.CheckInvariants(); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
+			}
+			if d.Counters().Get("cache.listing-hits") == 0 {
+				t.Fatal("no listing was served from a cache: the checker saw none")
 			}
 		})
 	}

@@ -82,7 +82,7 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.obs.m }
 
 // Counters aggregates the deployment's per-layer observability
 // counters: the RPC transport (client and shard-to-shard channels),
-// the client cache (hits, misses, dentry/negative hits,
+// the client cache (hits, misses, dentry/negative/listing hits,
 // revocations, attribute-carrying listings and stataheads), the service
 // lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
@@ -104,6 +104,7 @@ func (d *Deployment) Counters() *stats.Counters {
 		c.Add("cache.attr-misses", cs.Misses)
 		c.Add("cache.dentry-hits", cs.DentryHits)
 		c.Add("cache.negative-hits", cs.NegativeHits)
+		c.Add("cache.listing-hits", cs.ListingHits)
 		c.Add("cache.lease-installs", cs.Installs)
 		c.Add("cache.lease-revoked", cs.Revocations)
 		c.Add("cache.plus-listings", fs.Stats.PlusListings)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cofs/internal/lru"
 	"cofs/internal/netsim"
@@ -51,6 +52,9 @@ type FS struct {
 	// like the cache it feeds, listed by the processes of the node.
 	listed  map[int]listing
 	advised *lru.Cache[vfs.Ino, struct{}]
+	// ahead holds the directories whose statahead is in flight, each with
+	// the condition the node's other stataheads of it wait on.
+	ahead map[vfs.Ino]*sim.Cond
 
 	Stats FSStats
 }
@@ -115,6 +119,7 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 		attrs:    cache,
 		listed:   make(map[int]listing),
 		advised:  lru.New[vfs.Ino, struct{}](cache.attrs.Capacity()),
+		ahead:    make(map[vfs.Ino]*sim.Cond),
 	}
 }
 
@@ -538,25 +543,35 @@ func (f *FS) Readlink(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (string, error) {
 // Readdir implements vfs.Filesystem. A listing carries attributes only
 // when the access pattern asks for them — the policy Lustre's statahead
 // and Linux NFS's READDIRPLUS heuristic converged on. By default it is
-// names-only: no child row read, nothing leased, nothing installed, so
-// listing a directory neither evicts the client's hot entries nor books
-// a recall onto every later mutation under it. FS remembers, per
-// process, what the listing returned first; when that process's next
-// Getattr or Lookup targets exactly that entry, an `ls -l` has begun
-// and the directory is advised: its next listing is fetched
-// READDIRPLUS-style and prefills the cache, so the stat sweep that
-// follows never goes back to the service (section IV-B's aggressive
-// caching applied to the paper's directory-traversal trigger). If that
-// first stat missed the cache, the bulk fetch is issued right there
-// instead of one RPC per entry (statahead). A plus listing consumes the
-// advice; only another first-entry stat renews it, so a process that
-// stops stat-ing stops paying for attributes. With the cache disabled
-// nothing is remembered and every listing is names-only.
+// names-only: no child row read and no new lease, so listing a directory
+// neither evicts the client's hot entries nor books a recall onto every
+// later mutation under it. FS remembers, per process, what the listing
+// returned first; when that process's next Getattr or Lookup targets
+// exactly that entry, an `ls -l` has begun and the directory is
+// advised: its next listing is fetched READDIRPLUS-style and prefills
+// the cache, so the stat sweep that follows never goes back to the
+// service (section IV-B's aggressive caching applied to the paper's
+// directory-traversal trigger). If that first stat missed the cache,
+// the bulk fetch is issued right there instead of one RPC per entry
+// (statahead). A plus listing consumes the advice; only another
+// first-entry stat renews it, so a process that stops stat-ing stops
+// paying for attributes. In lease mode a listing of a directory whose
+// attribute lease the client already holds is installed with that
+// lease (Service.grantListing), and a non-advised listing is served
+// from it, after the read-permission check the shard would apply, for
+// as long as the directory's attribute entry stays valid. With the
+// cache disabled nothing is remembered and every listing is names-only.
 func (f *FS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
 	var ents []vfs.DirEntry
 	var err error
 	if f.advised.Remove(dir) {
 		ents, err = f.readdirPlus(p, ctx, dir)
+	} else if cached, attr, ok := f.attrs.listing(p, dir); ok {
+		f.attrs.Stats.ListingHits++
+		if !canAccess(ctx, attr.UID, attr.GID, attr.Mode, 4) {
+			return nil, vfs.ErrPerm
+		}
+		ents = slices.Clone(cached)
 	} else {
 		f.Stats.ServiceOps++
 		ents, err = f.svc.Readdir(p, f.sess, ctx, dir)
@@ -591,9 +606,11 @@ func (f *FS) readdirPlus(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry,
 // very next stat after a listing can start a traversal. If the target
 // is what that listing returned first, the listed directory is advised
 // and, on a miss, its attributes are fetched in one RPC right away: the
-// result says whether the caller should probe the cache again. The
-// fetch's error is dropped — a caller that still misses issues the
-// single RPC it would have issued anyway, which reports its own.
+// result says whether the caller should probe the cache again. One such
+// fetch per directory is in flight per node: a process that finds one
+// waits for it instead of issuing its own. The fetch's error is dropped
+// — a caller that still misses issues the single RPC it would have
+// issued anyway, which reports its own.
 func (f *FS) statahead(p *sim.Proc, ctx vfs.Ctx, ino, dir vfs.Ino, name string, hit bool) bool {
 	l, ok := f.listed[ctx.PID]
 	if !ok {
@@ -607,8 +624,16 @@ func (f *FS) statahead(p *sim.Proc, ctx vfs.Ctx, ino, dir vfs.Ino, name string, 
 	if hit {
 		return false
 	}
+	if c, ok := f.ahead[l.dir]; ok {
+		c.Wait(p)
+		return true
+	}
+	c := sim.NewCond(p.Env())
+	f.ahead[l.dir] = c
 	f.Stats.Stataheads++
 	_, _ = f.readdirPlus(p, ctx, l.dir)
+	delete(f.ahead, l.dir)
+	c.Broadcast()
 	return true
 }
 

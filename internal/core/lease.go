@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
+	"cofs/internal/mdb"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -29,7 +32,8 @@ import (
 // call returns).
 
 // leaseKey names one leasable item of a shard: an attribute row (name
-// empty) or a dentry (parent+name).
+// empty) or a dentry (parent+name). It is what mutations hand
+// revokeLeases; the table itself keeps the two kinds apart.
 type leaseKey struct {
 	ino    vfs.Ino
 	parent vfs.Ino
@@ -42,15 +46,20 @@ func dentLease(parent vfs.Ino, name string) leaseKey {
 	return leaseKey{parent: parent, name: name}
 }
 
-// leaseTable tracks the lease holders of one shard's rows. Each key's
-// holders are a linked list threaded through one table-wide slab, so a
-// grant allocates nothing once the slab and the free list of released
-// slots cover the live holders.
+// leaseTable tracks the lease holders of one shard's rows: attribute
+// leases keyed by inode id, so the hot grant and revoke paths hash one
+// integer, and dentry leases keyed by (parent, name). Each key's holders
+// are a linked list threaded through one table-wide slab, so a grant
+// allocates nothing once the slab and the free list of released slots
+// cover the live holders.
 type leaseTable struct {
-	term    time.Duration
-	holders map[leaseKey]int32 // head of the key's holder list in slab
-	slab    []leaseHolder
-	free    int32 // head of the list of released slab slots; -1 if none
+	term  time.Duration
+	attrs map[vfs.Ino]int32   // head of the inode's holder list in slab
+	dents map[dentryKey]int32 // head of the dentry's holder list in slab
+	slab  []leaseHolder
+	free  int32 // head of the list of released slab slots; -1 if none
+	// victims is revoke's result, reused by every call.
+	victims []*Session
 	// sweepAt is the table size that triggers the next lazy sweep of
 	// fully-expired keys (stat-once workloads otherwise retain one
 	// holder list per row ever leased).
@@ -73,7 +82,8 @@ func newLeaseTable(term time.Duration) *leaseTable {
 	}
 	return &leaseTable{
 		term:    term,
-		holders: make(map[leaseKey]int32),
+		attrs:   make(map[vfs.Ino]int32),
+		dents:   make(map[dentryKey]int32),
 		free:    -1,
 		sweepAt: leaseSweepFloor,
 	}
@@ -121,7 +131,14 @@ func (lt *leaseTable) enabled() bool { return lt != nil }
 // read-mostly workloads do not accumulate dead (row, session) pairs
 // forever.
 func (lt *leaseTable) grant(now time.Duration, key leaseKey, sess *Session) time.Duration {
-	old, ok := lt.holders[key]
+	if key.name == "" {
+		return grantIn(lt, lt.attrs, now, key.ino, sess)
+	}
+	return grantIn(lt, lt.dents, now, dentryKey{Parent: key.parent, Name: key.name}, sess)
+}
+
+func grantIn[K comparable](lt *leaseTable, holders map[K]int32, now time.Duration, key K, sess *Session) time.Duration {
+	old, ok := holders[key]
 	if !ok {
 		old = -1
 	}
@@ -137,40 +154,60 @@ func (lt *leaseTable) grant(now time.Duration, key leaseKey, sess *Session) time
 		head = lt.alloc(leaseHolder{sess: sess, exp: exp, next: head})
 	}
 	if !ok || head != old {
-		lt.holders[key] = head
+		holders[key] = head
 	}
-	if len(lt.holders) >= lt.sweepAt {
+	if len(lt.attrs)+len(lt.dents) >= lt.sweepAt {
 		lt.sweep(now)
 	}
 	return exp
 }
 
+// holdsAttr reports whether sess holds a live lease on ino's attributes.
+func (lt *leaseTable) holdsAttr(now time.Duration, ino vfs.Ino, sess *Session) bool {
+	i, ok := lt.attrs[ino]
+	for ok && i >= 0 {
+		if h := &lt.slab[i]; h.sess == sess {
+			return now < h.exp
+		}
+		i = lt.slab[i].next
+	}
+	return false
+}
+
 // sweep drops expired holders and the keys they leave empty, then sets
 // the next trigger to double the live size (amortized O(1) per grant).
 func (lt *leaseTable) sweep(now time.Duration) {
-	for key, head := range lt.holders {
+	sweepIn(lt, lt.attrs, now)
+	sweepIn(lt, lt.dents, now)
+	lt.sweepAt = max(2*(len(lt.attrs)+len(lt.dents)), leaseSweepFloor)
+}
+
+func sweepIn[K comparable](lt *leaseTable, holders map[K]int32, now time.Duration) {
+	for key, head := range holders {
 		if head = lt.prune(now, head); head < 0 {
-			delete(lt.holders, key)
+			delete(holders, key)
 		} else {
-			lt.holders[key] = head
+			holders[key] = head
 		}
-	}
-	lt.sweepAt = 2 * len(lt.holders)
-	if lt.sweepAt < leaseSweepFloor {
-		lt.sweepAt = leaseSweepFloor
 	}
 }
 
 // revoke removes every holder of key and returns the sessions (other
 // than except) whose lease had not yet expired — the ones that must be
-// recalled. The result is ordered by client node for determinism.
+// recalled — ordered by client node for determinism. The result lives
+// in the table's own buffer: it is valid until the next revoke.
 func (lt *leaseTable) revoke(now time.Duration, key leaseKey, except *Session) []*Session {
-	i, ok := lt.holders[key]
+	var i int32
+	var ok bool
+	if key.name == "" {
+		i, ok = take(lt.attrs, key.ino)
+	} else {
+		i, ok = take(lt.dents, dentryKey{Parent: key.parent, Name: key.name})
+	}
 	if !ok {
 		return nil
 	}
-	delete(lt.holders, key)
-	var victims []*Session
+	victims := lt.victims[:0]
 	for i >= 0 {
 		h := lt.slab[i]
 		lt.release(i)
@@ -180,17 +217,28 @@ func (lt *leaseTable) revoke(now time.Duration, key leaseKey, except *Session) [
 			victims = append(victims, h.sess)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].node < victims[j].node })
+	slices.SortFunc(victims, func(a, b *Session) int { return cmp.Compare(a.node, b.node) })
+	lt.victims = victims
 	return victims
+}
+
+// take removes key from holders and returns the head of its list.
+func take[K comparable](holders map[K]int32, key K) (int32, bool) {
+	head, ok := holders[key]
+	if ok {
+		delete(holders, key)
+	}
+	return head, ok
 }
 
 // CheckCacheCoherence verifies, at a drained instant, the invariant
 // the lease protocol must preserve: every still-leased entry in every
-// client's cache equals the authoritative table row (attributes), or
-// correctly mirrors dentry existence (positive and negative entries).
-// Concurrency stress tests call it between drained rounds — it is what
-// catches grant/revoke interleaving bugs that sequential coherence
-// tests cannot.
+// client's cache equals the authoritative table row (attributes),
+// correctly mirrors dentry existence (positive and negative entries),
+// or — a cached listing — equals the directory's listing on its shard,
+// names, ids, types and order. Concurrency stress tests call it between
+// drained rounds — it is what catches grant/revoke interleaving bugs
+// that sequential coherence tests cannot.
 func (d *Deployment) CheckCacheCoherence(now time.Duration) error {
 	for i, fs := range d.FSs {
 		cc := fs.attrs
@@ -226,6 +274,21 @@ func (d *Deployment) CheckCacheCoherence(now time.Duration) error {
 			if !exists || de.Child != e.child {
 				return fmt.Errorf("core: node %d holds a stale dentry %d/%s -> %d (table: %v, %d)",
 					i, k.parent, k.name, e.child, exists, de.Child)
+			}
+		}
+		for _, dir := range cc.lists.byDir.Keys() {
+			ents, _ := cc.lists.byDir.Peek(dir)
+			e, ok := cc.attrs.Peek(dir)
+			if !ok {
+				return fmt.Errorf("core: node %d holds a listing of %d without its attribute entry", i, dir)
+			}
+			if now >= e.exp {
+				continue
+			}
+			// An untimed read handle: the check charges no virtual time.
+			want := listDentries(&mdb.Tx{}, d.Service.shard(dir).dentries, dir)
+			if !slices.Equal(ents, want) {
+				return fmt.Errorf("core: node %d holds a stale listing of %d: cached %v, table %v", i, dir, ents, want)
 			}
 		}
 	}
@@ -289,13 +352,32 @@ func (s *Service) grantNegative(p *sim.Proc, sess *Session, parent vfs.Ino, name
 	sess.cache.installDentry(parent, name, 0, exp)
 }
 
+// grantListing installs dir's listing in the session's cache, but only
+// when the session already holds a live lease on dir's attributes; that
+// lease is refreshed like any read grant. It runs inside the listing's
+// snapshot read, at its instant, with din the directory row that
+// snapshot read. Every dentry mutation under dir recalls the lease on
+// dir's attributes at its commit (Create, Remove, Rename, Link and their
+// cross-shard forms), and the listing dies with that cache entry. A
+// session without the lease gets nothing installed, so a listing never
+// adds a holder and never books a recall.
+func (s *Service) grantListing(p *sim.Proc, sess *Session, din inodeRow, ents []vfs.DirEntry) {
+	if !s.leases.enabled() || sess == nil || !sess.cache.fitsListing(len(ents)) ||
+		!s.leases.holdsAttr(p.Now(), din.ID, sess) {
+		return
+	}
+	exp := s.leases.grant(p.Now(), attrLease(din.ID), sess)
+	sess.cache.installListing(din.attr(), ents, exp)
+}
+
 // recallGroupLeases recalls every lease this shard's table holds on
 // rows of the given (just-migrated) groups: the groups' attribute
 // leases and every dentry lease — positive or negative — under the
 // directories they name. Migration has no mutating session, so nobody
 // is exempt; entries die at the batch's commit instant and the recall
 // messages are charged to the migration. Keys are recalled in
-// deterministic order (the lease table is a map).
+// deterministic order (the lease table is a map): dentries by parent
+// and name, then attributes by inode.
 func (s *Service) recallGroupLeases(p *sim.Proc, ids []vfs.Ino) {
 	if !s.leases.enabled() {
 		return
@@ -304,22 +386,29 @@ func (s *Service) recallGroupLeases(p *sim.Proc, ids []vfs.Ino) {
 	for _, id := range ids {
 		moved[id] = true
 	}
-	var keys []leaseKey
-	for key := range s.leases.holders {
-		if moved[key.ino] || (key.name != "" && moved[key.parent]) {
-			keys = append(keys, key)
+	var dents []dentryKey
+	for k := range s.leases.dents {
+		if moved[k.Parent] {
+			dents = append(dents, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.ino != b.ino {
-			return a.ino < b.ino
-		}
-		if a.parent != b.parent {
-			return a.parent < b.parent
-		}
-		return a.name < b.name
+	slices.SortFunc(dents, func(a, b dentryKey) int {
+		return cmp.Or(cmp.Compare(a.Parent, b.Parent), strings.Compare(a.Name, b.Name))
 	})
+	var attrs []vfs.Ino
+	for ino := range s.leases.attrs {
+		if moved[ino] {
+			attrs = append(attrs, ino)
+		}
+	}
+	slices.Sort(attrs)
+	keys := make([]leaseKey, 0, len(dents)+len(attrs))
+	for _, k := range dents {
+		keys = append(keys, dentLease(k.Parent, k.Name))
+	}
+	for _, ino := range attrs {
+		keys = append(keys, attrLease(ino))
+	}
 	s.revokeLeases(p, nil, keys...)
 }
 
@@ -337,32 +426,27 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 		return
 	}
 	now := p.Now()
-	seen := make(map[*Session]bool)
-	var victims []*Session
+	victims := s.recalled[:0]
 	for _, key := range keys {
 		if except != nil {
-			if key.name != "" {
-				except.cache.revokeDentry(key.parent, key.name)
-			} else {
-				except.cache.revokeAttr(key.ino)
-			}
+			except.cache.revoke(key)
 		}
 		for _, sess := range s.leases.revoke(now, key, except) {
-			if key.name != "" {
-				sess.cache.revokeDentry(key.parent, key.name)
-			} else {
-				sess.cache.revokeAttr(key.ino)
-			}
+			sess.cache.revoke(key)
 			s.Stats.Revocations++
-			if !seen[sess] {
-				seen[sess] = true
+			if !slices.Contains(victims, sess) {
 				victims = append(victims, sess)
 			}
 		}
 	}
 	if len(victims) == 0 {
+		s.recalled = victims
 		return
 	}
+	// The buffer leaves the shard while the recalls are on the wire: a
+	// revoke another operation commits on this shard meanwhile starts one
+	// of its own.
+	s.recalled = nil
 	s.host.CPU.Release(p)
 	for _, sess := range victims {
 		// The invalidation already happened above; the callback charges
@@ -370,4 +454,6 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 		sess.conns[s.shardID].Callback(p, 96, func(p *sim.Proc) {})
 	}
 	s.host.CPU.Acquire(p)
+	clear(victims)
+	s.recalled = victims[:0]
 }

@@ -4,6 +4,11 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"cofs/internal/cluster"
+	"cofs/internal/params"
+	"cofs/internal/sim"
+	"cofs/internal/vfs"
 )
 
 // skipUnderRace skips an allocation pin in a -race build, whose
@@ -80,11 +85,52 @@ func TestLeaseRevokeFreesHolders(t *testing.T) {
 	if len(victims) != 2 || victims[0] != s[1] || victims[1] != s[2] {
 		t.Fatalf("victims %v, want nodes 1 and 2", victims)
 	}
-	if _, ok := lt.holders[key]; ok {
+	if _, ok := lt.attrs[9]; ok {
 		t.Fatal("revoked key still has holders")
 	}
 	lt.grant(term, attrLease(10), s[0])
 	if len(lt.slab) != 4 {
 		t.Fatalf("%d slab slots after revoke and re-grant, want the 4 reused", len(lt.slab))
 	}
+}
+
+// TestLeaseRecallAllocsNothing pins the recall path: a mutation's revoke
+// of a name and an inode that two other clients hold leases on — two
+// victims, each recalled once — allocates nothing. The lease table
+// returns its victims in a buffer of its own, and revokeLeases dedups
+// them in a buffer the shard keeps from one revoke to the next.
+func TestLeaseRecallAllocsNothing(t *testing.T) {
+	skipUnderRace(t)
+	cfg := params.Default()
+	cfg.COFS.AttrLease = 30 * time.Second
+	tb := cluster.New(1, 3, cfg)
+	d := Deploy(tb, nil)
+	tb.Env.Spawn("pin", func(p *sim.Proc) {
+		svc, mutator := d.Service, d.FSs[0].Session()
+		attr, _, err := svc.Create(p, mutator, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")
+		if err != nil {
+			panic(err)
+		}
+		s := svc.shard(attr.Ino)
+		revocations := s.Stats.Revocations
+		recall := func() {
+			for _, fs := range d.FSs[1:] {
+				if _, err := svc.Lookup(p, fs.Session(), RootID, "f"); err != nil {
+					panic(err)
+				}
+			}
+			s.host.CPU.Acquire(p)
+			s.revokeLeases(p, mutator, dentLease(RootID, "f"), attrLease(attr.Ino))
+			s.host.CPU.Release(p)
+		}
+		recall()
+		if n := testing.AllocsPerRun(100, recall); n > 0.05 {
+			t.Errorf("a recall with two victims allocates %v, want 0", n)
+		}
+		// Two sessions, two keys each, over 102 rounds.
+		if got := s.Stats.Revocations - revocations; got != 2*2*102 {
+			t.Errorf("%d revocations, want %d", got, 2*2*102)
+		}
+	})
+	tb.Run()
 }

@@ -1,0 +1,186 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"cofs/internal/cluster"
+	"cofs/internal/params"
+	"cofs/internal/sim"
+	"cofs/internal/vfs"
+)
+
+// These tests pin the cached listing (Service.grantListing,
+// FS.Readdir): who may read it, how much of it a client keeps, and that
+// the coherence checker holds it to the shard's table.
+
+// dirSpec is a directory listingRig makes and how many files it holds.
+type dirSpec struct {
+	path  string
+	files int
+}
+
+// listingRig deploys a 2-node, 1-shard COFS with the lease cache on and
+// an attribute capacity of entries; node 1 makes the directories, so
+// node 0 starts with nothing cached.
+func listingRig(t *testing.T, entries int, dirs ...dirSpec) (*cluster.Testbed, *Deployment) {
+	t.Helper()
+	cfg := params.Default()
+	cfg.COFS.AttrLease = 30 * time.Second
+	cfg.COFS.AttrCacheEntries = entries
+	tb := cluster.New(11, 2, cfg)
+	d := Deploy(tb, nil)
+	drained(tb, "fill", func(p *sim.Proc) {
+		m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
+		for _, dir := range dirs {
+			if err := m.Mkdir(p, ctx, dir.path, 0755); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < dir.files; i++ {
+				f, err := m.Create(p, ctx, fmt.Sprintf("%s/f%02d", dir.path, i), 0644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close(p)
+			}
+		}
+	})
+	return tb, d
+}
+
+// listOn lists dir on node 0 as ctx and reports whether the listing came
+// from node 0's cache.
+func listOn(t *testing.T, tb *cluster.Testbed, d *Deployment, ctx vfs.Ctx, dir string) (hit bool, err error) {
+	t.Helper()
+	fs := d.FSs[0]
+	hits, ops := fs.CacheStats().ListingHits, fs.Stats.ServiceOps
+	drained(tb, "list", func(p *sim.Proc) { _, err = d.Mounts[0].Readdir(p, ctx, dir) })
+	hit = fs.CacheStats().ListingHits == hits+1
+	if hit && fs.Stats.ServiceOps != ops {
+		t.Fatalf("listing %s counted a hit but went to the service", dir)
+	}
+	return hit, err
+}
+
+// TestCachedListingChecksPermission: a listing cached for one user is
+// refused to another without read permission on the directory, with the
+// error the shard gives, and the refusal costs no round trip.
+func TestCachedListingChecksPermission(t *testing.T) {
+	tb, d := listingRig(t, 64)
+	owner := cluster.Ctx(0, 1)
+	stranger := vfs.Ctx{Node: 0, PID: 2, UID: owner.UID + 1, GID: owner.GID + 1}
+	drained(tb, "private", func(p *sim.Proc) {
+		if err := d.Mounts[0].Mkdir(p, owner, "/p", 0700); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i, want := range []bool{false, true} {
+		if hit, err := listOn(t, tb, d, owner, "/p"); err != nil || hit != want {
+			t.Fatalf("owner's listing %d: hit %v, %v; want hit %v", i+1, hit, err, want)
+		}
+	}
+	ops := d.FSs[0].Stats.ServiceOps
+	if hit, err := listOn(t, tb, d, stranger, "/p"); !hit || err != vfs.ErrPerm {
+		t.Fatalf("stranger's listing of the cached /p: hit %v, %v; want a hit refused with ErrPerm", hit, err)
+	}
+	if d.FSs[0].Stats.ServiceOps != ops {
+		t.Fatal("the refused listing went to the service")
+	}
+	// The shard answers the same to a node with nothing cached.
+	var err error
+	drained(tb, "shard", func(p *sim.Proc) {
+		_, err = d.Mounts[1].Readdir(p, vfs.Ctx{Node: 1, PID: 2, UID: stranger.UID, GID: stranger.GID}, "/p")
+	})
+	if err != vfs.ErrPerm {
+		t.Fatalf("the shard answered the stranger's listing with %v, want ErrPerm", err)
+	}
+}
+
+// TestCachedListingBudget: cached listings hold at most AttrCacheEntries
+// names per client. A longer listing is never cached; over budget, the
+// least recently used listing goes.
+func TestCachedListingBudget(t *testing.T) {
+	const budget = 16
+	tb, d := listingRig(t, budget,
+		dirSpec{"/big", budget + 1}, dirSpec{"/a", budget / 2}, dirSpec{"/b", budget / 2}, dirSpec{"/c", budget / 2})
+	ctx := cluster.Ctx(0, 1)
+	step := func(dir string, want bool) {
+		t.Helper()
+		if hit, err := listOn(t, tb, d, ctx, dir); err != nil || hit != want {
+			t.Fatalf("listing %s: hit %v, %v; want hit %v", dir, hit, err, want)
+		}
+	}
+	step("/big", false) // the walk leases /big's attributes ...
+	installs := d.FSs[0].CacheStats().Installs
+	step("/big", false) // ... but its listing does not fit
+	if d.FSs[0].CacheStats().Installs != installs {
+		t.Fatal("a listing longer than the budget installed something")
+	}
+	step("/a", false)
+	step("/b", false)
+	step("/a", true) // a full budget: /a, then /b least recently used
+	step("/c", false)
+	step("/a", true)
+	step("/c", true)
+	step("/b", false) // evicted by /c
+	if names := d.FSs[0].attrs.lists.names; names > budget {
+		t.Fatalf("%d listed names cached, budget %d", names, budget)
+	}
+	if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoherenceCheckerCatchesStaleListing plants a stale listing by hand
+// and requires CheckCacheCoherence to report it.
+func TestCoherenceCheckerCatchesStaleListing(t *testing.T) {
+	tb, d := listingRig(t, 64, dirSpec{"/d", 3})
+	ctx := cluster.Ctx(0, 1)
+	for i, want := range []bool{false, true} {
+		if hit, err := listOn(t, tb, d, ctx, "/d"); err != nil || hit != want {
+			t.Fatalf("listing %d: hit %v, %v; want hit %v", i+1, hit, err, want)
+		}
+	}
+	if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
+		t.Fatalf("a fresh cached listing: %v", err)
+	}
+	lc := &d.FSs[0].attrs.lists
+	dir, ents, _ := lc.byDir.Oldest()
+	lc.put(dir, append([]vfs.DirEntry(nil), ents[1:]...)) // f00 is gone
+	if err := d.CheckCacheCoherence(tb.Env.Now()); err == nil {
+		t.Fatal("the checker passed a listing missing an entry")
+	}
+}
+
+// TestCachedListingDiesWithItsAttributeEntry: when the attribute LRU
+// evicts a directory's entry, the listing riding it goes too.
+func TestCachedListingDiesWithItsAttributeEntry(t *testing.T) {
+	const entries = 16
+	tb, d := listingRig(t, entries, dirSpec{"/a", 4}, dirSpec{"/b", entries})
+	ctx := cluster.Ctx(0, 1)
+	var dir vfs.Attr
+	drained(tb, "find", func(p *sim.Proc) { dir, _ = d.Mounts[0].Stat(p, ctx, "/a") })
+	for i, want := range []bool{false, true} {
+		if hit, err := listOn(t, tb, d, ctx, "/a"); err != nil || hit != want {
+			t.Fatalf("listing %d: hit %v, %v; want hit %v", i+1, hit, err, want)
+		}
+	}
+	// Leasing every file of /b fills the attribute LRU past /a's entry.
+	drained(tb, "stat", func(p *sim.Proc) {
+		for i := 0; i < entries; i++ {
+			if _, err := d.Mounts[0].Stat(p, ctx, fmt.Sprintf("/b/f%02d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if d.FSs[0].attrs.lists.byDir.Contains(dir.Ino) {
+		t.Fatal("the listing of /a outlived its attribute entry")
+	}
+	if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if hit, err := listOn(t, tb, d, ctx, "/a"); err != nil || hit {
+		t.Fatalf("listing /a after eviction: hit %v, %v; want a miss", hit, err)
+	}
+}

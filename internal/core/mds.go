@@ -397,8 +397,8 @@ func (c *MDSCluster) ReaddirPlus(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vf
 	return c.readdir(p, sess, ctx, dir, true)
 }
 
-// Readdir lists dir's names, ids and types only: no attribute is read,
-// shipped or leased.
+// Readdir lists dir's names, ids and types only: no child attribute is
+// read, shipped or leased (Service.readdir).
 func (c *MDSCluster) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
 	ents, _, err := c.readdir(p, sess, ctx, dir, false)
 	return ents, err

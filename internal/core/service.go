@@ -119,6 +119,9 @@ type Service struct {
 	// shard's rows (nil unless COFSParams.AttrLease is set; see
 	// lease.go).
 	leases *leaseTable
+	// recalled is revokeLeases' victim buffer, reused from one revoke to
+	// the next (nil while a revoke's recalls are on the wire).
+	recalled []*Session
 	// peers are this shard's channels to the other shards of the plane
 	// (two-phase protocol traffic), indexed by shard id; nil for self.
 	peers []*rpc.Conn
@@ -958,12 +961,15 @@ type readdirReply struct {
 // readdir is the one listing body. Names-only (plus false) it returns
 // the directory's names, ids and types — the type is denormalized into
 // the dentry — and touches nothing else: no child inode row, no peer
-// shard, no lease. With plus it also returns every entry's attributes in
-// the same response (NFSv3 READDIRPLUS style) and leases them and their
-// dentries to the caller, so one RPC serves a whole `ls -l`; the client
-// asks for that only when it sees a process stat what it lists (see
-// FS.Readdir). The response transfer cost scales with the number of
-// entries, 64 bytes each names-only and 160 with attributes.
+// shard, no new lease. With plus it also returns every entry's
+// attributes in the same response (NFSv3 READDIRPLUS style) and leases
+// them and their dentries to the caller, so one RPC serves a whole
+// `ls -l`; the client asks for that only when it sees a process stat
+// what it lists (see FS.Readdir). Either kind rides a lease the caller
+// already holds on the directory's attributes: the listing is installed
+// in its cache (grantListing), so its repeats cost no round trip. The
+// response transfer cost scales with the number of entries, 64 bytes
+// each names-only and 160 with attributes.
 //
 // The listing — the directory's own row, its dentries off the parent
 // index and, with plus, the attributes of every child whose inode row
@@ -983,11 +989,13 @@ func (s *Service) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino, 
 		}
 		var remote [][]int // shard id -> indexes of the entries it owns
 		s.DB.View(p, func(tx *mdb.Tx) {
-			if _, err := s.dirRow(tx, ctx, dir, false); err != nil {
+			din, err := s.dirRow(tx, ctx, dir, false)
+			if err != nil {
 				out.err = err
 				return
 			}
 			out.entries = listDentries(tx, s.dentries, dir)
+			s.grantListing(p, sess, din, out.entries)
 			if !plus {
 				return
 			}

@@ -100,6 +100,18 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return zero, false
 }
 
+// Oldest returns the least recently used entry, without updating
+// recency or statistics; false when the cache is empty.
+func (c *Cache[K, V]) Oldest() (K, V, bool) {
+	if c.tail < 0 {
+		var k K
+		var v V
+		return k, v, false
+	}
+	n := &c.nodes[c.tail]
+	return n.key, n.val, true
+}
+
 // Contains reports whether key is cached, without side effects.
 func (c *Cache[K, V]) Contains(key K) bool {
 	_, ok := c.items[key]

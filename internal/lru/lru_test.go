@@ -75,6 +75,26 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
+// TestOldest: Oldest names the entry the next eviction would take, and
+// asking does not promote it.
+func TestOldest(t *testing.T) {
+	c := New[int, int](3)
+	if _, _, ok := c.Oldest(); ok {
+		t.Fatal("an empty cache has an oldest entry")
+	}
+	c.Put(1, 10)
+	c.Put(2, 20)
+	c.Get(1)
+	if k, v, ok := c.Oldest(); !ok || k != 2 || v != 20 {
+		t.Fatalf("Oldest = %d, %d, %v; want 2, 20", k, v, ok)
+	}
+	c.Put(3, 30)
+	c.Put(4, 40) // evicts 2, the oldest
+	if c.Contains(2) {
+		t.Fatal("Oldest promoted its entry")
+	}
+}
+
 func TestHitRateAndKeys(t *testing.T) {
 	c := New[int, int](2)
 	c.Put(1, 1)

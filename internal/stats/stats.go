@@ -1,6 +1,7 @@
 // Package stats provides the small statistical helpers used by the
-// benchmark harnesses: streaming summaries, percentiles and formatted
-// series output in the units the paper reports (ms per operation, MB/s).
+// benchmark harnesses: streaming summaries, percentiles, counters and
+// aligned text grids in the units the paper reports (ms per operation,
+// MB/s).
 package stats
 
 import (
@@ -106,43 +107,6 @@ func (s *Summary) String() string {
 		float64(s.Std())/float64(time.Millisecond),
 		float64(s.Min())/float64(time.Millisecond),
 		float64(s.Max())/float64(time.Millisecond))
-}
-
-// Series is a labeled sequence of (x, y) points, used to print the data
-// behind one curve of a paper figure.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Table renders a set of series sharing the same X axis as an aligned text
-// table with the given column headers.
-func Table(xHeader string, series ...*Series) string {
-	rows := [][]string{{xHeader}}
-	for _, s := range series {
-		rows[0] = append(rows[0], s.Label)
-	}
-	if len(series) > 0 {
-		for i, x := range series[0].X {
-			row := []string{fmt.Sprintf("%.4g", x)}
-			for _, s := range series {
-				cell := "-"
-				if i < len(s.Y) {
-					cell = fmt.Sprintf("%.3f", s.Y[i])
-				}
-				row = append(row, cell)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return Grid(rows)
 }
 
 // Grid renders rows of cells as aligned text columns, the first

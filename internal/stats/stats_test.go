@@ -131,47 +131,14 @@ func BenchmarkPercentiles(b *testing.B) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	a := &Series{Label: "gpfs"}
-	b := &Series{Label: "cofs"}
-	a.Append(32, 20.5)
-	a.Append(64, 21.0)
-	b.Append(32, 2.5)
-	b.Append(64, 2.6)
-	out := Table("files", a, b)
-	if !strings.Contains(out, "gpfs") || !strings.Contains(out, "cofs") {
-		t.Fatalf("missing headers:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 lines, got %d:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[1], "20.500") || !strings.Contains(lines[1], "2.500") {
-		t.Fatalf("row content wrong: %q", lines[1])
-	}
-}
-
-func TestTableRaggedSeries(t *testing.T) {
-	a := &Series{Label: "x"}
-	b := &Series{Label: "y"}
-	a.Append(1, 1)
-	a.Append(2, 2)
-	b.Append(1, 1)
-	out := Table("k", a, b)
-	if !strings.Contains(out, "-") {
-		t.Fatalf("missing placeholder for ragged series:\n%s", out)
-	}
-}
-
-// TestTableLongLabelsKeepASpace: a label wider than the default column
-// (here 20 characters, header and x alike) still leaves a space before
-// its neighbour, and the rows stay aligned under it.
-func TestTableLongLabelsKeepASpace(t *testing.T) {
-	a := &Series{Label: "1-node stat (ms) abc"}
-	b := &Series{Label: "4-node stat (ms) xyz"}
-	a.Append(1, 0.5)
-	b.Append(1, 9.25)
-	out := Table("inodes per block abc", a, b)
+// TestGridLongCellsKeepASpace: a cell wider than the default column
+// (here 20 characters, header and first column alike) still leaves a
+// space before its neighbour, and the rows stay aligned under it.
+func TestGridLongCellsKeepASpace(t *testing.T) {
+	out := Grid([][]string{
+		{"inodes per block abc", "1-node stat (ms) abc", "4-node stat (ms) xyz"},
+		{"1", "0.500", "9.250"},
+	})
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
 	want := []string{
 		"inodes per block abc  1-node stat (ms) abc 4-node stat (ms) xyz",
