@@ -21,7 +21,6 @@ import (
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
-	"cofs/internal/store"
 	"cofs/internal/trace"
 )
 
@@ -284,44 +283,6 @@ func BenchmarkMetadataCache(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkStoreBackends is the gated smoke test of the pluggable
-// store layer (docs/backends.md): the client-cache storm on a
-// single-shard plane, once per registered backend. The mdb row must
-// stay bit-identical to the pre-seam store (the same workload
-// BenchmarkMetadataCache gates); the mdls row pins the log-structured
-// engine's cost envelope so a change to its append/compaction model
-// cannot slip through unmeasured.
-func BenchmarkStoreBackends(b *testing.B) {
-	for _, backend := range store.Names() {
-		backend := backend
-		b.Run(backend+"-smoke", func(b *testing.B) {
-			var sum *stats.Summary
-			var c *stats.Counters
-			var mt bench.Meter
-			for i := 0; i < b.N; i++ {
-				cfg := params.Default()
-				cfg.COFS.MetadataStore = backend
-				mt.Start()
-				sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
-				mt.Stop()
-			}
-			b.ReportMetric(sum.MeanMs(), "vms/op")
-			rec := bench.Record{
-				Name: "store-backend/" + backend + "-smoke", Shards: 1,
-				VmsPerOp: sum.MeanMs(),
-				P50Ms:    float64(sum.Percentile(50)) / float64(time.Millisecond),
-				P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
-			}
-			mt.Fill(&rec, sum.N())
-			rec.SetSimCounters(c)
-			rec.Counters[traversalUs] = c.Get(traversalUs)
-			if err := bench.WriteRecord(rec); err != nil {
-				b.Logf("bench record: %v", err)
-			}
-		})
 	}
 }
 

@@ -13,9 +13,9 @@
 // reports the movement counters (docs/resharding.md). With -crash-at N
 // it instead kills the plane at migration step N, recovers it, and
 // reports the virtual recovery time. The deployment flags (-shards,
-// -store, -attr-lease, ..., -trace, -metrics, -slowlog, profiles) are
-// the ones every COFS tool shares (bench.ToolFlags); the per-layer
-// report they shape closes every run.
+// -attr-lease, ..., -trace, -metrics, -slowlog, profiles) are the ones
+// every COFS tool shares (bench.ToolFlags); the per-layer report they
+// shape closes every run.
 package main
 
 import (

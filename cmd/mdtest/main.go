@@ -7,7 +7,7 @@
 //
 // It reports per-phase operation rates, mdtest-style; with -reshard-at
 // the COFS metadata plane reshards mid-phase while the ranks run. The
-// deployment flags (-shards, -store, -attr-lease, ..., -trace, -metrics,
+// deployment flags (-shards, -attr-lease, ..., -trace, -metrics,
 // -slowlog, profiles) are the ones every COFS tool shares
 // (bench.ToolFlags).
 package main

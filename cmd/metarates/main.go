@@ -9,8 +9,8 @@
 //	metarates [-fs gpfs|cofs] [-nodes N] [-procs P] [-files F] [-dir D] [-ops list] [-seed S]
 //	          [-reshard-at op -reshard-to M2] [deployment flags]
 //
-// The deployment flags (-shards, -store, -attr-lease, ..., -trace,
-// -metrics, -slowlog, profiles) are the ones every COFS tool shares
+// The deployment flags (-shards, -attr-lease, ..., -trace, -metrics,
+// -slowlog, profiles) are the ones every COFS tool shares
 // (bench.ToolFlags).
 package main
 

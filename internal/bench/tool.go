@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
-	"cofs/internal/store"
 )
 
 // ToolFlags is the deployment surface the tools share (cofsctl, mdtest,
@@ -21,7 +19,6 @@ import (
 // binds it beside its own workload flags, so the three cannot drift.
 type ToolFlags struct {
 	Shards       int
-	Store        string
 	AttrLease    time.Duration
 	ExclLocks    bool
 	StandbyReads bool
@@ -36,7 +33,6 @@ type ToolFlags struct {
 func BindToolFlags(fs *flag.FlagSet) *ToolFlags {
 	f := &ToolFlags{}
 	fs.IntVar(&f.Shards, "shards", 1, "cofs metadata service shards")
-	fs.StringVar(&f.Store, "store", "", "cofs metadata store backend (default "+store.DefaultName+"; see docs/backends.md)")
 	fs.DurationVar(&f.AttrLease, "attr-lease", 0, "cofs client cache lease term (0 disables the coherent cache)")
 	fs.BoolVar(&f.ExclLocks, "excl-locks", false, "cofs: revert the row-lock table to exclusive-only locks (no shared read-dependency grants)")
 	fs.BoolVar(&f.StandbyReads, "standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
@@ -48,40 +44,31 @@ func BindToolFlags(fs *flag.FlagSet) *ToolFlags {
 	return f
 }
 
-// Config validates the flags and assembles the testbed configuration:
-// params.Default with the flags applied. An unknown -store is an error
-// naming the registered backends.
-func (f *ToolFlags) Config() (params.Config, error) {
+// Config assembles the testbed configuration: params.Default with the
+// flags applied.
+func (f *ToolFlags) Config() params.Config {
 	cfg := params.Default()
-	if _, ok := store.Lookup(f.Store); !ok && f.Store != "" {
-		return cfg, fmt.Errorf("unknown -store %q (registered: %s)", f.Store, strings.Join(store.Names(), ", "))
-	}
-	cfg.COFS.MetadataStore = f.Store
 	cfg.COFS.MetadataShards = f.Shards
 	cfg.COFS.AttrLease = f.AttrLease
 	cfg.COFS.ExclusiveRowLocks = f.ExclLocks
 	cfg.COFS.StandbyReads = f.StandbyReads
 	cfg.COFS.Trace = f.Trace != "" || f.Slowlog > 0
 	cfg.COFS.Metrics = f.Metrics
-	return cfg, nil
+	return cfg
 }
 
-// Start is Config plus the host profiles, for tool mains: a bad flag
-// value or an uncreatable profile is fatal with exit status 2, like a
-// flag-parse error. The returned stop ends the profiles and reports its
-// own failure to stderr instead of returning it (a profile write error
+// Start is Config plus the host profiles, for tool mains: an
+// uncreatable profile is fatal with exit status 2, like a flag-parse
+// error. The returned stop ends the profiles and reports its own
+// failure to stderr instead of returning it (a profile write error
 // should not change a tool's exit status after a successful run).
 func (f *ToolFlags) Start(tool string) (params.Config, func()) {
-	cfg, err := f.Config()
-	var stop func() error
-	if err == nil {
-		stop, err = Profile(f.CPUProfile, f.MemProfile)
-	}
+	stop, err := Profile(f.CPUProfile, f.MemProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 		os.Exit(2)
 	}
-	return cfg, func() {
+	return f.Config(), func() {
 		if err := stop(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: profile: %v\n", tool, err)
 		}
@@ -104,7 +91,7 @@ func (f *ToolFlags) Deploy(tb *cluster.Testbed) *core.Deployment {
 // histograms and per-shard rates, the slowest spans, and the Chrome
 // trace file.
 func (f *ToolFlags) Report(w io.Writer, tb *cluster.Testbed, d *core.Deployment) error {
-	fmt.Fprintf(w, "== cofs per-layer counters (store=%s) ==\n", d.Service.StoreName())
+	fmt.Fprintln(w, "== cofs per-layer counters ==")
 	d.Counters().Fprint(w, "  ")
 	if m := d.Metrics(); m != nil {
 		fmt.Fprintln(w, "== cofs latency histograms (virtual time) ==")

@@ -16,7 +16,6 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
-	"cofs/internal/store"
 )
 
 // parseTool binds the shared tool flags to a fresh flag set and parses
@@ -33,10 +32,7 @@ func parseTool(t *testing.T, args ...string) *bench.ToolFlags {
 }
 
 func TestToolFlagsDefaultIsDefaultConfig(t *testing.T) {
-	cfg, err := parseTool(t).Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := parseTool(t).Config()
 	if !reflect.DeepEqual(cfg, params.Default()) {
 		t.Fatalf("no flags gave %+v, want params.Default() %+v", cfg.COFS, params.Default().COFS)
 	}
@@ -48,7 +44,6 @@ func TestToolFlagsEachSetsItsField(t *testing.T) {
 		want func(cfg *params.Config)
 	}{
 		{[]string{"-shards", "3"}, func(cfg *params.Config) { cfg.COFS.MetadataShards = 3 }},
-		{[]string{"-store", "mdls"}, func(cfg *params.Config) { cfg.COFS.MetadataStore = "mdls" }},
 		{[]string{"-attr-lease", "2s"}, func(cfg *params.Config) { cfg.COFS.AttrLease = 2 * time.Second }},
 		{[]string{"-excl-locks"}, func(cfg *params.Config) { cfg.COFS.ExclusiveRowLocks = true }},
 		{[]string{"-standby-reads"}, func(cfg *params.Config) { cfg.COFS.StandbyReads = true }},
@@ -59,10 +54,7 @@ func TestToolFlagsEachSetsItsField(t *testing.T) {
 		// Host profiles shape no deployment.
 		{[]string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}, func(*params.Config) {}},
 	} {
-		cfg, err := parseTool(t, tc.args...).Config()
-		if err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
-		}
+		cfg := parseTool(t, tc.args...).Config()
 		want := params.Default()
 		tc.want(&want)
 		if !reflect.DeepEqual(cfg, want) {
@@ -75,29 +67,13 @@ func TestToolFlagsEachSetsItsField(t *testing.T) {
 	}
 }
 
-func TestToolFlagsUnknownStoreListsRegistry(t *testing.T) {
-	_, err := parseTool(t, "-store", "nope").Config()
-	if err == nil {
-		t.Fatal("unknown -store accepted")
-	}
-	for _, name := range store.Names() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not name registered store %q", err, name)
-		}
-	}
-}
-
 // TestToolFlagsReport deploys through the binding and checks that the
 // end-of-run report carries every section the flags asked for, and
 // that the exported trace is valid JSON.
 func TestToolFlagsReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.json")
 	f := parseTool(t, "-shards", "2", "-metrics", "-slowlog", "1ns", "-trace", out)
-	cfg, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := cluster.New(1, 2, cfg)
+	tb := cluster.New(1, 2, f.Config())
 	d := f.Deploy(tb)
 	tb.Env.Spawn("mkdir", func(p *sim.Proc) {
 		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
@@ -110,7 +86,7 @@ func TestToolFlagsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, section := range []string{
-		"== cofs per-layer counters (store=mdb) ==",
+		"== cofs per-layer counters ==",
 		"== cofs latency histograms (virtual time) ==",
 		"== cofs per-shard rates (sliding window) ==",
 		"== cofs slowest spans (threshold 1ns) ==",

@@ -15,8 +15,8 @@ import (
 
 // COFS must be semantically indistinguishable from the file system it
 // interposes (section III: "the COFS prototype is POSIX compliant") at
-// every point of the deployment space: store backend, shard count,
-// client-cache mode, lock mode. TestConformanceMatrix runs the full
+// every point of the deployment space: shard count, client-cache mode,
+// lock mode, standby-read routing. TestConformanceMatrix runs the full
 // battery — including the crash/recover, crash/promote and live-reshard
 // capability cases — against the whole cross-product; the plain
 // TestConformance variants keep the paper's default deployment and the
@@ -54,9 +54,8 @@ func cofsSystem(seed int64, cfg params.Config) *conformance.System {
 // cofsCaps declares what a COFS deployment supports. Negative-dentry
 // leases exist only in lease-cache mode and the stale-free standby
 // read battery only applies when the deployment routes reads through
-// its standbys; everything else — snapshot listings included, on every
-// store backend, since they rest on the store contract's View — holds
-// across the whole matrix.
+// its standbys; everything else — snapshot listings included, since
+// they rest on the store's View — holds across the whole matrix.
 func cofsCaps(cfg params.Config) conformance.Capabilities {
 	return conformance.Capabilities{
 		Permissions:          true,
@@ -84,7 +83,7 @@ func cofsProvider(name string, seed int64, cfg params.Config) conformance.Provid
 }
 
 // TestConformance runs the battery against the paper's default
-// deployment (single shard, mdb store, no client cache).
+// deployment (single shard, no client cache).
 func TestConformance(t *testing.T) {
 	conformance.Run(t, cofsProvider("cofs", 13, params.Default()))
 }
@@ -99,52 +98,49 @@ func TestConformanceWithAttrCache(t *testing.T) {
 }
 
 // TestConformanceMatrix is the provider-grade cross-product: every
-// store backend × shard count × client-cache mode × lock mode ×
-// standby-read routing, each running the full battery plus the
-// crash/promote and reshard replays. Exclusive row locks only change
-// behaviour where the cross-shard transaction layer runs, so the excl
-// axis starts at 2 shards; the standby-read axis is bounded to the
-// shared-lock cells (routing reads through standbys is orthogonal to
-// the lock mode, which the plain cells already cross).
+// shard count × client-cache mode × lock mode × standby-read routing,
+// each running the full battery plus the crash/promote and reshard
+// replays. Exclusive row locks only change behaviour where the
+// cross-shard transaction layer runs, so the excl axis starts at 2
+// shards; the standby-read axis is bounded to the shared-lock cells
+// (routing reads through standbys is orthogonal to the lock mode, which
+// the plain cells already cross).
 func TestConformanceMatrix(t *testing.T) {
 	axis := 0
-	for _, backend := range []string{"mdb", "mdls"} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, lease := range []bool{false, true} {
-				for _, excl := range []bool{false, true} {
-					for _, sbr := range []bool{false, true} {
-						if excl && shards == 1 {
-							continue
-						}
-						if sbr && excl {
-							continue
-						}
-						axis++
-						cfg := params.Default()
-						cfg.COFS.MetadataStore = backend
-						cfg.COFS.MetadataShards = shards
-						cfg.COFS.ExclusiveRowLocks = excl
-						cfg.COFS.StandbyReads = sbr
-						if lease {
-							cfg.COFS.AttrLease = 30 * time.Second
-						}
-						mode := "nolease"
-						if lease {
-							mode = "lease"
-						}
-						locks := "shared"
-						if excl {
-							locks = "excl"
-						}
-						name := fmt.Sprintf("%s/%dshards/%s-%s", backend, shards, mode, locks)
-						if sbr {
-							name += "-sbreads"
-						}
-						seed := int64(100 + axis)
-						t.Run(name, func(t *testing.T) {
-							conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg))
-						})
+	for _, shards := range []int{1, 2, 4} {
+		for _, lease := range []bool{false, true} {
+			for _, excl := range []bool{false, true} {
+				for _, sbr := range []bool{false, true} {
+					if excl && shards == 1 {
+						continue
 					}
+					if sbr && excl {
+						continue
+					}
+					axis++
+					cfg := params.Default()
+					cfg.COFS.MetadataShards = shards
+					cfg.COFS.ExclusiveRowLocks = excl
+					cfg.COFS.StandbyReads = sbr
+					if lease {
+						cfg.COFS.AttrLease = 30 * time.Second
+					}
+					mode := "nolease"
+					if lease {
+						mode = "lease"
+					}
+					locks := "shared"
+					if excl {
+						locks = "excl"
+					}
+					name := fmt.Sprintf("%dshards/%s-%s", shards, mode, locks)
+					if sbr {
+						name += "-sbreads"
+					}
+					seed := int64(100 + axis)
+					t.Run(name, func(t *testing.T) {
+						conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg))
+					})
 				}
 			}
 		}

@@ -28,6 +28,9 @@ type Deployment struct {
 // deployment is MetadataShards == 1.
 func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 	cfg := tb.Cfg
+	if s := cfg.COFS.MetadataStore; s != "" && s != "mdb" {
+		panic(fmt.Sprintf(`cofs: unknown metadata store %q: the only store is "mdb"`, s))
+	}
 	if place == nil {
 		place = HashPlacement{
 			Fanout:        cfg.COFS.DirFanout,
@@ -127,8 +130,8 @@ func (d *Deployment) Counters() *stats.Counters {
 
 // planeCounters adds the counters that live on one metadata plane into
 // c — its standbys' read offload, request/lease totals, row-lock
-// figures, reshard accounting, the shard stores' view and
-// transaction-mutex figures. Counters calls it for every plane that
+// figures, reshard accounting, the shard stores' snapshot reads.
+// Counters calls it for every plane that
 // served; a standby plane's own counts join when Promote records it.
 func planeCounters(c *stats.Counters, svc *MDSCluster) {
 	var sbReads, sbFalls int64
@@ -158,15 +161,9 @@ func planeCounters(c *stats.Counters, svc *MDSCluster) {
 	c.Add("mds.reshard-lease-recalls", rs.Recalls)
 	c.Add("mds.reshard-wal-handoff", rs.HandoffRecords)
 	c.Add("mds.reshard-retired", rs.Retired)
-	// Snapshot reads taken, and what Freeze windows (an mdls
-	// compaction) made write transactions wait: zero on a plane nobody
-	// froze.
 	var views int64
-	var txWait time.Duration
 	for _, s := range svc.built {
 		views += s.DB.Views
-		txWait += s.DB.TxWait()
 	}
 	c.Add("mdb.views", views)
-	c.Add("mdb.tx_wait_ms", int64(txWait/time.Millisecond))
 }

@@ -241,10 +241,6 @@ func (c *MDSCluster) readStandby() *Standby {
 	return nil
 }
 
-// StoreName reports which store backend the plane's shards deploy
-// (tools print it in their counters header).
-func (c *MDSCluster) StoreName() string { return c.shards[0].DB.EngineName() }
-
 // ---- routed operations (the client-facing surface used by FS) ----
 //
 // Every operation travels the calling session's RPC channel to its

@@ -132,9 +132,7 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	// or commit can slip between the plan and the epoch that starts
 	// executing it. Store transactions are atomic at an instant too (an
 	// id is allocated and its row visible in the same instant), so no
-	// create is ever mid-commit here. An mdls compaction freezing a
-	// shard's store meanwhile delays only the migration's first batch,
-	// whose transactions wait for the Thaw.
+	// create is ever mid-commit here.
 	//
 	// The newborn boundary: every id allocated so far is at or below
 	// it, every id allocated after Begin is above it.

@@ -27,9 +27,6 @@ import (
 //   - With Reshard never called, the dormant machinery charges nothing:
 //     virtual end time and message count stay on absolute pins, the
 //     figures static routing produced.
-//   - A reshard started while an mdls compaction holds a shard's store
-//     frozen waits only in its first batch, and moves what a reshard
-//     started after the stall moves.
 //   - After a reshard settles, steady-state latency matches a fresh
 //     deploy at the target shard count.
 
@@ -227,64 +224,6 @@ func TestReshardShrink(t *testing.T) {
 	})
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after post-shrink creates: %v", err)
-	}
-}
-
-// TestReshardDuringCompactionStall starts a 2→4 reshard of an mdls
-// plane while shard 0's store is frozen for a compaction (the body of
-// the engine's compaction: Freeze, checkpoint image, Thaw). The
-// boundary, plan and first epoch do not wait for the stall; the
-// migration's first transaction on the frozen shard does. The result
-// must be indistinguishable from a reshard started after the stall:
-// the same groups moved, invariants and fsck clean, every path still
-// resolving.
-func TestReshardDuringCompactionStall(t *testing.T) {
-	run := func(during bool) int64 {
-		tb, d := reshardRig(t, 880, 2, 2, func(cfg *params.Config) { cfg.COFS.MetadataStore = "mdls" })
-		paths := buildTree(t, tb, d, 8, 64)
-		db := d.Service.Shards()[0].DB
-		reshard := func(p *sim.Proc) {
-			if err := d.Service.Reshard(p, 4); err != nil {
-				t.Errorf("reshard: %v", err)
-			}
-		}
-		tb.Env.Spawn("compaction", func(p *sim.Proc) {
-			db.Freeze(p)
-			if during {
-				tb.Env.Spawn("reshard", reshard)
-			}
-			db.Checkpoint(p)
-			if during {
-				if !d.Service.Maps.Current().Migrating() {
-					t.Error("the reshard's first epoch waited for the compaction stall")
-				}
-				if moved := d.Service.ReshardStats().GroupsMoved; moved != 0 {
-					t.Errorf("%d groups moved while shard 0 was frozen", moved)
-				}
-			}
-			db.Thaw(p)
-			if !during {
-				reshard(p)
-			}
-		})
-		tb.Run()
-		if during && db.TxWait() == 0 {
-			t.Error("no transaction waited for the compaction stall: the migration did not run into it")
-		}
-		if err := d.Service.CheckInvariants(); err != nil {
-			t.Fatalf("invariants after reshard: %v", err)
-		}
-		step(tb, "fsck", func(p *sim.Proc) {
-			if rep := core.Fsck(p, d.Service, tb.Mounts[0]); !rep.OK() {
-				t.Errorf("fsck after reshard:\n%v", rep)
-			}
-		})
-		verifyAll(t, tb, d, paths)
-		return d.Service.ReshardStats().GroupsMoved
-	}
-	during, after := run(true), run(false)
-	if during == 0 || during != after {
-		t.Fatalf("groups moved: %d during the stall, %d after it", during, after)
 	}
 }
 

@@ -13,11 +13,7 @@ import (
 	"cofs/internal/params"
 	"cofs/internal/rpc"
 	"cofs/internal/sim"
-	"cofs/internal/store"
 	"cofs/internal/vfs"
-
-	// Register the non-default store backends a deployment may name.
-	_ "cofs/internal/mdls"
 )
 
 // RootID is the virtual root directory's file id.
@@ -141,12 +137,11 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 		diskName = fmt.Sprintf("cofs-mdb%d", shardID)
 	}
 	d := disk.New(env, diskName, cfg.Disk)
-	db, err := store.Open(cfg.COFS.MetadataStore, env, d, store.Options{
-		OpTime:        cfg.COFS.DBOpTime,
-		FlushInterval: cfg.COFS.LogFlushInterval,
-	})
-	if err != nil {
-		panic(err) // deployment-time misconfiguration: fail fast
+	var db *mdb.DB
+	if cfg.COFS.LogFlushInterval > 0 {
+		db = mdb.NewAsync(env, d, cfg.COFS.DBOpTime, cfg.COFS.LogFlushInterval)
+	} else {
+		db = mdb.New(env, d, cfg.COFS.DBOpTime)
 	}
 	if cfg.COFS.StandbyReads {
 		// Before any row (the root bootstrap included) exists: a row

@@ -6,156 +6,33 @@ import (
 	"testing"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/experiments"
 	"cofs/internal/params"
 	"cofs/internal/sim"
-	"cofs/internal/store"
 	"cofs/internal/vfs"
 )
 
-// These tests pin the store-provider seam (internal/store,
-// docs/backends.md) the way the other deployment knobs are pinned:
-// the default backend charges exactly what the pre-registry build
-// charged, misconfiguration fails fast, and the second backend
-// actually deploys and serves.
+// These tests pin the shard store as the service uses it: mdb is the
+// one store a deployment can name, and neither a listing nor a create
+// ever waits for another operation on the same shard's store.
 
-// storeWorkload is the mixed mutate/stat/readdir workload the
-// cost-identity comparisons run (same shape as the dormant-reshard
-// pin, so a drift in either knob shows up the same way).
-func storeWorkload(t *testing.T, backend string, shards int) (time.Duration, int64) {
-	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.COFS.MetadataStore = backend
-	tb := cluster.New(42, 2, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
-	ctx := cluster.Ctx(0, 1)
-	step(tb, "workload", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		for i := 0; i < 8; i++ {
-			if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
-				t.Fatal(err)
-			}
-			f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.Close(p)
-			m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
-		}
-		if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Readdir(p, ctx, "/t"); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Service.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	return tb.Env.Now(), tb.Net.Messages
-}
-
-// TestStoreDefaultCostIdentical pins that deploying through the
-// provider registry is free: naming "mdb" explicitly must land on
-// exactly the same virtual clock and message count as the default
-// empty knob — at one shard and at four.
-func TestStoreDefaultCostIdentical(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			defNow, defMsgs := storeWorkload(t, "", shards)
-			mdbNow, mdbMsgs := storeWorkload(t, "mdb", shards)
-			if defNow != mdbNow || defMsgs != mdbMsgs {
-				t.Fatalf("registry routing is not free: default (%v, %d msgs) vs mdb (%v, %d msgs)",
-					defNow, defMsgs, mdbNow, mdbMsgs)
-			}
-		})
-	}
-}
-
-// TestStoreAbsoluteCostPin holds the default backend to the absolute
-// figure recorded in bench/baseline.json, not just to a sibling run:
-// the BenchmarkMetadataCache nocache-1shards storm (seed 1). The pin
-// was 0.525928 from the provider registry's introduction until the
-// storm's 24 readdirs of a 256-entry directory became snapshot reads
-// (mdb.DB.View): each used to hold the shard's transaction mutex for
-// 514 per-row sleeps, stalling every utime behind it), and 0.454666
-// from then until write transactions left that mutex too (the storm's
-// utimes now overlap each other; the stats beside them were redrawn),
-// and 0.455145 until those listings stopped carrying attributes nobody
-// cached (names-only: 256 fewer row reads and 24 KiB less on the wire
-// each, so the stats queued behind them wait less).
-// If this moves, a change altered the simulation, not just the wiring.
-func TestStoreAbsoluteCostPin(t *testing.T) {
-	const want = 0.442409 // bench/baseline.json metadata-cache/nocache-1shards
-	sum, _ := experiments.ClientCacheStorm(1, params.Default())
-	if sum.N() != 6144 {
-		t.Fatalf("storm measured %d stats, baseline measured 6144", sum.N())
-	}
-	if sum.MeanMs() != want {
-		t.Fatalf("default store drifted from the recorded baseline: %v vms/op, want %v", sum.MeanMs(), want)
-	}
-}
-
-// TestStoreMDLSServes deploys the log-structured backend and runs the
-// same workload: it must serve correctly (invariants hold), report its
-// name, and — being structurally different — not match the default's
-// clock.
-func TestStoreMDLSServes(t *testing.T) {
-	mdbNow, _ := storeWorkload(t, "mdb", 2)
-	mdlsNow, _ := storeWorkload(t, "mdls", 2)
-	if mdlsNow == mdbNow {
-		t.Fatalf("mdls has the same cost profile as mdb (%v): the second backend is not a second point", mdlsNow)
-	}
-}
-
-// TestStoreNameReported pins the header plumbing the tools print.
-func TestStoreNameReported(t *testing.T) {
-	for _, backend := range []struct{ knob, want string }{
-		{"", "mdb"}, {"mdb", "mdb"}, {"mdls", "mdls"},
-	} {
-		cfg := params.Default()
-		cfg.COFS.MetadataStore = backend.knob
-		tb := cluster.New(7, 1, cfg)
-		d := core.Deploy(tb, nil)
-		tb.Run()
-		if got := d.Service.StoreName(); got != backend.want {
-			t.Fatalf("StoreName with knob %q = %q, want %q", backend.knob, got, backend.want)
-		}
-	}
-}
-
-// TestStoreUnknownFailsFast: a typoed backend name must refuse to
-// deploy, and the error must list what is registered.
+// TestStoreUnknownFailsFast: naming any store other than mdb — the
+// retired log-structured backend's name included — must refuse to
+// deploy, and the error must name the store that exists.
 func TestStoreUnknownFailsFast(t *testing.T) {
-	if _, err := store.Open("bogus", nil, nil, store.Options{}); err == nil {
-		t.Fatal("store.Open(bogus) succeeded")
-	} else {
-		for _, name := range []string{"mdb", "mdls", "bogus"} {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("error %q does not mention %q", err, name)
-			}
-		}
-	}
+	retired := strings.ToLower("MDLS")
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("deploying an unknown backend did not fail")
+			t.Fatalf("deploying with MetadataStore %q did not fail", retired)
 		}
-		if !strings.Contains(fmt.Sprint(r), "registered") {
-			t.Fatalf("deploy failure %v does not list registered backends", r)
+		if msg := fmt.Sprint(r); !strings.Contains(msg, `"mdb"`) || !strings.Contains(msg, retired) {
+			t.Fatalf("deploy failure %q does not name both %q and mdb", msg, retired)
 		}
 	}()
 	cfg := params.Default()
-	cfg.COFS.MetadataStore = "bogus"
+	cfg.COFS.MetadataStore = retired
 	tb := cluster.New(7, 1, cfg)
 	core.Deploy(tb, nil)
 }
@@ -237,44 +114,7 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 			t.Errorf("create %d of two issued together took %v, alone %v", i, took, createAlone)
 		}
 	}
-	if wait := svc.Shards()[0].DB.TxWait(); wait != 0 {
-		t.Errorf("transactions waited %v on the shard's mutex in a run that never froze it", wait)
-	}
 	if got := d.Counters().Get("mdb.views"); got != 4 {
 		t.Errorf("mdb.views = %d, want 4 (one per readdir)", got)
-	}
-}
-
-// TestCreateStormNeverWaitsOnTheTransactionMutex is the regression
-// guard on the counter that sized the write path's old serialization
-// (mdb.tx_wait_ms read 238 and 712 in the fresh reshard-under-load
-// records): a fresh 4-shard plane under an 8-rank mdtest create storm —
-// private trees, so the mkdirs run two-phase and every shard commits —
-// must not make a single transaction wait. The mutex is only the
-// Freeze/Thaw gate, and nothing froze this plane.
-func TestCreateStormNeverWaitsOnTheTransactionMutex(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 4
-	tb := cluster.New(1, 4, cfg)
-	d := core.Deploy(tb, nil)
-	res := bench.MDTest(bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}, bench.MDTestConfig{
-		Nodes: 4, ProcsPerNode: 2, Depth: 1, Branch: 4, FilesPerRank: 64,
-	})
-	if res.TotalOps() == 0 {
-		t.Fatal("the storm ran no operations")
-	}
-	for i, s := range d.Service.Shards() {
-		if s.DB.Transactions == 0 {
-			t.Errorf("shard %d committed nothing: the storm no longer loads every shard", i)
-		}
-		if wait := s.DB.TxWait(); wait != 0 {
-			t.Errorf("shard %d: transactions waited %v on the mutex of a plane nobody froze", i, wait)
-		}
-	}
-	if got := d.Counters().Get("mdb.tx_wait_ms"); got != 0 {
-		t.Errorf("mdb.tx_wait_ms = %d, want 0", got)
-	}
-	if err := d.Service.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -129,8 +129,7 @@ func AblationFlush(seed int64) Figure {
 }
 
 // ClientCacheStorm is the stat/utime storm behind the client-cache
-// ablation, BenchmarkMetadataCache, BenchmarkStoreBackends and
-// BenchmarkStandbyReads: 4 nodes x 2 procs repeatedly `ls -l` a shared
+// ablation, BenchmarkMetadataCache and BenchmarkStandbyReads: 4 nodes x 2 procs repeatedly `ls -l` a shared
 // 256-file directory (readdir + per-file stat, three passes) with a
 // utime sweep over each rank's own slice between passes, so lease
 // revocations actually happen and mutations keep landing on the

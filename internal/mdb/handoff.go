@@ -49,21 +49,19 @@ func (db *DB) ImportHandoff(p *sim.Proc, h *Handoff) {
 		return
 	}
 	db.Transactions++
-	db.txMu.Lock(p)
 	// The batch lands without yielding, like a transaction's write set,
 	// so a snapshot read (View) sees all of it or none; its per-record
-	// CPU cost follows as one charge, off the mutex.
+	// CPU cost follows as one charge.
 	db.land(h.recs)
 	db.staged += h.Len()
-	db.txMu.Unlock(p)
 	db.pay(p, h.Len())
 	db.Commits++
 	if db.trace != nil {
 		db.trace.Begin(p, db.traceGroup, "wal.sync", -1)
-		db.engine.Force(p, db)
+		db.forceLog(p)
 		db.trace.End(p)
 	} else {
-		db.engine.Force(p, db)
+		db.forceLog(p)
 	}
 	db.notifyCommit()
 }

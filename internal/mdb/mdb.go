@@ -10,10 +10,9 @@
 // snapshot (View) — run their closure without yielding at one virtual
 // instant, which under the cooperative scheduler makes each atomic and
 // the history serial, and are charged their table operations as one
-// block afterwards. The transaction mutex is only the Freeze/Thaw gate:
-// write transactions pass through it, nothing holds it across time on
-// the request path. All timing is charged to the calling simulated
-// process.
+// block afterwards. The store holds no lock: isolation of an operation
+// that spans several transactions is its caller's row locks' job. All
+// timing is charged to the calling simulated process.
 package mdb
 
 import (
@@ -72,14 +71,12 @@ type table interface {
 	setStamp(rec walRec, seq int64)
 }
 
-// DB is a collection of tables sharing a transaction lock and a WAL.
+// DB is a collection of tables sharing a WAL.
 type DB struct {
 	env    *sim.Env
 	disk   *disk.Disk // nil: no durable tables allowed
 	opTime time.Duration
 	tables map[string]table
-
-	txMu *sim.Mutex
 
 	// wal is the durable log; walFlushed marks how much of it has been
 	// forced to disk (group commit can leave a committed-but-unflushed
@@ -98,10 +95,6 @@ type DB struct {
 
 	// replicas receive committed WAL records (see replica.go).
 	replicas []*Replica
-
-	// engine is the durability model behind the shared log machinery
-	// (engine.go); walEngine unless NewWithEngine installed another.
-	engine Engine
 
 	// tx is the one reusable transaction handle: closures are
 	// yield-free and cannot nest, so at most one — view or transaction —
@@ -129,8 +122,8 @@ type DB struct {
 	seqBase     int64
 	trackStamps bool
 
-	// trace, when non-nil, stamps WAL spans — wal.commit around the
-	// engine's durable commit, wal.flush on the background dump proc,
+	// trace, when non-nil, stamps WAL spans — wal.commit around a
+	// transaction's durable commit, wal.flush on the background dump proc,
 	// wal.sync around a handoff import's force — on the acting proc's
 	// track; traceGroup labels background procs with this shard's host
 	// (SetTrace). Nil by default: no span, no allocation, no cost.
@@ -153,8 +146,6 @@ func New(env *sim.Env, d *disk.Disk, opTime time.Duration) *DB {
 		disk:   d,
 		opTime: opTime,
 		tables: make(map[string]table),
-		txMu:   sim.NewMutex(env, "mdb.tx"),
-		engine: walEngine{},
 	}
 }
 
@@ -173,9 +164,7 @@ func (db *DB) TrackStamps() {
 // SetTrace installs the span tracer on this database. group labels the
 // trace tracks of the database's own background procs (the log flusher)
 // — pass the owning shard's host name so they render under its process
-// lane. The engine seam is instrumented at the DB-level call sites, so
-// every Engine implementation (mdb's walEngine, mdls's checkpoint+
-// journal engine) is covered without knowing about tracing.
+// lane.
 func (db *DB) SetTrace(tr *obs.Tracer, group string) {
 	db.trace = tr
 	db.traceGroup = group
@@ -237,6 +226,44 @@ func (db *DB) maybeScheduleFlush() {
 		db.flushScheduled = false
 		db.maybeScheduleFlush()
 	})
+}
+
+// commitLog makes a durable transaction's log tail durable the way the
+// paper's prototype did: synchronously, riding the disk's group-commit
+// journal, or — with a flush interval — not at all before returning,
+// leaving the tail to the background dump.
+func (db *DB) commitLog(p *sim.Proc) {
+	if db.flushInterval > 0 {
+		db.maybeScheduleFlush()
+		return
+	}
+	db.disk.Commit(p)
+	db.walFlushed = db.wal.len()
+}
+
+// forceLog writes and syncs the unflushed log tail before returning,
+// whatever the flush interval. A handoff import acks on it.
+func (db *DB) forceLog(p *sim.Proc) {
+	db.LogFlushes++
+	db.disk.Write(p, 0, int64(db.wal.len()-db.walFlushed)*64)
+	db.disk.Sync(p)
+	db.walFlushed = db.wal.len()
+}
+
+// scanLog charges reading the log back for recovery: one sequential
+// scan, positioned once, then streamed.
+func (db *DB) scanLog(p *sim.Proc) {
+	if db.disk != nil {
+		db.disk.Read(p, 0, int64(db.wal.len())*64)
+	}
+}
+
+// dumpImage charges writing a checkpoint image of rows live rows.
+func (db *DB) dumpImage(p *sim.Proc, rows int64) {
+	if db.disk != nil {
+		db.disk.Write(p, 1, rows*64)
+		db.disk.Sync(p)
+	}
 }
 
 // Table is a typed table with a primary key and optional secondary
@@ -397,22 +424,6 @@ type Tx struct {
 	view    bool // read-only snapshot handle (DB.View)
 }
 
-// Freeze acquires the database's transaction mutex, keeping write
-// transactions and handoff imports from starting until Thaw. Between
-// the two, table state and the commit sequence stand still — the mdls
-// compaction rewrites its journal under it. Nothing else holds the
-// mutex across time, so a Freeze on a thawed database never waits.
-// Views are unaffected, like always.
-func (db *DB) Freeze(p *sim.Proc) { db.txMu.Lock(p) }
-
-// Thaw releases a Freeze.
-func (db *DB) Thaw(p *sim.Proc) { db.txMu.Unlock(p) }
-
-// TxWait is the cumulative virtual time procs have spent blocked on the
-// transaction mutex: what Freeze windows cost the shard's writers. Zero
-// on a plane nobody froze.
-func (db *DB) TxWait() time.Duration { return db.txMu.WaitTotal }
-
 // atomically runs fn on the shared handle at one virtual instant and
 // lands its write set — tables, WAL, stamps — in that same instant. It
 // returns the table operations fn performed and whether any touched a
@@ -454,12 +465,10 @@ func (db *DB) pay(p *sim.Proc, ops int) {
 // View runs fn as a read-only snapshot transaction: every read through
 // tx observes the committed table state of one virtual instant — the
 // operation's linearization point — because fn runs without yielding
-// and commits apply their write sets without yielding. It never touches
-// the transaction mutex, so a scan proceeds under a Freeze (Mnesia read
-// transactions lock the records they read, not the table). The CPU cost
-// of the ops fn performed is charged to p as one block after fn
-// returns. Put and Delete through tx panic, and so does a closure that
-// lets virtual time advance.
+// and commits apply their write sets without yielding. The CPU cost of
+// the ops fn performed is charged to p as one block after fn returns.
+// Put and Delete through tx panic, and so does a closure that lets
+// virtual time advance.
 func (db *DB) View(p *sim.Proc, fn func(tx *Tx)) {
 	db.Views++
 	ops, _ := db.atomically(p, true, fn)
@@ -468,25 +477,22 @@ func (db *DB) View(p *sim.Proc, fn func(tx *Tx)) {
 
 // Transaction runs fn as a serializable read-write transaction under
 // the same rule as View: fn runs without yielding at one virtual
-// instant, its write set is applied and appended to the log in that
-// instant, and only then — off the transaction mutex — are its ops
-// charged to p as one block and mutations of disc-copies tables forced
-// to the log (group commit). A closure that lets virtual time advance
-// panics. Mirrors mnesia:transaction.
+// instant, and only then are its ops charged to p as one block and
+// mutations of disc-copies tables committed to the log (group commit).
+// Concurrent transactions never wait for each other. A closure that
+// lets virtual time advance panics. Mirrors mnesia:transaction.
 func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	db.Transactions++
-	db.txMu.Lock(p)
 	ops, durable := db.atomically(p, false, fn)
-	db.txMu.Unlock(p)
 	db.pay(p, ops)
 	if durable {
 		db.Commits++
 		if db.trace != nil {
 			db.trace.Begin(p, db.traceGroup, "wal.commit", -1)
-			db.engine.Commit(p, db)
+			db.commitLog(p)
 			db.trace.End(p)
 		} else {
-			db.engine.Commit(p, db)
+			db.commitLog(p)
 		}
 		db.notifyCommit()
 	}
@@ -666,7 +672,7 @@ func (db *DB) Crash() {
 // log read to the calling process. Ram-copies tables stay empty (as with
 // Mnesia after a restart).
 func (db *DB) Recover(p *sim.Proc) {
-	db.engine.RecoverScan(p, db)
+	db.scanLog(p)
 	pos := 0
 	db.wal.each(0, db.wal.len(), func(rec walRec) {
 		pos++
@@ -691,7 +697,7 @@ func (db *DB) Checkpoint(p *sim.Proc) {
 			rows += int64(t.rows())
 		}
 	}
-	db.engine.CheckpointDump(p, db, rows)
+	db.dumpImage(p, rows)
 	// Rebuild the WAL as a snapshot prefix: replaying it must still
 	// reconstruct the tables, so dump every durable row. Tables are
 	// visited in name order for determinism.

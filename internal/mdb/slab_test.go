@@ -113,7 +113,7 @@ func TestRecoverKeepsFlushedValue(t *testing.T) {
 	tbl := NewTable[int, int](db, "t", DiscCopies)
 	env.Spawn("t", func(p *sim.Proc) {
 		db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 1, -1) })
-		db.engine.Force(p, db)
+		db.forceLog(p)
 		for i := 0; i < 3*entrySlabChunk; i++ {
 			db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 1, i) })
 		}

@@ -201,14 +201,9 @@ type COFSParams struct {
 	// inflicts on concurrent traffic (see internal/reshard and
 	// docs/resharding.md). 0 selects the default (64).
 	ReshardBatchRows int
-	// MetadataStore names the per-shard store backend deployed behind
-	// the metadata plane, resolved through the provider registry
-	// (internal/store; docs/backends.md). "" and "mdb" select the
-	// Mnesia-style WAL store the paper's prototype ran — the default
-	// deployment's costs are pinned absolutely by
-	// TestStoreAbsoluteCostPin. "mdls" selects the log-structured
-	// checkpoint+journal store. Unknown names fail deployment fast with
-	// the registered list.
+	// MetadataStore has no effect beyond failing deployment fast on any
+	// name other than "" or "mdb" (internal/mdb, the one store); it goes
+	// once the repository benchmark stops setting it.
 	MetadataStore string
 	// RPCBatch has no effect; it goes once the repository benchmark
 	// stops setting it.
