@@ -78,12 +78,14 @@ type DB struct {
 	opTime time.Duration
 	tables map[string]table
 
-	// wal is the durable log; walFlushed marks how much of it has been
-	// forced to disk (group commit can leave a committed-but-unflushed
-	// window only during a crash *inside* Commit, which the simulation
-	// does not model — Commit returns only after the force).
-	wal        walLog
-	walFlushed int
+	// wal is the durable log; flushed is the commit sequence (CommitSeq)
+	// up to which it is on disk, and what a crash keeps. A writer fixes
+	// the sequence its disk write covers before the write yields and
+	// marks it afterwards (markFlushed), so a record that lands while
+	// the write is in flight is never claimed; being a sequence rather
+	// than a log offset, it stays right across Checkpoint's rewrite.
+	wal     walLog
+	flushed int64
 
 	// flushInterval > 0 selects Mnesia-style asynchronous log flushing:
 	// commits return immediately and a background dump forces the log
@@ -105,7 +107,8 @@ type DB struct {
 	// staged counts WAL records imported by a live row migration but
 	// not yet sealed by an epoch install; handedOff counts records
 	// whose rows a migration moved to another shard (see handoff.go).
-	// Both are bookkeeping over wal, reset when Checkpoint rewrites it.
+	// Both are bookkeeping over wal, which Checkpoint folds into its
+	// image.
 	staged    int
 	handedOff int
 
@@ -207,25 +210,34 @@ func NewAsync(env *sim.Env, d *disk.Disk, opTime, interval time.Duration) *DB {
 // records exist. The flusher writes the tail sequentially, syncs, and
 // re-arms itself if more records arrived meanwhile.
 func (db *DB) maybeScheduleFlush() {
-	if db.flushScheduled || db.walFlushed == db.wal.len() {
+	if db.flushScheduled || db.flushed >= db.CommitSeq() {
 		return
 	}
 	db.flushScheduled = true
 	db.env.SpawnAfter("mdb.logflush", db.flushInterval, func(p *sim.Proc) {
-		target := db.wal.len()
+		target := db.CommitSeq()
 		db.LogFlushes++
 		if db.trace != nil {
 			db.trace.Begin(p, db.traceGroup, "wal.flush", -1)
 		}
-		db.disk.Write(p, 0, int64(target-db.walFlushed)*64)
+		db.disk.Write(p, 0, (target-db.flushed)*64)
 		db.disk.Sync(p)
 		if db.trace != nil {
 			db.trace.End(p)
 		}
-		db.walFlushed = target
+		db.markFlushed(target)
 		db.flushScheduled = false
 		db.maybeScheduleFlush()
 	})
+}
+
+// markFlushed records that the log is on disk up to commit sequence
+// seq: the one a writer fixed before its disk write yielded. The cursor
+// only advances — a writer that started earlier may finish later.
+func (db *DB) markFlushed(seq int64) {
+	if seq > db.flushed {
+		db.flushed = seq
+	}
 }
 
 // commitLog makes a durable transaction's log tail durable the way the
@@ -237,17 +249,19 @@ func (db *DB) commitLog(p *sim.Proc) {
 		db.maybeScheduleFlush()
 		return
 	}
+	target := db.CommitSeq()
 	db.disk.Commit(p)
-	db.walFlushed = db.wal.len()
+	db.markFlushed(target)
 }
 
 // forceLog writes and syncs the unflushed log tail before returning,
 // whatever the flush interval. A handoff import acks on it.
 func (db *DB) forceLog(p *sim.Proc) {
+	target := db.CommitSeq()
 	db.LogFlushes++
-	db.disk.Write(p, 0, int64(db.wal.len()-db.walFlushed)*64)
+	db.disk.Write(p, 0, (target-db.flushed)*64)
 	db.disk.Sync(p)
-	db.walFlushed = db.wal.len()
+	db.markFlushed(target)
 }
 
 // scanLog charges reading the log back for recovery: one sequential
@@ -661,7 +675,7 @@ func (db *DB) Crash() {
 	for _, t := range db.tables {
 		t.clear()
 	}
-	db.wal.truncate(db.walFlushed)
+	db.wal.truncate(int(db.flushed - db.seqBase))
 	for _, r := range db.replicas {
 		r.resync = true
 		r.pump()
@@ -688,44 +702,46 @@ func (db *DB) Recover(p *sim.Proc) {
 	})
 }
 
-// Checkpoint dumps disc-copies tables and truncates the WAL, charging a
-// table scan write to the calling process.
+// Checkpoint writes an image of the disc-copies tables and rewrites the
+// WAL as that image, charging the write to the calling process. The
+// image holds the rows of the instant the checkpoint starts; records
+// that land while it is on the disk stay in the log after it, exactly
+// as durable as they were.
 func (db *DB) Checkpoint(p *sim.Proc) {
-	var rows int64
-	for _, t := range db.tables {
-		if t.storage() == DiscCopies {
-			rows += int64(t.rows())
-		}
-	}
-	db.dumpImage(p, rows)
-	// Rebuild the WAL as a snapshot prefix: replaying it must still
-	// reconstruct the tables, so dump every durable row. Tables are
+	// The image is a snapshot prefix: replaying it must still
+	// reconstruct the tables, so it holds every durable row. Tables are
 	// visited in name order for determinism.
 	names := make([]string, 0, len(db.tables))
 	for name := range db.tables {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var snapshot []walRec
+	var image []walRec
 	for _, name := range names {
 		t := db.tables[name]
 		if t.storage() != DiscCopies {
 			continue
 		}
-		snapshot = append(snapshot, t.snapshotWAL()...)
+		image = append(image, t.snapshotWAL()...)
 	}
+	at, mark := db.CommitSeq(), db.wal.len()
+	staged, handedOff := db.staged, db.handedOff
+	db.dumpImage(p, int64(len(image)))
+	db.wal.each(mark, db.wal.len(), func(rec walRec) { image = append(image, rec) })
 	// Rebase the commit sequence so it keeps counting from where it
 	// was: a row stamped before the rewrite stays comparable to any
-	// cursor taken before or after, and the next commit's sequence is
-	// strictly above everything ever stamped.
+	// cursor taken before or after, the next commit's sequence is
+	// strictly above everything ever stamped, and the image ends at
+	// sequence at — which is what the dump made durable.
 	seq := db.CommitSeq()
-	db.wal.reset(snapshot)
-	db.walFlushed = db.wal.len()
+	db.wal.reset(image)
 	db.seqBase = seq - int64(db.wal.len())
-	// The snapshot holds exactly the rows the tables do: staged imports
+	db.markFlushed(at)
+	// The image holds exactly the rows the tables did: staged imports
 	// are folded in as ordinary records and handed-off rows are gone, so
-	// the migration bookkeeping starts over.
-	db.staged, db.handedOff = 0, 0
+	// the migration bookkeeping keeps only what landed during the dump.
+	db.staged = max(db.staged-staged, 0)
+	db.handedOff = max(db.handedOff-handedOff, 0)
 	db.notifyCheckpoint()
 }
 
@@ -776,7 +792,7 @@ func (t *Table[K, V]) Bootstrap(key K, val V) {
 	t.put(key, val)
 	t.db.wal.push(t.rec(walPut, key, val))
 	t.db.stampTail(1)
-	t.db.walFlushed = t.db.wal.len()
+	t.db.flushed = t.db.CommitSeq()
 }
 
 // Peek reads a row without timing charges (inspection/invariant checks).

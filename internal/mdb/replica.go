@@ -183,7 +183,7 @@ func (r *Replica) ship(p *sim.Proc) {
 	if r.dst.disk != nil {
 		r.dst.disk.Write(p, 0, int64(len(batch))*64)
 	}
-	r.dst.walFlushed = r.dst.wal.len()
+	r.dst.flushed = r.dst.CommitSeq()
 	r.shipped = target
 	r.applied = seq
 	r.Ships++
