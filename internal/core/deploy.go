@@ -131,8 +131,8 @@ func (d *Deployment) Counters() *stats.Counters {
 // planeCounters adds the counters that live on one metadata plane into
 // c — its standbys' read offload, request/lease totals, row-lock
 // figures, reshard accounting, the shard stores' snapshot reads.
-// Counters calls it for every plane that
-// served; a standby plane's own counts join when Promote records it.
+// Counters calls it for every plane that served; a standby plane's own
+// counts join when Promote records it.
 func planeCounters(c *stats.Counters, svc *MDSCluster) {
 	var sbReads, sbFalls int64
 	for _, sb := range svc.standbys {

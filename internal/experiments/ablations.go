@@ -129,14 +129,14 @@ func AblationFlush(seed int64) Figure {
 }
 
 // ClientCacheStorm is the stat/utime storm behind the client-cache
-// ablation, BenchmarkMetadataCache and BenchmarkStandbyReads: 4 nodes x 2 procs repeatedly `ls -l` a shared
-// 256-file directory (readdir + per-file stat, three passes) with a
-// utime sweep over each rank's own slice between passes, so lease
-// revocations actually happen and mutations keep landing on the
-// primaries the whole time. This is the paper's section IV-B trigger —
-// repeated directory traversals over cache-warm files — where GPFS
-// serves from its client cache and the measured COFS prototype paid a
-// round trip per stat.
+// ablation, BenchmarkMetadataCache and BenchmarkStandbyReads: 4 nodes x
+// 2 procs repeatedly `ls -l` a shared 256-file directory (readdir +
+// per-file stat, three passes) with a utime sweep over each rank's own
+// slice between passes, so lease revocations actually happen and
+// mutations keep landing on the primaries the whole time. This is the
+// paper's section IV-B trigger — repeated directory traversals over
+// cache-warm files — where GPFS serves from its client cache and the
+// measured COFS prototype paid a round trip per stat.
 //
 // With cfg.COFS.StandbyReads set the deployment gets a hot standby
 // (2 ms shipping delay) and the read traffic rides the standby shards
