@@ -98,49 +98,60 @@ func TestConformanceWithAttrCache(t *testing.T) {
 }
 
 // TestConformanceMatrix is the provider-grade cross-product: every
-// shard count × client-cache mode × lock mode × standby-read routing,
-// each running the full battery plus the crash/promote and reshard
-// replays. Exclusive row locks only change behaviour where the
-// cross-shard transaction layer runs, so the excl axis starts at 2
-// shards; the standby-read axis is bounded to the shared-lock cells
-// (routing reads through standbys is orthogonal to the lock mode, which
-// the plain cells already cross).
+// commit mode × shard count × client-cache mode × lock mode ×
+// standby-read routing, each running the full battery plus the
+// crash/promote and reshard replays. The commit-mode axis keeps the
+// cell names of the store-backend axis it replaced, so every cell keeps
+// its name and seed: "mdb" is the default deployment, whose WAL is
+// flushed every LogFlushInterval, and "mdls" runs the same store with
+// synchronous group commit (LogFlushInterval 0), where a commit returns
+// only once the disk holds it — the durability of the append-only log
+// store that column was first written for. Exclusive row locks only
+// change behaviour where the cross-shard transaction layer runs, so the
+// excl axis starts at 2 shards; the standby-read axis is bounded to the
+// shared-lock cells (routing reads through standbys is orthogonal to
+// the lock mode, which the plain cells already cross).
 func TestConformanceMatrix(t *testing.T) {
 	axis := 0
-	for _, shards := range []int{1, 2, 4} {
-		for _, lease := range []bool{false, true} {
-			for _, excl := range []bool{false, true} {
-				for _, sbr := range []bool{false, true} {
-					if excl && shards == 1 {
-						continue
+	for _, commit := range []string{"mdb", "mdls"} {
+		for _, shards := range []int{1, 2, 4} {
+			for _, lease := range []bool{false, true} {
+				for _, excl := range []bool{false, true} {
+					for _, sbr := range []bool{false, true} {
+						if excl && shards == 1 {
+							continue
+						}
+						if sbr && excl {
+							continue
+						}
+						axis++
+						cfg := params.Default()
+						if commit == "mdls" {
+							cfg.COFS.LogFlushInterval = 0
+						}
+						cfg.COFS.MetadataShards = shards
+						cfg.COFS.ExclusiveRowLocks = excl
+						cfg.COFS.StandbyReads = sbr
+						if lease {
+							cfg.COFS.AttrLease = 30 * time.Second
+						}
+						mode := "nolease"
+						if lease {
+							mode = "lease"
+						}
+						locks := "shared"
+						if excl {
+							locks = "excl"
+						}
+						name := fmt.Sprintf("%s/%dshards/%s-%s", commit, shards, mode, locks)
+						if sbr {
+							name += "-sbreads"
+						}
+						seed := int64(100 + axis)
+						t.Run(name, func(t *testing.T) {
+							conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg))
+						})
 					}
-					if sbr && excl {
-						continue
-					}
-					axis++
-					cfg := params.Default()
-					cfg.COFS.MetadataShards = shards
-					cfg.COFS.ExclusiveRowLocks = excl
-					cfg.COFS.StandbyReads = sbr
-					if lease {
-						cfg.COFS.AttrLease = 30 * time.Second
-					}
-					mode := "nolease"
-					if lease {
-						mode = "lease"
-					}
-					locks := "shared"
-					if excl {
-						locks = "excl"
-					}
-					name := fmt.Sprintf("%dshards/%s-%s", shards, mode, locks)
-					if sbr {
-						name += "-sbreads"
-					}
-					seed := int64(100 + axis)
-					t.Run(name, func(t *testing.T) {
-						conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg))
-					})
 				}
 			}
 		}

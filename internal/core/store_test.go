@@ -14,14 +14,73 @@ import (
 )
 
 // These tests pin the shard store as the service uses it: mdb is the
-// one store a deployment can name, and neither a listing nor a create
-// ever waits for another operation on the same shard's store.
+// one store a deployment can name, naming it costs nothing, and neither
+// a listing nor a create ever waits for another operation on the same
+// shard's store.
+
+// storeWorkload is the mixed mutate/stat/readdir workload the
+// cost-identity comparison runs (same shape as the dormant-reshard
+// pin, so a drift in either knob shows up the same way).
+func storeWorkload(t *testing.T, store string, shards int) (time.Duration, int64) {
+	t.Helper()
+	cfg := params.Default()
+	cfg.COFS.MetadataShards = shards
+	cfg.COFS.MetadataStore = store
+	tb := cluster.New(42, 2, cfg)
+	d := core.Deploy(tb, nil)
+	tb.Run()
+	ctx := cluster.Ctx(0, 1)
+	step(tb, "workload", func(p *sim.Proc) {
+		m := d.Mounts[0]
+		for i := 0; i < 8; i++ {
+			if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
+				t.Fatal(err)
+			}
+			f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close(p)
+			m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
+		}
+		if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Readdir(p, ctx, "/t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return tb.Env.Now(), tb.Net.Messages
+}
+
+// TestStoreDefaultCostIdentical pins that the two accepted spellings of
+// the store knob are one deployment: naming "mdb" explicitly must land
+// on exactly the same virtual clock and message count as the default
+// empty knob — at one shard and at four.
+func TestStoreDefaultCostIdentical(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			defNow, defMsgs := storeWorkload(t, "", shards)
+			mdbNow, mdbMsgs := storeWorkload(t, "mdb", shards)
+			if defNow != mdbNow || defMsgs != mdbMsgs {
+				t.Fatalf("naming the store is not free: default (%v, %d msgs) vs mdb (%v, %d msgs)",
+					defNow, defMsgs, mdbNow, mdbMsgs)
+			}
+		})
+	}
+}
 
 // TestStoreUnknownFailsFast: naming any store other than mdb — the
 // retired log-structured backend's name included — must refuse to
 // deploy, and the error must name the store that exists.
 func TestStoreUnknownFailsFast(t *testing.T) {
-	retired := strings.ToLower("MDLS")
+	const retired = "mdls"
 	defer func() {
 		r := recover()
 		if r == nil {
