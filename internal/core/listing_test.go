@@ -11,9 +11,80 @@ import (
 	"cofs/internal/vfs"
 )
 
-// These tests pin the cached listing (Service.grantListing,
-// FS.Readdir): who may read it, how much of it a client keeps, and that
+// These tests pin the listing: what it costs the shard that serves it
+// (Service.readdir), and for the cached listing (Service.grantListing,
+// FS.Readdir) who may read it, how much of it a client keeps, and that
 // the coherence checker holds it to the shard's table.
+
+// TestListingShardCost: a names-only listing is the directory's row plus
+// one index read of its dentry rows, so it holds the shard's worker
+// exactly as long for 4 entries as for 512; only the reply grows, 96 +
+// 64 bytes an entry. A plus listing still reads each co-located child's
+// inode row, one table operation each, and replies 96 + 160 bytes an
+// entry.
+func TestListingShardCost(t *testing.T) {
+	cfg := params.Default()
+	tb := cluster.New(11, 2, cfg)
+	d := Deploy(tb, nil)
+	sizes := []int{4, 512}
+	dirs := make([]vfs.Ino, len(sizes))
+	drained(tb, "fill", func(p *sim.Proc) {
+		m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
+		for i, n := range sizes {
+			path := fmt.Sprintf("/d%d", n)
+			if err := m.Mkdir(p, ctx, path, 0755); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < n; j++ {
+				f, err := m.Create(p, ctx, fmt.Sprintf("%s/f%03d", path, j), 0644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close(p)
+			}
+			attr, err := m.Stat(p, ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirs[i] = attr.Ino
+		}
+	})
+	cpu := d.Service.Shards()[0].host.CPU
+	sess, ctx := d.FSs[0].Session(), cluster.Ctx(0, 1)
+	for _, plus := range []bool{false, true} {
+		var busy []time.Duration
+		for i, n := range sizes {
+			busy0, bytes0 := cpu.BusyTotal, tb.Net.Bytes
+			drained(tb, "list", func(p *sim.Proc) {
+				var ents []vfs.DirEntry
+				var err error
+				if plus {
+					ents, _, err = d.Service.ReaddirPlus(p, sess, ctx, dirs[i])
+				} else {
+					ents, err = d.Service.Readdir(p, sess, ctx, dirs[i])
+				}
+				if err != nil || len(ents) != n {
+					t.Fatalf("listing (plus=%v) of %d entries: %d, %v", plus, n, len(ents), err)
+				}
+			})
+			ops := 2 // the directory's row and the index read
+			if plus {
+				ops += n
+			}
+			busy = append(busy, cpu.BusyTotal-busy0)
+			if want := cfg.COFS.ServiceCPUPerOp + time.Duration(ops)*cfg.COFS.DBOpTime; busy[i] != want {
+				t.Errorf("listing (plus=%v) of %d entries held the shard %v, want %v (%d table operations)", plus, n, busy[i], want, ops)
+			}
+			// The request is 96 bytes; the reply is listingBytes.
+			if got, want := tb.Net.Bytes-bytes0, 96+listingBytes(n, plus); got != want {
+				t.Errorf("listing (plus=%v) of %d entries moved %d bytes, want %d", plus, n, got, want)
+			}
+		}
+		if !plus && busy[0] != busy[1] {
+			t.Errorf("a names-only listing held the shard %v at %d entries and %v at %d", busy[0], sizes[0], busy[1], sizes[1])
+		}
+	}
+}
 
 // dirSpec is a directory listingRig makes and how many files it holds.
 type dirSpec struct {

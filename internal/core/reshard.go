@@ -367,7 +367,7 @@ func readGroups(p *sim.Proc, from *Service, ids []vfs.Ino) (movedRows, *mdb.Hand
 				mdb.HandoffPut(handoff, from.mappings, id, upath)
 				freight.bytes += 32 + int64(len(upath))
 			}
-			keys := mdb.IndexKeys(tx, from.dentries, "parent", uint64(id))
+			keys := mdb.IndexScan(tx, from.dentries, "parent", uint64(id))
 			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
 			for _, k := range keys {
 				if de, ok := mdb.Get(tx, from.dentries, k); ok {

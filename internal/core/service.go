@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -1071,17 +1070,15 @@ func listingBytes(entries int, plus bool) int64 {
 	return 96 + int64(entries)*perEntry
 }
 
-// listDentries reads dir's entries inside a snapshot: one index read
-// plus one Get per dentry, ordered by name (unique within a directory,
-// so the order is deterministic whatever the index yields).
+// listDentries reads dir's entries inside a snapshot: one index read of
+// the dentry rows off the parent index, whatever the directory's size,
+// ordered by name (unique within a directory, so the order is
+// deterministic whatever the index yields).
 func listDentries(tx *mdb.Tx, dentries *mdb.Table[dentryKey, dentryRow], dir vfs.Ino) []vfs.DirEntry {
-	keys := mdb.IndexScan(tx, dentries, "parent", uint64(dir))
-	slices.SortFunc(keys, func(a, b dentryKey) int { return strings.Compare(a.Name, b.Name) })
-	ents := make([]vfs.DirEntry, 0, len(keys))
-	for _, k := range keys {
-		if de, ok := mdb.Get(tx, dentries, k); ok {
-			ents = append(ents, vfs.DirEntry{Name: k.Name, Ino: de.Child, Type: de.Type})
-		}
+	rows := mdb.IndexRead(tx, dentries, "parent", uint64(dir), func(a, b dentryRow) int { return strings.Compare(a.Name, b.Name) })
+	ents := make([]vfs.DirEntry, len(rows))
+	for i, de := range rows {
+		ents[i] = vfs.DirEntry{Name: de.Name, Ino: de.Child, Type: de.Type}
 	}
 	return ents
 }

@@ -17,6 +17,7 @@ package mdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -566,22 +567,15 @@ func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
 	tx.write(t.rec(walDelete, key, zero), t.class)
 }
 
-// IndexKeys returns the primary keys whose indexed value equals bucket,
-// in deterministic (sorted by formatted key) order.
+// IndexScan returns the primary keys whose indexed value equals bucket,
+// for one table operation whatever their number, in the order the index
+// map yields them: callers sort by a key of their own (a migration
+// orders a directory's entries by name).
 //
 // Unlike Get, the index reads serve the committed index only: a
 // transaction's own uncommitted Puts and Deletes are NOT reflected (they
 // reach the index at commit). Query the index before mutating related
 // rows in the same transaction.
-func IndexKeys[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) []K {
-	keys := IndexScan(tx, t, indexName, bucket)
-	sortFormatted(keys)
-	return keys
-}
-
-// IndexScan is IndexKeys without the order: the bucket's keys as the
-// index map yields them, for callers that sort by a cheaper key of their
-// own (a directory listing orders by name). Same single table operation.
 func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) []K {
 	b := t.indexBucket(tx, indexName, bucket)
 	keys := make([]K, 0, len(b))
@@ -591,8 +585,24 @@ func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bu
 	return keys
 }
 
+// IndexRead returns the committed rows whose indexed value equals
+// bucket, sorted by cmp: Mnesia's index_read, one table operation
+// however many rows the bucket holds (a directory listing reads its
+// entries' rows this way). cmp must order the bucket's rows totally —
+// compare a field unique within it — so the result never depends on map
+// order. It serves the committed index only, like IndexScan.
+func IndexRead[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64, cmp func(a, b V) int) []V {
+	b := t.indexBucket(tx, indexName, bucket)
+	rows := make([]V, 0, len(b))
+	for k := range b {
+		rows = append(rows, t.data[k])
+	}
+	slices.SortFunc(rows, cmp)
+	return rows
+}
+
 // IndexLen counts the bucket's keys (emptiness checks); one table
-// operation, like IndexKeys.
+// operation, like IndexScan.
 func IndexLen[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) int {
 	return len(t.indexBucket(tx, indexName, bucket))
 }

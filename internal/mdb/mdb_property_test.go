@@ -1,8 +1,8 @@
 package mdb
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,18 +52,23 @@ func TestConcurrentTransactionsSerializable(t *testing.T) {
 }
 
 // TestIndexMatchesBruteForce keeps a secondary index consistent with a
-// brute-force scan across random put/delete sequences.
+// brute-force scan across random put/delete sequences: the bucket's
+// keys, its rows and its count each match the scan, for one table
+// operation each.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	type op struct {
 		Key    uint8
 		Bucket uint8
 		Delete bool
 	}
+	// A row repeats its key, so the rows of a bucket have a total order.
+	type kv struct{ Key, Val uint8 }
+	byKey := func(a, b kv) int { return cmp.Compare(a.Key, b.Key) }
 	f := func(ops []op) bool {
 		env := sim.NewEnv(1)
 		db, _ := newDB(env)
-		tbl := NewTable[uint8, uint8](db, "t", RamCopies)
-		tbl.AddIndex("b", func(v uint8) uint64 { return uint64(v % 4) })
+		tbl := NewTable[uint8, kv](db, "t", RamCopies)
+		tbl.AddIndex("b", func(v kv) uint64 { return uint64(v.Val % 4) })
 		ok := true
 		env.Spawn("t", func(p *sim.Proc) {
 			for _, o := range ops {
@@ -72,33 +77,26 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 					if o.Delete {
 						Delete(tx, tbl, o.Key)
 					} else {
-						Put(tx, tbl, o.Key, o.Bucket)
+						Put(tx, tbl, o.Key, kv{o.Key, o.Bucket})
 					}
 				})
 			}
 			db.Transaction(p, func(tx *Tx) {
 				for bucket := uint64(0); bucket < 4; bucket++ {
-					viaIndex := IndexKeys(tx, tbl, "b", bucket)
-					viaScan := SelectKeys(tx, tbl, func(k, v uint8) bool { return uint64(v%4) == bucket })
-					if len(viaIndex) != len(viaScan) {
-						ok = false
-						return
+					var wantKeys []uint8
+					var wantRows []kv
+					for _, r := range SelectKeys(tx, tbl, func(k uint8, v kv) bool { return uint64(v.Val%4) == bucket }) {
+						wantKeys = append(wantKeys, r.Key)
+						wantRows = append(wantRows, r.Val)
 					}
-					for i := range viaIndex {
-						if viaIndex[i] != viaScan[i].Key {
-							ok = false
-							return
-						}
-					}
-					// The unordered read and the count see the same
-					// bucket, each for one table operation.
+					slices.Sort(wantKeys)
+					slices.SortFunc(wantRows, byKey)
 					before := tx.ops
-					unordered := IndexScan(tx, tbl, "b", bucket)
+					keys := IndexScan(tx, tbl, "b", bucket)
+					rows := IndexRead(tx, tbl, "b", bucket, byKey)
 					n := IndexLen(tx, tbl, "b", bucket)
-					sort.Slice(unordered, func(i, j int) bool { return unordered[i] < unordered[j] })
-					sorted := append([]uint8(nil), viaIndex...)
-					sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-					if tx.ops != before+2 || n != len(viaIndex) || !slices.Equal(unordered, sorted) {
+					slices.Sort(keys)
+					if tx.ops != before+3 || n != len(wantKeys) || !slices.Equal(keys, wantKeys) || !slices.Equal(rows, wantRows) {
 						ok = false
 						return
 					}

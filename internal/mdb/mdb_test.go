@@ -2,6 +2,10 @@ package mdb
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,6 +19,9 @@ type row struct {
 	Parent uint64
 	Name   string
 }
+
+// byName orders rows of one parent bucket, whose names are unique.
+func byName(a, b row) int { return strings.Compare(a.Name, b.Name) }
 
 func newDB(env *sim.Env) (*DB, *disk.Disk) {
 	d := disk.New(env, "mdb", params.Default().Disk)
@@ -99,24 +106,24 @@ func TestSecondaryIndex(t *testing.T) {
 			Put(tx, tbl, 3, row{Parent: 20, Name: "c"})
 		})
 		db.Transaction(p, func(tx *Tx) {
-			keys := IndexKeys(tx, tbl, "parent", 10)
-			if len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
-				t.Errorf("index keys = %v", keys)
+			rows := IndexRead(tx, tbl, "parent", 10, byName)
+			if len(rows) != 2 || rows[0].Name != "a" || rows[1].Name != "b" {
+				t.Errorf("index rows = %v", rows)
 			}
 			// Moving a row between buckets updates the index.
 			Put(tx, tbl, 2, row{Parent: 20, Name: "b"})
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := IndexKeys(tx, tbl, "parent", 10); len(got) != 1 {
+			if got := IndexScan(tx, tbl, "parent", 10); len(got) != 1 {
 				t.Errorf("bucket 10 = %v", got)
 			}
-			if got := IndexKeys(tx, tbl, "parent", 20); len(got) != 2 {
+			if got := IndexScan(tx, tbl, "parent", 20); len(got) != 2 {
 				t.Errorf("bucket 20 = %v", got)
 			}
 			Delete(tx, tbl, 3)
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := IndexKeys(tx, tbl, "parent", 20); len(got) != 1 {
+			if got := IndexScan(tx, tbl, "parent", 20); len(got) != 1 {
 				t.Errorf("after delete bucket 20 = %v", got)
 			}
 		})
@@ -305,7 +312,7 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 }
 
 // TestIndexIgnoresUncommittedWrites pins the documented sharp edge:
-// IndexKeys serves the committed index, not the transaction's own
+// IndexScan serves the committed index, not the transaction's own
 // pending write set. Callers must query before mutating.
 func TestIndexIgnoresUncommittedWrites(t *testing.T) {
 	env := sim.NewEnv(1)
@@ -316,24 +323,131 @@ func TestIndexIgnoresUncommittedWrites(t *testing.T) {
 	env.Spawn("t", func(p *sim.Proc) {
 		db.Transaction(p, func(tx *Tx) {
 			Put(tx, tbl, 1, row{Parent: 7})
-			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 0 {
+			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 0 {
 				t.Errorf("uncommitted put visible via index: %d keys", got)
 			}
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 1 {
+			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 1 {
 				t.Errorf("committed put not visible via index: %d keys", got)
 			}
 			Delete(tx, tbl, 1)
-			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 1 {
+			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 1 {
 				t.Errorf("uncommitted delete visible via index: %d keys", got)
 			}
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := len(IndexKeys(tx, tbl, "parent", 7)); got != 0 {
+			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 0 {
 				t.Errorf("committed delete not applied to index: %d keys", got)
 			}
 		})
 	})
 	env.MustRun()
+}
+
+// TestIndexReadIgnoresUncommittedWrites is the same edge for IndexRead:
+// inside a transaction it returns the committed rows of the bucket —
+// not a row the transaction put, still a row it deleted, and a row it
+// rewrote with its committed value.
+func TestIndexReadIgnoresUncommittedWrites(t *testing.T) {
+	env := sim.NewEnv(1)
+	db := New(env, nil, 0)
+	tbl := NewTable[int, row](db, "t", RamCopies)
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+	read := func(tx *Tx) []row { return IndexRead(tx, tbl, "parent", 7, byName) }
+	env.Spawn("t", func(p *sim.Proc) {
+		db.Transaction(p, func(tx *Tx) {
+			Put(tx, tbl, 1, row{Parent: 7, Name: "a"})
+			if got := read(tx); len(got) != 0 {
+				t.Errorf("uncommitted put visible via IndexRead: %v", got)
+			}
+		})
+		db.Transaction(p, func(tx *Tx) {
+			if got := read(tx); len(got) != 1 || got[0].Name != "a" {
+				t.Errorf("committed put not visible via IndexRead: %v", got)
+			}
+			Put(tx, tbl, 1, row{Parent: 7, Name: "renamed"})
+			Put(tx, tbl, 2, row{Parent: 7, Name: "b"})
+			if got := read(tx); len(got) != 1 || got[0].Name != "a" {
+				t.Errorf("uncommitted rewrite visible via IndexRead: %v", got)
+			}
+		})
+		db.Transaction(p, func(tx *Tx) {
+			Delete(tx, tbl, 1)
+			if got := read(tx); len(got) != 2 || got[0].Name != "b" || got[1].Name != "renamed" {
+				t.Errorf("uncommitted delete visible via IndexRead: %v", got)
+			}
+		})
+		db.Transaction(p, func(tx *Tx) {
+			if got := read(tx); len(got) != 1 || got[0].Name != "b" {
+				t.Errorf("committed delete not applied to IndexRead: %v", got)
+			}
+		})
+	})
+	env.MustRun()
+}
+
+// fillBucket puts rows f0..f(n-1) under parent 7 of a fresh table, in
+// the order perm gives, one transaction each.
+func fillBucket(p *sim.Proc, db *DB, tbl *Table[uint64, row], perm []int) {
+	for _, i := range perm {
+		db.Transaction(p, func(tx *Tx) {
+			Put(tx, tbl, uint64(100+i), row{Parent: 7, Name: "f" + strconv.Itoa(i)})
+		})
+	}
+}
+
+// TestIndexReadChargesOneOp: reading a bucket's rows is one table
+// operation whatever the bucket holds — none, one or 512 rows — like
+// Mnesia's index_read, and unlike a Get per key.
+func TestIndexReadChargesOneOp(t *testing.T) {
+	for _, n := range []int{0, 1, 512} {
+		env := sim.NewEnv(1)
+		db, _ := newDB(env)
+		tbl := NewTable[uint64, row](db, "dentry", RamCopies)
+		tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+		env.Spawn("t", func(p *sim.Proc) {
+			fillBucket(p, db, tbl, rand.New(rand.NewSource(1)).Perm(n))
+			var rows []row
+			start := p.Now()
+			db.View(p, func(tx *Tx) { rows = IndexRead(tx, tbl, "parent", 7, byName) })
+			if took := p.Now() - start; took != db.opTime || len(rows) != n {
+				t.Errorf("%d-row bucket: read %d rows in %v, want %d in one op time (%v)", n, len(rows), took, n, db.opTime)
+			}
+		})
+		env.MustRun()
+	}
+}
+
+// TestIndexReadOrderIndependent: the rows of a bucket come back in the
+// caller's order however they were inserted — ascending, descending or
+// shuffled, into tables whose maps grew differently — never in map
+// order.
+func TestIndexReadOrderIndependent(t *testing.T) {
+	const n = 64
+	asc, desc := make([]int, n), make([]int, n)
+	for i := range asc {
+		asc[i], desc[i] = i, n-1-i
+	}
+	var want []row
+	for _, perm := range [][]int{asc, desc, rand.New(rand.NewSource(2)).Perm(n), rand.New(rand.NewSource(3)).Perm(n)} {
+		env := sim.NewEnv(1)
+		db, _ := newDB(env)
+		tbl := NewTable[uint64, row](db, "dentry", RamCopies)
+		tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+		var got []row
+		env.Spawn("t", func(p *sim.Proc) {
+			fillBucket(p, db, tbl, perm)
+			db.View(p, func(tx *Tx) { got = IndexRead(tx, tbl, "parent", 7, byName) })
+		})
+		env.MustRun()
+		if !slices.IsSortedFunc(got, byName) || len(got) != n {
+			t.Fatalf("insert order %v: %d rows, not sorted by name: %v", perm[:4], len(got), got)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("insert order %v changed the rows read: %v, want %v", perm[:4], got, want)
+		}
+	}
 }

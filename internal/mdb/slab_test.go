@@ -104,6 +104,30 @@ func TestIndexAddRemoveAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestIndexReadAllocsOneSlice pins the row read's cost in host memory:
+// reading a 64-row bucket allocates the one slice it returns (sorting
+// it allocates nothing), and an empty bucket allocates nothing.
+func TestIndexReadAllocsOneSlice(t *testing.T) {
+	skipUnderRace(t)
+	env := sim.NewEnv(1)
+	db, _ := newDB(env)
+	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+	for i := 0; i < 64; i++ {
+		tbl.Bootstrap(uint64(100+i), row{Parent: 7, Name: "f" + strconv.Itoa(i)})
+	}
+	// An untimed handle, as CheckCacheCoherence reads with.
+	tx := &Tx{}
+	for _, c := range []struct {
+		bucket uint64
+		want   float64
+	}{{7, 1}, {8, 0}} {
+		if n := testing.AllocsPerRun(100, func() { IndexRead(tx, tbl, "parent", c.bucket, byName) }); n != c.want {
+			t.Errorf("IndexRead of bucket %d allocates %v, want %v", c.bucket, n, c.want)
+		}
+	}
+}
+
 // TestRecoverKeepsFlushedValue re-puts one key across several slab
 // chunks and crashes before the log is flushed again: recovery must
 // replay the value the flushed record logged, not a later one.
