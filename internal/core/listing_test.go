@@ -49,11 +49,14 @@ func TestListingShardCost(t *testing.T) {
 			dirs[i] = attr.Ino
 		}
 	})
-	cpu := d.Service.Shards()[0].host.CPU
 	sess, ctx := d.FSs[0].Session(), cluster.Ctx(0, 1)
 	for _, plus := range []bool{false, true} {
 		var busy []time.Duration
 		for i, n := range sizes {
+			// The shard that owns the directory serves the listing; the
+			// plus count below assumes it owns every child too.
+			owner := d.Service.Of(dirs[i])
+			cpu := d.Service.Shards()[owner].host.CPU
 			busy0, bytes0 := cpu.BusyTotal, tb.Net.Bytes
 			drained(tb, "list", func(p *sim.Proc) {
 				var ents []vfs.DirEntry
@@ -65,6 +68,11 @@ func TestListingShardCost(t *testing.T) {
 				}
 				if err != nil || len(ents) != n {
 					t.Fatalf("listing (plus=%v) of %d entries: %d, %v", plus, n, len(ents), err)
+				}
+				for _, e := range ents {
+					if s := d.Service.Of(e.Ino); s != owner {
+						t.Fatalf("%s in directory %d lives on shard %d, not on its directory's shard %d", e.Name, dirs[i], s, owner)
+					}
 				}
 			})
 			ops := 2 // the directory's row and the index read

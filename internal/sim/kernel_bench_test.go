@@ -130,10 +130,8 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			}
 			env.MustRun()
 		}
-		// A goroutine of an earlier test may still be exiting when before
-		// is taken, so only a count above it is a leak.
-		if got := runtime.NumGoroutine(); got > before {
-			t.Fatalf("%d goroutines after %d more Run(s), want at most the starting %d", got, runs, before)
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("%d goroutines after %d more Run(s), want the starting %d", got, runs, before)
 		}
 	}
 }
