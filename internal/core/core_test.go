@@ -184,35 +184,62 @@ func TestRenameNeverTouchesUnderlying(t *testing.T) {
 	})
 }
 
+// TestLazyUnderlyingOpen: node 1 opens a file node 0 wrote. Only a read
+// opens the underlying file, and in either cache mode the open itself
+// costs no service request once a stat has cached the attributes; the
+// mapping the stat did not bring then rides the read.
 func TestLazyUnderlyingOpen(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
-		f, _ := m.Create(p, ctx, "/data", 0644)
-		f.WriteAt(p, 0, 4096)
-		f.Close(p)
+	for _, mode := range []struct {
+		name  string
+		tweak func(*params.COFSParams)
+		opens int64 // service requests of the metadata-only open/close
+	}{
+		{"uncached", func(*params.COFSParams) {}, 1},
+		{"ttl", func(c *params.COFSParams) { c.AttrCacheTimeout = time.Second }, 0},
+		{"lease", func(c *params.COFSParams) { c.AttrLease = 30 * time.Second }, 0},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := params.Default()
+			mode.tweak(&cfg.COFS)
+			tb := cluster.New(1, 2, cfg)
+			r := &rig{tb: tb, d: core.Deploy(tb, nil)}
+			tb.Run()
+			m, fs, cx := r.d.Mounts[1], r.d.FSs[1], cluster.Ctx(1, 1)
+			r.run(t, func(p *sim.Proc) {
+				f, _ := r.d.Mounts[0].Create(p, ctx, "/data", 0644)
+				f.WriteAt(p, 0, 4096)
+				f.Close(p)
+				if _, err := m.Stat(p, cx, "/data"); err != nil {
+					t.Fatal(err)
+				}
 
-		// Metadata-only open/close: no underlying open.
-		g, err := m.Open(p, ctx, "/data", vfs.OpenRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Close(p)
-		if r.d.FSs[0].Stats.UnderOpens != 0 {
-			t.Fatalf("underlying opens=%d after metadata-only open/close", r.d.FSs[0].Stats.UnderOpens)
-		}
+				// Metadata-only open/close: no underlying open.
+				ops := fs.Stats.ServiceOps
+				g, err := m.Open(p, cx, "/data", vfs.OpenRead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Close(p)
+				if fs.Stats.UnderOpens != 0 {
+					t.Fatalf("underlying opens=%d after metadata-only open/close", fs.Stats.UnderOpens)
+				}
+				if got := fs.Stats.ServiceOps - ops; got != mode.opens {
+					t.Fatalf("metadata-only open/close sent %d service requests, want %d", got, mode.opens)
+				}
 
-		// Reading forces the lazy open.
-		g, _ = m.Open(p, ctx, "/data", vfs.OpenRead)
-		n, err := g.ReadAt(p, 0, 4096)
-		if err != nil || n != 4096 {
-			t.Fatalf("read=%d err=%v", n, err)
-		}
-		g.Close(p)
-		if r.d.FSs[0].Stats.UnderOpens != 1 {
-			t.Fatalf("underlying opens=%d, want 1", r.d.FSs[0].Stats.UnderOpens)
-		}
-	})
+				// Reading forces the lazy open.
+				g, _ = m.Open(p, cx, "/data", vfs.OpenRead)
+				n, err := g.ReadAt(p, 0, 4096)
+				if err != nil || n != 4096 {
+					t.Fatalf("read=%d err=%v", n, err)
+				}
+				g.Close(p)
+				if fs.Stats.UnderOpens != 1 {
+					t.Fatalf("underlying opens=%d, want 1", fs.Stats.UnderOpens)
+				}
+			})
+		})
+	}
 }
 
 func TestSizeWriteBackOnClose(t *testing.T) {

@@ -252,21 +252,27 @@ func (f *FS) Getattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (vfs.Attr, error) {
 // underlying file as well, since size lives there authoritatively while
 // a writer is active.
 func (f *FS) Setattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, set vfs.SetAttr) (vfs.Attr, error) {
+	attr, _, err := f.setattr(p, ctx, ino, set)
+	return attr, err
+}
+
+// setattr is Setattr returning the truncated file's underlying path as
+// well: a truncating Setattr's reply carries the mapping (see
+// Service.Setattr), which the underlying truncate needs.
+func (f *FS) setattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, set vfs.SetAttr) (vfs.Attr, string, error) {
 	f.Stats.ServiceOps++
 	f.attrs.drop(ino)
-	attr, err := f.svc.Setattr(p, f.sess, ctx, ino, set)
+	attr, upath, err := f.svc.Setattr(p, f.sess, ctx, ino, set)
 	if err != nil {
-		return attr, err
+		return attr, "", err
 	}
-	f.attrs.put(p, attr, "")
-	if set.HasSize && attr.Type == vfs.TypeRegular {
-		if upath, ok := f.svc.Mapping(ino); ok {
-			if terr := f.under.Truncate(p, f.underCtx(), upath, set.Size); terr != nil {
-				return attr, terr
-			}
+	f.attrs.put(p, attr, upath)
+	if upath != "" {
+		if err := f.under.Truncate(p, f.underCtx(), upath, set.Size); err != nil {
+			return attr, upath, err
 		}
 	}
-	return attr, nil
+	return attr, upath, nil
 }
 
 // Create implements vfs.Filesystem: the placement driver picks the
@@ -300,16 +306,17 @@ func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uin
 	return attr, h, nil
 }
 
-// Open implements vfs.Filesystem. The underlying file is NOT opened here:
-// metadata-only open/close sequences (and the open storm at the start of
-// parallel data transfers, Table I) stay one cheap service round trip;
-// the underlying open happens lazily on first read/write.
+// Open implements vfs.Filesystem. The underlying file is NOT opened here
+// but at the first read or write (ensureUnderFile), so a metadata-only
+// open/close (and the open storm at the start of parallel data
+// transfers, Table I) costs one service round trip at most, and none
+// while the client holds a valid attribute entry, leased or within its
+// TTL: the type and permission checks need only the attributes. The
+// underlying mapping, if the entry lacks it, rides the first I/O.
 func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
 	var attr vfs.Attr
 	var upath string
-	if e, ok := f.attrs.get(p, ino); ok && e.upath != "" {
-		// Aggressive local caching (section IV-B extension): a
-		// recently validated file opens without a service round trip.
+	if e, ok := f.attrs.get(p, ino); ok {
 		attr, upath = e.attr, e.upath
 	} else {
 		f.Stats.ServiceOps++
@@ -336,11 +343,8 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 		return 0, vfs.ErrPerm
 	}
 	if flags&vfs.OpenTrunc != 0 {
-		f.attrs.drop(ino)
-		if _, err := f.svc.Setattr(p, f.sess, ctx, ino, vfs.SetAttr{HasSize: true, Size: 0}); err != nil {
-			return 0, err
-		}
-		if err := f.under.Truncate(p, f.underCtx(), upath, 0); err != nil {
+		var err error
+		if _, upath, err = f.setattr(p, ctx, ino, vfs.SetAttr{HasSize: true, Size: 0}); err != nil {
 			return 0, err
 		}
 		// The handle tracks the file size for write-back at close; it
@@ -354,13 +358,31 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 	return h, nil
 }
 
-// ensureUnderFile lazily opens the underlying file for a handle.
+// ensureUnderFile lazily opens the underlying file for a handle. It is
+// the one place that needs the underlying path: a handle opened from a
+// cached entry without it takes the mapping from the entry, if another
+// handle has fetched it since, or else fetches it with one OpenInfo,
+// which also refreshes the entry. The mapping never changes while the
+// inode lives; once the file is gone (unlinked, or renamed over) the
+// fetch fails with ErrNotExist, as the underlying open would have.
 func (f *FS) ensureUnderFile(p *sim.Proc, h *cofsHandle) error {
 	if h.file != nil {
 		return nil
 	}
-	flags := h.flags
-	uf, err := f.under.Open(p, f.underCtx(), h.upath, flags)
+	if h.upath == "" {
+		if e, ok := f.attrs.get(p, h.id); ok && e.upath != "" {
+			h.upath = e.upath
+		} else {
+			f.Stats.ServiceOps++
+			attr, upath, err := f.svc.OpenInfo(p, f.sess, h.id)
+			if err != nil {
+				return err
+			}
+			f.attrs.put(p, attr, upath)
+			h.upath = upath
+		}
+	}
+	uf, err := f.under.Open(p, f.underCtx(), h.upath, h.flags)
 	if err != nil {
 		return err
 	}

@@ -307,15 +307,16 @@ func (c *MDSCluster) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.A
 	return attr, err
 }
 
-// Setattr updates attributes of id on its owning shard.
-func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (attr vfs.Attr, err error) {
+// Setattr updates attributes of id on its owning shard; a truncation of
+// a regular file also returns its underlying path.
+func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (attr vfs.Attr, upath string, err error) {
 	ob := c.obsBegin(p, sess, "op.setattr", id)
 	defer c.obsEnd(p, ob)
 	c.routed(p, sess, id, func(s *Service) error {
-		attr, err = s.Setattr(p, sess, ctx, id, set)
+		attr, upath, err = s.Setattr(p, sess, ctx, id, set)
 		return err
 	})
-	return attr, err
+	return attr, upath, err
 }
 
 // Create allocates a new object under parent; coordinated by the

@@ -397,9 +397,11 @@ func (s *Service) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, err
 }
 
 // Setattr updates attributes of id (chmod/chown/utime/truncate record).
-func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, error) {
+// A truncation of a regular file also returns its underlying path, which
+// the client truncates next: one more table read in the same transaction.
+func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, string, error) {
 	s.Stats.Updates++
-	return s.updateRow(p, sess, rpc.OpSetattr, id, func(row *inodeRow) error {
+	return s.updateRow(p, sess, rpc.OpSetattr, id, set.HasSize, func(row *inodeRow) error {
 		if set.HasMode && ctx.UID != 0 && ctx.UID != row.UID {
 			return vfs.ErrPerm
 		}
@@ -426,9 +428,10 @@ func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, s
 
 // updateRow applies fn to id's row in a durable transaction. On success
 // other holders' attribute leases on id are recalled and the mutating
-// session is granted a fresh one.
-func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, fn func(*inodeRow) error) (vfs.Attr, error) {
-	r := call(p, s, sess, op, 160, 192, func(p *sim.Proc) attrReply {
+// session is granted a fresh one. With mapping set, the reply also
+// carries a regular file's underlying path.
+func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, mapping bool, fn func(*inodeRow) error) (vfs.Attr, string, error) {
+	r := call(p, s, sess, op, 160, 192, func(p *sim.Proc) mappingReply {
 		// The row's Shared lock keeps a live migration (which takes the
 		// group Exclusive) from moving it out from under the update
 		// transaction; free when uncontended, no-op on an unsharded
@@ -438,9 +441,9 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, f
 		txn := s.lockRows(p, lock.S(s.inoKey(id)))
 		defer txn.release(p)
 		if err := s.claim(id); err != nil {
-			return attrReply{err: err}
+			return mappingReply{err: err}
 		}
-		var out attrReply
+		var out mappingReply
 		s.DB.Transaction(p, func(tx *mdb.Tx) {
 			if s.staleProtocol(txn) {
 				out.err = ErrWrongEpoch
@@ -457,14 +460,17 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, f
 			}
 			mdb.Put(tx, s.inodes, id, row)
 			out.attr = row.attr()
+			if mapping && row.Type == vfs.TypeRegular {
+				out.upath, _ = mdb.Get(tx, s.mappings, id)
+			}
 		})
 		if out.err == nil {
 			s.revokeLeases(p, sess, attrLease(id))
-			s.grantAttr(p, sess, id, "")
+			s.grantAttr(p, sess, id, out.upath)
 		}
 		return out
 	})
-	return r.attr, r.err
+	return r.attr, r.upath, r.err
 }
 
 type createReply struct {
@@ -1098,7 +1104,7 @@ func addRemote(remote [][]int, sh, i int) [][]int {
 // consistency for attributes the service serves from its tables).
 func (s *Service) WriteBack(p *sim.Proc, sess *Session, id vfs.Ino, size int64, mtime time.Duration) error {
 	s.Stats.Updates++
-	_, err := s.updateRow(p, sess, rpc.OpWriteBack, id, func(row *inodeRow) error {
+	_, _, err := s.updateRow(p, sess, rpc.OpWriteBack, id, false, func(row *inodeRow) error {
 		if row.Type != vfs.TypeRegular {
 			return vfs.ErrInvalid
 		}

@@ -121,7 +121,7 @@ func TestCarrierReuse(t *testing.T) {
 // TestNoGoroutineOutlivesRun checks that Run stops its idle carriers: a
 // coroutine is a goroutine, and none may be left once Run has returned.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	env := NewEnv(1)
 	for _, runs := range []int{1, 50} {
 		for r := 0; r < runs; r++ {
@@ -134,6 +134,22 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			t.Fatalf("%d goroutines after %d more Run(s), want the starting %d", got, runs, before)
 		}
 	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine() once it has read the
+// same for 20 consecutive milliseconds, so that goroutines an earlier
+// test left on their way out are not counted as the starting set.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same := 0; same < 20; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, same = m, 0
+		} else {
+			same++
+		}
+	}
+	return n
 }
 
 // BenchmarkKernelTimerCascade measures the fn-event hot loop: a chain of
