@@ -27,19 +27,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	cfg := params.Default()
-	tb := cluster.New(*seed, *nodes, cfg)
-	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
-	switch *fsKind {
-	case "gpfs":
-	case "cofs":
-		target.Mounts = core.Deploy(tb, nil).Mounts
-	default:
-		fmt.Fprintln(os.Stderr, "ior: -fs must be gpfs or cofs")
-		os.Exit(2)
-	}
-
-	res := bench.IOR(target, bench.IORConfig{
+	run := bench.IORConfig{
 		Nodes:          *nodes,
 		AggregateBytes: *size,
 		TransferSize:   *xfer,
@@ -47,7 +35,22 @@ func main() {
 		Random:         *random,
 		Dir:            "/ior",
 		ReadBack:       true,
-	})
+	}
+	if err := run.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *fsKind != "gpfs" && *fsKind != "cofs" {
+		fmt.Fprintln(os.Stderr, "ior: -fs must be gpfs or cofs")
+		os.Exit(2)
+	}
+	tb := cluster.New(*seed, *nodes, params.Default())
+	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	if *fsKind == "cofs" {
+		target.Mounts = core.Deploy(tb, nil).Mounts
+	}
+
+	res := bench.IOR(target, run)
 
 	layout := "separate files"
 	if *shared {

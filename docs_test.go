@@ -1,16 +1,22 @@
 package cofs_test
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"cofs/internal/bench"
+	"cofs/internal/params"
 )
 
 // These tests keep the documentation wired to the tree: every relative
 // markdown link in README.md and docs/ must resolve to a real file or
-// directory, and every internal/ package the README names must exist.
+// directory, every internal/ package the README names must exist, and
+// every deployment knob and tool flag the docs name must be real.
 // CI runs them as the docs job (go test -run TestDocs .).
 
 // docFiles returns README.md plus every markdown page under docs/.
@@ -84,4 +90,57 @@ func TestDocsReadmePackagesExist(t *testing.T) {
 			t.Errorf("internal/%s is not mentioned in README.md's layout map", e.Name())
 		}
 	}
+}
+
+var (
+	knobRef = regexp.MustCompile(`\bCOFS(?:Params)?\.([A-Z][A-Za-z0-9]*)`)
+	flagRef = regexp.MustCompile("`-([a-z-]+)")
+)
+
+// TestDocsNameRealKnobs: every COFSParams.X or COFS.X the README or a
+// docs page names is a field of params.COFSParams, and the README's
+// tool-flag table lists exactly the flags bench.ToolFlags registers.
+func TestDocsNameRealKnobs(t *testing.T) {
+	knobs := reflect.TypeOf(params.COFSParams{})
+	for _, file := range docFiles(t) {
+		body, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		for _, m := range knobRef.FindAllStringSubmatch(string(body), -1) {
+			if _, ok := knobs.FieldByName(m[1]); !ok {
+				t.Errorf("%s names %s, which is not a field of params.COFSParams", file, m[0])
+			}
+		}
+	}
+
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	bench.BindToolFlags(fs)
+	body, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(body), "| flag | effect |\n")
+	if !ok {
+		t.Fatal("README.md has no tool-flag table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	listed := map[string]bool{}
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 3 || strings.Trim(cells[1], " -") == "" {
+			continue // the separator row
+		}
+		for _, ref := range flagRef.FindAllStringSubmatch(cells[1], -1) {
+			listed[ref[1]] = true
+			if fs.Lookup(ref[1]) == nil {
+				t.Errorf("README.md's flag table lists -%s, which bench.ToolFlags does not register", ref[1])
+			}
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !listed[f.Name] {
+			t.Errorf("bench.ToolFlags registers -%s, which README.md's flag table does not list", f.Name)
+		}
+	})
 }

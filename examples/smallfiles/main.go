@@ -66,7 +66,7 @@ func main() {
 func buildTarget(mode string) (bench.Target, func() error) {
 	cfg := params.Default()
 	if mode == "cofs + client cache" {
-		cfg.COFS.AttrCacheTimeout = time.Second
+		cfg.COFS.AttrLease = 30 * time.Second
 		cfg.COFS.AttrCacheEntries = 16384
 	}
 	tb := cluster.New(11, nodes, cfg)

@@ -129,6 +129,43 @@ func TestIORRandomDeterministic(t *testing.T) {
 	}
 }
 
+// TestIORRejectsPartialTransfers: a config whose aggregate does not
+// split into a positive whole number of transfers per node is refused
+// before anything runs, so no rate is ever reported for bytes the run
+// did not move.
+func TestIORRejectsPartialTransfers(t *testing.T) {
+	for _, cfg := range []bench.IORConfig{
+		{Nodes: 4, AggregateBytes: 3 << 20},                        // zero transfers per node
+		{Nodes: 3, AggregateBytes: 1 << 30},                        // 1 MiB short
+		{Nodes: 2, AggregateBytes: 3 << 20, TransferSize: 1 << 20}, // one node 0.5 MiB over
+		{Nodes: 0, AggregateBytes: 1 << 20},
+		{Nodes: 2, AggregateBytes: 0},
+	} {
+		if err := cfg.Check(); err == nil {
+			t.Errorf("%+v passed Check", cfg)
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("IOR ran %+v", cfg)
+				}
+			}()
+			target, _ := gpfsTarget(4)
+			bench.IOR(target, cfg)
+		}()
+	}
+	for _, cfg := range []bench.IORConfig{
+		{Nodes: 4, AggregateBytes: 4 << 20},
+		{Nodes: 3, AggregateBytes: 3 << 20, TransferSize: 1 << 20},
+		{Nodes: 2, AggregateBytes: 3 << 20, TransferSize: 512 << 10},
+	} {
+		if err := cfg.Check(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+}
+
 func TestIORThroughCOFSComparable(t *testing.T) {
 	gt, _ := gpfsTarget(4)
 	g := bench.IOR(gt, bench.IORConfig{

@@ -42,13 +42,37 @@ func iorFile(dir string, rank int, shared bool) string {
 	return fmt.Sprintf("%s/ior.%04d", dir, rank)
 }
 
+// xfer is the transfer size: TransferSize, or 1 MiB when it is unset.
+func (cfg IORConfig) xfer() int64 {
+	if cfg.TransferSize > 0 {
+		return cfg.TransferSize
+	}
+	return 1 << 20
+}
+
+// Check reports why cfg cannot run: the aggregate must split into a
+// positive whole number of transfers per node, so that the rates are
+// computed over exactly the bytes the run moves.
+func (cfg IORConfig) Check() error {
+	if cfg.Nodes < 1 {
+		return fmt.Errorf("ior: %d nodes, want at least 1", cfg.Nodes)
+	}
+	if per := int64(cfg.Nodes) * cfg.xfer(); cfg.AggregateBytes < per || cfg.AggregateBytes%per != 0 {
+		return fmt.Errorf("ior: aggregate %d B is not a positive whole number of %d B transfers on each of %d nodes (a multiple of %d B)",
+			cfg.AggregateBytes, cfg.xfer(), cfg.Nodes, per)
+	}
+	return nil
+}
+
 // IOR runs the benchmark and returns aggregate transfer rates. The write
 // phase measures first-open to last-close (capturing the serialized-open
-// effect of Table I); the read phase likewise.
+// effect of Table I); the read phase likewise. It panics on a config
+// Check rejects.
 func IOR(t Target, cfg IORConfig) *IORResult {
-	if cfg.TransferSize <= 0 {
-		cfg.TransferSize = 1 << 20
+	if err := cfg.Check(); err != nil {
+		panic("bench: " + err.Error())
 	}
+	cfg.TransferSize = cfg.xfer()
 	perNode := cfg.AggregateBytes / int64(cfg.Nodes)
 	res := &IORResult{}
 

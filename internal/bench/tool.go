@@ -20,7 +20,6 @@ import (
 type ToolFlags struct {
 	Shards       int
 	AttrLease    time.Duration
-	ExclLocks    bool
 	StandbyReads bool
 	Trace        string
 	Metrics      bool
@@ -33,8 +32,7 @@ type ToolFlags struct {
 func BindToolFlags(fs *flag.FlagSet) *ToolFlags {
 	f := &ToolFlags{}
 	fs.IntVar(&f.Shards, "shards", 1, "cofs metadata service shards")
-	fs.DurationVar(&f.AttrLease, "attr-lease", 0, "cofs client cache lease term (0 disables the coherent cache)")
-	fs.BoolVar(&f.ExclLocks, "excl-locks", false, "cofs: revert the row-lock table to exclusive-only locks (no shared read-dependency grants)")
+	fs.DurationVar(&f.AttrLease, "attr-lease", 0, "cofs client cache lease term (0 disables the client cache)")
 	fs.BoolVar(&f.StandbyReads, "standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
 	fs.StringVar(&f.Trace, "trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
 	fs.BoolVar(&f.Metrics, "metrics", false, "cofs: collect and print per-(op, shard) latency histograms and skew rates")
@@ -50,7 +48,6 @@ func (f *ToolFlags) Config() params.Config {
 	cfg := params.Default()
 	cfg.COFS.MetadataShards = f.Shards
 	cfg.COFS.AttrLease = f.AttrLease
-	cfg.COFS.ExclusiveRowLocks = f.ExclLocks
 	cfg.COFS.StandbyReads = f.StandbyReads
 	cfg.COFS.Trace = f.Trace != "" || f.Slowlog > 0
 	cfg.COFS.Metrics = f.Metrics

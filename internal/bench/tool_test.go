@@ -45,7 +45,6 @@ func TestToolFlagsEachSetsItsField(t *testing.T) {
 	}{
 		{[]string{"-shards", "3"}, func(cfg *params.Config) { cfg.COFS.MetadataShards = 3 }},
 		{[]string{"-attr-lease", "2s"}, func(cfg *params.Config) { cfg.COFS.AttrLease = 2 * time.Second }},
-		{[]string{"-excl-locks"}, func(cfg *params.Config) { cfg.COFS.ExclusiveRowLocks = true }},
 		{[]string{"-standby-reads"}, func(cfg *params.Config) { cfg.COFS.StandbyReads = true }},
 		{[]string{"-trace", "out.json"}, func(cfg *params.Config) { cfg.COFS.Trace = true }},
 		{[]string{"-metrics"}, func(cfg *params.Config) { cfg.COFS.Metrics = true }},

@@ -17,26 +17,18 @@ import (
 // aggressive caching and delegation techniques ... to the COFS
 // framework".
 //
-// It runs in one of two modes (both disabled by default, matching the
-// paper's measured prototype):
-//
-//   - TTL mode (COFSParams.AttrCacheTimeout > 0): recently seen
-//     attributes and underlying mappings are reused within a validity
-//     window, close-to-open style (NFS/FUSE attribute timeouts). Cheap,
-//     but stale by up to one window under cross-node mutation.
-//
-//   - Lease mode (COFSParams.AttrLease > 0; wins over TTL): entries are
-//     installed only under a server-issued lease. Shards remember which
-//     client holds a lease on which attribute or dentry and revoke it
-//     at the commit instant of any conflicting mutation (see lease.go),
-//     so a valid entry is never stale — at any MetadataShards or node
-//     count. Lease mode also caches dentries, positive and negative, so
-//     repeated Lookup of a hot name (or of a name that does not exist)
-//     costs no round trip at all. It also caches directory listings,
-//     each riding its directory's attribute entry (installListing).
+// Entries are installed only under a server-issued lease
+// (COFSParams.AttrLease > 0; 0 disables the cache, matching the paper's
+// measured prototype). Shards remember which client holds a lease on
+// which attribute or dentry and revoke it at the commit instant of any
+// conflicting mutation (see lease.go), so a valid entry is never stale
+// — at any MetadataShards or node count. The cache also holds dentries,
+// positive and negative, so repeated Lookup of a hot name (or of a name
+// that does not exist) costs no round trip at all, and directory
+// listings, each riding its directory's attribute entry
+// (installListing).
 type clientCache struct {
-	ttl   time.Duration // TTL mode window (legacy revalidation)
-	lease time.Duration // lease term; > 0 selects lease mode
+	lease time.Duration // lease term; 0 disables the cache
 
 	attrs *lru.Cache[vfs.Ino, attrCacheEntry]
 	dents *lru.Cache[dentCacheKey, dentCacheEntry]
@@ -50,24 +42,23 @@ type CacheStats struct {
 	// Hits and Misses count attribute-cache probes.
 	Hits   int64
 	Misses int64
-	// DentryHits counts positive dentry-cache hits (lease mode).
+	// DentryHits counts positive dentry-cache hits.
 	DentryHits int64
 	// NegativeHits counts Lookups answered ENOENT from a cached
-	// negative dentry (lease mode).
+	// negative dentry.
 	NegativeHits int64
 	// Installs counts lease-granted entry installations.
 	Installs int64
 	// Revocations counts entries dropped by a shard's lease recall.
 	Revocations int64
-	// ListingHits counts listings served from the cache (lease mode).
+	// ListingHits counts listings served from the cache.
 	ListingHits int64
 }
 
 type attrCacheEntry struct {
 	attr  vfs.Attr
 	upath string
-	at    time.Duration // insertion time (TTL mode)
-	exp   time.Duration // lease expiry (lease mode)
+	exp   time.Duration // lease expiry
 }
 
 type dentCacheKey struct {
@@ -83,14 +74,13 @@ type dentCacheEntry struct {
 }
 
 // newClientCache builds the cache for one client from the COFS knobs; a
-// zero AttrCacheTimeout and AttrLease yield a disabled cache.
+// zero AttrLease yields a disabled cache.
 func newClientCache(cfg params.COFSParams) *clientCache {
 	capacity := cfg.AttrCacheEntries
 	if capacity < 16 {
 		capacity = 16
 	}
 	c := &clientCache{
-		ttl:   cfg.AttrCacheTimeout,
 		lease: cfg.AttrLease,
 		attrs: lru.New[vfs.Ino, attrCacheEntry](capacity),
 		dents: lru.New[dentCacheKey, dentCacheEntry](capacity),
@@ -100,29 +90,16 @@ func newClientCache(cfg params.COFSParams) *clientCache {
 	return c
 }
 
-func (c *clientCache) enabled() bool { return c.ttl > 0 || c.lease > 0 }
+// enabled reports whether the cache runs (AttrLease > 0).
+func (c *clientCache) enabled() bool { return c.lease > 0 }
 
-// leased reports lease mode (coherent, server-revoked entries).
-func (c *clientCache) leased() bool { return c.lease > 0 }
-
-// get returns a still-valid cached attribute entry.
+// get returns a still-leased cached attribute entry.
 func (c *clientCache) get(p *sim.Proc, ino vfs.Ino) (attrCacheEntry, bool) {
 	if !c.enabled() {
 		return attrCacheEntry{}, false
 	}
 	e, ok := c.attrs.Get(ino)
-	if c.leased() {
-		if !ok || p.Now() >= e.exp {
-			if ok {
-				c.removeAttr(ino)
-			}
-			c.Stats.Misses++
-			return attrCacheEntry{}, false
-		}
-		c.Stats.Hits++
-		return e, true
-	}
-	if !ok || p.Now()-e.at > c.ttl {
+	if !ok || p.Now() >= e.exp {
 		if ok {
 			c.removeAttr(ino)
 		}
@@ -133,13 +110,13 @@ func (c *clientCache) get(p *sim.Proc, ino vfs.Ino) (attrCacheEntry, bool) {
 	return e, true
 }
 
-// lookupDentry resolves (parent, name) from the dentry cache (lease
-// mode only). The second result reports a negative entry. Hit counting
-// lives in FS.Lookup, which knows whether the resolution actually
-// served the operation (a dentry hit whose attr entry has expired
+// lookupDentry resolves (parent, name) from the dentry cache. The
+// second result reports a negative entry. Hit counting lives in
+// FS.Lookup, which knows whether the resolution actually served the
+// operation (a dentry hit whose attr entry has expired
 // still pays the wire round trip and must not count).
 func (c *clientCache) lookupDentry(p *sim.Proc, parent vfs.Ino, name string) (child vfs.Ino, negative, ok bool) {
-	if !c.leased() {
+	if !c.enabled() {
 		return 0, false, false
 	}
 	e, found := c.dents.Get(dentCacheKey{parent: parent, name: name})
@@ -153,22 +130,6 @@ func (c *clientCache) lookupDentry(p *sim.Proc, parent vfs.Ino, name string) (ch
 		return 0, true, true
 	}
 	return e.child, false, true
-}
-
-// put records fresh attributes in TTL mode; upath may be empty if
-// unknown (an existing non-empty mapping is preserved). In lease mode
-// it is a no-op: only a server grant may install an entry, otherwise
-// the entry would be unprotected by revocation.
-func (c *clientCache) put(p *sim.Proc, attr vfs.Attr, upath string) {
-	if !c.enabled() || c.leased() {
-		return
-	}
-	if upath == "" {
-		if old, ok := c.attrs.Peek(attr.Ino); ok {
-			upath = old.upath
-		}
-	}
-	c.attrs.Put(attr.Ino, attrCacheEntry{attr: attr, upath: upath, at: p.Now()})
 }
 
 // installAttr installs a lease-granted attribute entry. It runs at the
@@ -266,7 +227,7 @@ func (c *clientCache) purge() {
 	c.lists.clear()
 }
 
-// listingCache holds lease-mode directory listings under a budget of
+// listingCache holds directory listings under a budget of
 // names: installing a listing evicts the least recently used ones until
 // the names fit, so a client never holds more listed names than its
 // attribute capacity. Every listing lives exactly as long as its

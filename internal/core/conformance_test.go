@@ -15,12 +15,13 @@ import (
 
 // COFS must be semantically indistinguishable from the file system it
 // interposes (section III: "the COFS prototype is POSIX compliant") at
-// every point of the deployment space: shard count, client-cache mode,
-// lock mode, standby-read routing. TestConformanceMatrix runs the full
-// battery — including the crash/recover, crash/promote and live-reshard
-// capability cases — against the whole cross-product; the plain
-// TestConformance variants keep the paper's default deployment and the
-// attr-cache extension directly greppable.
+// every point of the deployment space: commit mode, shard count,
+// client cache, reshard batch size, standby-read routing.
+// TestConformanceMatrix runs the full battery — including the
+// crash/recover, crash/promote and live-reshard capability cases —
+// against the whole cross-product; the plain TestConformance variants
+// keep the paper's default deployment and the cache extension directly
+// greppable.
 
 // cofsSystem deploys a two-node COFS testbed for one conformance case
 // and wires every capability hook: crash/recover and standby-promote
@@ -89,28 +90,31 @@ func TestConformance(t *testing.T) {
 }
 
 // TestConformanceWithAttrCache repeats the battery with the client
-// attribute cache (the paper's section IV-B extension) enabled: the
-// cache must be invisible to correctness, only to timing.
+// lease cache (the paper's section IV-B extension) enabled, its term the
+// FUSE entry timeout rather than the matrix's 30 s: the cache must be
+// invisible to correctness, only to timing.
 func TestConformanceWithAttrCache(t *testing.T) {
 	cfg := params.Default()
-	cfg.COFS.AttrCacheTimeout = cfg.FUSE.EntryTimeout
+	cfg.COFS.AttrLease = cfg.FUSE.EntryTimeout
 	conformance.Run(t, cofsProvider("cofs-attrcache", 17, cfg))
 }
 
 // TestConformanceMatrix is the provider-grade cross-product: every
-// commit mode × shard count × client-cache mode × lock mode ×
+// commit mode × shard count × client-cache mode × reshard batch size ×
 // standby-read routing, each running the full battery plus the
-// crash/promote and reshard replays. The commit-mode axis keeps the
-// cell names of the store-backend axis it replaced, so every cell keeps
-// its name and seed: "mdb" is the default deployment, whose WAL is
+// crash/promote and reshard replays. Two axes keep the cell names of
+// the axes they replaced, so every cell keeps its name and seed. The
+// commit-mode axis: "mdb" is the default deployment, whose WAL is
 // flushed every LogFlushInterval, and "mdls" runs the same store with
 // synchronous group commit (LogFlushInterval 0), where a commit returns
 // only once the disk holds it — the durability of the append-only log
-// store that column was first written for. Exclusive row locks only
-// change behaviour where the cross-shard transaction layer runs, so the
-// excl axis starts at 2 shards; the standby-read axis is bounded to the
-// shared-lock cells (routing reads through standbys is orthogonal to
-// the lock mode, which the plain cells already cross).
+// store that column was first written for. The reshard-batch axis:
+// "shared" cells migrate the default 64 groups per batch, "excl" cells
+// one (ReshardBatchRows 1), so a live reshard holds each group's rows
+// exclusively in a batch of their own and crosses a batch boundary per
+// group. The excl cells start at 2 shards and the standby-read cells
+// run the default batch only, the bounds of the lock-mode axis this one
+// replaced, so that the seeds derived from the cell order stay put.
 func TestConformanceMatrix(t *testing.T) {
 	axis := 0
 	for _, commit := range []string{"mdb", "mdls"} {
@@ -130,7 +134,9 @@ func TestConformanceMatrix(t *testing.T) {
 							cfg.COFS.LogFlushInterval = 0
 						}
 						cfg.COFS.MetadataShards = shards
-						cfg.COFS.ExclusiveRowLocks = excl
+						if excl {
+							cfg.COFS.ReshardBatchRows = 1
+						}
 						cfg.COFS.StandbyReads = sbr
 						if lease {
 							cfg.COFS.AttrLease = 30 * time.Second

@@ -185,7 +185,7 @@ func TestRenameNeverTouchesUnderlying(t *testing.T) {
 }
 
 // TestLazyUnderlyingOpen: node 1 opens a file node 0 wrote. Only a read
-// opens the underlying file, and in either cache mode the open itself
+// opens the underlying file, and with the lease cache the open itself
 // costs no service request once a stat has cached the attributes; the
 // mapping the stat did not bring then rides the read.
 func TestLazyUnderlyingOpen(t *testing.T) {
@@ -195,7 +195,6 @@ func TestLazyUnderlyingOpen(t *testing.T) {
 		opens int64 // service requests of the metadata-only open/close
 	}{
 		{"uncached", func(*params.COFSParams) {}, 1},
-		{"ttl", func(c *params.COFSParams) { c.AttrCacheTimeout = time.Second }, 0},
 		{"lease", func(c *params.COFSParams) { c.AttrLease = 30 * time.Second }, 0},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -556,13 +555,13 @@ func TestDeterministicDeployment(t *testing.T) {
 }
 
 func TestAttrCacheExtensionSpeedsLocalReopens(t *testing.T) {
-	// Section IV-B future work: with the client attribute/mapping cache
-	// enabled, repeated open+read of a recently used small file skips
-	// the metadata round trips that made COFS lose the Table I
-	// small-file cells.
-	run := func(ttl time.Duration) (time.Duration, int64) {
+	// Section IV-B future work: with the client lease cache enabled,
+	// repeated open+read of a recently used small file skips the
+	// metadata round trips that made COFS lose the Table I small-file
+	// cells.
+	run := func(lease time.Duration) (time.Duration, int64) {
 		cfg := params.Default()
-		cfg.COFS.AttrCacheTimeout = ttl
+		cfg.COFS.AttrLease = lease
 		tb := cluster.New(1, 1, cfg)
 		d := core.Deploy(tb, nil)
 		m := d.Mounts[0]
@@ -591,7 +590,7 @@ func TestAttrCacheExtensionSpeedsLocalReopens(t *testing.T) {
 		return elapsed, d.FSs[0].AttrCacheHits()
 	}
 	base, baseHits := run(0)
-	cached, hits := run(time.Second)
+	cached, hits := run(30 * time.Second)
 	if baseHits != 0 {
 		t.Fatalf("disabled cache produced %d hits", baseHits)
 	}
@@ -605,7 +604,7 @@ func TestAttrCacheExtensionSpeedsLocalReopens(t *testing.T) {
 
 func TestAttrCacheStaysCoherentOnLocalChanges(t *testing.T) {
 	cfg := params.Default()
-	cfg.COFS.AttrCacheTimeout = time.Second
+	cfg.COFS.AttrLease = 30 * time.Second
 	tb := cluster.New(1, 1, cfg)
 	d := core.Deploy(tb, nil)
 	m := d.Mounts[0]

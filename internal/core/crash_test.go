@@ -121,13 +121,14 @@ func TestCrashMidWorkloadRecovery(t *testing.T) {
 	}
 }
 
-// TestCrashEverySurvivorStatsConsistently repeats the crash scenario
-// with the attribute cache enabled on clients: cached attributes from
-// before the crash must never resurrect files the recovery lost.
+// TestCrashAttrCacheNoResurrection repeats the crash scenario with the
+// lease cache enabled on clients: attributes cached before the crash
+// must never resurrect files the recovery lost once their lease runs
+// out.
 func TestCrashAttrCacheNoResurrection(t *testing.T) {
 	cfg := params.Default()
 	cfg.COFS.LogFlushInterval = 50 * time.Millisecond
-	cfg.COFS.AttrCacheTimeout = time.Second
+	cfg.COFS.AttrLease = 30 * time.Second
 	tb := cluster.New(43, 2, cfg)
 	d := core.Deploy(tb, nil)
 	ctx := cluster.Ctx(0, 1)
@@ -160,11 +161,12 @@ func TestCrashAttrCacheNoResurrection(t *testing.T) {
 	tb.Env.Spawn("verify", func(p *sim.Proc) {
 		m := d.Mounts[0]
 		// Within the cache windows the ghost may still resolve — the
-		// kernel dentry cache (FUSE entry_timeout) and the client
-		// attribute cache both legitimately serve it, exactly as a
+		// kernel dentry cache (FUSE entry_timeout) and the client's
+		// leased entries both legitimately serve it: the crash lost the
+		// shard's lease table, so nothing recalls them, exactly as a
 		// real FUSE/NFS deployment would after an unannounced service
-		// restart. Consistency is timeout-bounded.
-		p.Sleep(cfg.FUSE.EntryTimeout + cfg.COFS.AttrCacheTimeout)
+		// restart. Consistency is bounded by the lease term.
+		p.Sleep(cfg.FUSE.EntryTimeout + cfg.COFS.AttrLease)
 		if _, err := m.Stat(p, ctx, "/w/doomed"); err == nil {
 			t.Error("file in the lost flush window still resolves after all cache windows expired")
 		}

@@ -42,8 +42,8 @@ type FS struct {
 	nextH   vfs.Handle
 
 	// attrs is the optional client-side attribute/dentry cache
-	// (section IV-B future work; see attrcache.go). In lease mode the
-	// metadata shards install and recall its entries.
+	// (section IV-B future work; see attrcache.go). The metadata shards
+	// install and recall its entries.
 	attrs *clientCache
 	// listed and advised carry the attributes-on-demand rule (see
 	// Readdir): what each process's last listing returned first, and the
@@ -193,10 +193,10 @@ func (f *FS) ensureUnderDir(p *sim.Proc, dir string) error {
 	return nil
 }
 
-// Lookup implements vfs.Filesystem. In lease mode a still-leased dentry
-// (positive or negative) resolves without a service round trip: the
-// aggressive-caching extension of section IV-B applied to the paper's
-// per-component FUSE lookup traffic.
+// Lookup implements vfs.Filesystem. A still-leased dentry (positive or
+// negative) resolves without a service round trip: the aggressive-caching
+// extension of section IV-B applied to the paper's per-component FUSE
+// lookup traffic.
 func (f *FS) Lookup(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) (vfs.Attr, error) {
 	attr, err, ok := f.cachedLookup(p, dir, name)
 	if f.statahead(p, ctx, 0, dir, name, ok) {
@@ -206,11 +206,7 @@ func (f *FS) Lookup(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) (vfs.Att
 		return attr, err
 	}
 	f.Stats.ServiceOps++
-	attr, err = f.svc.Lookup(p, f.sess, dir, name)
-	if err == nil {
-		f.attrs.put(p, attr, "")
-	}
-	return attr, err
+	return f.svc.Lookup(p, f.sess, dir, name)
 }
 
 // cachedLookup resolves (dir, name) from the client cache alone.
@@ -241,11 +237,7 @@ func (f *FS) Getattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (vfs.Attr, error) {
 		return e.attr, nil
 	}
 	f.Stats.ServiceOps++
-	attr, err := f.svc.Getattr(p, f.sess, ino)
-	if err == nil {
-		f.attrs.put(p, attr, "")
-	}
-	return attr, err
+	return f.svc.Getattr(p, f.sess, ino)
 }
 
 // Setattr implements vfs.Filesystem. Truncation is forwarded to the
@@ -266,7 +258,6 @@ func (f *FS) setattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, set vfs.SetAttr) (vf
 	if err != nil {
 		return attr, "", err
 	}
-	f.attrs.put(p, attr, upath)
 	if upath != "" {
 		if err := f.under.Truncate(p, f.underCtx(), upath, set.Size); err != nil {
 			return attr, upath, err
@@ -297,7 +288,6 @@ func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uin
 		return vfs.Attr{}, 0, err
 	}
 	f.Stats.UnderCreates++
-	f.attrs.put(p, attr, upath)
 	h := f.nextH
 	f.nextH++
 	f.handles[h] = &cofsHandle{
@@ -310,9 +300,9 @@ func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uin
 // but at the first read or write (ensureUnderFile), so a metadata-only
 // open/close (and the open storm at the start of parallel data
 // transfers, Table I) costs one service round trip at most, and none
-// while the client holds a valid attribute entry, leased or within its
-// TTL: the type and permission checks need only the attributes. The
-// underlying mapping, if the entry lacks it, rides the first I/O.
+// while the client holds a leased attribute entry: the type and
+// permission checks need only the attributes. The underlying mapping,
+// if the entry lacks it, rides the first I/O.
 func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
 	var attr vfs.Attr
 	var upath string
@@ -325,7 +315,6 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 		if err != nil {
 			return 0, err
 		}
-		f.attrs.put(p, attr, upath)
 	}
 	if attr.Type == vfs.TypeDir {
 		return 0, vfs.ErrIsDir
@@ -374,11 +363,10 @@ func (f *FS) ensureUnderFile(p *sim.Proc, h *cofsHandle) error {
 			h.upath = e.upath
 		} else {
 			f.Stats.ServiceOps++
-			attr, upath, err := f.svc.OpenInfo(p, f.sess, h.id)
+			_, upath, err := f.svc.OpenInfo(p, f.sess, h.id)
 			if err != nil {
 				return err
 			}
-			f.attrs.put(p, attr, upath)
 			h.upath = upath
 		}
 	}
@@ -535,13 +523,9 @@ func (f *FS) Link(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, dir vfs.Ino, name strin
 	f.Stats.ServiceOps++
 	attr, err := f.svc.Link(p, f.sess, ctx, ino, dir, name)
 	if err == nil {
-		// In lease mode the shard granted the fresh post-link
-		// attributes with the reply; dropping would discard them.
-		if !f.attrs.leased() {
-			f.attrs.drop(ino) // nlink changed
-		}
+		// The shard granted the fresh post-link attributes with the
+		// reply; only the parent's entry is stale.
 		f.attrs.drop(dir) // parent mtime changed
-		f.attrs.put(p, attr, "")
 	}
 	return attr, err
 }
@@ -577,9 +561,9 @@ func (f *FS) Readlink(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (string, error) {
 // the bulk fetch is issued right there instead of one RPC per entry
 // (statahead). A plus listing consumes the advice; only another
 // first-entry stat renews it, so a process that stops stat-ing stops
-// paying for attributes. In lease mode a listing of a directory whose
-// attribute lease the client already holds is installed with that
-// lease (Service.grantListing), and a non-advised listing is served
+// paying for attributes. A listing of a directory whose attribute
+// lease the client already holds is installed with that lease
+// (Service.grantListing), and a non-advised listing is served
 // from it, after the read-permission check the shard would apply, for
 // as long as the directory's attribute entry stays valid. With the
 // cache disabled nothing is remembered and every listing is names-only.
@@ -604,22 +588,13 @@ func (f *FS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, err
 	return ents, err
 }
 
-// readdirPlus lists dir with attributes and, in TTL mode, caches them
-// (in lease mode the shards install what they grant, lease.go).
+// readdirPlus lists dir with attributes; the shards install what they
+// grant into the cache (lease.go).
 func (f *FS) readdirPlus(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
 	f.Stats.ServiceOps++
 	f.Stats.PlusListings++
-	ents, attrs, err := f.svc.ReaddirPlus(p, f.sess, ctx, dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range attrs {
-		if a.Ino == 0 {
-			continue // entry raced a concurrent remove: nothing to cache
-		}
-		f.attrs.put(p, a, "")
-	}
-	return ents, nil
+	ents, _, err := f.svc.ReaddirPlus(p, f.sess, ctx, dir)
+	return ents, err
 }
 
 // statahead applies the rule of Readdir to a stat of ino (Getattr) or of

@@ -14,14 +14,14 @@ import (
 // trip, and the underlying mapping the entry lacks rides the first read
 // or write (FS.ensureUnderFile) or, for O_TRUNC, the truncating Setattr.
 
-// openRig deploys 2 nodes on 2 shards. Node 0 writes 4 KiB into /f and
-// into /g; node 1 then stats /f, which caches /f's attributes (and, in
-// lease mode, its dentry) but not its mapping. It returns /f's id.
-func openRig(t *testing.T, tweak func(*params.Config)) (*cluster.Testbed, *Deployment, vfs.Ino) {
+// openRig deploys 2 nodes on 2 shards with the lease cache. Node 0
+// writes 4 KiB into /f and into /g; node 1 then stats /f, which caches
+// /f's attributes and dentry but not its mapping. It returns /f's id.
+func openRig(t *testing.T) (*cluster.Testbed, *Deployment, vfs.Ino) {
 	t.Helper()
 	cfg := params.Default()
 	cfg.COFS.MetadataShards = 2
-	tweak(&cfg)
+	leaseMode(&cfg)
 	tb := cluster.New(1, 2, cfg)
 	d := Deploy(tb, nil)
 	var ino vfs.Ino
@@ -76,63 +76,58 @@ func mustRead(t *testing.T, p *sim.Proc, f *vfs.File) {
 	}
 }
 
-// TestOpenFromCachedEntryCostsNoCall: in either cache mode, an open of a
-// file whose attributes node 1 holds sends nothing; the first read sends
-// the one OpenInfo that fetches the mapping into the entry, and every
-// other handle's read then finds it there.
+// TestOpenFromCachedEntryCostsNoCall: an open of a file whose leased
+// attributes node 1 holds sends nothing; the first read sends the one
+// OpenInfo that fetches the mapping into the entry, and every other
+// handle's read then finds it there.
 func TestOpenFromCachedEntryCostsNoCall(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		tweak func(*params.Config)
-	}{{"lease", leaseMode}, {"ttl", ttlMode}} {
-		t.Run(mode.name, func(t *testing.T) {
-			tb, d, ino := openRig(t, mode.tweak)
-			upath, _ := d.Service.Mapping(ino)
-			m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
-			drained(tb, "open", func(p *sim.Proc) {
-				step := func(what string, want int64, fn func()) {
-					t.Helper()
-					before := sessionCalls(d, 1)
-					fn()
-					if got := sessionCalls(d, 1) - before; got != want {
-						t.Fatalf("%s: %d calls, want %d", what, got, want)
-					}
+	t.Run("lease", func(t *testing.T) {
+		tb, d, ino := openRig(t)
+		upath, _ := d.Service.Mapping(ino)
+		m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
+		drained(tb, "open", func(p *sim.Proc) {
+			step := func(what string, want int64, fn func()) {
+				t.Helper()
+				before := sessionCalls(d, 1)
+				fn()
+				if got := sessionCalls(d, 1) - before; got != want {
+					t.Fatalf("%s: %d calls, want %d", what, got, want)
 				}
-				step("metadata-only open/close", 0, func() {
-					mustOpen(t, p, m, ctx, "/f", vfs.OpenRead).Close(p)
-				})
-				var f, g *vfs.File
-				step("open of two handles", 0, func() {
-					f = mustOpen(t, p, m, ctx, "/f", vfs.OpenRead)
-					g = mustOpen(t, p, m, ctx, "/f", vfs.OpenRead)
-				})
-				step("first read", 1, func() { mustRead(t, p, f) })
-				if e, _ := d.FSs[1].attrs.attrs.Peek(ino); e.upath != upath {
-					t.Fatalf("entry mapping after the first read = %q, want %q", e.upath, upath)
-				}
-				step("second handle's read", 0, func() { mustRead(t, p, g) })
-				step("closes", 0, func() {
-					f.Close(p)
-					g.Close(p)
-				})
-				step("open and read of a third handle", 0, func() {
-					h := mustOpen(t, p, m, ctx, "/f", vfs.OpenRead)
-					mustRead(t, p, h)
-					h.Close(p)
-				})
-			})
-			if n := d.FSs[1].Stats.UnderOpens; n != 3 {
-				t.Fatalf("underlying opens = %d, want 3 (one per handle that read)", n)
 			}
+			step("metadata-only open/close", 0, func() {
+				mustOpen(t, p, m, ctx, "/f", vfs.OpenRead).Close(p)
+			})
+			var f, g *vfs.File
+			step("open of two handles", 0, func() {
+				f = mustOpen(t, p, m, ctx, "/f", vfs.OpenRead)
+				g = mustOpen(t, p, m, ctx, "/f", vfs.OpenRead)
+			})
+			step("first read", 1, func() { mustRead(t, p, f) })
+			if e, _ := d.FSs[1].attrs.attrs.Peek(ino); e.upath != upath {
+				t.Fatalf("entry mapping after the first read = %q, want %q", e.upath, upath)
+			}
+			step("second handle's read", 0, func() { mustRead(t, p, g) })
+			step("closes", 0, func() {
+				f.Close(p)
+				g.Close(p)
+			})
+			step("open and read of a third handle", 0, func() {
+				h := mustOpen(t, p, m, ctx, "/f", vfs.OpenRead)
+				mustRead(t, p, h)
+				h.Close(p)
+			})
 		})
-	}
+		if n := d.FSs[1].Stats.UnderOpens; n != 3 {
+			t.Fatalf("underlying opens = %d, want 3 (one per handle that read)", n)
+		}
+	})
 }
 
 // TestOpenTruncFromLeaseTruncatesMappedFile: an O_TRUNC open of a leased
 // entry without the mapping costs the truncating Setattr alone, whose
 // reply carries the mapping, and truncates that underlying file.
 func TestOpenTruncFromLeaseTruncatesMappedFile(t *testing.T) {
-	tb, d, ino := openRig(t, leaseMode)
+	tb, d, ino := openRig(t)
 	upath, _ := d.Service.Mapping(ino)
 	drained(tb, "trunc", func(p *sim.Proc) {
 		before := sessionCalls(d, 1)
@@ -170,7 +165,7 @@ func TestReadAfterRemoteRemoveIsNotExist(t *testing.T) {
 		{"rename-over", func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx) error { return m.Rename(p, ctx, "/g", "/f") }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tb, d, _ := openRig(t, leaseMode)
+			tb, d, _ := openRig(t)
 			var f *vfs.File
 			drained(tb, "open", func(p *sim.Proc) {
 				before := sessionCalls(d, 1)

@@ -13,11 +13,10 @@ import (
 )
 
 // This file is the server half of the coherent client cache (section
-// IV-B's "aggressive caching and delegation techniques", grown from the
-// TTL-only attrCache into a lease protocol). Each metadata shard keeps
-// a lease table for the rows it owns: which client session holds a
-// still-valid lease on which attribute (by inode id) or dentry (by
-// parent+name). Read replies grant leases — the grant rides the reply
+// IV-B's "aggressive caching and delegation techniques"). Each metadata
+// shard keeps a lease table for the rows it owns: which client session
+// holds a still-valid lease on which attribute (by inode id) or dentry
+// (by parent+name). Read replies grant leases — the grant rides the reply
 // that was already being sent, so granting is free on the wire — and
 // any conflicting mutation revokes them: the revocation is applied to
 // the holders' caches at the mutation's commit instant (keeping the
@@ -242,7 +241,7 @@ func take[K comparable](holders map[K]int32, key K) (int32, bool) {
 func (d *Deployment) CheckCacheCoherence(now time.Duration) error {
 	for i, fs := range d.FSs {
 		cc := fs.attrs
-		if !cc.leased() {
+		if !cc.enabled() {
 			continue
 		}
 		for _, ino := range cc.attrs.Keys() {

@@ -172,7 +172,7 @@ func newMDSCluster(tb *cluster.Testbed, prefix string, n int, o *scope) *MDSClus
 		full:       cfg,
 		net:        tb.Net,
 		lockShards: max(n, 1),
-		rowLocks:   o.rowLocks(tb.Env, cfg.COFS.ExclusiveRowLocks),
+		rowLocks:   o.rowLocks(tb.Env),
 		hostPrefix: prefix,
 		obs:        o,
 	}

@@ -114,9 +114,8 @@ func transport(conns []*rpc.Conn) rpc.ConnStats {
 // no events in between) plus a latency sample, and every grant refreshes
 // the lock-table occupancy gauge. The lock-schedule fuzz harness
 // installs its own OnGrant on tables no scope owns.
-func (o *scope) rowLocks(env *sim.Env, exclusiveOnly bool) *lock.RowLocks {
+func (o *scope) rowLocks(env *sim.Env) *lock.RowLocks {
 	rl := lock.NewRowLocks(env)
-	rl.ExclusiveOnly = exclusiveOnly
 	tr, m := o.tr, o.m
 	if tr != nil || m != nil {
 		rl.OnWait = func(p *sim.Proc, key lock.RowKey, mode lock.Mode, start time.Duration) {

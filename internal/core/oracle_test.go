@@ -190,8 +190,9 @@ func testOracleDeep(t *testing.T, shards int, tweak func(*params.Config)) {
 }
 
 // TestCOFSOracleWithAttrCache repeats the oracle property with the
-// client attribute cache enabled: caching must never change what a
-// single client observes of its own operations.
+// client lease cache enabled, its term the FUSE entry timeout: caching
+// must never change what a single client observes of its own
+// operations.
 func TestCOFSOracleWithAttrCache(t *testing.T) {
 	octx := vfs.Ctx{Node: 0, PID: 1, UID: 1000, GID: 100}
 	type op struct {
@@ -201,7 +202,7 @@ func TestCOFSOracleWithAttrCache(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		cfg := params.Default()
-		cfg.COFS.AttrCacheTimeout = cfg.FUSE.EntryTimeout
+		cfg.COFS.AttrLease = cfg.FUSE.EntryTimeout
 		tb := cluster.New(2, 1, cfg)
 		d := core.Deploy(tb, nil)
 		m := d.Mounts[0]

@@ -53,7 +53,6 @@ func lsRig(t *testing.T, seed int64, tweak func(*params.Config)) (*cluster.Testb
 }
 
 func leaseMode(c *params.Config) { c.COFS.AttrLease = 30 * time.Second }
-func ttlMode(c *params.Config)   { c.COFS.AttrCacheTimeout = time.Second }
 
 // drained runs fn as one simulation phase and drains it.
 func drained(tb *cluster.Testbed, name string, fn func(p *sim.Proc)) {
@@ -174,38 +173,30 @@ func TestNamesOnlyListingInstallsNothing(t *testing.T) {
 // TestStataheadLsL: a cold `ls -l` costs one names-only listing plus one
 // attribute-carrying listing issued from inside the first stat, and no
 // per-entry RPC; every repeat costs exactly one plus listing, which is
-// what each one cost before listings were names-only by default. Lease
-// and TTL caches follow the same rule.
+// what each one cost before listings were names-only by default.
 func TestStataheadLsL(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		tweak func(*params.Config)
+	t.Run("lease", func(t *testing.T) {
+		tb, d := lsRig(t, 2, leaseMode)
 		// Installs per plus listing: a dentry and an attribute lease per
-		// entry in lease mode, plus the listing itself, which rides the
-		// lease node 1 already holds on /d; none in TTL mode (nothing is
-		// leased).
-		installs int64
-	}{{"lease", leaseMode, 2*lsFiles + 1}, {"ttl", ttlMode, 0}} {
-		t.Run(mode.name, func(t *testing.T) {
-			tb, d := lsRig(t, 2, mode.tweak)
-			cold := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
-			// The cold pass's names-only listing is installed too, on the
-			// same lease: one install more, and no lease-table entry.
-			listing := min(mode.installs, 1)
-			want := tally{requests: 2, plus: 1, stataheads: 1, installs: mode.installs + listing, leases: int(mode.installs - listing)}
-			if cold != want {
-				t.Fatalf("cold ls -l cost %+v, want %+v", cold, want)
+		// entry, plus the listing itself, which rides the lease node 1
+		// already holds on /d.
+		const installs = 2*lsFiles + 1
+		cold := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+		// The cold pass's names-only listing is installed too, on the
+		// same lease: one install more, and no lease-table entry.
+		want := tally{requests: 2, plus: 1, stataheads: 1, installs: installs + 1, leases: installs - 1}
+		if cold != want {
+			t.Fatalf("cold ls -l cost %+v, want %+v", cold, want)
+		}
+		for pass := 2; pass <= 3; pass++ {
+			again := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+			// Re-granting a held lease adds nothing to the lease table.
+			want := tally{requests: 1, plus: 1, installs: installs}
+			if again != want {
+				t.Fatalf("ls -l pass %d cost %+v, want %+v", pass, again, want)
 			}
-			for pass := 2; pass <= 3; pass++ {
-				again := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
-				// Re-granting a held lease adds nothing to the lease table.
-				want := tally{requests: 1, plus: 1, installs: mode.installs}
-				if again != want {
-					t.Fatalf("ls -l pass %d cost %+v, want %+v", pass, again, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestStataheadAdviceIsConsumed: a plus listing spends the advice that

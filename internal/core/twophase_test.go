@@ -7,6 +7,7 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
+	"cofs/internal/lock"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
@@ -24,14 +25,12 @@ import (
 //     corrupt the plane invariants, and the final namespace must be one
 //     of the two serial outcomes.
 //   - The cost baseline runs a single-process workload over every
-//     cross-shard path with both lock modes: virtual end time and
-//     network message count must match each other and an absolute pin,
-//     so uncontended lock acquisition charges nothing.
+//     cross-shard path: virtual end time and network message count must
+//     match an absolute pin, so uncontended lock acquisition charges
+//     nothing.
 
 // txnRig deploys an n-node COFS at the given shard count; mut, if
-// non-nil, adjusts the configuration before deployment (the tests here
-// use it to select the lock-layer mode: the default shared/exclusive
-// table or COFSParams.ExclusiveRowLocks).
+// non-nil, adjusts the configuration before deployment.
 func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Config)) (*cluster.Testbed, *core.Deployment) {
 	t.Helper()
 	cfg := params.Default()
@@ -45,9 +44,6 @@ func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Co
 	tb.Run()
 	return tb, d
 }
-
-// exclusiveCfg selects the exclusive-only lock mode.
-func exclusiveCfg(cfg *params.Config) { cfg.COFS.ExclusiveRowLocks = true }
 
 // raceOffsets is the sweep of start delays for the second mutation of
 // each replay: 0 to 3ms in 150µs steps, densely covering the first
@@ -200,134 +196,46 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 // TestCreateCreateOverlapInterleaving replays two concurrent creates
 // of different names in one shared directory, offset-swept like the
 // rename replays above. Both creates coordinate at the parent's shard
-// and both footprints meet on the parent directory's inode row — with
-// exclusive-only locks (COFSParams.ExclusiveRowLocks) the second
-// create must park there for the overlapping offsets, so its
-// validate→commit span strictly follows the first's; with the
-// shared/exclusive table the parent row is Shared and the two spans
-// overlap in virtual time: no offset parks, and the later create
-// finishes strictly earlier wherever the exclusive table serialized.
-// The shard WAL runs synchronously here (LogFlushInterval=0), so each
-// create's durable commit lands inside its locked span — the
-// validate→commit window is commit-wide, the regime where group-commit
-// overlap matters. This pins the recovered overlap itself (the ROADMAP
-// open item), not just the benchmark number;
-// the groupcommit figure (internal/experiments) measures the same
-// effect at storm scale.
+// and both footprints meet on the parent directory's inode row, which
+// each holds Shared: at no offset may either create park, and where
+// their validate→commit spans overlap the two must hold the parent row
+// at the same instant. The shard WAL runs synchronously here
+// (LogFlushInterval=0), so each create's durable commit lands inside
+// its locked span — the validate→commit window is commit-wide, the
+// regime where group-commit overlap matters.
 func TestCreateCreateOverlapInterleaving(t *testing.T) {
-	type outcome struct {
-		done              time.Duration // the later create's completion instant
-		conflicts, shared int64
-		invErr            error
-		bothOK            bool
-	}
-	run := func(delta time.Duration, excl bool) outcome {
-		tb, d := txnRig(t, 37, 2, 2, func(cfg *params.Config) {
-			cfg.COFS.LogFlushInterval = 0
-			cfg.COFS.ExclusiveRowLocks = excl
-		})
-		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		step(tb, "setup", func(p *sim.Proc) {
-			if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
-				t.Fatal(err)
-			}
-		})
-		// The overlap is measured on the creates' own completion
-		// instants (the drained Env.Now() includes unrelated trailing
-		// events).
-		var out outcome
-		create := func(m int, ctx vfs.Ctx, path string) func(p *sim.Proc) {
-			return func(p *sim.Proc) {
-				f, err := d.Mounts[m].Create(p, ctx, path, 0644)
-				if err == nil {
-					f.Close(p)
-				}
-				if p.Now() > out.done {
-					out.done = p.Now()
-				}
-			}
-		}
-		tb.Env.Spawn("createA", create(0, ctx0, "/shared/a"))
-		tb.Env.SpawnAfter("createB", delta, create(1, ctx1, "/shared/b"))
-		tb.Run()
-		out.invErr = d.Service.CheckInvariants()
-		step(tb, "verify", func(p *sim.Proc) {
-			_, aErr := d.Mounts[0].Stat(p, ctx0, "/shared/a")
-			_, bErr := d.Mounts[0].Stat(p, ctx0, "/shared/b")
-			out.bothOK = aErr == nil && bErr == nil
-		})
-		c := d.Counters()
-		out.conflicts = c.Get("mds.lock-conflicts")
-		out.shared = c.Get("mds.lock-shared")
-		return out
-	}
-
-	serialized := 0
+	overlapped := 0
 	for _, delta := range raceOffsets() {
-		e := run(delta, true)
-		s := run(delta, false)
-		for name, o := range map[string]outcome{"exclusive": e, "shared-exclusive": s} {
-			if o.invErr != nil {
-				t.Fatalf("offset %v: %s run broke invariants: %v", delta, name, o.invErr)
-			}
-			if !o.bothOK {
-				t.Fatalf("offset %v: %s run lost a create", delta, name)
-			}
-		}
-		if s.conflicts != 0 {
-			t.Fatalf("offset %v: shared/exclusive table parked a create (%d conflicts): same-directory creates no longer overlap", delta, s.conflicts)
-		}
-		if s.shared == 0 {
-			t.Fatalf("offset %v: no shared row locks were taken", delta)
-		}
-		if e.conflicts > 0 {
-			serialized++
-			if s.done >= e.done {
-				t.Fatalf("offset %v: overlap not recovered: shared/exclusive finished at %v, exclusive-only at %v",
-					delta, s.done, e.done)
-			}
-		} else if s.done != e.done {
-			// With no contention the two tables must be bit-identical.
-			t.Fatalf("offset %v: uncontended runs diverge: shared/exclusive %v, exclusive-only %v", delta, s.done, e.done)
-		}
-	}
-	if serialized == 0 {
-		t.Fatal("no offset made the exclusive-only table serialize the creates: the replay no longer overlaps them")
-	}
-}
-
-// TestCreateStormGroupCommitBatching pins the "group commit" in the
-// recovered overlap directly, at the flush level: with the shard's WAL
-// in synchronous mode (LogFlushInterval=0, every durable transaction
-// forces the journal), four clients creating in one directory at small
-// offsets ride shared journal flushes only if their validate→commit
-// spans actually overlap. Exclusive-only, the parent row serializes
-// the creates and every commit flushes alone; shared/exclusive, the
-// commits arrive while a flush is in flight and batch into fewer,
-// shared flushes — strictly fewer syncs and a strictly earlier finish.
-func TestCreateStormGroupCommitBatching(t *testing.T) {
-	run := func(excl bool) (syncs int64, now time.Duration, conflicts int64) {
-		tb, d := txnRig(t, 41, 4, 2, func(cfg *params.Config) {
-			cfg.COFS.LogFlushInterval = 0
-			cfg.COFS.ExclusiveRowLocks = excl
-		})
+		tb, d := txnRig(t, 37, 2, 2, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
 		ctx0 := cluster.Ctx(0, 1)
+		var parent vfs.Attr
 		step(tb, "setup", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
 				t.Fatal(err)
 			}
+			var err error
+			if parent, err = d.Mounts[0].Stat(p, ctx0, "/shared"); err != nil {
+				t.Fatal(err)
+			}
 		})
-		var base int64
-		for _, s := range d.Service.Shards() {
-			base += s.Disk.Syncs
+		// Watch every grant of the parent's inode row: a second Shared
+		// holder beside the first is the overlap itself.
+		rl := d.Service.RowLocks()
+		both := false
+		rl.OnGrant = func(_ *sim.Proc, key lock.RowKey, mode lock.Mode) {
+			if key.Name == "" && key.ID == uint64(parent.Ino) && mode == lock.ModeShared {
+				if sh, _ := rl.Holders(key); sh == 2 {
+					both = true
+				}
+			}
 		}
-		for i := 0; i < 4; i++ {
-			i := i
-			tb.Env.SpawnAfter(fmt.Sprintf("create%d", i), time.Duration(i)*50*time.Microsecond, func(p *sim.Proc) {
-				ctx := cluster.Ctx(i, 1)
-				f, err := d.Mounts[i].Create(p, ctx, fmt.Sprintf("/shared/f%d", i), 0644)
+		// Node i creates /shared/<name> i·delta after the start.
+		for i, name := range []string{"a", "b"} {
+			path := "/shared/" + name
+			tb.Env.SpawnAfter("create"+name, time.Duration(i)*delta, func(p *sim.Proc) {
+				f, err := d.Mounts[i].Create(p, cluster.Ctx(i, 1), path, 0644)
 				if err != nil {
-					t.Errorf("create %d: %v", i, err)
+					t.Errorf("offset %v: create %s: %v", delta, path, err)
 					return
 				}
 				f.Close(p)
@@ -335,37 +243,86 @@ func TestCreateStormGroupCommitBatching(t *testing.T) {
 		}
 		tb.Run()
 		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatalf("offset %v: invariants: %v", delta, err)
+		}
+		step(tb, "verify", func(p *sim.Proc) {
+			for _, path := range []string{"/shared/a", "/shared/b"} {
+				if _, err := d.Mounts[0].Stat(p, ctx0, path); err != nil {
+					t.Fatalf("offset %v: lost create %s: %v", delta, path, err)
+				}
+			}
+		})
+		c := d.Counters()
+		if n := c.Get("mds.lock-conflicts"); n != 0 {
+			t.Fatalf("offset %v: a create parked %d times: same-directory creates no longer overlap", delta, n)
+		}
+		if c.Get("mds.lock-shared") == 0 {
+			t.Fatalf("offset %v: no shared row locks were taken", delta)
+		}
+		if both {
+			overlapped++
+		}
+	}
+	if overlapped == 0 {
+		t.Fatal("at no offset did both creates hold the parent row at once: the replay no longer overlaps them")
+	}
+}
+
+// TestCreateStormGroupCommitBatching pins the "group commit" in the
+// same-directory overlap directly, at the flush level: with the shard's
+// WAL in synchronous mode (LogFlushInterval=0, every durable
+// transaction forces the journal), four clients creating in one
+// directory at small offsets ride shared journal flushes only if their
+// validate→commit spans actually overlap. The parent row is held
+// Shared, so no create parks and the commits arrive while a flush is in
+// flight: the storm costs fewer syncs than it has creates.
+func TestCreateStormGroupCommitBatching(t *testing.T) {
+	const creates = 4
+	tb, d := txnRig(t, 41, creates, 2, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
+	ctx0 := cluster.Ctx(0, 1)
+	step(tb, "setup", func(p *sim.Proc) {
+		if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range d.Service.Shards() {
-			syncs += s.Disk.Syncs
-		}
-		return syncs - base, tb.Env.Now(), d.Counters().Get("mds.lock-conflicts")
+	})
+	var base int64
+	for _, s := range d.Service.Shards() {
+		base -= s.Disk.Syncs
 	}
-	exclSyncs, exclNow, exclConflicts := run(true)
-	sxSyncs, sxNow, sxConflicts := run(false)
-	if exclConflicts == 0 {
-		t.Fatal("exclusive-only storm never contended the parent row: the storm no longer overlaps")
+	for i := 0; i < creates; i++ {
+		i := i
+		tb.Env.SpawnAfter(fmt.Sprintf("create%d", i), time.Duration(i)*50*time.Microsecond, func(p *sim.Proc) {
+			ctx := cluster.Ctx(i, 1)
+			f, err := d.Mounts[i].Create(p, ctx, fmt.Sprintf("/shared/f%d", i), 0644)
+			if err != nil {
+				t.Errorf("create %d: %v", i, err)
+				return
+			}
+			f.Close(p)
+		})
 	}
-	if sxConflicts != 0 {
-		t.Fatalf("shared/exclusive storm parked %d times on same-directory creates", sxConflicts)
+	tb.Run()
+	if err := d.Service.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	if sxSyncs >= exclSyncs {
-		t.Fatalf("group commit did not batch: %d flushes shared/exclusive vs %d exclusive-only", sxSyncs, exclSyncs)
+	syncs := base
+	for _, s := range d.Service.Shards() {
+		syncs += s.Disk.Syncs
 	}
-	if sxNow >= exclNow {
-		t.Fatalf("storm not faster with shared locks: %v vs %v", sxNow, exclNow)
+	if n := d.Counters().Get("mds.lock-conflicts"); n != 0 {
+		t.Fatalf("storm parked %d times on same-directory creates", n)
+	}
+	if syncs >= creates {
+		t.Fatalf("group commit did not batch: %d WAL syncs for %d creates", syncs, creates)
 	}
 }
 
 // TestTxnLocksUncontendedCostIdentical pins the cost contract of the
 // lock layer: with no contention, acquiring and releasing row locks
 // charges nothing — a single-process workload over every cross-shard
-// mutation path must land on exactly the same virtual clock and move
-// exactly the same number of network messages with the
-// shared/exclusive table and with the exclusive-only table
-// (COFSParams.ExclusiveRowLocks), and both must equal an absolute pin:
-// the figures the same workload produced with no lock layer at all.
+// mutation path must land on exactly the virtual clock and move exactly
+// the number of network messages of an absolute pin: the figures the
+// same workload produced with no lock layer at all.
 func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
@@ -377,69 +334,56 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
-			run := func(mut func(*params.Config)) (time.Duration, int64, int64, int64) {
-				tb, d := txnRig(t, 55, 2, tc.shards, mut)
-				ctx := cluster.Ctx(0, 1)
-				step(tb, "workload", func(p *sim.Proc) {
-					m := d.Mounts[0]
-					// Directory creates spread across shards by DirTarget:
-					// some land remote (createRemoteDir), some local.
-					for i := 0; i < 6; i++ {
-						if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
-							t.Fatal(err)
-						}
-						f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
-						if err != nil {
-							t.Fatal(err)
-						}
-						f.Close(p)
-					}
-					// Cross-directory (and cross-shard) links, renames —
-					// plain and replacing — removes and rmdirs.
-					if err := m.Link(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+			tb, d := txnRig(t, 55, 2, tc.shards, nil)
+			ctx := cluster.Ctx(0, 1)
+			step(tb, "workload", func(p *sim.Proc) {
+				m := d.Mounts[0]
+				// Directory creates spread across shards by DirTarget:
+				// some land remote (createRemoteDir), some local.
+				for i := 0; i < 6; i++ {
+					if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Rename(p, ctx, "/t/d2/f", "/t/d3/r"); err != nil {
+					f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := m.Rename(p, ctx, "/t/d4/f", "/t/d3/f"); err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Unlink(p, ctx, "/t/d5/f"); err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Rmdir(p, ctx, "/t/d5"); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := m.Readdir(p, ctx, "/t"); err != nil {
-						t.Fatal(err)
-					}
-				})
-				c := d.Counters()
-				return tb.Env.Now(), tb.Net.Messages, c.Get("mds.lock-acquires"), c.Get("mds.lock-conflicts")
-			}
-			sxNow, sxMsgs, sxAcquires, sxConflicts := run(nil)
-			exclNow, exclMsgs, exclAcquires, exclConflicts := run(exclusiveCfg)
-			if sxAcquires == 0 || exclAcquires == 0 {
+					f.Close(p)
+				}
+				// Cross-directory (and cross-shard) links, renames —
+				// plain and replacing — removes and rmdirs.
+				if err := m.Link(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Rename(p, ctx, "/t/d2/f", "/t/d3/r"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Rename(p, ctx, "/t/d4/f", "/t/d3/f"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Unlink(p, ctx, "/t/d5/f"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Rmdir(p, ctx, "/t/d5"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Readdir(p, ctx, "/t"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			c := d.Counters()
+			if c.Get("mds.lock-acquires") == 0 {
 				t.Fatal("workload took no row locks: it no longer exercises the lock layer")
 			}
-			if sxConflicts != 0 || exclConflicts != 0 {
-				t.Fatalf("single-process workload contended row locks (%d sx, %d excl): not an uncontended baseline",
-					sxConflicts, exclConflicts)
+			if n := c.Get("mds.lock-conflicts"); n != 0 {
+				t.Fatalf("single-process workload contended row locks %d times: not an uncontended baseline", n)
 			}
-			if sxNow != exclNow || sxMsgs != exclMsgs {
-				t.Fatalf("uncontended costs diverge: shared/exclusive (%v, %d msgs) vs exclusive-only (%v, %d msgs)",
-					sxNow, sxMsgs, exclNow, exclMsgs)
-			}
-			if sxNow != tc.now || sxMsgs != tc.msgs {
+			if now, msgs := tb.Env.Now(), tb.Net.Messages; now != tc.now || msgs != tc.msgs {
 				t.Fatalf("uncontended locks are not free: (%v, %d msgs), pinned (%v, %d msgs)",
-					sxNow, sxMsgs, tc.now, tc.msgs)
-			}
-			if sxAcquires != exclAcquires {
-				t.Fatalf("the two lock modes acquired different footprints: %d vs %d rows", sxAcquires, exclAcquires)
+					now, msgs, tc.now, tc.msgs)
 			}
 		})
 	}

@@ -217,11 +217,10 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 	return sum, c
 }
 
-// AblationClientCache sweeps the client-side caches of the IV-B
-// extension on the stat/utime storm: none, the TTL-only cache and the
-// coherent lease cache, at 1 and 4 metadata shards. The lease rows must
-// beat the baseline on stat while staying coherent (the conformance
-// battery pins correctness; this table pins the win).
+// AblationClientCache runs the stat/utime storm without and with the
+// lease cache of the IV-B extension, at 1 and 4 metadata shards. The
+// lease rows must beat the baseline on stat while staying coherent (the
+// conformance battery pins correctness; this table pins the win).
 func AblationClientCache(seed int64) Figure {
 	type row struct {
 		name  string
@@ -229,15 +228,10 @@ func AblationClientCache(seed int64) Figure {
 	}
 	rows := []row{
 		{"paper (no cache)", func(c *params.Config) {}},
-		{"ttl cache 1s (incoherent)", func(c *params.Config) { c.COFS.AttrCacheTimeout = time.Second }},
 		{"lease cache 30s (coherent)", func(c *params.Config) { c.COFS.AttrLease = 30 * time.Second }},
 	}
 	f := Figure{
 		Title: "Ablation: client cache & RPC transport (4 nodes, ls -l storm over 256 shared files)",
-		Notes: []string{
-			"(leases trade a few round trips and recalls for coherence the TTL cache",
-			" cannot give.)",
-		},
 	}
 	for _, shards := range []int{1, 4} {
 		t := Table{
@@ -278,30 +272,6 @@ func MDTestExp(seed int64) Figure {
 	}
 	return Figure{
 		Title:  "Extension: mdtest (shared tree, 4 nodes, depth 2 x branch 4, 256 files/rank, shifted stats)",
-		Tables: []Table{t},
-	}
-}
-
-// GroupCommit measures the group-commit overlap the shared/exclusive
-// row-lock split recovers (docs/transactions.md): 16 ranks creating
-// distinct files in one shared directory at 1, 2 and 4 metadata shards,
-// exclusive-only row locks (COFSParams.ExclusiveRowLocks) against the
-// mode-aware default. One shard takes no row locks, so its two columns
-// are the same baseline.
-func GroupCommit(seed int64) Figure {
-	t := Table{X: "metadata shards", Cols: []Col{{Label: "exclusive (ms)"}, {Label: "shared-exclusive (ms)"}}}
-	for _, shards := range []int{1, 2, 4} {
-		r := Row{X: fmt.Sprint(shards)}
-		for _, excl := range []bool{true, false} {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = shards
-			cfg.COFS.ExclusiveRowLocks = excl
-			r.Y = append(r.Y, meanMs(target(seed, "cofs", 4, cfg), 4, 4, 128, "create"))
-		}
-		t.Rows = append(t.Rows, r)
-	}
-	return Figure{
-		Title:  "Ablation: row-lock modes vs same-directory create storm (4 nodes x 4 procs, 128 files/proc)",
 		Tables: []Table{t},
 	}
 }

@@ -95,5 +95,5 @@ var All = []Driver{
 	{"traversal", Traversal}, {"dircap", AblationDirCap},
 	{"falsesharing", AblationFalseSharing}, {"network", AblationNetwork},
 	{"flush", AblationFlush}, {"clientcache", AblationClientCache},
-	{"mdtest", MDTestExp}, {"groupcommit", GroupCommit}, {"batchjobs", BatchJobs},
+	{"mdtest", MDTestExp}, {"batchjobs", BatchJobs},
 }

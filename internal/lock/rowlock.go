@@ -118,7 +118,7 @@ type RowLockStats struct {
 	// Acquires is the number of row locks taken (any mode).
 	Acquires int64
 	// SharedGrants is the number of acquisitions granted in Shared
-	// mode (0 when the table runs ExclusiveOnly).
+	// mode.
 	SharedGrants int64
 	// Upgrades is the number of in-place Shared→Exclusive conversions.
 	Upgrades int64
@@ -195,12 +195,6 @@ type RowLocks struct {
 	// same hot rows constantly and should not re-allocate state each time.
 	free []*rowState
 
-	// ExclusiveOnly reverts the table to PR 3's exclusive-only locks:
-	// every acquisition, Shared requests included, takes its row
-	// Exclusive. Comparison and regression knob
-	// (params.COFSParams.ExclusiveRowLocks); set it before first use.
-	ExclusiveOnly bool
-
 	// OnGrant, when non-nil, is invoked at every grant instant — the
 	// immediate grant of an uncontended Acquire, or the hand-over a
 	// releaser performs for a parked waiter — with the holder and the
@@ -229,14 +223,6 @@ func NewRowLocks(env *sim.Env) *RowLocks {
 	return &RowLocks{env: env, rows: make(map[RowKey]*rowState)}
 }
 
-// mode applies the ExclusiveOnly override.
-func (t *RowLocks) mode(m Mode) Mode {
-	if t.ExclusiveOnly {
-		return ModeExclusive
-	}
-	return m
-}
-
 // Acquire locks every request, in order. reqs must be sorted
 // canonically and duplicate-free (SortReqs); Acquire panics otherwise,
 // because an out-of-order batch is exactly what reintroduces deadlock.
@@ -252,7 +238,6 @@ func (t *RowLocks) Acquire(p *sim.Proc, reqs []Req, onWait func()) bool {
 		if i > 0 && !reqs[i-1].Key.Less(r.Key) {
 			panic(fmt.Sprintf("lock: row acquisition out of canonical order: %v after %v", r.Key, reqs[i-1].Key))
 		}
-		mode := t.mode(r.Mode)
 		st, ok := t.rows[r.Key]
 		if !ok {
 			if n := len(t.free); n > 0 {
@@ -265,10 +250,10 @@ func (t *RowLocks) Acquire(p *sim.Proc, reqs []Req, onWait func()) bool {
 			t.rows[r.Key] = st
 		}
 		t.Stats.Acquires++
-		if len(st.queue) == 0 && st.compatible(mode) {
-			st.grant(p, mode)
+		if len(st.queue) == 0 && st.compatible(r.Mode) {
+			st.grant(p, r.Mode)
 			if t.OnGrant != nil {
-				t.OnGrant(p, r.Key, mode)
+				t.OnGrant(p, r.Key, r.Mode)
 			}
 		} else {
 			t.Stats.Conflicts++
@@ -277,17 +262,17 @@ func (t *RowLocks) Acquire(p *sim.Proc, reqs []Req, onWait func()) bool {
 			}
 			waited = true
 			start := t.env.Now()
-			w := waiter{p: p, mode: mode, gate: sim.NewCond(t.env)}
+			w := waiter{p: p, mode: r.Mode, gate: sim.NewCond(t.env)}
 			st.queue = append(st.queue, w)
 			// The releaser installs the holdership before signalling, so
 			// waking up *is* owning the row.
 			w.gate.Wait(p)
 			t.Stats.WaitTotal += t.env.Now() - start
 			if t.OnWait != nil {
-				t.OnWait(p, r.Key, mode, start)
+				t.OnWait(p, r.Key, r.Mode, start)
 			}
 		}
-		if mode == ModeShared {
+		if r.Mode == ModeShared {
 			t.Stats.SharedGrants++
 		}
 	}

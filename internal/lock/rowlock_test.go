@@ -311,38 +311,6 @@ func TestUpgradeRefusedWithOtherSharers(t *testing.T) {
 	}
 }
 
-// TestExclusiveOnlyKnob pins the regression knob: with ExclusiveOnly
-// set, Shared requests take their rows exclusively, so two sharers of
-// one row serialize exactly as under PR 3's table, and no shared grants
-// are counted.
-func TestExclusiveOnlyKnob(t *testing.T) {
-	env := sim.NewEnv(1)
-	rl := NewRowLocks(env)
-	rl.ExclusiveOnly = true
-	row := rk(0, 1, 8, "")
-	var secondAt time.Duration
-	env.Spawn("S1", func(p *sim.Proc) {
-		rl.Acquire(p, []Req{S(row)}, nil)
-		p.Sleep(time.Millisecond)
-		rl.Release(p, []Req{S(row)})
-	})
-	env.Spawn("S2", func(p *sim.Proc) {
-		p.Sleep(100 * time.Microsecond)
-		if !rl.Acquire(p, []Req{S(row)}, nil) {
-			t.Error("exclusive-only table granted a second sharer concurrently")
-		}
-		secondAt = p.Now()
-		rl.Release(p, []Req{S(row)})
-	})
-	env.MustRun()
-	if want := time.Millisecond; secondAt != want {
-		t.Fatalf("second sharer granted at %v, want %v (serialized)", secondAt, want)
-	}
-	if rl.Stats.SharedGrants != 0 {
-		t.Fatalf("exclusive-only table counted shared grants: %+v", rl.Stats)
-	}
-}
-
 // TestOrderedAcquisitionAvoidsDeadlock drives many processes through
 // repeated acquisitions of overlapping multi-row footprints with mixed
 // modes — the all-pairs crossing pattern that deadlocks any unordered

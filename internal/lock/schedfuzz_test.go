@@ -63,7 +63,7 @@ type fuzzReport struct {
 // place, the way rowTxn.extend strengthens a discovered row — and
 // release. All invariant checks happen inline; the returned report
 // carries the aggregate counters and the deterministic trace.
-func runLockScheduleFuzz(t *testing.T, seed int64, exclusiveOnly bool) fuzzReport {
+func runLockScheduleFuzz(t *testing.T, seed int64) fuzzReport {
 	t.Helper()
 	const (
 		procs   = 10
@@ -72,7 +72,6 @@ func runLockScheduleFuzz(t *testing.T, seed int64, exclusiveOnly bool) fuzzRepor
 	)
 	env := sim.NewEnv(seed)
 	rl := NewRowLocks(env)
-	rl.ExclusiveOnly = exclusiveOnly
 	rng := env.RNG("lock.schedfuzz")
 	ledger := make(map[RowKey]*fuzzRow)
 	var rep fuzzReport
@@ -140,13 +139,10 @@ func runLockScheduleFuzz(t *testing.T, seed int64, exclusiveOnly bool) fuzzRepor
 				modes := make([]Mode, len(reqs))
 				for j, r := range reqs {
 					modes[j] = r.Mode
-					if exclusiveOnly {
-						modes[j] = ModeExclusive
-					}
 				}
 				p.Sleep(time.Duration(1+rng.Intn(30)) * time.Microsecond)
 				// Occasionally upgrade one Shared row in place.
-				if !exclusiveOnly && rng.Intn(4) == 0 {
+				if rng.Intn(4) == 0 {
 					for j, r := range reqs {
 						if modes[j] != ModeShared {
 							continue
@@ -223,7 +219,7 @@ func TestLockScheduleFuzz(t *testing.T) {
 	for seed := int64(1); seed <= int64(*lockfuzzSeeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rep := runLockScheduleFuzz(t, seed, false)
+			rep := runLockScheduleFuzz(t, seed)
 			total.grants += rep.grants
 			total.shared += rep.shared
 			total.upgrades += rep.upgrades
@@ -249,32 +245,12 @@ func TestLockScheduleFuzz(t *testing.T) {
 	}
 }
 
-// TestLockScheduleFuzzExclusiveOnly replays a slice of the sweep with
-// the ExclusiveOnly knob set: the same schedules must still be
-// deadlock-free, but no two holders may ever be concurrent and no
-// shared grant may be counted — the regression shape of PR 3's table.
-func TestLockScheduleFuzzExclusiveOnly(t *testing.T) {
-	seeds := *lockfuzzSeeds / 5
-	if seeds < 3 {
-		seeds = 3
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rep := runLockScheduleFuzz(t, seed, true)
-			if rep.shared != 0 || rep.sharedConcurrent {
-				t.Fatalf("exclusive-only run granted shared holds: %+v", rep)
-			}
-		})
-	}
-}
-
 // TestLockScheduleFuzzDeterministic pins that a seed is a full replay
 // handle: two runs of the same seed produce bit-identical grant traces
 // and counters.
 func TestLockScheduleFuzzDeterministic(t *testing.T) {
-	a := runLockScheduleFuzz(t, 17, false)
-	b := runLockScheduleFuzz(t, 17, false)
+	a := runLockScheduleFuzz(t, 17)
+	b := runLockScheduleFuzz(t, 17)
 	if a.trace != b.trace {
 		t.Fatal("same seed produced different grant traces")
 	}

@@ -168,33 +168,16 @@ type COFSParams struct {
 	// MaxEntriesPerDir is the hard cap on underlying directory size
 	// (512 in the paper).
 	MaxEntriesPerDir int
-	// AttrCacheTimeout enables the client-side attribute/mapping cache
-	// the paper proposes as future work in section IV-B (0 disables it,
-	// matching the measured prototype). Entries are revalidated after
-	// this window, NFS/FUSE attribute-timeout style.
-	AttrCacheTimeout time.Duration
 	// AttrCacheEntries caps the client attribute cache.
 	AttrCacheEntries int
-	// AttrLease upgrades the client cache from TTL revalidation to
-	// server-issued leases of this term: shards remember which client
-	// holds a lease on which attribute/dentry and revoke it on any
-	// cross-node mutation, so cached entries are coherent at any shard
-	// and node count (no TTL staleness). 0 disables leases (the paper's
-	// measured prototype); when both AttrLease and AttrCacheTimeout are
-	// set, leases win.
+	// AttrLease enables the client-side metadata cache the paper
+	// proposes as future work in section IV-B, with server-issued
+	// leases of this term: shards remember which client holds a lease
+	// on which attribute, dentry or listing and revoke it at the commit
+	// of any conflicting mutation, so a cached entry is never stale at
+	// any shard and node count. 0 disables the cache (the paper's
+	// measured prototype).
 	AttrLease time.Duration
-	// ExclusiveRowLocks reverts the row-lock table of the cross-shard
-	// transaction layer to exclusive-only locks: every acquisition,
-	// including the Shared read-dependency footprints (above all the
-	// parent directory's inode row under concurrent creates), takes
-	// its row exclusively, serializing same-directory mutations across
-	// their whole validate→commit spans. Comparison and regression
-	// knob (`experiments groupcommit` measures the group-commit
-	// overlap the shared/exclusive split recovers); the zero value
-	// keeps the mode-aware table. Uncontended acquisition charges
-	// nothing in either mode, so uncontended workloads are
-	// bit-identical across both settings.
-	ExclusiveRowLocks bool
 	// ReshardBatchRows bounds how many groups (inode ids, with their
 	// dentries and mappings) one resharding batch migrates while
 	// holding their row locks: the unit of the dip a live reshard
@@ -287,9 +270,8 @@ func Default() Config {
 			DirFanout:        64,
 			RandomSubdirs:    8,
 			MaxEntriesPerDir: 512,
-			AttrCacheTimeout: 0, // disabled, as in the paper's prototype
 			AttrCacheEntries: 4096,
-			AttrLease:        0, // coherent lease cache off (paper prototype)
+			AttrLease:        0, // client cache off, as in the paper's prototype
 			ReshardBatchRows: 64,
 		},
 	}

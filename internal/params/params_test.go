@@ -31,8 +31,8 @@ func TestDefaultSanity(t *testing.T) {
 	if c.FUSE.CrossingTime <= 0 || c.FUSE.MaxWrite <= 0 {
 		t.Fatal("FUSE cost model must be enabled for COFS mounts")
 	}
-	if c.COFS.AttrCacheTimeout != 0 {
-		t.Fatal("attr cache must default off to match the paper's prototype")
+	if c.COFS.AttrLease != 0 {
+		t.Fatal("client cache must default off to match the paper's prototype")
 	}
 	if c.COFS.LogFlushInterval <= 0 {
 		t.Fatal("the Mnesia-style async log flush must have an interval")
