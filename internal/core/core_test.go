@@ -260,6 +260,9 @@ func TestSizeWriteBackOnClose(t *testing.T) {
 	})
 }
 
+// TestUnlinkRemovesUnderlying: the name and the mapping are gone when
+// Unlink returns; the underlying file is gone once the node's background
+// removals have drained (name first, object later).
 func TestUnlinkRemovesUnderlying(t *testing.T) {
 	r := newRig(1)
 	m := r.d.Mounts[0]
@@ -271,11 +274,15 @@ func TestUnlinkRemovesUnderlying(t *testing.T) {
 		if err := m.Unlink(p, ctx, "/gone"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.tb.Mounts[0].Stat(p, vfs.Ctx{UID: 0}, upath); err != vfs.ErrNotExist {
-			t.Fatalf("underlying file survived unlink: %v", err)
-		}
 		if _, ok := r.d.Service.Mapping(ino); ok {
 			t.Fatal("mapping survived unlink")
+		}
+		if _, err := m.Stat(p, ctx, "/gone"); err != vfs.ErrNotExist {
+			t.Fatalf("name survived unlink: %v", err)
+		}
+		r.d.FSs[0].DrainRemovals(p)
+		if _, err := r.tb.Mounts[0].Stat(p, vfs.Ctx{UID: 0}, upath); err != vfs.ErrNotExist {
+			t.Fatalf("underlying file survived unlink: %v", err)
 		}
 	})
 }

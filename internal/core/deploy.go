@@ -86,7 +86,9 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.obs.m }
 // Counters aggregates the deployment's per-layer observability
 // counters: the RPC transport (client and shard-to-shard channels),
 // the client cache (hits, misses, dentry/negative/listing hits,
-// revocations, attribute-carrying listings and stataheads), the service
+// revocations, attribute-carrying listings and stataheads), the
+// client's background removals of underlying files and the unlinks
+// that waited for a removal slot (removal.go), the service
 // lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
 // spent waiting), and the simulation kernel's own work (sim.Env.Stats).
@@ -112,6 +114,8 @@ func (d *Deployment) Counters() *stats.Counters {
 		c.Add("cache.lease-revoked", cs.Revocations)
 		c.Add("cache.plus-listings", fs.Stats.PlusListings)
 		c.Add("cache.stataheads", fs.Stats.Stataheads)
+		c.Add("core.removals", fs.removing.Acquires)
+		c.Add("core.removal_waits", fs.removing.Contended)
 	}
 	ps := transport(o.peer)
 	c.Add("rpc.peer.calls", ps.Calls)

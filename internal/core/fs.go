@@ -56,6 +56,14 @@ type FS struct {
 	// the condition the node's other stataheads of it wait on.
 	ahead map[vfs.Ino]*sim.Cond
 
+	// removing holds one slot per underlying removal in flight (its
+	// Acquires count the removals, its Contended the unlinks that waited
+	// for a slot), pending counts them for DrainRemovals, and removals
+	// is the pool of idle removal jobs (removal.go).
+	removing *sim.Resource
+	pending  *sim.WaitGroup
+	removals []*removal
+
 	Stats FSStats
 }
 
@@ -103,6 +111,7 @@ type cofsHandle struct {
 // client routes each operation to its coordinator shard.
 func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place Placement, cfg params.COFSParams, rng *rand.Rand) *FS {
 	cache := newClientCache(cfg)
+	env := svc.net.Env()
 	return &FS{
 		svc:      svc,
 		host:     host,
@@ -120,6 +129,8 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 		listed:   make(map[int]listing),
 		advised:  lru.New[vfs.Ino, struct{}](cache.attrs.Capacity()),
 		ahead:    make(map[vfs.Ino]*sim.Cond),
+		removing: sim.NewResource(env, "cofs.removals", maxPendingRemovals),
+		pending:  sim.NewWaitGroup(env),
 	}
 }
 
@@ -452,7 +463,8 @@ func (f *FS) Release(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle) error {
 }
 
 // Unlink implements vfs.Filesystem: remove from the service; when the
-// last link dies, delete the underlying file too.
+// last link dies, hand the underlying file to a background removal
+// (removal.go) and return.
 func (f *FS) Unlink(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) error {
 	f.Stats.ServiceOps++
 	upath, gone, err := f.svc.Remove(p, f.sess, ctx, dir, name, false)
@@ -463,9 +475,7 @@ func (f *FS) Unlink(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) error {
 	f.attrs.drop(dir)  // parent mtime changed
 	f.attrs.dropDentry(dir, name)
 	if upath != "" {
-		if uerr := f.under.Unlink(p, f.underCtx(), upath); uerr != nil && uerr != vfs.ErrNotExist {
-			return uerr
-		}
+		f.removeUnder(p, upath)
 	}
 	return nil
 }
@@ -497,7 +507,9 @@ func (f *FS) Rmdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) error {
 }
 
 // Rename implements vfs.Filesystem: a pure service transaction — the
-// underlying layout never changes because mappings are by file id.
+// underlying layout never changes because mappings are by file id. The
+// reply leased the destination name to this client, so its entry stays;
+// a replaced file whose last link went goes to a background removal.
 func (f *FS) Rename(p *sim.Proc, ctx vfs.Ctx, srcDir vfs.Ino, srcName string, dstDir vfs.Ino, dstName string) error {
 	f.Stats.ServiceOps++
 	upath, replaced, err := f.svc.Rename(p, f.sess, ctx, srcDir, srcName, dstDir, dstName)
@@ -508,11 +520,8 @@ func (f *FS) Rename(p *sim.Proc, ctx vfs.Ctx, srcDir vfs.Ino, srcName string, ds
 	f.attrs.drop(srcDir)   // both parents' nlink/mtime changed
 	f.attrs.drop(dstDir)
 	f.attrs.dropDentry(srcDir, srcName)
-	f.attrs.dropDentry(dstDir, dstName)
 	if upath != "" {
-		if uerr := f.under.Unlink(p, f.underCtx(), upath); uerr != nil && uerr != vfs.ErrNotExist {
-			return uerr
-		}
+		f.removeUnder(p, upath)
 	}
 	return nil
 }

@@ -764,14 +764,16 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 // compatible target. The underlying mapping is untouched: renames never
 // reach the underlying file system. It returns the id of a replaced
 // target (0 if none) for client cache invalidation, plus the underlying
-// path to delete when the replaced file's last link went away.
+// path to delete when the replaced file's last link went away. The
+// reply leases the destination name to the renamer, as a create's
+// leases the new name to its creator.
 func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino, srcName string, dstDir vfs.Ino, dstName string) (string, vfs.Ino, error) {
 	if s.sharded() {
 		return s.renameSharded(p, sess, ctx, srcDir, srcName, dstDir, dstName)
 	}
 	r := call(p, s, sess, rpc.OpRename, 224, 128, func(p *sim.Proc) removeReply {
 		var out removeReply
-		mutated := false
+		var moved vfs.Ino // set once the rename mutates
 		// See Remove above: free claims that turn migrated-row misses
 		// into redirects when this single-shard path races a grow.
 		if err := s.claim(srcDir); err != nil {
@@ -859,7 +861,7 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 					}
 				}
 			}
-			mutated = true
+			moved = id
 			mdb.Delete(tx, s.dentries, srcKey)
 			mdb.Put(tx, s.dentries, dstKey, dentryRow{Parent: dstDir, Name: dstName, Child: id, Type: moving.Type})
 			if moving.Type == vfs.TypeDir && srcDir != dstDir {
@@ -873,7 +875,7 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 				mdb.Put(tx, s.inodes, dstDir, dd)
 			}
 		})
-		if out.err == nil && mutated {
+		if out.err == nil && moved != 0 {
 			keys := []leaseKey{
 				dentLease(srcDir, srcName), dentLease(dstDir, dstName),
 				attrLease(srcDir), attrLease(dstDir),
@@ -882,6 +884,7 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 				keys = append(keys, attrLease(out.id))
 			}
 			s.revokeLeases(p, sess, keys...)
+			s.grantDentry(p, sess, dstDir, dstName, moved)
 		}
 		return out
 	})

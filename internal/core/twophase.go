@@ -507,6 +507,7 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 			})
 			s.revokeLeases(p, sess, dentLease(srcDir, srcName), dentLease(dstDir, dstName),
 				attrLease(srcDir), attrLease(dstDir))
+			s.grantDentry(p, sess, dstDir, dstName, id)
 		} else {
 			// Install the destination dentry first, then retire the
 			// source: the moving object never disappears from both
@@ -526,6 +527,7 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 					}
 				})
 				D.revokeLeases(p, sess, dentLease(dstDir, dstName), attrLease(dstDir))
+				D.grantDentry(p, sess, dstDir, dstName, id)
 				return struct{}{}
 			})
 			s.DB.Transaction(p, func(tx *mdb.Tx) {

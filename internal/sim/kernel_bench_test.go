@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -115,6 +116,84 @@ func TestCarrierReuse(t *testing.T) {
 	}
 	if st := env.Stats(); st.Spawns != 401 || st.Carriers > 100 {
 		t.Fatalf("%d spawns ran on %d coroutines, want 401 on at most 100", st.Spawns, st.Carriers)
+	}
+}
+
+// TestGoRecyclesProcs checks that Go reuses the Procs of finished Go
+// processes, within a Run and across Runs, that a recycled process parks
+// and wakes like a fresh one, and that a Spawned process, whose handle
+// the caller holds, is never reused.
+func TestGoRecyclesProcs(t *testing.T) {
+	env := NewEnv(1)
+	procs := map[*Proc]bool{}
+	gate := NewResource(env, "gate", 2)
+	ran := 0
+	body := func(p *Proc) {
+		if p.Name() != "bg" {
+			t.Errorf("recycled proc named %q, want %q", p.Name(), "bg")
+		}
+		procs[p] = true
+		gate.Acquire(p) // 8 at once: six of them park
+		p.Sleep(time.Microsecond)
+		gate.Release(p)
+		ran++
+	}
+	held := env.Spawn("held", func(p *Proc) { p.Sleep(time.Microsecond) })
+	for run := 0; run < 3; run++ {
+		env.Spawn("driver", func(p *Proc) {
+			for wave := 0; wave < 4; wave++ {
+				for i := 0; i < 8; i++ {
+					env.Go("bg", body)
+				}
+				p.Sleep(time.Millisecond)
+			}
+		})
+		env.MustRun()
+	}
+	if ran != 96 {
+		t.Fatalf("%d Go processes ran, want 96", ran)
+	}
+	if len(procs) != 8 {
+		t.Fatalf("96 Go processes used %d Procs, want the 8 alive at once", len(procs))
+	}
+	if procs[held] || !held.done || held.Name() != "held" {
+		t.Fatal("a Spawned proc was reused")
+	}
+	if st := env.Stats(); st.Spawns != 100 {
+		t.Fatalf("Spawns = %d, want 100 (every Go counts)", st.Spawns)
+	}
+}
+
+// TestGoAllocsNothing pins the point of Go: once a finished process has
+// left its Proc and its carrier behind, starting, running and finishing
+// another allocates nothing.
+func TestGoAllocsNothing(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates")
+			}
+		}
+	}
+	env := NewEnv(1)
+	n := 0
+	body := func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		n++
+	}
+	env.Spawn("driver", func(p *Proc) {
+		spawn := func() {
+			env.Go("bg", body)
+			p.Sleep(2 * time.Microsecond)
+		}
+		spawn()
+		if avg := testing.AllocsPerRun(1000, spawn); avg != 0 {
+			t.Errorf("a warm Go allocates %v, want 0", avg)
+		}
+	})
+	env.MustRun()
+	if n != 1002 {
+		t.Fatalf("%d Go processes ran, want 1002", n)
 	}
 }
 

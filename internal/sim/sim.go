@@ -13,7 +13,8 @@
 // direct switch, never through the Go scheduler, and a finished process
 // leaves its coroutine to the next one spawned; the event queue is a typed
 // binary heap that never boxes events through interfaces; kernel-only
-// callback events (After) run inline in the loop without a switch; a Sleep
+// callback events (After) run inline in the loop without a switch; a
+// process started with Go leaves its Proc to the next Go; a Sleep
 // whose own wake would be the next event popped advances the clock and
 // keeps control; RNG streams are cached handles (Stream) instead of
 // per-call map lookups; Stats counts it all. None of these shortcuts may
@@ -51,6 +52,9 @@ type Env struct {
 	// costs a dozen allocations to create, so spawn-heavy models
 	// (per-request processes, timer respawns) reuse these instead.
 	idle []*carrier
+	// free is the LIFO of finished procs started by Go, which nobody
+	// holds a reference to: the next Go reuses one instead of allocating.
+	free []*Proc
 }
 
 // Stats counts kernel work since NewEnv. All five are deterministic.
@@ -189,6 +193,7 @@ type Proc struct {
 	name    string
 	waiting bool // parked with no scheduled event: unpark may wake it
 	done    bool
+	recycle bool // started by Go: returns to Env.free when done
 }
 
 // carrier is a coroutine that runs procs one after another: p to completion,
@@ -251,6 +256,24 @@ func (e *Env) SpawnAfter(name string, delay time.Duration, fn func(p *Proc)) *Pr
 	e.stats.Spawns++
 	e.scheduleAt(e.now+delay, p)
 	return p
+}
+
+// Go starts a process at the current virtual time, like Spawn, for a
+// caller that never needs its handle: it returns no *Proc, so once fn
+// returns the kernel recycles the Proc for a later Go, the way it
+// recycles carriers. A warm Go allocates nothing. fn must not let p
+// escape past its return.
+func (e *Env) Go(name string, fn func(p *Proc)) {
+	var p *Proc
+	if n := len(e.free); n > 0 {
+		p, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		p = &Proc{}
+	}
+	*p = Proc{env: e, fn: fn, name: name, recycle: true}
+	e.live++
+	e.stats.Spawns++
+	e.scheduleAt(e.now, p)
 }
 
 // Sleep advances the process by d of virtual time.
@@ -347,6 +370,9 @@ func (e *Env) Run() error {
 		if p.done {
 			e.idle = append(e.idle, p.c)
 			p.c = nil
+			if p.recycle {
+				e.free = append(e.free, p)
+			}
 		}
 	}
 	if e.live > 0 {
