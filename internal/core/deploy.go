@@ -87,8 +87,9 @@ func (d *Deployment) Metrics() *obs.Metrics { return d.Service.obs.m }
 // counters: the RPC transport (client and shard-to-shard channels),
 // the client cache (hits, misses, dentry/negative/listing hits,
 // revocations, attribute-carrying listings and stataheads), the
-// client's background removals of underlying files and the unlinks
-// that waited for a removal slot (removal.go), the service
+// client's background removals of underlying files, the unlinks
+// that waited for a removal slot and the removals that failed
+// (removal.go), the service
 // lease recalls, and the cross-shard
 // transaction layer's row locks (acquisitions, conflicts, virtual time
 // spent waiting), and the simulation kernel's own work (sim.Env.Stats).
@@ -116,6 +117,7 @@ func (d *Deployment) Counters() *stats.Counters {
 		c.Add("cache.stataheads", fs.Stats.Stataheads)
 		c.Add("core.removals", fs.removing.Acquires)
 		c.Add("core.removal_waits", fs.removing.Contended)
+		c.Add("core.removal_failures", fs.Stats.RemovalFailures)
 	}
 	ps := transport(o.peer)
 	c.Add("rpc.peer.calls", ps.Calls)

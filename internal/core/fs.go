@@ -87,6 +87,9 @@ type FSStats struct {
 	// the ones among them issued from inside a stat (see Readdir).
 	PlusListings int64
 	Stataheads   int64
+	// RemovalFailures counts background removals whose underlying
+	// unlink failed with anything but ErrNotExist (removal.go).
+	RemovalFailures int64
 }
 
 type bucketState struct {

@@ -1,6 +1,9 @@
 package core
 
-import "cofs/internal/sim"
+import (
+	"cofs/internal/sim"
+	"cofs/internal/vfs"
+)
 
 // maxPendingRemovals bounds the underlying removals one node keeps in
 // flight. An unlink that finds this many running waits for one of them
@@ -43,11 +46,16 @@ func (f *FS) removeUnder(p *sim.Proc, upath string) {
 	p.Env().Go("cofs.remove", r.run)
 }
 
-// remove runs one removal. A failed underlying unlink leaves an orphan,
-// which Fsck reports; the virtual namespace is already consistent.
+// remove runs one removal. Nobody waits for its outcome, so a failed
+// underlying unlink is only counted (FSStats.RemovalFailures, the
+// core.removal_failures counter); it leaves an orphan, which Fsck
+// reports, and the virtual namespace is already consistent. A file
+// that is already gone is not a failure.
 func (r *removal) remove(p *sim.Proc) {
 	f := r.f
-	_ = f.under.Unlink(p, f.underCtx(), r.upath)
+	if err := f.under.Unlink(p, f.underCtx(), r.upath); err != nil && err != vfs.ErrNotExist {
+		f.Stats.RemovalFailures++
+	}
 	r.upath = ""
 	f.removals = append(f.removals, r)
 	f.removing.Release(p)

@@ -117,6 +117,42 @@ func TestRemovalBound(t *testing.T) {
 	fsckClean(t, tb, d)
 }
 
+// TestRemovalFailuresCounted: nobody waits for a background removal, so
+// one whose underlying unlink fails is counted in core.removal_failures.
+// A file already gone is not a failure.
+func TestRemovalFailuresCounted(t *testing.T) {
+	tb := cluster.New(1, 1, params.Default())
+	d := Deploy(tb, nil)
+	drained(tb, "fail", func(p *sim.Proc) {
+		upaths := createFiles(t, p, d, 2)
+		under, root := tb.Mounts[0], vfs.Ctx{UID: 0}
+		// f0's underlying file becomes a directory, which the PFS
+		// refuses to unlink; f1's is gone before COFS removes it.
+		for _, upath := range upaths {
+			if err := under.Unlink(p, root, upath); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := under.Mkdir(p, root, upaths[0], 0755); err != nil {
+			t.Fatal(err)
+		}
+		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+		for i := range upaths {
+			if err := m.Unlink(p, ctx, fmt.Sprintf("/d/f%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.DrainRemovals(p)
+	})
+	c := d.Counters()
+	if got := c.Get("core.removals"); got != 2 {
+		t.Fatalf("core.removals = %d, want 2", got)
+	}
+	if got := c.Get("core.removal_failures"); got != 1 {
+		t.Fatalf("core.removal_failures = %d, want 1", got)
+	}
+}
+
 // TestRecreateDuringRemoval re-creates a name whose old file is still
 // being removed: the new name commits before the old removal finishes,
 // the new file gets a new underlying path and survives that removal, and
