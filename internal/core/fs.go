@@ -58,10 +58,9 @@ type FS struct {
 
 	// removing holds one slot per underlying removal in flight (its
 	// Acquires count the removals, its Contended the unlinks that waited
-	// for a slot), pending counts them for DrainRemovals, and removals
-	// is the pool of idle removal jobs (removal.go).
+	// for a slot; DrainRemovals waits for it to fall idle), and
+	// removals is the pool of idle removal jobs (removal.go).
 	removing *sim.Resource
-	pending  *sim.WaitGroup
 	removals []*removal
 
 	Stats FSStats
@@ -133,7 +132,6 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 		advised:  lru.New[vfs.Ino, struct{}](cache.attrs.Capacity()),
 		ahead:    make(map[vfs.Ino]*sim.Cond),
 		removing: sim.NewResource(env, "cofs.removals", maxPendingRemovals),
-		pending:  sim.NewWaitGroup(env),
 	}
 }
 

@@ -38,9 +38,10 @@ import (
 // pointer, and routing is bit-identical to a static map.
 
 // ShardMap is the deterministic placement function of the metadata
-// plane. Inode rows (and their mappings) live on the shard derived from
-// the inode id; dentries live on the shard of their parent directory, so
-// Lookup and Readdir are always coordinated by a single shard.
+// plane. Inode rows (a regular file's underlying path inside) live on
+// the shard derived from the inode id; dentries live on the shard of
+// their parent directory, so Lookup and Readdir are always coordinated
+// by a single shard.
 //
 // Placement is strided: shard s owns every id with (id-1) mod N == s,
 // and each shard allocates ids from its own stride. New regular files
@@ -342,7 +343,7 @@ func (c *MDSCluster) Readlink(p *sim.Proc, sess *Session, id vfs.Ino) (tgt strin
 	return tgt, err
 }
 
-// OpenInfo returns attributes and underlying mapping of a regular file.
+// OpenInfo returns attributes and underlying path of a regular file.
 func (c *MDSCluster) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.Attr, upath string, err error) {
 	ob := c.obsBegin(p, sess, "op.open", id)
 	defer c.obsEnd(p, ob)
@@ -444,14 +445,19 @@ func (c *MDSCluster) CountObjects(p *sim.Proc, sess *Session) (int64, int64) {
 
 // Mapping returns the underlying path of a regular file (cofsctl).
 func (c *MDSCluster) Mapping(id vfs.Ino) (string, bool) {
-	return c.shard(id).mappings.Peek(id)
+	row, ok := c.shard(id).inodes.Peek(id)
+	return row.Path, ok && row.Path != ""
 }
 
 // EachMapping visits every (file id, underlying path) pair, shard by
 // shard in deterministic order (tooling and tests).
 func (c *MDSCluster) EachMapping(fn func(id vfs.Ino, upath string)) {
 	for _, s := range c.shards {
-		s.mappings.Each(fn)
+		s.inodes.Each(func(id vfs.Ino, row inodeRow) {
+			if row.Path != "" {
+				fn(id, row.Path)
+			}
+		})
 	}
 }
 
@@ -555,15 +561,11 @@ func (c *MDSCluster) ShardCounts() []int {
 // every row lives on the shard the map assigns it, every dentry points
 // at a live inode (wherever it lives), dentry types mirror inode types,
 // nlink matches the cluster-wide dentry references for non-directories,
-// and every regular file has a mapping co-located with its inode. Tests
+// and every regular file's row carries its underlying path. Tests
 // call it after workloads, at drained instants (mid-migration a batch's
 // rows are legitimately in flight between shards).
 func (c *MDSCluster) CheckInvariants() error {
-	type loc struct {
-		row   inodeRow
-		shard int
-	}
-	inodes := make(map[vfs.Ino]loc)
+	inodes := make(map[vfs.Ino]inodeRow)
 	var err error
 	for si, s := range c.shards {
 		si, s := si, s
@@ -574,12 +576,7 @@ func (c *MDSCluster) CheckInvariants() error {
 			if row.ID != id {
 				err = fmt.Errorf("core: inode row %d disagrees with its key %d", row.ID, id)
 			}
-			inodes[id] = loc{row: row, shard: si}
-		})
-		s.mappings.Each(func(id vfs.Ino, upath string) {
-			if c.Of(id) != si {
-				err = fmt.Errorf("core: mapping for %d on shard %d, map says %d", id, si, c.Of(id))
-			}
+			inodes[id] = row
 		})
 	}
 	if err != nil {
@@ -598,16 +595,16 @@ func (c *MDSCluster) CheckInvariants() error {
 				err = fmt.Errorf("core: dentry %d/%s on shard %d, map says %d", k.Parent, k.Name, si, c.Of(k.Parent))
 				return
 			}
-			l, ok := inodes[de.Child]
+			row, ok := inodes[de.Child]
 			if !ok {
 				err = fmt.Errorf("core: dentry %v/%s points at missing inode %d", k.Parent, k.Name, de.Child)
 				return
 			}
-			if l.row.Type != de.Type {
-				err = fmt.Errorf("core: dentry %v/%s type %v disagrees with inode type %v", k.Parent, k.Name, de.Type, l.row.Type)
+			if row.Type != de.Type {
+				err = fmt.Errorf("core: dentry %v/%s type %v disagrees with inode type %v", k.Parent, k.Name, de.Type, row.Type)
 				return
 			}
-			if l.row.Type != vfs.TypeDir {
+			if row.Type != vfs.TypeDir {
 				refs[de.Child]++
 			} else {
 				dirRefs[k.Parent]++
@@ -623,22 +620,20 @@ func (c *MDSCluster) CheckInvariants() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		l := inodes[id]
-		if l.row.Type == vfs.TypeDir {
+		row := inodes[id]
+		if row.Type == vfs.TypeDir {
 			// A directory's nlink is itself + "." plus one ".." per
 			// child directory.
-			if want := 2 + dirRefs[id]; l.row.Nlink != want {
-				return fmt.Errorf("core: directory %d nlink=%d, want %d (2 + %d subdirs)", id, l.row.Nlink, want, dirRefs[id])
+			if want := 2 + dirRefs[id]; row.Nlink != want {
+				return fmt.Errorf("core: directory %d nlink=%d, want %d (2 + %d subdirs)", id, row.Nlink, want, dirRefs[id])
 			}
 			continue
 		}
-		if refs[id] != l.row.Nlink {
-			return fmt.Errorf("core: inode %d nlink=%d, %d dentries", id, l.row.Nlink, refs[id])
+		if refs[id] != row.Nlink {
+			return fmt.Errorf("core: inode %d nlink=%d, %d dentries", id, row.Nlink, refs[id])
 		}
-		if l.row.Type == vfs.TypeRegular {
-			if _, ok := c.shards[l.shard].mappings.Peek(id); !ok {
-				return fmt.Errorf("core: regular file %d has no mapping", id)
-			}
+		if row.Type == vfs.TypeRegular && row.Path == "" {
+			return fmt.Errorf("core: regular file %d has no underlying path", id)
 		}
 	}
 	return nil

@@ -42,7 +42,6 @@ func (f *FS) removeUnder(p *sim.Proc, upath string) {
 		r.run = r.remove
 	}
 	r.upath = upath
-	f.pending.Add(1)
 	p.Env().Go("cofs.remove", r.run)
 }
 
@@ -59,14 +58,13 @@ func (r *removal) remove(p *sim.Proc) {
 	r.upath = ""
 	f.removals = append(f.removals, r)
 	f.removing.Release(p)
-	f.pending.Done()
 }
 
 // DrainRemovals blocks p until every underlying removal the node has
-// started has finished. A check of the underlying file system inside a
-// live simulation (Fsck, say) waits on it first; after Run has returned
-// there is nothing left to wait for.
-func (f *FS) DrainRemovals(p *sim.Proc) { f.pending.Wait(p) }
+// started has finished: until no removal holds a slot. A check of the
+// underlying file system inside a live simulation (Fsck, say) waits on
+// it first; after Run has returned there is nothing left to wait for.
+func (f *FS) DrainRemovals(p *sim.Proc) { f.removing.WaitIdle(p) }
 
 // DrainRemovals is FS.DrainRemovals for every node of the deployment.
 func (d *Deployment) DrainRemovals(p *sim.Proc) {

@@ -211,9 +211,9 @@ func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 	n := c.Maps.Current().Target()
 	for i := n; i < len(c.shards); i++ {
 		s := c.shards[i]
-		if s.inodes.Len() != 0 || s.dentries.Len() != 0 || s.mappings.Len() != 0 {
-			return fmt.Errorf("core: drained shard %d not empty after reshard (%d inodes, %d dentries, %d mappings)",
-				i, s.inodes.Len(), s.dentries.Len(), s.mappings.Len())
+		if s.inodes.Len() != 0 || s.dentries.Len() != 0 {
+			return fmt.Errorf("core: drained shard %d not empty after reshard (%d inodes, %d dentries)",
+				i, s.inodes.Len(), s.dentries.Len())
 		}
 	}
 	// The settling plane counts the retirement; a standby plane retiring
@@ -286,13 +286,9 @@ func (c *MDSCluster) retireDrained(p *sim.Proc) {
 
 // movedRows is one (source, target) sweep's row freight.
 type movedRows struct {
-	inodes   []inodeRow
-	dents    []dentryRow
-	mappings []struct {
-		id    vfs.Ino
-		upath string
-	}
-	bytes int64
+	inodes []inodeRow
+	dents  []dentryRow
+	bytes  int64
 }
 
 // handoffFrame is the wire framing of the WAL cursor riding a migration
@@ -357,15 +353,7 @@ func readGroups(p *sim.Proc, from *Service, ids []vfs.Ino) (movedRows, *mdb.Hand
 			if row, ok := mdb.Get(tx, from.inodes, id); ok {
 				freight.inodes = append(freight.inodes, row)
 				mdb.HandoffPut(handoff, from.inodes, id, row)
-				freight.bytes += 160
-			}
-			if upath, ok := mdb.Get(tx, from.mappings, id); ok {
-				freight.mappings = append(freight.mappings, struct {
-					id    vfs.Ino
-					upath string
-				}{id, upath})
-				mdb.HandoffPut(handoff, from.mappings, id, upath)
-				freight.bytes += 32 + int64(len(upath))
+				freight.bytes += 160 + int64(len(row.Path))
 			}
 			keys := mdb.IndexScan(tx, from.dentries, "parent", uint64(id))
 			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
@@ -411,9 +399,6 @@ func deleteGroups(p *sim.Proc, from *Service, freight movedRows) {
 		for _, row := range freight.inodes {
 			mdb.Delete(tx, from.inodes, row.ID)
 		}
-		for _, m := range freight.mappings {
-			mdb.Delete(tx, from.mappings, m.id)
-		}
 		for _, de := range freight.dents {
 			mdb.Delete(tx, from.dentries, dentryKey{Parent: de.Parent, Name: de.Name})
 		}
@@ -458,7 +443,7 @@ func (c *MDSCluster) movePair(p *sim.Proc, src, dst int, ids []vfs.Ino) error {
 			from.DB.RetireHandoff(handoff.Len())
 			c.rstats.Epochs++
 			c.rstats.GroupsMoved += int64(len(groups))
-			rows := int64(len(freight.inodes) + len(freight.dents) + len(freight.mappings))
+			rows := int64(len(freight.inodes) + len(freight.dents))
 			c.rstats.RowsMoved += rows
 			c.rstats.BytesMoved += freight.bytes
 			if c.obs.m != nil {
@@ -525,7 +510,7 @@ func (c *MDSCluster) recoverReshard(p *sim.Proc) {
 	c.ensureReshardRig()
 
 	// Where does each group's inode row actually live? (A group's
-	// mapping and dentries always travel with its inode row — every
+	// dentries always travel with its inode row — every
 	// transaction that touches them is atomic and flush/ship boundaries
 	// are transaction-aligned.)
 	holders := make(map[uint64][]int)
@@ -605,7 +590,7 @@ func (c *MDSCluster) rollForward(p *sim.Proc, src, dst int, ids []vfs.Ino) {
 			c.shipHandoff(p, from, to, freight, handoff)
 			to.DB.SealHandoff(handoff.Len())
 			from.DB.RetireHandoff(handoff.Len())
-			c.rstats.RowsMoved += int64(len(freight.inodes) + len(freight.dents) + len(freight.mappings))
+			c.rstats.RowsMoved += int64(len(freight.inodes) + len(freight.dents))
 			c.rstats.BytesMoved += freight.bytes
 			deleteGroups(p, from, freight)
 		},

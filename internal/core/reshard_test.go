@@ -535,8 +535,8 @@ func TestReshardDormantCostIdentical(t *testing.T) {
 		now    time.Duration
 		msgs   int64
 	}{
-		{1, 1420877401 * time.Nanosecond, 502},
-		{4, 1451526778 * time.Nanosecond, 526},
+		{1, 1420867801 * time.Nanosecond, 502},
+		{4, 1451436645 * time.Nanosecond, 524},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {

@@ -21,7 +21,9 @@ const RootID vfs.Ino = 1
 // inodeRow is the metadata the service keeps per object (type, owner,
 // permissions, times — section III-C). For regular files Size/Mtime are
 // updated on writer close (close-to-open consistency); the service holds
-// no block or placement information beyond the opaque mapping table.
+// no block or placement information beyond a regular file's opaque
+// underlying path, written once by its create and kept in the row, so
+// every operation that needs it reads it with the attributes.
 type inodeRow struct {
 	ID     vfs.Ino
 	Type   vfs.FileType
@@ -34,6 +36,7 @@ type inodeRow struct {
 	Mtime  time.Duration
 	Ctime  time.Duration
 	Target string // symlink
+	Path   string // regular file: underlying path
 }
 
 func (r inodeRow) attr() vfs.Attr {
@@ -96,7 +99,6 @@ type Service struct {
 
 	inodes   *mdb.Table[vfs.Ino, inodeRow]
 	dentries *mdb.Table[dentryKey, dentryRow]
-	mappings *mdb.Table[vfs.Ino, string]
 
 	// nextID allocates from this shard's stride: allocBase is the
 	// smallest id of the stride and allocStride the step, so placement-
@@ -167,7 +169,6 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 	s.inodes = mdb.NewTable[vfs.Ino, inodeRow](db, "inode", mdb.DiscCopies)
 	s.dentries = mdb.NewTable[dentryKey, dentryRow](db, "dentry", mdb.DiscCopies)
 	s.dentries.AddIndex("parent", func(r dentryRow) uint64 { return uint64(r.Parent) })
-	s.mappings = mdb.NewTable[vfs.Ino, string](db, "mapping", mdb.DiscCopies)
 
 	if shardID == 0 {
 		// Bootstrap the root directory outside simulated time.
@@ -398,7 +399,7 @@ func (s *Service) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, err
 
 // Setattr updates attributes of id (chmod/chown/utime/truncate record).
 // A truncation of a regular file also returns its underlying path, which
-// the client truncates next: one more table read in the same transaction.
+// the client truncates next; the path rides in the row the update reads.
 func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, string, error) {
 	s.Stats.Updates++
 	return s.updateRow(p, sess, rpc.OpSetattr, id, set.HasSize, func(row *inodeRow) error {
@@ -460,8 +461,8 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, m
 			}
 			mdb.Put(tx, s.inodes, id, row)
 			out.attr = row.attr()
-			if mapping && row.Type == vfs.TypeRegular {
-				out.upath, _ = mdb.Get(tx, s.mappings, id)
+			if mapping {
+				out.upath = row.Path
 			}
 		})
 		if out.err == nil {
@@ -471,12 +472,6 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, m
 		return out
 	})
 	return r.attr, r.upath, r.err
-}
-
-type createReply struct {
-	attr  vfs.Attr
-	upath string
-	err   error
 }
 
 // dirRow loads parent and verifies it is a directory the caller may
@@ -532,8 +527,8 @@ func (s *Service) allocSite(t vfs.FileType, parent vfs.Ino, name string) *Servic
 
 // Create allocates a new object of the given type under parent. For
 // regular files, bucket is the underlying directory chosen by the
-// client's placement driver: the service composes and records the
-// mapping <bucket>/f<id> inside the transaction and returns it. The
+// client's placement driver: the service composes the underlying path
+// <bucket>/f<id>, records it in the new inode row and returns it. The
 // transaction commits durably (the service's ext3-backed log,
 // group-committed across clients).
 func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string) (vfs.Attr, string, error) {
@@ -548,8 +543,8 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			return s.createRemote(p, sess, ctx, parent, name, t, mode, bucket, target, ts)
 		}
 	}
-	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) createReply {
-		var out createReply
+	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) mappingReply {
+		var out mappingReply
 		// The create commits in one local transaction, but on a sharded
 		// plane it must still respect the row locks of in-flight
 		// cross-shard mutations — an rmdir freezing this directory's
@@ -601,15 +596,14 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			if t == vfs.TypeSymlink {
 				row.Size = int64(len(target))
 			}
+			if bucket != "" {
+				row.Path = underlyingPath(bucket, id)
+			}
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.inodes, id, row)
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: id, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
-			if bucket != "" {
-				out.upath = underlyingPath(bucket, id)
-				mdb.Put(tx, s.mappings, id, out.upath)
-			}
-			out.attr = row.attr()
+			out.attr, out.upath = row.attr(), row.Path
 		})
 		if out.err == nil {
 			// Kill other nodes' negative dentries for the new name (and
@@ -652,8 +646,8 @@ type mappingReply struct {
 	err   error
 }
 
-// OpenInfo returns the attributes and underlying mapping of a regular
-// file in one round trip (used by open).
+// OpenInfo returns the attributes and underlying path of a regular file
+// in one round trip and one row read (used by open).
 func (s *Service) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, string, error) {
 	r := callRead(p, s, sess, rpc.OpOpenInfo, 96, 256, func(p *sim.Proc) mappingReply {
 		if err := s.claim(id); err != nil {
@@ -663,9 +657,8 @@ func (s *Service) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, st
 		if !ok {
 			return mappingReply{err: s.missErr(id, vfs.ErrNotExist)}
 		}
-		upath, _ := mdb.DirtyGet(p, s.mappings, id)
-		s.grantAttr(p, sess, id, upath)
-		return mappingReply{attr: row.attr(), upath: upath}
+		s.grantAttr(p, sess, id, row.Path)
+		return mappingReply{attr: row.attr(), upath: row.Path}
 	})
 	return r.attr, r.upath, r.err
 }
@@ -744,10 +737,9 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.inodes, parent, din)
 			if row.Nlink <= 0 {
-				out.upath, _ = mdb.Get(tx, s.mappings, id)
+				out.upath = row.Path
 				out.removed = true
 				mdb.Delete(tx, s.inodes, id)
-				mdb.Delete(tx, s.mappings, id)
 			} else {
 				mdb.Put(tx, s.inodes, id, row)
 			}
@@ -761,7 +753,7 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 }
 
 // Rename moves (srcDir, srcName) to (dstDir, dstName), replacing a
-// compatible target. The underlying mapping is untouched: renames never
+// compatible target. The underlying path is untouched: renames never
 // reach the underlying file system. It returns the id of a replaced
 // target (0 if none) for client cache invalidation, plus the underlying
 // path to delete when the replaced file's last link went away. The
@@ -852,10 +844,9 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 					}
 					tgt.Nlink--
 					if tgt.Nlink <= 0 {
-						out.upath, _ = mdb.Get(tx, s.mappings, existing)
+						out.upath = tgt.Path
 						out.removed = true
 						mdb.Delete(tx, s.inodes, existing)
-						mdb.Delete(tx, s.mappings, existing)
 					} else {
 						mdb.Put(tx, s.inodes, existing, tgt)
 					}
@@ -1134,17 +1125,6 @@ func (s *Service) CountObjects(p *sim.Proc, sess *Session) (int64, int64) {
 		return out
 	})
 	return r.files, r.dirs
-}
-
-// Mapping returns the underlying path of a regular file (cofsctl).
-func (s *Service) Mapping(id vfs.Ino) (string, bool) {
-	return s.mappings.Peek(id)
-}
-
-// EachMapping visits every (file id, underlying path) pair in
-// deterministic order (tooling and tests).
-func (s *Service) EachMapping(fn func(id vfs.Ino, upath string)) {
-	s.mappings.Each(fn)
 }
 
 // CheckInvariants for the whole metadata plane lives on MDSCluster (see

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"cofs/internal/lock"
 	"cofs/internal/mdb"
 	"cofs/internal/rpc"
@@ -12,9 +14,9 @@ import (
 // operations. The routing invariant (see mds.go) keeps every operation
 // coordinated by one shard — the one owning the parent directory's
 // dentries and inode row — and the rows that can live elsewhere are
-// exactly: a child's inode (directories placed by DirTarget, files
-// renamed in from another directory) and the mapping that travels with
-// a file's inode.
+// exactly a child's inode (directories placed by DirTarget, files
+// renamed in from another directory), with a regular file's underlying
+// path inside it.
 //
 // Mutations that span shards run an explicit two-phase protocol over
 // simulated shard-to-shard RPCs (peerCall): a prepare/validate exchange
@@ -61,12 +63,11 @@ func (s *Service) peerGetattr(p *sim.Proc, sess *Session, id vfs.Ino) attrReply 
 // allocates and owns: a directory the shard map's DirTarget places
 // elsewhere (the common case), or — during a live shrink — a file or
 // symlink whose coordinator shard's allocator has been drained. Prepare
-// (allocate + insert the row there, plus the mapping for a regular
-// file, which must stay co-located with its inode), then commit the
-// dentry and parent update locally, aborting the prepared row if the
-// local validation fails.
+// (allocate + insert the row there, with a regular file's underlying
+// path in it), then commit the dentry and parent update locally,
+// aborting the prepared row if the local validation fails.
 func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string, ts *Service) (vfs.Attr, string, error) {
-	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) createReply {
+	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) mappingReply {
 		// The new inode row is freshly allocated — no other mutation can
 		// reference it before the dentry commit below — so the footprint
 		// is just the dentry being created (Exclusive) and the parent
@@ -77,7 +78,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		defer s.spanEnd(p, open)
 		txn := s.lockRows(p, lock.X(s.dentKey(parent, name)), lock.S(s.inoKey(parent)))
 		defer txn.release(p)
-		var out createReply
+		var out mappingReply
 		if out.err = s.claim(parent); out.err != nil {
 			return out
 		}
@@ -100,35 +101,30 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 			return out
 		}
 		// Phase 1: the owning shard prepares the inode row (and, for a
-		// regular file, composes and records the mapping next to it).
+		// regular file, composes the underlying path recorded in it).
 		s.spanNext(p, open, "2pc.prepare")
-		type prepared struct {
-			row   inodeRow
-			upath string
-		}
-		pr := peerCall(p, s, ts, 160, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) prepared {
-			var pre prepared
+		row := peerCall(p, s, ts, 160, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) inodeRow {
+			var row inodeRow
 			ts.DB.Transaction(p, func(tx *mdb.Tx) {
 				id := ts.allocID()
-				pre.row = inodeRow{
+				row = inodeRow{
 					ID: id, Type: t, Mode: mode, UID: ctx.UID, GID: ctx.GID,
 					Nlink: 1, Mtime: p.Now(), Ctime: p.Now(), Target: target,
 				}
 				switch t {
 				case vfs.TypeDir:
-					pre.row.Nlink = 2
+					row.Nlink = 2
 				case vfs.TypeSymlink:
-					pre.row.Size = int64(len(target))
+					row.Size = int64(len(target))
+				case vfs.TypeRegular:
+					if bucket != "" {
+						row.Path = underlyingPath(bucket, id)
+					}
 				}
-				mdb.Put(tx, ts.inodes, id, pre.row)
-				if t == vfs.TypeRegular && bucket != "" {
-					pre.upath = underlyingPath(bucket, id)
-					mdb.Put(tx, ts.mappings, id, pre.upath)
-				}
+				mdb.Put(tx, ts.inodes, id, row)
 			})
-			return pre
+			return row
 		})
-		row := pr.row
 		s.spanNext(p, open, "2pc.commit")
 		// Phase 2: commit the dentry and parent bookkeeping. The
 		// re-validation is defensive: the row locks held since phase 0
@@ -151,14 +147,11 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: row.ID, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
-			out.attr = row.attr()
-			out.upath = pr.upath
+			out.attr, out.upath = row.attr(), row.Path
 		})
 		if out.err != nil {
-			// Abort: reclaim the prepared inode (the id itself is burnt)
-			// and, for a regular file, the mapping prepared next to it.
-			s.peerDeleteInode(p, nil, ts, row.ID, pr.upath != "")
-			out.upath = ""
+			// Abort: reclaim the prepared inode (the id itself is burnt).
+			s.peerDeleteInode(p, nil, ts, row.ID)
 			return out
 		}
 		s.revokeLeases(p, sess, dentLease(parent, name), attrLease(parent))
@@ -166,7 +159,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		if t == vfs.TypeRegular {
 			// Mirror the local create's grant; the lease lives at the
 			// row's owner, which is the shard that will recall it.
-			ts.grantAttr(p, sess, row.ID, pr.upath)
+			ts.grantAttr(p, sess, row.ID, row.Path)
 		}
 		return out
 	})
@@ -175,6 +168,9 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 
 // removeSharded is Remove for a sharded plane: validation against the
 // (always local) dentry first, then the inode half at its owning shard.
+// A file unlink validates by the dentry alone and checks the parent's
+// permission in its commit (unlinkDentry); every error path and every
+// rmdir read the parent first, which keeps the single-shard precedence.
 func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool) (string, vfs.Ino, error) {
 	r := call(p, s, sess, rpc.OpRemove, 160, 128, func(p *sim.Proc) removeReply {
 		var out removeReply
@@ -193,26 +189,30 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 			}
 			valid := false
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
+				var ok bool
+				if !rmdir {
+					if de, ok = mdb.Get(tx, s.dentries, key); ok && de.Type != vfs.TypeDir {
+						out.id, valid = de.Child, true
+						return
+					}
+				}
 				if _, err := s.dirRow(tx, ctx, parent, true); err != nil {
 					out.err = err
 					return
 				}
-				var ok bool
-				de, ok = mdb.Get(tx, s.dentries, key)
-				if !ok {
+				if rmdir {
+					de, ok = mdb.Get(tx, s.dentries, key)
+				}
+				switch {
+				case !ok:
 					out.err = vfs.ErrNotExist
-					return
-				}
-				out.id = de.Child
-				if rmdir && de.Type != vfs.TypeDir {
-					out.err = vfs.ErrNotDir
-					return
-				}
-				if !rmdir && de.Type == vfs.TypeDir {
+				case !rmdir:
 					out.err = vfs.ErrIsDir
-					return
+				case de.Type != vfs.TypeDir:
+					out.err = vfs.ErrNotDir
+				default:
+					out.id, valid = de.Child, true
 				}
-				valid = true
 			})
 			if !valid {
 				return out
@@ -247,7 +247,7 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 				}
 			})
 			s.revokeLeases(p, sess, dentLease(parent, name), attrLease(parent))
-			s.peerDeleteInode(p, sess, ts, id, false)
+			s.peerDeleteInode(p, sess, ts, id)
 			out.isDir = true
 			return out
 		}
@@ -256,41 +256,52 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 		if s.owns(id) {
 			// Co-located file: finish in one local transaction.
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
-				row, _ := mdb.Get(tx, s.inodes, id)
-				mdb.Delete(tx, s.dentries, key)
-				row.Nlink--
-				if din, ok := mdb.Get(tx, s.inodes, parent); ok {
-					din.Mtime = p.Now()
-					mdb.Put(tx, s.inodes, parent, din)
+				if out.err = s.unlinkDentry(tx, ctx, key, p.Now()); out.err != nil {
+					return
 				}
+				row, _ := mdb.Get(tx, s.inodes, id)
+				row.Nlink--
 				if row.Nlink <= 0 {
-					out.upath, _ = mdb.Get(tx, s.mappings, id)
-					out.removed = true
+					out.upath, out.removed = row.Path, true
 					mdb.Delete(tx, s.inodes, id)
-					mdb.Delete(tx, s.mappings, id)
 				} else {
 					mdb.Put(tx, s.inodes, id, row)
 				}
 			})
-			s.revokeLeases(p, sess, dentLease(parent, name), attrLease(id), attrLease(parent))
+			if out.err == nil {
+				s.revokeLeases(p, sess, dentLease(parent, name), attrLease(id), attrLease(parent))
+			}
 			return out
 		}
 
 		// The file's inode lives elsewhere (renamed in from another
 		// directory): drop the dentry here, then its link at the owner.
 		s.DB.Transaction(p, func(tx *mdb.Tx) {
-			mdb.Delete(tx, s.dentries, key)
-			if din, ok := mdb.Get(tx, s.inodes, parent); ok {
-				din.Mtime = p.Now()
-				mdb.Put(tx, s.inodes, parent, din)
-			}
+			out.err = s.unlinkDentry(tx, ctx, key, p.Now())
 		})
+		if out.err != nil {
+			return out
+		}
 		s.revokeLeases(p, sess, dentLease(parent, name), attrLease(parent))
 		rep := s.peerUnlink(p, sess, id)
 		out.upath, out.removed = rep.upath, rep.removed
 		return out
 	})
 	return r.upath, r.id, r.err
+}
+
+// unlinkDentry is a file unlink's commit at the parent's shard, on one
+// read of the parent's row: the permission check, the dentry's removal
+// and the parent's mtime. Inside a transaction; an error writes nothing.
+func (s *Service) unlinkDentry(tx *mdb.Tx, ctx vfs.Ctx, key dentryKey, now time.Duration) error {
+	din, err := s.dirRow(tx, ctx, key.Parent, true)
+	if err != nil {
+		return err
+	}
+	din.Mtime = now
+	mdb.Delete(tx, s.dentries, key)
+	mdb.Put(tx, s.inodes, key.Parent, din)
+	return nil
 }
 
 // peerDirEmpty checks, at the directory's owning shard, that it has no
@@ -306,19 +317,14 @@ func (s *Service) peerDirEmpty(p *sim.Proc, ts *Service, id vfs.Ino) bool {
 }
 
 // peerDeleteInode reclaims an inode row at its owning shard (commit
-// step; the row's dentry is already gone), plus — only when withMapping
-// is set, so the directory-reclaim callers charge exactly what they
-// always did — the mapping prepared next to a regular file's row
-// (createRemote's abort). The owner recalls any attribute leases on
-// the retired row; sess may be nil when reclaiming a prepared row that
-// no client ever saw.
-func (s *Service) peerDeleteInode(p *sim.Proc, sess *Session, ts *Service, id vfs.Ino, withMapping bool) {
+// step; the row's dentry is already gone): a retired directory, or a
+// prepared row createRemote aborts. The owner recalls any attribute
+// leases on the retired row; sess may be nil when reclaiming a prepared
+// row that no client ever saw.
+func (s *Service) peerDeleteInode(p *sim.Proc, sess *Session, ts *Service, id vfs.Ino) {
 	peerCall(p, s, ts, 96, 64, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) struct{} {
 		ts.DB.Transaction(p, func(tx *mdb.Tx) {
 			mdb.Delete(tx, ts.inodes, id)
-			if withMapping {
-				mdb.Delete(tx, ts.mappings, id)
-			}
 		})
 		ts.revokeLeases(p, sess, attrLease(id))
 		return struct{}{}
@@ -326,7 +332,8 @@ func (s *Service) peerDeleteInode(p *sim.Proc, sess *Session, ts *Service, id vf
 }
 
 // peerUnlink drops one link of a non-directory inode at its owning
-// shard, reclaiming the row and its mapping when the last link dies.
+// shard, reclaiming the row — and returning its underlying path — when
+// the last link dies.
 func (s *Service) peerUnlink(p *sim.Proc, sess *Session, id vfs.Ino) removeReply {
 	ts := s.peer(id)
 	return peerCall(p, s, ts, 128, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) removeReply {
@@ -338,10 +345,8 @@ func (s *Service) peerUnlink(p *sim.Proc, sess *Session, id vfs.Ino) removeReply
 			}
 			row.Nlink--
 			if row.Nlink <= 0 {
-				rr.upath, _ = mdb.Get(tx, ts.mappings, id)
-				rr.removed = true
+				rr.upath, rr.removed = row.Path, true
 				mdb.Delete(tx, ts.inodes, id)
-				mdb.Delete(tx, ts.mappings, id)
 			} else {
 				mdb.Put(tx, ts.inodes, id, row)
 			}
@@ -356,6 +361,9 @@ func (s *Service) peerUnlink(p *sim.Proc, sess *Session, id vfs.Ino) removeReply
 // shard, the replaced target's shard and — implicitly, unchanged — the
 // moving inode's. All validation happens before any mutation, in the
 // single-shard path's error-precedence order.
+// Onto an absent name on another shard, the destination is the last
+// agent of the commit: once the source and the name have validated, it
+// installs in its validation message (docs/transactions.md).
 func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino, srcName string, dstDir vfs.Ino, dstName string) (string, vfs.Ino, error) {
 	r := call(p, s, sess, rpc.OpRename, 224, 128, func(p *sim.Proc) removeReply {
 		var out removeReply
@@ -377,9 +385,10 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 		defer txn.release(p)
 
 		type dstView struct {
-			err error
-			de  dentryRow
-			ok  bool
+			err       error
+			de        dentryRow
+			ok        bool
+			installed bool
 		}
 		var srcDe dentryRow
 		var dv dstView
@@ -407,14 +416,28 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 				out.err = sdErr
 				return out
 			}
-			dv = peerCall(p, s, D, 160, 128, D.cfg.ServiceCPUPerOp, func(p *sim.Proc) dstView {
+			install := D != s && srcOK && dstName != "" && len(dstName) <= vfs.MaxNameLen
+			req := int64(160)
+			if install {
+				req = 192
+			}
+			dv = peerCall(p, s, D, req, 128, D.cfg.ServiceCPUPerOp, func(p *sim.Proc) dstView {
 				var v dstView
 				D.DB.Transaction(p, func(tx *mdb.Tx) {
-					if _, v.err = D.dirRow(tx, ctx, dstDir, true); v.err != nil {
+					var dd inodeRow
+					if dd, v.err = D.dirRow(tx, ctx, dstDir, true); v.err != nil {
 						return
 					}
 					v.de, v.ok = mdb.Get(tx, D.dentries, dstKey)
+					if install && !v.ok {
+						D.installDentry(tx, dstKey, srcDe, dd, false, p.Now())
+						v.installed = true
+					}
 				})
+				if v.installed {
+					D.revokeLeases(p, sess, dentLease(dstDir, dstName), attrLease(dstDir))
+					D.grantDentry(p, sess, dstDir, dstName, srcDe.Child)
+				}
 				return v
 			})
 			if dv.err != nil {
@@ -509,27 +532,20 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 				attrLease(srcDir), attrLease(dstDir))
 			s.grantDentry(p, sess, dstDir, dstName, id)
 		} else {
-			// Install the destination dentry first, then retire the
-			// source: the moving object never disappears from both
-			// directories.
-			peerCall(p, s, D, 192, 64, D.cfg.ServiceCPUPerOp, func(p *sim.Proc) struct{} {
-				D.DB.Transaction(p, func(tx *mdb.Tx) {
-					mdb.Put(tx, D.dentries, dstKey, dentryRow{Parent: dstDir, Name: dstName, Child: id, Type: srcDe.Type})
-					if dd, ok := mdb.Get(tx, D.inodes, dstDir); ok {
-						if movingDir {
-							dd.Nlink++
-						}
-						if replacedDir {
-							dd.Nlink--
-						}
-						dd.Mtime = p.Now()
-						mdb.Put(tx, D.inodes, dstDir, dd)
-					}
+			// Install the destination dentry first (unless validation
+			// already did), then retire the source: the moving object
+			// never disappears from both directories.
+			if !dv.installed {
+				peerCall(p, s, D, 192, 64, D.cfg.ServiceCPUPerOp, func(p *sim.Proc) struct{} {
+					D.DB.Transaction(p, func(tx *mdb.Tx) {
+						dd, _ := mdb.Get(tx, D.inodes, dstDir)
+						D.installDentry(tx, dstKey, srcDe, dd, replacedDir, p.Now())
+					})
+					D.revokeLeases(p, sess, dentLease(dstDir, dstName), attrLease(dstDir))
+					D.grantDentry(p, sess, dstDir, dstName, id)
+					return struct{}{}
 				})
-				D.revokeLeases(p, sess, dentLease(dstDir, dstName), attrLease(dstDir))
-				D.grantDentry(p, sess, dstDir, dstName, id)
-				return struct{}{}
-			})
+			}
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
 				mdb.Delete(tx, s.dentries, srcKey)
 				if sd, ok := mdb.Get(tx, s.inodes, srcDir); ok {
@@ -547,7 +563,7 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 		// directory) or one link of a replaced file/symlink.
 		if existing != 0 {
 			if replacedDir {
-				s.peerDeleteInode(p, sess, s.peer(existing), existing, false)
+				s.peerDeleteInode(p, sess, s.peer(existing), existing)
 			} else {
 				rep := s.peerUnlink(p, sess, existing)
 				out.upath, out.removed = rep.upath, rep.removed
@@ -556,6 +572,23 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 		return out
 	})
 	return r.upath, r.id, r.err
+}
+
+// installDentry is a rename's destination half, run at the destination
+// directory's shard inside a transaction that has read the directory's
+// row dd: the entry for the moving object, and dd's new mtime and
+// nlink, which gains a moving directory's ".." and loses a replaced
+// directory's.
+func (s *Service) installDentry(tx *mdb.Tx, key dentryKey, moving dentryRow, dd inodeRow, replacedDir bool, now time.Duration) {
+	mdb.Put(tx, s.dentries, key, dentryRow{Parent: key.Parent, Name: key.Name, Child: moving.Child, Type: moving.Type})
+	if moving.Type == vfs.TypeDir {
+		dd.Nlink++
+	}
+	if replacedDir {
+		dd.Nlink--
+	}
+	dd.Mtime = now
+	mdb.Put(tx, s.inodes, key.Parent, dd)
 }
 
 // linkRemote adds a hard link at (parent, name) to an inode another

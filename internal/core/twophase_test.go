@@ -329,8 +329,8 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 		now    time.Duration
 		msgs   int64
 	}{
-		{2, 1421298390 * time.Nanosecond, 610},
-		{4, 1459748619 * time.Nanosecond, 650},
+		{2, 1421295190 * time.Nanosecond, 610},
+		{4, 1459657419 * time.Nanosecond, 648},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {

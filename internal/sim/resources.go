@@ -70,6 +70,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 	queue    fifo[*Proc]
+	idle     fifo[*Proc] // WaitIdle's waiters
 
 	Acquires  int64
 	Contended int64
@@ -121,7 +122,21 @@ func (r *Resource) Release(p *Proc) {
 	r.inUse--
 	if r.inUse == 0 {
 		r.BusyTotal += r.env.now - r.lastBusy
+		for r.idle.len() > 0 {
+			r.env.unpark(r.idle.pop())
+		}
 	}
+}
+
+// WaitIdle blocks p until no slot is in use: every holder has released
+// and no waiter was handed a slot on the way. It returns at once on an
+// idle resource and takes no slot itself.
+func (r *Resource) WaitIdle(p *Proc) {
+	if r.inUse == 0 {
+		return
+	}
+	r.idle.push(p)
+	p.park()
 }
 
 // Use acquires the resource, sleeps for hold, and releases it. It is the

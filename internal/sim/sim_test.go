@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -168,6 +169,33 @@ func TestResourceUse(t *testing.T) {
 	}
 	if r.BusyTotal != 10*time.Millisecond {
 		t.Fatalf("busy %v, want 10ms", r.BusyTotal)
+	}
+}
+
+// TestResourceWaitIdle: WaitIdle returns at once on an idle resource
+// and otherwise when the last slot is released, not when a slot is
+// handed from a holder to a waiter.
+func TestResourceWaitIdle(t *testing.T) {
+	env := NewEnv(1)
+	r := NewResource(env, "srv", 1)
+	for i := 0; i < 2; i++ {
+		env.Spawn("w", func(p *Proc) { r.Use(p, 10*time.Millisecond) })
+	}
+	var idleAt []time.Duration
+	for _, at := range []time.Duration{0, 5 * time.Millisecond, 30 * time.Millisecond} {
+		env.Spawn("drain", func(p *Proc) {
+			p.Sleep(at)
+			r.WaitIdle(p)
+			idleAt = append(idleAt, p.Now())
+		})
+	}
+	env.MustRun()
+	want := []time.Duration{20 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
+	if !slices.Equal(idleAt, want) {
+		t.Fatalf("WaitIdle returned at %v, want %v", idleAt, want)
+	}
+	if r.Acquires != 2 {
+		t.Fatalf("WaitIdle took slots: %d acquires, want 2", r.Acquires)
 	}
 }
 
