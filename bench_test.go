@@ -286,51 +286,6 @@ func BenchmarkMetadataCache(b *testing.B) {
 	}
 }
 
-// BenchmarkStandbyReads pins the standby read path (docs/replication.md):
-// the stat-dominated storm — 8 ranks `ls -l`-ing a shared 256-file
-// directory while every rank's utime sweep keeps mutations landing on
-// the primaries — once per shard count with reads on the primaries
-// (off) and once routed through the per-shard hot standbys (on). The
-// off rows must stay bit-identical to the pre-standby plane (the
-// cost-identity contract of the StandbyReads knob); the on rows pin
-// what the standbys change — stats and names-only listings leave the
-// mutation-loaded primaries, which shortens the tail and, on this
-// storm, leaves the mean where it was — and the mds.standby-reads /
-// mds.standby-fallbacks counters in the record pin how many reads the
-// freshness gate actually served versus redirected.
-func BenchmarkStandbyReads(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		for _, mode := range []string{"off", "on"} {
-			shards, mode := shards, mode
-			b.Run(fmt.Sprintf("%s-%dshards", mode, shards), func(b *testing.B) {
-				var sum *stats.Summary
-				var c *stats.Counters
-				var mt bench.Meter
-				for i := 0; i < b.N; i++ {
-					cfg := params.Default()
-					cfg.COFS.MetadataShards = shards
-					cfg.COFS.StandbyReads = mode == "on"
-					mt.Start()
-					sum, c = experiments.ClientCacheStorm(int64(i+1), cfg)
-					mt.Stop()
-				}
-				b.ReportMetric(sum.MeanMs(), "vms/op")
-				rec := bench.Record{
-					Name: fmt.Sprintf("standby-reads/%s-%dshards", mode, shards), Shards: shards,
-					VmsPerOp: sum.MeanMs(),
-					P50Ms:    float64(sum.Percentile(50)) / float64(time.Millisecond),
-					P99Ms:    float64(sum.Percentile(99)) / float64(time.Millisecond),
-				}
-				mt.Fill(&rec, sum.N())
-				rec.SetCounters(c)
-				if err := bench.WriteRecord(rec); err != nil {
-					b.Logf("bench record: %v", err)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkReshardUnderLoad pins the cost of online resharding under
 // load (docs/resharding.md): a create/stat/utime storm — 8 ranks (4
 // nodes x 2 procs), shared directory, coherent lease cache on — while

@@ -55,7 +55,7 @@ func main() {
 	cfg, stop := tool.Start("cofsctl")
 	defer stop()
 	tb := cluster.New(*seed, *nodes, cfg)
-	d := tool.Deploy(tb)
+	d := core.Deploy(tb, nil)
 
 	// Demo workload: shared dir, parallel creates, a few stats.
 	tb.Env.Spawn("setup", func(p *sim.Proc) {

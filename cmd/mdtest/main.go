@@ -48,7 +48,7 @@ func main() {
 	case "gpfs":
 		tgt = bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
 	case "cofs":
-		deployment = tool.Deploy(tb)
+		deployment = core.Deploy(tb, nil)
 		tgt = bench.Target{Env: tb.Env, Mounts: deployment.Mounts, Ctx: cluster.Ctx}
 	default:
 		fmt.Fprintf(os.Stderr, "mdtest: unknown fs %q\n", *fs)

@@ -46,7 +46,7 @@ func main() {
 	switch *fsKind {
 	case "gpfs":
 	case "cofs":
-		deployment = tool.Deploy(tb)
+		deployment = core.Deploy(tb, nil)
 		target.Mounts = deployment.Mounts
 	default:
 		fmt.Fprintln(os.Stderr, "metarates: -fs must be gpfs or cofs")

@@ -38,9 +38,8 @@ import (
 // (hex-formatted, so float equality is bitwise), and every deployment
 // counter. With reshard set the plane starts at 2 shards and reshards
 // to 4 while the stat phase runs. With standby set the plane ships its
-// WAL to per-shard standbys and routes reads through them — the
-// freshness gate, the fallback path and the reshard-time pause/resume
-// and reconnect machinery all land inside the fingerprint.
+// WAL to per-shard standbys, which grow in lockstep with a reshard —
+// each replica's shipping rounds and records land in the fingerprint.
 func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 	t.Helper()
 	cfg := params.Default()
@@ -49,11 +48,11 @@ func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 		cfg.COFS.MetadataShards = 2
 	}
 	cfg.COFS.AttrLease = 30 * time.Second
-	cfg.COFS.StandbyReads = standby
 	tb := cluster.New(seed, 8, cfg)
 	d := core.Deploy(tb, nil)
+	var sbp *core.Standby
 	if standby {
-		core.DeployStandby(tb, d, 5*time.Millisecond)
+		sbp = core.DeployStandby(tb, d, 5*time.Millisecond)
 		tb.Run()
 	}
 	tgt := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
@@ -79,6 +78,11 @@ func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 		fmt.Fprintf(&sb, "%s ops %d mean %x vms\n", ph, res.PhaseOps[ph], res.MeanMs(ph))
 	}
 	writeCounters(&sb, d.Counters())
+	if sbp != nil {
+		for i, r := range sbp.Replicas {
+			fmt.Fprintf(&sb, "standby-%d ships %d records %d\n", i, r.Ships, r.Records)
+		}
+	}
 	return sb.String()
 }
 

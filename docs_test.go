@@ -2,6 +2,9 @@ package cofs_test
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,8 +19,9 @@ import (
 // These tests keep the documentation wired to the tree: every relative
 // markdown link in README.md and docs/ must resolve to a real file or
 // directory, every internal/ package the README names must exist, and
-// every deployment knob and tool flag the docs name must be real.
-// CI runs them as the docs job (go test -run TestDocs .).
+// every deployment knob and tool flag the docs name must be real, and
+// every test and benchmark pattern the CI workflow names must select
+// something. CI runs them as the docs job (go test -run TestDocs .).
 
 // docFiles returns README.md plus every markdown page under docs/.
 func docFiles(t *testing.T) []string {
@@ -143,4 +147,103 @@ func TestDocsNameRealKnobs(t *testing.T) {
 			t.Errorf("bench.ToolFlags registers -%s, which README.md's flag table does not list", f.Name)
 		}
 	})
+}
+
+// testFuncs returns the Test* and Benchmark* function names declared in
+// the _test.go files of the package directory dir.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Benchmark")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
+}
+
+var ciQuoted = regexp.MustCompile(`'[^']*'|[^\s']+`)
+
+// TestDocsCIPatternsNameRealTests: every -run and -bench pattern of a
+// `go test` in the CI workflow selects something. Each |-alternative —
+// its part before the first / when it names subtests — must match a
+// Test (for -run) or Benchmark (for -bench) function of the packages
+// the command lists, so a deleted or renamed test cannot leave a CI
+// step quietly running nothing. A -run beside a -bench only keeps the
+// tests from running and is not checked.
+func TestDocsCIPatternsNameRealTests(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for n, line := range strings.Split(string(body), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		cmd, _, _ = strings.Cut(cmd, "&&")
+		pats := map[string]string{}
+		var pkgs []string
+		args := ciQuoted.FindAllString(cmd, -1)
+		for i := 0; i < len(args); i++ {
+			arg := strings.Trim(args[i], "'")
+			switch {
+			case (arg == "-run" || arg == "-bench") && i+1 < len(args):
+				pats[arg] = strings.Trim(args[i+1], "'")
+				i++
+			case arg == "." || strings.HasPrefix(arg, "./"):
+				pkgs = append(pkgs, arg)
+			}
+		}
+		if _, ok := pats["-bench"]; ok {
+			delete(pats, "-run")
+		}
+		if len(pats) == 0 {
+			continue
+		}
+		var funcs []string
+		for _, pkg := range pkgs {
+			funcs = append(funcs, testFuncs(t, pkg)...)
+		}
+		for flagName, pat := range pats {
+			prefix := "Test"
+			if flagName == "-bench" {
+				prefix = "Benchmark"
+			}
+			for _, alt := range strings.Split(pat, "|") {
+				alt, _, _ = strings.Cut(alt, "/")
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml:%d: %s alternative %q: %v", n+1, flagName, alt, err)
+					continue
+				}
+				found := false
+				for _, fn := range funcs {
+					if strings.HasPrefix(fn, prefix) && re.MatchString(fn) {
+						found = true
+						break
+					}
+				}
+				checked++
+				if !found {
+					t.Errorf("ci.yml:%d: %s alternative %q matches no %s function in %v", n+1, flagName, alt, prefix, pkgs)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("ci.yml names no go test patterns: the workflow moved or the parser broke")
+	}
 }

@@ -15,17 +15,16 @@ import (
 
 // ToolFlags is the deployment surface the tools share (cofsctl, mdtest,
 // metarates): the flags that shape a COFS deployment and its
-// observability, the deploy step, and the end-of-run report. Each tool
+// observability, and the end-of-run report. Each tool
 // binds it beside its own workload flags, so the three cannot drift.
 type ToolFlags struct {
-	Shards       int
-	AttrLease    time.Duration
-	StandbyReads bool
-	Trace        string
-	Metrics      bool
-	Slowlog      time.Duration
-	CPUProfile   string
-	MemProfile   string
+	Shards     int
+	AttrLease  time.Duration
+	Trace      string
+	Metrics    bool
+	Slowlog    time.Duration
+	CPUProfile string
+	MemProfile string
 }
 
 // BindToolFlags registers the shared flags on fs.
@@ -33,7 +32,6 @@ func BindToolFlags(fs *flag.FlagSet) *ToolFlags {
 	f := &ToolFlags{}
 	fs.IntVar(&f.Shards, "shards", 1, "cofs metadata service shards")
 	fs.DurationVar(&f.AttrLease, "attr-lease", 0, "cofs client cache lease term (0 disables the client cache)")
-	fs.BoolVar(&f.StandbyReads, "standby-reads", false, "cofs: serve reads from per-shard hot standbys when provably fresh (docs/replication.md)")
 	fs.StringVar(&f.Trace, "trace", "", "cofs: write a Chrome trace-event JSON of the run to this file (open in Perfetto; docs/observability.md)")
 	fs.BoolVar(&f.Metrics, "metrics", false, "cofs: collect and print per-(op, shard) latency histograms and skew rates")
 	fs.DurationVar(&f.Slowlog, "slowlog", 0, "cofs: print the slowest operation spans at or above this virtual-time threshold (implies tracing)")
@@ -48,7 +46,6 @@ func (f *ToolFlags) Config() params.Config {
 	cfg := params.Default()
 	cfg.COFS.MetadataShards = f.Shards
 	cfg.COFS.AttrLease = f.AttrLease
-	cfg.COFS.StandbyReads = f.StandbyReads
 	cfg.COFS.Trace = f.Trace != "" || f.Slowlog > 0
 	cfg.COFS.Metrics = f.Metrics
 	return cfg
@@ -70,17 +67,6 @@ func (f *ToolFlags) Start(tool string) (params.Config, func()) {
 			fmt.Fprintf(os.Stderr, "%s: profile: %v\n", tool, err)
 		}
 	}
-}
-
-// Deploy installs COFS on tb and, with -standby-reads, a hot standby
-// plane shipping 5 ms behind it.
-func (f *ToolFlags) Deploy(tb *cluster.Testbed) *core.Deployment {
-	d := core.Deploy(tb, nil)
-	if f.StandbyReads {
-		core.DeployStandby(tb, d, 5*time.Millisecond)
-		tb.Run()
-	}
-	return d
 }
 
 // Report writes the end-of-run report of a deployment to w: the

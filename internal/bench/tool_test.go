@@ -14,6 +14,7 @@ import (
 
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
+	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 )
@@ -45,7 +46,6 @@ func TestToolFlagsEachSetsItsField(t *testing.T) {
 	}{
 		{[]string{"-shards", "3"}, func(cfg *params.Config) { cfg.COFS.MetadataShards = 3 }},
 		{[]string{"-attr-lease", "2s"}, func(cfg *params.Config) { cfg.COFS.AttrLease = 2 * time.Second }},
-		{[]string{"-standby-reads"}, func(cfg *params.Config) { cfg.COFS.StandbyReads = true }},
 		{[]string{"-trace", "out.json"}, func(cfg *params.Config) { cfg.COFS.Trace = true }},
 		{[]string{"-metrics"}, func(cfg *params.Config) { cfg.COFS.Metrics = true }},
 		// The slow-op log reads spans, so it turns the tracer on.
@@ -66,14 +66,14 @@ func TestToolFlagsEachSetsItsField(t *testing.T) {
 	}
 }
 
-// TestToolFlagsReport deploys through the binding and checks that the
+// TestToolFlagsReport deploys with the bound configuration and checks that the
 // end-of-run report carries every section the flags asked for, and
 // that the exported trace is valid JSON.
 func TestToolFlagsReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.json")
 	f := parseTool(t, "-shards", "2", "-metrics", "-slowlog", "1ns", "-trace", out)
 	tb := cluster.New(1, 2, f.Config())
-	d := f.Deploy(tb)
+	d := core.Deploy(tb, nil)
 	tb.Env.Spawn("mkdir", func(p *sim.Proc) {
 		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
 			t.Error(err)

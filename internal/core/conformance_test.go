@@ -16,21 +16,26 @@ import (
 // COFS must be semantically indistinguishable from the file system it
 // interposes (section III: "the COFS prototype is POSIX compliant") at
 // every point of the deployment space: commit mode, shard count,
-// client cache, reshard batch size, standby-read routing.
+// client cache, reshard batch size, standby shipping delay.
 // TestConformanceMatrix runs the full battery — including the
 // crash/recover, crash/promote and live-reshard capability cases —
 // against the whole cross-product; the plain TestConformance variants
 // keep the paper's default deployment and the cache extension directly
 // greppable.
 
-// cofsSystem deploys a two-node COFS testbed for one conformance case
-// and wires every capability hook: crash/recover and standby-promote
+// shipDelay is how far the conformance deployments' hot standby ships
+// behind the primary.
+const shipDelay = 10 * time.Millisecond
+
+// cofsSystem deploys a two-node COFS testbed for one conformance case,
+// its hot standby shipping ship behind the primary, and wires every
+// capability hook: crash/recover and standby-promote
 // over the plane's WAL machinery, live reshard over the handoff
 // protocol, and a second mount for the coherence cases.
-func cofsSystem(seed int64, cfg params.Config) *conformance.System {
+func cofsSystem(seed int64, cfg params.Config, ship time.Duration) *conformance.System {
 	tb := cluster.New(seed, 2, cfg)
 	d := core.Deploy(tb, nil)
-	sb := core.DeployStandby(tb, d, 10*time.Millisecond)
+	sb := core.DeployStandby(tb, d, ship)
 	tb.Run()
 	return &conformance.System{
 		Env:    tb.Env,
@@ -53,10 +58,9 @@ func cofsSystem(seed int64, cfg params.Config) *conformance.System {
 }
 
 // cofsCaps declares what a COFS deployment supports. Negative-dentry
-// leases exist only in lease-cache mode and the stale-free standby
-// read battery only applies when the deployment routes reads through
-// its standbys; everything else — snapshot listings included, since
-// they rest on the store's View — holds across the whole matrix.
+// leases exist only in lease-cache mode; everything else — snapshot
+// listings included, since they rest on the store's View — holds
+// across the whole matrix.
 func cofsCaps(cfg params.Config) conformance.Capabilities {
 	return conformance.Capabilities{
 		Permissions:          true,
@@ -65,7 +69,6 @@ func cofsCaps(cfg params.Config) conformance.Capabilities {
 		NegativeDentryLeases: cfg.COFS.AttrLease > 0,
 		CrashRecover:         true,
 		Handoff:              true,
-		StandbyReads:         cfg.COFS.StandbyReads,
 		SnapshotReads:        true,
 	}
 }
@@ -73,12 +76,12 @@ func cofsCaps(cfg params.Config) conformance.Capabilities {
 // cofsProvider builds the conformance provider for one deployment
 // configuration, deriving a distinct deterministic seed per case from
 // the configuration axes.
-func cofsProvider(name string, seed int64, cfg params.Config) conformance.Provider {
+func cofsProvider(name string, seed int64, cfg params.Config, ship time.Duration) conformance.Provider {
 	return conformance.Provider{
 		Name:         name,
 		Capabilities: cofsCaps(cfg),
 		New: func(t *testing.T) *conformance.System {
-			return cofsSystem(seed, cfg)
+			return cofsSystem(seed, cfg, ship)
 		},
 	}
 }
@@ -86,7 +89,7 @@ func cofsProvider(name string, seed int64, cfg params.Config) conformance.Provid
 // TestConformance runs the battery against the paper's default
 // deployment (single shard, no client cache).
 func TestConformance(t *testing.T) {
-	conformance.Run(t, cofsProvider("cofs", 13, params.Default()))
+	conformance.Run(t, cofsProvider("cofs", 13, params.Default(), shipDelay))
 }
 
 // TestConformanceWithAttrCache repeats the battery with the client
@@ -96,13 +99,13 @@ func TestConformance(t *testing.T) {
 func TestConformanceWithAttrCache(t *testing.T) {
 	cfg := params.Default()
 	cfg.COFS.AttrLease = cfg.FUSE.EntryTimeout
-	conformance.Run(t, cofsProvider("cofs-attrcache", 17, cfg))
+	conformance.Run(t, cofsProvider("cofs-attrcache", 17, cfg, shipDelay))
 }
 
 // TestConformanceMatrix is the provider-grade cross-product: every
 // commit mode × shard count × client-cache mode × reshard batch size ×
-// standby-read routing, each running the full battery plus the
-// crash/promote and reshard replays. Two axes keep the cell names of
+// standby shipping delay, each running the full battery plus the
+// crash/promote and reshard replays. Three axes keep the cell names of
 // the axes they replaced, so every cell keeps its name and seed. The
 // commit-mode axis: "mdb" is the default deployment, whose WAL is
 // flushed every LogFlushInterval, and "mdls" runs the same store with
@@ -112,9 +115,14 @@ func TestConformanceWithAttrCache(t *testing.T) {
 // "shared" cells migrate the default 64 groups per batch, "excl" cells
 // one (ReshardBatchRows 1), so a live reshard holds each group's rows
 // exclusively in a batch of their own and crosses a batch boundary per
-// group. The excl cells start at 2 shards and the standby-read cells
-// run the default batch only, the bounds of the lock-mode axis this one
-// replaced, so that the seeds derived from the cell order stay put.
+// group. The shipping axis: every cell's hot standby ships its WAL
+// 10 ms behind the primary, except the "sbreads" cells — once the cells
+// that routed reads through the standby, which now serves none — whose
+// standby ships each commit as it lands, so the battery also runs with
+// no shipping window at all. The excl cells start at 2 shards and the
+// sbreads cells run the default batch only, the bounds of the lock-mode
+// axis the batch axis replaced, so that the seeds derived from the cell
+// order stay put.
 func TestConformanceMatrix(t *testing.T) {
 	axis := 0
 	for _, commit := range []string{"mdb", "mdls"} {
@@ -137,9 +145,12 @@ func TestConformanceMatrix(t *testing.T) {
 						if excl {
 							cfg.COFS.ReshardBatchRows = 1
 						}
-						cfg.COFS.StandbyReads = sbr
 						if lease {
 							cfg.COFS.AttrLease = 30 * time.Second
+						}
+						ship := shipDelay
+						if sbr {
+							ship = 0
 						}
 						mode := "nolease"
 						if lease {
@@ -155,7 +166,7 @@ func TestConformanceMatrix(t *testing.T) {
 						}
 						seed := int64(100 + axis)
 						t.Run(name, func(t *testing.T) {
-							conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg))
+							conformance.Run(t, cofsProvider("cofs-"+name, seed, cfg, ship))
 						})
 					}
 				}

@@ -135,18 +135,11 @@ func (d *Deployment) Counters() *stats.Counters {
 }
 
 // planeCounters adds the counters that live on one metadata plane into
-// c — its standbys' read offload, request/lease totals, row-lock
-// figures, reshard accounting, the shard stores' snapshot reads.
+// c — its request/lease totals, row-lock figures, reshard accounting,
+// the shard stores' snapshot reads.
 // Counters calls it for every plane that served; a standby plane's own
 // counts join when Promote records it.
 func planeCounters(c *stats.Counters, svc *MDSCluster) {
-	var sbReads, sbFalls int64
-	for _, sb := range svc.standbys {
-		sbReads += sb.Reads
-		sbFalls += sb.Fallbacks
-	}
-	c.Add("mds.standby-reads", sbReads)
-	c.Add("mds.standby-fallbacks", sbFalls)
 	ss := svc.Stats()
 	c.Add("mds.requests", ss.Requests)
 	c.Add("mds.lease-revocations", ss.Revocations)

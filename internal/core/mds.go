@@ -228,20 +228,6 @@ func (c *MDSCluster) shard(ino vfs.Ino) *Service { return c.shards[c.Of(ino)] }
 // ReshardStats returns the plane's resharding counters.
 func (c *MDSCluster) ReshardStats() reshard.Stats { return c.rstats }
 
-// readStandby returns the standby plane that offloads this primary's
-// reads, nil when none was deployed with COFSParams.StandbyReads. The
-// pointer is returned even while serving is paused (mid-reshard):
-// dialing decisions key on its existence, the per-read gate re-checks
-// paused on the standby host (standby.go).
-func (c *MDSCluster) readStandby() *Standby {
-	for _, sb := range c.standbys {
-		if sb.serveReads {
-			return sb
-		}
-	}
-	return nil
-}
-
 // ---- routed operations (the client-facing surface used by FS) ----
 //
 // Every operation travels the calling session's RPC channel to its
@@ -273,17 +259,10 @@ func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *
 	}
 }
 
-// Lookup resolves (parent, name); coordinated by the parent's shard —
-// or served by its standby when one offloads reads and can prove the
-// answer fresh (standby.go).
+// Lookup resolves (parent, name); coordinated by the parent's shard.
 func (c *MDSCluster) Lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name string) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.lookup", parent)
 	defer c.obsEnd(p, ob)
-	if sb := c.readStandby(); sb != nil {
-		if attr, err, ok := sb.lookup(p, sess, parent, name); ok {
-			return attr, err
-		}
-	}
 	c.routed(p, sess, parent, func(s *Service) error {
 		attr, err = s.Lookup(p, sess, parent, name)
 		return err
@@ -291,16 +270,10 @@ func (c *MDSCluster) Lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name str
 	return attr, err
 }
 
-// Getattr returns the attributes of id from its owning shard, or from
-// the shard's standby when the replication cursor proves them fresh.
+// Getattr returns the attributes of id from its owning shard.
 func (c *MDSCluster) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.getattr", id)
 	defer c.obsEnd(p, ob)
-	if sb := c.readStandby(); sb != nil {
-		if attr, err, ok := sb.getattr(p, sess, id); ok {
-			return attr, err
-		}
-	}
 	c.routed(p, sess, id, func(s *Service) error {
 		attr, err = s.Getattr(p, sess, id)
 		return err
@@ -402,17 +375,10 @@ func (c *MDSCluster) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.In
 	return ents, err
 }
 
-// readdir routes either kind of listing: coordinated by dir's shard, or
-// served whole from its standby when every row the listing returns is
-// provably covered by the replication cursor.
+// readdir routes either kind of listing, coordinated by dir's shard.
 func (c *MDSCluster) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino, plus bool) (ents []vfs.DirEntry, attrs []vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.readdir", dir)
 	defer c.obsEnd(p, ob)
-	if sb := c.readStandby(); sb != nil {
-		if ents, attrs, err, ok := sb.readdir(p, sess, ctx, dir, plus); ok {
-			return ents, attrs, err
-		}
-	}
 	c.routed(p, sess, dir, func(s *Service) error {
 		ents, attrs, err = s.readdir(p, sess, ctx, dir, plus)
 		return err

@@ -28,7 +28,6 @@ import (
 //	2pc.validate / 2pc.prepare / 2pc.commit
 //	               phases of a cross-shard mutation, on the
 //	               coordinator's track (twophase.go)
-//	standby.read   a standby-served (or fallen-back) read (standby.go)
 //	reshard.batch / reshard.handoff
 //	               row-migration work (reshard.go)
 //
@@ -46,9 +45,8 @@ import (
 type scope struct {
 	tr *obs.Tracer
 	m  *obs.Metrics
-	// client holds every session channel (to primary and standby
-	// shards), peer every shard-to-shard and migration channel: the
-	// rpc.client.* and rpc.peer.* counters.
+	// client holds every session channel, peer every shard-to-shard
+	// and migration channel: the rpc.client.* and rpc.peer.* counters.
 	client, peer []*rpc.Conn
 	// planes are the metadata planes that served, in order: the
 	// deployed primary, then each promoted standby.
@@ -74,8 +72,6 @@ const (
 	// sessionChan is a session's channel to a primary shard: a client
 	// channel sampling the shard's worker-queue gauge.
 	sessionChan chanRole = iota
-	// standbyChan is a session's channel to a standby shard.
-	standbyChan
 	// peerChan is a shard-to-shard or coordinator-to-shard channel.
 	peerChan
 )
@@ -90,8 +86,6 @@ func (o *scope) dial(local *netsim.Host, to *Service, role chanRole) *rpc.Conn {
 		if o.m != nil {
 			conn.Queue = o.m.QueueGauge(to.shardID)
 		}
-		o.client = append(o.client, conn)
-	case standbyChan:
 		o.client = append(o.client, conn)
 	default:
 		o.peer = append(o.peer, conn)
@@ -177,49 +171,6 @@ func (c *MDSCluster) obsEnd(p *sim.Proc, ob opObs) {
 	}
 	if o.m != nil {
 		o.m.Observe(ob.op, ob.shard, p.Now()-ob.start)
-	}
-}
-
-// sbObs is the span/metrics context of one standby read attempt; like
-// opObs, the zero value makes the end call a no-op.
-type sbObs struct {
-	start time.Duration
-	si    int
-	on    bool
-}
-
-// obsBegin opens the standby.read span before the standby RPC flies —
-// it cannot be opened retroactively afterwards, because the traced
-// transport child spans land on the same track while the call is in
-// flight. Whether the read was served or fell back is recorded in the
-// metrics at obsEnd instead.
-func (sb *Standby) obsBegin(p *sim.Proc, si int) sbObs {
-	o := sb.primary.obs
-	if o.tr == nil && o.m == nil {
-		return sbObs{}
-	}
-	if o.tr != nil {
-		o.tr.Begin(p, "", "standby.read", si)
-	}
-	return sbObs{start: p.Now(), si: si, on: true}
-}
-
-// obsEnd closes the standby.read span and samples the attempt's latency
-// as standby.serve or standby.fallback on the shard it was routed to.
-func (sb *Standby) obsEnd(p *sim.Proc, ob sbObs, served bool) {
-	if !ob.on {
-		return
-	}
-	o := sb.primary.obs
-	if o.tr != nil {
-		o.tr.End(p)
-	}
-	if o.m != nil {
-		op := "standby.serve"
-		if !served {
-			op = "standby.fallback"
-		}
-		o.m.Observe(op, ob.si, p.Now()-ob.start)
 	}
 }
 

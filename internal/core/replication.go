@@ -26,10 +26,8 @@ import (
 // finishes the move the dead primaries started.
 
 // Standby is a passive metadata plane tracking a primary, shard for
-// shard. With COFSParams.StandbyReads set it is not entirely passive:
-// reads whose freshness the per-shard replication cursor proves are
-// served from the standby shards (standby.go), everything else still
-// belongs to the primary.
+// shard. It serves nothing until Promote: every read and every
+// mutation goes to the primary.
 type Standby struct {
 	// Cluster is the standby plane (do not serve requests from it
 	// before Promote).
@@ -39,23 +37,6 @@ type Standby struct {
 	// delay is the shipping delay; new shard replicas attach with it
 	// when the primary grows mid-standby.
 	delay time.Duration
-	// primary is the plane this standby ships from.
-	primary *MDSCluster
-	// serveReads marks this standby as the plane's read offload
-	// (COFSParams.StandbyReads at deploy time); paused suspends serving
-	// while a reshard migrates rows — mid-migration a source shard's
-	// standby could prove a deletion fresh that is really a move, and
-	// serve ENOENT for a row alive at the target (Reshard sets it,
-	// settleReshard clears it).
-	serveReads bool
-	paused     bool
-
-	// Reads counts reads served from the standby plane; Fallbacks
-	// counts reads the cursor could not prove fresh, answered with a
-	// redirect the client pays for by retrying at the primary
-	// (mds.standby-reads / mds.standby-fallbacks).
-	Reads     int64
-	Fallbacks int64
 }
 
 // DeployStandby attaches a standby metadata plane to a running COFS
@@ -83,29 +64,19 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 	// standby plane shaped by the current epoch, whatever the shard
 	// count was when it attached.
 	sc.Maps = d.Service.Maps
-	sb := &Standby{Cluster: sc, delay: delay, primary: d.Service}
+	sb := &Standby{Cluster: sc, delay: delay}
 	for i := range sc.shards {
 		sb.Replicas = append(sb.Replicas,
 			mdb.Replicate(tb.Env, d.Service.shards[i].DB, sc.shards[i].DB, delay))
 	}
 	d.Service.standbys = append(d.Service.standbys, sb)
-	if tb.Cfg.COFS.StandbyReads && len(d.Service.standbys) == 1 {
-		// The first standby becomes the read offload; sessions dialed
-		// before it attached get their standby channels now.
-		sb.serveReads = true
-		for _, sess := range d.Service.sessions {
-			d.Service.dialSession(sess)
-		}
-	}
 	return sb
 }
 
 // grow extends the standby plane to the primary's shard count (called
 // by the primary's growTo at the start of a reshard): new standby
 // shards on new standby hosts, each shipping from its new primary
-// shard with the deploy-time delay. The primary then dials its sessions
-// to them before serving resumes at the settled epoch (reads are paused
-// for the whole migration).
+// shard with the deploy-time delay.
 func (sb *Standby) grow(primary *MDSCluster) {
 	sc := sb.Cluster
 	sc.growTo(len(primary.shards))
@@ -119,19 +90,13 @@ func (sb *Standby) grow(primary *MDSCluster) {
 // settles (called by the primary's retireDrained): the shipping tail —
 // the source's final delete commits — is drained synchronously first,
 // so the standby's drained shards end as empty as the primary's, then
-// the sessions drop their channels to them and the standby shards
-// themselves retire (hosts released).
+// the standby shards themselves retire (hosts released).
 func (sb *Standby) retire(p *sim.Proc, n int) {
 	for i := n; i < len(sb.Replicas); i++ {
 		sb.Replicas[i].Flush(p)
 		sb.Replicas[i].Stop()
 	}
 	sb.Replicas = sb.Replicas[:min(n, len(sb.Replicas))]
-	if sb.serveReads {
-		for _, sess := range sb.primary.sessions {
-			sess.sbconns = sess.sbconns[:min(n, len(sess.sbconns))]
-		}
-	}
 	sb.Cluster.retireDrained(p)
 }
 

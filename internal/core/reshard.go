@@ -117,13 +117,6 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	c.resharding = true
 	defer func() { c.resharding = false }()
 
-	// Standby serving stops for the whole migration (settleReshard
-	// resumes it): rows are about to exist on two shards and die on one,
-	// and the per-row freshness proof is only sound against a settled
-	// map. An interrupted migration stays paused — recovery settles and
-	// resumes.
-	c.pauseStandbyReads()
-
 	c.growTo(n)
 	c.ensureReshardRig()
 
@@ -154,7 +147,6 @@ func (c *MDSCluster) Reshard(p *sim.Proc, n int) error {
 	// Plan: every live group whose owner changes.
 	moves := reshard.PlanMoves(cur.New, n, uint64(split), c.liveGroups())
 	if _, err := c.Maps.Begin(n, uint64(split)); err != nil {
-		c.resumeStandbyReads()
 		return err
 	}
 	c.rstats.Epochs++
@@ -221,14 +213,13 @@ func (c *MDSCluster) settleReshard(p *sim.Proc) error {
 	// again.
 	c.rstats.Retired += int64(len(c.shards) - n)
 	c.retireDrained(p)
-	c.resumeStandbyReads()
 	return nil
 }
 
 // growTo extends the plane to n serving shards: new shards on new
 // hosts (named like AddServiceHosts names them), the peer mesh
 // completed, every attached standby plane grown shard-for-shard, and
-// every connected session dialed to the new shards of both. Runs
+// every connected session dialed to the new shards. Runs
 // without a yield; nothing routes at the new shards until an epoch says
 // so.
 func (c *MDSCluster) growTo(n int) {

@@ -144,13 +144,6 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 	} else {
 		db = mdb.New(env, d, cfg.COFS.DBOpTime)
 	}
-	if cfg.COFS.StandbyReads {
-		// Before any row (the root bootstrap included) exists: a row
-		// born untracked would carry no last-commit stamp, and the
-		// standby freshness check would read its absence as "never
-		// committed" (see mdb.TrackStamps).
-		db.TrackStamps()
-	}
 	db.SetTrace(c.obs.tr, host.Name)
 	base := firstID(shardID, c.lockShards)
 	s := &Service{

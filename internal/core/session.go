@@ -17,12 +17,6 @@ type Session struct {
 	host  *netsim.Host
 	cache *clientCache
 	conns []*rpc.Conn
-	// sbconns are the per-shard channels to a read-serving standby
-	// plane (replication.go), in shard order; empty unless the plane
-	// has one. Standby reads travel them so the standby hosts' CPU and
-	// wire costs are charged where they land; all mutations — and every
-	// read the standby cannot prove fresh — stay on conns.
-	sbconns []*rpc.Conn
 	// view is the shard-map version this client routes by (the epoch it
 	// stamps its requests with — the stamp itself rides the RPC header
 	// already charged to every message). It is refreshed only when a
@@ -42,18 +36,11 @@ func (c *MDSCluster) Connect(host *netsim.Host, node int, cache *clientCache) *S
 	return sess
 }
 
-// dialSession dials every channel sess lacks: one per shard of the
-// plane, plus one per shard of the read-serving standby when the plane
-// has one. Connect, a grow and a standby attach all extend sessions
-// through it.
+// dialSession dials every channel sess lacks, one per shard of the
+// plane. Connect and a grow both extend sessions through it.
 func (c *MDSCluster) dialSession(sess *Session) {
 	for i := len(sess.conns); i < len(c.shards); i++ {
 		sess.conns = append(sess.conns, c.obs.dial(sess.host, c.shards[i], sessionChan))
-	}
-	if sb := c.readStandby(); sb != nil {
-		for i := len(sess.sbconns); i < len(sb.Cluster.shards); i++ {
-			sess.sbconns = append(sess.sbconns, c.obs.dial(sess.host, sb.Cluster.shards[i], standbyChan))
-		}
 	}
 }
 

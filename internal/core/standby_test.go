@@ -12,25 +12,21 @@ import (
 	"cofs/internal/vfs"
 )
 
-// These tests pin the standby read path's coherence contract
-// (params.COFSParams.StandbyReads): reads served from a shard's standby
-// are stale-free BY CONSTRUCTION — a read is only served when the
-// shard's replication cursor provably covers the row's last commit, in
-// which case the standby's copy equals the primary's current committed
-// value — so turning the knob on must preserve the lease cache's
-// "stale reads are impossible" contract exactly, at ANY shipping
-// delay. Reads the cursor cannot prove fresh fall back to the primary
-// (charged as a redirect), which is how a mutation committed inside
-// the shipping window stays invisible to staleness.
+// These tests pin the read side of hot-standby replication: the
+// standby serves nothing until it is promoted, so every read goes to
+// the primary and is stale-free at ANY shipping delay — a mutation
+// committed inside the shipping window is visible at once, although
+// the standby has not seen it yet. Each test also checks that the
+// standby did trail the reads it was racing and that, once the
+// pipeline drains, it mirrors the primary.
 
-// standbyReadsRig is the lease coherence rig with standby reads on: a
+// standbyReadsRig is the lease coherence rig with a hot standby: a
 // 3-node COFS, leases granted by the primary, a standby plane shipping
-// with the given delay and serving provably-fresh reads.
+// with the given delay.
 func standbyReadsRig(t *testing.T, seed int64, shards int, delay time.Duration) (*cluster.Testbed, *core.Deployment, *core.Standby) {
 	t.Helper()
 	cfg := params.Default()
 	cfg.COFS.MetadataShards = shards
-	cfg.COFS.StandbyReads = true
 	cfg.COFS.AttrLease = 30 * time.Second
 	cfg.FUSE.EntryTimeout = time.Nanosecond
 	tb := cluster.New(seed, 3, cfg)
@@ -40,13 +36,33 @@ func standbyReadsRig(t *testing.T, seed int64, shards int, delay time.Duration) 
 	return tb, d, sb
 }
 
+// standbyMirrors checks that a drained standby has shipped everything
+// and holds the primary's mappings, with its own invariants intact.
+func standbyMirrors(t *testing.T, d *core.Deployment, sb *core.Standby) {
+	t.Helper()
+	if lag := sb.Lag(); lag != 0 {
+		t.Fatalf("standby lag after drain = %d, want 0", lag)
+	}
+	var primary, standby []string
+	d.Service.EachMapping(func(id vfs.Ino, upath string) {
+		primary = append(primary, fmt.Sprintf("%d=%s", id, upath))
+	})
+	sb.Cluster.EachMapping(func(id vfs.Ino, upath string) {
+		standby = append(standby, fmt.Sprintf("%d=%s", id, upath))
+	})
+	if fmt.Sprint(primary) != fmt.Sprint(standby) {
+		t.Errorf("standby mappings diverge from primary:\n primary: %v\n standby: %v", primary, standby)
+	}
+	if err := sb.Cluster.CheckInvariants(); err != nil {
+		t.Errorf("standby invariants: %v", err)
+	}
+}
+
 // TestStandbyReadsCoherence runs cross-node mutation scenarios at every
 // shipping delay: node B mutates, node A must observe the mutation
-// immediately — whether its read happens inside the shipping window
-// (the standby cannot prove freshness and redirects to the primary) or
-// after the pipeline drained (the standby serves it). A third node
-// with a cold cache then re-reads everything through the drained
-// standby and must see the identical namespace.
+// immediately, while the standby still trails it. A third node with a
+// cold cache then re-reads everything after the pipeline drained and
+// must see the identical namespace, which the standby now mirrors.
 func TestStandbyReadsCoherence(t *testing.T) {
 	delays := []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
 	for _, shards := range []int{1, 2} {
@@ -81,24 +97,33 @@ func TestStandbyReadsCoherence(t *testing.T) {
 
 				// B mutates, and A verifies IN THE SAME DRAINED PHASE right
 				// after each mutation: with delay > 0 the commits have not
-				// shipped when A reads, so a stale standby serve would be
-				// caught here.
+				// shipped when A reads, so a read answered from the
+				// standby's copy would be caught here.
+				lagged := 0
+				behind := func() {
+					if sb.Lag() > 0 {
+						lagged++
+					}
+				}
 				step(tb, "mutate-and-verify-inside-window", func(p *sim.Proc) {
 					if _, err := B.Chmod(p, ctxB, "/d/chmod", 0600); err != nil {
 						t.Error(err)
 					}
+					behind()
 					if attr, err := A.Stat(p, ctxA, "/d/chmod"); err != nil || attr.Mode != 0600 {
 						t.Errorf("stale mode inside shipping window: %o, %v", attr.Mode, err)
 					}
 					if err := B.Unlink(p, ctxB, "/d/remove"); err != nil {
 						t.Error(err)
 					}
+					behind()
 					if _, err := A.Stat(p, ctxA, "/d/remove"); err != vfs.ErrNotExist {
 						t.Errorf("removed file still resolves inside shipping window: %v", err)
 					}
 					if err := B.Rename(p, ctxB, "/d/rename", "/d/renamed"); err != nil {
 						t.Error(err)
 					}
+					behind()
 					if _, err := A.Stat(p, ctxA, "/d/rename"); err != vfs.ErrNotExist {
 						t.Errorf("renamed-away name still resolves inside shipping window: %v", err)
 					}
@@ -108,39 +133,38 @@ func TestStandbyReadsCoherence(t *testing.T) {
 					} else {
 						f.Close(p)
 					}
+					behind()
 					if attr, err := A.Stat(p, ctxA, "/d/nope"); err != nil || attr.Mode != 0640 {
 						t.Errorf("negative dentry survived create inside shipping window: %v, %v", attr, err)
 					}
 				})
+				if delay >= 10*time.Millisecond && lagged == 0 {
+					t.Errorf("the standby never trailed a mutation at delay %v: the window is vacuous", delay)
+				}
 
 				// Drain the shipping pipeline, then read the whole namespace
 				// from a node with a cold cache: these reads reach the wire
-				// and the drained standby serves them — and they must equal
-				// the primary's authoritative state.
+				// and must equal the primary's authoritative state.
 				tb.Run()
-				served := sb.Reads
 				step(tb, "verify-after-drain", func(p *sim.Proc) {
 					if attr, err := C.Stat(p, ctxC, "/d/chmod"); err != nil || attr.Mode != 0600 {
-						t.Errorf("drained standby read wrong mode: %o, %v", attr.Mode, err)
+						t.Errorf("cold read after drain: wrong mode %o, %v", attr.Mode, err)
 					}
 					if _, err := C.Stat(p, ctxC, "/d/remove"); err != vfs.ErrNotExist {
-						t.Errorf("drained standby resolves removed file: %v", err)
+						t.Errorf("cold read after drain resolves removed file: %v", err)
 					}
 					if attr, err := C.Stat(p, ctxC, "/d/renamed"); err != nil || attr.Mode != 0644 {
-						t.Errorf("drained standby misses renamed-in name: %v, %v", attr, err)
+						t.Errorf("cold read after drain misses renamed-in name: %v, %v", attr, err)
 					}
 					if attr, err := C.Stat(p, ctxC, "/d/nope"); err != nil || attr.Mode != 0640 {
-						t.Errorf("drained standby misses created file: %v, %v", attr, err)
+						t.Errorf("cold read after drain misses created file: %v, %v", attr, err)
 					}
 					ents, err := C.Readdir(p, ctxC, "/d")
 					if err != nil || len(ents) != 4 {
-						t.Errorf("drained standby readdir: %d entries, %v (want 4)", len(ents), err)
+						t.Errorf("cold readdir after drain: %d entries, %v (want 4)", len(ents), err)
 					}
 				})
-				if sb.Reads == served {
-					t.Errorf("cold-cache reads after drain served none from the standby (reads=%d fallbacks=%d): battery is vacuous",
-						sb.Reads, sb.Fallbacks)
-				}
+				standbyMirrors(t, d, sb)
 				if err := d.Service.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
@@ -153,12 +177,12 @@ func TestStandbyReadsCoherence(t *testing.T) {
 }
 
 // TestStandbyReadsUnderConcurrency hammers a small shared namespace
-// from all nodes with standby reads on at several shipping delays, then
+// from all nodes with a standby shipping at several delays, then
 // checks the lease protocol's core invariant at every drained round:
 // each still-leased cache entry equals the authoritative table state.
-// A standby serve that was stale would poison exactly this check (the
-// reading client would have acted on a value older than the row's last
-// recalled lease).
+// A stale read would poison exactly this check (the reading client
+// would have acted on a value older than the row's last recalled
+// lease). The drained standby must mirror the primary after the storm.
 func TestStandbyReadsUnderConcurrency(t *testing.T) {
 	for _, delay := range []time.Duration{time.Millisecond, 25 * time.Millisecond} {
 		delay := delay
@@ -200,8 +224,6 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 								case 4:
 									m.Readdir(p, ctx, "/w")
 								default:
-									// Read-heavy: this is the traffic the
-									// standby offloads.
 									m.Stat(p, ctx, name(i))
 								}
 							}
@@ -216,19 +238,24 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 					t.Fatalf("round %d: %v", round, err)
 				}
 			}
-			if sb.Reads == 0 {
-				t.Fatalf("storm served no standby reads (fallbacks=%d): knob not exercised", sb.Fallbacks)
+			var shipped int64
+			for _, r := range sb.Replicas {
+				shipped += r.Records
 			}
+			if shipped == 0 {
+				t.Fatal("the storm shipped nothing to the standby: test is vacuous")
+			}
+			standbyMirrors(t, d, sb)
 		})
 	}
 }
 
 // TestStandbyReadsAcrossPrimaryCrash replays the crash cases: a primary
-// crash truncates its WAL to the flushed prefix and invalidates the
-// replication cursor (the standby may even be AHEAD of what the primary
-// recovered), so every standby read inside the resync window must fall
-// back — and once the rebuild drains, standby serving must resume with
-// the recovered (possibly rolled-back) state, never the pre-crash one.
+// crash truncates its WAL to the flushed prefix (the standby may even
+// be AHEAD of what the primary recovered), listers racing the crash
+// see whole listings or a plane that is down, never a partial one, and
+// once the resync rebuild drains the standby mirrors the recovered —
+// possibly rolled-back — state, never the pre-crash one.
 func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	tb, d, sb := standbyReadsRig(t, 3000, 2, 5*time.Millisecond)
 	A, C := d.Mounts[0], d.Mounts[2]
@@ -284,8 +311,7 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	}
 
 	// The namespace the recovered primary serves is the oracle; the
-	// cold-cache node must read exactly it, whether its reads land on
-	// the primary (resync pending) or the rebuilt standby (drained).
+	// cold-cache node must read exactly it.
 	var oracle []vfs.DirEntry
 	step(tb, "oracle", func(p *sim.Proc) {
 		ents, err := A.Readdir(p, ctxA, "/out")
@@ -303,7 +329,7 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 			return
 		}
 		if fmt.Sprint(ents) != fmt.Sprint(oracle) {
-			t.Errorf("recovered namespace diverges through standby:\n oracle: %v\n read:   %v", oracle, ents)
+			t.Errorf("recovered namespace diverges:\n oracle: %v\n read:   %v", oracle, ents)
 		}
 		for _, e := range ents {
 			attr, err := C.Stat(p, ctxC, "/out/"+e.Name)
@@ -315,16 +341,14 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if sb.Reads == 0 && sb.Fallbacks == 0 {
-		t.Fatal("crash replay exercised no standby decisions")
-	}
+	standbyMirrors(t, d, sb)
 }
 
-// TestStandbyReadsAcrossReshard replays the migration case: standby
-// serving pauses for the whole 2->4 grow (a mid-migration standby could
-// prove a deletion fresh that is really a move), reads keep flowing
-// correctly from the primary, and once the plane settles the standby —
-// now grown shard-for-shard — serves again at the new shape.
+// TestStandbyReadsAcrossReshard replays the migration case: readers
+// race a 2->4 grow and every read must be correct whether it lands
+// before, during or after the move; the standby grows shard-for-shard
+// with the primary and, once the plane settles, mirrors it at the new
+// shape.
 func TestStandbyReadsAcrossReshard(t *testing.T) {
 	tb, d, sb := standbyReadsRig(t, 4000, 2, time.Millisecond)
 	A, C := d.Mounts[0], d.Mounts[2]
@@ -345,8 +369,6 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 		}
 	})
 
-	// Readers race the migration; every read must be correct whether it
-	// lands before the pause, during it (primary serves), or after.
 	for pid := 1; pid <= 3; pid++ {
 		pid := pid
 		tb.Env.Spawn("reader", func(p *sim.Proc) {
@@ -370,8 +392,6 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 	if got := len(sb.Replicas); got != 4 {
 		t.Fatalf("standby has %d replicas after grow, want 4", got)
 	}
-	// The settled, drained standby serves at the new shape.
-	served := sb.Reads
 	step(tb, "verify-settled", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			name := fmt.Sprintf("/out/f%02d", i)
@@ -381,18 +401,16 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 			}
 		}
 	})
-	if sb.Reads == served {
-		t.Errorf("no standby reads served after the reshard settled (reads=%d fallbacks=%d)", sb.Reads, sb.Fallbacks)
-	}
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	standbyMirrors(t, d, sb)
 }
 
 // TestStandbyPromoteWhileServingReads replays the failover case: the
-// primary plane dies while the standby is actively serving reads; the
-// promoted plane must serve the shipped namespace, and the standby read
-// counters must survive the switch in the deployment's report.
+// primary plane dies while clients are reading; the promoted plane
+// must serve the shipped namespace, and no listing across the switch
+// is ever partial.
 func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	tb, d, sb := standbyReadsRig(t, 5000, 2, time.Millisecond)
 	A, C := d.Mounts[0], d.Mounts[2]
@@ -415,14 +433,11 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	step(tb, "serve", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			if _, err := C.Stat(p, ctxC, fmt.Sprintf("/out/f%02d", i)); err != nil {
-				t.Errorf("standby-era read: %v", err)
+				t.Errorf("pre-failover read: %v", err)
 			}
 		}
 	})
-	if sb.Reads == 0 {
-		t.Fatal("standby served nothing before the failover: test is vacuous")
-	}
-	preReads := sb.Reads
+	standbyMirrors(t, d, sb)
 
 	// The failover happens under listers: requests in flight across the
 	// switch finish on the dead plane (whole if they already took their
@@ -469,11 +484,6 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 			f.Close(p)
 		}
 	})
-	// The promoted plane has no standby of its own; the report still
-	// carries the standby-era serve counts.
-	if got := d.Counters().Get("mds.standby-reads"); got < preReads {
-		t.Errorf("mds.standby-reads = %d after promote, want >= %d (counters must survive failover)", got, preReads)
-	}
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

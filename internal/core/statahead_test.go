@@ -325,20 +325,17 @@ func TestStataheadNeedsACache(t *testing.T) {
 	}
 }
 
-// TestStandbyNamesOnlyListing: a names-only listing needs only the
-// directory's own stamp under the replication cursor. With shipping
-// delayed and a child's inode inside the window, the standby serves the
-// names-only listing and redirects the plus one; once the directory
-// itself is inside the window both go to the primary. Neither is ever
-// stale, and types come from the dentries either way. On two shards a
-// child whose inode lives on the other shard does not stop a names-only
-// listing either.
+// TestStandbyNamesOnlyListing: with a hot standby trailing the primary,
+// names-only and plus listings are answered by the primary and are
+// never stale — whether a child's inode or the directory itself has a
+// commit the standby has not applied yet — and types come from the
+// dentries either way. On two shards some children's inodes live on
+// another shard than the directory, which changes neither listing.
 func TestStandbyNamesOnlyListing(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
 			cfg := params.Default()
 			cfg.COFS.MetadataShards = shards
-			cfg.COFS.StandbyReads = true
 			tb := cluster.New(7, 2, cfg)
 			d := Deploy(tb, nil)
 			sb := DeployStandby(tb, d, 10*time.Millisecond)
@@ -379,9 +376,11 @@ func TestStandbyNamesOnlyListing(t *testing.T) {
 			}
 
 			sess, rctx := d.FSs[1].Session(), cluster.Ctx(1, 1)
-			list := func(p *sim.Proc, plus bool, wantEnts int, wantServed bool) []vfs.Attr {
+			list := func(p *sim.Proc, plus bool, wantEnts int, wantLag bool) []vfs.Attr {
 				t.Helper()
-				reads, falls := sb.Reads, sb.Fallbacks
+				if lagging := sb.Lag() > 0; lagging != wantLag {
+					t.Fatalf("listing (plus=%v): standby lag %d, want lagging=%v", plus, sb.Lag(), wantLag)
+				}
 				var ents []vfs.DirEntry
 				var attrs []vfs.Attr
 				var err error
@@ -402,27 +401,19 @@ func TestStandbyNamesOnlyListing(t *testing.T) {
 						t.Errorf("listing (plus=%v): %s has type %v, want %v", plus, e.Name, e.Type, want)
 					}
 				}
-				served := sb.Reads == reads+1 && sb.Fallbacks == falls
-				fellBack := sb.Reads == reads && sb.Fallbacks == falls+1
-				if served != wantServed || fellBack == wantServed {
-					t.Fatalf("listing (plus=%v): standby reads %d->%d, fallbacks %d->%d; want served=%v",
-						plus, reads, sb.Reads, falls, sb.Fallbacks, wantServed)
-				}
 				return attrs
 			}
 
-			// Everything shipped: names-only is served whatever shard the
-			// children live on; plus only when they are all local.
 			drained(tb, "shipped", func(p *sim.Proc) {
-				list(p, false, subdirs+1, true)
-				list(p, true, subdirs+1, foreign == 0)
+				list(p, false, subdirs+1, false)
+				list(p, true, subdirs+1, false)
 			})
 			drained(tb, "child-in-window", func(p *sim.Proc) {
 				if _, err := m.Chmod(p, ctx, "/d/f", 0600); err != nil {
 					t.Fatal(err)
 				}
 				list(p, false, subdirs+1, true)
-				attrs := list(p, true, subdirs+1, false)
+				attrs := list(p, true, subdirs+1, true)
 				if attrs[0].Mode != 0600 {
 					t.Fatalf("plus listing inside the shipping window returned mode %o, want 600", attrs[0].Mode)
 				}
@@ -433,9 +424,12 @@ func TestStandbyNamesOnlyListing(t *testing.T) {
 					t.Fatal(err)
 				}
 				f.Close(p)
-				list(p, false, subdirs+2, false)
-				list(p, true, subdirs+2, false)
+				list(p, false, subdirs+2, true)
+				list(p, true, subdirs+2, true)
 			})
+			if sb.Lag() != 0 {
+				t.Fatalf("standby lag after drain = %d, want 0", sb.Lag())
+			}
 		})
 	}
 }

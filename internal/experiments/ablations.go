@@ -129,22 +129,14 @@ func AblationFlush(seed int64) Figure {
 }
 
 // ClientCacheStorm is the stat/utime storm behind the client-cache
-// ablation, BenchmarkMetadataCache and BenchmarkStandbyReads: 4 nodes x
-// 2 procs repeatedly `ls -l` a shared 256-file directory (readdir +
-// per-file stat, three passes) with a utime sweep over each rank's own
-// slice between passes, so lease revocations actually happen and
-// mutations keep landing on the primaries the whole time. This is the
-// paper's section IV-B trigger — repeated directory traversals over
-// cache-warm files — where GPFS serves from its client cache and the
-// measured COFS prototype paid a round trip per stat.
-//
-// With cfg.COFS.StandbyReads set the deployment gets a hot standby
-// (2 ms shipping delay) and the read traffic rides the standby shards
-// whenever the replication cursor covers the row; rows inside the
-// shipping window fall back to the primary as a redirect, so the
-// measured mean carries the protocol's real cost, not a best case
-// (docs/replication.md; mds.standby-reads and mds.standby-fallbacks
-// show where the reads were served).
+// ablation and BenchmarkMetadataCache: 4 nodes x 2 procs repeatedly
+// `ls -l` a shared 256-file directory (readdir + per-file stat, three
+// passes) with a utime sweep over each rank's own slice between passes,
+// so lease revocations actually happen and mutations keep landing on
+// the metadata service the whole time. This is the paper's section IV-B
+// trigger — repeated directory traversals over cache-warm files — where
+// GPFS serves from its client cache and the measured COFS prototype
+// paid a round trip per stat.
 //
 // It returns the full stat latency distribution (mean, count and
 // percentiles) and the deployment's per-layer counters plus
@@ -161,9 +153,6 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 		quota = files / (nodes * procs)
 	)
 	t, tb, d := cofsTarget(seed, nodes, cfg, nil)
-	if cfg.COFS.StandbyReads {
-		core.DeployStandby(tb, d, 2*time.Millisecond)
-	}
 	t.Env.Spawn("setup", func(p *sim.Proc) {
 		ctx := cluster.Ctx(0, 1)
 		if err := t.Mounts[0].MkdirAll(p, ctx, "/data", 0777); err != nil {

@@ -69,7 +69,6 @@ type table interface {
 	clear()
 	rows() int
 	snapshotWAL() []walRec
-	setStamp(rec walRec, seq int64)
 }
 
 // DB is a collection of tables sharing a WAL.
@@ -117,14 +116,9 @@ type DB struct {
 	// (CommitSeq): a monotone record count that survives Checkpoint's
 	// WAL rewrite — the rebase below keeps pre-checkpoint sequences
 	// comparable — and rolls back with the truncated tail on Crash,
-	// exactly like the state it numbers. With trackStamps set (the
-	// standby-read knob, enabled at DB birth) every WAL append also
-	// stamps the touched row with its record's sequence, so a replica
-	// cursor covers a row iff cursor >= stamp (replica.go). Off by
-	// default: the stamp maps are never allocated and no extra work
-	// runs, keeping the default path cost- and allocation-identical.
-	seqBase     int64
-	trackStamps bool
+	// exactly like the state it numbers. A replica measures its lag
+	// against it (replica.go).
+	seqBase int64
 
 	// trace, when non-nil, stamps WAL spans — wal.commit around a
 	// transaction's durable commit, wal.flush on the background dump proc,
@@ -153,18 +147,6 @@ func New(env *sim.Env, d *disk.Disk, opTime time.Duration) *DB {
 	}
 }
 
-// TrackStamps turns on per-row last-commit stamps and the absolute
-// commit sequence (CommitSeq). Must be called at DB birth, before any
-// row — bootstrap rows included — is inserted: a row born before
-// tracking would carry no stamp and read as "never committed", which a
-// standby-read freshness check would mistake for a covered absence.
-func (db *DB) TrackStamps() {
-	if db.wal.len() > 0 {
-		panic("mdb: TrackStamps after rows were inserted")
-	}
-	db.trackStamps = true
-}
-
 // SetTrace installs the span tracer on this database. group labels the
 // trace tracks of the database's own background procs (the log flusher)
 // — pass the owning shard's host name so they render under its process
@@ -180,24 +162,6 @@ func (db *DB) SetTrace(tr *obs.Tracer, group string) {
 // cooperative scheduler makes any observed value transaction-aligned —
 // a transaction's records are appended without yielding.
 func (db *DB) CommitSeq() int64 { return db.seqBase + int64(db.wal.len()) }
-
-// stampTail stamps the rows of the last n WAL records with their
-// records' absolute sequences. Called after every append site grows
-// the log (commit apply, bootstrap, handoff import, replica apply);
-// free unless TrackStamps was enabled.
-func (db *DB) stampTail(n int) {
-	if !db.trackStamps || n == 0 {
-		return
-	}
-	end := db.wal.len()
-	pos := end - n
-	db.wal.each(pos, end, func(rec walRec) {
-		pos++
-		if t, ok := db.tables[rec.table]; ok {
-			t.setStamp(rec, db.seqBase+int64(pos))
-		}
-	})
-}
 
 // NewAsync creates a database whose log is flushed in the background
 // every interval, mirroring Mnesia's batched disc_copies dumps.
@@ -289,10 +253,6 @@ type Table[K comparable, V any] struct {
 	class   Storage
 	data    map[K]V
 	indexes []*index[K, V]
-	// stamps maps a key to the absolute commit sequence of its last WAL
-	// record — put or delete, so a covered absence is as provable as a
-	// covered row. Allocated lazily, and only when the DB tracks stamps.
-	stamps map[K]int64
 	// slab is the chunk the next logged entry is carved from. Entries
 	// are never reused: a chunk is freed when no record refers to it.
 	slab []entry[K, V]
@@ -355,27 +315,6 @@ func (t *Table[K, V]) clear() {
 	for _, ix := range t.indexes {
 		ix.buckets = make(map[uint64]map[K]struct{})
 	}
-	// Stamps describe rows relative to the WAL; a crash or resync that
-	// wipes the tables invalidates them too (Recover re-stamps replayed
-	// records).
-	t.stamps = nil
-}
-
-func (t *Table[K, V]) setStamp(rec walRec, seq int64) {
-	if t.stamps == nil {
-		t.stamps = make(map[K]int64)
-	}
-	t.stamps[rec.kv.(*entry[K, V]).key] = seq
-}
-
-// Stamp returns the absolute commit sequence of the key's last WAL
-// record (put or delete), when the database tracks stamps. A key with
-// no stamp has not been touched since the tables were (re)built: on a
-// stamp-tracking primary that means the row never existed, so its
-// absence is covered at any replica cursor.
-func (t *Table[K, V]) Stamp(key K) (int64, bool) {
-	seq, ok := t.stamps[key]
-	return seq, ok
 }
 
 func (t *Table[K, V]) applyWAL(rec walRec) {
@@ -440,7 +379,7 @@ type Tx struct {
 }
 
 // atomically runs fn on the shared handle at one virtual instant and
-// lands its write set — tables, WAL, stamps — in that same instant. It
+// lands its write set — tables and WAL — in that same instant. It
 // returns the table operations fn performed and whether any touched a
 // disc-copies table. A nested entry or a closure that lets the clock
 // advance panics: the closure would no longer be atomic.
@@ -467,7 +406,6 @@ func (db *DB) land(recs []walRec) {
 		db.tables[rec.table].applyWAL(rec)
 	}
 	db.wal.pushAll(recs)
-	db.stampTail(len(recs))
 }
 
 // pay charges ops table operations to p as one block.
@@ -516,17 +454,6 @@ func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 // charge counts one table operation for the single charge that follows
 // the closure.
 func (tx *Tx) charge() { tx.ops++ }
-
-// Abort abandons a view whose caller decided, before trusting anything
-// it read, that it cannot answer (a standby that cannot prove its rows
-// fresh): the ops counted so far are not charged. The closure should
-// return right after.
-func (tx *Tx) Abort() {
-	if !tx.view {
-		panic("mdb: Abort outside a View")
-	}
-	tx.ops = 0
-}
 
 // write appends one record to the transaction's write set.
 func (tx *Tx) write(rec walRec, class Storage) {
@@ -697,17 +624,9 @@ func (db *DB) Crash() {
 // Mnesia after a restart).
 func (db *DB) Recover(p *sim.Proc) {
 	db.scanLog(p)
-	pos := 0
 	db.wal.each(0, db.wal.len(), func(rec walRec) {
-		pos++
-		t := db.tables[rec.table]
-		if t.storage() == DiscCopies {
+		if t := db.tables[rec.table]; t.storage() == DiscCopies {
 			t.applyWAL(rec)
-			if db.trackStamps {
-				// Crash wiped the stamps with the tables; replay
-				// re-stamps every durable record at its log position.
-				t.setStamp(rec, db.seqBase+int64(pos))
-			}
 		}
 	})
 }
@@ -739,10 +658,9 @@ func (db *DB) Checkpoint(p *sim.Proc) {
 	db.dumpImage(p, int64(len(image)))
 	db.wal.each(mark, db.wal.len(), func(rec walRec) { image = append(image, rec) })
 	// Rebase the commit sequence so it keeps counting from where it
-	// was: a row stamped before the rewrite stays comparable to any
-	// cursor taken before or after, the next commit's sequence is
-	// strictly above everything ever stamped, and the image ends at
-	// sequence at — which is what the dump made durable.
+	// was: a replica's shipped sequence stays comparable before and
+	// after the rewrite, and the image ends at sequence at — which is
+	// what the dump made durable.
 	seq := db.CommitSeq()
 	db.wal.reset(image)
 	db.seqBase = seq - int64(db.wal.len())
@@ -801,7 +719,6 @@ func SelectKeys[K comparable, V any](tx *Tx, t *Table[K, V], pred func(K, V) boo
 func (t *Table[K, V]) Bootstrap(key K, val V) {
 	t.put(key, val)
 	t.db.wal.push(t.rec(walPut, key, val))
-	t.db.stampTail(1)
 	t.db.flushed = t.db.CommitSeq()
 }
 

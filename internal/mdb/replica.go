@@ -29,9 +29,9 @@ type Replica struct {
 	stopped  bool
 
 	// applied is the primary's absolute commit sequence (DB.CommitSeq)
-	// the standby has fully applied — the replication cursor standby
-	// reads trust (see Cursor). Zeroed while a resync rebuild is
-	// mid-flight, so a half-rebuilt standby covers nothing.
+	// the standby has fully applied (see Lag). Zeroed while a resync
+	// rebuild is mid-flight, so a half-rebuilt standby lags by
+	// everything.
 	applied int64
 
 	// shipMu serializes shipping rounds: the apply loop yields, and a
@@ -95,20 +95,6 @@ func (r *Replica) Lag() int {
 	return 0
 }
 
-// Cursor returns the primary's absolute commit sequence this standby
-// has fully applied, and whether it is trustworthy. It is not ok when
-// shipping has stopped, a resync is pending (a crash or checkpoint
-// invalidated the shipped offset — after a crash the standby may even
-// be ahead of what the primary can recover), or a resync rebuild is
-// mid-flight. A row whose last-commit stamp is <= a trusted cursor is
-// byte-identical on primary and standby at this instant.
-func (r *Replica) Cursor() (int64, bool) {
-	if r.stopped || r.resync || r.applied == 0 {
-		return 0, false
-	}
-	return r.applied, true
-}
-
 // pump schedules one shipping round if needed.
 func (r *Replica) pump() {
 	if r.stopped || r.inflight {
@@ -142,9 +128,9 @@ func (r *Replica) ship(p *sim.Proc) {
 	if r.resync {
 		// The primary checkpointed: its WAL was rewritten as a
 		// snapshot, so record offsets no longer line up. Rebuild the
-		// standby from scratch. The cursor is zeroed until the rebuild
-		// completes — the apply loop below yields, and a half-rebuilt
-		// standby must not claim to cover anything.
+		// standby from scratch. The applied sequence is zeroed until
+		// the rebuild completes — the apply loop below yields, and a
+		// half-rebuilt standby must not claim to have applied anything.
 		for _, t := range r.dst.tables {
 			t.clear()
 		}
@@ -157,11 +143,11 @@ func (r *Replica) ship(p *sim.Proc) {
 	if r.shipped >= target {
 		return
 	}
-	// Capture the cursor value this round establishes before the apply
-	// loop yields: a checkpoint rebase or crash truncation mid-round
-	// changes the source's sequence accounting, but the absolute
-	// sequence of the records this round set out to ship does not move
-	// (a crash also re-flags resync, which invalidates the cursor).
+	// Capture the applied sequence this round establishes before the
+	// apply loop yields: a checkpoint rebase or crash truncation
+	// mid-round changes the source's sequence accounting, but the
+	// absolute sequence of the records this round set out to ship does
+	// not move (a crash also re-flags resync, which rebuilds).
 	seq := r.src.seqBase + int64(target)
 	// Copy the batch out before the apply loop yields: a primary crash
 	// during the sleeps below truncates (and zeroes) the source log, and
@@ -176,10 +162,8 @@ func (r *Replica) ship(p *sim.Proc) {
 			p.Sleep(r.dst.opTime / 4) // bulk apply is cheaper than queries
 		}
 	}
-	// The standby logs what it applied so its own recovery works, and
-	// stamps it so a promoted standby's rows carry their history too.
+	// The standby logs what it applied so its own recovery works.
 	r.dst.wal.pushAll(batch)
-	r.dst.stampTail(len(batch))
 	if r.dst.disk != nil {
 		r.dst.disk.Write(p, 0, int64(len(batch))*64)
 	}

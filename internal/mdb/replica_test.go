@@ -203,62 +203,67 @@ func TestReplicaFlushSkipsInflightRound(t *testing.T) {
 	}
 }
 
+// TestReplicaCursorCoversAppliedCommits: the replica's cursor — the
+// commit sequence the standby has applied — is read through Lag, which
+// must count exactly the commits not yet applied, across shipping and
+// a checkpoint's resync.
 func TestReplicaCursorCoversAppliedCommits(t *testing.T) {
 	env := sim.NewEnv(42)
 	src := NewAsync(env, disk.New(env, "primary", params.Default().Disk), 0, 50*time.Millisecond)
-	src.TrackStamps()
 	dst := New(env, disk.New(env, "standby", params.Default().Disk), 0)
 	st := NewTable[int, string](src, "t", DiscCopies)
-	NewTable[int, string](dst, "t", DiscCopies)
+	dt := NewTable[int, string](dst, "t", DiscCopies)
 	rep := Replicate(env, src, dst, time.Millisecond)
 	env.Spawn("writer", func(p *sim.Proc) {
-		if _, ok := rep.Cursor(); ok {
-			t.Error("cursor trustworthy before anything shipped")
+		if n := rep.Lag(); n != 0 {
+			t.Errorf("lag before any commit = %d, want 0", n)
 		}
 		for i := 0; i < 10; i++ {
 			src.Transaction(p, func(tx *Tx) { Put(tx, st, i, "v") })
 		}
+		if n := rep.Lag(); n != 10 {
+			t.Errorf("lag before the first ship = %d, want 10", n)
+		}
 		p.Sleep(time.Second)
-		cur, ok := rep.Cursor()
-		if !ok || cur != src.CommitSeq() {
-			t.Fatalf("drained cursor = (%d, %v), want (%d, true)", cur, ok, src.CommitSeq())
+		if n := rep.Lag(); n != 0 || dt.Len() != 10 {
+			t.Fatalf("drained: lag %d, standby rows %d; want 0, 10", n, dt.Len())
 		}
-		if stamp, ok := st.Stamp(3); !ok || stamp > cur {
-			t.Errorf("row 3 stamp = (%d, %v), want covered by cursor %d", stamp, ok, cur)
-		}
-		// A commit the standby has not applied yet is above the cursor.
+		// A commit the standby has not applied yet is one record of lag.
 		src.Transaction(p, func(tx *Tx) { Put(tx, st, 3, "newer") })
-		if stamp, _ := st.Stamp(3); stamp <= cur {
-			t.Errorf("fresh commit stamp = %d, want > stale cursor %d", stamp, cur)
+		if n := rep.Lag(); n != 1 {
+			t.Errorf("lag after an unshipped commit = %d, want 1", n)
 		}
-		// A checkpoint invalidates the cursor until the rebuild lands;
-		// the rebase keeps old stamps comparable afterwards.
+		// A checkpoint rewrites the log but not the commit sequence: with
+		// the resync pending, a commit after it is exactly one record of
+		// lag, and the rebuild converges on the checkpointed state.
 		src.Checkpoint(p)
-		if _, ok := rep.Cursor(); ok {
-			t.Error("cursor trustworthy with resync pending")
+		src.Transaction(p, func(tx *Tx) { Put(tx, st, 10, "after") })
+		if n := rep.Lag(); n != 1 {
+			t.Errorf("lag after a checkpoint and one commit = %d, want 1", n)
 		}
 		p.Sleep(time.Second)
-		cur2, ok := rep.Cursor()
-		if !ok || cur2 < cur {
-			t.Errorf("post-resync cursor = (%d, %v), want trusted and >= %d", cur2, ok, cur)
+		if n := rep.Lag(); n != 0 {
+			t.Errorf("lag after the resync = %d, want 0", n)
 		}
-		if stamp, ok := st.Stamp(3); !ok || stamp > cur2 {
-			t.Errorf("row 3 stamp after checkpoint = (%d, %v), want covered by %d", stamp, ok, cur2)
+		if v, ok := dt.Peek(3); !ok || v != "newer" || dt.Len() != 11 {
+			t.Errorf("standby after resync: row 3 = (%q, %v), %d rows; want (newer, true), 11", v, ok, dt.Len())
 		}
 	})
 	env.MustRun()
 }
 
+// TestReplicaCursorInvalidAfterPrimaryCrash: a primary crash leaves the
+// replica's cursor beyond the recovered log; the standby lags zero and
+// its resync rebuild drops the commits the primary lost.
 func TestReplicaCursorInvalidAfterPrimaryCrash(t *testing.T) {
 	// After a primary crash the standby may have applied commits the
-	// primary lost (the flush window): the cursor must read untrusted
-	// until the resync rebuild converges on the recovered state.
+	// primary lost (the flush window): it is ahead, so it lags zero,
+	// and the resync rebuild converges on the recovered state.
 	env := sim.NewEnv(7)
 	src := NewAsync(env, disk.New(env, "primary", params.Default().Disk), 0, time.Second)
-	src.TrackStamps()
 	dst := New(env, disk.New(env, "standby", params.Default().Disk), 0)
 	st := NewTable[int, string](src, "t", DiscCopies)
-	NewTable[int, string](dst, "t", DiscCopies)
+	dt := NewTable[int, string](dst, "t", DiscCopies)
 	rep := Replicate(env, src, dst, time.Millisecond)
 	env.Spawn("writer", func(p *sim.Proc) {
 		src.Transaction(p, func(tx *Tx) { Put(tx, st, 1, "flushed") })
@@ -266,18 +271,17 @@ func TestReplicaCursorInvalidAfterPrimaryCrash(t *testing.T) {
 		src.Transaction(p, func(tx *Tx) { Put(tx, st, 2, "window") })
 		p.Sleep(10 * time.Millisecond)
 		src.Crash()
-		if _, ok := rep.Cursor(); ok {
-			t.Error("cursor trustworthy after crash invalidated the shipped offset")
+		if n := rep.Lag(); n != 0 {
+			t.Errorf("lag of a standby ahead of the crashed primary = %d, want 0", n)
 		}
 		src.Recover(p)
 		src.Transaction(p, func(tx *Tx) { Put(tx, st, 3, "post") })
 		p.Sleep(time.Second)
-		cur, ok := rep.Cursor()
-		if !ok || cur != src.CommitSeq() {
-			t.Errorf("post-rebuild cursor = (%d, %v), want (%d, true)", cur, ok, src.CommitSeq())
+		if n := rep.Lag(); n != 0 {
+			t.Errorf("lag after the rebuild = %d, want 0", n)
 		}
-		if stamp, ok := st.Stamp(1); !ok || stamp > cur {
-			t.Errorf("recovered row stamp = (%d, %v), want covered by %d", stamp, ok, cur)
+		if _, ok := dt.Peek(2); ok || dt.Len() != 2 {
+			t.Errorf("standby after rebuild: %d rows, window row present %v; want 2 rows, no window row", dt.Len(), ok)
 		}
 	})
 	env.MustRun()

@@ -207,38 +207,6 @@ func TestClosureYieldIsCaught(t *testing.T) {
 	}
 }
 
-func TestAbortOutsideViewPanics(t *testing.T) {
-	env := sim.NewEnv(1)
-	db, _ := newDB(env)
-	var msg string
-	env.Spawn("t", func(p *sim.Proc) {
-		defer func() { msg, _ = recover().(string) }()
-		db.Transaction(p, func(tx *Tx) { tx.Abort() })
-	})
-	env.MustRun()
-	if !strings.Contains(msg, "Abort outside a View") {
-		t.Fatalf("Abort in a transaction: panic %q", msg)
-	}
-}
-
-// TestViewAbortChargesNothing: an aborted view costs no virtual time
-// (kept, its reads would cost ops x opTime, as TestViewContract pins).
-func TestViewAbortChargesNothing(t *testing.T) {
-	env := sim.NewEnv(1)
-	s := newShard(env)
-	env.Spawn("t", func(p *sim.Proc) {
-		s.db.View(p, func(tx *Tx) {
-			Get(tx, s.tbl, 1)
-			Get(tx, s.tbl, 2)
-			tx.Abort()
-		})
-		if got := p.Now(); got != 0 {
-			t.Errorf("aborted view cost %v, want 0", got)
-		}
-	})
-	env.MustRun()
-}
-
 // TestImportHandoffAtomicToViews: ImportHandoff once applied its
 // records one sleep apart, which a snapshot reader would see as a
 // half-imported batch. The batch must land at one instant, and — like a

@@ -1,8 +1,7 @@
 // Package obs is the observability plane of the simulator: a
 // virtual-time-native span tracer and a histogram/gauge/rate metrics
 // registry, threaded through the RPC transport, the row-lock table, the
-// WAL engines, the standby read path and the reshard data plane
-// (docs/observability.md).
+// WAL engines and the reshard data plane (docs/observability.md).
 //
 // Everything here is stamped in virtual time (sim.Proc.Now), so a trace
 // of a deterministic run is itself deterministic: same seed, same

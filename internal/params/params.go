@@ -191,19 +191,9 @@ type COFSParams struct {
 	// RPCBatch has no effect; it goes once the repository benchmark
 	// stops setting it.
 	RPCBatch bool
-	// StandbyReads routes read operations (Lookup/Getattr/Readdir/
-	// ReaddirPlus) to a deployed hot standby's shards when the shard's
-	// replication cursor provably covers the row's last commit, falling
-	// back to the primary — charged as a redirect — when it does not
-	// (docs/replication.md). It also turns on the per-row last-commit
-	// stamps the freshness check needs (mdb.DB.TrackStamps). Off by
-	// default and bit-identical when off, pinned like the other
-	// cost-identity knobs; leases are still granted only by the
-	// primary.
-	StandbyReads bool
 	// Trace enables the virtual-time span tracer (internal/obs): every
 	// client operation opens a span with child spans at the RPC,
-	// row-lock, two-phase, WAL, standby and reshard seams, exportable as
+	// row-lock, two-phase, WAL and reshard seams, exportable as
 	// Chrome trace-event JSON (`cofsctl -trace out.json`, one Perfetto
 	// track per proc grouped by host) — docs/observability.md. Off by
 	// default; when off no obs hook is installed anywhere, the hot paths

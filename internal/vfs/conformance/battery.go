@@ -118,26 +118,26 @@ var batteryCases = []testCase{
 		}
 	}},
 
-	{name: "StandbyReadsNeverStale", needs: CapStandbyReads, wants: wantsSecondMount, fn: func(c *C) {
-		// The stale-free contract: a mutation committed from one node
-		// must be visible to a read from another node immediately — not
-		// one shipping window later. The reader's plane serves reads
-		// from standbys, so every assertion here lands inside the
+	{name: "StandbyReadsNeverStale", needs: CapCrashRecover, wants: wantsStandbyAndSecondMount, fn: func(c *C) {
+		// The stale-free contract with a hot standby trailing the
+		// primary: a mutation committed from one node must be visible
+		// to a read from another node immediately — not one shipping
+		// window later. Every assertion here lands inside the
 		// replication window the mutation has not yet shipped through;
-		// a standby that answered from its own (older) copy would
-		// return the pre-mutation value.
+		// a read answered from the standby's (older) copy would return
+		// the pre-mutation value.
 		c.must(c.M.Mkdir(c.P, c.S.User, "/sb", 0755), "mkdir")
 		c.write(c.S.User, "/sb/f", 64)
-		c.P.Sleep(settle) // let the standby catch up, so it is serving
+		c.P.Sleep(settle) // let the standby catch up
 		_, err := c.S.Mount2.Chmod(c.P, c.S.User2, "/sb/f", 0600)
 		c.must(err, "chmod from second node")
 		attr, err := c.M.Stat(c.P, c.S.User, "/sb/f")
 		if c.must(err, "stat inside the shipping window") && attr.Mode != 0600 {
-			c.Errorf("mode = %o after remote chmod, want 600 (stale standby read)", attr.Mode)
+			c.Errorf("mode = %o after remote chmod, want 600 (stale read)", attr.Mode)
 		}
 		c.must(c.S.Mount2.Unlink(c.P, c.S.User2, "/sb/f"), "unlink from second node")
 		_, err = c.M.Stat(c.P, c.S.User, "/sb/f")
-		c.wantErr(err, vfs.ErrNotExist, "stat after remote unlink (standby must not resurrect)")
+		c.wantErr(err, vfs.ErrNotExist, "stat after remote unlink (a lagging replica must not resurrect)")
 		f, err := c.S.Mount2.Create(c.P, c.S.User2, "/sb/g", 0644)
 		if c.must(err, "create from second node") {
 			c.must(f.Close(c.P), "close")
@@ -148,16 +148,16 @@ var batteryCases = []testCase{
 		}
 	}},
 
-	{name: "StandbyPromoteWhileServingReads", needs: CapStandbyReads | CapCrashRecover, wants: wantsCrashPromote, fn: func(c *C) {
-		// Promotion while the standby is the read path: reads served
-		// right up to the crash, then the same plane becomes primary.
-		// The promoted namespace must match what those reads observed,
-		// and it must serve mutations and fresh reads afterwards.
+	{name: "StandbyPromoteWhileServingReads", needs: CapCrashRecover, wants: wantsCrashPromote, fn: func(c *C) {
+		// Promotion under a reading client: reads served right up to
+		// the crash, then the standby becomes primary. The promoted
+		// namespace must match what those reads observed, and it must
+		// serve mutations and fresh reads afterwards.
 		c.must(c.M.Mkdir(c.P, c.S.User, "/sp", 0755), "mkdir")
 		for i := 0; i < 4; i++ {
 			c.write(c.S.User, fmt.Sprintf("/sp/f%d", i), int64(64+i))
 		}
-		c.P.Sleep(settle) // standby serving, replicas drained
+		c.P.Sleep(settle) // replicas drained
 		for i := 0; i < 4; i++ {
 			if got := c.size(c.S.User, fmt.Sprintf("/sp/f%d", i)); got != int64(64+i) {
 				c.Errorf("/sp/f%d before promote: size %d, want %d", i, got, 64+i)

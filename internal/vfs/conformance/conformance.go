@@ -65,12 +65,6 @@ const (
 	// CapHandoff: the system can reshard its metadata plane live, with
 	// WAL-handoff durability; System.Reshard must be set.
 	CapHandoff
-	// CapStandbyReads: the system serves read traffic from hot standbys
-	// and guarantees those reads are stale-free — a read after a
-	// committed mutation must observe it no matter how far the standby's
-	// shipping lags. The system must be deployed with standby reads
-	// enabled for the claim to mean anything.
-	CapStandbyReads
 	// CapSnapshotReads: a directory listing is one snapshot — it holds
 	// exactly the names the directory had at a single instant between
 	// the call and its return, however long the scan takes and whatever
@@ -89,7 +83,6 @@ var capabilityNames = []struct {
 	{CapNegativeDentryLeases, "negative-dentry-leases"},
 	{CapCrashRecover, "crash-recover"},
 	{CapHandoff, "handoff"},
-	{CapStandbyReads, "standby-reads"},
 	{CapSnapshotReads, "snapshot-reads"},
 }
 
@@ -116,7 +109,6 @@ type Capabilities struct {
 	NegativeDentryLeases bool
 	CrashRecover         bool
 	Handoff              bool
-	StandbyReads         bool
 	SnapshotReads        bool
 }
 
@@ -139,9 +131,6 @@ func (cs Capabilities) mask() Capability {
 	}
 	if cs.Handoff {
 		m |= CapHandoff
-	}
-	if cs.StandbyReads {
-		m |= CapStandbyReads
 	}
 	if cs.SnapshotReads {
 		m |= CapSnapshotReads
@@ -377,6 +366,15 @@ func wantsCrashPromote(s *System) string {
 		return "system provides no Crash/Promote hooks"
 	}
 	return ""
+}
+
+// wantsStandbyAndSecondMount: the system has a hot standby to promote
+// and a second mount to mutate from.
+func wantsStandbyAndSecondMount(s *System) string {
+	if r := wantsCrashPromote(s); r != "" {
+		return r
+	}
+	return wantsSecondMount(s)
 }
 
 func wantsReshard(s *System) string {

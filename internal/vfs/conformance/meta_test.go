@@ -136,7 +136,6 @@ func TestSuiteReportsCapabilitySkips(t *testing.T) {
 		"NegativeDentryRecalledByRemoteCreate": "negative-dentry-leases",
 		"CrashRecoverDurableNamespace":         "crash-recover",
 		"ReshardGrowShrinkPreservesNamespace":  "handoff",
-		"StandbyReadsNeverStale":               "standby-reads",
 		"ReaddirIsOneSnapshot":                 "snapshot-reads",
 	}
 	for name, capName := range gated {
