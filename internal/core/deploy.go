@@ -41,7 +41,7 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 	// plane at construction so traces are complete from the first
 	// operation and every later plane (standbys, and the one Promote
 	// installs) reports into the same tracer, registry and counters.
-	svc := newMDSCluster(tb, "cofs-mds", max(cfg.COFS.MetadataShards, 1), newScope(cfg.COFS))
+	svc := newMDSCluster(tb, "cofs-mds", max(cfg.COFS.MetadataShards, 1), newScope(cfg.COFS), &objectNames{})
 	svc.obs.planes = append(svc.obs.planes, svc)
 	d := &Deployment{Service: svc}
 	// Install-time initialization: pre-create the hash (and random)

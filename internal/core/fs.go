@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -37,6 +36,10 @@ type FS struct {
 	buckets map[string]*bucketState
 	// madeDirs remembers underlying directories already created.
 	madeDirs map[string]bool
+	// names names this client's new underlying objects (objectPath).
+	names objectNamer
+	// commits is the pool of idle name-commit jobs (object.go).
+	commits []*nameCommit
 
 	handles map[vfs.Handle]*cofsHandle
 	nextH   vfs.Handle
@@ -125,6 +128,7 @@ func NewFS(svc *MDSCluster, host *netsim.Host, node int, under *vfs.Mount, place
 		rng:      rng,
 		buckets:  make(map[string]*bucketState),
 		madeDirs: make(map[string]bool),
+		names:    objectNamer{gen: svc.names.next()},
 		handles:  make(map[vfs.Handle]*cofsHandle),
 		nextH:    1,
 		attrs:    cache,
@@ -164,46 +168,10 @@ func (f *FS) underCtx() vfs.Ctx {
 	return c
 }
 
-// pickBucket returns the underlying directory for a new file, applying
-// the MaxEntriesPerDir cap by spilling to a new generation suffix.
-// Generation 0 is the bucket directory itself (pre-created at install
-// time by InitDirs), so a fresh process's first creates need no
-// underlying mkdir at all; only spills past the cap grow a gNNN level.
-func (f *FS) pickBucket(ctx vfs.Ctx, parent vfs.Ino) string {
-	base := f.place.BucketDir(f.node, ctx.PID, parent, f.rng.Uint64())
-	st, ok := f.buckets[base]
-	if !ok {
-		st = &bucketState{}
-		f.buckets[base] = st
-	}
-	if f.cfg.MaxEntriesPerDir > 0 && st.count >= f.cfg.MaxEntriesPerDir {
-		st.gen++
-		st.count = 0
-		f.Stats.BucketSpills++
-	}
-	st.count++
-	if st.gen == 0 {
-		return base
-	}
-	return fmt.Sprintf("%s/g%03d", base, st.gen)
-}
-
 // MarkDirMade records that an underlying directory already exists (the
 // deployment calls this for install-time InitDirs, saving the existence
 // walk on first use).
 func (f *FS) MarkDirMade(dir string) { f.madeDirs[dir] = true }
-
-// ensureUnderDir creates the bucket directory chain on first use.
-func (f *FS) ensureUnderDir(p *sim.Proc, dir string) error {
-	if f.madeDirs[dir] {
-		return nil
-	}
-	if err := f.under.MkdirAll(p, f.underCtx(), dir, 0700); err != nil {
-		return err
-	}
-	f.madeDirs[dir] = true
-	return nil
-}
 
 // Lookup implements vfs.Filesystem. A still-leased dentry (positive or
 // negative) resolves without a service round trip: the aggressive-caching
@@ -278,26 +246,41 @@ func (f *FS) setattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, set vfs.SetAttr) (vf
 	return attr, upath, nil
 }
 
-// Create implements vfs.Filesystem: the placement driver picks the
-// underlying directory, the service records the mapping, and the file is
-// created in the (small, node-private) underlying directory.
+// Create implements vfs.Filesystem. The client names the file's
+// underlying object itself (objectPath) and creates it while a helper
+// commits the name at the service: a create costs the longer of the
+// two, not their sum (docs/transactions.md, "Object and name
+// together"). Either half failing undoes the other, so no name outlives
+// a failed create without its object, and no object without its name.
 func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uint32) (vfs.Attr, vfs.Handle, error) {
 	if name == "" || len(name) > vfs.MaxNameLen {
 		return vfs.Attr{}, 0, vfs.ErrInvalid
 	}
-	bucket := f.pickBucket(ctx, dir)
-	if err := f.ensureUnderDir(p, bucket); err != nil {
+	if f.leasedExisting(p, ctx, dir, name) {
+		return vfs.Attr{}, 0, vfs.ErrExist
+	}
+	upath, err := f.objectPath(p, ctx, dir)
+	if err != nil {
 		return vfs.Attr{}, 0, err
 	}
 	f.Stats.ServiceOps++
-	attr, upath, err := f.svc.Create(p, f.sess, ctx, dir, name, vfs.TypeRegular, mode, bucket, "")
+	c := f.startCommit(p, ctx, dir, name, mode, upath)
+	uf, uerr := f.under.CreateExcl(p, f.underCtx(), upath, 0600)
+	attr, err := c.await(p)
 	if err != nil {
+		// No name was committed, so nothing can reach the object.
+		if uerr == nil {
+			_ = uf.Close(p) // nothing was written; the file goes next
+			f.removeUnder(p, upath)
+		}
 		return vfs.Attr{}, 0, err
 	}
 	f.attrs.drop(dir) // parent mtime changed
-	uf, err := f.under.Create(p, f.underCtx(), upath, 0600)
-	if err != nil {
-		return vfs.Attr{}, 0, err
+	if uerr != nil {
+		// The name is committed but names no object: take it back. The
+		// object's error is the one to report.
+		f.undoCreate(p, ctx, dir, name, attr.Ino)
+		return vfs.Attr{}, 0, uerr
 	}
 	f.Stats.UnderCreates++
 	h := f.nextH
@@ -468,7 +451,7 @@ func (f *FS) Release(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle) error {
 // (removal.go) and return.
 func (f *FS) Unlink(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) error {
 	f.Stats.ServiceOps++
-	upath, gone, err := f.svc.Remove(p, f.sess, ctx, dir, name, false)
+	upath, gone, err := f.svc.Remove(p, f.sess, ctx, dir, name, false, 0)
 	if err != nil {
 		return err
 	}
@@ -488,7 +471,7 @@ func (f *FS) Mkdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uint
 		return vfs.Attr{}, vfs.ErrInvalid
 	}
 	f.Stats.ServiceOps++
-	attr, _, err := f.svc.Create(p, f.sess, ctx, dir, name, vfs.TypeDir, mode, "", "")
+	attr, err := f.svc.Create(p, f.sess, ctx, dir, name, vfs.TypeDir, mode, "", "")
 	if err == nil {
 		f.attrs.drop(dir) // parent nlink/mtime changed
 	}
@@ -498,7 +481,7 @@ func (f *FS) Mkdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uint
 // Rmdir implements vfs.Filesystem.
 func (f *FS) Rmdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) error {
 	f.Stats.ServiceOps++
-	_, gone, err := f.svc.Remove(p, f.sess, ctx, dir, name, true)
+	_, gone, err := f.svc.Remove(p, f.sess, ctx, dir, name, true, 0)
 	if err == nil {
 		f.attrs.drop(gone)
 		f.attrs.drop(dir) // parent nlink/mtime changed
@@ -543,7 +526,7 @@ func (f *FS) Link(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, dir vfs.Ino, name strin
 // Symlink implements vfs.Filesystem (service-only).
 func (f *FS) Symlink(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name, target string) (vfs.Attr, error) {
 	f.Stats.ServiceOps++
-	attr, _, err := f.svc.Create(p, f.sess, ctx, dir, name, vfs.TypeSymlink, 0777, "", target)
+	attr, err := f.svc.Create(p, f.sess, ctx, dir, name, vfs.TypeSymlink, 0777, "", target)
 	if err == nil {
 		f.attrs.drop(dir) // parent mtime changed
 	}

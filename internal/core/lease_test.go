@@ -107,7 +107,7 @@ func TestLeaseRecallAllocsNothing(t *testing.T) {
 	d := Deploy(tb, nil)
 	tb.Env.Spawn("pin", func(p *sim.Proc) {
 		svc, mutator := d.Service, d.FSs[0].Session()
-		attr, _, err := svc.Create(p, mutator, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")
+		attr, err := svc.Create(p, mutator, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")
 		if err != nil {
 			panic(err)
 		}

@@ -158,14 +158,19 @@ type MDSCluster struct {
 	// every plane of the deployment and wired into each shard, channel
 	// and lock table as it is built.
 	obs *scope
+	// names is the deployment's object-name allocator (object.go),
+	// shared by every plane: each client NewFS attaches draws its
+	// generation from it.
+	names *objectNames
 }
 
 // newMDSCluster builds a metadata plane of n shards on new service hosts
 // named prefix, prefix1, ... (standby planes use their own prefix),
-// reporting into the deployment scope o. Each shard gets a freshly
+// reporting into the deployment scope o and naming objects by the
+// deployment's allocator names. Each shard gets a freshly
 // attached local disk named after its host, plus an RPC channel to every
 // peer shard for the two-phase protocol traffic.
-func newMDSCluster(tb *cluster.Testbed, prefix string, n int, o *scope) *MDSCluster {
+func newMDSCluster(tb *cluster.Testbed, prefix string, n int, o *scope, names *objectNames) *MDSCluster {
 	cfg := tb.Cfg
 	c := &MDSCluster{
 		Maps:       reshard.NewCoordinator(n),
@@ -176,6 +181,7 @@ func newMDSCluster(tb *cluster.Testbed, prefix string, n int, o *scope) *MDSClus
 		rowLocks:   o.rowLocks(tb.Env),
 		hostPrefix: prefix,
 		obs:        o,
+		names:      names,
 	}
 	for i, h := range tb.AddServiceHosts(prefix, n, cfg.COFS.ServiceWorkers) {
 		c.shards = append(c.shards, newShard(tb.Net, h, cfg, c, i))
@@ -295,14 +301,14 @@ func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino
 
 // Create allocates a new object under parent; coordinated by the
 // parent's shard (which owns the new dentry).
-func (c *MDSCluster) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string) (attr vfs.Attr, upath string, err error) {
+func (c *MDSCluster) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, upath, target string) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.create", parent)
 	defer c.obsEnd(p, ob)
 	c.routed(p, sess, parent, func(s *Service) error {
-		attr, upath, err = s.Create(p, sess, ctx, parent, name, t, mode, bucket, target)
+		attr, err = s.Create(p, sess, ctx, parent, name, t, mode, upath, target)
 		return err
 	})
-	return attr, upath, err
+	return attr, err
 }
 
 // Readlink returns a symlink's target from its owning shard.
@@ -328,11 +334,12 @@ func (c *MDSCluster) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.
 }
 
 // Remove unlinks (parent, name); coordinated by the parent's shard.
-func (c *MDSCluster) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool) (upath string, id vfs.Ino, err error) {
+// want, when not 0, is the object the name must still name.
+func (c *MDSCluster) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool, want vfs.Ino) (upath string, id vfs.Ino, err error) {
 	ob := c.obsBegin(p, sess, "op.remove", parent)
 	defer c.obsEnd(p, ob)
 	c.routed(p, sess, parent, func(s *Service) error {
-		upath, id, err = s.Remove(p, sess, ctx, parent, name, rmdir)
+		upath, id, err = s.Remove(p, sess, ctx, parent, name, rmdir, want)
 		return err
 	})
 	return upath, id, err

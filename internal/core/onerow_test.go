@@ -58,11 +58,11 @@ func TestRequestShardCost(t *testing.T) {
 			var id vfs.Ino
 			var upath string
 			got := held("create", root, func(p *sim.Proc) {
-				attr, up, err := svc.Create(p, sess, ctx, RootID, "f", vfs.TypeRegular, 0644, "b0", "")
-				if err != nil || up == "" {
-					t.Fatalf("create: %q, %v", up, err)
+				attr, err := svc.Create(p, sess, ctx, RootID, "f", vfs.TypeRegular, 0644, "b0/f", "")
+				if err != nil {
+					t.Fatal(err)
 				}
-				id, upath = attr.Ino, up
+				id, upath = attr.Ino, "b0/f"
 			})
 			check("a create", got, cpu+5*dbop, 5)
 			if svc.Of(id) != root {
@@ -75,7 +75,7 @@ func TestRequestShardCost(t *testing.T) {
 			})
 			check("an open", got, cpu*3/4+dbop, 1)
 			got = held("unlink", root, func(p *sim.Proc) {
-				if up, gone, err := svc.Remove(p, sess, ctx, RootID, "f", false); err != nil || up != upath || gone != id {
+				if up, gone, err := svc.Remove(p, sess, ctx, RootID, "f", false, 0); err != nil || up != upath || gone != id {
 					t.Fatalf("unlink: %q, %d, %v; want %q, %d", up, gone, err, upath, id)
 				}
 			})
@@ -91,13 +91,13 @@ func TestRequestShardCost(t *testing.T) {
 			var src, dst vfs.Ino
 			var f vfs.Ino
 			drained(tb, "dirs", func(p *sim.Proc) {
-				attr, _, err := svc.Create(p, sess, ctx, RootID, "s", vfs.TypeDir, 0755, "", "")
+				attr, err := svc.Create(p, sess, ctx, RootID, "s", vfs.TypeDir, 0755, "", "")
 				if err != nil {
 					t.Fatal(err)
 				}
 				src = attr.Ino
 				for i := 0; dst == 0; i++ {
-					attr, _, err := svc.Create(p, sess, ctx, RootID, fmt.Sprintf("t%d", i), vfs.TypeDir, 0755, "", "")
+					attr, err := svc.Create(p, sess, ctx, RootID, fmt.Sprintf("t%d", i), vfs.TypeDir, 0755, "", "")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -106,7 +106,7 @@ func TestRequestShardCost(t *testing.T) {
 					}
 				}
 				for _, name := range []string{"f", "h"} {
-					attr, _, err := svc.Create(p, sess, ctx, src, name, vfs.TypeRegular, 0644, "b0", "")
+					attr, err := svc.Create(p, sess, ctx, src, name, vfs.TypeRegular, 0644, "b0/"+name, "")
 					if err != nil {
 						t.Fatal(err)
 					}

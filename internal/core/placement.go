@@ -15,8 +15,9 @@
 //     counts only its own entries (FS.buckets) MaxEntriesPerDir is a
 //     per-client cap that a shared bucket can exceed.
 //   - The metadata driver and service (service.go) keep the virtual
-//     hierarchy and file attributes in Mnesia-style tables; they hold no
-//     data-placement information whatsoever.
+//     hierarchy and file attributes in Mnesia-style tables, and record
+//     each file's underlying path as its creating client named it; they
+//     make no placement decision.
 //   - The COFS file system (fs.go) implements vfs.Filesystem on each
 //     client, forwarding namespace/attribute operations to the service
 //     and data operations to the underlying file system.
@@ -35,10 +36,12 @@ import (
 // (supplied by the caller from a seeded stream) provides the paper's
 // randomization factor.
 type Placement interface {
-	// BucketDir returns the underlying directory (relative to the COFS
-	// object root) for a file created by (node, pid) in virtual
-	// directory parent. rnd is a deterministic random value.
-	BucketDir(node, pid int, parent vfs.Ino, rnd uint64) string
+	// AppendBucketDir appends to b the underlying directory (relative to
+	// the COFS object root) for a file created by (node, pid) in virtual
+	// directory parent. rnd is a deterministic random value. A create
+	// appends its object's name behind it, so the whole path costs one
+	// allocation.
+	AppendBucketDir(b []byte, node, pid int, parent vfs.Ino, rnd uint64) []byte
 	// InitDirs returns the underlying directories to pre-create at
 	// deployment time (the hash level), so that later bucket creation
 	// only touches node-private parents instead of contending on the
@@ -89,20 +92,18 @@ type HashPlacement struct {
 	RandomSubdirs int
 }
 
-// BucketDir implements Placement.
-func (hp HashPlacement) BucketDir(node, pid int, parent vfs.Ino, rnd uint64) string {
+// AppendBucketDir implements Placement: "o/%03x" and, below it,
+// "/r%02d".
+func (hp HashPlacement) AppendBucketDir(b []byte, node, pid int, parent vfs.Ino, rnd uint64) []byte {
 	fanout := hp.Fanout
 	if fanout < 1 {
 		fanout = 1
 	}
-	// "o/%03x" and, below it, "/r%02d": built in one stack buffer — this
-	// runs once per create.
-	var buf [32]byte
-	b := appendPadded(append(buf[:0], "o/"...), hash3(node, pid, parent)%uint64(fanout), 16, 3)
+	b = appendPadded(append(b, "o/"...), hash3(node, pid, parent)%uint64(fanout), 16, 3)
 	if hp.RandomSubdirs > 1 {
 		b = appendPadded(append(b, "/r"...), rnd%uint64(hp.RandomSubdirs), 10, 2)
 	}
-	return string(b)
+	return b
 }
 
 // appendPadded appends v in base, zero-padded to at least width digits:
@@ -114,14 +115,6 @@ func appendPadded(b []byte, v uint64, base, width int) []byte {
 		b = append(b, '0')
 	}
 	return append(b, digits...)
-}
-
-// underlyingPath composes the mapping a regular file's create records:
-// "<bucket>/f%016x" of its inode number, in one allocation.
-func underlyingPath(bucket string, id vfs.Ino) string {
-	var buf [64]byte
-	b := append(append(buf[:0], bucket...), "/f"...)
-	return string(appendPadded(b, uint64(id), 16, 16))
 }
 
 // InitDirs implements Placement: the hash level — and, when enabled,
@@ -153,13 +146,13 @@ func (hp HashPlacement) Name() string { return "hash(node,parent,pid)+random" }
 // or process discrimination, no randomization level).
 type NodeHashPlacement struct{ Fanout int }
 
-// BucketDir implements Placement.
-func (np NodeHashPlacement) BucketDir(node, pid int, parent vfs.Ino, rnd uint64) string {
+// AppendBucketDir implements Placement: "n/%03x".
+func (np NodeHashPlacement) AppendBucketDir(b []byte, node, pid int, parent vfs.Ino, rnd uint64) []byte {
 	fanout := np.Fanout
 	if fanout < 1 {
 		fanout = 1
 	}
-	return fmt.Sprintf("n/%03x", uint64(node)%uint64(fanout))
+	return appendPadded(append(b, "n/"...), uint64(node)%uint64(fanout), 16, 3)
 }
 
 // InitDirs implements Placement.
@@ -183,8 +176,10 @@ func (np NodeHashPlacement) Name() string { return "hash(node)" }
 // same hot directory the applications created.
 type FlatPlacement struct{}
 
-// BucketDir implements Placement.
-func (FlatPlacement) BucketDir(node, pid int, parent vfs.Ino, rnd uint64) string { return "flat" }
+// AppendBucketDir implements Placement.
+func (FlatPlacement) AppendBucketDir(b []byte, node, pid int, parent vfs.Ino, rnd uint64) []byte {
+	return append(b, "flat"...)
+}
 
 // InitDirs implements Placement.
 func (FlatPlacement) InitDirs() []string { return []string{"flat"} }

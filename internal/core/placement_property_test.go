@@ -15,8 +15,8 @@ import (
 func TestHashPlacementDeterministic(t *testing.T) {
 	hp := core.HashPlacement{Fanout: 64, RandomSubdirs: 8}
 	f := func(node, pid uint8, parent uint16, rnd uint64) bool {
-		a := hp.BucketDir(int(node), int(pid), vfs.Ino(parent), rnd)
-		b := hp.BucketDir(int(node), int(pid), vfs.Ino(parent), rnd)
+		a := core.BucketDir(hp, int(node), int(pid), vfs.Ino(parent), rnd)
+		b := core.BucketDir(hp, int(node), int(pid), vfs.Ino(parent), rnd)
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -38,7 +38,7 @@ func TestHashPlacementWithinInitDirs(t *testing.T) {
 			init[d] = true
 		}
 		f := func(node, pid uint8, parent uint16, rnd uint64) bool {
-			return init[hp.BucketDir(int(node), int(pid), vfs.Ino(parent), rnd)]
+			return init[core.BucketDir(hp, int(node), int(pid), vfs.Ino(parent), rnd)]
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("fanout=%d rand=%d: %v", hp.Fanout, hp.RandomSubdirs, err)
@@ -52,8 +52,8 @@ func TestHashPlacementWithinInitDirs(t *testing.T) {
 func TestHashPlacementRandomOnlyMovesSubdir(t *testing.T) {
 	hp := core.HashPlacement{Fanout: 64, RandomSubdirs: 8}
 	f := func(node, pid uint8, parent uint16, r1, r2 uint64) bool {
-		a := hp.BucketDir(int(node), int(pid), vfs.Ino(parent), r1)
-		b := hp.BucketDir(int(node), int(pid), vfs.Ino(parent), r2)
+		a := core.BucketDir(hp, int(node), int(pid), vfs.Ino(parent), r1)
+		b := core.BucketDir(hp, int(node), int(pid), vfs.Ino(parent), r2)
 		ai := strings.LastIndex(a, "/")
 		bi := strings.LastIndex(b, "/")
 		return a[:ai] == b[:bi]
@@ -73,7 +73,7 @@ func TestHashPlacementSpreadsNodes(t *testing.T) {
 	parent := vfs.Ino(7)
 	buckets := make(map[string][]int)
 	for n := 0; n < nodes; n++ {
-		b := hp.BucketDir(n, 1, parent, 0)
+		b := core.BucketDir(hp, n, 1, parent, 0)
 		buckets[b] = append(buckets[b], n)
 	}
 	if len(buckets) < nodes/2 {
@@ -95,7 +95,7 @@ func TestHashPlacementUniformish(t *testing.T) {
 	for node := 0; node < 16; node++ {
 		for pid := 0; pid < 8; pid++ {
 			for parent := vfs.Ino(1); parent <= 8; parent++ {
-				counts[hp.BucketDir(node, pid, parent, 0)]++
+				counts[core.BucketDir(hp, node, pid, parent, 0)]++
 				total++
 			}
 		}
@@ -116,8 +116,8 @@ func TestHashPlacementUniformish(t *testing.T) {
 func TestNodeHashPlacementIgnoresPidAndParent(t *testing.T) {
 	np := core.NodeHashPlacement{Fanout: 16}
 	f := func(node uint8, pid1, pid2 uint8, par1, par2 uint16, r1, r2 uint64) bool {
-		a := np.BucketDir(int(node), int(pid1), vfs.Ino(par1), r1)
-		b := np.BucketDir(int(node), int(pid2), vfs.Ino(par2), r2)
+		a := core.BucketDir(np, int(node), int(pid1), vfs.Ino(par1), r1)
+		b := core.BucketDir(np, int(node), int(pid2), vfs.Ino(par2), r2)
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -129,7 +129,7 @@ func TestNodeHashPlacementIgnoresPidAndParent(t *testing.T) {
 func TestFlatPlacementSingleBucket(t *testing.T) {
 	fp := core.FlatPlacement{}
 	f := func(node, pid uint8, parent uint16, rnd uint64) bool {
-		return fp.BucketDir(int(node), int(pid), vfs.Ino(parent), rnd) == "flat"
+		return core.BucketDir(fp, int(node), int(pid), vfs.Ino(parent), rnd) == "flat"
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,8 @@ import (
 func TestHashPlacementDeterministic(t *testing.T) {
 	f := func(node, pid uint8, parent uint32, rnd uint64) bool {
 		hp := HashPlacement{Fanout: 64, RandomSubdirs: 8}
-		a := hp.BucketDir(int(node), int(pid), vfs.Ino(parent), rnd)
-		b := hp.BucketDir(int(node), int(pid), vfs.Ino(parent), rnd)
+		a := BucketDir(hp, int(node), int(pid), vfs.Ino(parent), rnd)
+		b := BucketDir(hp, int(node), int(pid), vfs.Ino(parent), rnd)
 		return a == b && a != ""
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -28,7 +28,7 @@ func TestHashPlacementSeparatesNodes(t *testing.T) {
 	hp := HashPlacement{Fanout: 64, RandomSubdirs: 1}
 	buckets := map[string][]int{}
 	for node := 0; node < 16; node++ {
-		dir := hp.BucketDir(node, 1, 42, 0)
+		dir := BucketDir(hp, node, 1, 42, 0)
 		buckets[dir] = append(buckets[dir], node)
 	}
 	if len(buckets) < 12 {
@@ -38,12 +38,12 @@ func TestHashPlacementSeparatesNodes(t *testing.T) {
 
 func TestHashPlacementSeparatesProcesses(t *testing.T) {
 	hp := HashPlacement{Fanout: 64, RandomSubdirs: 1}
-	a := hp.BucketDir(3, 1, 42, 0)
-	b := hp.BucketDir(3, 2, 42, 0)
+	a := BucketDir(hp, 3, 1, 42, 0)
+	b := BucketDir(hp, 3, 2, 42, 0)
 	if a == b {
 		t.Fatal("different pids mapped to the same bucket (hash ignores pid?)")
 	}
-	c := hp.BucketDir(3, 1, 43, 0)
+	c := BucketDir(hp, 3, 1, 43, 0)
 	if a == c {
 		t.Fatal("different parents mapped to the same bucket (hash ignores parent?)")
 	}
@@ -53,7 +53,7 @@ func TestRandomizationLevelSpreads(t *testing.T) {
 	hp := HashPlacement{Fanout: 64, RandomSubdirs: 8}
 	seen := map[string]bool{}
 	for rnd := uint64(0); rnd < 64; rnd++ {
-		seen[hp.BucketDir(1, 1, 7, rnd)] = true
+		seen[BucketDir(hp, 1, 1, 7, rnd)] = true
 	}
 	if len(seen) != 8 {
 		t.Fatalf("randomization produced %d subdirs, want 8", len(seen))
@@ -73,7 +73,7 @@ func TestRandomizationLevelSpreads(t *testing.T) {
 func TestFanoutBounds(t *testing.T) {
 	f := func(node uint8, parent uint16, rnd uint64) bool {
 		hp := HashPlacement{Fanout: 16, RandomSubdirs: 4}
-		dir := hp.BucketDir(int(node), 1, vfs.Ino(parent), rnd)
+		dir := BucketDir(hp, int(node), 1, vfs.Ino(parent), rnd)
 		// Format: o/XXX/rNN with XXX < fanout.
 		parts := strings.Split(dir, "/")
 		if len(parts) != 3 || parts[0] != "o" {
@@ -91,18 +91,18 @@ func TestFanoutBounds(t *testing.T) {
 }
 
 func TestDegeneratePolicies(t *testing.T) {
-	if (FlatPlacement{}).BucketDir(1, 2, 3, 4) != (FlatPlacement{}).BucketDir(9, 9, 9, 9) {
+	if BucketDir(FlatPlacement{}, 1, 2, 3, 4) != BucketDir(FlatPlacement{}, 9, 9, 9, 9) {
 		t.Fatal("flat placement must ignore all inputs")
 	}
 	np := NodeHashPlacement{Fanout: 8}
-	if np.BucketDir(1, 1, 1, 1) != np.BucketDir(1, 9, 9, 9) {
+	if BucketDir(np, 1, 1, 1, 1) != BucketDir(np, 1, 9, 9, 9) {
 		t.Fatal("node hash must depend only on the node")
 	}
-	if np.BucketDir(1, 1, 1, 1) == np.BucketDir(2, 1, 1, 1) {
+	if BucketDir(np, 1, 1, 1, 1) == BucketDir(np, 2, 1, 1, 1) {
 		t.Fatal("node hash must separate nodes")
 	}
 	// Zero fanout falls back safely.
-	if got := (HashPlacement{}).BucketDir(1, 1, 1, 1); got == "" {
+	if got := BucketDir(HashPlacement{}, 1, 1, 1, 1); got == "" {
 		t.Fatal("zero-fanout hash placement returned empty dir")
 	}
 	for _, p := range []Placement{HashPlacement{Fanout: 4}, NodeHashPlacement{Fanout: 4}, FlatPlacement{}} {
@@ -115,7 +115,8 @@ func TestDegeneratePolicies(t *testing.T) {
 // TestCreatePathStringsMatchFormatVerbs pins the strings a create
 // builds by hand (strconv into one buffer) against the format verbs
 // they replaced, byte for byte: padding narrower and wider than the
-// value, both placement levels, bucket names past the stack buffer.
+// value, both hash placement levels, the node placement, and the object
+// name behind buckets of any length.
 func TestCreatePathStringsMatchFormatVerbs(t *testing.T) {
 	for _, tc := range []struct {
 		fanout, subdirs int
@@ -132,16 +133,25 @@ func TestCreatePathStringsMatchFormatVerbs(t *testing.T) {
 			if tc.subdirs > 1 {
 				want = fmt.Sprintf("%s/r%02d", want, tc.rnd%uint64(tc.subdirs))
 			}
-			if got := hp.BucketDir(node, node+1, parent, tc.rnd); got != want {
+			if got := BucketDir(hp, node, node+1, parent, tc.rnd); got != want {
 				t.Fatalf("BucketDir(fanout %d, subdirs %d, node %d) = %q, want %q", tc.fanout, tc.subdirs, node, got, want)
 			}
 		}
 	}
+	for _, fanout := range []int{0, 1, 64, 1 << 20} {
+		np := NodeHashPlacement{Fanout: fanout}
+		for node := 0; node < 40; node++ {
+			want := fmt.Sprintf("n/%03x", uint64(node)%uint64(max(fanout, 1)))
+			if got := BucketDir(np, node, 1, 1, 1); got != want {
+				t.Fatalf("NodeHashPlacement{%d}.BucketDir(node %d) = %q, want %q", fanout, node, got, want)
+			}
+		}
+	}
 	for _, bucket := range []string{"o/03f", "o/03f/r07", "flat", "", strings.Repeat("deep/", 20)} {
-		for _, id := range []vfs.Ino{0, 1, 0xabc, 1 << 40, 1<<63 + 5} {
-			want := fmt.Sprintf("%s/f%016x", bucket, uint64(id))
-			if got := underlyingPath(bucket, id); got != want {
-				t.Fatalf("underlyingPath(%q, %#x) = %q, want %q", bucket, uint64(id), got, want)
+		for _, n := range []uint64{0, 1, 0xabc, 1 << 40, 1<<63 + 5} {
+			want := fmt.Sprintf("%s/f%x.%x", bucket, n, n/3)
+			if got := string(appendObjectName([]byte(bucket), n, n/3)); got != want {
+				t.Fatalf("appendObjectName(%q, %#x, %#x) = %q, want %q", bucket, n, n/3, got, want)
 			}
 		}
 	}

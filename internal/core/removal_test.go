@@ -259,11 +259,11 @@ func TestCrashWithRemovalsInFlight(t *testing.T) {
 }
 
 // TestCreateCloseUnlinkAllocs pins the client's per-file cost at the
-// COFS layer: a warm create, close and unlink, underlying removal
-// included, allocates no more than the 6 it did when the unlink removed
-// the underlying file itself. The removal job comes from the node's pool
-// and its process from the kernel's (sim.Env.Go), so handing the file
-// off costs no allocation.
+// COFS layer: a warm create, close and unlink, underlying object create
+// and removal included, allocates no more than 5. The object-create and
+// removal jobs come from the node's pools and their processes from the
+// kernel's (sim.Env.Go), so running them beside the operation costs no
+// allocation, and the object's path is built once (objectPath).
 func TestCreateCloseUnlinkAllocs(t *testing.T) {
 	skipUnderRace(t)
 	tb := cluster.New(1, 1, params.Default())
@@ -285,8 +285,8 @@ func TestCreateCloseUnlinkAllocs(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			cycle()
 		}
-		if n := testing.AllocsPerRun(1000, cycle); n > 6 {
-			t.Errorf("create+close+unlink allocates %v, want <= 6", n)
+		if n := testing.AllocsPerRun(1000, cycle); n > 5 {
+			t.Errorf("create+close+unlink allocates %v, want <= 5", n)
 		}
 	})
 	tb.Run()

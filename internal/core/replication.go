@@ -57,8 +57,10 @@ func DeployStandby(tb *cluster.Testbed, d *Deployment, delay time.Duration) *Sta
 	}
 	// The standby plane reports into the deployment's scope from birth:
 	// its shards and channels are wired as they are built, so the plane
-	// Promote installs is already observed.
-	sc := newMDSCluster(tb, "cofs-mds-standby", len(d.Service.Shards()), d.Service.obs)
+	// Promote installs is already observed. It shares the object-name
+	// allocator too, so clients attached after a promotion never reuse
+	// a generation.
+	sc := newMDSCluster(tb, "cofs-mds-standby", len(d.Service.Shards()), d.Service.obs, d.Service.names)
 	// The standby routes, validates and — after Promote — recovers by
 	// the primary's epoch log: sharing the coordinator keeps the
 	// standby plane shaped by the current epoch, whatever the shard

@@ -536,7 +536,7 @@ func TestReshardDormantCostIdentical(t *testing.T) {
 		msgs   int64
 	}{
 		{1, 1420867801 * time.Nanosecond, 502},
-		{4, 1451436645 * time.Nanosecond, 524},
+		{4, 1449293373 * time.Nanosecond, 524},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {

@@ -519,12 +519,13 @@ func (s *Service) allocSite(t vfs.FileType, parent vfs.Ino, name string) *Servic
 }
 
 // Create allocates a new object of the given type under parent. For
-// regular files, bucket is the underlying directory chosen by the
-// client's placement driver: the service composes the underlying path
-// <bucket>/f<id>, records it in the new inode row and returns it. The
-// transaction commits durably (the service's ext3-backed log,
-// group-committed across clients).
-func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string) (vfs.Attr, string, error) {
+// regular files, upath is the underlying path the client named (its
+// placement driver's bucket plus a name unique to the client, which is
+// creating the object while this commit is in flight): the service
+// records it verbatim in the new inode row. The transaction commits
+// durably (the service's ext3-backed log, group-committed across
+// clients).
+func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, upath, target string) (vfs.Attr, error) {
 	s.Stats.Creates++
 	// New files and symlinks allocate from this shard's stride, so the
 	// whole create commits locally. New directories place by the shard
@@ -533,11 +534,11 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 	// create runs at the allocating shard under the two-phase protocol.
 	if s.sharded() {
 		if ts := s.allocSite(t, parent, name); ts != s {
-			return s.createRemote(p, sess, ctx, parent, name, t, mode, bucket, target, ts)
+			return s.createRemote(p, sess, ctx, parent, name, t, mode, upath, target, ts)
 		}
 	}
-	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) mappingReply {
-		var out mappingReply
+	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) attrReply {
+		var out attrReply
 		// The create commits in one local transaction, but on a sharded
 		// plane it must still respect the row locks of in-flight
 		// cross-shard mutations — an rmdir freezing this directory's
@@ -580,7 +581,7 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			id := s.allocID()
 			row := inodeRow{
 				ID: id, Type: t, Mode: mode, UID: ctx.UID, GID: ctx.GID,
-				Nlink: 1, Mtime: p.Now(), Ctime: p.Now(), Target: target,
+				Nlink: 1, Mtime: p.Now(), Ctime: p.Now(), Target: target, Path: upath,
 			}
 			if t == vfs.TypeDir {
 				row.Nlink = 2
@@ -589,14 +590,11 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			if t == vfs.TypeSymlink {
 				row.Size = int64(len(target))
 			}
-			if bucket != "" {
-				row.Path = underlyingPath(bucket, id)
-			}
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.inodes, id, row)
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: id, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
-			out.attr, out.upath = row.attr(), row.Path
+			out.attr = row.attr()
 		})
 		if out.err == nil {
 			// Kill other nodes' negative dentries for the new name (and
@@ -604,11 +602,11 @@ func (s *Service) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			// lease the new object to its creator.
 			s.revokeLeases(p, sess, dentLease(parent, name), attrLease(parent))
 			s.grantDentry(p, sess, parent, name, out.attr.Ino)
-			s.grantAttr(p, sess, out.attr.Ino, out.upath)
+			s.grantAttr(p, sess, out.attr.Ino, upath)
 		}
 		return out
 	})
-	return r.attr, r.upath, r.err
+	return r.attr, r.err
 }
 
 // Readlink returns a symlink's target.
@@ -667,11 +665,14 @@ type removeReply struct {
 // Remove unlinks (parent, name). It returns the id of the affected
 // object (so client caches can invalidate it) and, for regular files
 // whose last link went away, the underlying path to delete; rmdir
-// requires an empty directory.
-func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool) (string, vfs.Ino, error) {
+// requires an empty directory. A want other than 0 removes the name
+// only while it names want, and is ErrNotExist otherwise: a client
+// taking back its own create (FS.undoCreate) must not remove a file
+// renamed onto the name since.
+func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool, want vfs.Ino) (string, vfs.Ino, error) {
 	s.Stats.Removes++
 	if s.sharded() {
-		return s.removeSharded(p, sess, ctx, parent, name, rmdir)
+		return s.removeSharded(p, sess, ctx, parent, name, rmdir, want)
 	}
 	r := call(p, s, sess, rpc.OpRemove, 160, 128, func(p *sim.Proc) removeReply {
 		var out removeReply
@@ -693,7 +694,7 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 			}
 			key := dentryKey{Parent: parent, Name: name}
 			de, ok := mdb.Get(tx, s.dentries, key)
-			if !ok {
+			if !ok || want != 0 && de.Child != want {
 				out.err = vfs.ErrNotExist
 				return
 			}

@@ -123,7 +123,7 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	step(tb, "build", func(p *sim.Proc) {
 		ctx := cluster.Ctx(0, 1)
 		for i := 0; i < entries; i++ {
-			if _, _, err := svc.Create(p, d.FSs[0].Session(), ctx, big, fmt.Sprintf("f%03d", i), vfs.TypeRegular, 0644, "", ""); err != nil {
+			if _, err := svc.Create(p, d.FSs[0].Session(), ctx, big, fmt.Sprintf("f%03d", i), vfs.TypeRegular, 0644, "", ""); err != nil {
 				t.Error(err)
 				return
 			}
@@ -131,7 +131,7 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	})
 	createFrom := func(p *sim.Proc, node int, name string) time.Duration {
 		start := p.Now()
-		if _, _, err := svc.Create(p, d.FSs[node].Session(), cluster.Ctx(node, 1), core.RootID, name, vfs.TypeRegular, 0644, "", ""); err != nil {
+		if _, err := svc.Create(p, d.FSs[node].Session(), cluster.Ctx(node, 1), core.RootID, name, vfs.TypeRegular, 0644, "", ""); err != nil {
 			t.Error(err)
 		}
 		return p.Now() - start

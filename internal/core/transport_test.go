@@ -19,7 +19,7 @@ func TestMetadataRPCAllocs(t *testing.T) {
 	d := Deploy(tb, nil)
 	tb.Env.Spawn("pin", func(p *sim.Proc) {
 		svc, sess := d.Service, d.FSs[0].Session()
-		attr, _, err := svc.Create(p, sess, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")
+		attr, err := svc.Create(p, sess, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")
 		if err != nil {
 			panic(err)
 		}

@@ -66,8 +66,8 @@ func (s *Service) peerGetattr(p *sim.Proc, sess *Session, id vfs.Ino) attrReply 
 // (allocate + insert the row there, with a regular file's underlying
 // path in it), then commit the dentry and parent update locally,
 // aborting the prepared row if the local validation fails.
-func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, bucket, target string, ts *Service) (vfs.Attr, string, error) {
-	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) mappingReply {
+func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, upath, target string, ts *Service) (vfs.Attr, error) {
+	r := call(p, s, sess, rpc.OpCreate, 256, 192, func(p *sim.Proc) attrReply {
 		// The new inode row is freshly allocated — no other mutation can
 		// reference it before the dentry commit below — so the footprint
 		// is just the dentry being created (Exclusive) and the parent
@@ -78,7 +78,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		defer s.spanEnd(p, open)
 		txn := s.lockRows(p, lock.X(s.dentKey(parent, name)), lock.S(s.inoKey(parent)))
 		defer txn.release(p)
-		var out mappingReply
+		var out attrReply
 		if out.err = s.claim(parent); out.err != nil {
 			return out
 		}
@@ -100,8 +100,8 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		if !valid {
 			return out
 		}
-		// Phase 1: the owning shard prepares the inode row (and, for a
-		// regular file, composes the underlying path recorded in it).
+		// Phase 1: the owning shard prepares the inode row (with, for a
+		// regular file, the client's underlying path in it).
 		s.spanNext(p, open, "2pc.prepare")
 		row := peerCall(p, s, ts, 160, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) inodeRow {
 			var row inodeRow
@@ -109,17 +109,13 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 				id := ts.allocID()
 				row = inodeRow{
 					ID: id, Type: t, Mode: mode, UID: ctx.UID, GID: ctx.GID,
-					Nlink: 1, Mtime: p.Now(), Ctime: p.Now(), Target: target,
+					Nlink: 1, Mtime: p.Now(), Ctime: p.Now(), Target: target, Path: upath,
 				}
 				switch t {
 				case vfs.TypeDir:
 					row.Nlink = 2
 				case vfs.TypeSymlink:
 					row.Size = int64(len(target))
-				case vfs.TypeRegular:
-					if bucket != "" {
-						row.Path = underlyingPath(bucket, id)
-					}
 				}
 				mdb.Put(tx, ts.inodes, id, row)
 			})
@@ -147,7 +143,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 			din.Mtime = p.Now()
 			mdb.Put(tx, s.dentries, key, dentryRow{Parent: parent, Name: name, Child: row.ID, Type: t})
 			mdb.Put(tx, s.inodes, parent, din)
-			out.attr, out.upath = row.attr(), row.Path
+			out.attr = row.attr()
 		})
 		if out.err != nil {
 			// Abort: reclaim the prepared inode (the id itself is burnt).
@@ -159,11 +155,11 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		if t == vfs.TypeRegular {
 			// Mirror the local create's grant; the lease lives at the
 			// row's owner, which is the shard that will recall it.
-			ts.grantAttr(p, sess, row.ID, row.Path)
+			ts.grantAttr(p, sess, row.ID, upath)
 		}
 		return out
 	})
-	return r.attr, r.upath, r.err
+	return r.attr, r.err
 }
 
 // removeSharded is Remove for a sharded plane: validation against the
@@ -171,7 +167,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 // A file unlink validates by the dentry alone and checks the parent's
 // permission in its commit (unlinkDentry); every error path and every
 // rmdir read the parent first, which keeps the single-shard precedence.
-func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool) (string, vfs.Ino, error) {
+func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool, want vfs.Ino) (string, vfs.Ino, error) {
 	r := call(p, s, sess, rpc.OpRemove, 160, 128, func(p *sim.Proc) removeReply {
 		var out removeReply
 		key := dentryKey{Parent: parent, Name: name}
@@ -191,7 +187,7 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
 				var ok bool
 				if !rmdir {
-					if de, ok = mdb.Get(tx, s.dentries, key); ok && de.Type != vfs.TypeDir {
+					if de, ok = mdb.Get(tx, s.dentries, key); ok && de.Type != vfs.TypeDir && (want == 0 || de.Child == want) {
 						out.id, valid = de.Child, true
 						return
 					}
@@ -204,7 +200,7 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 					de, ok = mdb.Get(tx, s.dentries, key)
 				}
 				switch {
-				case !ok:
+				case !ok || want != 0 && de.Child != want:
 					out.err = vfs.ErrNotExist
 				case !rmdir:
 					out.err = vfs.ErrIsDir

@@ -314,20 +314,23 @@ type File struct {
 
 // Create creates (or truncates) and opens the file at path.
 func (m *Mount) Create(p *sim.Proc, ctx Ctx, path string, mode uint32) (*File, error) {
+	f, err := m.CreateExcl(p, ctx, path, mode)
+	if err == ErrExist {
+		// POSIX O_CREAT without O_EXCL: open and truncate.
+		return m.Open(p, ctx, path, OpenWrite|OpenTrunc)
+	}
+	return f, err
+}
+
+// CreateExcl creates and opens the file at path, failing with ErrExist
+// if the name exists (POSIX O_CREAT|O_EXCL).
+func (m *Mount) CreateExcl(p *sim.Proc, ctx Ctx, path string, mode uint32) (*File, error) {
 	dir, name, err := m.WalkParent(p, ctx, path)
 	if err != nil {
 		return nil, err
 	}
 	m.cross(p)
 	attr, h, err := m.fs.Create(p, ctx, dir, name, mode)
-	if err == ErrExist {
-		// POSIX O_CREAT without O_EXCL: open and truncate.
-		f, oerr := m.Open(p, ctx, path, OpenWrite|OpenTrunc)
-		if oerr != nil {
-			return nil, oerr
-		}
-		return f, nil
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -131,6 +131,36 @@ func TestRetryStaleRecoversAcrossMounts(t *testing.T) {
 	})
 }
 
+// TestCreateExclNeverTruncates: CreateExcl of an existing name fails
+// with ErrExist and leaves the file as it was, where Create truncates.
+func TestCreateExclNeverTruncates(t *testing.T) {
+	m := bareMount(NewMemFS())
+	run(t, func(p *sim.Proc) {
+		f, err := m.CreateExcl(p, ctx, "/x", 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, 0, 100); err != nil {
+			t.Fatal(err)
+		}
+		f.Close(p)
+		if _, err := m.CreateExcl(p, ctx, "/x", 0644); err != ErrExist {
+			t.Fatalf("CreateExcl of an existing name: %v, want %v", err, ErrExist)
+		}
+		if attr, err := m.Stat(p, ctx, "/x"); err != nil || attr.Size != 100 {
+			t.Fatalf("after CreateExcl: %+v, %v; want 100 bytes", attr, err)
+		}
+		g, err := m.Create(p, ctx, "/x", 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Close(p)
+		if attr, err := m.Stat(p, ctx, "/x"); err != nil || attr.Size != 0 {
+			t.Fatalf("after Create: %+v, %v; want 0 bytes", attr, err)
+		}
+	})
+}
+
 func TestFsyncAndDoubleClose(t *testing.T) {
 	m := bareMount(NewMemFS())
 	run(t, func(p *sim.Proc) {
