@@ -6,8 +6,9 @@
 // the COFS framework". This example runs the workload three ways —
 // bare GPFS, the measured COFS prototype, and COFS with the client
 // attribute/mapping cache enabled — and then shows the same cache
-// accelerating an `ls -l` sweep: the first stat of what was just listed
-// fetches the whole directory's attributes in one READDIRPLUS.
+// accelerating an `ls -l` sweep: once the first two entries of what was
+// just listed are stat-ed in order, the second stat fetches the whole
+// directory's attributes in one READDIRPLUS.
 //
 // Run with: go run ./examples/smallfiles
 package main

@@ -49,10 +49,11 @@ type FS struct {
 	// install and recall its entries.
 	attrs *clientCache
 	// listed and advised carry the attributes-on-demand rule (see
-	// Readdir): what each process's last listing returned first, and the
-	// directories whose next listing should bring attributes along.
-	// Both stay empty while the cache is disabled; advised is bounded
-	// like the cache it feeds, listed by the processes of the node.
+	// Readdir): what each process's last listing returned first and
+	// second, and the directories whose next listing should bring
+	// attributes along. Both stay empty while the cache is disabled;
+	// advised is bounded like the cache it feeds, listed by the
+	// processes of the node.
 	listed  map[int]listing
 	advised *lru.Cache[vfs.Ino, struct{}]
 	// ahead holds the directories whose statahead is in flight, each with
@@ -69,12 +70,20 @@ type FS struct {
 	Stats FSStats
 }
 
-// listing is what FS remembers of a process's last non-empty listing:
-// the directory and the entry it returned first.
+// listing is what FS remembers of a process's last listing of two or
+// more entries: the directory, the two entries it returned first, and
+// whether the process has stat-ed the first of them (armed).
 type listing struct {
 	dir   vfs.Ino
-	first vfs.Ino
-	name  string
+	ino   [2]vfs.Ino
+	name  [2]string
+	armed bool
+}
+
+// names reports whether a stat of ino (Getattr) or of (dir, name)
+// (Lookup) targets the listing's i-th entry.
+func (l *listing) names(i int, ino, dir vfs.Ino, name string) bool {
+	return l.ino[i] == ino || (l.dir == dir && l.name[i] == name)
 }
 
 // FSStats aggregates client-side COFS counters.
@@ -544,22 +553,27 @@ func (f *FS) Readlink(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (string, error) {
 // and Linux NFS's READDIRPLUS heuristic converged on. By default it is
 // names-only: no child row read and no new lease, so listing a directory
 // neither evicts the client's hot entries nor books a recall onto every
-// later mutation under it. FS remembers, per process, what the listing
-// returned first; when that process's next Getattr or Lookup targets
-// exactly that entry, an `ls -l` has begun and the directory is
-// advised: its next listing is fetched READDIRPLUS-style and prefills
-// the cache, so the stat sweep that follows never goes back to the
-// service (section IV-B's aggressive caching applied to the paper's
-// directory-traversal trigger). If that first stat missed the cache,
-// the bulk fetch is issued right there instead of one RPC per entry
-// (statahead). A plus listing consumes the advice; only another
-// first-entry stat renews it, so a process that stops stat-ing stops
-// paying for attributes. A listing of a directory whose attribute
-// lease the client already holds is installed with that lease
-// (Service.grantListing), and a non-advised listing is served
-// from it, after the read-permission check the shard would apply, for
-// as long as the directory's attribute entry stays valid. With the
-// cache disabled nothing is remembered and every listing is names-only.
+// later mutation under it. FS remembers, per process, the first two
+// entries a listing of two or more returned; when that process's next
+// two Getattrs or Lookups target exactly those entries, in that order,
+// an `ls -l` has begun and the directory is advised: its next listing
+// is fetched READDIRPLUS-style and prefills the cache, so the stat
+// sweep that follows never goes back to the service (section IV-B's
+// aggressive caching applied to the paper's directory-traversal
+// trigger). A lone stat of the first entry is not a sweep — it is as
+// often a program after the one file that sorts first — so it leases
+// nothing beyond its own entry (docs/rpc.md, "Why two entries"), and
+// the first stat of a true sweep pays its own round trip. If the
+// second stat missed the cache, the bulk fetch is issued right there
+// instead of one RPC per entry (statahead). A plus listing consumes the
+// advice; only another two-entry sweep renews it, so a process that
+// stops stat-ing stops paying for attributes. A listing of a directory
+// whose attribute lease the client already holds is installed with
+// that lease (Service.grantListing), and a non-advised listing is
+// served from it, after the read-permission check the shard would
+// apply, for as long as the directory's attribute entry stays valid.
+// With the cache disabled nothing is remembered and every listing is
+// names-only.
 func (f *FS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, error) {
 	var ents []vfs.DirEntry
 	var err error
@@ -575,8 +589,12 @@ func (f *FS) Readdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry, err
 		f.Stats.ServiceOps++
 		ents, err = f.svc.Readdir(p, f.sess, ctx, dir)
 	}
-	if err == nil && len(ents) > 0 && f.attrs.enabled() {
-		f.listed[ctx.PID] = listing{dir: dir, first: ents[0].Ino, name: ents[0].Name}
+	if err == nil && len(ents) > 1 && f.attrs.enabled() {
+		f.listed[ctx.PID] = listing{
+			dir:  dir,
+			ino:  [2]vfs.Ino{ents[0].Ino, ents[1].Ino},
+			name: [2]string{ents[0].Name, ents[1].Name},
+		}
 	}
 	return ents, err
 }
@@ -591,23 +609,29 @@ func (f *FS) readdirPlus(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino) ([]vfs.DirEntry,
 }
 
 // statahead applies the rule of Readdir to a stat of ino (Getattr) or of
-// (dir, name) (Lookup) that the cache did or did not serve (hit). It
-// spends the process's listing record whatever the target, so only the
-// very next stat after a listing can start a traversal. If the target
-// is what that listing returned first, the listed directory is advised
-// and, on a miss, its attributes are fetched in one RPC right away: the
-// result says whether the caller should probe the cache again. One such
-// fetch per directory is in flight per node: a process that finds one
-// waits for it instead of issuing its own. The fetch's error is dropped
-// — a caller that still misses issues the single RPC it would have
-// issued anyway, which reports its own.
+// (dir, name) (Lookup) that the cache did or did not serve (hit). A stat
+// of what the process's last listing returned first only arms the
+// listing record; any other stat spends it, so only the two stats right
+// after a listing, in listing order, can start a traversal. If the
+// armed record's target is what the listing returned second, the listed
+// directory is advised and, on a miss, its attributes are fetched in
+// one RPC right away: the result says whether the caller should probe
+// the cache again. One such fetch per directory is in flight per node:
+// a process that finds one waits for it instead of issuing its own. The
+// fetch's error is dropped — a caller that still misses issues the
+// single RPC it would have issued anyway, which reports its own.
 func (f *FS) statahead(p *sim.Proc, ctx vfs.Ctx, ino, dir vfs.Ino, name string, hit bool) bool {
 	l, ok := f.listed[ctx.PID]
 	if !ok {
 		return false
 	}
+	if l.names(0, ino, dir, name) {
+		l.armed = true
+		f.listed[ctx.PID] = l
+		return false
+	}
 	delete(f.listed, ctx.PID)
-	if l.first != ino && (l.dir != dir || l.name != name) {
+	if !l.armed || !l.names(1, ino, dir, name) {
 		return false
 	}
 	f.advised.Put(l.dir, struct{}{})

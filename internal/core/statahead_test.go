@@ -13,9 +13,10 @@ import (
 
 // These tests pin the attributes-on-demand rule (FS.Readdir): a listing
 // is names-only unless the process that listed goes on to stat the
-// listing's first entry, and then the attributes of the whole directory
-// arrive in one RPC. Every assertion is an exact counter: what went to
-// the service, what the client installed, what the shards lease.
+// listing's first two entries in order, and then the attributes of the
+// whole directory arrive in one RPC. Every assertion is an exact
+// counter: what went to the service, what the client installed, what
+// the shards lease.
 
 const lsFiles = 8
 
@@ -77,12 +78,14 @@ func lsL(t *testing.T, p *sim.Proc, d *Deployment, pid, stats int) {
 }
 
 // tally is what one step cost: service requests by kind, the
-// client-side listing counters of node 1, and the (row, session) pairs
-// in the shards' lease tables.
+// client-side listing counters of node 1, the entries lease recalls
+// dropped from node 1's cache, and the (row, session) pairs in the
+// shards' lease tables.
 type tally struct {
 	requests, getattrs, lookups int64
 	plus, stataheads, installs  int64
 	hits                        int64 // listings served from node 1's cache
+	recalls                     int64
 	leases                      int
 }
 
@@ -93,6 +96,7 @@ func snapshot(d *Deployment) tally {
 		requests: ss.Requests, getattrs: ss.Getattrs, lookups: ss.Lookups,
 		plus: fs.Stats.PlusListings, stataheads: fs.Stats.Stataheads,
 		installs: fs.CacheStats().Installs, hits: fs.CacheStats().ListingHits,
+		recalls: fs.CacheStats().Revocations,
 	}
 	for _, s := range d.Service.Shards() {
 		if lt := s.leases; lt.enabled() {
@@ -124,7 +128,7 @@ func since(tb *cluster.Testbed, d *Deployment, fn func(p *sim.Proc)) tally {
 	return tally{
 		requests: b.requests - a.requests, getattrs: b.getattrs - a.getattrs, lookups: b.lookups - a.lookups,
 		plus: b.plus - a.plus, stataheads: b.stataheads - a.stataheads, installs: b.installs - a.installs,
-		hits: b.hits - a.hits, leases: b.leases - a.leases,
+		hits: b.hits - a.hits, recalls: b.recalls - a.recalls, leases: b.leases - a.leases,
 	}
 }
 
@@ -170,10 +174,11 @@ func TestNamesOnlyListingInstallsNothing(t *testing.T) {
 	}
 }
 
-// TestStataheadLsL: a cold `ls -l` costs one names-only listing plus one
-// attribute-carrying listing issued from inside the first stat, and no
-// per-entry RPC; every repeat costs exactly one plus listing, which is
-// what each one cost before listings were names-only by default.
+// TestStataheadLsL: a cold `ls -l` costs one names-only listing, the
+// first entry's own getattr, and one attribute-carrying listing issued
+// from inside the second stat, and no other per-entry RPC; every repeat
+// costs exactly one plus listing, which is what each one cost before
+// listings were names-only by default.
 func TestStataheadLsL(t *testing.T) {
 	t.Run("lease", func(t *testing.T) {
 		tb, d := lsRig(t, 2, leaseMode)
@@ -183,8 +188,10 @@ func TestStataheadLsL(t *testing.T) {
 		const installs = 2*lsFiles + 1
 		cold := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
 		// The cold pass's names-only listing is installed too, on the
-		// same lease: one install more, and no lease-table entry.
-		want := tally{requests: 2, plus: 1, stataheads: 1, installs: installs + 1, leases: installs - 1}
+		// same lease, and so is the first entry's attribute, which the
+		// plus listing re-grants: two installs more, and no lease-table
+		// entry beyond the plus listing's.
+		want := tally{requests: 3, getattrs: 1, plus: 1, stataheads: 1, installs: installs + 2, leases: installs - 1}
 		if cold != want {
 			t.Fatalf("cold ls -l cost %+v, want %+v", cold, want)
 		}
@@ -201,11 +208,11 @@ func TestStataheadLsL(t *testing.T) {
 
 // TestStataheadAdviceIsConsumed: a plus listing spends the advice that
 // asked for it; a process that lists again without stat-ing the first
-// entry is back to names-only, which the listing the plus one installed
-// serves without a round trip.
+// two entries is back to names-only, which the listing the plus one
+// installed serves without a round trip.
 func TestStataheadAdviceIsConsumed(t *testing.T) {
 	tb, d := lsRig(t, 3, leaseMode)
-	drained(tb, "advise", func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
+	drained(tb, "advise", func(p *sim.Proc) { lsL(t, p, d, 1, 2) })
 	plus := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
 	// 2 N entry leases plus the listing, riding node 1's lease on /d.
 	if want := (tally{requests: 1, plus: 1, installs: 2*lsFiles + 1}); plus != want {
@@ -228,83 +235,189 @@ func TestStataheadAdviceIsConsumed(t *testing.T) {
 }
 
 // TestStataheadIsPerProcess: the record belongs to the process that
-// listed. Another process stat-ing the same entry starts nothing; the
-// lister's own stat then finds the attribute cached, so the traversal
-// it starts needs no statahead and only advises the next listing.
+// listed. Another process stat-ing the same two entries starts nothing;
+// the lister's own stats then find the attributes cached, so the
+// traversal they start needs no statahead and only advises the next
+// listing.
 func TestStataheadIsPerProcess(t *testing.T) {
 	tb, d := lsRig(t, 4, leaseMode)
 	drained(tb, "pid1-lists", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
-	other := since(tb, d, func(p *sim.Proc) {
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 2), "/d/f0"); err != nil {
-			t.Fatal(err)
+	sweep := func(pid int) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			for _, name := range []string{"/d/f0", "/d/f1"} {
+				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, pid), name); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	})
-	if want := (tally{requests: 1, getattrs: 1, installs: 1, leases: 1}); other != want {
-		t.Fatalf("another process's stat cost %+v, want one plain getattr %+v", other, want)
 	}
-	own := since(tb, d, func(p *sim.Proc) {
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d/f0"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	other := since(tb, d, sweep(2))
+	if want := (tally{requests: 2, getattrs: 2, installs: 2, leases: 2}); other != want {
+		t.Fatalf("another process's two stats cost %+v, want two plain getattrs %+v", other, want)
+	}
+	own := since(tb, d, sweep(1))
 	if want := (tally{}); own != want {
-		t.Fatalf("the lister's cached first-entry stat cost %+v, want nothing", own)
+		t.Fatalf("the lister's cached two-entry sweep cost %+v, want nothing", own)
 	}
 	next := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
 	if next.plus != 1 || next.stataheads != 0 || next.requests != 1 {
-		t.Fatalf("listing after a cached first-entry stat cost %+v, want one plus listing", next)
+		t.Fatalf("listing after a cached two-entry sweep cost %+v, want one plus listing", next)
 	}
 }
 
 // TestStataheadOnePerDirectory: two processes of one node list /d, the
-// second from the cache, and stat its first entry at the same instant.
-// The second finds the first's statahead in flight and waits for it:
-// one attribute-carrying listing serves both stats, and neither goes to
-// the service on its own.
+// second from the cache, stat its first entry, and then stat its second
+// entry at the same instant. The second finds the first's statahead in
+// flight and waits for it: one attribute-carrying listing serves both
+// stats, and neither goes to the service on its own.
 func TestStataheadOnePerDirectory(t *testing.T) {
 	tb, d := lsRig(t, 8, leaseMode)
 	for pid := 1; pid <= 2; pid++ {
-		drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, pid, 0) })
+		drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, pid, 1) })
 	}
 	got := since(tb, d, func(p *sim.Proc) {
 		for pid := 1; pid <= 2; pid++ {
 			tb.Env.Spawn("stat", func(p *sim.Proc) {
-				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, pid), "/d/f0"); err != nil {
+				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, pid), "/d/f1"); err != nil {
 					t.Error(err)
 				}
 			})
 		}
 	})
-	if want := (tally{requests: 1, plus: 1, stataheads: 1, installs: 2*lsFiles + 1, leases: 2 * lsFiles}); got != want {
-		t.Fatalf("two concurrent first-entry stats cost %+v, want %+v", got, want)
+	// The first entry's attribute lease is node 1's already, from the
+	// first process's getattr; the plus listing re-grants it.
+	if want := (tally{requests: 1, plus: 1, stataheads: 1, installs: 2*lsFiles + 1, leases: 2*lsFiles - 1}); got != want {
+		t.Fatalf("two concurrent second-entry stats cost %+v, want %+v", got, want)
 	}
 	if n := len(d.FSs[1].ahead); n != 0 {
 		t.Fatalf("%d stataheads still marked in flight", n)
 	}
 }
 
-// TestStataheadFirstEntryUnlinked: the first entry disappears between
-// the listing and the stat. The statahead lists a directory that no
-// longer holds it, the re-probe misses, and the single RPC reports the
-// truth.
+// TestStataheadFirstEntryUnlinked: the entry a sweep's statahead fires
+// on — the listing's second, since the first only arms the record —
+// disappears between the listing and the stat. The statahead lists a
+// directory that no longer holds it, the re-probe misses, and the
+// single RPC reports the truth.
 func TestStataheadFirstEntryUnlinked(t *testing.T) {
 	tb, d := lsRig(t, 5, leaseMode)
-	drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
 	drained(tb, "unlink", func(p *sim.Proc) {
-		if err := d.Mounts[0].Unlink(p, cluster.Ctx(0, 1), "/d/f0"); err != nil {
+		if err := d.Mounts[0].Unlink(p, cluster.Ctx(0, 1), "/d/f1"); err != nil {
 			t.Fatal(err)
 		}
 	})
 	got := since(tb, d, func(p *sim.Proc) {
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d/f0"); err != vfs.ErrNotExist {
-			t.Fatalf("stat of the unlinked first entry: %v, want ErrNotExist", err)
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d/f1"); err != vfs.ErrNotExist {
+			t.Fatalf("stat of the unlinked second entry: %v, want ErrNotExist", err)
 		}
 	})
 	if got.stataheads != 1 || got.plus != 1 || got.getattrs != 1 {
-		t.Fatalf("stat of the unlinked first entry cost %+v, want one statahead and one getattr", got)
+		t.Fatalf("stat of the unlinked second entry cost %+v, want one statahead and one getattr", got)
 	}
 	if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStataheadLoneFirstStat: a process lists /d and stats only the
+// entry that sorts first, the way a program after one file does. That
+// arms the record and nothing more: no plus listing, no statahead, and
+// no lease beyond the entry's own, so another node's chmod of every
+// other entry recalls nothing from the lister.
+func TestStataheadLoneFirstStat(t *testing.T) {
+	tb, d := lsRig(t, 9, leaseMode)
+	got := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
+	// The names-only listing rides node 1's lease on /d; the getattr
+	// installs and leases the one attribute.
+	if want := (tally{requests: 2, getattrs: 1, installs: 2, leases: 1}); got != want {
+		t.Fatalf("listing plus a lone first-entry stat cost %+v, want %+v", got, want)
+	}
+	mutate := since(tb, d, func(p *sim.Proc) {
+		for i := 1; i < lsFiles; i++ {
+			if _, err := d.Mounts[0].Chmod(p, cluster.Ctx(0, 1), fmt.Sprintf("/d/f%d", i), 0600); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// Node 1 leases f0 alone, which no chmod touches: nothing to recall.
+	if want := (tally{requests: lsFiles - 1}); mutate != want {
+		t.Fatalf("chmods from node 0 cost %+v, want %+v: no recall from the lister", mutate, want)
+	}
+	// Nothing was advised: the next listing is names-only again, served
+	// from the listing node 1 cached.
+	next := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	if want := (tally{hits: 1}); next != want {
+		t.Fatalf("listing after a lone first-entry stat cost %+v, want %+v", next, want)
+	}
+}
+
+// TestStataheadNeedsListingOrder: the sweep must follow the listing. A
+// stat of the first entry and then the third starts nothing and spends
+// the record, so a stat of the second after them is a plain getattr
+// too; so is a sweep that starts at the second entry.
+func TestStataheadNeedsListingOrder(t *testing.T) {
+	tb, d := lsRig(t, 10, leaseMode)
+	for i, order := range [][]string{{"f0", "f2", "f1"}, {"f1", "f0", "f2"}} {
+		pid := i + 1
+		got := since(tb, d, func(p *sim.Proc) {
+			m, ctx := d.Mounts[1], cluster.Ctx(1, pid)
+			if _, err := m.Readdir(p, ctx, "/d"); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range order {
+				if _, err := m.Stat(p, ctx, "/d/"+name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if got.plus != 0 || got.stataheads != 0 || d.FSs[1].advised.Len() != 0 {
+			t.Fatalf("stats in order %v cost %+v with %d directories advised, want no plus listing", order, got, d.FSs[1].advised.Len())
+		}
+	}
+}
+
+// TestStataheadSingleEntryListing: a listing of one entry has no second
+// entry to sweep to, so it is not remembered; stat-ing its entry costs
+// one plain getattr and the next listing stays names-only.
+func TestStataheadSingleEntryListing(t *testing.T) {
+	tb, d := lsRig(t, 11, leaseMode)
+	drained(tb, "fill", func(p *sim.Proc) {
+		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
+		if err := m.Mkdir(p, ctx, "/e", 0777); err != nil {
+			t.Fatal(err)
+		}
+		f, err := m.Create(p, ctx, "/e/only", 0644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close(p)
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/e"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
+	got := since(tb, d, func(p *sim.Proc) {
+		if ents, err := m.Readdir(p, ctx, "/e"); err != nil || len(ents) != 1 {
+			t.Fatalf("readdir: %d entries, %v", len(ents), err)
+		}
+		if _, err := m.Stat(p, ctx, "/e/only"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := (tally{requests: 2, getattrs: 1, installs: 2, leases: 1}); got != want {
+		t.Fatalf("one-entry listing and stat cost %+v, want %+v", got, want)
+	}
+	if n := len(d.FSs[1].listed); n != 0 {
+		t.Fatalf("%d listings remembered, want none", n)
+	}
+	next := since(tb, d, func(p *sim.Proc) {
+		if _, err := m.Readdir(p, ctx, "/e"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := (tally{hits: 1}); next != want {
+		t.Fatalf("listing after the stat cost %+v, want %+v", next, want)
 	}
 }
 

@@ -120,11 +120,11 @@ func Traversal(seed int64) Figure {
 		Title:  "Extension (paper §II motivation): large directory traversal (ls -l), ms/entry",
 		Tables: []Table{t},
 		Notes: []string{
-			"(cofs+cache: listings are names-only until a process stats what it just",
-			" listed; the cold pass pays that listing, then one READDIRPLUS from inside",
-			" the first stat prefills the client attribute cache and the sweep is served",
-			" locally; the second pass lists with attributes straight away — section",
-			" IV-B extension, docs/rpc.md)",
+			"(cofs+cache: listings are names-only until a process stats the first two",
+			" entries it just listed; the cold pass pays that listing and the first",
+			" stat, then one READDIRPLUS from inside the second stat prefills the client",
+			" attribute cache and the sweep is served locally; the second pass lists",
+			" with attributes straight away — section IV-B extension, docs/rpc.md)",
 		},
 	}
 }

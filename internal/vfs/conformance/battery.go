@@ -230,12 +230,14 @@ var batteryCases = []testCase{
 			}
 			// A provider may list differently for a process that stats what
 			// it lists (COFS fetches attributes along with the names once a
-			// listing's first entry is stat-ed): do so after every other
-			// listing, so both kinds are held to the snapshot. The entry may
-			// be the flipping file, renamed away by now.
-			if listings%2 == 1 && len(ents) > 0 {
-				if _, err := c.M.Stat(c.P, c.S.User, "/snap/"+ents[0].Name); err != nil && err != vfs.ErrNotExist {
-					c.Errorf("stat of listing %d's first entry: %v", listings, err)
+			// listing's first two entries are stat-ed in order): do so after
+			// every other listing, so both kinds are held to the snapshot.
+			// An entry may be the flipping file, renamed away by now.
+			if listings%2 == 1 && len(ents) > 1 {
+				for _, e := range ents[:2] {
+					if _, err := c.M.Stat(c.P, c.S.User, "/snap/"+e.Name); err != nil && err != vfs.ErrNotExist {
+						c.Errorf("stat of listing %d's entry %s: %v", listings, e.Name, err)
+					}
 				}
 			}
 			c.P.Sleep(10 * time.Microsecond) // a zero-cost provider must still let the flipper run
