@@ -143,7 +143,7 @@ func BenchmarkSmallFileIO(b *testing.B) {
 // no randomization level (cold-bucket first touches would otherwise
 // swamp the per-op mean). vms/op must decrease as shards grow.
 func BenchmarkShardScaling(b *testing.B) {
-	run := func(seed int64, shards int) (*bench.MDTestResult, *core.Deployment) {
+	run := func(b *testing.B, seed int64, shards int) (*trace.Result, *core.Deployment) {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = shards
 		cfg.COFS.DirFanout = 1024
@@ -152,21 +152,24 @@ func BenchmarkShardScaling(b *testing.B) {
 		tb := cluster.New(seed, 16, cfg)
 		d := core.Deploy(tb, nil)
 		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		res := bench.MDTest(t, bench.MDTestConfig{
+		res, err := trace.Run(t, trace.MDTest(trace.MDTestConfig{
 			Nodes: 16, ProcsPerNode: 4, Depth: 1, Branch: 4, FilesPerRank: 128,
 			Shared: false,
-		})
+		}), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		return res, d
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		b.Run(fmt.Sprintf("mdtest-create-%dshards", shards), func(b *testing.B) {
-			var res *bench.MDTestResult
+			var res *trace.Result
 			var d *core.Deployment
 			var mt bench.Meter
 			for i := 0; i < b.N; i++ {
 				mt.Start()
-				res, d = run(int64(i+1), shards)
+				res, d = run(b, int64(i+1), shards)
 				mt.Stop()
 			}
 			b.ReportMetric(res.MeanMs("file-create"), "vms/op")
@@ -190,13 +193,14 @@ func BenchmarkShardScaling(b *testing.B) {
 // creating and statting 1024 files in a private 4-leaf tree —
 // 1,048,576 files over 8 metadata shards, the mdtest configuration of
 // BenchmarkShardScaling blown up 128x. The removal phases are dropped
-// (MDTestConfig.Phases) to fit the CI bench budget; the create and
-// stat storms are where the harness cost lives. The emitted
+// (only the generated run's first four phases, set-up included, are
+// passed to trace.Run) to fit the CI bench budget; the create and stat
+// storms are where the harness cost lives. The emitted
 // BENCH_million-file-storm.json carries wall seconds and allocs/op —
 // the figures the bench gate holds the harness to — alongside the
 // usual deterministic vms/op.
 func BenchmarkMillionFileStorm(b *testing.B) {
-	run := func(seed int64) (*bench.MDTestResult, *core.Deployment) {
+	run := func(seed int64) (*trace.Result, *core.Deployment) {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = 8
 		cfg.COFS.DirFanout = 4096
@@ -205,14 +209,17 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 		tb := cluster.New(seed, 64, cfg)
 		d := core.Deploy(tb, nil)
 		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		res := bench.MDTest(t, bench.MDTestConfig{
+		phases := trace.MDTest(trace.MDTestConfig{
 			Nodes: 64, ProcsPerNode: 16, Depth: 1, Branch: 4, FilesPerRank: 1024,
 			Shared: false,
-			Phases: []string{"tree-create", "file-create", "file-stat"},
 		})
+		res, err := trace.Run(t, phases[:4], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		return res, d
 	}
-	var res *bench.MDTestResult
+	var res *trace.Result
 	var d *core.Deployment
 	var mt bench.Meter
 	for i := 0; i < b.N; i++ {
@@ -298,29 +305,33 @@ func BenchmarkMetadataCache(b *testing.B) {
 // fresh-2-shard row. Results are also written as
 // BENCH_reshard-under-load-*.json records.
 func BenchmarkReshardUnderLoad(b *testing.B) {
-	run := func(seed int64, shards, target int) (*bench.MetaratesResult, *core.Deployment, error) {
+	run := func(seed int64, shards, target int) (*trace.Result, *core.Deployment, error) {
 		cfg := params.Default()
 		cfg.COFS.MetadataShards = shards
 		cfg.COFS.AttrLease = 30 * time.Second
 		tb := cluster.New(seed, 4, cfg)
 		d := core.Deploy(tb, nil)
 		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-		mcfg := bench.MetaratesConfig{
+		phases := trace.Metarates(trace.MetaratesConfig{
 			Nodes: 4, ProcsPerNode: 2, FilesPerProc: 256,
 			Dir: "/shared", Ops: []string{"create", "stat", "utime"},
-		}
+		})
 		// The hook runs on a spawned sim proc: record the error and
 		// surface it on the sub-benchmark's goroutine after the run.
+		var hook func(p *sim.Proc, phase string)
 		var reshardErr error
 		if target > 0 {
-			mcfg.PhaseHook = func(p *sim.Proc, phase string) {
+			hook = func(p *sim.Proc, phase string) {
 				if phase == "stat" && reshardErr == nil {
 					reshardErr = d.Service.Reshard(p, target)
 				}
 			}
 		}
-		res := bench.Metarates(t, mcfg)
-		return res, d, reshardErr
+		res, err := trace.Run(t, phases, hook)
+		if err == nil && reshardErr != nil {
+			err = fmt.Errorf("mid-storm reshard: %w", reshardErr)
+		}
+		return res, d, err
 	}
 	cases := []struct {
 		name           string
@@ -333,7 +344,7 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			var res *bench.MetaratesResult
+			var res *trace.Result
 			var d *core.Deployment
 			var mt bench.Meter
 			for i := 0; i < b.N; i++ {
@@ -342,7 +353,7 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 				res, d, err = run(int64(i+1), tc.shards, tc.target)
 				mt.Stop()
 				if err != nil {
-					b.Fatalf("mid-storm reshard: %v", err)
+					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(res.MeanMs("stat"), "vms/op-stat")

@@ -1,5 +1,5 @@
 // Command mdtest runs the mdtest-style tree metadata benchmark (see
-// internal/bench) against the simulated stacks:
+// internal/trace) against the simulated stacks:
 //
 //	mdtest -fs gpfs -nodes 8 -depth 2 -branch 4 -files 256
 //	mdtest -fs cofs -nodes 8 -shared -shift
@@ -20,6 +20,7 @@ import (
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
+	"cofs/internal/trace"
 )
 
 func main() {
@@ -55,29 +56,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	mcfg := bench.MDTestConfig{
+	phases := trace.MDTest(trace.MDTestConfig{
 		Nodes: *nodes, ProcsPerNode: *procs, Depth: *depth, Branch: *branch, FilesPerRank: *files,
 		Shared: *shared, StatShift: *shift,
+	})
+	hook := bench.ReshardAt("mdtest", *reshardAt, *reshardTo, deployment, trace.PhaseNames(phases))
+	res, err := trace.Run(tgt, phases, hook)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mdtest: %v\n", err)
+		os.Exit(1)
 	}
-	if *reshardAt != "" {
-		if deployment == nil {
-			fmt.Fprintln(os.Stderr, "mdtest: -reshard-at needs -fs cofs")
-			os.Exit(2)
-		}
-		if *reshardTo < 1 {
-			fmt.Fprintln(os.Stderr, "mdtest: -reshard-at needs -reshard-to")
-			os.Exit(2)
-		}
-		mcfg.PhaseHook = bench.ReshardHook(*reshardAt, *reshardTo, deployment.Service.Reshard, os.Stderr, "mdtest")
-	}
-	res := bench.MDTest(tgt, mcfg)
 	mode := "unique trees"
 	if *shared {
 		mode = "shared tree"
 	}
 	fmt.Printf("mdtest on %s: %d ranks (%d nodes x %d), depth %d, branch %d, %d files/rank, %s, shift=%v\n\n",
 		*fs, *nodes**procs, *nodes, *procs, *depth, *branch, *files, mode, *shift)
-	fmt.Print(res.Report())
+	fmt.Printf("%-14s%12s%14s%14s\n", "phase", "ops", "ops/sec", "mean ms")
+	for _, ph := range trace.MDTestPhases {
+		fmt.Printf("%-14s%12d%14.1f%14.3f\n", ph, res.PhaseOps[ph], res.Rate(ph), res.MeanMs(ph))
+	}
 	if deployment != nil {
 		if *reshardAt != "" {
 			fmt.Printf("\ncofs shards after run: %d (rows per shard: %v)\n",

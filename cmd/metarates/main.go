@@ -18,11 +18,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
+	"cofs/internal/trace"
 )
 
 func main() {
@@ -31,7 +33,7 @@ func main() {
 	procs := flag.Int("procs", 1, "processes per node")
 	files := flag.Int("files", 256, "files per process")
 	dir := flag.String("dir", "/shared", "shared directory")
-	ops := flag.String("ops", strings.Join(bench.DefaultOps, ","), "comma-separated operations")
+	ops := flag.String("ops", strings.Join(trace.DefaultOps, ","), "comma-separated operations")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	reshardAt := flag.String("reshard-at", "", "cofs: reshard the metadata plane mid-run, when this operation's phase starts")
 	reshardTo := flag.Int("reshard-to", 0, "cofs: target shard count of the mid-run reshard")
@@ -53,40 +55,40 @@ func main() {
 		os.Exit(2)
 	}
 
-	mcfg := bench.MetaratesConfig{
+	opList := strings.Split(*ops, ",")
+	for _, op := range opList {
+		if !slices.Contains(trace.DefaultOps, op) {
+			fmt.Fprintf(os.Stderr, "metarates: unknown op %q in -ops (want some of %s)\n", op, strings.Join(trace.DefaultOps, ","))
+			os.Exit(2)
+		}
+	}
+	phases := trace.Metarates(trace.MetaratesConfig{
 		Nodes:        *nodes,
 		ProcsPerNode: *procs,
 		FilesPerProc: *files,
 		Dir:          *dir,
-		Ops:          strings.Split(*ops, ","),
+		Ops:          opList,
+	})
+	hook := bench.ReshardAt("metarates", *reshardAt, *reshardTo, deployment, trace.PhaseNames(phases))
+	res, err := trace.Run(target, phases, hook)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "metarates: %v\n", err)
+		os.Exit(1)
 	}
-	if *reshardAt != "" {
-		if deployment == nil {
-			fmt.Fprintln(os.Stderr, "metarates: -reshard-at needs -fs cofs")
-			os.Exit(2)
-		}
-		if *reshardTo < 1 {
-			fmt.Fprintln(os.Stderr, "metarates: -reshard-at needs -reshard-to")
-			os.Exit(2)
-		}
-		mcfg.PhaseHook = bench.ReshardHook(*reshardAt, *reshardTo, deployment.Service.Reshard, os.Stderr, "metarates")
-	}
-	res := bench.Metarates(target, mcfg)
 
 	fmt.Printf("metarates: fs=%s nodes=%d procs/node=%d files/proc=%d dir=%s\n",
 		*fsKind, *nodes, *procs, *files, *dir)
 	fmt.Printf("%-10s%14s%14s%14s%16s\n", "op", "mean (ms)", "p50 (ms)", "max (ms)", "aggregate op/s")
-	for _, op := range strings.Split(*ops, ",") {
-		s, ok := res.PerOp[op]
+	for _, op := range opList {
+		s, ok := res.PerPhase[op]
 		if !ok || s.N() == 0 {
 			continue
 		}
-		rate := float64(s.N()) / res.PhaseTime[op].Seconds()
 		fmt.Printf("%-10s%14.3f%14.3f%14.3f%16.0f\n", op,
 			s.MeanMs(),
 			float64(s.Percentile(50))/1e6,
 			float64(s.Max())/1e6,
-			rate)
+			res.Rate(op))
 	}
 	if deployment != nil {
 		st := deployment.Service.Stats()

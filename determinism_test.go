@@ -29,6 +29,7 @@ import (
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
+	"cofs/internal/trace"
 )
 
 // stormFingerprint runs one mdtest storm — 32 ranks (8 nodes x 4
@@ -56,25 +57,29 @@ func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 		tb.Run()
 	}
 	tgt := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
-	mcfg := bench.MDTestConfig{
+	phases := trace.MDTest(trace.MDTestConfig{
 		Nodes: 8, ProcsPerNode: 4, Depth: 1, Branch: 4, FilesPerRank: 64,
 		Shared: false, StatShift: true,
-	}
+	})
+	var hook func(p *sim.Proc, phase string)
 	var reshardErr error
 	if reshard {
-		mcfg.PhaseHook = func(p *sim.Proc, phase string) {
+		hook = func(p *sim.Proc, phase string) {
 			if phase == "file-stat" && reshardErr == nil {
 				reshardErr = d.Service.Reshard(p, 4)
 			}
 		}
 	}
-	res := bench.MDTest(tgt, mcfg)
+	res, err := trace.Run(tgt, phases, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if reshardErr != nil {
 		t.Fatalf("mid-storm reshard: %v", reshardErr)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "virtual-now %d\n", tb.Env.Now())
-	for _, ph := range bench.MDTestPhases {
+	for _, ph := range trace.MDTestPhases {
 		fmt.Fprintf(&sb, "%s ops %d mean %x vms\n", ph, res.PhaseOps[ph], res.MeanMs(ph))
 	}
 	writeCounters(&sb, d.Counters())

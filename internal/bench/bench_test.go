@@ -7,6 +7,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
+	"cofs/internal/trace"
 )
 
 func gpfsTarget(nodes int) (bench.Target, *cluster.Testbed) {
@@ -20,13 +21,23 @@ func cofsTarget(nodes int) (bench.Target, *cluster.Testbed) {
 	return bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}, tb
 }
 
+// run drives target through the phases, failing the test on an error.
+func run(t *testing.T, target bench.Target, phases []trace.Phase) *trace.Result {
+	t.Helper()
+	res, err := trace.Run(target, phases, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMetaratesCountsAndPhases(t *testing.T) {
 	target, tb := gpfsTarget(2)
-	res := bench.Metarates(target, bench.MetaratesConfig{
+	res := run(t, target, trace.Metarates(trace.MetaratesConfig{
 		Nodes: 2, ProcsPerNode: 2, FilesPerProc: 16, Dir: "/d",
-	})
-	for _, op := range bench.DefaultOps {
-		s, ok := res.PerOp[op]
+	}))
+	for _, op := range trace.DefaultOps {
+		s, ok := res.PerPhase[op]
 		if !ok {
 			t.Fatalf("missing op %q", op)
 		}
@@ -52,12 +63,12 @@ func TestMetaratesCountsAndPhases(t *testing.T) {
 
 func TestMetaratesSingleOpSubset(t *testing.T) {
 	target, _ := gpfsTarget(1)
-	res := bench.Metarates(target, bench.MetaratesConfig{
+	res := run(t, target, trace.Metarates(trace.MetaratesConfig{
 		Nodes: 1, ProcsPerNode: 1, FilesPerProc: 8, Dir: "/d",
 		Ops: []string{"stat"},
-	})
-	if len(res.PerOp) != 1 || res.PerOp["stat"].N() != 8 {
-		t.Fatalf("unexpected result: %+v", res.PerOp)
+	}))
+	if len(res.PerPhase) != 1 || res.PerPhase["stat"].N() != 8 {
+		t.Fatalf("unexpected result: %+v", res.PerPhase)
 	}
 	if res.MeanMs("create") != 0 {
 		t.Fatal("MeanMs for unmeasured op should be 0")
@@ -66,15 +77,15 @@ func TestMetaratesSingleOpSubset(t *testing.T) {
 
 func TestMetaratesCOFSBeatsGPFSOnCreate(t *testing.T) {
 	gt, _ := gpfsTarget(4)
-	gres := bench.Metarates(gt, bench.MetaratesConfig{
+	gres := run(t, gt, trace.Metarates(trace.MetaratesConfig{
 		Nodes: 4, ProcsPerNode: 1, FilesPerProc: 64, Dir: "/d",
 		Ops: []string{"create"},
-	})
+	}))
 	ct, _ := cofsTarget(4)
-	cres := bench.Metarates(ct, bench.MetaratesConfig{
+	cres := run(t, ct, trace.Metarates(trace.MetaratesConfig{
 		Nodes: 4, ProcsPerNode: 1, FilesPerProc: 64, Dir: "/d",
 		Ops: []string{"create"},
-	})
+	}))
 	if cres.MeanMs("create")*2 > gres.MeanMs("create") {
 		t.Fatalf("cofs=%.2fms gpfs=%.2fms: expected clear win",
 			cres.MeanMs("create"), gres.MeanMs("create"))

@@ -76,7 +76,8 @@ func IOR(t Target, cfg IORConfig) *IORResult {
 	perNode := cfg.AggregateBytes / int64(cfg.Nodes)
 	res := &IORResult{}
 
-	t.run(0, 0, "ior-setup", func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx) {
+	t.Env.Spawn("ior-setup", func(p *sim.Proc) {
+		m, ctx := t.Mounts[0], t.Ctx(0, 0)
 		if err := m.MkdirAll(p, ctx, cfg.Dir, 0777); err != nil {
 			panic(err)
 		}
@@ -91,6 +92,7 @@ func IOR(t Target, cfg IORConfig) *IORResult {
 			}
 		}
 	})
+	t.Env.MustRun()
 
 	var openDone stats.Summary
 	start := t.Env.Now()

@@ -8,6 +8,7 @@ import (
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -21,9 +22,9 @@ func cofsTargetD(nodes int) (bench.Target, *cluster.Testbed, *core.Deployment) {
 
 func TestMDTestCountsUnique(t *testing.T) {
 	target, tb := gpfsTarget(2)
-	res := bench.MDTest(target, bench.MDTestConfig{
+	res := run(t, target, trace.MDTest(trace.MDTestConfig{
 		Nodes: 2, Depth: 2, Branch: 3, FilesPerRank: 18,
-	})
+	}))
 	// Tree: 1 root + 3 + 9 = 13 dirs per rank, two private trees.
 	if got := res.PhaseOps["tree-create"]; got != 26 {
 		t.Errorf("tree-create ops = %d, want 26", got)
@@ -40,7 +41,7 @@ func TestMDTestCountsUnique(t *testing.T) {
 	if got := res.PhaseOps["tree-remove"]; got != 26 {
 		t.Errorf("tree-remove ops = %d, want 26", got)
 	}
-	for _, ph := range bench.MDTestPhases {
+	for _, ph := range trace.MDTestPhases {
 		if res.Rate(ph) <= 0 {
 			t.Errorf("phase %s has rate %.1f, want > 0", ph, res.Rate(ph))
 		}
@@ -67,10 +68,10 @@ func TestMDTestCountsUnique(t *testing.T) {
 
 func TestMDTestSharedTree(t *testing.T) {
 	target, _ := gpfsTarget(4)
-	res := bench.MDTest(target, bench.MDTestConfig{
+	res := run(t, target, trace.MDTest(trace.MDTestConfig{
 		Nodes: 4, Depth: 1, Branch: 4, FilesPerRank: 16,
 		Shared: true, StatShift: true,
-	})
+	}))
 	// One shared tree: 1 + 4 = 5 dirs total.
 	if got := res.PhaseOps["tree-create"]; got != 5 {
 		t.Errorf("tree-create ops = %d, want 5", got)
@@ -82,9 +83,9 @@ func TestMDTestSharedTree(t *testing.T) {
 
 func TestMDTestDepthZero(t *testing.T) {
 	target, _ := gpfsTarget(1)
-	res := bench.MDTest(target, bench.MDTestConfig{
+	res := run(t, target, trace.MDTest(trace.MDTestConfig{
 		Nodes: 1, Depth: 0, Branch: 4, FilesPerRank: 8,
-	})
+	}))
 	if got := res.PhaseOps["tree-create"]; got != 1 {
 		t.Errorf("tree-create ops = %d, want 1 (just the rank root)", got)
 	}
@@ -99,10 +100,10 @@ func TestMDTestDepthZero(t *testing.T) {
 // mappings.
 func TestMDTestCOFSInvariants(t *testing.T) {
 	target, _, d := cofsTargetD(2)
-	res := bench.MDTest(target, bench.MDTestConfig{
+	res := run(t, target, trace.MDTest(trace.MDTestConfig{
 		Nodes: 2, Depth: 1, Branch: 4, FilesPerRank: 32,
 		Shared: true, StatShift: true,
-	})
+	}))
 	if got := res.PhaseOps["file-create"]; got != 64 {
 		t.Errorf("file-create ops = %d, want 64", got)
 	}
@@ -122,14 +123,14 @@ func TestMDTestCOFSInvariants(t *testing.T) {
 // cross-node attribute reads), COFS's decoupled metadata service must
 // beat the packed-inode false sharing of the bare stack.
 func TestMDTestCrossNodeStatsFavorCOFS(t *testing.T) {
-	cfg := bench.MDTestConfig{
+	cfg := trace.MDTestConfig{
 		Nodes: 4, Depth: 1, Branch: 4, FilesPerRank: 64,
 		Shared: true, StatShift: true,
 	}
 	gt, _ := gpfsTarget(4)
-	gres := bench.MDTest(gt, cfg)
+	gres := run(t, gt, trace.MDTest(cfg))
 	ct, _ := cofsTarget(4)
-	cres := bench.MDTest(ct, cfg)
+	cres := run(t, ct, trace.MDTest(cfg))
 	g := gres.MeanMs("file-stat")
 	c := cres.MeanMs("file-stat")
 	if c >= g {

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
+	"cofs/internal/sim"
 )
 
 // ToolFlags is the deployment surface the tools share (cofsctl, mdtest,
@@ -102,4 +105,45 @@ func (f *ToolFlags) Report(w io.Writer, tb *cluster.Testbed, d *core.Deployment)
 	}
 	fmt.Fprintf(w, "trace: %d spans -> %s\n", tr.Spans, f.Trace)
 	return nil
+}
+
+// ReshardAt is the phase hook of a tool's -reshard-at/-reshard-to
+// flags over deployment d (nil on a bare stack), given the names of the
+// run's measured phases: nil when at is empty, and a ReshardHook when
+// the flags make sense. Otherwise it reports why to stderr under the
+// tool's name and exits 2, like a flag-parse error.
+func ReshardAt(tool, at string, to int, d *core.Deployment, phases []string) func(p *sim.Proc, phase string) {
+	var why string
+	switch {
+	case at == "":
+		return nil
+	case d == nil:
+		why = "-reshard-at needs -fs cofs"
+	case to < 1:
+		why = "-reshard-at needs -reshard-to"
+	case !slices.Contains(phases, at):
+		why = fmt.Sprintf("-reshard-at %q is not a phase (%s)", at, strings.Join(phases, ", "))
+	default:
+		return ReshardHook(at, to, d.Service.Reshard, os.Stderr, tool)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, why)
+	os.Exit(2)
+	return nil
+}
+
+// ReshardHook builds the phase hook behind the tools' -reshard-at
+// flags (the hook argument of trace.Run): when the named phase starts
+// it invokes reshard (the metadata plane's Reshard method) toward `to`
+// shards, reporting failure to errw under the tool's name. One
+// constructor shared by mdtest and metarates, so the mid-run trigger's
+// contract cannot drift between them.
+func ReshardHook(at string, to int, reshard func(p *sim.Proc, n int) error, errw io.Writer, tool string) func(p *sim.Proc, phase string) {
+	return func(p *sim.Proc, phase string) {
+		if phase != at {
+			return
+		}
+		if err := reshard(p, to); err != nil {
+			fmt.Fprintf(errw, "%s: mid-run reshard: %v\n", tool, err)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package bench_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -101,5 +102,32 @@ func TestToolFlagsReport(t *testing.T) {
 	}
 	if !json.Valid(raw) {
 		t.Fatal("exported trace is not valid JSON")
+	}
+}
+
+// TestReshardHookFiresOnlyAtItsPhase pins the -reshard-at hook: it
+// reshards toward its target once, when its phase starts, ignores every
+// other phase, and prints a reshard error under the tool's name.
+func TestReshardHookFiresOnlyAtItsPhase(t *testing.T) {
+	var calls []int
+	fail := errors.New("plane busy")
+	reshard := func(p *sim.Proc, n int) error {
+		calls = append(calls, n)
+		return fail
+	}
+	var errw bytes.Buffer
+	hook := bench.ReshardHook("stat", 4, reshard, &errw, "metarates")
+	for _, phase := range []string{"create", "utime", "open"} {
+		hook(nil, phase)
+	}
+	if len(calls) != 0 || errw.Len() != 0 {
+		t.Fatalf("hook fired outside its phase: calls %v, stderr %q", calls, errw.String())
+	}
+	hook(nil, "stat")
+	if !reflect.DeepEqual(calls, []int{4}) {
+		t.Fatalf("reshard calls = %v, want [4]", calls)
+	}
+	if want := "metarates: mid-run reshard: plane busy\n"; errw.String() != want {
+		t.Errorf("stderr = %q, want %q", errw.String(), want)
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
+	"cofs/internal/trace"
 )
 
 // This file holds the parameter-sensitivity ablations for the design
@@ -246,17 +246,17 @@ func AblationClientCache(seed int64) Figure {
 	return f
 }
 
-// MDTestExp runs the mdtest-style tree benchmark (internal/bench) on
+// MDTestExp runs the mdtest-style tree benchmark (internal/trace) on
 // both stacks in the contended configuration: one shared tree, shifted
 // stats (rank r stats rank r+1's files, guaranteeing cross-node
 // attribute reads). It extends the paper's flat-shared-directory
 // evaluation to tree-shaped namespaces.
 func MDTestExp(seed int64) Figure {
-	cfg := bench.MDTestConfig{Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 256, Shared: true, StatShift: true}
-	g := bench.MDTest(target(seed, "gpfs", 4, params.Default()), cfg)
-	c := bench.MDTest(target(seed, "cofs", 4, params.Default()), cfg)
+	phases := trace.MDTest(trace.MDTestConfig{Nodes: 4, Depth: 2, Branch: 4, FilesPerRank: 256, Shared: true, StatShift: true})
+	g := run(target(seed, "gpfs", 4, params.Default()), phases)
+	c := run(target(seed, "cofs", 4, params.Default()), phases)
 	t := Table{X: "phase", Cols: []Col{{"gpfs ops/s", "%.1f"}, {"cofs ops/s", "%.1f"}, {"speedup", "%.1fx"}}}
-	for _, ph := range bench.MDTestPhases {
+	for _, ph := range trace.MDTestPhases {
 		t.Rows = append(t.Rows, Row{X: ph, Y: []float64{g.Rate(ph), c.Rate(ph), c.Rate(ph) / g.Rate(ph)}})
 	}
 	return Figure{

@@ -7,6 +7,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
+	"cofs/internal/trace"
 )
 
 // cofsTarget assembles a COFS-over-GPFS testbed as a bench target.
@@ -61,11 +62,11 @@ func Fig5(seed int64) Figure {
 // Fig6 reproduces "Operation times on 64 nodes": 256 files per node in a
 // shared directory on the hierarchical topology.
 func Fig6(seed int64) Figure {
-	cfg := bench.MetaratesConfig{Nodes: 64, ProcsPerNode: 1, FilesPerProc: 256, Dir: "/shared"}
-	g := bench.Metarates(target(seed, "gpfs", 64, params.Default()), cfg)
-	c := bench.Metarates(target(seed, "cofs", 64, params.Default()), cfg)
+	phases := trace.Metarates(trace.MetaratesConfig{Nodes: 64, ProcsPerNode: 1, FilesPerProc: 256, Dir: "/shared"})
+	g := run(target(seed, "gpfs", 64, params.Default()), phases)
+	c := run(target(seed, "cofs", 64, params.Default()), phases)
 	t := Table{X: "op", Cols: []Col{{Label: "gpfs (ms)"}, {Label: "cofs (ms)"}}}
-	for _, op := range bench.DefaultOps {
+	for _, op := range trace.DefaultOps {
 		t.Rows = append(t.Rows, Row{X: op, Y: []float64{g.MeanMs(op), c.MeanMs(op)}})
 	}
 	return Figure{Title: "Fig. 6: 64 nodes, 256 files per node, shared dir", Tables: []Table{t}}
@@ -96,10 +97,10 @@ func Ablation(seed int64) Figure {
 			v.tweak(&cfg)
 		}
 		ct, _, _ := cofsTarget(seed, 4, cfg, v.place)
-		res := bench.Metarates(ct, bench.MetaratesConfig{
+		res := run(ct, trace.Metarates(trace.MetaratesConfig{
 			Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
 			Dir: "/shared", Ops: []string{"create", "stat"},
-		})
+		}))
 		t.Rows = append(t.Rows, Row{X: v.name, Y: []float64{res.MeanMs("create"), res.MeanMs("stat")}})
 	}
 	return Figure{Title: "Ablation: placement policy vs create/stat latency (4 nodes, 512 files/node)", Tables: []Table{t}}

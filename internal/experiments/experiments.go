@@ -9,6 +9,7 @@ import (
 	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/params"
+	"cofs/internal/trace"
 )
 
 // gpfsTarget assembles a bare GPFS-like testbed as a bench target.
@@ -28,13 +29,23 @@ func target(seed int64, stack string, nodes int, cfg params.Config) bench.Target
 	return t
 }
 
+// run drives the target through a generated benchmark's phases. A
+// failed operation means the figure is broken, so it panics.
+func run(t bench.Target, phases []trace.Phase) *trace.Result {
+	res, err := trace.Run(t, phases, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // meanMs runs metarates' op alone in the shared directory and returns
 // its mean virtual latency in milliseconds.
 func meanMs(t bench.Target, nodes, procs, files int, op string) float64 {
-	return bench.Metarates(t, bench.MetaratesConfig{
+	return run(t, trace.Metarates(trace.MetaratesConfig{
 		Nodes: nodes, ProcsPerNode: procs, FilesPerProc: files,
 		Dir: "/shared", Ops: []string{op},
-	}).MeanMs(op)
+	})).MeanMs(op)
 }
 
 // Fig1 reproduces "Effect of the number of entries in a directory in
@@ -42,7 +53,7 @@ func meanMs(t bench.Target, nodes, procs, files int, op string) float64 {
 // versus directory size, bare GPFS.
 func Fig1(seed int64) Figure {
 	f := Figure{Title: "Fig. 1: single-node GPFS metadata latency vs directory size"}
-	for _, op := range bench.DefaultOps {
+	for _, op := range trace.DefaultOps {
 		f.Tables = append(f.Tables, Table{
 			Name: op, Heading: fmt.Sprintf("\n-- avg time per %s --", op),
 			X: "files per dir", Cols: []Col{{Label: "1 proc (ms)"}, {Label: "2 procs (ms)"}},
@@ -52,10 +63,10 @@ func Fig1(seed int64) Figure {
 		rows := make([]Row, len(f.Tables))
 		for procs := 1; procs <= 2; procs++ {
 			t, _ := gpfsTarget(seed, 1, params.Default())
-			res := bench.Metarates(t, bench.MetaratesConfig{
+			res := run(t, trace.Metarates(trace.MetaratesConfig{
 				Nodes: 1, ProcsPerNode: procs, FilesPerProc: size / procs, Dir: "/shared",
-			})
-			for i, op := range bench.DefaultOps {
+			}))
+			for i, op := range trace.DefaultOps {
 				rows[i].X = fmt.Sprint(size)
 				rows[i].Y = append(rows[i].Y, res.MeanMs(op))
 			}
@@ -77,15 +88,15 @@ func Fig2(seed int64) Figure {
 			Heading: fmt.Sprintf("\n-- %d nodes (rows: create/stat/utime/open) --", nodes),
 			X:       "op",
 		}
-		var res []*bench.MetaratesResult
+		var res []*trace.Result
 		for _, total := range []int{1024, 4096, 16384} {
 			t.Cols = append(t.Cols, Col{Label: fmt.Sprintf("%d files (ms)", total)})
 			gt, _ := gpfsTarget(seed, nodes, params.Default())
-			res = append(res, bench.Metarates(gt, bench.MetaratesConfig{
+			res = append(res, run(gt, trace.Metarates(trace.MetaratesConfig{
 				Nodes: nodes, ProcsPerNode: 1, FilesPerProc: total / nodes, Dir: "/shared",
-			}))
+			})))
 		}
-		for _, op := range bench.DefaultOps {
+		for _, op := range trace.DefaultOps {
 			r := Row{X: op}
 			for _, rs := range res {
 				r.Y = append(r.Y, rs.MeanMs(op))

@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"cofs/internal/bench"
 	"cofs/internal/params"
+	"cofs/internal/trace"
 )
 
 func TestTargetsIndependent(t *testing.T) {
@@ -13,8 +13,8 @@ func TestTargetsIndependent(t *testing.T) {
 	// not share state between calls.
 	a, _ := gpfsTarget(3, 2, params.Default())
 	b, _ := gpfsTarget(3, 2, params.Default())
-	ra := bench.Metarates(a, bench.MetaratesConfig{Nodes: 2, ProcsPerNode: 1, FilesPerProc: 16, Dir: "/d", Ops: []string{"stat"}})
-	rb := bench.Metarates(b, bench.MetaratesConfig{Nodes: 2, ProcsPerNode: 1, FilesPerProc: 16, Dir: "/d", Ops: []string{"stat"}})
+	phases := trace.Metarates(trace.MetaratesConfig{Nodes: 2, ProcsPerNode: 1, FilesPerProc: 16, Dir: "/d", Ops: []string{"stat"}})
+	ra, rb := run(a, phases), run(b, phases)
 	if ra.MeanMs("stat") != rb.MeanMs("stat") {
 		t.Fatalf("same-seed runs differ: %v vs %v", ra.MeanMs("stat"), rb.MeanMs("stat"))
 	}

@@ -67,10 +67,10 @@ func (r *ReplayResult) Report() string {
 }
 
 // Replay drives the target from the trace: one simulated process per
-// (node, pid) stream, operations in recorded order. Mkdir operations
-// replay as mkdir -p during a serial prologue (directory skeletons are
-// setup, not the measured workload — the paper's benchmarks likewise
-// pre-create the shared directory).
+// (node, pid) stream, spawned in (node, pid) order, operations in
+// recorded order. Mkdir operations replay as mkdir -p during a serial
+// prologue (directory skeletons are setup, not the measured workload —
+// the paper's benchmarks likewise pre-create the shared directory).
 func Replay(t bench.Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -97,36 +97,188 @@ func Replay(t bench.Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error
 	})
 	t.Env.MustRun()
 
-	streams := tr.Streams()
-	keys := make([][2]int, 0, len(streams))
-	for k := range streams {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	streams := streamsOf(tr.Ops)
+	sort.Slice(streams, func(i, j int) bool {
+		if streams[i].node != streams[j].node {
+			return streams[i].node < streams[j].node
 		}
-		return keys[i][1] < keys[j][1]
+		return streams[i].pid < streams[j].pid
 	})
-
 	start := t.Env.Now()
-	type sample struct {
-		kind Kind
-		d    time.Duration
-	}
-	results := make([][]sample, len(keys))
-	errs := make([]int, len(keys))
-	firstErrs := make([]error, len(keys))
+	end := play(t, streams, opts, true, func(op Op, d time.Duration, err error) {
+		sum, ok := res.PerKind[op.Kind]
+		if !ok {
+			sum = &stats.Summary{}
+			res.PerKind[op.Kind] = sum
+		}
+		sum.Add(d)
+		res.Ops++
+		if err != nil {
+			res.Errors++
+			if res.FirstErr == nil {
+				res.FirstErr = opError(op, err)
+			}
+		}
+	})
+	res.Elapsed = end - start
+	return res, nil
+}
 
-	for si, key := range keys {
-		si, key := si, key
-		ops := streams[key]
-		m := t.Mounts[key[0]]
-		ctx := t.Ctx(key[0], key[1])
-		t.Env.Spawn(fmt.Sprintf("trace.n%d.p%d", key[0], key[1]), func(p *sim.Proc) {
-			for _, op := range ops {
-				if op.Kind == Mkdir {
-					continue // replayed in the prologue
+// Phase is one barrier-delimited step of a generated run, such as one
+// of mdtest's. An unnamed phase is set-up or clean-up: Run runs it but
+// does not report it.
+type Phase struct {
+	Name string
+	Ops  []Op
+}
+
+// PhaseNames lists the names of the named phases, in order.
+func PhaseNames(phases []Phase) []string {
+	var names []string
+	for _, ph := range phases {
+		if ph.Name != "" {
+			names = append(names, ph.Name)
+		}
+	}
+	return names
+}
+
+// Result reports a phased run, per named phase.
+type Result struct {
+	// PerPhase maps phase name to a latency summary over its operations.
+	PerPhase map[string]*stats.Summary
+	// PhaseTime is the virtual time of each phase, from its start to
+	// its last stream's end.
+	PhaseTime map[string]time.Duration
+	// PhaseOps counts operations per phase.
+	PhaseOps map[string]int
+}
+
+// Rate returns operations per second for a phase.
+func (r *Result) Rate(phase string) float64 {
+	d := r.PhaseTime[phase]
+	if d <= 0 {
+		return 0
+	}
+	return float64(r.PhaseOps[phase]) / d.Seconds()
+}
+
+// TotalOps sums the operations of every named phase.
+func (r *Result) TotalOps() int {
+	n := 0
+	for _, ops := range r.PhaseOps {
+		n += ops
+	}
+	return n
+}
+
+// MeanMs returns the mean operation latency of a phase in milliseconds.
+func (r *Result) MeanMs(phase string) float64 {
+	s, ok := r.PerPhase[phase]
+	if !ok {
+		return 0
+	}
+	return s.MeanMs()
+}
+
+// Run drives the target through the phases in order, each phase a
+// barrier: one simulated process per (node, pid) stream, spawned in
+// the order the streams first appear, operations back to back, and
+// the next phase starts once every stream is done. A named phase is
+// timed from its start to its last stream's end, so trailing events
+// (log flush timers and the like) do not count. hook, when non-nil,
+// runs as its own process beside the streams of every named phase,
+// spawned before them and awaited by the barrier: mid-run triggers
+// such as a reshard ride it. The first failing operation ends its
+// stream, and Run returns that error once the phase's barrier is
+// reached.
+func Run(t bench.Target, phases []Phase, hook func(p *sim.Proc, phase string)) (*Result, error) {
+	for _, ph := range phases {
+		for _, op := range ph.Ops {
+			if op.Node < 0 || op.PID < 0 || op.Node >= len(t.Mounts) {
+				return nil, fmt.Errorf("trace: phase %q: stream node=%d pid=%d outside the target's %d mounts", ph.Name, op.Node, op.PID, len(t.Mounts))
+			}
+		}
+	}
+	res := &Result{
+		PerPhase:  make(map[string]*stats.Summary),
+		PhaseTime: make(map[string]time.Duration),
+		PhaseOps:  make(map[string]int),
+	}
+	for _, ph := range phases {
+		sum := &stats.Summary{}
+		if ph.Name != "" && hook != nil {
+			name := ph.Name
+			t.Env.Spawn("hook."+name, func(p *sim.Proc) { hook(p, name) })
+		}
+		var err error
+		start := t.Env.Now()
+		end := play(t, streamsOf(ph.Ops), ReplayOptions{StopOnError: true}, false, func(op Op, d time.Duration, opErr error) {
+			if opErr == nil {
+				sum.Add(d)
+			} else if err == nil {
+				err = opError(op, opErr)
+			}
+		})
+		if err != nil {
+			return nil, fmt.Errorf("trace: phase %q: %w", ph.Name, err)
+		}
+		if ph.Name != "" {
+			res.PerPhase[ph.Name] = sum
+			res.PhaseTime[ph.Name] = end - start
+			res.PhaseOps[ph.Name] = len(ph.Ops)
+		}
+	}
+	return res, nil
+}
+
+// stream is the operations of one (node, pid) pair, in order: one
+// simulated process plays it.
+type stream struct {
+	node, pid int
+	ops       []Op
+}
+
+// streamsOf groups ops into streams, in the order each stream first
+// appears. A stream whose operations are contiguous in ops (every
+// generator's phases) shares ops' backing array.
+func streamsOf(ops []Op) []stream {
+	var out []stream
+	index := make(map[[2]int]int)
+	for j := 0; j < len(ops); {
+		node, pid := ops[j].Node, ops[j].PID
+		k := j + 1
+		for k < len(ops) && ops[k].Node == node && ops[k].PID == pid {
+			k++
+		}
+		run := ops[j:k:k] // full cap: appending to it copies
+		if i, ok := index[[2]int{node, pid}]; ok {
+			out[i].ops = append(out[i].ops, run...)
+		} else {
+			index[[2]int{node, pid}] = len(out)
+			out = append(out, stream{node: node, pid: pid, ops: run})
+		}
+		j = k
+	}
+	return out
+}
+
+// play spawns one process per stream, in order, runs the simulation
+// until everything spawned is done (a barrier) and returns the instant
+// the last stream finished. Each operation's latency and error go to
+// done, inline, so it sees them in completion order. opts.Timed paces
+// every stream by its operations' At offsets from the call;
+// opts.StopOnError ends a stream at its first error; with prologue,
+// Mkdir operations are passed over (Replay ran them beforehand).
+func play(t bench.Target, streams []stream, opts ReplayOptions, prologue bool, done func(op Op, d time.Duration, err error)) time.Duration {
+	start := t.Env.Now()
+	end := start
+	for _, s := range streams {
+		m, ctx := t.Mounts[s.node], t.Ctx(s.node, s.pid)
+		t.Env.Spawn(fmt.Sprintf("trace.n%d.p%d", s.node, s.pid), func(p *sim.Proc) {
+			for _, op := range s.ops {
+				if prologue && op.Kind == Mkdir {
+					continue
 				}
 				if opts.Timed {
 					if wait := start + op.At - p.Now(); wait > 0 {
@@ -135,39 +287,21 @@ func Replay(t bench.Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error
 				}
 				t0 := p.Now()
 				err := replayOp(p, m, ctx, op)
-				d := p.Now() - t0
-				results[si] = append(results[si], sample{op.Kind, d})
-				if err != nil {
-					errs[si]++
-					if firstErrs[si] == nil {
-						firstErrs[si] = fmt.Errorf("%s %s (node %d): %w", op.Kind, op.Path, op.Node, err)
-					}
-					if opts.StopOnError {
-						return
-					}
+				done(op, p.Now()-t0, err)
+				if err != nil && opts.StopOnError {
+					break
 				}
 			}
+			end = max(end, p.Now())
 		})
 	}
 	t.Env.MustRun()
+	return end
+}
 
-	for si := range keys {
-		for _, s := range results[si] {
-			sum, ok := res.PerKind[s.kind]
-			if !ok {
-				sum = &stats.Summary{}
-				res.PerKind[s.kind] = sum
-			}
-			sum.Add(s.d)
-			res.Ops++
-		}
-		res.Errors += errs[si]
-		if res.FirstErr == nil && firstErrs[si] != nil {
-			res.FirstErr = firstErrs[si]
-		}
-	}
-	res.Elapsed = t.Env.Now() - start
-	return res, nil
+// opError names the failed operation.
+func opError(op Op, err error) error {
+	return fmt.Errorf("%s %s (node %d): %w", op.Kind, op.Path, op.Node, err)
 }
 
 // replayOp issues one operation against a mount.

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,5 +185,66 @@ func TestReplayGPFSvsCOFS(t *testing.T) {
 		gres.PerKind[trace.WriteFile].MeanMs(), cres.PerKind[trace.WriteFile].MeanMs(), gSweep, cSweep)
 	if cSweep >= gSweep {
 		t.Errorf("COFS cross-node sweep (%.3f ms/entry) not cheaper than GPFS (%.3f ms/entry)", cSweep, gSweep)
+	}
+}
+
+// TestRunPhaseEndsAtLastStream pins the phase clock and barrier of Run:
+// a named phase's hook sleeping 1 s of virtual time holds the barrier,
+// so the next phase starts after it, but the phase's time ends with its
+// last stream.
+func TestRunPhaseEndsAtLastStream(t *testing.T) {
+	tb := cluster.New(1, 2, params.Default())
+	tgt := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	starts := map[string]time.Duration{}
+	hook := func(p *sim.Proc, phase string) {
+		starts[phase] = p.Now()
+		if phase == "create" {
+			p.Sleep(time.Second)
+		}
+	}
+	res, err := trace.Run(tgt, []trace.Phase{
+		{Ops: []trace.Op{{Kind: trace.Mkdir, Path: "/d", Mode: 0777}}},
+		{Name: "create", Ops: []trace.Op{
+			{Node: 0, PID: 1, Kind: trace.Create, Path: "/d/a", Mode: 0644},
+			{Node: 1, PID: 1, Kind: trace.Create, Path: "/d/b", Mode: 0644},
+		}},
+		{Name: "stat", Ops: []trace.Op{{Node: 1, PID: 1, Kind: trace.Stat, Path: "/d/a"}}},
+	}, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.PhaseTime["create"]; d <= 0 || d >= time.Second {
+		t.Errorf("create phase time %v, want in (0, 1s): it ends at its last stream, not at the hook", d)
+	}
+	if gap := starts["stat"] - starts["create"]; gap < time.Second {
+		t.Errorf("stat phase started %v after create, want >= 1s: the barrier waits for the hook", gap)
+	}
+	if res.PhaseOps["create"] != 2 || res.PerPhase["stat"].N() != 1 || res.TotalOps() != 3 {
+		t.Errorf("ops: %v, stat samples %d", res.PhaseOps, res.PerPhase["stat"].N())
+	}
+	if _, ok := res.PhaseOps[""]; ok {
+		t.Error("the unnamed set-up phase was reported")
+	}
+}
+
+// TestRunFailsAtFirstError: the first failing operation ends its
+// stream — the stream's later operations never run — and fails the run.
+func TestRunFailsAtFirstError(t *testing.T) {
+	tgt := memTarget(1)
+	_, err := trace.Run(tgt, []trace.Phase{{Name: "p", Ops: []trace.Op{
+		{Node: 0, PID: 1, Kind: trace.Stat, Path: "/missing"},
+		{Node: 0, PID: 1, Kind: trace.Create, Path: "/after", Mode: 0644},
+	}}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "/missing") {
+		t.Fatalf("Run error = %v, want the failed stat of /missing", err)
+	}
+	tgt.Env.Spawn("check", func(p *sim.Proc) {
+		if _, err := tgt.Mounts[0].Stat(p, tgt.Ctx(0, 1), "/after"); err != vfs.ErrNotExist {
+			t.Errorf("stat /after: %v, want ErrNotExist: the stream ran past its failure", err)
+		}
+	})
+	tgt.Env.MustRun()
+	if _, err := trace.Run(tgt, []trace.Phase{{Ops: []trace.Op{{Node: 1, Kind: trace.Stat, Path: "/"}}}}, nil); err == nil {
+		t.Error("Run accepted a stream on a node the target has no mount for")
 	}
 }

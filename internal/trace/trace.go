@@ -1,8 +1,10 @@
 // Package trace defines a file-system operation trace format, workload
 // generators that emit traces for the access patterns motivating the
 // paper (section II: parallel checkpoint dumps, bunches of small batch
-// jobs writing to shared directories), and a replayer that drives any
-// mounted stack — bare GPFS-like or COFS — from a trace.
+// jobs writing to shared directories) and for its two metadata
+// benchmarks (metarates and mdtest, as barrier-separated phases), and
+// the one loop that drives any mounted stack — bare GPFS-like or COFS —
+// from operations: Replay plays a trace, Run a sequence of phases.
 //
 // Traces make the paper's "some applications use inadequate file and
 // directory layouts" argument concrete: the same recorded application
@@ -121,14 +123,17 @@ type Trace struct {
 	Ops []Op
 }
 
-// Validate checks structural well-formedness: kinds are known, paths are
-// absolute, two-path kinds carry Path2, times are non-decreasing per
-// (node, pid) stream.
+// Validate checks structural well-formedness: kinds are known, node and
+// pid are non-negative, paths are absolute, two-path kinds carry Path2,
+// times are non-decreasing per (node, pid) stream.
 func (t *Trace) Validate() error {
 	last := make(map[[2]int]time.Duration)
 	for i, op := range t.Ops {
 		if _, ok := kindNames[op.Kind]; !ok {
 			return fmt.Errorf("trace: op %d: unknown kind %d", i, int(op.Kind))
+		}
+		if op.Node < 0 || op.PID < 0 {
+			return fmt.Errorf("trace: op %d: negative node %d or pid %d", i, op.Node, op.PID)
 		}
 		if !strings.HasPrefix(op.Path, "/") {
 			return fmt.Errorf("trace: op %d: path %q is not absolute", i, op.Path)

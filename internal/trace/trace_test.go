@@ -98,6 +98,8 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad mode", "0 0 1 chmod /f 9z"},
 		{"relative path", "0 0 1 stat f"},
 		{"time backwards", "5 0 1 stat /f\n2 0 1 stat /f"},
+		{"negative node", "0 -1 1 create /d/x"},
+		{"negative pid", "0 0 -1 create /d/x"},
 	} {
 		if _, err := Decode(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: decode accepted %q", tc.name, tc.in)
