@@ -89,7 +89,7 @@ func BenchmarkSmallFileIO(b *testing.B) {
 				cfg.COFS.AttrLease = 30 * time.Second
 				mt.Start()
 				tb = cluster.New(int64(i+1), nodes, cfg)
-				t := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+				t := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 				if stack != "gpfs" {
 					d = core.Deploy(tb, nil)
 					t.Mounts = d.Mounts
@@ -151,7 +151,7 @@ func BenchmarkShardScaling(b *testing.B) {
 		cfg.PFS.Servers = 16
 		tb := cluster.New(seed, 16, cfg)
 		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		t := trace.Target{Env: tb.Env, Mounts: d.Mounts}
 		res, err := trace.Run(t, trace.MDTest(trace.MDTestConfig{
 			Nodes: 16, ProcsPerNode: 4, Depth: 1, Branch: 4, FilesPerRank: 128,
 			Shared: false,
@@ -208,7 +208,7 @@ func BenchmarkMillionFileStorm(b *testing.B) {
 		cfg.PFS.Servers = 64
 		tb := cluster.New(seed, 64, cfg)
 		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		t := trace.Target{Env: tb.Env, Mounts: d.Mounts}
 		phases := trace.MDTest(trace.MDTestConfig{
 			Nodes: 64, ProcsPerNode: 16, Depth: 1, Branch: 4, FilesPerRank: 1024,
 			Shared: false,
@@ -311,7 +311,7 @@ func BenchmarkReshardUnderLoad(b *testing.B) {
 		cfg.COFS.AttrLease = 30 * time.Second
 		tb := cluster.New(seed, 4, cfg)
 		d := core.Deploy(tb, nil)
-		t := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+		t := trace.Target{Env: tb.Env, Mounts: d.Mounts}
 		phases := trace.Metarates(trace.MetaratesConfig{
 			Nodes: 4, ProcsPerNode: 2, FilesPerProc: 256,
 			Dir: "/shared", Ops: []string{"create", "stat", "utime"},

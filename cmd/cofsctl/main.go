@@ -29,6 +29,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -58,30 +59,17 @@ func main() {
 	d := core.Deploy(tb, nil)
 
 	// Demo workload: shared dir, parallel creates, a few stats.
-	tb.Env.Spawn("setup", func(p *sim.Proc) {
-		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/work", 0777); err != nil {
-			panic(err)
+	t := trace.Target{Env: tb.Env, Mounts: d.Mounts}
+	var load []trace.Op
+	for node := 0; node < *nodes; node++ {
+		for i := 0; i < *files; i++ {
+			name := fmt.Sprintf("/work/f-%02d-%04d", node, i)
+			load = append(load,
+				trace.Op{Node: node, PID: 1, Kind: trace.WriteFile, Path: name, Bytes: 4096, Mode: 0644},
+				trace.Op{Node: node, PID: 1, Kind: trace.Stat, Path: name})
 		}
-	})
-	tb.Run()
-	for n := 0; n < *nodes; n++ {
-		node := n
-		tb.Env.Spawn("load", func(p *sim.Proc) {
-			m := d.Mounts[node]
-			ctx := cluster.Ctx(node, 1)
-			for i := 0; i < *files; i++ {
-				name := fmt.Sprintf("/work/f-%02d-%04d", node, i)
-				f, err := m.Create(p, ctx, name, 0644)
-				if err != nil {
-					panic(err)
-				}
-				f.WriteAt(p, 0, 4096)
-				f.Close(p)
-				m.Stat(p, ctx, name)
-			}
-		})
 	}
-	tb.Run()
+	run(t, nil, trace.Phase{Ops: []trace.Op{{PID: 1, Kind: trace.Mkdir, Path: "/work", Mode: 0777}}}, trace.Phase{Ops: load})
 
 	if what == "mapping" || what == "all" {
 		fmt.Println("== placement mapping (virtual id -> underlying path) ==")
@@ -127,6 +115,8 @@ func main() {
 	if what == "reshard" {
 		fmt.Printf("== online reshard: %d -> %d shards ==\n", d.Service.ServingShards(), *reshardTo)
 		fmt.Printf("  rows per shard before: %v\n", d.Service.ShardCounts())
+		var reshard func(p *sim.Proc, phase string)
+		var load2 []trace.Op
 		if *crashAt >= 0 {
 			// Crash injection: kill the plane at migration step N with
 			// the flush windows open, then recover it — the operator's
@@ -136,7 +126,7 @@ func main() {
 			d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
 				return seq == *crashAt
 			})
-			tb.Env.Spawn("reshard-crash", func(p *sim.Proc) {
+			reshard = func(p *sim.Proc, _ string) {
 				err := d.Service.Reshard(p, *reshardTo)
 				if err == nil {
 					fmt.Printf("  migration finished before step %d; nothing to crash\n", *crashAt)
@@ -151,33 +141,24 @@ func main() {
 				d.Service.Recover(p)
 				d.Service.AdoptIDCounter()
 				fmt.Printf("  recovered and resettled in %v (virtual)\n", tb.Env.Now()-start)
-			})
+			}
 		} else {
-			tb.Env.Spawn("reshard", func(p *sim.Proc) {
+			reshard = func(p *sim.Proc, _ string) {
 				if err := d.Service.Reshard(p, *reshardTo); err != nil {
 					panic(fmt.Sprintf("reshard: %v", err))
 				}
-			})
+			}
 			// A second workload runs concurrently with the migration, so the
 			// movement happens under live traffic, redirects included.
-			for n := 0; n < *nodes; n++ {
-				node := n
-				tb.Env.Spawn("load2", func(p *sim.Proc) {
-					m := d.Mounts[node]
-					ctx := cluster.Ctx(node, 1)
-					for i := 0; i < *files; i++ {
-						name := fmt.Sprintf("/work/g-%02d-%04d", node, i)
-						f, err := m.Create(p, ctx, name, 0644)
-						if err != nil {
-							panic(err)
-						}
-						f.Close(p)
-						m.Stat(p, ctx, fmt.Sprintf("/work/f-%02d-%04d", node, i))
-					}
-				})
+			for node := 0; node < *nodes; node++ {
+				for i := 0; i < *files; i++ {
+					load2 = append(load2,
+						trace.Op{Node: node, PID: 1, Kind: trace.Create, Path: fmt.Sprintf("/work/g-%02d-%04d", node, i), Mode: 0644},
+						trace.Op{Node: node, PID: 1, Kind: trace.Stat, Path: fmt.Sprintf("/work/f-%02d-%04d", node, i)})
+				}
 			}
 		}
-		tb.Run()
+		run(t, reshard, trace.Phase{Name: "reshard", Ops: load2})
 		if err := d.Service.CheckInvariants(); err != nil {
 			fmt.Fprintf(os.Stderr, "cofsctl: plane invariants after reshard: %v\n", err)
 			os.Exit(1)
@@ -239,5 +220,13 @@ func main() {
 	if err := tool.Report(os.Stdout, tb, d); err != nil {
 		fmt.Fprintf(os.Stderr, "cofsctl: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// run drives the target through the phases, hook riding every named
+// one; a failed operation means the demonstration is broken.
+func run(t trace.Target, hook func(p *sim.Proc, phase string), phases ...trace.Phase) {
+	if _, err := trace.Run(t, phases, hook); err != nil {
+		panic(err)
 	}
 }

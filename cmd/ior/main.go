@@ -15,6 +15,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
+	"cofs/internal/trace"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 		os.Exit(2)
 	}
 	tb := cluster.New(*seed, *nodes, params.Default())
-	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	target := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 	if *fsKind == "cofs" {
 		target.Mounts = core.Deploy(tb, nil).Mounts
 	}

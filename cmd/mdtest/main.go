@@ -43,14 +43,14 @@ func main() {
 	defer stop()
 
 	tb := cluster.New(*seed, *nodes, cfg)
-	var tgt bench.Target
+	var tgt trace.Target
 	var deployment *core.Deployment
 	switch *fs {
 	case "gpfs":
-		tgt = bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+		tgt = trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 	case "cofs":
 		deployment = core.Deploy(tb, nil)
-		tgt = bench.Target{Env: tb.Env, Mounts: deployment.Mounts, Ctx: cluster.Ctx}
+		tgt = trace.Target{Env: tb.Env, Mounts: deployment.Mounts}
 	default:
 		fmt.Fprintf(os.Stderr, "mdtest: unknown fs %q\n", *fs)
 		os.Exit(1)

@@ -43,7 +43,7 @@ func main() {
 	defer stop()
 
 	tb := cluster.New(*seed, *nodes, cfg)
-	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	target := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 	var deployment *core.Deployment
 	switch *fsKind {
 	case "gpfs":

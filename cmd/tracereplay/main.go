@@ -27,7 +27,6 @@ import (
 	"os"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
@@ -138,15 +137,15 @@ func obtainTrace(gen, in string, nodes, jobs, rounds, ops int, bytes, seed int64
 
 // buildTarget assembles the requested stack; the returned function runs
 // post-replay invariant checks.
-func buildTarget(fs string, seed int64, nodes int) (bench.Target, func() error) {
+func buildTarget(fs string, seed int64, nodes int) (trace.Target, func() error) {
 	tb := cluster.New(seed, nodes, params.Default())
 	switch fs {
 	case "gpfs":
-		return bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx},
+		return trace.Target{Env: tb.Env, Mounts: tb.Mounts},
 			tb.FS.Tokens.CheckInvariants
 	case "cofs":
 		d := core.Deploy(tb, nil)
-		return bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx},
+		return trace.Target{Env: tb.Env, Mounts: d.Mounts},
 			func() error {
 				if err := d.Service.CheckInvariants(); err != nil {
 					return err
@@ -156,6 +155,6 @@ func buildTarget(fs string, seed int64, nodes int) (bench.Target, func() error) 
 	default:
 		fmt.Fprintf(os.Stderr, "tracereplay: unknown fs %q (want gpfs or cofs)\n", fs)
 		os.Exit(1)
-		return bench.Target{}, nil
+		return trace.Target{}, nil
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/experiments"
@@ -56,7 +55,7 @@ func stormFingerprint(t *testing.T, seed int64, reshard, standby bool) string {
 		sbp = core.DeployStandby(tb, d, 5*time.Millisecond)
 		tb.Run()
 	}
-	tgt := bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+	tgt := trace.Target{Env: tb.Env, Mounts: d.Mounts}
 	phases := trace.MDTest(trace.MDTestConfig{
 		Nodes: 8, ProcsPerNode: 4, Depth: 1, Branch: 4, FilesPerRank: 64,
 		Shared: false, StatShift: true,

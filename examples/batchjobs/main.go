@@ -10,11 +10,11 @@ import (
 	"fmt"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -40,7 +40,7 @@ func main() {
 
 func runFarm(stack string) (jobsPerSec, sweepMsPerFile float64) {
 	tb := cluster.New(11, nodes, params.Default())
-	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	target := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 	var d *core.Deployment
 	if stack == "cofs" {
 		d = core.Deploy(tb, nil)

@@ -11,12 +11,12 @@ import (
 	"fmt"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -41,7 +41,7 @@ func main() {
 
 func runApp(stack string) *stats.Summary {
 	tb := cluster.New(7, nodes, params.Default())
-	target := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	target := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 	if stack == "cofs" {
 		target.Mounts = core.Deploy(tb, nil).Mounts
 	}

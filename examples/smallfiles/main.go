@@ -15,15 +15,14 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
-	"cofs/internal/sim"
 	"cofs/internal/stats"
-	"cofs/internal/vfs"
+	"cofs/internal/trace"
 )
 
 const (
@@ -64,7 +63,7 @@ func main() {
 }
 
 // buildTarget assembles one stack; the returned func checks invariants.
-func buildTarget(mode string) (bench.Target, func() error) {
+func buildTarget(mode string) (trace.Target, func() error) {
 	cfg := params.Default()
 	if mode == "cofs + client cache" {
 		cfg.COFS.AttrLease = 30 * time.Second
@@ -72,86 +71,64 @@ func buildTarget(mode string) (bench.Target, func() error) {
 	}
 	tb := cluster.New(11, nodes, cfg)
 	if mode == "gpfs" {
-		return bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx},
+		return trace.Target{Env: tb.Env, Mounts: tb.Mounts},
 			tb.FS.Tokens.CheckInvariants
 	}
 	d := core.Deploy(tb, nil)
-	return bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx},
+	return trace.Target{Env: tb.Env, Mounts: d.Mounts},
 		d.Service.CheckInvariants
 }
 
 // rereadMBps writes each node's files once, then measures aggregate
 // bandwidth of repeated open+read+close passes over the node's own
 // (cache-hot) files — the Table I small-separate-files cell.
-func rereadMBps(t bench.Target) float64 {
-	t.Env.Spawn("mkdir", func(p *sim.Proc) {
-		if err := t.Mounts[0].MkdirAll(p, t.Ctx(0, 1), "/small", 0777); err != nil {
-			panic(err)
+func rereadMBps(t trace.Target) float64 {
+	var write, reread []trace.Op
+	for node := 0; node < nodes; node++ {
+		for i := 0; i < files; i++ {
+			write = append(write, trace.Op{Node: node, PID: 1, Kind: trace.WriteFile, Path: name(node, i), Bytes: fileSize, Mode: 0644})
 		}
-	})
-	t.Env.MustRun()
-	for n := 0; n < nodes; n++ {
-		node := n
-		t.Env.Spawn("write", func(p *sim.Proc) {
-			m := t.Mounts[node]
-			ctx := t.Ctx(node, 1)
+		for pass := 0; pass < passes; pass++ {
 			for i := 0; i < files; i++ {
-				f, err := m.Create(p, ctx, name(node, i), 0644)
-				if err != nil {
-					panic(err)
-				}
-				f.WriteAt(p, 0, fileSize)
-				f.Close(p)
+				reread = append(reread, trace.Op{Node: node, PID: 1, Kind: trace.ReadFile, Path: name(node, i), Bytes: fileSize})
 			}
-		})
+		}
 	}
-	t.Env.MustRun()
-
+	run(t, trace.Phase{Ops: []trace.Op{{PID: 1, Kind: trace.Mkdir, Path: "/small", Mode: 0777}}}, trace.Phase{Ops: write})
+	// The clock stops once everything the reads set off has drained,
+	// not at the last read.
 	start := t.Env.Now()
-	for n := 0; n < nodes; n++ {
-		node := n
-		t.Env.Spawn("reread", func(p *sim.Proc) {
-			m := t.Mounts[node]
-			ctx := t.Ctx(node, 1)
-			for pass := 0; pass < passes; pass++ {
-				for i := 0; i < files; i++ {
-					f, err := m.Open(p, ctx, name(node, i), vfs.OpenRead)
-					if err != nil {
-						panic(err)
-					}
-					if _, err := f.ReadAt(p, 0, fileSize); err != nil {
-						panic(err)
-					}
-					f.Close(p)
-				}
-			}
-		})
-	}
-	t.Env.MustRun()
+	run(t, trace.Phase{Ops: reread})
 	return stats.MBps(int64(nodes*files*passes)*fileSize, t.Env.Now()-start)
 }
 
 // sweepMsPerEntry has the last node (which wrote none of the files)
-// run `ls -l` over the shared directory: readdir + stat per entry.
-func sweepMsPerEntry(t bench.Target) float64 {
-	var per time.Duration
-	t.Env.Spawn("sweep", func(p *sim.Proc) {
-		m := t.Mounts[nodes-1]
-		ctx := t.Ctx(nodes-1, 99)
-		start := p.Now()
-		ents, err := m.Readdir(p, ctx, "/small")
-		if err != nil {
-			panic(err)
+// run `ls -l` over the shared directory: readdir + stat per entry, in
+// listing (name) order.
+func sweepMsPerEntry(t trace.Target) float64 {
+	var names []string
+	for node := 0; node < nodes; node++ {
+		for i := 0; i < files; i++ {
+			names = append(names, name(node, i))
 		}
-		for _, e := range ents {
-			if _, err := m.Stat(p, ctx, "/small/"+e.Name); err != nil {
-				panic(err)
-			}
-		}
-		per = (p.Now() - start) / time.Duration(len(ents))
-	})
-	t.Env.MustRun()
-	return float64(per) / 1e6
+	}
+	sort.Strings(names)
+	sweep := []trace.Op{{Node: nodes - 1, PID: 99, Kind: trace.Readdir, Path: "/small"}}
+	for _, n := range names {
+		sweep = append(sweep, trace.Op{Node: nodes - 1, PID: 99, Kind: trace.Stat, Path: n})
+	}
+	res := run(t, trace.Phase{Name: "sweep", Ops: sweep})
+	return float64(res.PhaseTime["sweep"]/time.Duration(len(names))) / 1e6
+}
+
+// run drives the target through the phases; a failed operation means
+// the example is broken.
+func run(t trace.Target, phases ...trace.Phase) *trace.Result {
+	res, err := trace.Run(t, phases, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func name(node, i int) string {

@@ -10,19 +10,19 @@ import (
 	"cofs/internal/trace"
 )
 
-func gpfsTarget(nodes int) (bench.Target, *cluster.Testbed) {
+func gpfsTarget(nodes int) (trace.Target, *cluster.Testbed) {
 	tb := cluster.New(1, nodes, params.Default())
-	return bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}, tb
+	return trace.Target{Env: tb.Env, Mounts: tb.Mounts}, tb
 }
 
-func cofsTarget(nodes int) (bench.Target, *cluster.Testbed) {
+func cofsTarget(nodes int) (trace.Target, *cluster.Testbed) {
 	tb := cluster.New(1, nodes, params.Default())
 	d := core.Deploy(tb, nil)
-	return bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}, tb
+	return trace.Target{Env: tb.Env, Mounts: d.Mounts}, tb
 }
 
 // run drives target through the phases, failing the test on an error.
-func run(t *testing.T, target bench.Target, phases []trace.Phase) *trace.Result {
+func run(t *testing.T, target trace.Target, phases []trace.Phase) *trace.Result {
 	t.Helper()
 	res, err := trace.Run(target, phases, nil)
 	if err != nil {

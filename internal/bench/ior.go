@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"cofs/internal/cluster"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -68,7 +70,7 @@ func (cfg IORConfig) Check() error {
 // phase measures first-open to last-close (capturing the serialized-open
 // effect of Table I); the read phase likewise. It panics on a config
 // Check rejects.
-func IOR(t Target, cfg IORConfig) *IORResult {
+func IOR(t trace.Target, cfg IORConfig) *IORResult {
 	if err := cfg.Check(); err != nil {
 		panic("bench: " + err.Error())
 	}
@@ -77,7 +79,7 @@ func IOR(t Target, cfg IORConfig) *IORResult {
 	res := &IORResult{}
 
 	t.Env.Spawn("ior-setup", func(p *sim.Proc) {
-		m, ctx := t.Mounts[0], t.Ctx(0, 0)
+		m, ctx := t.Mounts[0], cluster.Ctx(0, 0)
 		if err := m.MkdirAll(p, ctx, cfg.Dir, 0777); err != nil {
 			panic(err)
 		}
@@ -96,7 +98,7 @@ func IOR(t Target, cfg IORConfig) *IORResult {
 
 	var openDone stats.Summary
 	start := t.Env.Now()
-	t.forEachNode(cfg.Nodes, func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, node int) {
+	forEachNode(t, cfg.Nodes, func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, node int) {
 		name := iorFile(cfg.Dir, node, cfg.Shared)
 		var f *vfs.File
 		var err error
@@ -133,7 +135,7 @@ func IOR(t Target, cfg IORConfig) *IORResult {
 		return res
 	}
 	start = t.Env.Now()
-	t.forEachNode(cfg.Nodes, func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, node int) {
+	forEachNode(t, cfg.Nodes, func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, node int) {
 		name := iorFile(cfg.Dir, node, cfg.Shared)
 		f, err := m.Open(p, ctx, name, vfs.OpenRead)
 		if err != nil {
@@ -159,7 +161,7 @@ func IOR(t Target, cfg IORConfig) *IORResult {
 
 // transferOffsets returns the offsets of each transfer within a node's
 // region, sequential or deterministically shuffled.
-func transferOffsets(t Target, stream int, perNode, xfer int64, random bool) []int64 {
+func transferOffsets(t trace.Target, stream int, perNode, xfer int64, random bool) []int64 {
 	n := perNode / xfer
 	offs := make([]int64, n)
 	for i := range offs {
@@ -174,11 +176,11 @@ func transferOffsets(t Target, stream int, perNode, xfer int64, random bool) []i
 
 // forEachNode runs fn concurrently on each node (single process per
 // node, as the IOR runs in the paper) and waits for completion.
-func (t Target) forEachNode(nodes int, fn func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, node int)) {
+func forEachNode(t trace.Target, nodes int, fn func(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, node int)) {
 	for n := 0; n < nodes; n++ {
 		node := n
 		t.Env.Spawn(fmt.Sprintf("ior%d", node), func(p *sim.Proc) {
-			fn(p, t.Mounts[node], t.Ctx(node, 1), node)
+			fn(p, t.Mounts[node], cluster.Ctx(node, 1), node)
 		})
 	}
 	t.Env.MustRun()

@@ -3,7 +3,6 @@ package bench_test
 import (
 	"testing"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
@@ -14,10 +13,10 @@ import (
 
 // cofsTargetD is cofsTarget, additionally returning the deployment for
 // post-run service checks.
-func cofsTargetD(nodes int) (bench.Target, *cluster.Testbed, *core.Deployment) {
+func cofsTargetD(nodes int) (trace.Target, *cluster.Testbed, *core.Deployment) {
 	tb := cluster.New(1, nodes, params.Default())
 	d := core.Deploy(tb, nil)
-	return bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}, tb, d
+	return trace.Target{Env: tb.Env, Mounts: d.Mounts}, tb, d
 }
 
 func TestMDTestCountsUnique(t *testing.T) {
@@ -51,7 +50,7 @@ func TestMDTestCountsUnique(t *testing.T) {
 	}
 	// Everything was removed again: only the work dir root remains.
 	tb.Env.Spawn("verify", func(p *sim.Proc) {
-		ents, err := target.Mounts[0].Readdir(p, target.Ctx(0, 1), "/mdtest")
+		ents, err := target.Mounts[0].Readdir(p, cluster.Ctx(0, 1), "/mdtest")
 		if err != nil {
 			t.Errorf("readdir: %v", err)
 			return

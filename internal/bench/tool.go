@@ -1,3 +1,9 @@
+// Package bench holds what the tools and benchmarks share around the
+// load itself: the tools' deployment flags and report, the gated bench
+// records, and IOR v2 (LLNL — parallel data transfer rates, the paper's
+// section IV), whose offset transfers have no trace form. Every other
+// load is a trace run by internal/trace, which also owns the target a
+// load drives.
 package bench
 
 import (

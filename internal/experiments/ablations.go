@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
-	"cofs/internal/sim"
 	"cofs/internal/stats"
 	"cofs/internal/trace"
 )
@@ -40,7 +38,7 @@ func AblationDirCap(seed int64) Figure {
 		cfg := params.Default()
 		cfg.COFS.MaxEntriesPerDir = cap
 		cfg.COFS.RandomSubdirs = 1
-		ct, _, d := cofsTarget(seed, 4, cfg, core.NodeHashPlacement{Fanout: 64})
+		ct, d := cofsTarget(seed, 4, cfg, core.NodeHashPlacement{Fanout: 64})
 		ms := meanMs(ct, 4, 1, 2048, "create")
 		var spills int64
 		for _, fs := range d.FSs {
@@ -152,58 +150,33 @@ func ClientCacheStorm(seed int64, cfg params.Config) (*stats.Summary, *stats.Cou
 		files = 256
 		quota = files / (nodes * procs)
 	)
-	t, tb, d := cofsTarget(seed, nodes, cfg, nil)
-	t.Env.Spawn("setup", func(p *sim.Proc) {
-		ctx := cluster.Ctx(0, 1)
-		if err := t.Mounts[0].MkdirAll(p, ctx, "/data", 0777); err != nil {
-			panic(err)
-		}
-		for i := 0; i < files; i++ {
-			f, err := t.Mounts[0].Create(p, ctx, fmt.Sprintf("/data/f%04d", i), 0644)
-			if err != nil {
-				panic(err)
+	t, d := cofsTarget(seed, nodes, cfg, nil)
+	setup := []trace.Op{{PID: 1, Kind: trace.Mkdir, Path: "/data", Mode: 0777}}
+	names := make([]string, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("/data/f%04d", i)
+		setup = append(setup, trace.Op{PID: 1, Kind: trace.Create, Path: names[i], Mode: 0644})
+	}
+	var storm []trace.Op
+	for rank := 0; rank < nodes*procs; rank++ {
+		node, pid := rank/procs, 1+rank%procs
+		for range 3 {
+			storm = append(storm, lsL(node, pid, "/data", names)...)
+			// Touch this rank's slice: cross-node revocation load (and
+			// a live stale window for the other ranks' stats over these
+			// rows).
+			for _, n := range names[rank*quota : (rank+1)*quota] {
+				storm = append(storm, trace.Op{Node: node, PID: pid, Kind: trace.Utime, Path: n})
 			}
-			f.Close(p)
-		}
-	})
-	tb.Run()
-	sum := &stats.Summary{}
-	var traversal time.Duration
-	for n := 0; n < nodes; n++ {
-		for pr := 0; pr < procs; pr++ {
-			node, rank := n, n*procs+pr
-			t.Env.Spawn("storm", func(p *sim.Proc) {
-				m := t.Mounts[node]
-				ctx := cluster.Ctx(node, 1+rank%procs)
-				for pass := 0; pass < 3; pass++ {
-					listed := p.Now()
-					if _, err := m.Readdir(p, ctx, "/data"); err != nil {
-						panic(err)
-					}
-					for i := 0; i < files; i++ {
-						start := p.Now()
-						if _, err := m.Stat(p, ctx, fmt.Sprintf("/data/f%04d", i)); err != nil {
-							panic(err)
-						}
-						sum.Add(p.Now() - start)
-					}
-					traversal += p.Now() - listed
-					// Touch this rank's slice: cross-node revocation load
-					// (and a live stale window for the other ranks' stats
-					// over these rows).
-					for i := rank * quota; i < (rank+1)*quota; i++ {
-						if _, err := m.Utime(p, ctx, fmt.Sprintf("/data/f%04d", i)); err != nil {
-							panic(err)
-						}
-					}
-				}
-			})
 		}
 	}
-	tb.Run()
+	res := run(t, []trace.Phase{{Ops: setup}, {Name: "storm", Ops: storm}})
+	// A pass is its listing and its stats back to back, so the passes
+	// sum to the listings' and the stats' latencies.
+	stat := res.PerKind[trace.Stat]
 	c := d.Counters()
-	c.Add("storm.traversal-us", int64(traversal/time.Microsecond))
-	return sum, c
+	c.Add("storm.traversal-us", int64((res.PerKind[trace.Readdir].Sum()+stat.Sum())/time.Microsecond))
+	return stat, c
 }
 
 // AblationClientCache runs the stat/utime storm without and with the

@@ -3,18 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/trace"
 )
 
-// cofsTarget assembles a COFS-over-GPFS testbed as a bench target.
-func cofsTarget(seed int64, nodes int, cfg params.Config, place core.Placement) (bench.Target, *cluster.Testbed, *core.Deployment) {
+// cofsTarget assembles a COFS-over-GPFS testbed as a load target.
+func cofsTarget(seed int64, nodes int, cfg params.Config, place core.Placement) (trace.Target, *core.Deployment) {
 	tb := cluster.New(seed, nodes, cfg)
 	d := core.Deploy(tb, place)
-	return bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}, tb, d
+	return trace.Target{Env: tb.Env, Mounts: d.Mounts}, d
 }
 
 // Fig4Points is the files-per-node sweep used by Fig. 4/5 drivers (the
@@ -96,7 +95,7 @@ func Ablation(seed int64) Figure {
 		if v.tweak != nil {
 			v.tweak(&cfg)
 		}
-		ct, _, _ := cofsTarget(seed, 4, cfg, v.place)
+		ct, _ := cofsTarget(seed, 4, cfg, v.place)
 		res := run(ct, trace.Metarates(trace.MetaratesConfig{
 			Nodes: 4, ProcsPerNode: 1, FilesPerProc: 512,
 			Dir: "/shared", Ops: []string{"create", "stat"},

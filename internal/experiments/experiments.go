@@ -6,32 +6,25 @@ package experiments
 import (
 	"fmt"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/trace"
 )
 
-// gpfsTarget assembles a bare GPFS-like testbed as a bench target.
-func gpfsTarget(seed int64, nodes int, cfg params.Config) (bench.Target, *cluster.Testbed) {
-	tb := cluster.New(seed, nodes, cfg)
-	return bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}, tb
-}
-
 // target assembles a testbed of the named stack: "cofs" over GPFS with
 // the default placement, or bare "gpfs".
-func target(seed int64, stack string, nodes int, cfg params.Config) bench.Target {
+func target(seed int64, stack string, nodes int, cfg params.Config) trace.Target {
 	if stack == "cofs" {
-		t, _, _ := cofsTarget(seed, nodes, cfg, nil)
+		t, _ := cofsTarget(seed, nodes, cfg, nil)
 		return t
 	}
-	t, _ := gpfsTarget(seed, nodes, cfg)
-	return t
+	tb := cluster.New(seed, nodes, cfg)
+	return trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 }
 
 // run drives the target through a generated benchmark's phases. A
 // failed operation means the figure is broken, so it panics.
-func run(t bench.Target, phases []trace.Phase) *trace.Result {
+func run(t trace.Target, phases []trace.Phase) *trace.Result {
 	res, err := trace.Run(t, phases, nil)
 	if err != nil {
 		panic(err)
@@ -41,7 +34,7 @@ func run(t bench.Target, phases []trace.Phase) *trace.Result {
 
 // meanMs runs metarates' op alone in the shared directory and returns
 // its mean virtual latency in milliseconds.
-func meanMs(t bench.Target, nodes, procs, files int, op string) float64 {
+func meanMs(t trace.Target, nodes, procs, files int, op string) float64 {
 	return run(t, trace.Metarates(trace.MetaratesConfig{
 		Nodes: nodes, ProcsPerNode: procs, FilesPerProc: files,
 		Dir: "/shared", Ops: []string{op},
@@ -62,7 +55,7 @@ func Fig1(seed int64) Figure {
 	for _, size := range []int{64, 128, 256, 512, 768, 1024, 1280, 1536, 2048, 2560} {
 		rows := make([]Row, len(f.Tables))
 		for procs := 1; procs <= 2; procs++ {
-			t, _ := gpfsTarget(seed, 1, params.Default())
+			t := target(seed, "gpfs", 1, params.Default())
 			res := run(t, trace.Metarates(trace.MetaratesConfig{
 				Nodes: 1, ProcsPerNode: procs, FilesPerProc: size / procs, Dir: "/shared",
 			}))
@@ -91,7 +84,7 @@ func Fig2(seed int64) Figure {
 		var res []*trace.Result
 		for _, total := range []int{1024, 4096, 16384} {
 			t.Cols = append(t.Cols, Col{Label: fmt.Sprintf("%d files (ms)", total)})
-			gt, _ := gpfsTarget(seed, nodes, params.Default())
+			gt := target(seed, "gpfs", nodes, params.Default())
 			res = append(res, run(gt, trace.Metarates(trace.MetaratesConfig{
 				Nodes: nodes, ProcsPerNode: 1, FilesPerProc: total / nodes, Dir: "/shared",
 			})))

@@ -11,8 +11,8 @@ import (
 func TestTargetsIndependent(t *testing.T) {
 	// Two testbeds from the same seed are identical; the helpers must
 	// not share state between calls.
-	a, _ := gpfsTarget(3, 2, params.Default())
-	b, _ := gpfsTarget(3, 2, params.Default())
+	a := target(3, "gpfs", 2, params.Default())
+	b := target(3, "gpfs", 2, params.Default())
 	phases := trace.Metarates(trace.MetaratesConfig{Nodes: 2, ProcsPerNode: 1, FilesPerProc: 16, Dir: "/d", Ops: []string{"stat"}})
 	ra, rb := run(a, phases), run(b, phases)
 	if ra.MeanMs("stat") != rb.MeanMs("stat") {

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"cofs/internal/cluster"
 	"cofs/internal/params"
-	"cofs/internal/sim"
 	"cofs/internal/stats"
 	"cofs/internal/trace"
-	"cofs/internal/vfs"
 )
 
 // AttrCache evaluates the paper's section IV-B future-work suggestion:
@@ -48,50 +45,22 @@ func smallReopenMBps(seed int64, stack string, lease time.Duration) float64 {
 	cfg := params.Default()
 	cfg.COFS.AttrLease = lease
 	t := target(seed, stack, nodes, cfg)
-	t.Env.Spawn("mkdir", func(p *sim.Proc) {
-		if err := t.Mounts[0].MkdirAll(p, cluster.Ctx(0, 1), "/small", 0777); err != nil {
-			panic(err)
+	var write, reread []trace.Op
+	for node := 0; node < nodes; node++ {
+		for i := 0; i < files; i++ {
+			write = append(write, trace.Op{Node: node, PID: 1, Kind: trace.WriteFile, Path: fmt.Sprintf("/small/f-%d-%d", node, i), Bytes: fileSize, Mode: 0644})
 		}
-	})
-	t.Env.MustRun()
-	for n := 0; n < nodes; n++ {
-		node := n
-		t.Env.Spawn("write", func(p *sim.Proc) {
-			m := t.Mounts[node]
-			ctx := cluster.Ctx(node, 1)
-			for i := 0; i < files; i++ {
-				f, err := m.Create(p, ctx, fmt.Sprintf("/small/f-%d-%d", node, i), 0644)
-				if err != nil {
-					panic(err)
-				}
-				f.WriteAt(p, 0, fileSize)
-				f.Close(p)
+		for range passes {
+			for _, op := range write[len(write)-files:] {
+				reread = append(reread, trace.Op{Node: node, PID: 1, Kind: trace.ReadFile, Path: op.Path, Bytes: fileSize})
 			}
-		})
+		}
 	}
-	t.Env.MustRun()
-
+	run(t, []trace.Phase{{Ops: []trace.Op{{PID: 1, Kind: trace.Mkdir, Path: "/small", Mode: 0777}}}, {Ops: write}})
+	// Timed to the end of the run, not of the last read: the events the
+	// reads set off drain inside the measured time.
 	start := t.Env.Now()
-	for n := 0; n < nodes; n++ {
-		node := n
-		t.Env.Spawn("reread", func(p *sim.Proc) {
-			m := t.Mounts[node]
-			ctx := cluster.Ctx(node, 1)
-			for pass := 0; pass < passes; pass++ {
-				for i := 0; i < files; i++ {
-					f, err := m.Open(p, ctx, fmt.Sprintf("/small/f-%d-%d", node, i), vfs.OpenRead)
-					if err != nil {
-						panic(err)
-					}
-					if _, err := f.ReadAt(p, 0, fileSize); err != nil {
-						panic(err)
-					}
-					f.Close(p)
-				}
-			}
-		})
-	}
-	t.Env.MustRun()
+	run(t, []trace.Phase{{Ops: reread}})
 	return stats.MBps(int64(nodes*files*passes)*fileSize, t.Env.Now()-start)
 }
 
@@ -140,44 +109,29 @@ func traversalMs(seed int64, stack string, size int) (cold, again float64) {
 		cfg.COFS.AttrCacheEntries = 16384
 	}
 	t := target(seed, stack, 2, cfg)
-	t.Env.Spawn("fill", func(p *sim.Proc) {
-		m := t.Mounts[0]
-		ctx := cluster.Ctx(0, 1)
-		if err := m.Mkdir(p, ctx, "/big", 0777); err != nil {
-			panic(err)
-		}
-		for i := 0; i < size; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/big/f%06d", i), 0644)
-			if err != nil {
-				panic(err)
-			}
-			if err := f.Close(p); err != nil {
-				panic(err)
-			}
-		}
-	})
-	t.Env.MustRun()
+	fill := []trace.Op{{PID: 1, Kind: trace.Mkdir, Path: "/big", Mode: 0777}}
+	names := make([]string, size)
+	for i := range names {
+		names[i] = fmt.Sprintf("/big/f%06d", i)
+		fill = append(fill, trace.Op{PID: 1, Kind: trace.Create, Path: names[i], Mode: 0644})
+	}
+	ls := lsL(1, 1, "/big", names)
+	res := run(t, []trace.Phase{{Ops: fill}, {Name: "cold", Ops: ls}, {Name: "again", Ops: ls}})
+	perEntry := func(pass string) float64 {
+		return float64(res.PhaseTime[pass]/time.Duration(size)) / 1e6
+	}
+	return perEntry("cold"), perEntry("again")
+}
 
-	var perEntry [2]time.Duration
-	t.Env.Spawn("ls-l", func(p *sim.Proc) {
-		m := t.Mounts[1]
-		ctx := cluster.Ctx(1, 1)
-		for pass := range perEntry {
-			start := p.Now()
-			ents, err := m.Readdir(p, ctx, "/big")
-			if err != nil {
-				panic(err)
-			}
-			for _, e := range ents {
-				if _, err := m.Stat(p, ctx, "/big/"+e.Name); err != nil {
-					panic(err)
-				}
-			}
-			perEntry[pass] = (p.Now() - start) / time.Duration(len(ents))
-		}
-	})
-	t.Env.MustRun()
-	return float64(perEntry[0]) / 1e6, float64(perEntry[1]) / 1e6
+// lsL is one `ls -l` of dir by stream (node, pid): the listing, then a
+// stat of every entry in listing (name) order. names are the entries'
+// paths, sorted.
+func lsL(node, pid int, dir string, names []string) []trace.Op {
+	ops := []trace.Op{{Node: node, PID: pid, Kind: trace.Readdir, Path: dir}}
+	for _, n := range names {
+		ops = append(ops, trace.Op{Node: node, PID: pid, Kind: trace.Stat, Path: n})
+	}
+	return ops
 }
 
 // BatchJobs replays the batch-jobs trace, the paper's second motivating

@@ -167,9 +167,6 @@ func (w *Window) Rate(now time.Duration) float64 {
 	return float64(w.Total(now)) / span.Seconds()
 }
 
-// Span returns the virtual time the window covers.
-func (w *Window) Span() time.Duration { return time.Duration(len(w.slots)) * w.width }
-
 // HKey keys a latency histogram: one per (operation, shard) pair.
 // Shard -1 collects operations not attributable to a single shard.
 type HKey struct {

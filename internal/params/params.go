@@ -96,11 +96,6 @@ type PFSParams struct {
 	// its log when an exclusive token is revoked, excluding the
 	// writeback RPC and commit charged separately.
 	TokenRevokeFlush time.Duration
-	// StatExclusive models GPFS's packed-inode ownership: reading exact
-	// attributes of a regular file takes block ownership, so cross-node
-	// stats of files packed together conflict (the paper's
-	// false sharing, sections II-B and II-C).
-	StatExclusive bool
 	// LocalMutationTime is the cost of a journaled local directory
 	// mutation under write delegation (log append + in-memory update).
 	LocalMutationTime time.Duration
@@ -238,7 +233,6 @@ func Default() Config {
 			ServerInodeCacheBlocks:     4096, // 16 MB of a large pagepool
 			ServerDirCacheBlocks:       2048,
 			TokenRevokeFlush:           1200 * time.Microsecond,
-			StatExclusive:              true,
 			LocalMutationTime:          450 * time.Microsecond,
 			CreateDelegationMaxEntries: 512,
 			StripeSize:                 1 << 20,

@@ -231,13 +231,14 @@ func (c *Client) ensureDirBlock(p *sim.Proc, dir vfs.Ino, nEntries int, name str
 
 // attrAccess charges the inode-attribute access path for ino: token plus
 // inode block. forWrite marks the attributes dirty (durable); otherwise,
-// under the StatExclusive model, reading exact attributes of a regular
-// file still takes block ownership and dirties access bookkeeping
-// (async) — the cross-node false-sharing mechanism.
+// reading exact attributes of a regular file still takes block
+// ownership and dirties access bookkeeping (async): GPFS's packed-inode
+// ownership, so cross-node stats of files packed together conflict —
+// the paper's false sharing (sections II-B and II-C).
 func (c *Client) attrAccess(p *sim.Proc, in *inode, forWrite bool) {
 	r := c.inodeResource(in.attr.Ino)
 	mode := lock.ModeShared
-	steal := forWrite || (c.srv.cfg.PFS.StatExclusive && in.attr.Type != vfs.TypeDir)
+	steal := forWrite || in.attr.Type != vfs.TypeDir
 	if steal {
 		mode = lock.ModeExclusive
 	}

@@ -128,9 +128,6 @@ func Dial(net *netsim.Net, local, remote *netsim.Host, batch bool) *Conn {
 	return &Conn{net: net, local: local, remote: remote}
 }
 
-// Remote returns the server-side host of the channel.
-func (c *Conn) Remote() *netsim.Host { return c.remote }
-
 // Call performs one request/response exchange on the calling proc,
 // blocking it for the full round trip: request transfer, CPU dispatch +
 // body, reply size taken while the CPU is still held, response

@@ -62,6 +62,15 @@ func (s *Summary) Std() time.Duration {
 	return time.Duration(math.Sqrt(s.m2 / float64(len(s.samples)-1)))
 }
 
+// Sum returns the exact total of the samples.
+func (s *Summary) Sum() time.Duration {
+	var total time.Duration
+	for _, d := range s.samples {
+		total += d
+	}
+	return total
+}
+
 // Min returns the smallest sample.
 func (s *Summary) Min() time.Duration { return s.min }
 

@@ -5,11 +5,19 @@ import (
 	"sort"
 	"time"
 
-	"cofs/internal/bench"
+	"cofs/internal/cluster"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
 	"cofs/internal/vfs"
 )
+
+// Target is the mounted file system under test: one mount per node plus
+// the simulation environment driving them. Stream (node, pid) issues its
+// operations on Mounts[node] as cluster.Ctx(node, pid).
+type Target struct {
+	Env    *sim.Env
+	Mounts []*vfs.Mount
+}
 
 // ReplayOptions tunes Replay.
 type ReplayOptions struct {
@@ -19,10 +27,6 @@ type ReplayOptions struct {
 	// possible mode that exposes the file system's saturation
 	// behaviour.
 	Timed bool
-	// StopOnError aborts a stream on the first operation error.
-	// Otherwise errors are counted and replay continues (recorded
-	// applications often race deletes; the default mirrors that).
-	StopOnError bool
 }
 
 // ReplayResult reports a replay run.
@@ -68,10 +72,12 @@ func (r *ReplayResult) Report() string {
 
 // Replay drives the target from the trace: one simulated process per
 // (node, pid) stream, spawned in (node, pid) order, operations in
-// recorded order. Mkdir operations replay as mkdir -p during a serial
-// prologue (directory skeletons are setup, not the measured workload —
-// the paper's benchmarks likewise pre-create the shared directory).
-func Replay(t bench.Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
+// recorded order. A failed operation is counted and its stream goes on
+// (recorded applications often race deletes). Mkdir operations replay
+// as mkdir -p during a serial prologue (directory skeletons are setup,
+// not the measured workload — the paper's benchmarks likewise
+// pre-create the shared directory).
+func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,7 +95,7 @@ func Replay(t bench.Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error
 	}
 	t.Env.Spawn("trace.prologue", func(p *sim.Proc) {
 		for _, op := range dirs {
-			ctx := t.Ctx(op.Node, op.PID)
+			ctx := cluster.Ctx(op.Node, op.PID)
 			if err := t.Mounts[op.Node].MkdirAll(p, ctx, op.Path, op.Mode); err != nil && err != vfs.ErrExist {
 				panic(fmt.Sprintf("trace prologue: mkdir %s: %v", op.Path, err))
 			}
@@ -105,13 +111,8 @@ func Replay(t bench.Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error
 		return streams[i].pid < streams[j].pid
 	})
 	start := t.Env.Now()
-	end := play(t, streams, opts, true, func(op Op, d time.Duration, err error) {
-		sum, ok := res.PerKind[op.Kind]
-		if !ok {
-			sum = &stats.Summary{}
-			res.PerKind[op.Kind] = sum
-		}
-		sum.Add(d)
+	end := play(t, streams, opts.Timed, false, true, func(op Op, d time.Duration, err error) {
+		kindSummary(res.PerKind, op.Kind).Add(d)
 		res.Ops++
 		if err != nil {
 			res.Errors++
@@ -147,6 +148,9 @@ func PhaseNames(phases []Phase) []string {
 type Result struct {
 	// PerPhase maps phase name to a latency summary over its operations.
 	PerPhase map[string]*stats.Summary
+	// PerKind maps operation kind to a latency summary over the
+	// operations of that kind in every named phase.
+	PerKind map[Kind]*stats.Summary
 	// PhaseTime is the virtual time of each phase, from its start to
 	// its last stream's end.
 	PhaseTime map[string]time.Duration
@@ -189,10 +193,11 @@ func (r *Result) MeanMs(phase string) float64 {
 // (log flush timers and the like) do not count. hook, when non-nil,
 // runs as its own process beside the streams of every named phase,
 // spawned before them and awaited by the barrier: mid-run triggers
-// such as a reshard ride it. The first failing operation ends its
-// stream, and Run returns that error once the phase's barrier is
-// reached.
-func Run(t bench.Target, phases []Phase, hook func(p *sim.Proc, phase string)) (*Result, error) {
+// such as a reshard ride it. Both summaries of an operation, its
+// phase's and its kind's, see the samples in completion order. The
+// first failing operation ends its stream, and Run returns that error
+// once the phase's barrier is reached.
+func Run(t Target, phases []Phase, hook func(p *sim.Proc, phase string)) (*Result, error) {
 	for _, ph := range phases {
 		for _, op := range ph.Ops {
 			if op.Node < 0 || op.PID < 0 || op.Node >= len(t.Mounts) {
@@ -202,6 +207,7 @@ func Run(t bench.Target, phases []Phase, hook func(p *sim.Proc, phase string)) (
 	}
 	res := &Result{
 		PerPhase:  make(map[string]*stats.Summary),
+		PerKind:   make(map[Kind]*stats.Summary),
 		PhaseTime: make(map[string]time.Duration),
 		PhaseOps:  make(map[string]int),
 	}
@@ -213,11 +219,15 @@ func Run(t bench.Target, phases []Phase, hook func(p *sim.Proc, phase string)) (
 		}
 		var err error
 		start := t.Env.Now()
-		end := play(t, streamsOf(ph.Ops), ReplayOptions{StopOnError: true}, false, func(op Op, d time.Duration, opErr error) {
-			if opErr == nil {
+		end := play(t, streamsOf(ph.Ops), false, true, false, func(op Op, d time.Duration, opErr error) {
+			switch {
+			case opErr != nil:
+				if err == nil {
+					err = opError(op, opErr)
+				}
+			case ph.Name != "":
 				sum.Add(d)
-			} else if err == nil {
-				err = opError(op, opErr)
+				kindSummary(res.PerKind, op.Kind).Add(d)
 			}
 		})
 		if err != nil {
@@ -230,6 +240,16 @@ func Run(t bench.Target, phases []Phase, hook func(p *sim.Proc, phase string)) (
 		}
 	}
 	return res, nil
+}
+
+// kindSummary returns the kind's summary in m, adding it on first use.
+func kindSummary(m map[Kind]*stats.Summary, k Kind) *stats.Summary {
+	sum, ok := m[k]
+	if !ok {
+		sum = &stats.Summary{}
+		m[k] = sum
+	}
+	return sum
 }
 
 // stream is the operations of one (node, pid) pair, in order: one
@@ -266,21 +286,21 @@ func streamsOf(ops []Op) []stream {
 // play spawns one process per stream, in order, runs the simulation
 // until everything spawned is done (a barrier) and returns the instant
 // the last stream finished. Each operation's latency and error go to
-// done, inline, so it sees them in completion order. opts.Timed paces
-// every stream by its operations' At offsets from the call;
-// opts.StopOnError ends a stream at its first error; with prologue,
-// Mkdir operations are passed over (Replay ran them beforehand).
-func play(t bench.Target, streams []stream, opts ReplayOptions, prologue bool, done func(op Op, d time.Duration, err error)) time.Duration {
+// done, inline, so it sees them in completion order. timed paces every
+// stream by its operations' At offsets from the call; failFast ends a
+// stream at its first error; with prologue, Mkdir operations are passed
+// over (Replay ran them beforehand).
+func play(t Target, streams []stream, timed, failFast, prologue bool, done func(op Op, d time.Duration, err error)) time.Duration {
 	start := t.Env.Now()
 	end := start
 	for _, s := range streams {
-		m, ctx := t.Mounts[s.node], t.Ctx(s.node, s.pid)
+		m, ctx := t.Mounts[s.node], cluster.Ctx(s.node, s.pid)
 		t.Env.Spawn(fmt.Sprintf("trace.n%d.p%d", s.node, s.pid), func(p *sim.Proc) {
 			for _, op := range s.ops {
 				if prologue && op.Kind == Mkdir {
 					continue
 				}
-				if opts.Timed {
+				if timed {
 					if wait := start + op.At - p.Now(); wait > 0 {
 						p.Sleep(wait)
 					}
@@ -288,7 +308,7 @@ func play(t bench.Target, streams []stream, opts ReplayOptions, prologue bool, d
 				t0 := p.Now()
 				err := replayOp(p, m, ctx, op)
 				done(op, p.Now()-t0, err)
-				if err != nil && opts.StopOnError {
+				if err != nil && failFast {
 					break
 				}
 			}

@@ -1,12 +1,13 @@
 package trace_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"cofs/internal/bench"
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
@@ -17,14 +18,14 @@ import (
 
 // memTarget builds an n-node target over one shared in-memory file
 // system (cheap replay correctness checks).
-func memTarget(n int) bench.Target {
+func memTarget(n int) trace.Target {
 	env := sim.NewEnv(1)
 	fs := vfs.NewMemFS()
 	mounts := make([]*vfs.Mount, n)
 	for i := range mounts {
 		mounts[i] = vfs.NewMount(fs, params.FUSEParams{})
 	}
-	return bench.Target{Env: env, Mounts: mounts, Ctx: cluster.Ctx}
+	return trace.Target{Env: env, Mounts: mounts}
 }
 
 func TestReplayCheckpointOnMemFS(t *testing.T) {
@@ -62,7 +63,7 @@ func TestReplayMixedNoErrors(t *testing.T) {
 	tr := trace.GenMixed(rand.New(rand.NewSource(3)), trace.MixedConfig{
 		Nodes: 4, OpsPerNode: 300, Dirs: 2, MaxBytes: 1 << 14, Spacing: time.Millisecond,
 	})
-	res, err := trace.Replay(tgt, tr, trace.ReplayOptions{StopOnError: true})
+	res, err := trace.Replay(tgt, tr, trace.ReplayOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -139,12 +140,12 @@ func TestReplayGPFSvsCOFS(t *testing.T) {
 	const nodes = 4
 	run := func(useCOFS bool) (replay *trace.ReplayResult, sweepMs float64) {
 		tb := cluster.New(21, nodes, params.Default())
-		var tgt bench.Target
+		var tgt trace.Target
 		if useCOFS {
 			d := core.Deploy(tb, nil)
-			tgt = bench.Target{Env: tb.Env, Mounts: d.Mounts, Ctx: cluster.Ctx}
+			tgt = trace.Target{Env: tb.Env, Mounts: d.Mounts}
 		} else {
-			tgt = bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+			tgt = trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 		}
 		tr := trace.GenBatchJobs(trace.BatchConfig{
 			Nodes: nodes - 1, Jobs: 48, FilesPerJob: 4, BytesPerFile: 4 << 10,
@@ -194,7 +195,7 @@ func TestReplayGPFSvsCOFS(t *testing.T) {
 // last stream.
 func TestRunPhaseEndsAtLastStream(t *testing.T) {
 	tb := cluster.New(1, 2, params.Default())
-	tgt := bench.Target{Env: tb.Env, Mounts: tb.Mounts, Ctx: cluster.Ctx}
+	tgt := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
 	starts := map[string]time.Duration{}
 	hook := func(p *sim.Proc, phase string) {
 		starts[phase] = p.Now()
@@ -227,6 +228,46 @@ func TestRunPhaseEndsAtLastStream(t *testing.T) {
 	}
 }
 
+// TestRunPerKind pins Result.PerKind: it summarises the operations of
+// the named phases only, each sample added as its operation completes,
+// so a phase of one kind has the same summary under its kind as under
+// its name. A one-stream phase issues its operations back to back, so
+// the exact total of their latencies is the phase's time.
+func TestRunPerKind(t *testing.T) {
+	tb := cluster.New(1, 2, params.Default())
+	tgt := trace.Target{Env: tb.Env, Mounts: tb.Mounts}
+	var creates, stats []trace.Op
+	for i := 0; i < 11; i++ {
+		path := fmt.Sprintf("/d/f%02d", i)
+		creates = append(creates, trace.Op{Node: i % 2, PID: 1, Kind: trace.Create, Path: path, Mode: 0644})
+		stats = append(stats, trace.Op{Node: 1, PID: 2, Kind: trace.Stat, Path: path})
+	}
+	res, err := trace.Run(tgt, []trace.Phase{
+		{Ops: []trace.Op{
+			{PID: 1, Kind: trace.Mkdir, Path: "/d", Mode: 0777},
+			{PID: 1, Kind: trace.Create, Path: "/d/setup", Mode: 0644},
+			{PID: 1, Kind: trace.Stat, Path: "/d/setup"},
+		}},
+		{Name: "create", Ops: creates},
+		{Name: "stat", Ops: stats},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerKind) != 2 || res.PerKind[trace.Create].N() != 11 || res.PerKind[trace.Stat].N() != 11 {
+		t.Fatalf("PerKind holds %d kinds, %d creates and %d stats; want 11 of each from the named phases only",
+			len(res.PerKind), res.PerKind[trace.Create].N(), res.PerKind[trace.Stat].N())
+	}
+	for kind, phase := range map[trace.Kind]string{trace.Create: "create", trace.Stat: "stat"} {
+		if !reflect.DeepEqual(res.PerKind[kind], res.PerPhase[phase]) {
+			t.Errorf("PerKind[%v] %v differs from PerPhase[%q] %v", kind, res.PerKind[kind], phase, res.PerPhase[phase])
+		}
+	}
+	if sum, d := res.PerKind[trace.Stat].Sum(), res.PhaseTime["stat"]; sum != d || sum <= 0 {
+		t.Errorf("stat latencies sum to %v, want the one-stream phase's time %v", sum, d)
+	}
+}
+
 // TestRunFailsAtFirstError: the first failing operation ends its
 // stream — the stream's later operations never run — and fails the run.
 func TestRunFailsAtFirstError(t *testing.T) {
@@ -239,7 +280,7 @@ func TestRunFailsAtFirstError(t *testing.T) {
 		t.Fatalf("Run error = %v, want the failed stat of /missing", err)
 	}
 	tgt.Env.Spawn("check", func(p *sim.Proc) {
-		if _, err := tgt.Mounts[0].Stat(p, tgt.Ctx(0, 1), "/after"); err != vfs.ErrNotExist {
+		if _, err := tgt.Mounts[0].Stat(p, cluster.Ctx(0, 1), "/after"); err != vfs.ErrNotExist {
 			t.Errorf("stat /after: %v, want ErrNotExist: the stream ran past its failure", err)
 		}
 	})
