@@ -49,13 +49,17 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 	// in directories that already exist. The installing client then
 	// relinquishes its tokens — otherwise every other node's first use
 	// of a bucket would pay a revocation against the installer. The
-	// install drains before Deploy returns.
+	// install drains before Deploy returns. Every client then shares
+	// one read-only set of the pre-created directories.
+	dirs := place.InitDirs()
+	installed := make(map[string]bool, len(dirs))
 	tb.Env.Spawn("cofs-init", func(p *sim.Proc) {
 		ctx := vfs.Ctx{UID: 0, Node: 0}
-		for _, dir := range place.InitDirs() {
+		for _, dir := range dirs {
 			if err := tb.Mounts[0].MkdirAll(p, ctx, dir, 0700); err != nil {
 				panic(fmt.Sprintf("cofs init: %v", err))
 			}
+			installed[dir] = true
 		}
 		tb.Clients[0].Relinquish(p)
 	})
@@ -63,9 +67,7 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 	for i, node := range tb.Nodes {
 		fs := NewFS(svc, node, i, tb.Mounts[i], place,
 			cfg.COFS, tb.Env.RNG(fmt.Sprintf("cofs.place.%d", i)))
-		for _, dir := range place.InitDirs() {
-			fs.MarkDirMade(dir)
-		}
+		fs.installed = installed
 		d.FSs = append(d.FSs, fs)
 		// COFS is a userspace daemon: mount through the FUSE cost model.
 		d.Mounts = append(d.Mounts, vfs.NewMount(fs, cfg.FUSE))

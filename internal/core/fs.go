@@ -34,14 +34,21 @@ type FS struct {
 	// can land in one bucket, which then holds up to the cap from each
 	// (see the package comment in placement.go).
 	buckets map[string]*bucketState
-	// madeDirs remembers underlying directories already created.
-	madeDirs map[string]bool
+	// installed holds the underlying directories Deploy pre-created
+	// (Placement.InitDirs); the deployment's clients share it, read-only.
+	// madeDirs holds the ones this client has created since.
+	installed map[string]bool
+	madeDirs  map[string]bool
 	// names names this client's new underlying objects (objectPath).
 	names objectNamer
 	// commits is the pool of idle name-commit jobs (object.go).
 	commits []*nameCommit
 
+	// handles maps the open handles to their state; idle holds released
+	// states for the next open to reuse. Handle ids are never reused, so a
+	// stale id finds nothing even when its state serves another file.
 	handles map[vfs.Handle]*cofsHandle
+	idle    []*cofsHandle
 	nextH   vfs.Handle
 
 	// attrs is the optional client-side attribute/dentry cache
@@ -112,11 +119,45 @@ type cofsHandle struct {
 	id    vfs.Ino
 	flags vfs.OpenFlags
 	upath string
-	file  *vfs.File // underlying handle, opened lazily on first I/O
+	file  vfs.File // underlying open file, opened lazily on first I/O
 	wrote bool
 	size  int64
 	ctx   vfs.Ctx
+	// users counts the reads, writes and fsyncs in progress on the
+	// handle; a Release that ends while one is still running leaves the
+	// state to it instead of handing it to the next open.
+	users int
 }
+
+// openHandle registers a handle for an open of ino, reusing an idle
+// state if there is one.
+func (f *FS) openHandle(ino vfs.Ino, flags vfs.OpenFlags, upath string, size int64, ctx vfs.Ctx) (vfs.Handle, *cofsHandle) {
+	var hs *cofsHandle
+	if n := len(f.idle); n > 0 {
+		hs = f.idle[n-1]
+		f.idle[n-1] = nil
+		f.idle = f.idle[:n-1]
+	} else {
+		hs = new(cofsHandle)
+	}
+	*hs = cofsHandle{id: ino, flags: flags, upath: upath, size: size, ctx: ctx}
+	h := f.nextH
+	f.nextH++
+	f.handles[h] = hs
+	return h, hs
+}
+
+// use looks up an open handle for an I/O call, which must end with
+// done.
+func (f *FS) use(h vfs.Handle) (*cofsHandle, bool) {
+	hs, ok := f.handles[h]
+	if ok {
+		hs.users++
+	}
+	return hs, ok
+}
+
+func (hs *cofsHandle) done() { hs.users-- }
 
 // NewFS attaches a node to COFS. under must be a bare mount of the
 // node's underlying file system client; place selects the placement
@@ -176,11 +217,6 @@ func (f *FS) underCtx() vfs.Ctx {
 	c.Node = f.node
 	return c
 }
-
-// MarkDirMade records that an underlying directory already exists (the
-// deployment calls this for install-time InitDirs, saving the existence
-// walk on first use).
-func (f *FS) MarkDirMade(dir string) { f.madeDirs[dir] = true }
 
 // Lookup implements vfs.Filesystem. A still-leased dentry (positive or
 // negative) resolves without a service round trip: the aggressive-caching
@@ -274,7 +310,8 @@ func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uin
 	}
 	f.Stats.ServiceOps++
 	c := f.startCommit(p, ctx, dir, name, mode, upath)
-	uf, uerr := f.under.CreateExcl(p, f.underCtx(), upath, 0600)
+	var uf vfs.File
+	uerr := f.under.CreateExclInto(p, f.underCtx(), upath, 0600, &uf)
 	attr, err := c.await(p)
 	if err != nil {
 		// No name was committed, so nothing can reach the object.
@@ -292,11 +329,8 @@ func (f *FS) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uin
 		return vfs.Attr{}, 0, uerr
 	}
 	f.Stats.UnderCreates++
-	h := f.nextH
-	f.nextH++
-	f.handles[h] = &cofsHandle{
-		id: attr.Ino, flags: vfs.OpenWrite, upath: upath, file: uf, ctx: ctx,
-	}
+	h, hs := f.openHandle(attr.Ino, vfs.OpenWrite, upath, 0, ctx)
+	hs.file = uf
 	return attr, h, nil
 }
 
@@ -345,9 +379,7 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 		attr.Size = 0
 	}
 	f.Stats.LazyOpensSkipped++
-	h := f.nextH
-	f.nextH++
-	f.handles[h] = &cofsHandle{id: ino, flags: flags, upath: upath, size: attr.Size, ctx: ctx}
+	h, _ := f.openHandle(ino, flags, upath, attr.Size, ctx)
 	return h, nil
 }
 
@@ -359,7 +391,7 @@ func (f *FS) Open(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino, flags vfs.OpenFlags) (v
 // inode lives; once the file is gone (unlinked, or renamed over) the
 // fetch fails with ErrNotExist, as the underlying open would have.
 func (f *FS) ensureUnderFile(p *sim.Proc, h *cofsHandle) error {
-	if h.file != nil {
+	if h.file.IsOpen() {
 		return nil
 	}
 	if h.upath == "" {
@@ -374,23 +406,22 @@ func (f *FS) ensureUnderFile(p *sim.Proc, h *cofsHandle) error {
 			h.upath = upath
 		}
 	}
-	uf, err := f.under.Open(p, f.underCtx(), h.upath, h.flags)
-	if err != nil {
+	if err := f.under.OpenInto(p, f.underCtx(), h.upath, h.flags, &h.file); err != nil {
 		return err
 	}
 	f.Stats.UnderOpens++
 	f.Stats.LazyOpensSkipped--
-	h.file = uf
 	return nil
 }
 
 // Read implements vfs.Filesystem (pure passthrough beyond the lazy open;
 // COFS keeps no block information — section III-D).
 func (f *FS) Read(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle, off, n int64) (int64, error) {
-	hs, ok := f.handles[h]
+	hs, ok := f.use(h)
 	if !ok {
 		return 0, vfs.ErrBadHandle
 	}
+	defer hs.done()
 	if err := f.ensureUnderFile(p, hs); err != nil {
 		return 0, err
 	}
@@ -399,10 +430,11 @@ func (f *FS) Read(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle, off, n int64) (int64, 
 
 // Write implements vfs.Filesystem.
 func (f *FS) Write(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle, off, n int64) (int64, error) {
-	hs, ok := f.handles[h]
+	hs, ok := f.use(h)
 	if !ok {
 		return 0, vfs.ErrBadHandle
 	}
+	defer hs.done()
 	if hs.flags&(vfs.OpenWrite|vfs.OpenTrunc) == 0 {
 		return 0, vfs.ErrPerm
 	}
@@ -421,11 +453,12 @@ func (f *FS) Write(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle, off, n int64) (int64,
 
 // Fsync implements vfs.Filesystem.
 func (f *FS) Fsync(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle) error {
-	hs, ok := f.handles[h]
+	hs, ok := f.use(h)
 	if !ok {
 		return vfs.ErrBadHandle
 	}
-	if hs.file == nil {
+	defer hs.done()
+	if !hs.file.IsOpen() {
 		return nil
 	}
 	return hs.file.Fsync(p)
@@ -433,13 +466,23 @@ func (f *FS) Fsync(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle) error {
 
 // Release implements vfs.Filesystem: close the underlying file (if it
 // was ever opened) and write back size/mtime to the service if we wrote.
+// The handle's state then goes idle for the next open to reuse.
 func (f *FS) Release(p *sim.Proc, ctx vfs.Ctx, h vfs.Handle) error {
 	hs, ok := f.handles[h]
 	if !ok {
 		return vfs.ErrBadHandle
 	}
 	delete(f.handles, h)
-	if hs.file != nil {
+	err := f.release(p, hs)
+	if hs.users == 0 {
+		*hs = cofsHandle{}
+		f.idle = append(f.idle, hs)
+	}
+	return err
+}
+
+func (f *FS) release(p *sim.Proc, hs *cofsHandle) error {
+	if hs.file.IsOpen() {
 		if err := hs.file.Close(p); err != nil {
 			return err
 		}

@@ -79,7 +79,7 @@ func (f *FS) objectPath(p *sim.Proc, ctx vfs.Ctx, parent vfs.Ino) (string, error
 
 // ensureUnderDir creates the bucket directory chain on first use.
 func (f *FS) ensureUnderDir(p *sim.Proc, dir string) error {
-	if f.madeDirs[dir] {
+	if f.installed[dir] || f.madeDirs[dir] {
 		return nil
 	}
 	if err := f.under.MkdirAll(p, f.underCtx(), dir, 0700); err != nil {

@@ -24,7 +24,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"strconv"
 
@@ -126,15 +125,18 @@ func (hp HashPlacement) InitDirs() []string {
 	if fanout < 1 {
 		fanout = 1
 	}
-	var out []string
+	subdirs := max(hp.RandomSubdirs, 1)
+	out := make([]string, 0, fanout*subdirs)
+	var b []byte
 	for i := 0; i < fanout; i++ {
-		if hp.RandomSubdirs > 1 {
-			for r := 0; r < hp.RandomSubdirs; r++ {
-				out = append(out, fmt.Sprintf("o/%03x/r%02d", i, r))
-			}
+		b = appendPadded(append(b[:0], "o/"...), uint64(i), 16, 3)
+		if subdirs == 1 {
+			out = append(out, string(b))
 			continue
 		}
-		out = append(out, fmt.Sprintf("o/%03x", i))
+		for r := 0; r < subdirs; r++ {
+			out = append(out, string(appendPadded(append(b, "/r"...), uint64(r), 10, 2)))
+		}
 	}
 	return out
 }
@@ -162,8 +164,10 @@ func (np NodeHashPlacement) InitDirs() []string {
 		fanout = 1
 	}
 	out := make([]string, fanout)
+	var b []byte
 	for i := range out {
-		out[i] = fmt.Sprintf("n/%03x", i)
+		b = appendPadded(append(b[:0], "n/"...), uint64(i), 16, 3)
+		out[i] = string(b)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,37 @@ func TestCreatePathStringsMatchFormatVerbs(t *testing.T) {
 			if got := string(appendObjectName([]byte(bucket), n, n/3)); got != want {
 				t.Fatalf("appendObjectName(%q, %#x, %#x) = %q, want %q", bucket, n, n/3, got, want)
 			}
+		}
+	}
+}
+
+// TestInitDirsMatchFormatVerbs: the install-time directory lists, built
+// with appendPadded, name exactly the directories fmt's verbs name.
+func TestInitDirsMatchFormatVerbs(t *testing.T) {
+	for _, tc := range []struct{ fanout, subdirs int }{
+		{0, 0}, {1, 1}, {64, 0}, {64, 8}, {300, 2}, {4096, 1}, {5000, 128},
+	} {
+		var want []string
+		for i := 0; i < max(tc.fanout, 1); i++ {
+			if tc.subdirs <= 1 {
+				want = append(want, fmt.Sprintf("o/%03x", i))
+				continue
+			}
+			for r := 0; r < tc.subdirs; r++ {
+				want = append(want, fmt.Sprintf("o/%03x/r%02d", i, r))
+			}
+		}
+		if got := (HashPlacement{Fanout: tc.fanout, RandomSubdirs: tc.subdirs}).InitDirs(); !slices.Equal(got, want) {
+			t.Fatalf("HashPlacement{%d, %d}.InitDirs() differs from the format verbs", tc.fanout, tc.subdirs)
+		}
+	}
+	for _, fanout := range []int{0, 1, 64, 5000} {
+		var want []string
+		for i := 0; i < max(fanout, 1); i++ {
+			want = append(want, fmt.Sprintf("n/%03x", i))
+		}
+		if got := (NodeHashPlacement{Fanout: fanout}).InitDirs(); !slices.Equal(got, want) {
+			t.Fatalf("NodeHashPlacement{%d}.InitDirs() differs from the format verbs", fanout)
 		}
 	}
 }

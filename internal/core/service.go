@@ -395,13 +395,13 @@ func (s *Service) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (vfs.Attr, err
 // the client truncates next; the path rides in the row the update reads.
 func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (vfs.Attr, string, error) {
 	s.Stats.Updates++
-	return s.updateRow(p, sess, rpc.OpSetattr, id, set.HasSize, func(row *inodeRow) error {
+	return s.updateRow(p, sess, rpc.OpSetattr, id, set.HasSize, func(row inodeRow) (inodeRow, error) {
 		if set.HasMode && ctx.UID != 0 && ctx.UID != row.UID {
-			return vfs.ErrPerm
+			return row, vfs.ErrPerm
 		}
 		// POSIX: only root may change ownership.
 		if set.HasOwner && ctx.UID != 0 {
-			return vfs.ErrPerm
+			return row, vfs.ErrPerm
 		}
 		if set.HasMode {
 			row.Mode = set.Mode
@@ -416,15 +416,17 @@ func (s *Service) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, s
 			row.Atime, row.Mtime = set.Atime, set.Mtime
 		}
 		row.Ctime = p.Now()
-		return nil
+		return row, nil
 	})
 }
 
-// updateRow applies fn to id's row in a durable transaction. On success
-// other holders' attribute leases on id are recalled and the mutating
-// session is granted a fresh one. With mapping set, the reply also
-// carries a regular file's underlying path.
-func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, mapping bool, fn func(*inodeRow) error) (vfs.Attr, string, error) {
+// updateRow replaces id's row with fn's update of it in a durable
+// transaction. On success other holders' attribute leases on id are
+// recalled and the mutating session is granted a fresh one. With mapping
+// set, the reply also carries a regular file's underlying path. The row
+// passes through fn by value: a pointer handed to a func value would move
+// every update's row to the heap.
+func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, mapping bool, fn func(inodeRow) (inodeRow, error)) (vfs.Attr, string, error) {
 	r := call(p, s, sess, op, 160, 192, func(p *sim.Proc) mappingReply {
 		// The row's Shared lock keeps a live migration (which takes the
 		// group Exclusive) from moving it out from under the update
@@ -448,7 +450,8 @@ func (s *Service) updateRow(p *sim.Proc, sess *Session, op rpc.Op, id vfs.Ino, m
 				out.err = s.missErr(id, vfs.ErrNotExist)
 				return
 			}
-			if err := fn(&row); err != nil {
+			row, err := fn(row)
+			if err != nil {
 				out.err = err
 				return
 			}
@@ -1092,13 +1095,13 @@ func addRemote(remote [][]int, sh, i int) [][]int {
 // consistency for attributes the service serves from its tables).
 func (s *Service) WriteBack(p *sim.Proc, sess *Session, id vfs.Ino, size int64, mtime time.Duration) error {
 	s.Stats.Updates++
-	_, _, err := s.updateRow(p, sess, rpc.OpWriteBack, id, false, func(row *inodeRow) error {
+	_, _, err := s.updateRow(p, sess, rpc.OpWriteBack, id, false, func(row inodeRow) (inodeRow, error) {
 		if row.Type != vfs.TypeRegular {
-			return vfs.ErrInvalid
+			return row, vfs.ErrInvalid
 		}
 		row.Size = size
 		row.Mtime = mtime
-		return nil
+		return row, nil
 	})
 	return err
 }

@@ -164,7 +164,10 @@ func (t *rowTxn) extend(p *sim.Proc, reqs ...lock.Req) bool {
 	if t == nil || len(reqs) == 0 {
 		return false
 	}
-	var fresh, upgrades []lock.Req
+	// A footprint discovers a row or two at a time: the buffers keep the
+	// split off the heap.
+	var freshBuf, upBuf [4]lock.Req
+	fresh, upgrades := freshBuf[:0], upBuf[:0]
 	for _, r := range reqs {
 		switch held, ok := t.holdMode(r.Key); {
 		case !ok:

@@ -15,6 +15,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cofs/internal/lru"
@@ -76,13 +77,22 @@ type holder struct {
 	mode Mode
 }
 
-// token state. Holders are kept in grant order (a slice, not a map) so
-// revocation order — and therefore the whole simulation — is
-// deterministic.
+// inlineHolders is how many holders a token keeps without a heap array:
+// a file's tokens rarely have more than a writer and a reader.
+const inlineHolders = 2
+
+// token is one resource's state. Holders are kept in grant order (a
+// slice, not a map) so revocation order — and therefore the whole
+// simulation — is deterministic. Tokens live in the Manager's slab.
 type token struct {
-	mu      *sim.Mutex // serializes conflicting acquisitions FIFO
-	holders []holder
+	r       Resource
+	mu      sim.Mutex // serializes conflicting acquisitions FIFO
+	holders []holder  // aliases inline until it outgrows it
+	inline  [inlineHolders]holder
 }
+
+// String names the token in its mutex's panics.
+func (t *token) String() string { return fmt.Sprintf("token:%d/%d", t.r.Kind, t.r.ID) }
 
 func (t *token) find(c Client) int {
 	for i := range t.holders {
@@ -91,12 +101,6 @@ func (t *token) find(c Client) int {
 		}
 	}
 	return -1
-}
-
-func (t *token) remove(c Client) {
-	if i := t.find(c); i >= 0 {
-		t.holders = append(t.holders[:i], t.holders[i+1:]...)
-	}
 }
 
 // Stats aggregates manager-side counters.
@@ -111,20 +115,27 @@ type Stats struct {
 
 // Manager is the centralized token server.
 type Manager struct {
-	env    *sim.Env
 	net    *netsim.Net
 	host   *netsim.Host
 	cpuPer time.Duration
 	tokens map[Resource]*token
+	// slab allocates token state tokenSlabChunk tokens at a time, and
+	// free holds the tokens whose last holder left (Bonwick's object
+	// cache): a resource touched once, like a file's byte range, costs
+	// no allocation of its own.
+	slab []token
+	free []*token
 
 	Stats Stats
 }
+
+// tokenSlabChunk is the number of tokens one slab allocation holds.
+const tokenSlabChunk = 256
 
 // NewManager creates a token manager on host; cpuPerOp is the server CPU
 // charge per token request.
 func NewManager(net *netsim.Net, host *netsim.Host, cpuPerOp time.Duration) *Manager {
 	return &Manager{
-		env:    net.Env(),
 		net:    net,
 		host:   host,
 		cpuPer: cpuPerOp,
@@ -135,15 +146,43 @@ func NewManager(net *netsim.Net, host *netsim.Host, cpuPerOp time.Duration) *Man
 // Host returns the host the manager runs on.
 func (m *Manager) Host() *netsim.Host { return m.host }
 
+// token returns r's state, taking a fresh token from the free list or the
+// slab on r's first use.
 func (m *Manager) token(r Resource) *token {
-	t, ok := m.tokens[r]
-	if !ok {
-		t = &token{
-			mu: sim.NewMutex(m.env, fmt.Sprintf("token:%d/%d", r.Kind, r.ID)),
-		}
-		m.tokens[r] = t
+	if t, ok := m.tokens[r]; ok {
+		return t
 	}
+	var t *token
+	if n := len(m.free); n > 0 {
+		t = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+	} else {
+		if len(m.slab) == cap(m.slab) {
+			m.slab = make([]token, 0, tokenSlabChunk)
+		}
+		m.slab = m.slab[:len(m.slab)+1]
+		t = &m.slab[len(m.slab)-1]
+	}
+	t.r = r
+	t.mu.SetName(t)
+	t.holders = t.inline[:0]
+	m.tokens[r] = t
 	return t
+}
+
+// remove drops c from t's holders. A token left with no holder and no
+// acquisition in progress holds nothing a fresh one would not, so it
+// goes back to the free list.
+func (m *Manager) remove(t *token, c Client) {
+	if i := t.find(c); i >= 0 {
+		t.holders = slices.Delete(t.holders, i, i+1)
+	}
+	if len(t.holders) == 0 && !t.mu.Locked() {
+		delete(m.tokens, t.r)
+		*t = token{}
+		m.free = append(m.free, t)
+	}
 }
 
 func compatible(held, want Mode) bool {
@@ -190,7 +229,8 @@ func (m *Manager) grant(p *sim.Proc, c Client, r Resource, mode Mode) {
 
 	// Snapshot the holder list: each revoke yields to the network, and
 	// unrelated Release calls may mutate t.holders meanwhile.
-	snapshot := append([]holder(nil), t.holders...)
+	var buf [2 * inlineHolders]holder
+	snapshot := append(buf[:0], t.holders...)
 	revoked := false
 	for _, h := range snapshot {
 		if h.c == c || compatible(h.mode, mode) {
@@ -204,7 +244,7 @@ func (m *Manager) grant(p *sim.Proc, c Client, r Resource, mode Mode) {
 		}
 		m.revoke(p, h.c, r, to)
 		if to == ModeNone {
-			t.remove(h.c)
+			m.remove(t, h.c)
 		} else if i := t.find(h.c); i >= 0 {
 			t.holders[i].mode = to
 		}
@@ -247,7 +287,7 @@ func (m *Manager) Release(p *sim.Proc, c Client, r Resource) {
 	netsim.Call(p, m.net, c.Host(), m.host, 64, 64, func(p *sim.Proc) struct{} {
 		p.Sleep(m.cpuPer)
 		if t, ok := m.tokens[r]; ok {
-			t.remove(c)
+			m.remove(t, c)
 		}
 		return struct{}{}
 	})
@@ -261,7 +301,7 @@ func (m *Manager) ReleaseAll(p *sim.Proc, c Client) {
 	netsim.Call(p, m.net, c.Host(), m.host, 64, 64, func(p *sim.Proc) struct{} {
 		p.Sleep(m.cpuPer)
 		for _, t := range m.tokens {
-			t.remove(c)
+			m.remove(t, c)
 		}
 		return struct{}{}
 	})
@@ -272,7 +312,7 @@ func (m *Manager) ReleaseAll(p *sim.Proc, c Client) {
 // exchange (e.g. object deletion piggybacked on an RPC already paid for).
 func (m *Manager) ReleaseLocal(c Client, r Resource) {
 	if t, ok := m.tokens[r]; ok {
-		t.remove(c)
+		m.remove(t, c)
 	}
 }
 

@@ -1,6 +1,9 @@
 package lock
 
 import (
+	"fmt"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,5 +348,74 @@ func TestCacheClear(t *testing.T) {
 	}
 	if c.Has(Resource{Kind: 1, ID: 2}, ModeShared) {
 		t.Fatal("cleared cache still reports a token")
+	}
+}
+
+// nopClient is a lock.Client whose callbacks do nothing, so an
+// allocation count sees the manager alone.
+type nopClient struct{ host *netsim.Host }
+
+func (c *nopClient) Host() *netsim.Host                      { return c.host }
+func (c *nopClient) Revoke(p *sim.Proc, r Resource, to Mode) {}
+func (c *nopClient) Granted(r Resource, mode Mode)           {}
+
+// TestTokenGrantAllocsNothing: a token's state comes from the manager's
+// slab and goes back when its last holder leaves, its first holders live
+// inline, and a grant takes its revocation snapshot on the stack, so
+// granting a fresh resource to two holders, stealing it and releasing it
+// allocates nothing once warm.
+func TestTokenGrantAllocsNothing(t *testing.T) {
+	skipUnderRace(t)
+	rg := newRig(t, 2, 0)
+	a, b := &nopClient{host: rg.clients[0].host}, &nopClient{host: rg.clients[1].host}
+	var id uint64
+	rg.env.Spawn("pin", func(p *sim.Proc) {
+		cycle := func() {
+			id++
+			r := Resource{Kind: 1, ID: id} // a new file's token
+			rg.mgr.Acquire(p, a, r, ModeShared)
+			rg.mgr.GrantInline(p, b, r, ModeShared)
+			rg.mgr.Acquire(p, a, r, ModeExclusive) // revokes b
+			rg.mgr.Release(p, a, r)
+		}
+		for i := 0; i < 1000; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+			t.Errorf("grant, steal and release of a fresh token allocates %v, want 0", n)
+		}
+	})
+	rg.env.MustRun()
+	if rg.mgr.Stats.Revocations != 2001 {
+		t.Errorf("revocations = %d, want one per cycle (2001)", rg.mgr.Stats.Revocations)
+	}
+	if len(rg.mgr.tokens) != 0 {
+		t.Errorf("%d tokens left after every holder released, want 0", len(rg.mgr.tokens))
+	}
+}
+
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates")
+			}
+		}
+	}
+}
+
+// TestTokenMutexNamesResource: a token's mutex carries no formatted
+// name, yet its panics still name the token's resource.
+func TestTokenMutexNamesResource(t *testing.T) {
+	rg := newRig(t, 1, 0)
+	tok := rg.mgr.token(Resource{Kind: 3, ID: 42})
+	var msg string
+	rg.env.Spawn("stray-unlock", func(p *sim.Proc) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		tok.mu.Unlock(p)
+	})
+	rg.env.MustRun()
+	if !strings.Contains(msg, `"token:3/42"`) {
+		t.Fatalf("unlock by a non-owner panicked with %q, want it to name token:3/42", msg)
 	}
 }

@@ -856,8 +856,9 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestCreateReleaseUnlinkAllocs pins the model's per-file records: in a
-// warm directory, a create, release and unlink allocate at most one
-// object — inodes come from a slab and handles are stored by value.
+// warm directory, a hundred creates, releases and unlinks allocate less
+// than one object — inodes come from a slab, handles are stored by value
+// and a new inode block's token comes from the token manager's slab.
 func TestCreateReleaseUnlinkAllocs(t *testing.T) {
 	skipUnderRace(t)
 	single(t, func(tb *cluster.Testbed, p *sim.Proc, m *vfs.Mount) {
@@ -878,11 +879,16 @@ func TestCreateReleaseUnlinkAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 1000; i++ {
-			cycle()
+		hundred := func() {
+			for i := 0; i < 100; i++ {
+				cycle()
+			}
 		}
-		if n := testing.AllocsPerRun(1000, cycle); n > 1 {
-			t.Fatalf("create+release+unlink allocates %v, want <= 1", n)
+		for i := 0; i < 10; i++ {
+			hundred()
+		}
+		if n := testing.AllocsPerRun(100, hundred); n != 0 {
+			t.Fatalf("100 × create+release+unlink allocates %v, want 0", n)
 		}
 	})
 }

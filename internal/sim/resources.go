@@ -6,21 +6,41 @@ import (
 )
 
 // Mutex is a FIFO mutual-exclusion lock for simulated processes. The zero
-// value is not usable; create with NewMutex.
+// value is an unlocked, unnamed mutex, so a Mutex can live by value inside
+// the object it guards; NewMutex returns a named one.
 type Mutex struct {
-	env   *Env
-	name  string
 	owner *Proc
 	queue fifo[*Proc]
+	// name names the mutex in its panics, formatted only when one fires;
+	// nil for an unnamed mutex.
+	name fmt.Stringer
 	// contention statistics
 	Acquires  int64
 	Contended int64
 	WaitTotal time.Duration
 }
 
-// NewMutex returns an unlocked mutex.
+// mutexName is a fixed mutex name.
+type mutexName string
+
+func (n mutexName) String() string { return string(n) }
+
+// NewMutex returns an unlocked mutex named name. A mutex reaches its
+// environment through the processes that lock it, so env is not kept.
 func NewMutex(env *Env, name string) *Mutex {
-	return &Mutex{env: env, name: name}
+	return &Mutex{name: mutexName(name)}
+}
+
+// SetName makes n name m in its panics. n is formatted only when a panic
+// fires, so an object that embeds its mutex can name it by itself at no
+// cost.
+func (m *Mutex) SetName(n fmt.Stringer) { m.name = n }
+
+func (m *Mutex) label() string {
+	if m.name == nil {
+		return "(unnamed)"
+	}
+	return m.name.String()
 }
 
 // Lock acquires the mutex, blocking p until it is available. Grants are
@@ -32,19 +52,19 @@ func (m *Mutex) Lock(p *Proc) {
 		return
 	}
 	m.Contended++
-	start := m.env.now
+	start := p.env.now
 	m.queue.push(p)
 	p.park()
-	m.WaitTotal += m.env.now - start
+	m.WaitTotal += p.env.now - start
 	if m.owner != p {
-		panic(fmt.Sprintf("sim: mutex %q woke %q without ownership", m.name, p.name))
+		panic(fmt.Sprintf("sim: mutex %q woke %q without ownership", m.label(), p.name))
 	}
 }
 
 // Unlock releases the mutex and hands it to the longest waiter, if any.
 func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {
-		panic(fmt.Sprintf("sim: mutex %q unlocked by non-owner %q", m.name, p.name))
+		panic(fmt.Sprintf("sim: mutex %q unlocked by non-owner %q", m.label(), p.name))
 	}
 	if m.queue.len() == 0 {
 		m.owner = nil
@@ -52,7 +72,7 @@ func (m *Mutex) Unlock(p *Proc) {
 	}
 	next := m.queue.pop()
 	m.owner = next
-	m.env.unpark(next)
+	p.env.unpark(next)
 }
 
 // Locked reports whether the mutex is currently held.

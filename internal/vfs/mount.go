@@ -313,49 +313,88 @@ type File struct {
 }
 
 // Create creates (or truncates) and opens the file at path.
-func (m *Mount) Create(p *sim.Proc, ctx Ctx, path string, mode uint32) (*File, error) {
-	f, err := m.CreateExcl(p, ctx, path, mode)
+//
+// Create, CreateExcl and Open stay within the compiler's inlining budget
+// (named results, one call), so a caller whose *File does not escape
+// keeps the File on its own stack.
+func (m *Mount) Create(p *sim.Proc, ctx Ctx, path string, mode uint32) (f *File, err error) {
+	f = new(File)
+	if err = m.createInto(p, ctx, path, mode, f); err != nil {
+		f = nil
+	}
+	return
+}
+
+func (m *Mount) createInto(p *sim.Proc, ctx Ctx, path string, mode uint32, f *File) error {
+	err := m.CreateExclInto(p, ctx, path, mode, f)
 	if err == ErrExist {
 		// POSIX O_CREAT without O_EXCL: open and truncate.
-		return m.Open(p, ctx, path, OpenWrite|OpenTrunc)
+		return m.OpenInto(p, ctx, path, OpenWrite|OpenTrunc, f)
 	}
-	return f, err
+	return err
 }
 
 // CreateExcl creates and opens the file at path, failing with ErrExist
 // if the name exists (POSIX O_CREAT|O_EXCL).
-func (m *Mount) CreateExcl(p *sim.Proc, ctx Ctx, path string, mode uint32) (*File, error) {
+func (m *Mount) CreateExcl(p *sim.Proc, ctx Ctx, path string, mode uint32) (f *File, err error) {
+	f = new(File)
+	if err = m.CreateExclInto(p, ctx, path, mode, f); err != nil {
+		f = nil
+	}
+	return
+}
+
+// CreateExclInto is CreateExcl opening the file into f, which the caller
+// owns: a file system stacked on the mount keeps its underlying open
+// files by value instead of one heap File each. f is untouched on error.
+func (m *Mount) CreateExclInto(p *sim.Proc, ctx Ctx, path string, mode uint32, f *File) error {
 	dir, name, err := m.WalkParent(p, ctx, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.cross(p)
 	attr, h, err := m.fs.Create(p, ctx, dir, name, mode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.dcachePut(p, dcacheKey{dir: dir, name: name}, attr.Ino)
-	return &File{m: m, ctx: ctx, ino: attr.Ino, h: h, open: true}, nil
+	*f = File{m: m, ctx: ctx, ino: attr.Ino, h: h, open: true}
+	return nil
 }
 
 // Open opens the file at path.
-func (m *Mount) Open(p *sim.Proc, ctx Ctx, path string, flags OpenFlags) (*File, error) {
-	return retryStale(m, p, ctx, path, func() (*File, error) {
+func (m *Mount) Open(p *sim.Proc, ctx Ctx, path string, flags OpenFlags) (f *File, err error) {
+	f = new(File)
+	if err = m.OpenInto(p, ctx, path, flags, f); err != nil {
+		f = nil
+	}
+	return
+}
+
+// OpenInto is Open opening the file into the caller's f (see
+// CreateExclInto). f is untouched on error.
+func (m *Mount) OpenInto(p *sim.Proc, ctx Ctx, path string, flags OpenFlags, f *File) error {
+	_, err := retryStale(m, p, ctx, path, func() (struct{}, error) {
 		ino, err := m.Walk(p, ctx, path)
 		if err != nil {
-			return nil, err
+			return struct{}{}, err
 		}
 		m.cross(p)
 		h, err := m.fs.Open(p, ctx, ino, flags)
 		if err != nil {
-			return nil, err
+			return struct{}{}, err
 		}
-		return &File{m: m, ctx: ctx, ino: ino, h: h, open: true}, nil
+		*f = File{m: m, ctx: ctx, ino: ino, h: h, open: true}
+		return struct{}{}, nil
 	})
+	return err
 }
 
 // Ino returns the file's inode number.
 func (f *File) Ino() Ino { return f.ino }
+
+// IsOpen reports whether the file is open: opened and not yet closed.
+func (f *File) IsOpen() bool { return f.open }
 
 // ReadAt moves n bytes at offset off, splitting into MaxWrite-sized FUSE
 // requests when mounted through a userspace daemon.
