@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"path"
 	"testing"
-	"time"
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -22,213 +22,128 @@ import (
 // and the lease-protected cache (not the FUSE dcache) is what the
 // assertions exercise.
 
-// coherenceRig deploys a 2-node COFS with the lease cache on.
-func coherenceRig(t *testing.T, seed int64, shards int) (*cluster.Testbed, *core.Deployment) {
-	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.COFS.AttrLease = 30 * time.Second
-	cfg.FUSE.EntryTimeout = time.Nanosecond
-	tb := cluster.New(seed, 2, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
-	return tb, d
+// crossNodeCase is one scripted cross-node scenario. Node 0 (A) plays
+// setup and stats path, which caches it under a lease; node 1 (B) then
+// mutates, and verify holds A's next look to the mutation. before and
+// beforeErr are what A's stat of path saw.
+type crossNodeCase struct {
+	name   string
+	seed   int64 // plus the shard count
+	setup  []trace.Op
+	path   string
+	mutate func(p *sim.Proc, B *vfs.Mount) error
+	verify func(t *testing.T, p *sim.Proc, A *vfs.Mount, before vfs.Attr, beforeErr error)
 }
 
-// step runs fn as one drained simulation phase: everything fn does
-// happens-before the next step.
-func step(tb *cluster.Testbed, name string, fn func(p *sim.Proc)) {
-	tb.Env.Spawn(name, fn)
-	tb.Run()
+var ctxA, ctxB = cluster.Ctx(0, 1), cluster.Ctx(1, 1)
+
+var crossNodeCases = []crossNodeCase{
+	{"chmod", 100, []trace.Op{core.Mkdir(0, "/d", 0777), core.Create(0, "/d/f", 0644)}, "/d/f",
+		func(p *sim.Proc, B *vfs.Mount) error { _, err := B.Chmod(p, ctxB, "/d/f", 0600); return err },
+		func(t *testing.T, p *sim.Proc, A *vfs.Mount, _ vfs.Attr, _ error) {
+			attr, err := A.Stat(p, ctxA, "/d/f")
+			if err != nil || attr.Mode != 0600 {
+				t.Errorf("stale mode after cross-node chmod: %o, %v", attr.Mode, err)
+			}
+		}},
+	{"writeback-size", 200, []trace.Op{core.Create(0, "/f", 0666)}, "/f",
+		func(p *sim.Proc, B *vfs.Mount) error {
+			g, err := B.Open(p, ctxB, "/f", vfs.OpenWrite)
+			if err != nil {
+				return err
+			}
+			g.WriteAt(p, 0, 777)
+			return g.Close(p)
+		},
+		func(t *testing.T, p *sim.Proc, A *vfs.Mount, _ vfs.Attr, _ error) {
+			attr, err := A.Stat(p, ctxA, "/f")
+			if err != nil || attr.Size != 777 {
+				t.Errorf("stale size after cross-node write-back: %d, %v", attr.Size, err)
+			}
+		}},
+	{"rename", 300, []trace.Op{core.Mkdir(0, "/d", 0777), core.Create(0, "/d/f", 0644)}, "/d/f",
+		func(p *sim.Proc, B *vfs.Mount) error { return B.Rename(p, ctxB, "/d/f", "/d/g") },
+		func(t *testing.T, p *sim.Proc, A *vfs.Mount, before vfs.Attr, _ error) {
+			if _, err := A.Stat(p, ctxA, "/d/f"); err != vfs.ErrNotExist {
+				t.Errorf("renamed-away name still resolves on A: %v", err)
+			}
+			attr, err := A.Stat(p, ctxA, "/d/g")
+			if err != nil || attr.Ino != before.Ino {
+				t.Errorf("renamed-in name wrong on A: %+v, %v", attr, err)
+			}
+		}},
+	{"remove", 400, []trace.Op{core.Mkdir(0, "/d", 0777), core.Create(0, "/d/f", 0644)}, "/d/f",
+		func(p *sim.Proc, B *vfs.Mount) error { return B.Unlink(p, ctxB, "/d/f") },
+		func(t *testing.T, p *sim.Proc, A *vfs.Mount, _ vfs.Attr, _ error) {
+			if _, err := A.Stat(p, ctxA, "/d/f"); err != vfs.ErrNotExist {
+				t.Errorf("removed file still resolves on A: %v", err)
+			}
+			// And the name is reusable from A.
+			f, err := A.Create(p, ctxA, "/d/f", 0644)
+			if err != nil {
+				t.Errorf("re-create after cross-node remove: %v", err)
+				return
+			}
+			f.Close(p)
+		}},
+	// A caches the miss as a negative dentry.
+	{"negative-dentry", 500, []trace.Op{core.Mkdir(0, "/d", 0777)}, "/d/nope",
+		func(p *sim.Proc, B *vfs.Mount) error {
+			f, err := B.Create(p, ctxB, "/d/nope", 0640)
+			if err != nil {
+				return err
+			}
+			return f.Close(p)
+		},
+		func(t *testing.T, p *sim.Proc, A *vfs.Mount, _ vfs.Attr, beforeErr error) {
+			if beforeErr != vfs.ErrNotExist {
+				t.Errorf("expected ENOENT, got %v", beforeErr)
+			}
+			attr, err := A.Stat(p, ctxA, "/d/nope")
+			if err != nil || attr.Mode != 0640 {
+				t.Errorf("negative dentry survived cross-node create: %+v, %v", attr, err)
+			}
+		}},
+	{"link-nlink", 700, []trace.Op{core.Create(0, "/x", 0644)}, "/x",
+		func(p *sim.Proc, B *vfs.Mount) error { return B.Link(p, ctxB, "/x", "/y") },
+		func(t *testing.T, p *sim.Proc, A *vfs.Mount, _ vfs.Attr, _ error) {
+			attr, err := A.Stat(p, ctxA, "/x")
+			if err != nil || attr.Nlink != 2 {
+				t.Errorf("stale nlink after cross-node link: %d, %v", attr.Nlink, err)
+			}
+		}},
 }
 
 func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		shards := shards
 		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			ctxA, ctxB := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-
-			t.Run("chmod", func(t *testing.T) {
-				tb, d := coherenceRig(t, 100+int64(shards), shards)
-				A, B := d.Mounts[0], d.Mounts[1]
-				step(tb, "setup", func(p *sim.Proc) {
-					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
-						t.Error(err)
-						return
-					}
-					f, err := A.Create(p, ctxA, "/d/f", 0644)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					f.Close(p)
-					A.Stat(p, ctxA, "/d/f") // A caches the attr under lease
+			for _, c := range crossNodeCases {
+				t.Run(c.name, func(t *testing.T) {
+					tb, d := core.Rig(t, c.seed+int64(shards), 2, core.Shards(shards), core.Leases, core.NoKernelEntries)
+					A, B := d.Mounts[0], d.Mounts[1]
+					core.Play(t, tb, d, c.setup...)
+					var before vfs.Attr
+					var beforeErr error
+					core.Drained(tb, "cache", func(p *sim.Proc) { before, beforeErr = A.Stat(p, ctxA, c.path) })
+					core.Drained(tb, "mutate", func(p *sim.Proc) {
+						if err := c.mutate(p, B); err != nil {
+							t.Error(err)
+						}
+					})
+					// No leased entry may outlive the mutation, even one
+					// A's next look would not reach.
+					core.CheckPlane(t, tb, d, core.PlaneCaches)
+					core.Drained(tb, "verify", func(p *sim.Proc) { c.verify(t, p, A, before, beforeErr) })
+					core.CheckPlane(t, tb, d, core.PlaneTables)
 				})
-				step(tb, "mutate", func(p *sim.Proc) {
-					if _, err := B.Chmod(p, ctxB, "/d/f", 0600); err != nil {
-						t.Error(err)
-					}
-				})
-				step(tb, "verify", func(p *sim.Proc) {
-					attr, err := A.Stat(p, ctxA, "/d/f")
-					if err != nil || attr.Mode != 0600 {
-						t.Errorf("stale mode after cross-node chmod: %o, %v", attr.Mode, err)
-					}
-				})
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			})
-
-			t.Run("writeback-size", func(t *testing.T) {
-				tb, d := coherenceRig(t, 200+int64(shards), shards)
-				A, B := d.Mounts[0], d.Mounts[1]
-				step(tb, "setup", func(p *sim.Proc) {
-					f, err := A.Create(p, ctxA, "/f", 0666)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					f.Close(p)
-					A.Stat(p, ctxA, "/f")
-				})
-				step(tb, "mutate", func(p *sim.Proc) {
-					g, err := B.Open(p, ctxB, "/f", vfs.OpenWrite)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					g.WriteAt(p, 0, 777)
-					g.Close(p)
-				})
-				step(tb, "verify", func(p *sim.Proc) {
-					attr, err := A.Stat(p, ctxA, "/f")
-					if err != nil || attr.Size != 777 {
-						t.Errorf("stale size after cross-node write-back: %d, %v", attr.Size, err)
-					}
-				})
-			})
-
-			t.Run("rename", func(t *testing.T) {
-				tb, d := coherenceRig(t, 300+int64(shards), shards)
-				A, B := d.Mounts[0], d.Mounts[1]
-				var ino vfs.Ino
-				step(tb, "setup", func(p *sim.Proc) {
-					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
-						t.Error(err)
-						return
-					}
-					f, err := A.Create(p, ctxA, "/d/f", 0644)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					f.Close(p)
-					attr, _ := A.Stat(p, ctxA, "/d/f")
-					ino = attr.Ino
-				})
-				step(tb, "mutate", func(p *sim.Proc) {
-					if err := B.Rename(p, ctxB, "/d/f", "/d/g"); err != nil {
-						t.Error(err)
-					}
-				})
-				step(tb, "verify", func(p *sim.Proc) {
-					if _, err := A.Stat(p, ctxA, "/d/f"); err != vfs.ErrNotExist {
-						t.Errorf("renamed-away name still resolves on A: %v", err)
-					}
-					attr, err := A.Stat(p, ctxA, "/d/g")
-					if err != nil || attr.Ino != ino {
-						t.Errorf("renamed-in name wrong on A: %+v, %v", attr, err)
-					}
-				})
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			})
-
-			t.Run("remove", func(t *testing.T) {
-				tb, d := coherenceRig(t, 400+int64(shards), shards)
-				A, B := d.Mounts[0], d.Mounts[1]
-				step(tb, "setup", func(p *sim.Proc) {
-					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
-						t.Error(err)
-						return
-					}
-					f, err := A.Create(p, ctxA, "/d/f", 0644)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					f.Close(p)
-					A.Stat(p, ctxA, "/d/f")
-				})
-				step(tb, "mutate", func(p *sim.Proc) {
-					if err := B.Unlink(p, ctxB, "/d/f"); err != nil {
-						t.Error(err)
-					}
-				})
-				step(tb, "verify", func(p *sim.Proc) {
-					if _, err := A.Stat(p, ctxA, "/d/f"); err != vfs.ErrNotExist {
-						t.Errorf("removed file still resolves on A: %v", err)
-					}
-					// And the name is reusable from A.
-					f, err := A.Create(p, ctxA, "/d/f", 0644)
-					if err != nil {
-						t.Errorf("re-create after cross-node remove: %v", err)
-						return
-					}
-					f.Close(p)
-				})
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			})
-
-			t.Run("negative-dentry", func(t *testing.T) {
-				tb, d := coherenceRig(t, 500+int64(shards), shards)
-				A, B := d.Mounts[0], d.Mounts[1]
-				step(tb, "setup", func(p *sim.Proc) {
-					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
-						t.Error(err)
-						return
-					}
-					// A caches the miss as a negative dentry.
-					if _, err := A.Stat(p, ctxA, "/d/nope"); err != vfs.ErrNotExist {
-						t.Errorf("expected ENOENT, got %v", err)
-					}
-				})
-				step(tb, "mutate", func(p *sim.Proc) {
-					f, err := B.Create(p, ctxB, "/d/nope", 0640)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					f.Close(p)
-				})
-				step(tb, "verify", func(p *sim.Proc) {
-					attr, err := A.Stat(p, ctxA, "/d/nope")
-					if err != nil || attr.Mode != 0640 {
-						t.Errorf("negative dentry survived cross-node create: %+v, %v", attr, err)
-					}
-				})
-			})
+			}
 
 			t.Run("readdir-fill-then-chmod", func(t *testing.T) {
-				tb, d := coherenceRig(t, 600+int64(shards), shards)
+				tb, d := core.Rig(t, 600+int64(shards), 2, core.Shards(shards), core.Leases, core.NoKernelEntries)
 				A, B := d.Mounts[0], d.Mounts[1]
-				step(tb, "setup", func(p *sim.Proc) {
-					if err := B.Mkdir(p, ctxB, "/d", 0777); err != nil {
-						t.Error(err)
-						return
-					}
-					for i := 0; i < 4; i++ {
-						f, err := B.Create(p, ctxB, fmt.Sprintf("/d/f%d", i), 0644)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						f.Close(p)
-					}
+				core.Play(t, tb, d, core.Mkdir(1, "/d", 0777), core.Create(1, "/d/f0", 0644), core.Create(1, "/d/f1", 0644),
+					core.Create(1, "/d/f2", 0644), core.Create(1, "/d/f3", 0644))
+				core.Drained(tb, "fill", func(p *sim.Proc) {
 					// A lists /d and stats what came first and second: the
 					// statahead fills A's cache with every entry. (Straight
 					// at the FS layer: with this rig's 1 ns entry timeout a
@@ -252,12 +167,12 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				if n := d.FSs[0].Stats.Stataheads; n != 1 {
 					t.Fatalf("%d stataheads filled A's cache, want 1", n)
 				}
-				step(tb, "mutate", func(p *sim.Proc) {
+				core.Drained(tb, "mutate", func(p *sim.Proc) {
 					if _, err := B.Chmod(p, ctxB, "/d/f2", 0600); err != nil {
 						t.Error(err)
 					}
 				})
-				step(tb, "verify", func(p *sim.Proc) {
+				core.Drained(tb, "verify", func(p *sim.Proc) {
 					attr, err := A.Stat(p, ctxA, "/d/f2")
 					if err != nil || attr.Mode != 0600 {
 						t.Errorf("statahead-filled attr stale after cross-node chmod: %o, %v", attr.Mode, err)
@@ -274,40 +189,26 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 			})
 
 			t.Run("listing", func(t *testing.T) {
-				tb, d := coherenceRig(t, 800+int64(shards), shards)
+				tb, d := core.Rig(t, 800+int64(shards), 2, core.Shards(shards), core.Leases, core.NoKernelEntries)
 				A, B := d.Mounts[0], d.Mounts[1]
-				oracle := vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})
+				// oracle plays node 1's ops on an in-memory file system.
+				oracle := trace.Target{Env: tb.Env, Mounts: []*vfs.Mount{nil, vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})}}
 				// The rename partner of /d: a directory whose dentries live on
 				// another shard whenever there is one.
-				sm := core.ShardMap{Shards: shards}
-				other := "/o0"
-				for i := 0; shards > 1 && sm.DirTarget(core.RootID, other[1:]) == sm.DirTarget(core.RootID, "d"); i++ {
-					other = fmt.Sprintf("/o%d", i)
-				}
-				// on applies one mutation to B and to the oracle alike.
-				on := func(p *sim.Proc, fn func(m *vfs.Mount) error) {
-					for _, m := range []*vfs.Mount{B, oracle} {
-						if err := fn(m); err != nil {
-							t.Error(err)
-						}
+				other := core.AwayFrom(shards, "d", "o")
+				// both plays ops on B and on the oracle alike.
+				both := func(ops ...trace.Op) {
+					t.Helper()
+					core.Play(t, tb, d, ops...)
+					if _, err := trace.Run(oracle, []trace.Phase{{Ops: ops}}, nil); err != nil {
+						t.Fatal(err)
 					}
 				}
-				step(tb, "setup", func(p *sim.Proc) {
-					on(p, func(m *vfs.Mount) error { return m.Mkdir(p, ctxB, "/d", 0777) })
-					on(p, func(m *vfs.Mount) error { return m.Mkdir(p, ctxB, other, 0777) })
-					for _, f := range []string{"/d/f0", "/d/f1", "/d/f2", "/d/f3", other + "/x"} {
-						on(p, func(m *vfs.Mount) error {
-							h, err := m.Create(p, ctxB, f, 0644)
-							if err == nil {
-								err = h.Close(p)
-							}
-							return err
-						})
-					}
-				})
+				both(core.Mkdir(1, "/d", 0777), core.Mkdir(1, other, 0777), core.Create(1, "/d/f0", 0644), core.Create(1, "/d/f1", 0644),
+					core.Create(1, "/d/f2", 0644), core.Create(1, "/d/f3", 0644), core.Create(1, other+"/x", 0644))
 				if shards > 1 {
 					var dAttr, oAttr vfs.Attr
-					step(tb, "placement", func(p *sim.Proc) {
+					core.Drained(tb, "placement", func(p *sim.Proc) {
 						dAttr, _ = B.Stat(p, ctxB, "/d")
 						oAttr, _ = B.Stat(p, ctxB, other)
 					})
@@ -320,8 +221,8 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				listTwice := func(what string, wantHits int64) {
 					t.Helper()
 					before := d.Counters().Get("cache.listing-hits")
-					step(tb, "list", func(p *sim.Proc) {
-						want, err := oracle.Readdir(p, ctxB, "/d")
+					core.Drained(tb, "list", func(p *sim.Proc) {
+						want, err := oracle.Mounts[1].Readdir(p, ctxB, "/d")
 						if err != nil {
 							t.Error(err)
 							return
@@ -352,61 +253,23 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				listTwice("setup", 1)
 				for _, m := range []struct {
 					what string
-					fn   func(p *sim.Proc, m *vfs.Mount) error
+					op   trace.Op
 				}{
-					{"create", func(p *sim.Proc, m *vfs.Mount) error {
-						h, err := m.Create(p, ctxB, "/d/new", 0644)
-						if err == nil {
-							err = h.Close(p)
-						}
-						return err
-					}},
-					{"unlink", func(p *sim.Proc, m *vfs.Mount) error { return m.Unlink(p, ctxB, "/d/f0") }},
-					{"mkdir", func(p *sim.Proc, m *vfs.Mount) error { return m.Mkdir(p, ctxB, "/d/sub", 0755) }},
-					{"rmdir", func(p *sim.Proc, m *vfs.Mount) error { return m.Rmdir(p, ctxB, "/d/sub") }},
-					{"link", func(p *sim.Proc, m *vfs.Mount) error { return m.Link(p, ctxB, "/d/f1", "/d/hard") }},
-					{"rename out", func(p *sim.Proc, m *vfs.Mount) error { return m.Rename(p, ctxB, "/d/f2", other+"/f2") }},
-					{"rename in", func(p *sim.Proc, m *vfs.Mount) error { return m.Rename(p, ctxB, other+"/x", "/d/x") }},
+					{"create", core.Create(1, "/d/new", 0644)},
+					{"unlink", core.Op(1, trace.Unlink, "/d/f0", "")},
+					{"mkdir", core.Mkdir(1, "/d/sub", 0755)},
+					{"rmdir", core.Op(1, trace.Rmdir, "/d/sub", "")},
+					{"link", core.Op(1, trace.Link, "/d/f1", "/d/hard")},
+					{"rename out", core.Op(1, trace.Rename, "/d/f2", other+"/f2")},
+					{"rename in", core.Op(1, trace.Rename, other+"/x", "/d/x")},
 				} {
-					step(tb, m.what, func(p *sim.Proc) { on(p, func(mt *vfs.Mount) error { return m.fn(p, mt) }) })
+					both(m.op)
 					listTwice(m.what, 1)
 				}
 				// A child's attributes are not the listing: it stays cached.
-				step(tb, "chmod", func(p *sim.Proc) {
-					on(p, func(m *vfs.Mount) error { _, err := m.Chmod(p, ctxB, "/d/f3", 0600); return err })
-				})
+				both(trace.Op{Node: 1, PID: 1, Kind: trace.Chmod, Path: "/d/f3", Mode: 0600})
 				listTwice("chmod of a child", 2)
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-			})
-
-			t.Run("link-nlink", func(t *testing.T) {
-				tb, d := coherenceRig(t, 700+int64(shards), shards)
-				A, B := d.Mounts[0], d.Mounts[1]
-				step(tb, "setup", func(p *sim.Proc) {
-					f, err := A.Create(p, ctxA, "/x", 0644)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					f.Close(p)
-					A.Stat(p, ctxA, "/x")
-				})
-				step(tb, "mutate", func(p *sim.Proc) {
-					if err := B.Link(p, ctxB, "/x", "/y"); err != nil {
-						t.Error(err)
-					}
-				})
-				step(tb, "verify", func(p *sim.Proc) {
-					attr, err := A.Stat(p, ctxA, "/x")
-					if err != nil || attr.Nlink != 2 {
-						t.Errorf("stale nlink after cross-node link: %d, %v", attr.Nlink, err)
-					}
-				})
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
+				core.CheckPlane(t, tb, d, core.PlaneTables)
 			})
 		})
 	}
@@ -417,24 +280,11 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 // must be served from the client cache (no service round trip), so the
 // cross-node tests above really do race a populated cache.
 func TestLeaseCacheActuallyServes(t *testing.T) {
-	tb, d := coherenceRig(t, 42, 1)
+	tb, d := core.Rig(t, 42, 2, core.Shards(1), core.Leases, core.NoKernelEntries)
 	A := d.Mounts[0]
-	ctxA := cluster.Ctx(0, 1)
-	step(tb, "setup", func(p *sim.Proc) {
-		if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
-			t.Error(err)
-			return
-		}
-		f, err := A.Create(p, ctxA, "/d/f", 0644)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		f.Close(p)
-		A.Stat(p, ctxA, "/d/f")
-	})
+	core.Play(t, tb, d, core.Mkdir(0, "/d", 0777), core.Create(0, "/d/f", 0644), core.Stat(0, "/d/f"))
 	before := d.FSs[0].Stats.ServiceOps
-	step(tb, "restat", func(p *sim.Proc) {
+	core.Drained(tb, "restat", func(p *sim.Proc) {
 		if _, err := A.Stat(p, ctxA, "/d/f"); err != nil {
 			t.Error(err)
 		}
@@ -452,23 +302,9 @@ func TestLeaseCacheActuallyServes(t *testing.T) {
 // counters (shard revocations, client cache revoked entries, recall
 // messages on the wire).
 func TestLeaseRecallsAreCounted(t *testing.T) {
-	tb, d := coherenceRig(t, 43, 2)
-	A, B := d.Mounts[0], d.Mounts[1]
-	ctxA, ctxB := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-	step(tb, "setup", func(p *sim.Proc) {
-		f, err := A.Create(p, ctxA, "/f", 0666)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		f.Close(p)
-		A.Stat(p, ctxA, "/f")
-	})
-	step(tb, "mutate", func(p *sim.Proc) {
-		if _, err := B.Chmod(p, ctxB, "/f", 0600); err != nil {
-			t.Error(err)
-		}
-	})
+	tb, d := core.Rig(t, 43, 2, core.Shards(2), core.Leases, core.NoKernelEntries)
+	core.Play(t, tb, d, core.Create(0, "/f", 0666), core.Stat(0, "/f"))
+	core.Play(t, tb, d, trace.Op{Node: 1, PID: 1, Kind: trace.Chmod, Path: "/f", Mode: 0600})
 	c := d.Counters()
 	if c.Get("mds.lease-revocations") == 0 {
 		t.Fatalf("no shard revocations counted: %v", c)
@@ -493,19 +329,8 @@ func TestLeaseCoherenceUnderConcurrency(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = shards
-			cfg.COFS.AttrLease = 30 * time.Second
-			cfg.FUSE.EntryTimeout = time.Nanosecond
-			tb := cluster.New(900+int64(shards), 4, cfg)
-			d := core.Deploy(tb, nil)
-			step(tb, "setup", func(p *sim.Proc) {
-				for _, dir := range []string{"/w", "/v"} {
-					if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), dir, 0777); err != nil {
-						t.Error(err)
-					}
-				}
-			})
+			tb, d := core.Rig(t, 900+int64(shards), 4, core.Shards(shards), core.Leases, core.NoKernelEntries)
+			core.Play(t, tb, d, core.Mkdir(0, "/w", 0777), core.Mkdir(0, "/v", 0777))
 			// Two working directories (placed on different shards by the
 			// shard map when shards > 1), so renames below cross both
 			// directories and shards.

@@ -12,41 +12,24 @@ import (
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
 var ctx = cluster.Ctx(0, 1)
 
-type rig struct {
-	tb *cluster.Testbed
-	d  *core.Deployment
-}
-
-func newRig(nodes int) *rig {
-	tb := cluster.New(1, nodes, params.Default())
-	d := core.Deploy(tb, nil)
-	tb.Run() // drain the deployment's install-time initialization
-	return &rig{tb: tb, d: d}
-}
-
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
+// run runs fn as one drained phase and holds the service's tables and
+// the underlying file system to their invariants.
+func run(t *testing.T, tb *cluster.Testbed, d *core.Deployment, fn func(p *sim.Proc)) {
 	t.Helper()
-	r.tb.Env.Spawn("test", fn)
-	if err := r.tb.Env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.d.Service.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.tb.FS.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	core.Drained(tb, "test", fn)
+	core.CheckPlane(t, tb, d, core.PlaneTables|core.PlaneUnder)
 }
 
 func TestCreateStatThroughCOFS(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
+	run(t, tb, d, func(p *sim.Proc) {
 		f, err := m.Create(p, ctx, "/a.txt", 0644)
 		if err != nil {
 			t.Fatal(err)
@@ -65,38 +48,29 @@ func TestCreateStatThroughCOFS(t *testing.T) {
 }
 
 func TestVirtualSharedDirMapsToManyUnderlyingDirs(t *testing.T) {
-	r := newRig(4)
-	r.run(t, func(p *sim.Proc) {
-		if err := r.d.Mounts[0].Mkdir(p, ctx, "/shared", 0777); err != nil {
+	tb, d := core.Rig(t, 1, 4)
+	run(t, tb, d, func(p *sim.Proc) {
+		if err := d.Mounts[0].Mkdir(p, ctx, "/shared", 0777); err != nil {
 			t.Fatal(err)
 		}
 	})
-	for n := 0; n < 4; n++ {
-		node := n
-		r.tb.Env.Spawn("creator", func(p *sim.Proc) {
-			m := r.d.Mounts[node]
-			cx := cluster.Ctx(node, 1)
-			for i := 0; i < 50; i++ {
-				f, err := m.Create(p, cx, fmt.Sprintf("/shared/f%d-%d", node, i), 0644)
-				if err != nil {
-					panic(err)
-				}
-				f.Close(p)
-			}
-		})
+	var creates []trace.Op
+	for node := 0; node < 4; node++ {
+		for i := 0; i < 50; i++ {
+			creates = append(creates, core.Create(node, fmt.Sprintf("/shared/f%d-%d", node, i), 0644))
+		}
 	}
-	r.tb.Env.MustRun()
+	core.Play(t, tb, d, creates...)
 
 	// The virtual directory holds all 200 files...
 	var ents []vfs.DirEntry
-	r.tb.Env.Spawn("list", func(p *sim.Proc) {
+	core.Drained(tb, "list", func(p *sim.Proc) {
 		var err error
-		ents, err = r.d.Mounts[0].Readdir(p, ctx, "/shared")
+		ents, err = d.Mounts[0].Readdir(p, ctx, "/shared")
 		if err != nil {
 			panic(err)
 		}
 	})
-	r.tb.Env.MustRun()
 	if len(ents) != 200 {
 		t.Fatalf("virtual entries=%d, want 200", len(ents))
 	}
@@ -104,7 +78,7 @@ func TestVirtualSharedDirMapsToManyUnderlyingDirs(t *testing.T) {
 	// distinct bucket directories.
 	buckets := map[string]bool{}
 	for _, e := range ents {
-		upath, ok := r.d.Service.Mapping(e.Ino)
+		upath, ok := d.Service.Mapping(e.Ino)
 		if !ok {
 			t.Fatalf("no mapping for %s", e.Name)
 		}
@@ -117,11 +91,8 @@ func TestVirtualSharedDirMapsToManyUnderlyingDirs(t *testing.T) {
 }
 
 func TestBucketCapSpills(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.MaxEntriesPerDir = 16
-	cfg.COFS.RandomSubdirs = 1 // single bucket per (node,pid,parent)
-	tb := cluster.New(1, 1, cfg)
-	d := core.Deploy(tb, nil)
+	// RandomSubdirs 1: a single bucket per (node,pid,parent).
+	tb, d := core.Rig(t, 1, 1, func(c *params.Config) { c.COFS.MaxEntriesPerDir, c.COFS.RandomSubdirs = 16, 1 })
 	m := d.Mounts[0]
 	tb.Env.Spawn("t", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
@@ -155,9 +126,9 @@ func TestBucketCapSpills(t *testing.T) {
 }
 
 func TestRenameNeverTouchesUnderlying(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
+	run(t, tb, d, func(p *sim.Proc) {
 		m.MkdirAll(p, ctx, "/a", 0777)
 		m.MkdirAll(p, ctx, "/b", 0777)
 		f, err := m.Create(p, ctx, "/a/file", 0644)
@@ -166,15 +137,15 @@ func TestRenameNeverTouchesUnderlying(t *testing.T) {
 		}
 		f.Close(p)
 		ino := f.Ino()
-		before, _ := r.d.Service.Mapping(ino)
-		underOps := r.tb.Mounts[0].Ops
+		before, _ := d.Service.Mapping(ino)
+		underOps := tb.Mounts[0].Ops
 		if err := m.Rename(p, ctx, "/a/file", "/b/renamed"); err != nil {
 			t.Fatal(err)
 		}
-		if got := r.tb.Mounts[0].Ops; got != underOps {
+		if got := tb.Mounts[0].Ops; got != underOps {
 			t.Fatalf("rename performed %d underlying ops, want 0", got-underOps)
 		}
-		after, _ := r.d.Service.Mapping(ino)
+		after, _ := d.Service.Mapping(ino)
 		if before != after {
 			t.Fatalf("mapping changed on rename: %q -> %q", before, after)
 		}
@@ -198,14 +169,10 @@ func TestLazyUnderlyingOpen(t *testing.T) {
 		{"lease", func(c *params.COFSParams) { c.AttrLease = 30 * time.Second }, 0},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			cfg := params.Default()
-			mode.tweak(&cfg.COFS)
-			tb := cluster.New(1, 2, cfg)
-			r := &rig{tb: tb, d: core.Deploy(tb, nil)}
-			tb.Run()
-			m, fs, cx := r.d.Mounts[1], r.d.FSs[1], cluster.Ctx(1, 1)
-			r.run(t, func(p *sim.Proc) {
-				f, _ := r.d.Mounts[0].Create(p, ctx, "/data", 0644)
+			tb, d := core.Rig(t, 1, 2, func(c *params.Config) { mode.tweak(&c.COFS) })
+			m, fs, cx := d.Mounts[1], d.FSs[1], cluster.Ctx(1, 1)
+			run(t, tb, d, func(p *sim.Proc) {
+				f, _ := d.Mounts[0].Create(p, ctx, "/data", 0644)
 				f.WriteAt(p, 0, 4096)
 				f.Close(p)
 				if _, err := m.Stat(p, cx, "/data"); err != nil {
@@ -242,15 +209,15 @@ func TestLazyUnderlyingOpen(t *testing.T) {
 }
 
 func TestSizeWriteBackOnClose(t *testing.T) {
-	r := newRig(2)
-	r.run(t, func(p *sim.Proc) {
-		m0 := r.d.Mounts[0]
+	tb, d := core.Rig(t, 1, 2)
+	run(t, tb, d, func(p *sim.Proc) {
+		m0 := d.Mounts[0]
 		f, _ := m0.Create(p, ctx, "/sized", 0644)
 		f.WriteAt(p, 0, 12345)
 		f.Close(p)
 		// Another node sees the size via the service, without touching
 		// the underlying file system.
-		attr, err := r.d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/sized")
+		attr, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/sized")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,33 +231,33 @@ func TestSizeWriteBackOnClose(t *testing.T) {
 // Unlink returns; the underlying file is gone once the node's background
 // removals have drained (name first, object later).
 func TestUnlinkRemovesUnderlying(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
+	run(t, tb, d, func(p *sim.Proc) {
 		f, _ := m.Create(p, ctx, "/gone", 0644)
 		f.Close(p)
 		ino := f.Ino()
-		upath, _ := r.d.Service.Mapping(ino)
+		upath, _ := d.Service.Mapping(ino)
 		if err := m.Unlink(p, ctx, "/gone"); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := r.d.Service.Mapping(ino); ok {
+		if _, ok := d.Service.Mapping(ino); ok {
 			t.Fatal("mapping survived unlink")
 		}
 		if _, err := m.Stat(p, ctx, "/gone"); err != vfs.ErrNotExist {
 			t.Fatalf("name survived unlink: %v", err)
 		}
-		r.d.FSs[0].DrainRemovals(p)
-		if _, err := r.tb.Mounts[0].Stat(p, vfs.Ctx{UID: 0}, upath); err != vfs.ErrNotExist {
+		d.FSs[0].DrainRemovals(p)
+		if _, err := tb.Mounts[0].Stat(p, vfs.Ctx{UID: 0}, upath); err != vfs.ErrNotExist {
 			t.Fatalf("underlying file survived unlink: %v", err)
 		}
 	})
 }
 
 func TestHardLinkSharesUnderlying(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
+	run(t, tb, d, func(p *sim.Proc) {
 		f, _ := m.Create(p, ctx, "/orig", 0644)
 		f.WriteAt(p, 0, 100)
 		f.Close(p)
@@ -314,10 +281,10 @@ func TestHardLinkSharesUnderlying(t *testing.T) {
 }
 
 func TestSymlinkVirtualOnly(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
-		underOps := r.tb.Mounts[0].Ops
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
+	run(t, tb, d, func(p *sim.Proc) {
+		underOps := tb.Mounts[0].Ops
 		if err := m.Symlink(p, ctx, "/some/target", "/lnk"); err != nil {
 			t.Fatal(err)
 		}
@@ -325,17 +292,17 @@ func TestSymlinkVirtualOnly(t *testing.T) {
 		if err != nil || got != "/some/target" {
 			t.Fatalf("readlink=%q err=%v", got, err)
 		}
-		if r.tb.Mounts[0].Ops != underOps {
+		if tb.Mounts[0].Ops != underOps {
 			t.Fatal("symlink touched the underlying file system")
 		}
 	})
 }
 
 func TestPermissionEnforcedAtService(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
 	other := vfs.Ctx{Node: 0, PID: 9, UID: 2000, GID: 200}
-	r.run(t, func(p *sim.Proc) {
+	run(t, tb, d, func(p *sim.Proc) {
 		if err := m.Mkdir(p, ctx, "/owned", 0700); err != nil {
 			t.Fatal(err)
 		}
@@ -354,9 +321,9 @@ func TestPermissionEnforcedAtService(t *testing.T) {
 }
 
 func TestServiceCrashRecovery(t *testing.T) {
-	r := newRig(1)
-	m := r.d.Mounts[0]
-	r.run(t, func(p *sim.Proc) {
+	tb, d := core.Rig(t, 1, 1)
+	m := d.Mounts[0]
+	run(t, tb, d, func(p *sim.Proc) {
 		m.MkdirAll(p, ctx, "/dir", 0777)
 		for i := 0; i < 10; i++ {
 			f, err := m.Create(p, ctx, fmt.Sprintf("/dir/f%d", i), 0644)
@@ -366,11 +333,11 @@ func TestServiceCrashRecovery(t *testing.T) {
 			f.Close(p)
 		}
 		// Force the Mnesia-style log dump, then crash and recover.
-		r.d.Service.Checkpoint(p)
+		d.Service.Checkpoint(p)
 		f2, _ := m.Create(p, ctx, "/dir/unflushed", 0644)
 		f2.Close(p)
-		r.d.Service.Crash()
-		r.d.Service.Recover(p)
+		d.Service.Crash()
+		d.Service.Recover(p)
 		for i := 0; i < 10; i++ {
 			if _, err := m.Stat(p, ctx, fmt.Sprintf("/dir/f%d", i)); err != nil {
 				t.Fatalf("file f%d lost after crash+recovery: %v", i, err)
@@ -397,8 +364,8 @@ func TestParallelSharedDirCreateFastThroughCOFS(t *testing.T) {
 		return measureCreates(t, tb.Env, tb.Mounts, 128)
 	}()
 	cofs := func() float64 {
-		r := newRig(4)
-		return measureCreates(t, r.tb.Env, r.d.Mounts, 128)
+		tb, d := core.Rig(t, 1, 4)
+		return measureCreates(t, tb.Env, d.Mounts, 128)
 	}()
 	if cofs*4 > gpfs {
 		t.Fatalf("COFS create %.2fms not much faster than GPFS %.2fms", cofs, gpfs)
@@ -438,9 +405,9 @@ func measureCreates(t *testing.T, env *sim.Env, mounts []*vfs.Mount, per int) fl
 }
 
 func TestCOFSStatFastAndFlat(t *testing.T) {
-	r := newRig(4)
-	m0 := r.d.Mounts[0]
-	r.tb.Env.Spawn("prep", func(p *sim.Proc) {
+	tb, d := core.Rig(t, 1, 4)
+	m0 := d.Mounts[0]
+	tb.Env.Spawn("prep", func(p *sim.Proc) {
 		if err := m0.Mkdir(p, ctx, "/shared", 0777); err != nil {
 			panic(err)
 		}
@@ -452,22 +419,22 @@ func TestCOFSStatFastAndFlat(t *testing.T) {
 			f.Close(p)
 		}
 	})
-	r.tb.Env.MustRun()
+	tb.Env.MustRun()
 	sum := &stats.Summary{}
 	for n := 0; n < 4; n++ {
 		node := n
-		r.tb.Env.Spawn("stat", func(p *sim.Proc) {
+		tb.Env.Spawn("stat", func(p *sim.Proc) {
 			cx := cluster.Ctx(node, 1)
 			for i := node; i < 2048; i += 4 {
 				start := p.Now()
-				if _, err := r.d.Mounts[node].Stat(p, cx, fmt.Sprintf("/shared/f%06d", i)); err != nil {
+				if _, err := d.Mounts[node].Stat(p, cx, fmt.Sprintf("/shared/f%06d", i)); err != nil {
 					panic(err)
 				}
 				sum.Add(p.Now() - start)
 			}
 		})
 	}
-	r.tb.Env.MustRun()
+	tb.Env.MustRun()
 	if got := sum.MeanMs(); got > 2.0 {
 		t.Fatalf("COFS parallel stat %.3fms, paper reports ~1ms", got)
 	}
@@ -481,13 +448,13 @@ func TestCOFSMemFSOracleProperty(t *testing.T) {
 		A, B uint8
 	}
 	f := func(ops []op) bool {
-		r := newRig(1)
-		m := r.d.Mounts[0]
+		tb, d := core.Rig(t, 1, 1)
+		m := d.Mounts[0]
 		oracle := vfs.NewMemFS()
 		om := vfs.NewMount(oracle, params.FUSEParams{})
 		ok := true
 		name := func(x uint8) string { return fmt.Sprintf("/n%d", x%12) }
-		r.tb.Env.Spawn("prop", func(p *sim.Proc) {
+		tb.Env.Spawn("prop", func(p *sim.Proc) {
 			for _, o := range ops {
 				var e1, e2 error
 				switch o.Kind % 6 {
@@ -537,10 +504,10 @@ func TestCOFSMemFSOracleProperty(t *testing.T) {
 				}
 			}
 		})
-		if err := r.tb.Env.Run(); err != nil {
+		if err := tb.Env.Run(); err != nil {
 			return false
 		}
-		if err := r.d.Service.CheckInvariants(); err != nil {
+		if err := d.Service.CheckInvariants(); err != nil {
 			return false
 		}
 		return ok
@@ -552,9 +519,9 @@ func TestCOFSMemFSOracleProperty(t *testing.T) {
 
 func TestDeterministicDeployment(t *testing.T) {
 	elapsed := func() time.Duration {
-		r := newRig(4)
-		measureCreates(t, r.tb.Env, r.d.Mounts, 64)
-		return r.tb.Env.Now()
+		tb, d := core.Rig(t, 1, 4)
+		measureCreates(t, tb.Env, d.Mounts, 64)
+		return tb.Env.Now()
 	}
 	if a, b := elapsed(), elapsed(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
@@ -567,10 +534,7 @@ func TestAttrCacheExtensionSpeedsLocalReopens(t *testing.T) {
 	// metadata round trips that made COFS lose the Table I small-file
 	// cells.
 	run := func(lease time.Duration) (time.Duration, int64) {
-		cfg := params.Default()
-		cfg.COFS.AttrLease = lease
-		tb := cluster.New(1, 1, cfg)
-		d := core.Deploy(tb, nil)
+		tb, d := core.Rig(t, 1, 1, func(c *params.Config) { c.COFS.AttrLease = lease })
 		m := d.Mounts[0]
 		var elapsed time.Duration
 		tb.Env.Spawn("t", func(p *sim.Proc) {
@@ -610,10 +574,7 @@ func TestAttrCacheExtensionSpeedsLocalReopens(t *testing.T) {
 }
 
 func TestAttrCacheStaysCoherentOnLocalChanges(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.AttrLease = 30 * time.Second
-	tb := cluster.New(1, 1, cfg)
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 1, 1, core.Leases)
 	m := d.Mounts[0]
 	tb.Env.Spawn("t", func(p *sim.Proc) {
 		f, _ := m.Create(p, ctx, "/f", 0644)

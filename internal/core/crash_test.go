@@ -19,10 +19,7 @@ import (
 // fsck is clean apart from orphans in the lost window, and the service
 // accepts new work without id collisions.
 func TestCrashMidWorkloadRecovery(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.LogFlushInterval = 5 * time.Millisecond // tight window
-	tb := cluster.New(41, 4, cfg)
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 41, 4, func(c *params.Config) { c.COFS.LogFlushInterval = 5 * time.Millisecond }) // tight window
 	ctx := func(n int) vfs.Ctx { return cluster.Ctx(n, 1) }
 
 	tb.Env.Spawn("mkdir", func(p *sim.Proc) {
@@ -126,11 +123,7 @@ func TestCrashMidWorkloadRecovery(t *testing.T) {
 // must never resurrect files the recovery lost once their lease runs
 // out.
 func TestCrashAttrCacheNoResurrection(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.LogFlushInterval = 50 * time.Millisecond
-	cfg.COFS.AttrLease = 30 * time.Second
-	tb := cluster.New(43, 2, cfg)
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 43, 2, func(c *params.Config) { c.COFS.LogFlushInterval = 50 * time.Millisecond }, core.Leases)
 	ctx := cluster.Ctx(0, 1)
 
 	var lostIno vfs.Ino
@@ -141,7 +134,7 @@ func TestCrashAttrCacheNoResurrection(t *testing.T) {
 		}
 		// Let the flusher cover the mkdir, then create a file that
 		// stays inside the flush window.
-		p.Sleep(2 * cfg.COFS.LogFlushInterval)
+		p.Sleep(2 * tb.Cfg.COFS.LogFlushInterval)
 		f, err := m.Create(p, ctx, "/w/doomed", 0644)
 		if err != nil {
 			panic(err)
@@ -166,7 +159,7 @@ func TestCrashAttrCacheNoResurrection(t *testing.T) {
 		// shard's lease table, so nothing recalls them, exactly as a
 		// real FUSE/NFS deployment would after an unannounced service
 		// restart. Consistency is bounded by the lease term.
-		p.Sleep(cfg.FUSE.EntryTimeout + cfg.COFS.AttrLease)
+		p.Sleep(tb.Cfg.FUSE.EntryTimeout + tb.Cfg.COFS.AttrLease)
 		if _, err := m.Stat(p, ctx, "/w/doomed"); err == nil {
 			t.Error("file in the lost flush window still resolves after all cache windows expired")
 		}

@@ -7,47 +7,19 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
 
-// fsckRig deploys COFS on two nodes and creates files files in a shared
-// virtual directory.
-func fsckRig(t *testing.T, files int) (*cluster.Testbed, *core.Deployment) {
-	t.Helper()
-	tb := cluster.New(31, 2, params.Default())
-	d := core.Deploy(tb, nil)
-	ctx := cluster.Ctx(0, 1)
-	tb.Env.Spawn("fill", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		if err := m.Mkdir(p, ctx, "/data", 0777); err != nil {
-			panic(err)
-		}
-		for i := 0; i < files; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/data/f%03d", i), 0644)
-			if err != nil {
-				panic(err)
-			}
-			f.WriteAt(p, 0, 1024)
-			f.Close(p)
-		}
-	})
-	tb.Run()
-	return tb, d
-}
-
 func runFsck(tb *cluster.Testbed, d *core.Deployment) *core.FsckReport {
 	var rep *core.FsckReport
-	tb.Env.Spawn("fsck", func(p *sim.Proc) {
-		rep = core.Fsck(p, d.Service, tb.Mounts[0])
-	})
-	tb.Run()
+	core.Drained(tb, "fsck", func(p *sim.Proc) { rep = core.Fsck(p, d.Service, tb.Mounts[0]) })
 	return rep
 }
 
 func TestFsckCleanAfterWorkload(t *testing.T) {
-	tb, d := fsckRig(t, 40)
+	tb, d := core.Rig(t, 31, 2)
+	core.Play(t, tb, d, core.Dir(0, "/data", 0777, 40, "f%03d", 1024)...)
 	rep := runFsck(tb, d)
 	if !rep.OK() {
 		t.Fatalf("fsck not clean:\n%s", rep)
@@ -61,7 +33,8 @@ func TestFsckCleanAfterWorkload(t *testing.T) {
 }
 
 func TestFsckDetectsMissingUnderlying(t *testing.T) {
-	tb, d := fsckRig(t, 10)
+	tb, d := core.Rig(t, 31, 2)
+	core.Play(t, tb, d, core.Dir(0, "/data", 0777, 10, "f%03d", 1024)...)
 	// Damage: delete one underlying file behind COFS's back.
 	var victim string
 	d.Service.EachMapping(func(id vfs.Ino, upath string) {
@@ -88,7 +61,8 @@ func TestFsckDetectsMissingUnderlying(t *testing.T) {
 }
 
 func TestFsckDetectsOrphan(t *testing.T) {
-	tb, d := fsckRig(t, 10)
+	tb, d := core.Rig(t, 31, 2)
+	core.Play(t, tb, d, core.Dir(0, "/data", 0777, 10, "f%03d", 1024)...)
 	// Damage: drop a stray file into an object bucket directly.
 	var bucket string
 	d.Service.EachMapping(func(id vfs.Ino, upath string) {
@@ -115,7 +89,8 @@ func TestFsckDetectsOrphan(t *testing.T) {
 }
 
 func TestFsckAfterRemoveCycleStaysClean(t *testing.T) {
-	tb, d := fsckRig(t, 20)
+	tb, d := core.Rig(t, 31, 2)
+	core.Play(t, tb, d, core.Dir(0, "/data", 0777, 20, "f%03d", 1024)...)
 	ctx := cluster.Ctx(1, 1)
 	tb.Env.Spawn("churn", func(p *sim.Proc) {
 		m := d.Mounts[1]

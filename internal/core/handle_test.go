@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cofs/internal/cluster"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -37,10 +36,9 @@ func writeFile(t *testing.T, p *sim.Proc, fs *FS, name string, size int64) vfs.I
 // state under a new id, so every call on h1 fails with ErrBadHandle and
 // h2 reads its own file.
 func TestReleasedHandleIsStale(t *testing.T) {
-	tb := cluster.New(1, 1, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1)
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
-	drained(tb, "stale", func(p *sim.Proc) {
+	Drained(tb, "stale", func(p *sim.Proc) {
 		a := writeFile(t, p, fs, "a", 4096)
 		b := writeFile(t, p, fs, "b", 8192)
 		h1, err := fs.Open(p, ctx, a, vfs.OpenRead|vfs.OpenWrite)
@@ -89,17 +87,16 @@ func TestReleasedHandleIsStale(t *testing.T) {
 // another process's read of the same handle is still running does not
 // hand the handle's state to the next open.
 func TestReleaseDuringReadSparesHandle(t *testing.T) {
-	tb := cluster.New(1, 2, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 2)
 	fs, ctx := d.FSs[1], cluster.Ctx(1, 1)
 	var a, b vfs.Ino
-	drained(tb, "files", func(p *sim.Proc) {
+	Drained(tb, "files", func(p *sim.Proc) {
 		a = writeFile(t, p, d.FSs[0], "a", 1<<20)
 		b = writeFile(t, p, d.FSs[0], "b", 8192)
 	})
 	var h1 vfs.Handle
 	var state *cofsHandle
-	drained(tb, "open", func(p *sim.Proc) {
+	Drained(tb, "open", func(p *sim.Proc) {
 		var err error
 		if h1, err = fs.Open(p, ctx, a, vfs.OpenRead); err != nil {
 			t.Fatal(err)
@@ -146,10 +143,9 @@ func TestReleaseDuringReadSparesHandle(t *testing.T) {
 // allocates nothing.
 func TestMountOpenReadCloseAllocs(t *testing.T) {
 	skipUnderRace(t)
-	tb := cluster.New(1, 1, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1)
 	m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-	drained(tb, "pin", func(p *sim.Proc) {
+	Drained(tb, "pin", func(p *sim.Proc) {
 		writeFile(t, p, d.FSs[0], "f", 64<<10)
 		cycle := func() {
 			f, err := m.Open(p, ctx, "/f", vfs.OpenRead)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cofs/internal/cluster"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -19,26 +18,10 @@ import (
 // /f's attributes and dentry but not its mapping. It returns /f's id.
 func openRig(t *testing.T) (*cluster.Testbed, *Deployment, vfs.Ino) {
 	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 2
-	leaseMode(&cfg)
-	tb := cluster.New(1, 2, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 2, Shards(2), Leases)
+	Play(t, tb, d, Write(0, "/f", 4096), Write(0, "/g", 4096))
 	var ino vfs.Ino
-	drained(tb, "fill", func(p *sim.Proc) {
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		for _, name := range []string{"/f", "/g"} {
-			f, err := m.Create(p, ctx, name, 0644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt(p, 0, 4096); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(p); err != nil {
-				t.Fatal(err)
-			}
-		}
+	Drained(tb, "stat", func(p *sim.Proc) {
 		a, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/f")
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +68,7 @@ func TestOpenFromCachedEntryCostsNoCall(t *testing.T) {
 		tb, d, ino := openRig(t)
 		upath, _ := d.Service.Mapping(ino)
 		m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
-		drained(tb, "open", func(p *sim.Proc) {
+		Drained(tb, "open", func(p *sim.Proc) {
 			step := func(what string, want int64, fn func()) {
 				t.Helper()
 				before := sessionCalls(d, 1)
@@ -129,7 +112,7 @@ func TestOpenFromCachedEntryCostsNoCall(t *testing.T) {
 func TestOpenTruncFromLeaseTruncatesMappedFile(t *testing.T) {
 	tb, d, ino := openRig(t)
 	upath, _ := d.Service.Mapping(ino)
-	drained(tb, "trunc", func(p *sim.Proc) {
+	Drained(tb, "trunc", func(p *sim.Proc) {
 		before := sessionCalls(d, 1)
 		f := mustOpen(t, p, d.Mounts[1], cluster.Ctx(1, 1), "/f", vfs.OpenWrite|vfs.OpenTrunc)
 		if got := sessionCalls(d, 1) - before; got != 1 {
@@ -167,19 +150,19 @@ func TestReadAfterRemoteRemoveIsNotExist(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tb, d, _ := openRig(t)
 			var f *vfs.File
-			drained(tb, "open", func(p *sim.Proc) {
+			Drained(tb, "open", func(p *sim.Proc) {
 				before := sessionCalls(d, 1)
 				f = mustOpen(t, p, d.Mounts[1], cluster.Ctx(1, 1), "/f", vfs.OpenRead)
 				if got := sessionCalls(d, 1) - before; got != 0 {
 					t.Fatalf("open from the lease: %d calls, want 0", got)
 				}
 			})
-			drained(tb, c.name, func(p *sim.Proc) {
+			Drained(tb, c.name, func(p *sim.Proc) {
 				if err := c.remove(p, d.Mounts[0], cluster.Ctx(0, 1)); err != nil {
 					t.Fatal(err)
 				}
 			})
-			drained(tb, "read", func(p *sim.Proc) {
+			Drained(tb, "read", func(p *sim.Proc) {
 				if _, err := f.ReadAt(p, 0, 4096); err != vfs.ErrNotExist {
 					t.Fatalf("first read after the %s: %v, want %v", c.name, err, vfs.ErrNotExist)
 				}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cofs/internal/cluster"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -101,10 +100,7 @@ func TestLeaseRevokeFreesHolders(t *testing.T) {
 // them in a buffer the shard keeps from one revoke to the next.
 func TestLeaseRecallAllocsNothing(t *testing.T) {
 	skipUnderRace(t)
-	cfg := params.Default()
-	cfg.COFS.AttrLease = 30 * time.Second
-	tb := cluster.New(1, 3, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 3, Leases)
 	tb.Env.Spawn("pin", func(p *sim.Proc) {
 		svc, mutator := d.Service, d.FSs[0].Session()
 		attr, err := svc.Create(p, mutator, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")

@@ -8,6 +8,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -23,26 +24,16 @@ import (
 // inode row, one table operation each, and replies 96 + 160 bytes an
 // entry.
 func TestListingShardCost(t *testing.T) {
-	cfg := params.Default()
-	tb := cluster.New(11, 2, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 11, 2)
+	cfg := tb.Cfg
 	sizes := []int{4, 512}
 	dirs := make([]vfs.Ino, len(sizes))
-	drained(tb, "fill", func(p *sim.Proc) {
-		m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
+	for _, n := range sizes {
+		Play(t, tb, d, Dir(1, fmt.Sprintf("/d%d", n), 0755, n, "f%03d", 0)...)
+	}
+	Drained(tb, "ids", func(p *sim.Proc) {
 		for i, n := range sizes {
-			path := fmt.Sprintf("/d%d", n)
-			if err := m.Mkdir(p, ctx, path, 0755); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < n; j++ {
-				f, err := m.Create(p, ctx, fmt.Sprintf("%s/f%03d", path, j), 0644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Close(p)
-			}
-			attr, err := m.Stat(p, ctx, path)
+			attr, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), fmt.Sprintf("/d%d", n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +49,7 @@ func TestListingShardCost(t *testing.T) {
 			owner := d.Service.Of(dirs[i])
 			cpu := d.Service.Shards()[owner].host.CPU
 			busy0, bytes0 := cpu.BusyTotal, tb.Net.Bytes
-			drained(tb, "list", func(p *sim.Proc) {
+			Drained(tb, "list", func(p *sim.Proc) {
 				var ents []vfs.DirEntry
 				var err error
 				if plus {
@@ -105,26 +96,12 @@ type dirSpec struct {
 // node 0 starts with nothing cached.
 func listingRig(t *testing.T, entries int, dirs ...dirSpec) (*cluster.Testbed, *Deployment) {
 	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.AttrLease = 30 * time.Second
-	cfg.COFS.AttrCacheEntries = entries
-	tb := cluster.New(11, 2, cfg)
-	d := Deploy(tb, nil)
-	drained(tb, "fill", func(p *sim.Proc) {
-		m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
-		for _, dir := range dirs {
-			if err := m.Mkdir(p, ctx, dir.path, 0755); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < dir.files; i++ {
-				f, err := m.Create(p, ctx, fmt.Sprintf("%s/f%02d", dir.path, i), 0644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Close(p)
-			}
-		}
-	})
+	tb, d := Rig(t, 11, 2, Leases, func(c *params.Config) { c.COFS.AttrCacheEntries = entries })
+	var ops []trace.Op
+	for _, dir := range dirs {
+		ops = append(ops, Dir(1, dir.path, 0755, dir.files, "f%02d", 0)...)
+	}
+	Play(t, tb, d, ops...)
 	return tb, d
 }
 
@@ -134,7 +111,7 @@ func listOn(t *testing.T, tb *cluster.Testbed, d *Deployment, ctx vfs.Ctx, dir s
 	t.Helper()
 	fs := d.FSs[0]
 	hits, ops := fs.CacheStats().ListingHits, fs.Stats.ServiceOps
-	drained(tb, "list", func(p *sim.Proc) { _, err = d.Mounts[0].Readdir(p, ctx, dir) })
+	Drained(tb, "list", func(p *sim.Proc) { _, err = d.Mounts[0].Readdir(p, ctx, dir) })
 	hit = fs.CacheStats().ListingHits == hits+1
 	if hit && fs.Stats.ServiceOps != ops {
 		t.Fatalf("listing %s counted a hit but went to the service", dir)
@@ -149,7 +126,7 @@ func TestCachedListingChecksPermission(t *testing.T) {
 	tb, d := listingRig(t, 64)
 	owner := cluster.Ctx(0, 1)
 	stranger := vfs.Ctx{Node: 0, PID: 2, UID: owner.UID + 1, GID: owner.GID + 1}
-	drained(tb, "private", func(p *sim.Proc) {
+	Drained(tb, "private", func(p *sim.Proc) {
 		if err := d.Mounts[0].Mkdir(p, owner, "/p", 0700); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +145,7 @@ func TestCachedListingChecksPermission(t *testing.T) {
 	}
 	// The shard answers the same to a node with nothing cached.
 	var err error
-	drained(tb, "shard", func(p *sim.Proc) {
+	Drained(tb, "shard", func(p *sim.Proc) {
 		_, err = d.Mounts[1].Readdir(p, vfs.Ctx{Node: 1, PID: 2, UID: stranger.UID, GID: stranger.GID}, "/p")
 	})
 	if err != vfs.ErrPerm {
@@ -239,14 +216,14 @@ func TestCachedListingDiesWithItsAttributeEntry(t *testing.T) {
 	tb, d := listingRig(t, entries, dirSpec{"/a", 4}, dirSpec{"/b", entries})
 	ctx := cluster.Ctx(0, 1)
 	var dir vfs.Attr
-	drained(tb, "find", func(p *sim.Proc) { dir, _ = d.Mounts[0].Stat(p, ctx, "/a") })
+	Drained(tb, "find", func(p *sim.Proc) { dir, _ = d.Mounts[0].Stat(p, ctx, "/a") })
 	for i, want := range []bool{false, true} {
 		if hit, err := listOn(t, tb, d, ctx, "/a"); err != nil || hit != want {
 			t.Fatalf("listing %d: hit %v, %v; want hit %v", i+1, hit, err, want)
 		}
 	}
 	// Leasing every file of /b fills the attribute LRU past /a's entry.
-	drained(tb, "stat", func(p *sim.Proc) {
+	Drained(tb, "stat", func(p *sim.Proc) {
 		for i := 0; i < entries; i++ {
 			if _, err := d.Mounts[0].Stat(p, ctx, fmt.Sprintf("/b/f%02d", i)); err != nil {
 				t.Fatal(err)

@@ -59,13 +59,10 @@ func mkdirD(t *testing.T, p *sim.Proc, d *Deployment) vfs.Ino {
 // than the metadata commit, a create costs the slower of its two halves,
 // not their sum.
 func TestCreateOverlapsObject(t *testing.T) {
-	cfg := params.Default()
-	slowUnder(&cfg)
-	cfg.COFS.RandomSubdirs = 1 // one bucket per (node, pid, parent)
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	// RandomSubdirs 1: one bucket per (node, pid, parent).
+	tb, d := Rig(t, 1, 1, slowUnder, func(c *params.Config) { c.COFS.RandomSubdirs = 1 })
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
-	drained(tb, "overlap", func(p *sim.Proc) {
+	Drained(tb, "overlap", func(p *sim.Proc) {
 		dir := mkdirD(t, p, d)
 		if _, h, err := fs.Create(p, ctx, dir, "warm", 0644); err != nil || fs.Release(p, ctx, h) != nil {
 			t.Fatalf("warm-up create: %v", err)
@@ -93,9 +90,9 @@ func TestCreateOverlapsObject(t *testing.T) {
 			t.Fatal(err)
 		}
 		took := p.Now() - t0
-		if took >= commit+object || took > max(commit, object)+cfg.FUSE.CrossingTime {
+		if took >= commit+object || took > max(commit, object)+tb.Cfg.FUSE.CrossingTime {
 			t.Fatalf("create took %v with a %v commit and a %v object: want under their sum and within %v of their max",
-				took, commit, object, cfg.FUSE.CrossingTime)
+				took, commit, object, tb.Cfg.FUSE.CrossingTime)
 		}
 	})
 }
@@ -104,11 +101,10 @@ func TestCreateOverlapsObject(t *testing.T) {
 // the name committed, the name is taken back and the caller gets the
 // underlying error; nothing is left for fsck to find.
 func TestCreateUndoesFailedObject(t *testing.T) {
-	tb := cluster.New(1, 1, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1)
 	u := withFaultyUnder(tb, d)
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
-	drained(tb, "undo", func(p *sim.Proc) {
+	Drained(tb, "undo", func(p *sim.Proc) {
 		dir := mkdirD(t, p, d)
 		u.err = errUnderFull
 		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); !errors.Is(err, errUnderFull) {
@@ -122,7 +118,7 @@ func TestCreateUndoesFailedObject(t *testing.T) {
 			t.Fatalf("re-create once the underlay recovers: %v", err)
 		}
 	})
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestCreateUndoSparesRenamedOnto: the undo of a create whose object
@@ -130,11 +126,10 @@ func TestCreateUndoesFailedObject(t *testing.T) {
 // file. A file another client renamed onto the name in between keeps
 // its name and its object.
 func TestCreateUndoSparesRenamedOnto(t *testing.T) {
-	tb := cluster.New(1, 2, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 2)
 	u := withFaultyUnder(tb, d)
 	fs, ctx, other := d.FSs[0], cluster.Ctx(0, 1), d.FSs[1]
-	drained(tb, "undo after rename", func(p *sim.Proc) {
+	Drained(tb, "undo after rename", func(p *sim.Proc) {
 		dir := mkdirD(t, p, d)
 		g, h, err := other.Create(p, cluster.Ctx(1, 1), dir, "g", 0644)
 		if err != nil || other.Release(p, cluster.Ctx(1, 1), h) != nil {
@@ -161,17 +156,16 @@ func TestCreateUndoSparesRenamedOnto(t *testing.T) {
 	if got := fs.removing.Acquires; got != 0 {
 		t.Fatalf("node 0 started %d removals, want 0: the failed object was never made", got)
 	}
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestCreateRemovesObjectOfFailedCommit: when the commit fails, the
 // object started beside it is handed to a background removal.
 func TestCreateRemovesObjectOfFailedCommit(t *testing.T) {
-	tb := cluster.New(1, 1, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1)
 	u := withFaultyUnder(tb, d)
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
-	drained(tb, "commit fails", func(p *sim.Proc) {
+	Drained(tb, "commit fails", func(p *sim.Proc) {
 		dir := mkdirD(t, p, d)
 		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); err != nil {
 			t.Fatal(err)
@@ -188,20 +182,17 @@ func TestCreateRemovesObjectOfFailedCommit(t *testing.T) {
 	if got := d.Counters().Get("core.removals"); got != 1 {
 		t.Fatalf("core.removals = %d, want 1: the refused create's object", got)
 	}
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestCreateOfLeasedNameExists: a create of a name the client holds a
 // leased positive dentry for fails with ErrExist before any request or
 // underlying create.
 func TestCreateOfLeasedNameExists(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.AttrLease = time.Second
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1, func(c *params.Config) { c.COFS.AttrLease = time.Second })
 	u := withFaultyUnder(tb, d)
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
-	drained(tb, "leased", func(p *sim.Proc) {
+	Drained(tb, "leased", func(p *sim.Proc) {
 		dir := mkdirD(t, p, d)
 		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); err != nil {
 			t.Fatal(err)
@@ -221,7 +212,7 @@ func TestCreateOfLeasedNameExists(t *testing.T) {
 				fs.Stats.ServiceOps-ops, u.creates-creates, d.Counters().Get("rpc.client.calls")-calls, p.Now()-t0)
 		}
 	})
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestCreateInReadOnlyDirRefused: a create in a directory the caller
@@ -231,12 +222,9 @@ func TestCreateOfLeasedNameExists(t *testing.T) {
 func TestCreateInReadOnlyDirRefused(t *testing.T) {
 	for _, lease := range []time.Duration{0, time.Second} {
 		t.Run(fmt.Sprintf("lease=%v", lease), func(t *testing.T) {
-			cfg := params.Default()
-			cfg.COFS.AttrLease = lease
-			tb := cluster.New(1, 1, cfg)
-			d := Deploy(tb, nil)
+			tb, d := Rig(t, 1, 1, func(c *params.Config) { c.COFS.AttrLease = lease })
 			fs, m, ctx := d.FSs[0], d.Mounts[0], cluster.Ctx(0, 1)
-			drained(tb, "read-only dir", func(p *sim.Proc) {
+			Drained(tb, "read-only dir", func(p *sim.Proc) {
 				dir := mkdirD(t, p, d)
 				f, err := m.Create(p, ctx, "/d/f", 0666)
 				if err != nil {
@@ -265,7 +253,7 @@ func TestCreateInReadOnlyDirRefused(t *testing.T) {
 					t.Fatalf("/d/f after the refused creates: %+v, %v; want 4096 bytes", attr, err)
 				}
 			})
-			fsckClean(t, tb, d)
+			CheckPlane(t, tb, d, PlaneFsck)
 		})
 	}
 }
@@ -274,16 +262,14 @@ func TestCreateInReadOnlyDirRefused(t *testing.T) {
 // restarts its create count, but not its objects' names, so it never
 // truncates an object the earlier client created.
 func TestObjectNamesSurviveReattach(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.RandomSubdirs = 1 // both clients fill the same bucket
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	// RandomSubdirs 1: both clients fill the same bucket.
+	tb, d := Rig(t, 1, 1, func(c *params.Config) { c.COFS.RandomSubdirs = 1 })
 	old := d.FSs[0]
-	fresh := NewFS(d.Service, tb.Nodes[0], 0, tb.Mounts[0], HashPlacement{Fanout: cfg.COFS.DirFanout, RandomSubdirs: 1},
-		cfg.COFS, tb.Env.RNG("cofs.place.0"))
+	fresh := NewFS(d.Service, tb.Nodes[0], 0, tb.Mounts[0], HashPlacement{Fanout: tb.Cfg.COFS.DirFanout, RandomSubdirs: 1},
+		tb.Cfg.COFS, tb.Env.RNG("cofs.place.0"))
 	ctx := cluster.Ctx(0, 1)
 	var paths [2]string
-	drained(tb, "reattach", func(p *sim.Proc) {
+	Drained(tb, "reattach", func(p *sim.Proc) {
 		dir := mkdirD(t, p, d)
 		for i, fs := range []*FS{old, fresh} {
 			attr, h, err := fs.Create(p, ctx, dir, fmt.Sprintf("f%d", i), 0644)
@@ -307,7 +293,7 @@ func TestObjectNamesSurviveReattach(t *testing.T) {
 			}
 		}
 	})
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestCrashWithCreatesInFlight crashes and recovers the metadata plane
@@ -320,11 +306,8 @@ func TestObjectNamesSurviveReattach(t *testing.T) {
 // the record but still acknowledges it (mdb.DB.commitLog).
 func TestCrashWithCreatesInFlight(t *testing.T) {
 	for at := time.Millisecond; at <= 9*time.Millisecond; at += 1100 * time.Microsecond {
-		cfg := params.Default()
-		cfg.COFS.LogFlushInterval = 0
-		tb := cluster.New(5, 2, cfg)
-		d := Deploy(tb, nil)
-		drained(tb, "mkdir", func(p *sim.Proc) {
+		tb, d := Rig(t, 5, 2, func(c *params.Config) { c.COFS.LogFlushInterval = 0 })
+		Drained(tb, "mkdir", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
 				t.Fatal(err)
 			}
@@ -353,7 +336,7 @@ func TestCrashWithCreatesInFlight(t *testing.T) {
 			d.Service.AdoptIDCounter()
 		})
 		tb.Run()
-		drained(tb, "check", func(p *sim.Proc) {
+		Drained(tb, "check", func(p *sim.Proc) {
 			d.DrainRemovals(p)
 			if rep := Fsck(p, d.Service, tb.Mounts[0]); len(rep.Missing) != 0 || rep.TableErr != nil {
 				t.Fatalf("crash at %v: %v", at, rep)

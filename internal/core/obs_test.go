@@ -12,6 +12,7 @@ import (
 	"cofs/internal/obs"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 )
 
 // These tests pin the observability plane (internal/obs,
@@ -24,51 +25,19 @@ import (
 // create/stat/readdir plus renames and links that cross shards on a
 // multi-shard plane, so the trace covers the client ops, the transport,
 // the WAL and the two-phase paths.
-func obsWorkload(tb *cluster.Testbed, d *core.Deployment) {
-	ctx := cluster.Ctx(0, 1)
-	tb.Env.Spawn("obs-workload", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		if err := m.MkdirAll(p, ctx, "/w/a", 0777); err != nil {
-			panic(err)
-		}
-		if err := m.MkdirAll(p, ctx, "/w/b", 0777); err != nil {
-			panic(err)
-		}
-		for i := 0; i < 16; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/w/a/f%02d", i), 0644)
-			if err != nil {
-				panic(err)
-			}
-			f.Close(p)
-			if _, err := m.Stat(p, ctx, fmt.Sprintf("/w/a/f%02d", i)); err != nil {
-				panic(err)
-			}
-		}
-		if err := m.Rename(p, ctx, "/w/a/f00", "/w/b/g00"); err != nil {
-			panic(err)
-		}
-		if err := m.Link(p, ctx, "/w/a/f01", "/w/b/h01"); err != nil {
-			panic(err)
-		}
-		if err := m.Unlink(p, ctx, "/w/b/g00"); err != nil {
-			panic(err)
-		}
-		if _, err := m.Readdir(p, ctx, "/w/a"); err != nil {
-			panic(err)
-		}
-	})
-	tb.Run()
+func obsWorkload(t *testing.T, tb *cluster.Testbed, d *core.Deployment) {
+	t.Helper()
+	ops := []trace.Op{core.Mkdir(0, "/w/a", 0777), core.Mkdir(0, "/w/b", 0777)}
+	for i := 0; i < 16; i++ {
+		ops = append(ops, core.Create(0, fmt.Sprintf("/w/a/f%02d", i), 0644), core.Stat(0, fmt.Sprintf("/w/a/f%02d", i)))
+	}
+	core.Play(t, tb, d, append(ops, core.Op(0, trace.Rename, "/w/a/f00", "/w/b/g00"), core.Op(0, trace.Link, "/w/a/f01", "/w/b/h01"),
+		core.Op(0, trace.Unlink, "/w/b/g00", ""), core.Op(0, trace.Readdir, "/w/a", ""))...)
 }
 
-func obsDeploy(seed int64, shards int, trace, metrics bool) (*cluster.Testbed, *core.Deployment) {
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.COFS.Trace = trace
-	cfg.COFS.Metrics = metrics
-	tb := cluster.New(seed, 2, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
-	obsWorkload(tb, d)
+func obsDeploy(t *testing.T, seed int64, shards int, traced, metrics bool) (*cluster.Testbed, *core.Deployment) {
+	tb, d := core.Rig(t, seed, 2, core.Shards(shards), func(c *params.Config) { c.COFS.Trace, c.COFS.Metrics = traced, metrics })
+	obsWorkload(t, tb, d)
 	return tb, d
 }
 
@@ -85,7 +54,7 @@ type chromeEvent struct {
 // every B with an E per track, never steps a track's clock backwards,
 // and covers every layer's span vocabulary.
 func TestTraceGolden(t *testing.T) {
-	_, d := obsDeploy(11, 2, true, false)
+	_, d := obsDeploy(t, 11, 2, true, false)
 	tr := d.Tracer()
 	if tr == nil {
 		t.Fatal("Trace knob set but deployment has no tracer")
@@ -154,12 +123,12 @@ func TestTraceGolden(t *testing.T) {
 // runs of the same seed and configuration must export byte-identical
 // traces, and a different seed must not.
 func TestTraceFingerprintStable(t *testing.T) {
-	_, d1 := obsDeploy(11, 2, true, false)
-	_, d2 := obsDeploy(11, 2, true, false)
+	_, d1 := obsDeploy(t, 11, 2, true, false)
+	_, d2 := obsDeploy(t, 11, 2, true, false)
 	if d1.Tracer().Fingerprint() != d2.Tracer().Fingerprint() {
 		t.Fatal("same seed, different trace fingerprints")
 	}
-	_, d3 := obsDeploy(12, 2, true, false)
+	_, d3 := obsDeploy(t, 12, 2, true, false)
 	if d1.Tracer().Fingerprint() == d3.Tracer().Fingerprint() {
 		t.Fatal("different seeds collide on trace fingerprint")
 	}
@@ -171,8 +140,8 @@ func TestTraceFingerprintStable(t *testing.T) {
 // must never perturb the simulation it observes.
 func TestObsOffCostIdentity(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		tbOff, _ := obsDeploy(5, shards, false, false)
-		tbOn, d := obsDeploy(5, shards, true, true)
+		tbOff, _ := obsDeploy(t, 5, shards, false, false)
+		tbOn, d := obsDeploy(t, 5, shards, true, true)
 		if tbOff.Env.Now() != tbOn.Env.Now() || tbOff.Net.Messages != tbOn.Net.Messages {
 			t.Fatalf("%d shards: obs-on run diverged: off (%v, %d msgs) vs on (%v, %d msgs)",
 				shards, tbOff.Env.Now(), tbOff.Net.Messages, tbOn.Env.Now(), tbOn.Net.Messages)
@@ -246,15 +215,10 @@ func TestObsOffCostIdentity(t *testing.T) {
 // at that instant (nil with metrics off).
 func growPromoteRun(t *testing.T, trace, metrics bool) (*cluster.Testbed, *core.Deployment, time.Duration, []int64) {
 	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 2
-	cfg.COFS.Trace = trace
-	cfg.COFS.Metrics = metrics
-	tb := cluster.New(17, 2, cfg)
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 17, 2, core.Shards(2), func(c *params.Config) { c.COFS.Trace = trace }, func(c *params.Config) { c.COFS.Metrics = metrics })
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
-	obsWorkload(tb, d)
+	obsWorkload(t, tb, d)
 	tb.Env.Spawn("grow", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 4); err != nil {
 			t.Errorf("reshard: %v", err)
@@ -314,12 +278,7 @@ func growPromoteRun(t *testing.T, trace, metrics bool) (*cluster.Testbed, *core.
 // request rate dominates, Skew names it, and its per-shard latency
 // histogram carries the samples.
 func TestMetricsSkewDetection(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 4
-	cfg.COFS.Metrics = true
-	tb := cluster.New(21, 2, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
+	tb, d := core.Rig(t, 21, 2, core.Shards(4), func(c *params.Config) { c.COFS.Metrics = true })
 	ctx := cluster.Ctx(0, 1)
 	tb.Env.Spawn("hot", func(p *sim.Proc) {
 		m := d.Mounts[0]
@@ -372,10 +331,7 @@ func TestMetricsSkewDetection(t *testing.T) {
 // workers finds requests waiting; a lone caller never does.
 func TestQueueGaugeSamplesWorkerQueue(t *testing.T) {
 	high := func(callers int) int64 {
-		cfg := params.Default()
-		cfg.COFS.Metrics = true
-		tb := cluster.New(41, 4, cfg)
-		d := core.Deploy(tb, nil)
+		tb, d := core.Rig(t, 41, 4, func(c *params.Config) { c.COFS.Metrics = true })
 		tb.Env.Spawn("setup", func(p *sim.Proc) {
 			f, err := d.Mounts[0].Create(p, cluster.Ctx(0, 1), "/f", 0644)
 			if err != nil {
@@ -425,10 +381,7 @@ func TestCountersCumulativeAcrossPromote(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = tc.shards
-			tb := cluster.New(tc.seed, 2, cfg)
-			d := core.Deploy(tb, nil)
+			tb, d := core.Rig(t, tc.seed, 2, core.Shards(tc.shards))
 			sb := core.DeployStandby(tb, d, time.Millisecond)
 			tb.Run()
 			var snaps []map[string]int64
@@ -452,7 +405,7 @@ func TestCountersCumulativeAcrossPromote(t *testing.T) {
 					}
 				}
 			}
-			step(tb, "pre", func(p *sim.Proc) {
+			core.Drained(tb, "pre", func(p *sim.Proc) {
 				m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 				for i := 0; i < 24; i++ {
 					if i < 8 {
@@ -469,18 +422,18 @@ func TestCountersCumulativeAcrossPromote(t *testing.T) {
 					f.Close(p)
 				}
 			})
-			step(tb, "stat", statAll)
+			core.Drained(tb, "stat", statAll)
 			snap()
 			if tc.shrinkTo > 0 {
 				// No traffic rides the migration, so nothing the retired
 				// shards counted can hide behind new requests.
-				step(tb, "shrink", func(p *sim.Proc) {
+				core.Drained(tb, "shrink", func(p *sim.Proc) {
 					if err := d.Service.Reshard(p, tc.shrinkTo); err != nil {
 						t.Errorf("reshard: %v", err)
 					}
 				})
 				snap()
-				step(tb, "stat-settled", statAll)
+				core.Drained(tb, "stat-settled", statAll)
 			}
 			before := snap()
 			if before["mds.requests"] == 0 {
@@ -503,7 +456,7 @@ func TestCountersCumulativeAcrossPromote(t *testing.T) {
 					}
 				}
 			}
-			step(tb, "post", statAll)
+			core.Drained(tb, "post", statAll)
 			after := snap()
 			for i := 1; i < len(snaps); i++ {
 				for name, v := range snaps[i-1] {

@@ -8,6 +8,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -45,7 +46,7 @@ func TestRequestShardCost(t *testing.T) {
 			held := func(name string, sh int, fn func(p *sim.Proc)) time.Duration {
 				c := svc.Shards()[sh].host.CPU
 				busy0 := c.BusyTotal
-				drained(tb, name, fn)
+				Drained(tb, name, fn)
 				return c.BusyTotal - busy0
 			}
 			check := func(what string, got, want time.Duration, ops int) {
@@ -90,7 +91,7 @@ func TestRequestShardCost(t *testing.T) {
 			// Two directories on different shards, and a file in the first.
 			var src, dst vfs.Ino
 			var f vfs.Ino
-			drained(tb, "dirs", func(p *sim.Proc) {
+			Drained(tb, "dirs", func(p *sim.Proc) {
 				attr, err := svc.Create(p, sess, ctx, RootID, "s", vfs.TypeDir, 0755, "", "")
 				if err != nil {
 					t.Fatal(err)
@@ -128,7 +129,7 @@ func TestRequestShardCost(t *testing.T) {
 			check("the destination of a rename onto an absent name", got, cpu+4*dbop, 4)
 			fpath, _ := svc.Mapping(f)
 			before = peers()
-			drained(tb, "replace", func(p *sim.Proc) {
+			Drained(tb, "replace", func(p *sim.Proc) {
 				if up, gone, err := svc.Rename(p, sess, ctx, src, "h", dst, "g"); err != nil || up != fpath || gone != f {
 					t.Fatalf("replacing rename: %q, %d, %v; want %q, %d", up, gone, err, fpath, f)
 				}
@@ -143,44 +144,6 @@ func TestRequestShardCost(t *testing.T) {
 	}
 }
 
-// fourShardRig deploys a 2-node COFS over four metadata shards with the
-// lease cache on, so the coherence checker has cached entries to hold to
-// the tables.
-func fourShardRig(t *testing.T) (*cluster.Testbed, *Deployment) {
-	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 4
-	leaseMode(&cfg)
-	tb := cluster.New(5, 2, cfg)
-	return tb, Deploy(tb, nil)
-}
-
-// cleanPlane fails t unless the plane's tables, the client caches and
-// the underlying file system all agree.
-func cleanPlane(t *testing.T, tb *cluster.Testbed, d *Deployment) {
-	t.Helper()
-	if err := d.Service.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
-		t.Fatal(err)
-	}
-	fsckClean(t, tb, d)
-}
-
-// mustCreate creates and closes a regular file at path.
-func mustCreate(t *testing.T, p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, path string) vfs.Ino {
-	t.Helper()
-	f, err := m.Create(p, ctx, path, 0644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(p); err != nil {
-		t.Fatal(err)
-	}
-	return f.Ino()
-}
-
 // TestUnlinkErrorPrecedence: a sharded unlink reads only the dentry on
 // its way to success and leaves the parent's permission check to its
 // commit, yet answers every case as the single-shard path does. Without
@@ -190,29 +153,15 @@ func mustCreate(t *testing.T, p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, path strin
 // missing name is ENOENT and a subdirectory EISDIR. An rmdir of a
 // non-empty directory without permission is EACCES too, not ENOTEMPTY.
 func TestUnlinkErrorPrecedence(t *testing.T) {
-	tb, d := fourShardRig(t)
+	tb, d := Rig(t, 5, 2, Shards(4), Leases)
 	m, owner := d.Mounts[0], cluster.Ctx(0, 1)
 	other := vfs.Ctx{Node: 1, PID: 1, UID: 2000, GID: 200}
-	var dir vfs.Ino
-	drained(tb, "setup", func(p *sim.Proc) {
-		dir = mustMkdir(t, p, m, owner, "/d")
-		mustCreate(t, p, m, owner, "/d/f")
-		mustMkdir(t, p, m, owner, "/d/sub")
-		mustCreate(t, p, m, owner, "/d/sub/x")
-		// A file whose row lives on another shard than /d's: created in
-		// a directory placed elsewhere, then renamed in.
-		for i := 0; ; i++ {
-			e := mustMkdir(t, p, m, owner, fmt.Sprintf("/e%d", i))
-			if d.Service.Of(e) != d.Service.Of(dir) {
-				mustCreate(t, p, m, owner, fmt.Sprintf("/e%d/r", i))
-				if err := m.Rename(p, owner, fmt.Sprintf("/e%d/r", i), "/d/r"); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-		}
-	})
-	drained(tb, "errors", func(p *sim.Proc) {
+	// A file whose row lives on another shard than /d's: created in a
+	// directory placed elsewhere, then renamed in.
+	e := AwayFrom(4, "d", "e")
+	Play(t, tb, d, Mkdir(0, "/d", 0755), Create(0, "/d/f", 0644), Mkdir(0, "/d/sub", 0755), Create(0, "/d/sub/x", 0644),
+		Mkdir(0, e, 0755), Create(0, e+"/r", 0644), Op(0, trace.Rename, e+"/r", "/d/r"))
+	Drained(tb, "errors", func(p *sim.Proc) {
 		m1 := d.Mounts[1]
 		for _, c := range []struct {
 			ctx  vfs.Ctx
@@ -242,15 +191,15 @@ func TestUnlinkErrorPrecedence(t *testing.T) {
 			}
 		}
 	})
-	cleanPlane(t, tb, d)
-	drained(tb, "unlink", func(p *sim.Proc) {
+	CheckPlane(t, tb, d, PlaneAll)
+	Drained(tb, "unlink", func(p *sim.Proc) {
 		for _, path := range []string{"/d/f", "/d/r"} {
 			if err := m.Unlink(p, owner, path); err != nil {
 				t.Fatalf("unlink %s: %v", path, err)
 			}
 		}
 	})
-	cleanPlane(t, tb, d)
+	CheckPlane(t, tb, d, PlaneAll)
 }
 
 // TestCrossShardRenameCases runs renames between two directories on
@@ -262,36 +211,20 @@ func TestUnlinkErrorPrecedence(t *testing.T) {
 // The other node looks once its kernel's entry cache has expired, so
 // what it sees comes from its leases or the service.
 func TestCrossShardRenameCases(t *testing.T) {
-	tb, d := fourShardRig(t)
+	tb, d := Rig(t, 5, 2, Shards(4), Leases)
 	m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-	var dst string
-	drained(tb, "setup", func(p *sim.Proc) {
-		src := mustMkdir(t, p, m, ctx, "/s")
-		for i := 0; dst == ""; i++ {
-			name := fmt.Sprintf("/t%d", i)
-			if ti := mustMkdir(t, p, m, ctx, name); d.Service.Of(ti) != d.Service.Of(src) {
-				dst = name
-			}
-		}
-		mustCreate(t, p, m, ctx, "/s/a")
-		mustCreate(t, p, m, ctx, "/s/b")
-		mustCreate(t, p, m, ctx, dst+"/x")
-		mustMkdir(t, p, m, ctx, "/s/dir")
-		mustMkdir(t, p, m, ctx, "/s/dir2")
-		mustMkdir(t, p, m, ctx, dst+"/full")
-		mustCreate(t, p, m, ctx, dst+"/full/y")
-		// Node 1 caches what the renames below change.
-		m1, ctx1 := d.Mounts[1], cluster.Ctx(1, 1)
-		for _, path := range []string{"/s/a", "/s/b", dst + "/x", dst + "/full"} {
-			if _, err := m1.Stat(p, ctx1, path); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := m1.Stat(p, ctx1, dst+"/a"); err != vfs.ErrNotExist {
+	dst := AwayFrom(4, "s", "t")
+	Play(t, tb, d, Mkdir(0, "/s", 0755), Mkdir(0, dst, 0755), Create(0, "/s/a", 0644), Create(0, "/s/b", 0644),
+		Create(0, dst+"/x", 0644), Mkdir(0, "/s/dir", 0755), Mkdir(0, "/s/dir2", 0755), Mkdir(0, dst+"/full", 0755),
+		Create(0, dst+"/full/y", 0644))
+	// Node 1 caches what the renames below change.
+	Play(t, tb, d, Stat(1, "/s/a"), Stat(1, "/s/b"), Stat(1, dst+"/x"), Stat(1, dst+"/full"))
+	Drained(tb, "miss", func(p *sim.Proc) {
+		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), dst+"/a"); err != vfs.ErrNotExist {
 			t.Fatalf("stat %s/a before the rename: %v", dst, err)
 		}
 	})
-	cleanPlane(t, tb, d)
+	CheckPlane(t, tb, d, PlaneAll)
 	for _, c := range []struct {
 		name, from, to string
 		want           error
@@ -302,7 +235,7 @@ func TestCrossShardRenameCases(t *testing.T) {
 		{"directory onto a non-empty directory", "/s/dir2", dst + "/full", vfs.ErrNotEmpty},
 	} {
 		var ino vfs.Ino
-		drained(tb, c.name, func(p *sim.Proc) {
+		Drained(tb, c.name, func(p *sim.Proc) {
 			attr, err := m.Stat(p, ctx, c.from)
 			if err != nil {
 				t.Fatal(err)
@@ -312,8 +245,8 @@ func TestCrossShardRenameCases(t *testing.T) {
 				t.Fatalf("%s: rename %s -> %s: %v, want %v", c.name, c.from, c.to, err, c.want)
 			}
 		})
-		drained(tb, c.name+": check", func(p *sim.Proc) {
-			p.Sleep(tb.Cfg.FUSE.EntryTimeout + time.Millisecond)
+		Drained(tb, c.name+": check", func(p *sim.Proc) {
+			AwaitKernelEntries(p, tb)
 			for node, mnt := range d.Mounts {
 				at, missing := c.to, c.from
 				if c.want != nil {
@@ -331,6 +264,6 @@ func TestCrossShardRenameCases(t *testing.T) {
 				}
 			}
 		})
-		cleanPlane(t, tb, d)
+		CheckPlane(t, tb, d, PlaneAll)
 	}
 }

@@ -201,10 +201,7 @@ func TestCOFSOracleWithAttrCache(t *testing.T) {
 		N    uint16
 	}
 	f := func(ops []op) bool {
-		cfg := params.Default()
-		cfg.COFS.AttrLease = cfg.FUSE.EntryTimeout
-		tb := cluster.New(2, 1, cfg)
-		d := core.Deploy(tb, nil)
+		tb, d := core.Rig(t, 2, 1, func(c *params.Config) { c.COFS.AttrLease = c.FUSE.EntryTimeout })
 		m := d.Mounts[0]
 		om := vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})
 		name := func(x uint8) string { return fmt.Sprintf("/n%d", x%8) }

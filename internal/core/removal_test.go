@@ -58,28 +58,16 @@ func createFiles(t *testing.T, p *sim.Proc, d *Deployment, n int) []string {
 	return upaths
 }
 
-func fsckClean(t *testing.T, tb *cluster.Testbed, d *Deployment) {
-	t.Helper()
-	drained(tb, "fsck", func(p *sim.Proc) {
-		if rep := Fsck(p, d.Service, tb.Mounts[0]); !rep.OK() {
-			t.Fatal(rep)
-		}
-	})
-}
-
 // TestRemovalBound: with maxPendingRemovals removals in flight on a
 // node, its next unlink waits for a slot, and core.removal_waits counts
 // that one wait.
 func TestRemovalBound(t *testing.T) {
-	cfg := params.Default()
-	slowUnder(&cfg)
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1, slowUnder)
 	fs := d.FSs[0]
 	const n = maxPendingRemovals + 1
-	fast, slow := cfg.PFS.ClientCPUPerOp/10, cfg.PFS.ClientCPUPerOp/2
+	fast, slow := tb.Cfg.PFS.ClientCPUPerOp/10, tb.Cfg.PFS.ClientCPUPerOp/2
 	var upaths []string
-	drained(tb, "bound", func(p *sim.Proc) {
+	Drained(tb, "bound", func(p *sim.Proc) {
 		upaths = createFiles(t, p, d, n)
 		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 		for i := 0; i < n; i++ {
@@ -107,23 +95,22 @@ func TestRemovalBound(t *testing.T) {
 	if got := c.Get("core.removals"); got != n {
 		t.Fatalf("core.removals = %d, want %d", got, n)
 	}
-	drained(tb, "gone", func(p *sim.Proc) {
+	Drained(tb, "gone", func(p *sim.Proc) {
 		for _, upath := range upaths {
 			if underExists(t, p, tb, upath) {
 				t.Fatalf("%s survived its removal", upath)
 			}
 		}
 	})
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestRemovalFailuresCounted: nobody waits for a background removal, so
 // one whose underlying unlink fails is counted in core.removal_failures.
 // A file already gone is not a failure.
 func TestRemovalFailuresCounted(t *testing.T) {
-	tb := cluster.New(1, 1, params.Default())
-	d := Deploy(tb, nil)
-	drained(tb, "fail", func(p *sim.Proc) {
+	tb, d := Rig(t, 1, 1)
+	Drained(tb, "fail", func(p *sim.Proc) {
 		upaths := createFiles(t, p, d, 2)
 		under, root := tb.Mounts[0], vfs.Ctx{UID: 0}
 		// f0's underlying file becomes a directory, which the PFS
@@ -158,13 +145,10 @@ func TestRemovalFailuresCounted(t *testing.T) {
 // the new file gets a new underlying path and survives that removal, and
 // fsck is clean afterwards.
 func TestRecreateDuringRemoval(t *testing.T) {
-	cfg := params.Default()
-	slowUnder(&cfg)
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1, slowUnder)
 	var oldPath, newPath string
 	overlapped := false
-	drained(tb, "recreate", func(p *sim.Proc) {
+	Drained(tb, "recreate", func(p *sim.Proc) {
 		oldPath = createFiles(t, p, d, 1)[0]
 		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 		dir, err := m.Stat(p, ctx, "/d")
@@ -198,7 +182,7 @@ func TestRecreateDuringRemoval(t *testing.T) {
 	if !overlapped {
 		t.Fatal("the old file's removal finished before the re-create committed: the test lost its overlap")
 	}
-	drained(tb, "check", func(p *sim.Proc) {
+	Drained(tb, "check", func(p *sim.Proc) {
 		if underExists(t, p, tb, oldPath) {
 			t.Fatalf("old file %s survived its removal", oldPath)
 		}
@@ -210,7 +194,7 @@ func TestRecreateDuringRemoval(t *testing.T) {
 			t.Fatalf("re-created /d/f0: %+v, %v", attr, err)
 		}
 	})
-	fsckClean(t, tb, d)
+	CheckPlane(t, tb, d, PlaneFsck)
 }
 
 // TestCrashWithRemovalsInFlight crashes and recovers the metadata plane
@@ -219,13 +203,9 @@ func TestRecreateDuringRemoval(t *testing.T) {
 // its file started to go: recovery brings back no mapping whose file is
 // gone, and once the removals drain, no file without a mapping either.
 func TestCrashWithRemovalsInFlight(t *testing.T) {
-	cfg := params.Default()
-	slowUnder(&cfg)
-	cfg.COFS.LogFlushInterval = 0
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1, slowUnder, func(c *params.Config) { c.COFS.LogFlushInterval = 0 })
 	const n = maxPendingRemovals
-	drained(tb, "crash", func(p *sim.Proc) {
+	Drained(tb, "crash", func(p *sim.Proc) {
 		createFiles(t, p, d, n)
 		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 		for i := 0; i < n; i++ {
@@ -287,10 +267,7 @@ func TestCreateCloseUnlinkAllocs4Shards(t *testing.T) {
 // root directory of a one-node deployment with the given shard count.
 func createCloseUnlinkAllocs(t *testing.T, shards int) float64 {
 	skipUnderRace(t)
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	tb := cluster.New(1, 1, cfg)
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1, Shards(shards))
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
 	var n float64
 	tb.Env.Spawn("pin", func(p *sim.Proc) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cofs/internal/cluster"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -27,16 +26,12 @@ func TestRenameGrantsDestination(t *testing.T) {
 		{"2shards-cross-shard", 2, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = c.shards
-			leaseMode(&cfg)
-			tb := cluster.New(1, 2, cfg)
-			d := Deploy(tb, nil)
+			tb, d := Rig(t, 1, 2, Shards(c.shards), Leases)
 			m0, ctx0 := d.Mounts[0], cluster.Ctx(0, 1)
 			m1, ctx1 := d.Mounts[1], cluster.Ctx(1, 1)
 			var dst string
 			var ino vfs.Ino
-			drained(tb, "setup", func(p *sim.Proc) {
+			Drained(tb, "setup", func(p *sim.Proc) {
 				src := mustMkdir(t, p, m0, ctx0, "/s")
 				for i := 0; dst == ""; i++ {
 					name := fmt.Sprintf("/t%d", i)
@@ -65,12 +60,12 @@ func TestRenameGrantsDestination(t *testing.T) {
 					}
 				}
 			})
-			drained(tb, "rename", func(p *sim.Proc) {
+			Drained(tb, "rename", func(p *sim.Proc) {
 				if err := m0.Rename(p, ctx0, "/s/f", dst); err != nil {
 					t.Fatal(err)
 				}
 			})
-			drained(tb, "stat", func(p *sim.Proc) {
+			Drained(tb, "stat", func(p *sim.Proc) {
 				before := sessionCalls(d, 0)
 				attr, err := m0.Stat(p, ctx0, dst)
 				if err != nil || attr.Ino != ino {

@@ -7,7 +7,6 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -15,8 +14,7 @@ import (
 // TestStandbyTracksPrimary verifies WAL shipping keeps the standby's
 // namespace identical to the primary's once the pipeline drains.
 func TestStandbyTracksPrimary(t *testing.T) {
-	tb := cluster.New(5, 2, params.Default())
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 5, 2)
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
 
@@ -73,8 +71,7 @@ func TestStandbyTracksPrimary(t *testing.T) {
 // shipped files survive, new creates allocate fresh (non-colliding)
 // file ids, and the namespace stays consistent.
 func TestFailoverPromotion(t *testing.T) {
-	tb := cluster.New(9, 2, params.Default())
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 9, 2)
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
 
@@ -147,8 +144,7 @@ func TestFailoverPromotion(t *testing.T) {
 // TestFailoverIDCounterNoCollision checks AdoptIDCounter: ids allocated
 // by the promoted standby must not collide with replicated ids.
 func TestFailoverIDCounterNoCollision(t *testing.T) {
-	tb := cluster.New(3, 1, params.Default())
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 3, 1)
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
 
@@ -213,7 +209,7 @@ func TestDeployStandbyMidMigrationRefused(t *testing.T) {
 		}
 		return false
 	})
-	step(tb, "grow-with-attach", func(p *sim.Proc) {
+	core.Drained(tb, "grow-with-attach", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 4); err != nil {
 			t.Errorf("reshard: %v", err)
 		}
@@ -269,7 +265,7 @@ func TestPromoteMidMigration(t *testing.T) {
 					points = append(points, at)
 					return false
 				})
-				step(tb, "probe-reshard", func(p *sim.Proc) {
+				core.Drained(tb, "probe-reshard", func(p *sim.Proc) {
 					if err := d.Service.Reshard(p, tc.to); err != nil {
 						t.Fatalf("probe reshard: %v", err)
 					}
@@ -286,7 +282,7 @@ func TestPromoteMidMigration(t *testing.T) {
 					d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
 						return seq == k
 					})
-					step(tb, "reshard-interrupt", func(p *sim.Proc) {
+					core.Drained(tb, "reshard-interrupt", func(p *sim.Proc) {
 						if err := d.Service.Reshard(p, tc.to); err != core.ErrReshardInterrupted {
 							t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
 						}
@@ -340,7 +336,7 @@ func TestPromoteRollsForwardUnshippedImport(t *testing.T) {
 			points = append(points, at)
 			return false
 		})
-		step(tbp, "probe-reshard", func(p *sim.Proc) {
+		core.Drained(tbp, "probe-reshard", func(p *sim.Proc) {
 			if err := dp.Service.Reshard(p, 4); err != nil {
 				t.Fatalf("probe reshard: %v", err)
 			}
@@ -359,7 +355,7 @@ func TestPromoteRollsForwardUnshippedImport(t *testing.T) {
 		return seq == installedAt
 	})
 	var lost int
-	step(tb, "reshard-die-promote", func(p *sim.Proc) {
+	core.Drained(tb, "reshard-die-promote", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 4); err != core.ErrReshardInterrupted {
 			t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
 			return

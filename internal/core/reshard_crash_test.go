@@ -24,10 +24,11 @@ import (
 // and any drained shards retired.
 
 // crashRig deploys the sweep's plane: small batches so one migration
-// crosses several batch boundaries, everything else the reshard rig.
+// crosses several batch boundaries, the lease cache on and the kernel's
+// entry cache out of the way, like every reshard test.
 func crashRig(t *testing.T, seed int64, shards int) (*cluster.Testbed, *core.Deployment) {
 	t.Helper()
-	return reshardRig(t, seed, 2, shards, func(cfg *params.Config) {
+	return core.Rig(t, seed, 2, core.Shards(shards), core.Leases, core.NoKernelEntries, func(cfg *params.Config) {
 		cfg.COFS.ReshardBatchRows = 4
 	})
 }
@@ -45,7 +46,7 @@ func countReshardSteps(t *testing.T, seed int64, from, to, dirs, files int) []co
 		points = append(points, at)
 		return false
 	})
-	step(tb, "probe-reshard", func(p *sim.Proc) {
+	core.Drained(tb, "probe-reshard", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, to); err != nil {
 			t.Errorf("probe reshard: %v", err)
 		}
@@ -85,7 +86,7 @@ func assertRecovered(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path
 	}
 	verifyAll(t, tb, d, paths)
 	var rep *core.FsckReport
-	step(tb, "fsck", func(p *sim.Proc) {
+	core.Drained(tb, "fsck", func(p *sim.Proc) {
 		rep = core.Fsck(p, d.Service, tb.Mounts[0])
 	})
 	// The whole tree was durable before the migration began and the
@@ -96,7 +97,7 @@ func assertRecovered(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path
 		t.Fatalf("fsck after recovery:\n%s", rep)
 	}
 	// The recovered plane serves new work with fresh ids on every node.
-	step(tb, "post-create", func(p *sim.Proc) {
+	core.Drained(tb, "post-create", func(p *sim.Proc) {
 		for n, m := range d.Mounts {
 			ctx := cluster.Ctx(n, 1)
 			f, err := m.Create(p, ctx, fmt.Sprintf("/d000/post-%d", n), 0644)
@@ -142,7 +143,7 @@ func TestReshardCrashReplay(t *testing.T) {
 					d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
 						return seq == k
 					})
-					step(tb, "reshard-crash-recover", func(p *sim.Proc) {
+					core.Drained(tb, "reshard-crash-recover", func(p *sim.Proc) {
 						if err := d.Service.Reshard(p, tc.to); err != core.ErrReshardInterrupted {
 							t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
 							return
@@ -182,7 +183,7 @@ func TestReshardCrashReplay(t *testing.T) {
 func TestReshardWALHandoffAccounting(t *testing.T) {
 	tb, d := crashRig(t, 7300, 2)
 	buildTree(t, tb, d, 4, 20)
-	step(tb, "settle-log", func(p *sim.Proc) {})
+	core.Drained(tb, "settle-log", func(p *sim.Proc) {})
 	w0 := d.Service.WALLen()
 	if w0 == 0 {
 		t.Fatal("empty WAL after build")
@@ -199,7 +200,7 @@ func TestReshardWALHandoffAccounting(t *testing.T) {
 		}
 		return false
 	})
-	step(tb, "reshard", func(p *sim.Proc) {
+	core.Drained(tb, "reshard", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 4); err != nil {
 			t.Errorf("reshard: %v", err)
 		}
@@ -223,7 +224,7 @@ func TestReshardWALHandoffAccounting(t *testing.T) {
 	}
 	// Checkpoint compacts the logs and re-zeroes the bookkeeping: the
 	// owned and raw views must agree again.
-	step(tb, "checkpoint", func(p *sim.Proc) {
+	core.Drained(tb, "checkpoint", func(p *sim.Proc) {
 		d.Service.Checkpoint(p)
 	})
 	raw = 0
@@ -244,7 +245,7 @@ func TestShrinkRetiresDrainedShards(t *testing.T) {
 	tb, d := crashRig(t, 7400, 4)
 	paths := buildTree(t, tb, d, 6, 30)
 	before := d.Counters().Get("rpc.client.calls")
-	step(tb, "reshard", func(p *sim.Proc) {
+	core.Drained(tb, "reshard", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 2); err != nil {
 			t.Fatalf("reshard: %v", err)
 		}

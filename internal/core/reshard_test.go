@@ -30,31 +30,13 @@ import (
 //   - After a reshard settles, steady-state latency matches a fresh
 //     deploy at the target shard count.
 
-// reshardRig deploys an n-node COFS at the given shard count with the
-// coherent lease cache on and the kernel dcache effectively off, so
-// every path walk exercises the lease-protected cache.
-func reshardRig(t *testing.T, seed int64, nodes, shards int, mut func(*params.Config)) (*cluster.Testbed, *core.Deployment) {
-	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.COFS.AttrLease = 30 * time.Second
-	cfg.FUSE.EntryTimeout = time.Nanosecond
-	if mut != nil {
-		mut(&cfg)
-	}
-	tb := cluster.New(seed, nodes, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
-	return tb, d
-}
-
 // buildTree creates dirs directories with files files spread over them
 // from node 0 and returns every file path.
 func buildTree(t *testing.T, tb *cluster.Testbed, d *core.Deployment, dirs, files int) []string {
 	t.Helper()
 	var paths []string
 	ctx := cluster.Ctx(0, 1)
-	step(tb, "build", func(p *sim.Proc) {
+	core.Drained(tb, "build", func(p *sim.Proc) {
 		m := d.Mounts[0]
 		for i := 0; i < dirs; i++ {
 			if err := m.Mkdir(p, ctx, fmt.Sprintf("/d%03d", i), 0777); err != nil {
@@ -81,7 +63,7 @@ func buildTree(t *testing.T, tb *cluster.Testbed, d *core.Deployment, dirs, file
 // or stale row.
 func verifyAll(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []string) {
 	t.Helper()
-	step(tb, "verify-all", func(p *sim.Proc) {
+	core.Drained(tb, "verify-all", func(p *sim.Proc) {
 		for n, m := range d.Mounts {
 			ctx := cluster.Ctx(n, 1)
 			for _, path := range paths {
@@ -103,7 +85,7 @@ func verifyAll(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []st
 func inoOf(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path string) vfs.Ino {
 	t.Helper()
 	var ino vfs.Ino
-	step(tb, "resolve", func(p *sim.Proc) {
+	core.Drained(tb, "resolve", func(p *sim.Proc) {
 		attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), path)
 		if err != nil {
 			t.Errorf("resolve %s: %v", path, err)
@@ -144,9 +126,9 @@ func TestReshardGrow(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("%dto%d", tc.from, tc.to), func(t *testing.T) {
-			tb, d := reshardRig(t, 500+int64(tc.from*10+tc.to), 2, tc.from, nil)
+			tb, d := core.Rig(t, 500+int64(tc.from*10+tc.to), 2, core.Shards(tc.from), core.Leases, core.NoKernelEntries)
 			paths := buildTree(t, tb, d, 16, 128)
-			step(tb, "reshard", func(p *sim.Proc) {
+			core.Drained(tb, "reshard", func(p *sim.Proc) {
 				if err := d.Service.Reshard(p, tc.to); err != nil {
 					t.Errorf("reshard: %v", err)
 				}
@@ -174,7 +156,7 @@ func TestReshardGrow(t *testing.T) {
 			// The plane keeps absorbing new work with fresh ids on every
 			// shard's new stride.
 			ctx := cluster.Ctx(0, 1)
-			step(tb, "post", func(p *sim.Proc) {
+			core.Drained(tb, "post", func(p *sim.Proc) {
 				for i := 0; i < 32; i++ {
 					f, err := d.Mounts[0].Create(p, ctx, fmt.Sprintf("/d000/post%03d", i), 0644)
 					if err != nil {
@@ -192,9 +174,9 @@ func TestReshardGrow(t *testing.T) {
 }
 
 func TestReshardShrink(t *testing.T) {
-	tb, d := reshardRig(t, 600, 2, 4, nil)
+	tb, d := core.Rig(t, 600, 2, core.Shards(4), core.Leases, core.NoKernelEntries)
 	paths := buildTree(t, tb, d, 16, 128)
-	step(tb, "reshard", func(p *sim.Proc) {
+	core.Drained(tb, "reshard", func(p *sim.Proc) {
 		if err := d.Service.Reshard(p, 2); err != nil {
 			t.Errorf("shrink: %v", err)
 		}
@@ -212,7 +194,7 @@ func TestReshardShrink(t *testing.T) {
 	// Creates under directories still work everywhere, including ones
 	// whose rows were drained off shards 2 and 3.
 	ctx := cluster.Ctx(1, 1)
-	step(tb, "post", func(p *sim.Proc) {
+	core.Drained(tb, "post", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			f, err := d.Mounts[1].Create(p, ctx, fmt.Sprintf("/d%03d/post", i), 0644)
 			if err != nil {
@@ -239,14 +221,14 @@ func TestReshardUnderStorm(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%dto%d", tc.from, tc.to), func(t *testing.T) {
 			const nodes, filesPerNode, prebuilt = 4, 96, 64
-			tb, d := reshardRig(t, 700+int64(tc.from), nodes, tc.from, nil)
+			tb, d := core.Rig(t, 700+int64(tc.from), nodes, core.Shards(tc.from), core.Leases, core.NoKernelEntries)
 			ctx0 := cluster.Ctx(0, 1)
 			// A directory nobody mutates, holding files (rows beside its
 			// dentries) and subdirectories (rows placed on other shards):
 			// listers read it throughout the migration, and every listing
 			// must be whole whichever shard holds which row at the time.
 			const stillFiles, stillDirs = 24, 6
-			step(tb, "setup", func(p *sim.Proc) {
+			core.Drained(tb, "setup", func(p *sim.Proc) {
 				for i := 0; i < stillFiles+stillDirs; i++ {
 					var err error
 					if i < stillDirs {
@@ -368,7 +350,7 @@ func TestReshardUnderStorm(t *testing.T) {
 			}
 			// Every file the storm left behind must resolve from every
 			// node; renamed names must resolve, removed ones must not.
-			step(tb, "verify", func(p *sim.Proc) {
+			core.Drained(tb, "verify", func(p *sim.Proc) {
 				for n := 0; n < nodes; n++ {
 					m := d.Mounts[nodes-1-n]
 					ctx := cluster.Ctx(nodes-1-n, 1)
@@ -419,9 +401,9 @@ func TestReshardVsRenameInterleaving(t *testing.T) {
 		return out
 	}
 	run := func(delta time.Duration) (invErr error, statErr error) {
-		tb, d := reshardRig(t, 800, 2, 2, nil)
+		tb, d := core.Rig(t, 800, 2, core.Shards(2), core.Leases, core.NoKernelEntries)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		step(tb, "setup", func(p *sim.Proc) {
+		core.Drained(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/b"} {
 				if err := d.Mounts[0].Mkdir(p, ctx0, dir, 0777); err != nil {
 					t.Fatal(err)
@@ -449,7 +431,7 @@ func TestReshardVsRenameInterleaving(t *testing.T) {
 		})
 		tb.Run()
 		invErr = d.Service.CheckInvariants()
-		step(tb, "verify", func(p *sim.Proc) {
+		core.Drained(tb, "verify", func(p *sim.Proc) {
 			if _, err := d.Mounts[0].Stat(p, ctx0, "/b/moved"); err != nil {
 				statErr = fmt.Errorf("renamed file lost: %v", err)
 				return
@@ -483,9 +465,9 @@ func TestReshardVsRenameInterleaving(t *testing.T) {
 func TestReshardVsCreateInterleaving(t *testing.T) {
 	const files = 40
 	run := func(delta time.Duration) {
-		tb, d := reshardRig(t, 850, 2, 2, nil)
+		tb, d := core.Rig(t, 850, 2, core.Shards(2), core.Leases, core.NoKernelEntries)
 		ctx := cluster.Ctx(0, 1)
-		step(tb, "setup", func(p *sim.Proc) {
+		core.Drained(tb, "setup", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, ctx, "/a", 0777); err != nil {
 				t.Fatal(err)
 			}
@@ -509,7 +491,7 @@ func TestReshardVsCreateInterleaving(t *testing.T) {
 		if err := d.Service.CheckInvariants(); err != nil {
 			t.Fatalf("offset %v: stranded row: %v", delta, err)
 		}
-		step(tb, "verify", func(p *sim.Proc) {
+		core.Drained(tb, "verify", func(p *sim.Proc) {
 			for i := 0; i < files; i++ {
 				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), fmt.Sprintf("/a/f%03d", i)); err != nil {
 					t.Errorf("offset %v: f%03d unreachable after reshard: %v", delta, i, err)
@@ -540,13 +522,9 @@ func TestReshardDormantCostIdentical(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = tc.shards
-			tb := cluster.New(42, 2, cfg)
-			d := core.Deploy(tb, nil)
-			tb.Run()
+			tb, d := core.Rig(t, 42, 2, core.Shards(tc.shards))
 			ctx := cluster.Ctx(0, 1)
-			step(tb, "workload", func(p *sim.Proc) {
+			core.Drained(tb, "workload", func(p *sim.Proc) {
 				m := d.Mounts[0]
 				for i := 0; i < 8; i++ {
 					if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
@@ -605,16 +583,16 @@ func TestReshardSteadyStateMatchesFreshDeploy(t *testing.T) {
 	// is disabled so the storm measures the service plane, not lease
 	// hits.
 	nocache := func(cfg *params.Config) { cfg.COFS.AttrLease = 0 }
-	tb1, d1 := reshardRig(t, 900, 2, 2, nocache)
+	tb1, d1 := core.Rig(t, 900, 2, core.Shards(2), core.Leases, core.NoKernelEntries, nocache)
 	paths1 := buildTree(t, tb1, d1, 16, 256)
-	step(tb1, "reshard", func(p *sim.Proc) {
+	core.Drained(tb1, "reshard", func(p *sim.Proc) {
 		if err := d1.Service.Reshard(p, 4); err != nil {
 			t.Fatalf("reshard: %v", err)
 		}
 	})
 	resharded := storm(tb1, d1, paths1)
 
-	tb2, d2 := reshardRig(t, 900, 2, 4, nocache)
+	tb2, d2 := core.Rig(t, 900, 2, core.Shards(4), core.Leases, core.NoKernelEntries, nocache)
 	paths2 := buildTree(t, tb2, d2, 16, 256)
 	fresh := storm(tb2, d2, paths2)
 
@@ -628,8 +606,8 @@ func TestReshardSteadyStateMatchesFreshDeploy(t *testing.T) {
 // TestReshardRefusals pins the guard rails: no resharding mid-flight
 // resharding, and resharding to the current count is a no-op.
 func TestReshardRefusals(t *testing.T) {
-	tb3, d3 := reshardRig(t, 1002, 1, 2, nil)
-	step(tb3, "noop", func(p *sim.Proc) {
+	tb3, d3 := core.Rig(t, 1002, 1, core.Shards(2), core.Leases, core.NoKernelEntries)
+	core.Drained(tb3, "noop", func(p *sim.Proc) {
 		if err := d3.Service.Reshard(p, 2); err != nil {
 			t.Errorf("reshard to current count: %v", err)
 		}
@@ -640,7 +618,7 @@ func TestReshardRefusals(t *testing.T) {
 
 	// Two concurrent Reshards: exactly one runs, the loser is refused
 	// before it can touch the plane (the latch, not Begin, decides).
-	tb4, d4 := reshardRig(t, 1003, 1, 2, nil)
+	tb4, d4 := core.Rig(t, 1003, 1, core.Shards(2), core.Leases, core.NoKernelEntries)
 	buildTree(t, tb4, d4, 8, 64)
 	var errA, errB error
 	tb4.Env.Spawn("reshardA", func(p *sim.Proc) { errA = d4.Service.Reshard(p, 4) })

@@ -8,7 +8,6 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -89,10 +88,7 @@ func shardWorkload(t *testing.T, tb *cluster.Testbed, d *core.Deployment, seed i
 func TestShardMapBalancedUnderRandomWorkload(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = shards
-			tb := cluster.New(seed, 1, cfg)
-			d := core.Deploy(tb, nil)
+			tb, d := core.Rig(t, seed, 1, core.Shards(shards))
 			shardWorkload(t, tb, d, seed*100, 64, 512)
 			counts := d.Service.ShardCounts()
 			min, max, total := counts[0], counts[0], 0
@@ -123,10 +119,7 @@ func TestShardMapBalancedUnderRandomWorkload(t *testing.T) {
 // deterministic half of stability).
 func TestShardPlacementStableAcrossRuns(t *testing.T) {
 	run := func() ([]int, []string) {
-		cfg := params.Default()
-		cfg.COFS.MetadataShards = 4
-		tb := cluster.New(7, 1, cfg)
-		d := core.Deploy(tb, nil)
+		tb, d := core.Rig(t, 7, 1, core.Shards(4))
 		shardWorkload(t, tb, d, 700, 32, 256)
 		var maps []string
 		d.Service.EachMapping(func(id vfs.Ino, upath string) {
@@ -149,10 +142,7 @@ func TestShardPlacementStableAcrossRuns(t *testing.T) {
 // the shard the map assigns it (CheckInvariants pins row placement),
 // per-shard populations are unchanged, and the namespace still resolves.
 func TestShardPlacementStableAcrossRestart(t *testing.T) {
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 4
-	tb := cluster.New(11, 1, cfg)
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, 11, 1, core.Shards(4))
 	shardWorkload(t, tb, d, 1100, 32, 256)
 
 	before := d.Service.ShardCounts()

@@ -7,7 +7,6 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -20,17 +19,12 @@ import (
 // standby did trail the reads it was racing and that, once the
 // pipeline drains, it mirrors the primary.
 
-// standbyReadsRig is the lease coherence rig with a hot standby: a
+// standbyReadsRig is the coherence battery's rig with a hot standby: a
 // 3-node COFS, leases granted by the primary, a standby plane shipping
 // with the given delay.
 func standbyReadsRig(t *testing.T, seed int64, shards int, delay time.Duration) (*cluster.Testbed, *core.Deployment, *core.Standby) {
 	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.COFS.AttrLease = 30 * time.Second
-	cfg.FUSE.EntryTimeout = time.Nanosecond
-	tb := cluster.New(seed, 3, cfg)
-	d := core.Deploy(tb, nil)
+	tb, d := core.Rig(t, seed, 3, core.Shards(shards), core.Leases, core.NoKernelEntries)
 	sb := core.DeployStandby(tb, d, delay)
 	tb.Run()
 	return tb, d, sb
@@ -73,7 +67,7 @@ func TestStandbyReadsCoherence(t *testing.T) {
 				A, B, C := d.Mounts[0], d.Mounts[1], d.Mounts[2]
 				ctxA, ctxB, ctxC := cluster.Ctx(0, 1), cluster.Ctx(1, 1), cluster.Ctx(2, 1)
 
-				step(tb, "setup", func(p *sim.Proc) {
+				core.Drained(tb, "setup", func(p *sim.Proc) {
 					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
 						t.Error(err)
 						return
@@ -105,7 +99,7 @@ func TestStandbyReadsCoherence(t *testing.T) {
 						lagged++
 					}
 				}
-				step(tb, "mutate-and-verify-inside-window", func(p *sim.Proc) {
+				core.Drained(tb, "mutate-and-verify-inside-window", func(p *sim.Proc) {
 					if _, err := B.Chmod(p, ctxB, "/d/chmod", 0600); err != nil {
 						t.Error(err)
 					}
@@ -146,7 +140,7 @@ func TestStandbyReadsCoherence(t *testing.T) {
 				// from a node with a cold cache: these reads reach the wire
 				// and must equal the primary's authoritative state.
 				tb.Run()
-				step(tb, "verify-after-drain", func(p *sim.Proc) {
+				core.Drained(tb, "verify-after-drain", func(p *sim.Proc) {
 					if attr, err := C.Stat(p, ctxC, "/d/chmod"); err != nil || attr.Mode != 0600 {
 						t.Errorf("cold read after drain: wrong mode %o, %v", attr.Mode, err)
 					}
@@ -188,7 +182,7 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 		delay := delay
 		t.Run(fmt.Sprintf("delay-%s", delay), func(t *testing.T) {
 			tb, d, sb := standbyReadsRig(t, 2000+int64(delay/time.Millisecond), 2, delay)
-			step(tb, "setup", func(p *sim.Proc) {
+			core.Drained(tb, "setup", func(p *sim.Proc) {
 				for _, dir := range []string{"/w", "/v"} {
 					if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), dir, 0777); err != nil {
 						t.Error(err)
@@ -261,7 +255,7 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	A, C := d.Mounts[0], d.Mounts[2]
 	ctxA, ctxC := cluster.Ctx(0, 1), cluster.Ctx(2, 1)
 
-	step(tb, "build", func(p *sim.Proc) {
+	core.Drained(tb, "build", func(p *sim.Proc) {
 		if err := A.Mkdir(p, ctxA, "/out", 0777); err != nil {
 			t.Error(err)
 			return
@@ -313,7 +307,7 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	// The namespace the recovered primary serves is the oracle; the
 	// cold-cache node must read exactly it.
 	var oracle []vfs.DirEntry
-	step(tb, "oracle", func(p *sim.Proc) {
+	core.Drained(tb, "oracle", func(p *sim.Proc) {
 		ents, err := A.Readdir(p, ctxA, "/out")
 		if err != nil {
 			t.Errorf("readdir after recovery: %v", err)
@@ -322,7 +316,7 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 		oracle = ents
 	})
 	tb.Run() // resync rebuild drains
-	step(tb, "verify", func(p *sim.Proc) {
+	core.Drained(tb, "verify", func(p *sim.Proc) {
 		ents, err := C.Readdir(p, ctxC, "/out")
 		if err != nil {
 			t.Errorf("cold readdir after recovery: %v", err)
@@ -354,7 +348,7 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 	A, C := d.Mounts[0], d.Mounts[2]
 	ctxA := cluster.Ctx(0, 1)
 
-	step(tb, "build", func(p *sim.Proc) {
+	core.Drained(tb, "build", func(p *sim.Proc) {
 		if err := A.Mkdir(p, ctxA, "/out", 0777); err != nil {
 			t.Error(err)
 			return
@@ -392,7 +386,7 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 	if got := len(sb.Replicas); got != 4 {
 		t.Fatalf("standby has %d replicas after grow, want 4", got)
 	}
-	step(tb, "verify-settled", func(p *sim.Proc) {
+	core.Drained(tb, "verify-settled", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			name := fmt.Sprintf("/out/f%02d", i)
 			attr, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 9), name)
@@ -416,7 +410,7 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	A, C := d.Mounts[0], d.Mounts[2]
 	ctxA, ctxC := cluster.Ctx(0, 1), cluster.Ctx(2, 1)
 
-	step(tb, "build", func(p *sim.Proc) {
+	core.Drained(tb, "build", func(p *sim.Proc) {
 		if err := A.Mkdir(p, ctxA, "/out", 0777); err != nil {
 			t.Error(err)
 			return
@@ -430,7 +424,7 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 			f.Close(p)
 		}
 	})
-	step(tb, "serve", func(p *sim.Proc) {
+	core.Drained(tb, "serve", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			if _, err := C.Stat(p, ctxC, fmt.Sprintf("/out/f%02d", i)); err != nil {
 				t.Errorf("pre-failover read: %v", err)
@@ -471,7 +465,7 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	if before == 0 || after == 0 {
 		t.Fatalf("%d whole listings before the failover, %d after: the listers did not straddle it", before, after)
 	}
-	step(tb, "after-promote", func(p *sim.Proc) {
+	core.Drained(tb, "after-promote", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			if _, err := C.Stat(p, ctxC, fmt.Sprintf("/out/f%02d", i)); err != nil {
 				t.Errorf("post-promote read: %v", err)

@@ -27,38 +27,12 @@ const lsFiles = 8
 // FS as a Getattr of the listed id, like the kernel's would.
 func lsRig(t *testing.T, seed int64, tweak func(*params.Config)) (*cluster.Testbed, *Deployment) {
 	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = 2
-	tweak(&cfg)
-	tb := cluster.New(seed, 2, cfg)
-	d := Deploy(tb, nil)
-	drained(tb, "fill", func(p *sim.Proc) {
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		if err := m.Mkdir(p, ctx, "/d", 0777); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < lsFiles; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/d/f%d", i), 0644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.Close(p)
-		}
-		// Warm node 1's path to the directory so the passes below count
-		// nothing but the traversal itself.
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	tb, d := Rig(t, seed, 2, Shards(2), tweak)
+	Play(t, tb, d, Dir(0, "/d", 0777, lsFiles, "f%d", 0)...)
+	// Warm node 1's path to the directory so the passes below count
+	// nothing but the traversal itself.
+	Play(t, tb, d, Stat(1, "/d"))
 	return tb, d
-}
-
-func leaseMode(c *params.Config) { c.COFS.AttrLease = 30 * time.Second }
-
-// drained runs fn as one simulation phase and drains it.
-func drained(tb *cluster.Testbed, name string, fn func(p *sim.Proc)) {
-	tb.Env.Spawn(name, fn)
-	tb.Run()
 }
 
 // lsL is one `ls -l` of /d from node 1 by process pid: the listing, then
@@ -123,7 +97,7 @@ func (lt *leaseTable) holderCount(head int32) int {
 // since runs fn drained and returns what it added to every counter.
 func since(tb *cluster.Testbed, d *Deployment, fn func(p *sim.Proc)) tally {
 	a := snapshot(d)
-	drained(tb, "step", fn)
+	Drained(tb, "step", fn)
 	b := snapshot(d)
 	return tally{
 		requests: b.requests - a.requests, getattrs: b.getattrs - a.getattrs, lookups: b.lookups - a.lookups,
@@ -133,8 +107,8 @@ func since(tb *cluster.Testbed, d *Deployment, fn func(p *sim.Proc)) tally {
 }
 
 func TestNamesOnlyListingInstallsNothing(t *testing.T) {
-	tb, d := lsRig(t, 1, leaseMode)
-	drained(tb, "more-types", func(p *sim.Proc) {
+	tb, d := lsRig(t, 1, Leases)
+	Drained(tb, "more-types", func(p *sim.Proc) {
 		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 		if err := m.Mkdir(p, ctx, "/d/sub", 0755); err != nil {
 			t.Fatal(err)
@@ -181,7 +155,7 @@ func TestNamesOnlyListingInstallsNothing(t *testing.T) {
 // listings were names-only by default.
 func TestStataheadLsL(t *testing.T) {
 	t.Run("lease", func(t *testing.T) {
-		tb, d := lsRig(t, 2, leaseMode)
+		tb, d := lsRig(t, 2, Leases)
 		// Installs per plus listing: a dentry and an attribute lease per
 		// entry, plus the listing itself, which rides the lease node 1
 		// already holds on /d.
@@ -211,15 +185,15 @@ func TestStataheadLsL(t *testing.T) {
 // two entries is back to names-only, which the listing the plus one
 // installed serves without a round trip.
 func TestStataheadAdviceIsConsumed(t *testing.T) {
-	tb, d := lsRig(t, 3, leaseMode)
-	drained(tb, "advise", func(p *sim.Proc) { lsL(t, p, d, 1, 2) })
+	tb, d := lsRig(t, 3, Leases)
+	Drained(tb, "advise", func(p *sim.Proc) { lsL(t, p, d, 1, 2) })
 	plus := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
 	// 2 N entry leases plus the listing, riding node 1's lease on /d.
 	if want := (tally{requests: 1, plus: 1, installs: 2*lsFiles + 1}); plus != want {
 		t.Fatalf("advised listing cost %+v, want %+v", plus, want)
 	}
 	// The process's next stat is not of the first entry: nothing earned.
-	drained(tb, "stat-other", func(p *sim.Proc) {
+	Drained(tb, "stat-other", func(p *sim.Proc) {
 		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), fmt.Sprintf("/d/f%d", lsFiles-1)); err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +214,8 @@ func TestStataheadAdviceIsConsumed(t *testing.T) {
 // traversal they start needs no statahead and only advises the next
 // listing.
 func TestStataheadIsPerProcess(t *testing.T) {
-	tb, d := lsRig(t, 4, leaseMode)
-	drained(tb, "pid1-lists", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	tb, d := lsRig(t, 4, Leases)
+	Drained(tb, "pid1-lists", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
 	sweep := func(pid int) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
 			for _, name := range []string{"/d/f0", "/d/f1"} {
@@ -271,9 +245,9 @@ func TestStataheadIsPerProcess(t *testing.T) {
 // flight and waits for it: one attribute-carrying listing serves both
 // stats, and neither goes to the service on its own.
 func TestStataheadOnePerDirectory(t *testing.T) {
-	tb, d := lsRig(t, 8, leaseMode)
+	tb, d := lsRig(t, 8, Leases)
 	for pid := 1; pid <= 2; pid++ {
-		drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, pid, 1) })
+		Drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, pid, 1) })
 	}
 	got := since(tb, d, func(p *sim.Proc) {
 		for pid := 1; pid <= 2; pid++ {
@@ -300,9 +274,9 @@ func TestStataheadOnePerDirectory(t *testing.T) {
 // directory that no longer holds it, the re-probe misses, and the
 // single RPC reports the truth.
 func TestStataheadFirstEntryUnlinked(t *testing.T) {
-	tb, d := lsRig(t, 5, leaseMode)
-	drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
-	drained(tb, "unlink", func(p *sim.Proc) {
+	tb, d := lsRig(t, 5, Leases)
+	Drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
+	Drained(tb, "unlink", func(p *sim.Proc) {
 		if err := d.Mounts[0].Unlink(p, cluster.Ctx(0, 1), "/d/f1"); err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +300,7 @@ func TestStataheadFirstEntryUnlinked(t *testing.T) {
 // no lease beyond the entry's own, so another node's chmod of every
 // other entry recalls nothing from the lister.
 func TestStataheadLoneFirstStat(t *testing.T) {
-	tb, d := lsRig(t, 9, leaseMode)
+	tb, d := lsRig(t, 9, Leases)
 	got := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
 	// The names-only listing rides node 1's lease on /d; the getattr
 	// installs and leases the one attribute.
@@ -357,7 +331,7 @@ func TestStataheadLoneFirstStat(t *testing.T) {
 // the record, so a stat of the second after them is a plain getattr
 // too; so is a sweep that starts at the second entry.
 func TestStataheadNeedsListingOrder(t *testing.T) {
-	tb, d := lsRig(t, 10, leaseMode)
+	tb, d := lsRig(t, 10, Leases)
 	for i, order := range [][]string{{"f0", "f2", "f1"}, {"f1", "f0", "f2"}} {
 		pid := i + 1
 		got := since(tb, d, func(p *sim.Proc) {
@@ -381,8 +355,8 @@ func TestStataheadNeedsListingOrder(t *testing.T) {
 // entry to sweep to, so it is not remembered; stat-ing its entry costs
 // one plain getattr and the next listing stays names-only.
 func TestStataheadSingleEntryListing(t *testing.T) {
-	tb, d := lsRig(t, 11, leaseMode)
-	drained(tb, "fill", func(p *sim.Proc) {
+	tb, d := lsRig(t, 11, Leases)
+	Drained(tb, "fill", func(p *sim.Proc) {
 		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 		if err := m.Mkdir(p, ctx, "/e", 0777); err != nil {
 			t.Fatal(err)
@@ -447,16 +421,13 @@ func TestStataheadNeedsACache(t *testing.T) {
 func TestStandbyNamesOnlyListing(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
-			cfg := params.Default()
-			cfg.COFS.MetadataShards = shards
-			tb := cluster.New(7, 2, cfg)
-			d := Deploy(tb, nil)
+			tb, d := Rig(t, 7, 2, Shards(shards))
 			sb := DeployStandby(tb, d, 10*time.Millisecond)
 			tb.Run()
 			m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 			const subdirs = 6
 			var dir vfs.Ino
-			drained(tb, "fill", func(p *sim.Proc) {
+			Drained(tb, "fill", func(p *sim.Proc) {
 				if err := m.Mkdir(p, ctx, "/d", 0777); err != nil {
 					t.Fatal(err)
 				}
@@ -517,11 +488,11 @@ func TestStandbyNamesOnlyListing(t *testing.T) {
 				return attrs
 			}
 
-			drained(tb, "shipped", func(p *sim.Proc) {
+			Drained(tb, "shipped", func(p *sim.Proc) {
 				list(p, false, subdirs+1, false)
 				list(p, true, subdirs+1, false)
 			})
-			drained(tb, "child-in-window", func(p *sim.Proc) {
+			Drained(tb, "child-in-window", func(p *sim.Proc) {
 				if _, err := m.Chmod(p, ctx, "/d/f", 0600); err != nil {
 					t.Fatal(err)
 				}
@@ -531,7 +502,7 @@ func TestStandbyNamesOnlyListing(t *testing.T) {
 					t.Fatalf("plus listing inside the shipping window returned mode %o, want 600", attrs[0].Mode)
 				}
 			})
-			drained(tb, "directory-in-window", func(p *sim.Proc) {
+			Drained(tb, "directory-in-window", func(p *sim.Proc) {
 				f, err := m.Create(p, ctx, "/d/f2", 0644)
 				if err != nil {
 					t.Fatal(err)

@@ -23,14 +23,9 @@ import (
 // pin, so a drift in either knob shows up the same way).
 func storeWorkload(t *testing.T, store string, shards int) (time.Duration, int64) {
 	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.COFS.MetadataStore = store
-	tb := cluster.New(42, 2, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
+	tb, d := core.Rig(t, 42, 2, core.Shards(shards), func(c *params.Config) { c.COFS.MetadataStore = store })
 	ctx := cluster.Ctx(0, 1)
-	step(tb, "workload", func(p *sim.Proc) {
+	core.Drained(tb, "workload", func(p *sim.Proc) {
 		m := d.Mounts[0]
 		for i := 0; i < 8; i++ {
 			if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
@@ -110,17 +105,15 @@ func TestStoreUnknownFailsFast(t *testing.T) {
 // second finished six operations late.
 func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	const entries = 512
-	tb := cluster.New(21, 3, params.Default())
-	d := core.Deploy(tb, nil)
-	tb.Run()
+	tb, d := core.Rig(t, 21, 3)
 	svc := d.Service
-	step(tb, "mkdir", func(p *sim.Proc) {
+	core.Drained(tb, "mkdir", func(p *sim.Proc) {
 		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/big", 0777); err != nil {
 			t.Error(err)
 		}
 	})
 	big := inoOf(t, tb, d, "/big")
-	step(tb, "build", func(p *sim.Proc) {
+	core.Drained(tb, "build", func(p *sim.Proc) {
 		ctx := cluster.Ctx(0, 1)
 		for i := 0; i < entries; i++ {
 			if _, err := svc.Create(p, d.FSs[0].Session(), ctx, big, fmt.Sprintf("f%03d", i), vfs.TypeRegular, 0644, "", ""); err != nil {
@@ -142,7 +135,7 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 		return p.Now() - start
 	}
 	var createAlone, listAlone time.Duration
-	step(tb, "alone", func(p *sim.Proc) {
+	core.Drained(tb, "alone", func(p *sim.Proc) {
 		createAlone = createFrom(p, 2, "alone")
 		listAlone = list(p, 1)
 	})

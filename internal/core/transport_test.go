@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cofs/internal/cluster"
-	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/vfs"
 )
@@ -15,8 +14,7 @@ import (
 // operation body leave the caller's stack.
 func TestMetadataRPCAllocs(t *testing.T) {
 	skipUnderRace(t)
-	tb := cluster.New(1, 1, params.Default())
-	d := Deploy(tb, nil)
+	tb, d := Rig(t, 1, 1)
 	tb.Env.Spawn("pin", func(p *sim.Proc) {
 		svc, sess := d.Service, d.FSs[0].Session()
 		attr, err := svc.Create(p, sess, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")

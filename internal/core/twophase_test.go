@@ -29,22 +29,6 @@ import (
 //     match an absolute pin, so uncontended lock acquisition charges
 //     nothing.
 
-// txnRig deploys an n-node COFS at the given shard count; mut, if
-// non-nil, adjusts the configuration before deployment.
-func txnRig(t *testing.T, seed int64, nodes, shards int, mut func(cfg *params.Config)) (*cluster.Testbed, *core.Deployment) {
-	t.Helper()
-	cfg := params.Default()
-	cfg.COFS.MetadataShards = shards
-	cfg.FUSE.EntryTimeout = time.Nanosecond
-	if mut != nil {
-		mut(&cfg)
-	}
-	tb := cluster.New(seed, nodes, cfg)
-	d := core.Deploy(tb, nil)
-	tb.Run()
-	return tb, d
-}
-
 // raceOffsets is the sweep of start delays for the second mutation of
 // each replay: 0 to 3ms in 150µs steps, densely covering the first
 // mutation's validate→commit window (a cross-shard rename spends a few
@@ -73,9 +57,9 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 		counters *stats.Counters
 	}
 	run := func(delta time.Duration) outcome {
-		tb, d := txnRig(t, 31, 2, 2, nil)
+		tb, d := core.Rig(t, 31, 2, core.Shards(2), core.NoKernelEntries)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		step(tb, "setup", func(p *sim.Proc) {
+		core.Drained(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/b", "/c"} {
 				if err := d.Mounts[0].Mkdir(p, ctx0, dir, 0777); err != nil {
 					t.Fatal(err)
@@ -98,7 +82,7 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 		tb.Run()
 		var out outcome
 		out.invErr = d.Service.CheckInvariants()
-		step(tb, "verify", func(p *sim.Proc) {
+		core.Drained(tb, "verify", func(p *sim.Proc) {
 			_, zErr := d.Mounts[0].Stat(p, ctx0, "/c/z")
 			_, xErr := d.Mounts[0].Stat(p, ctx0, "/a/x")
 			_, yErr := d.Mounts[0].Stat(p, ctx0, "/b/y")
@@ -142,9 +126,9 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 func TestRenameRemoveRaceInterleaving(t *testing.T) {
 	var conflicts int64
 	run := func(delta time.Duration) (nlink int, statErr error, invErr error) {
-		tb, d := txnRig(t, 33, 2, 2, nil)
+		tb, d := core.Rig(t, 33, 2, core.Shards(2), core.NoKernelEntries)
 		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		step(tb, "setup", func(p *sim.Proc) {
+		core.Drained(tb, "setup", func(p *sim.Proc) {
 			for _, dir := range []string{"/a", "/c", "/d"} {
 				if err := d.Mounts[0].Mkdir(p, ctx0, dir, 0777); err != nil {
 					t.Fatal(err)
@@ -171,7 +155,7 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 		})
 		tb.Run()
 		invErr = d.Service.CheckInvariants()
-		step(tb, "verify", func(p *sim.Proc) {
+		core.Drained(tb, "verify", func(p *sim.Proc) {
 			attr, err := d.Mounts[0].Stat(p, ctx0, "/d/w")
 			nlink, statErr = attr.Nlink, err
 		})
@@ -206,10 +190,10 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 func TestCreateCreateOverlapInterleaving(t *testing.T) {
 	overlapped := 0
 	for _, delta := range raceOffsets() {
-		tb, d := txnRig(t, 37, 2, 2, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
+		tb, d := core.Rig(t, 37, 2, core.Shards(2), core.NoKernelEntries, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
 		ctx0 := cluster.Ctx(0, 1)
 		var parent vfs.Attr
-		step(tb, "setup", func(p *sim.Proc) {
+		core.Drained(tb, "setup", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +229,7 @@ func TestCreateCreateOverlapInterleaving(t *testing.T) {
 		if err := d.Service.CheckInvariants(); err != nil {
 			t.Fatalf("offset %v: invariants: %v", delta, err)
 		}
-		step(tb, "verify", func(p *sim.Proc) {
+		core.Drained(tb, "verify", func(p *sim.Proc) {
 			for _, path := range []string{"/shared/a", "/shared/b"} {
 				if _, err := d.Mounts[0].Stat(p, ctx0, path); err != nil {
 					t.Fatalf("offset %v: lost create %s: %v", delta, path, err)
@@ -278,9 +262,9 @@ func TestCreateCreateOverlapInterleaving(t *testing.T) {
 // flight: the storm costs fewer syncs than it has creates.
 func TestCreateStormGroupCommitBatching(t *testing.T) {
 	const creates = 4
-	tb, d := txnRig(t, 41, creates, 2, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
+	tb, d := core.Rig(t, 41, creates, core.Shards(2), core.NoKernelEntries, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
 	ctx0 := cluster.Ctx(0, 1)
-	step(tb, "setup", func(p *sim.Proc) {
+	core.Drained(tb, "setup", func(p *sim.Proc) {
 		if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
 			t.Fatal(err)
 		}
@@ -334,9 +318,9 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
-			tb, d := txnRig(t, 55, 2, tc.shards, nil)
+			tb, d := core.Rig(t, 55, 2, core.Shards(tc.shards), core.NoKernelEntries)
 			ctx := cluster.Ctx(0, 1)
-			step(tb, "workload", func(p *sim.Proc) {
+			core.Drained(tb, "workload", func(p *sim.Proc) {
 				m := d.Mounts[0]
 				// Directory creates spread across shards by DirTarget:
 				// some land remote (createRemoteDir), some local.
@@ -404,9 +388,9 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 func TestUnshardedRacesRestOnAtomicTransactions(t *testing.T) {
 	t.Run("SameNameCreates", func(t *testing.T) {
 		const procs = 16
-		tb, d := txnRig(t, 43, 4, 1, nil)
+		tb, d := core.Rig(t, 43, 4, core.Shards(1), core.NoKernelEntries)
 		svc := d.Service
-		step(tb, "setup", func(p *sim.Proc) {
+		core.Drained(tb, "setup", func(p *sim.Proc) {
 			if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
 				t.Fatal(err)
 			}
@@ -433,7 +417,7 @@ func TestUnshardedRacesRestOnAtomicTransactions(t *testing.T) {
 		if wins != 1 || exists != procs-1 {
 			t.Fatalf("%d mkdirs of one name: %d succeeded, %d EEXIST", procs, wins, exists)
 		}
-		step(tb, "verify", func(p *sim.Proc) {
+		core.Drained(tb, "verify", func(p *sim.Proc) {
 			attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), "/d")
 			if err != nil || attr.Nlink != 3 || attr.Mtime != won.Mtime {
 				t.Errorf("parent after the race: nlink %d mtime %v (%v), want nlink 3 and the winner's instant %v",
@@ -449,9 +433,9 @@ func TestUnshardedRacesRestOnAtomicTransactions(t *testing.T) {
 		emptied, kept := 0, 0
 		for _, rmdirFirst := range []bool{true, false} {
 			for _, delta := range raceOffsets() {
-				tb, d := txnRig(t, 47, 2, 1, nil)
+				tb, d := core.Rig(t, 47, 2, core.Shards(1), core.NoKernelEntries)
 				ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-				step(tb, "setup", func(p *sim.Proc) {
+				core.Drained(tb, "setup", func(p *sim.Proc) {
 					if err := d.Mounts[0].Mkdir(p, ctx0, "/d", 0777); err != nil {
 						t.Fatal(err)
 					}

@@ -124,3 +124,61 @@ func TestCheckpointKeepsRecordsLandedDuringDump(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashFreezesCursor: a crash while a writer's disk write is in
+// flight truncates the log to the durable cursor, and the writer then
+// resumes. Whichever writer it is — a synchronous commit, the background
+// flusher, a handoff import's force or a checkpoint's dump — it must
+// advance no cursor and rewrite no log when it does: the cursor stays
+// within the log, and nothing the crash took comes back at the next one.
+func TestCrashFreezesCursor(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		interval time.Duration // 0: the synchronous WAL
+		crashAt  time.Duration // inside the writer's disk write
+		write    func(p *sim.Proc, db *DB, tbl *Table[int, int])
+	}{
+		{"commit", 0, 20 * time.Microsecond, func(p *sim.Proc, db *DB, tbl *Table[int, int]) {
+			db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 2, 2) })
+		}},
+		{"flush", time.Millisecond, 1500 * time.Microsecond, func(p *sim.Proc, db *DB, tbl *Table[int, int]) {
+			db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 2, 2) })
+		}},
+		{"force", time.Hour, 500 * time.Microsecond, func(p *sim.Proc, db *DB, tbl *Table[int, int]) {
+			h := &Handoff{}
+			HandoffPut(h, tbl, 2, 2)
+			db.ImportHandoff(p, h)
+		}},
+		{"checkpoint", time.Hour, 500 * time.Microsecond, func(p *sim.Proc, db *DB, tbl *Table[int, int]) {
+			db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 2, 2) })
+			db.Checkpoint(p)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			db := NewAsync(env, disk.New(env, "mdb", params.Default().Disk), 10*time.Microsecond, c.interval)
+			tbl := NewTable[int, int](db, "t", DiscCopies)
+			tbl.Bootstrap(1, 1)
+			env.Spawn("writer", func(p *sim.Proc) { c.write(p, db, tbl) })
+			env.SpawnAfter("crash", c.crashAt, func(p *sim.Proc) {
+				db.Crash()
+				db.Recover(p)
+			})
+			env.MustRun()
+			if db.flushed > db.CommitSeq() {
+				t.Errorf("durable cursor %d past the log's end %d after the writer resumed", db.flushed, db.CommitSeq())
+			}
+			env.Spawn("crash again", func(p *sim.Proc) {
+				db.Crash()
+				db.Recover(p)
+			})
+			env.MustRun()
+			if _, ok := tbl.Peek(1); !ok {
+				t.Error("the bootstrapped row was lost")
+			}
+			if _, ok := tbl.Peek(2); ok {
+				t.Error("a row no write covered before the crash came back at the next one")
+			}
+		})
+	}
+}

@@ -86,6 +86,10 @@ type DB struct {
 	// than a log offset, it stays right across Checkpoint's rewrite.
 	wal     walLog
 	flushed int64
+	// crashes counts Crash calls. A writer reads it before its disk
+	// write yields; if a crash came meanwhile, the log it wrote is gone,
+	// so it advances no cursor and rewrites no log.
+	crashes int
 
 	// flushInterval > 0 selects Mnesia-style asynchronous log flushing:
 	// commits return immediately and a background dump forces the log
@@ -180,7 +184,7 @@ func (db *DB) maybeScheduleFlush() {
 	}
 	db.flushScheduled = true
 	db.env.SpawnAfter("mdb.logflush", db.flushInterval, func(p *sim.Proc) {
-		target := db.CommitSeq()
+		target, crashes := db.CommitSeq(), db.crashes
 		db.LogFlushes++
 		if db.trace != nil {
 			db.trace.Begin(p, db.traceGroup, "wal.flush", -1)
@@ -190,17 +194,18 @@ func (db *DB) maybeScheduleFlush() {
 		if db.trace != nil {
 			db.trace.End(p)
 		}
-		db.markFlushed(target)
+		db.markFlushed(target, crashes)
 		db.flushScheduled = false
 		db.maybeScheduleFlush()
 	})
 }
 
 // markFlushed records that the log is on disk up to commit sequence
-// seq: the one a writer fixed before its disk write yielded. The cursor
-// only advances — a writer that started earlier may finish later.
-func (db *DB) markFlushed(seq int64) {
-	if seq > db.flushed {
+// seq: the one a writer fixed before its disk write yielded, when the
+// crash count was crashes. The cursor only advances — a writer that
+// started earlier may finish later — and never past a crash.
+func (db *DB) markFlushed(seq int64, crashes int) {
+	if seq > db.flushed && crashes == db.crashes {
 		db.flushed = seq
 	}
 }
@@ -214,19 +219,19 @@ func (db *DB) commitLog(p *sim.Proc) {
 		db.maybeScheduleFlush()
 		return
 	}
-	target := db.CommitSeq()
+	target, crashes := db.CommitSeq(), db.crashes
 	db.disk.Commit(p)
-	db.markFlushed(target)
+	db.markFlushed(target, crashes)
 }
 
 // forceLog writes and syncs the unflushed log tail before returning,
 // whatever the flush interval. A handoff import acks on it.
 func (db *DB) forceLog(p *sim.Proc) {
-	target := db.CommitSeq()
+	target, crashes := db.CommitSeq(), db.crashes
 	db.LogFlushes++
 	db.disk.Write(p, 0, (target-db.flushed)*64)
 	db.disk.Sync(p)
-	db.markFlushed(target)
+	db.markFlushed(target, crashes)
 }
 
 // scanLog charges reading the log back for recovery: one sequential
@@ -609,6 +614,7 @@ func (t *Table[K, V]) Len() int { return len(t.data) }
 // shipped offsets, and a standby must converge to the state the primary
 // can actually recover, not to the pre-crash tail it may have seen.
 func (db *DB) Crash() {
+	db.crashes++
 	for _, t := range db.tables {
 		t.clear()
 	}
@@ -653,9 +659,12 @@ func (db *DB) Checkpoint(p *sim.Proc) {
 		}
 		image = append(image, t.snapshotWAL()...)
 	}
-	at, mark := db.CommitSeq(), db.wal.len()
+	at, mark, crashes := db.CommitSeq(), db.wal.len(), db.crashes
 	staged, handedOff := db.staged, db.handedOff
 	db.dumpImage(p, int64(len(image)))
+	if crashes != db.crashes {
+		return // the image and the log it would replace died with the crash
+	}
 	db.wal.each(mark, db.wal.len(), func(rec walRec) { image = append(image, rec) })
 	// Rebase the commit sequence so it keeps counting from where it
 	// was: a replica's shipped sequence stays comparable before and
@@ -664,7 +673,7 @@ func (db *DB) Checkpoint(p *sim.Proc) {
 	seq := db.CommitSeq()
 	db.wal.reset(image)
 	db.seqBase = seq - int64(db.wal.len())
-	db.markFlushed(at)
+	db.markFlushed(at, crashes)
 	// The image holds exactly the rows the tables did: staged imports
 	// are folded in as ordinary records and handed-off rows are gone, so
 	// the migration bookkeeping keeps only what landed during the dump.

@@ -76,7 +76,8 @@ func (r *ReplayResult) Report() string {
 // (recorded applications often race deletes). Mkdir operations replay
 // as mkdir -p during a serial prologue (directory skeletons are setup,
 // not the measured workload — the paper's benchmarks likewise
-// pre-create the shared directory).
+// pre-create the shared directory); a prologue failure ends the replay
+// and is returned.
 func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -93,15 +94,20 @@ func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 			dirs = append(dirs, op)
 		}
 	}
+	var prologueErr error
 	t.Env.Spawn("trace.prologue", func(p *sim.Proc) {
 		for _, op := range dirs {
 			ctx := cluster.Ctx(op.Node, op.PID)
 			if err := t.Mounts[op.Node].MkdirAll(p, ctx, op.Path, op.Mode); err != nil && err != vfs.ErrExist {
-				panic(fmt.Sprintf("trace prologue: mkdir %s: %v", op.Path, err))
+				prologueErr = fmt.Errorf("trace: prologue: %w", opError(op, err))
+				return
 			}
 		}
 	})
 	t.Env.MustRun()
+	if prologueErr != nil {
+		return nil, prologueErr
+	}
 
 	streams := streamsOf(tr.Ops)
 	sort.Slice(streams, func(i, j int) bool {

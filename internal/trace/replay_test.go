@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -103,6 +104,21 @@ func TestReplayTooManyNodes(t *testing.T) {
 	tr := trace.GenCheckpoint(trace.CheckpointConfig{Nodes: 4, Rounds: 1, BytesPerNode: 1, Interval: time.Second})
 	if _, err := trace.Replay(tgt, tr, trace.ReplayOptions{}); err == nil {
 		t.Error("replay accepted a trace needing more nodes than the target has")
+	}
+}
+
+// TestReplayReturnsPrologueError: a trace is outside input, so a
+// directory the prologue cannot make is an error Replay returns, not a
+// panic.
+func TestReplayReturnsPrologueError(t *testing.T) {
+	tgt := memTarget(1)
+	tr := &trace.Trace{Ops: []trace.Op{
+		{Kind: trace.Mkdir, Path: "/" + strings.Repeat("x", 300), Node: 0, PID: 1, Mode: 0755},
+		{Kind: trace.Create, Path: "/ok", Node: 0, PID: 1, Mode: 0644},
+	}}
+	res, err := trace.Replay(tgt, tr, trace.ReplayOptions{})
+	if err == nil || !strings.Contains(err.Error(), "prologue") || !errors.Is(err, vfs.ErrNameTooLong) {
+		t.Fatalf("replay of an unmakeable directory: %v, %v; want the prologue's name-too-long error", res, err)
 	}
 }
 
