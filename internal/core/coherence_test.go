@@ -37,6 +37,17 @@ type crossNodeCase struct {
 
 var ctxA, ctxB = cluster.Ctx(0, 1), cluster.Ctx(1, 1)
 
+// cache plays c's set-up and has A stat c.path, which caches it under a
+// lease, and returns what A saw.
+func (c crossNodeCase) cache(t *testing.T, tb *cluster.Testbed, d *core.Deployment) (vfs.Attr, error) {
+	t.Helper()
+	core.Play(t, tb, d, c.setup...)
+	var before vfs.Attr
+	var beforeErr error
+	core.Drained(tb, "cache", func(p *sim.Proc) { before, beforeErr = d.Mounts[0].Stat(p, ctxA, c.path) })
+	return before, beforeErr
+}
+
 var crossNodeCases = []crossNodeCase{
 	{"chmod", 100, []trace.Op{core.Mkdir(0, "/d", 0777), core.Create(0, "/d/f", 0644)}, "/d/f",
 		func(p *sim.Proc, B *vfs.Mount) error { _, err := B.Chmod(p, ctxB, "/d/f", 0600); return err },
@@ -121,10 +132,7 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 				t.Run(c.name, func(t *testing.T) {
 					tb, d := core.Rig(t, c.seed+int64(shards), 2, core.Shards(shards), core.Leases, core.NoKernelEntries)
 					A, B := d.Mounts[0], d.Mounts[1]
-					core.Play(t, tb, d, c.setup...)
-					var before vfs.Attr
-					var beforeErr error
-					core.Drained(tb, "cache", func(p *sim.Proc) { before, beforeErr = A.Stat(p, ctxA, c.path) })
+					before, beforeErr := c.cache(t, tb, d)
 					core.Drained(tb, "mutate", func(p *sim.Proc) {
 						if err := c.mutate(p, B); err != nil {
 							t.Error(err)
@@ -267,7 +275,7 @@ func TestLeaseCacheCrossNodeCoherence(t *testing.T) {
 					listTwice(m.what, 1)
 				}
 				// A child's attributes are not the listing: it stays cached.
-				both(trace.Op{Node: 1, PID: 1, Kind: trace.Chmod, Path: "/d/f3", Mode: 0600})
+				both(core.Chmod(1, "/d/f3", 0600))
 				listTwice("chmod of a child", 2)
 				core.CheckPlane(t, tb, d, core.PlaneTables)
 			})
@@ -304,7 +312,7 @@ func TestLeaseCacheActuallyServes(t *testing.T) {
 func TestLeaseRecallsAreCounted(t *testing.T) {
 	tb, d := core.Rig(t, 43, 2, core.Shards(2), core.Leases, core.NoKernelEntries)
 	core.Play(t, tb, d, core.Create(0, "/f", 0666), core.Stat(0, "/f"))
-	core.Play(t, tb, d, trace.Op{Node: 1, PID: 1, Kind: trace.Chmod, Path: "/f", Mode: 0600})
+	core.Play(t, tb, d, core.Chmod(1, "/f", 0600))
 	c := d.Counters()
 	if c.Get("mds.lease-revocations") == 0 {
 		t.Fatalf("no shard revocations counted: %v", c)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"path"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,12 +11,15 @@ import (
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/trace"
+	"cofs/internal/vfs"
 )
 
 // The tests of this package share one harness, exported like
 // export_test.go so the external tests use it too: Rig deploys, Drained
-// runs one drained phase, Play runs set-up operations through the one
-// replayer (trace.Run), and CheckPlane holds the plane to itself.
+// runs one drained phase, Race runs file operations through the
+// replayer's trace.Do, and Expect and Play check what they return,
+// Sweep steps a race across its window, Attrs, Ino and View read what a
+// node sees, and CheckPlane holds the plane to itself.
 
 // Rig deploys COFS on a testbed of nodes nodes seeded with seed, under
 // the default parameters changed by each tweak in turn, and drains the
@@ -60,19 +65,139 @@ func Drained(tb *cluster.Testbed, name string, fn func(p *sim.Proc)) {
 	tb.Run()
 }
 
-// Play runs ops as one phase of trace.Run on the deployment's mounts —
-// stream (node, pid) as cluster.Ctx(node, pid), streams side by side,
-// each stream's ops in order — and fails t at the first error.
-func Play(t testing.TB, tb *cluster.Testbed, d *Deployment, ops ...trace.Op) {
+// Race runs ops as racing processes and drains the run: the ops of one
+// stream (node, pid) run in order on one process, which starts at the
+// stream's first op's At after the call, and the streams are spawned in
+// the order they first appear. It returns each op's error.
+func Race(tb *cluster.Testbed, d *Deployment, ops ...trace.Op) []error {
+	errs := make([]error, len(ops))
+	spawned := make(map[[2]int]bool)
+	for i, op := range ops {
+		if spawned[[2]int{op.Node, op.PID}] {
+			continue
+		}
+		spawned[[2]int{op.Node, op.PID}] = true
+		tb.Env.SpawnAfter(fmt.Sprintf("race.n%d.p%d", op.Node, op.PID), op.At, func(p *sim.Proc) {
+			m, ctx := d.Mounts[op.Node], cluster.Ctx(op.Node, op.PID)
+			for j := i; j < len(ops); j++ {
+				if ops[j].Node == op.Node && ops[j].PID == op.PID {
+					errs[j] = trace.Do(p, m, ctx, ops[j])
+				}
+			}
+		})
+	}
+	tb.Run()
+	return errs
+}
+
+// Expect runs ops as Race does and fails t unless every one returns
+// want.
+func Expect(t testing.TB, tb *cluster.Testbed, d *Deployment, want error, ops ...trace.Op) {
 	t.Helper()
-	target := trace.Target{Env: tb.Env, Mounts: d.Mounts}
-	if _, err := trace.Run(target, []trace.Phase{{Ops: ops}}, nil); err != nil {
-		t.Fatal(err)
+	for i, err := range Race(tb, d, ops...) {
+		if err != want {
+			op := ops[i]
+			t.Fatalf("%s %s (node %d): %v, want %v", op.Kind, op.Path, op.Node, err, want)
+		}
 	}
 }
 
-// Mkdir, Create, Write and Stat are set-up operations of process 1 on
-// node; a directory or file gets mode, a written file 0644.
+// Play runs ops as Race does and fails t unless every one succeeds:
+// the set-up phases and "must resolve" checks.
+func Play(t testing.TB, tb *cluster.Testbed, d *Deployment, ops ...trace.Op) {
+	t.Helper()
+	Expect(t, tb, d, nil, ops...)
+}
+
+// At is op issued d after a Race starts.
+func At(d time.Duration, op trace.Op) trace.Op {
+	op.At = d
+	return op
+}
+
+// By is op issued by process pid of its node.
+func By(pid int, op trace.Op) trace.Op {
+	op.PID = pid
+	return op
+}
+
+// Sweep runs race at each start offset from 0 to 3 ms in steps of step,
+// in order, and stops at the first offset that fails t, naming it. A
+// sweep's seed and step pick the interleavings it covers, so both stay.
+func Sweep(t testing.TB, step time.Duration, race func(delta time.Duration)) {
+	for delta := time.Duration(0); delta <= 3*time.Millisecond && !t.Failed(); delta += step {
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("at offset %v", delta)
+				}
+			}()
+			race(delta)
+		}()
+	}
+}
+
+// Attrs stats each path from process 1 on node, in order, as one drained
+// phase, and fails t unless every one resolves.
+func Attrs(t testing.TB, tb *cluster.Testbed, d *Deployment, node int, paths ...string) []vfs.Attr {
+	t.Helper()
+	attrs := make([]vfs.Attr, len(paths))
+	var err error
+	Drained(tb, "stat", func(p *sim.Proc) {
+		for i, path := range paths {
+			if attrs[i], err = d.Mounts[node].Stat(p, cluster.Ctx(node, 1), path); err != nil {
+				err = fmt.Errorf("stat %s (node %d): %w", path, node, err)
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attrs
+}
+
+// Ino resolves path from node 0 in a phase of its own and fails t
+// unless it resolves.
+func Ino(t testing.TB, tb *cluster.Testbed, d *Deployment, path string) vfs.Ino {
+	t.Helper()
+	return Attrs(t, tb, d, 0, path)[0].Ino
+}
+
+// View lists dir from process 1 on node and stats every entry, as one
+// drained phase, and renders what it saw: per entry its name, inode,
+// type, mode, size and link count. It fails t on any error, or if a
+// stat and the listing disagree on an entry's inode.
+func View(t testing.TB, tb *cluster.Testbed, d *Deployment, node int, dir string) string {
+	t.Helper()
+	var out strings.Builder
+	var err error
+	Drained(tb, "view", func(p *sim.Proc) {
+		m, ctx := d.Mounts[node], cluster.Ctx(node, 1)
+		var ents []vfs.DirEntry
+		if ents, err = m.Readdir(p, ctx, dir); err != nil {
+			return
+		}
+		for _, e := range ents {
+			var a vfs.Attr
+			if a, err = m.Stat(p, ctx, path.Join(dir, e.Name)); err == nil && a.Ino != e.Ino {
+				err = fmt.Errorf("%s is listed as inode %d and stats as %d", e.Name, e.Ino, a.Ino)
+			}
+			if err != nil {
+				return
+			}
+			fmt.Fprintf(&out, "%s %d %v %o %d %d\n", e.Name, a.Ino, e.Type, a.Mode, a.Size, a.Nlink)
+		}
+	})
+	if err != nil {
+		t.Fatalf("view of %s from node %d: %v", dir, node, err)
+	}
+	return out.String()
+}
+
+// Mkdir, Create, Write, Stat and Chmod are set-up operations of
+// process 1 on node; a directory, file or chmod gets mode, a written
+// file 0644.
 func Mkdir(node int, path string, mode uint32) trace.Op {
 	return trace.Op{Node: node, PID: 1, Kind: trace.Mkdir, Path: path, Mode: mode}
 }
@@ -87,6 +212,10 @@ func Write(node int, path string, bytes int64) trace.Op {
 
 func Stat(node int, path string) trace.Op {
 	return trace.Op{Node: node, PID: 1, Kind: trace.Stat, Path: path}
+}
+
+func Chmod(node int, path string, mode uint32) trace.Op {
+	return trace.Op{Node: node, PID: 1, Kind: trace.Chmod, Path: path, Mode: mode}
 }
 
 // Dir is node's set-up of directory dir with mode and n files in it,

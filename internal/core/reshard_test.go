@@ -9,6 +9,7 @@ import (
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -31,31 +32,19 @@ import (
 //     deploy at the target shard count.
 
 // buildTree creates dirs directories with files files spread over them
-// from node 0 and returns every file path.
+// from node 0, each written with 512 bytes, and returns every file path.
 func buildTree(t *testing.T, tb *cluster.Testbed, d *core.Deployment, dirs, files int) []string {
 	t.Helper()
+	var ops []trace.Op
+	for i := 0; i < dirs; i++ {
+		ops = append(ops, core.Mkdir(0, fmt.Sprintf("/d%03d", i), 0777))
+	}
 	var paths []string
-	ctx := cluster.Ctx(0, 1)
-	core.Drained(tb, "build", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		for i := 0; i < dirs; i++ {
-			if err := m.Mkdir(p, ctx, fmt.Sprintf("/d%03d", i), 0777); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		for i := 0; i < files; i++ {
-			path := fmt.Sprintf("/d%03d/f%04d", i%dirs, i)
-			f, err := m.Create(p, ctx, path, 0644)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.WriteAt(p, 0, 512)
-			f.Close(p)
-			paths = append(paths, path)
-		}
-	})
+	for i := 0; i < files; i++ {
+		paths = append(paths, fmt.Sprintf("/d%03d/f%04d", i%dirs, i))
+		ops = append(ops, core.Write(0, paths[i], 512))
+	}
+	core.Play(t, tb, d, ops...)
 	return paths
 }
 
@@ -63,36 +52,13 @@ func buildTree(t *testing.T, tb *cluster.Testbed, d *core.Deployment, dirs, file
 // or stale row.
 func verifyAll(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []string) {
 	t.Helper()
-	core.Drained(tb, "verify-all", func(p *sim.Proc) {
-		for n, m := range d.Mounts {
-			ctx := cluster.Ctx(n, 1)
-			for _, path := range paths {
-				attr, err := m.Stat(p, ctx, path)
-				if err != nil {
-					t.Errorf("node %d: stat %s after reshard: %v", n, path, err)
-					return
-				}
-				if attr.Size != 512 {
-					t.Errorf("node %d: stat %s: stale size %d", n, path, attr.Size)
-					return
-				}
+	for n := range d.Mounts {
+		for i, attr := range core.Attrs(t, tb, d, n, paths...) {
+			if attr.Size != 512 {
+				t.Fatalf("node %d: stat %s: stale size %d", n, paths[i], attr.Size)
 			}
 		}
-	})
-}
-
-// inoOf resolves path from node 0 (its own simulation step).
-func inoOf(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path string) vfs.Ino {
-	t.Helper()
-	var ino vfs.Ino
-	core.Drained(tb, "resolve", func(p *sim.Proc) {
-		attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), path)
-		if err != nil {
-			t.Errorf("resolve %s: %v", path, err)
-		}
-		ino = attr.Ino
-	})
-	return ino
+	}
 }
 
 // listWhole lists dir with attributes through node's session and
@@ -155,17 +121,11 @@ func TestReshardGrow(t *testing.T) {
 			verifyAll(t, tb, d, paths)
 			// The plane keeps absorbing new work with fresh ids on every
 			// shard's new stride.
-			ctx := cluster.Ctx(0, 1)
-			core.Drained(tb, "post", func(p *sim.Proc) {
-				for i := 0; i < 32; i++ {
-					f, err := d.Mounts[0].Create(p, ctx, fmt.Sprintf("/d000/post%03d", i), 0644)
-					if err != nil {
-						t.Errorf("create after grow: %v", err)
-						return
-					}
-					f.Close(p)
-				}
-			})
+			var post []trace.Op
+			for i := 0; i < 32; i++ {
+				post = append(post, core.Create(0, fmt.Sprintf("/d000/post%03d", i), 0644))
+			}
+			core.Play(t, tb, d, post...)
 			if err := d.Service.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after post-grow creates: %v", err)
 			}
@@ -193,17 +153,11 @@ func TestReshardShrink(t *testing.T) {
 	verifyAll(t, tb, d, paths)
 	// Creates under directories still work everywhere, including ones
 	// whose rows were drained off shards 2 and 3.
-	ctx := cluster.Ctx(1, 1)
-	core.Drained(tb, "post", func(p *sim.Proc) {
-		for i := 0; i < 16; i++ {
-			f, err := d.Mounts[1].Create(p, ctx, fmt.Sprintf("/d%03d/post", i), 0644)
-			if err != nil {
-				t.Errorf("create after shrink: %v", err)
-				return
-			}
-			f.Close(p)
-		}
-	})
+	var post []trace.Op
+	for i := 0; i < 16; i++ {
+		post = append(post, core.Create(1, fmt.Sprintf("/d%03d/post", i), 0644))
+	}
+	core.Play(t, tb, d, post...)
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after post-shrink creates: %v", err)
 	}
@@ -222,47 +176,27 @@ func TestReshardUnderStorm(t *testing.T) {
 		t.Run(fmt.Sprintf("%dto%d", tc.from, tc.to), func(t *testing.T) {
 			const nodes, filesPerNode, prebuilt = 4, 96, 64
 			tb, d := core.Rig(t, 700+int64(tc.from), nodes, core.Shards(tc.from), core.Leases, core.NoKernelEntries)
-			ctx0 := cluster.Ctx(0, 1)
 			// A directory nobody mutates, holding files (rows beside its
 			// dentries) and subdirectories (rows placed on other shards):
 			// listers read it throughout the migration, and every listing
 			// must be whole whichever shard holds which row at the time.
 			const stillFiles, stillDirs = 24, 6
-			core.Drained(tb, "setup", func(p *sim.Proc) {
-				for i := 0; i < stillFiles+stillDirs; i++ {
-					var err error
-					if i < stillDirs {
-						err = d.Mounts[0].MkdirAll(p, ctx0, fmt.Sprintf("/still/sub%02d", i), 0777)
-					} else {
-						var f *vfs.File
-						if f, err = d.Mounts[0].Create(p, ctx0, fmt.Sprintf("/still/f%02d", i), 0644); err == nil {
-							f.Close(p)
-						}
-					}
-					if err != nil {
-						t.Error(err)
-						return
-					}
+			var setup []trace.Op
+			for i := 0; i < stillFiles+stillDirs; i++ {
+				if i < stillDirs {
+					setup = append(setup, core.Mkdir(0, fmt.Sprintf("/still/sub%02d", i), 0777))
+				} else {
+					setup = append(setup, core.Create(0, fmt.Sprintf("/still/f%02d", i), 0644))
 				}
-				for n := 0; n < nodes; n++ {
-					if err := d.Mounts[0].Mkdir(p, ctx0, fmt.Sprintf("/work%d", n), 0777); err != nil {
-						t.Error(err)
-						return
-					}
-					// A pre-existing population per directory, so the
-					// migration has real batches to move while the storm
-					// reads and rewrites the same namespace.
-					for i := 0; i < prebuilt; i++ {
-						f, err := d.Mounts[0].Create(p, ctx0, fmt.Sprintf("/work%d/old%04d", n, i), 0644)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						f.Close(p)
-					}
-				}
-			})
-			still := inoOf(t, tb, d, "/still")
+			}
+			// A pre-existing population per directory, so the migration
+			// has real batches to move while the storm reads and rewrites
+			// the same namespace.
+			for n := 0; n < nodes; n++ {
+				setup = append(setup, core.Dir(0, fmt.Sprintf("/work%d", n), 0777, prebuilt, "old%04d", 0)...)
+			}
+			core.Play(t, tb, d, setup...)
+			still := core.Ino(t, tb, d, "/still")
 			// The storm: each node creates, stats, renames and removes in
 			// its own directory, with cross-node stats of node 0's files.
 			for n := 0; n < nodes; n++ {
@@ -350,39 +284,30 @@ func TestReshardUnderStorm(t *testing.T) {
 			}
 			// Every file the storm left behind must resolve from every
 			// node; renamed names must resolve, removed ones must not.
-			core.Drained(tb, "verify", func(p *sim.Proc) {
-				for n := 0; n < nodes; n++ {
-					m := d.Mounts[nodes-1-n]
-					ctx := cluster.Ctx(nodes-1-n, 1)
-					for i := 0; i < prebuilt; i++ {
-						name := fmt.Sprintf("/work%d/old%04d", n, i)
-						if i%6 == 2 {
-							if _, err := m.Stat(p, ctx, name); err != vfs.ErrNotExist {
-								t.Errorf("removed %s still resolves: %v", name, err)
-							}
-						} else if _, err := m.Stat(p, ctx, name); err != nil {
-							t.Errorf("missing migrated row %s: %v", name, err)
-							return
-						}
-					}
-					for i := 0; i < filesPerNode; i++ {
-						name := fmt.Sprintf("/work%d/f%04d", n, i)
-						switch i % 4 {
-						case 1:
-							name = fmt.Sprintf("/work%d/r%04d", n, i)
-						case 3:
-							if _, err := m.Stat(p, ctx, fmt.Sprintf("/work%d/f%04d", n, i)); err != vfs.ErrNotExist {
-								t.Errorf("removed file still resolves: /work%d/f%04d: %v", n, i, err)
-							}
-							continue
-						}
-						if _, err := m.Stat(p, ctx, name); err != nil {
-							t.Errorf("missing row after storm+reshard: %s: %v", name, err)
-							return
-						}
+			var resolve, gone []trace.Op
+			for n := 0; n < nodes; n++ {
+				from := nodes - 1 - n
+				for i := 0; i < prebuilt; i++ {
+					op := core.Stat(from, fmt.Sprintf("/work%d/old%04d", n, i))
+					if i%6 == 2 {
+						gone = append(gone, op)
+					} else {
+						resolve = append(resolve, op)
 					}
 				}
-			})
+				for i := 0; i < filesPerNode; i++ {
+					switch i % 4 {
+					case 1:
+						resolve = append(resolve, core.Stat(from, fmt.Sprintf("/work%d/r%04d", n, i)))
+					case 3:
+						gone = append(gone, core.Stat(from, fmt.Sprintf("/work%d/f%04d", n, i)))
+					default:
+						resolve = append(resolve, core.Stat(from, fmt.Sprintf("/work%d/f%04d", n, i)))
+					}
+				}
+			}
+			core.Play(t, tb, d, resolve...)
+			core.Expect(t, tb, d, vfs.ErrNotExist, gone...)
 		})
 	}
 }
@@ -393,64 +318,27 @@ func TestReshardUnderStorm(t *testing.T) {
 // the move (and be migrated) or after it (and run at the new owner) —
 // never corrupt the plane, never lose the file.
 func TestReshardVsRenameInterleaving(t *testing.T) {
-	offsets := func() []time.Duration {
-		var out []time.Duration
-		for d := time.Duration(0); d <= 3*time.Millisecond; d += 150 * time.Microsecond {
-			out = append(out, d)
-		}
-		return out
-	}
-	run := func(delta time.Duration) (invErr error, statErr error) {
+	core.Sweep(t, 150*time.Microsecond, func(delta time.Duration) {
 		tb, d := core.Rig(t, 800, 2, core.Shards(2), core.Leases, core.NoKernelEntries)
-		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		core.Drained(tb, "setup", func(p *sim.Proc) {
-			for _, dir := range []string{"/a", "/b"} {
-				if err := d.Mounts[0].Mkdir(p, ctx0, dir, 0777); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// A population large enough that the migration has real
-			// batches in flight around the rename's rows.
-			for i := 0; i < 96; i++ {
-				f, err := d.Mounts[0].Create(p, ctx0, fmt.Sprintf("/a/f%03d", i), 0644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Close(p)
-			}
-		})
+		// A population large enough that the migration has real batches
+		// in flight around the rename's rows.
+		setup := []trace.Op{core.Mkdir(0, "/a", 0777), core.Mkdir(0, "/b", 0777)}
+		for i := 0; i < 96; i++ {
+			setup = append(setup, core.Create(0, fmt.Sprintf("/a/f%03d", i), 0644))
+		}
+		core.Play(t, tb, d, setup...)
 		tb.Env.Spawn("reshard", func(p *sim.Proc) {
 			if err := d.Service.Reshard(p, 4); err != nil {
 				t.Errorf("reshard: %v", err)
 			}
 		})
-		tb.Env.SpawnAfter("rename", delta, func(p *sim.Proc) {
-			if err := d.Mounts[1].Rename(p, ctx1, "/a/f017", "/b/moved"); err != nil {
-				t.Errorf("offset %v: rename during migration: %v", delta, err)
-			}
-		})
-		tb.Run()
-		invErr = d.Service.CheckInvariants()
-		core.Drained(tb, "verify", func(p *sim.Proc) {
-			if _, err := d.Mounts[0].Stat(p, ctx0, "/b/moved"); err != nil {
-				statErr = fmt.Errorf("renamed file lost: %v", err)
-				return
-			}
-			if _, err := d.Mounts[0].Stat(p, ctx0, "/a/f017"); err != vfs.ErrNotExist {
-				statErr = fmt.Errorf("source name survived the rename: %v", err)
-			}
-		})
-		return invErr, statErr
-	}
-	for _, delta := range offsets() {
-		invErr, statErr := run(delta)
-		if invErr != nil {
-			t.Fatalf("offset %v: migration vs rename corrupted the plane: %v", delta, invErr)
+		core.Play(t, tb, d, core.At(delta, core.Op(1, trace.Rename, "/a/f017", "/b/moved")))
+		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatalf("migration vs rename corrupted the plane: %v", err)
 		}
-		if statErr != nil {
-			t.Fatalf("offset %v: %v", delta, statErr)
-		}
-	}
+		core.Play(t, tb, d, core.Stat(0, "/b/moved"))
+		core.Expect(t, tb, d, vfs.ErrNotExist, core.Stat(0, "/a/f017"))
+	})
 }
 
 // TestReshardVsCreateInterleaving sweeps Reshard's start offset across
@@ -464,52 +352,35 @@ func TestReshardVsRenameInterleaving(t *testing.T) {
 // does not assign it, which CheckInvariants and the per-file stats pin.
 func TestReshardVsCreateInterleaving(t *testing.T) {
 	const files = 40
-	run := func(delta time.Duration) {
+	core.Sweep(t, 123*time.Microsecond, func(delta time.Duration) {
 		tb, d := core.Rig(t, 850, 2, core.Shards(2), core.Leases, core.NoKernelEntries)
-		ctx := cluster.Ctx(0, 1)
-		core.Drained(tb, "setup", func(p *sim.Proc) {
-			if err := d.Mounts[0].Mkdir(p, ctx, "/a", 0777); err != nil {
-				t.Fatal(err)
-			}
-		})
-		tb.Env.Spawn("creates", func(p *sim.Proc) {
-			for i := 0; i < files; i++ {
-				f, err := d.Mounts[0].Create(p, ctx, fmt.Sprintf("/a/f%03d", i), 0644)
-				if err != nil {
-					t.Errorf("offset %v: create f%03d: %v", delta, i, err)
-					return
-				}
-				f.Close(p)
-			}
-		})
-		tb.Env.SpawnAfter("reshard", delta, func(p *sim.Proc) {
+		core.Play(t, tb, d, core.Mkdir(0, "/a", 0777))
+		// Sleep yields even at offset 0: the creates start first at every
+		// offset, so offset 0 races the reshard right behind them.
+		tb.Env.Spawn("reshard", func(p *sim.Proc) {
+			p.Sleep(delta)
 			if err := d.Service.Reshard(p, 4); err != nil {
-				t.Errorf("offset %v: reshard: %v", delta, err)
+				t.Errorf("reshard: %v", err)
 			}
 		})
-		tb.Run()
-		if err := d.Service.CheckInvariants(); err != nil {
-			t.Fatalf("offset %v: stranded row: %v", delta, err)
+		creates, stats := make([]trace.Op, files), make([]trace.Op, files)
+		for i := range creates {
+			creates[i] = core.Create(0, fmt.Sprintf("/a/f%03d", i), 0644)
+			stats[i] = core.Stat(1, creates[i].Path)
 		}
-		core.Drained(tb, "verify", func(p *sim.Proc) {
-			for i := 0; i < files; i++ {
-				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), fmt.Sprintf("/a/f%03d", i)); err != nil {
-					t.Errorf("offset %v: f%03d unreachable after reshard: %v", delta, i, err)
-					return
-				}
-			}
-		})
-	}
-	for delta := time.Duration(0); delta <= 3*time.Millisecond; delta += 123 * time.Microsecond {
-		run(delta)
-	}
+		core.Play(t, tb, d, creates...)
+		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatalf("stranded row: %v", err)
+		}
+		core.Play(t, tb, d, stats...)
+	})
 }
 
 // TestReshardDormantCostIdentical pins the bit-identical-figures
 // guarantee: with Reshard never called, the epoch-versioned map
-// machinery charges nothing, so a workload lands on exactly the virtual
-// clock and network message count that static routing produced — at
-// one shard and at four. The figures are absolute: any drift means the
+// machinery charges nothing, so storeWorkload (default store) lands on
+// exactly the virtual clock and network message count that static
+// routing produced — at one shard and at four. The figures are absolute: any drift means the
 // dormant machinery (or something under it) started charging.
 func TestReshardDormantCostIdentical(t *testing.T) {
 	for _, tc := range []struct {
@@ -520,34 +391,8 @@ func TestReshardDormantCostIdentical(t *testing.T) {
 		{1, 1420867801 * time.Nanosecond, 502},
 		{4, 1449293373 * time.Nanosecond, 524},
 	} {
-		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
-			tb, d := core.Rig(t, 42, 2, core.Shards(tc.shards))
-			ctx := cluster.Ctx(0, 1)
-			core.Drained(tb, "workload", func(p *sim.Proc) {
-				m := d.Mounts[0]
-				for i := 0; i < 8; i++ {
-					if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
-						t.Fatal(err)
-					}
-					f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.Close(p)
-					m.Stat(p, ctx, fmt.Sprintf("/t/d%d/f", i))
-				}
-				if err := m.Rename(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m.Readdir(p, ctx, "/t"); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if now, msgs := tb.Env.Now(), tb.Net.Messages; now != tc.now || msgs != tc.msgs {
+			if now, msgs := storeWorkload(t, "", tc.shards); now != tc.now || msgs != tc.msgs {
 				t.Fatalf("dormant epoch routing is not free: (%v, %d msgs), pinned (%v, %d msgs)",
 					now, msgs, tc.now, tc.msgs)
 			}
@@ -561,22 +406,16 @@ func TestReshardDormantCostIdentical(t *testing.T) {
 // permanent overhead behind.
 func TestReshardSteadyStateMatchesFreshDeploy(t *testing.T) {
 	storm := func(tb *cluster.Testbed, d *core.Deployment, paths []string) time.Duration {
-		start := tb.Env.Now()
+		var ops []trace.Op
 		for n := 0; n < 2; n++ {
-			n := n
-			tb.Env.Spawn(fmt.Sprintf("stat%d", n), func(p *sim.Proc) {
-				ctx := cluster.Ctx(n, 1)
-				for r := 0; r < 4; r++ {
-					for _, path := range paths {
-						if _, err := d.Mounts[n].Stat(p, ctx, path); err != nil {
-							t.Errorf("stat %s: %v", path, err)
-							return
-						}
-					}
+			for r := 0; r < 4; r++ {
+				for _, path := range paths {
+					ops = append(ops, core.Stat(n, path))
 				}
-			})
+			}
 		}
-		tb.Run()
+		start := tb.Env.Now()
+		core.Play(t, tb, d, ops...)
 		return tb.Env.Now() - start
 	}
 	// Resharded plane: deploy at 2, grow to 4, then measure. The cache

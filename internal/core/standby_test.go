@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"fmt"
+	"path"
 	"testing"
 	"time"
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -52,118 +54,54 @@ func standbyMirrors(t *testing.T, d *core.Deployment, sb *core.Standby) {
 	}
 }
 
-// TestStandbyReadsCoherence runs cross-node mutation scenarios at every
-// shipping delay: node B mutates, node A must observe the mutation
-// immediately, while the standby still trails it. A third node with a
-// cold cache then re-reads everything after the pipeline drained and
-// must see the identical namespace, which the standby now mirrors.
+// TestStandbyReadsCoherence runs the coherence battery's cross-node
+// cases (crossNodeCases) at every shipping delay: node B mutates, node
+// A must observe the mutation immediately, while the standby still
+// trails it. A third node with a cold cache then reads the directory
+// after the pipeline drained and must see what A sees, which the
+// standby now mirrors.
 func TestStandbyReadsCoherence(t *testing.T) {
 	delays := []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
 	for _, shards := range []int{1, 2} {
 		for di, delay := range delays {
-			shards, delay := shards, delay
 			t.Run(fmt.Sprintf("%dshards/delay-%s", shards, delay), func(t *testing.T) {
-				tb, d, sb := standbyReadsRig(t, 1000+int64(shards)*10+int64(di), shards, delay)
-				A, B, C := d.Mounts[0], d.Mounts[1], d.Mounts[2]
-				ctxA, ctxB, ctxC := cluster.Ctx(0, 1), cluster.Ctx(1, 1), cluster.Ctx(2, 1)
-
-				core.Drained(tb, "setup", func(p *sim.Proc) {
-					if err := A.Mkdir(p, ctxA, "/d", 0777); err != nil {
-						t.Error(err)
-						return
+				lagged, row := 0, ""
+				defer func() {
+					if t.Failed() {
+						t.Logf("in row %s", row)
 					}
-					for _, name := range []string{"/d/chmod", "/d/remove", "/d/rename", "/d/sibling"} {
-						f, err := A.Create(p, ctxA, name, 0644)
-						if err != nil {
-							t.Error(err)
-							return
+				}()
+				for _, c := range crossNodeCases {
+					if t.Failed() {
+						break
+					}
+					row = c.name
+					tb, d, sb := standbyReadsRig(t, 1000+int64(shards)*10+int64(di), shards, delay)
+					before, beforeErr := c.cache(t, tb, d)
+					// B mutates, and A verifies IN THE SAME DRAINED PHASE:
+					// with delay > 0 the commit has not shipped when A
+					// reads, so a read answered from the standby's copy
+					// would be caught here.
+					core.Drained(tb, "mutate-and-verify-inside-window", func(p *sim.Proc) {
+						if err := c.mutate(p, d.Mounts[1]); err != nil {
+							t.Errorf("%s: %v", c.name, err)
 						}
-						f.Close(p)
+						if sb.Lag() > 0 {
+							lagged++
+						}
+						c.verify(t, p, d.Mounts[0], before, beforeErr)
+					})
+					// The pipeline has drained: the cold node's reads reach
+					// the wire and must equal what A reads.
+					dir := path.Dir(c.path)
+					if warm, cold := core.View(t, tb, d, 0, dir), core.View(t, tb, d, 2, dir); cold != warm {
+						t.Errorf("%s: cold read after drain diverges:\n A: %s\n C: %s", c.name, warm, cold)
 					}
-					// A caches attrs under lease; a miss caches a negative
-					// dentry.
-					A.Stat(p, ctxA, "/d/chmod")
-					A.Stat(p, ctxA, "/d/remove")
-					if _, err := A.Stat(p, ctxA, "/d/nope"); err != vfs.ErrNotExist {
-						t.Errorf("expected ENOENT, got %v", err)
-					}
-				})
-
-				// B mutates, and A verifies IN THE SAME DRAINED PHASE right
-				// after each mutation: with delay > 0 the commits have not
-				// shipped when A reads, so a read answered from the
-				// standby's copy would be caught here.
-				lagged := 0
-				behind := func() {
-					if sb.Lag() > 0 {
-						lagged++
-					}
+					standbyMirrors(t, d, sb)
+					core.CheckPlane(t, tb, d, core.PlaneTables|core.PlaneCaches)
 				}
-				core.Drained(tb, "mutate-and-verify-inside-window", func(p *sim.Proc) {
-					if _, err := B.Chmod(p, ctxB, "/d/chmod", 0600); err != nil {
-						t.Error(err)
-					}
-					behind()
-					if attr, err := A.Stat(p, ctxA, "/d/chmod"); err != nil || attr.Mode != 0600 {
-						t.Errorf("stale mode inside shipping window: %o, %v", attr.Mode, err)
-					}
-					if err := B.Unlink(p, ctxB, "/d/remove"); err != nil {
-						t.Error(err)
-					}
-					behind()
-					if _, err := A.Stat(p, ctxA, "/d/remove"); err != vfs.ErrNotExist {
-						t.Errorf("removed file still resolves inside shipping window: %v", err)
-					}
-					if err := B.Rename(p, ctxB, "/d/rename", "/d/renamed"); err != nil {
-						t.Error(err)
-					}
-					behind()
-					if _, err := A.Stat(p, ctxA, "/d/rename"); err != vfs.ErrNotExist {
-						t.Errorf("renamed-away name still resolves inside shipping window: %v", err)
-					}
-					f, err := B.Create(p, ctxB, "/d/nope", 0640)
-					if err != nil {
-						t.Error(err)
-					} else {
-						f.Close(p)
-					}
-					behind()
-					if attr, err := A.Stat(p, ctxA, "/d/nope"); err != nil || attr.Mode != 0640 {
-						t.Errorf("negative dentry survived create inside shipping window: %v, %v", attr, err)
-					}
-				})
 				if delay >= 10*time.Millisecond && lagged == 0 {
 					t.Errorf("the standby never trailed a mutation at delay %v: the window is vacuous", delay)
-				}
-
-				// Drain the shipping pipeline, then read the whole namespace
-				// from a node with a cold cache: these reads reach the wire
-				// and must equal the primary's authoritative state.
-				tb.Run()
-				core.Drained(tb, "verify-after-drain", func(p *sim.Proc) {
-					if attr, err := C.Stat(p, ctxC, "/d/chmod"); err != nil || attr.Mode != 0600 {
-						t.Errorf("cold read after drain: wrong mode %o, %v", attr.Mode, err)
-					}
-					if _, err := C.Stat(p, ctxC, "/d/remove"); err != vfs.ErrNotExist {
-						t.Errorf("cold read after drain resolves removed file: %v", err)
-					}
-					if attr, err := C.Stat(p, ctxC, "/d/renamed"); err != nil || attr.Mode != 0644 {
-						t.Errorf("cold read after drain misses renamed-in name: %v, %v", attr, err)
-					}
-					if attr, err := C.Stat(p, ctxC, "/d/nope"); err != nil || attr.Mode != 0640 {
-						t.Errorf("cold read after drain misses created file: %v, %v", attr, err)
-					}
-					ents, err := C.Readdir(p, ctxC, "/d")
-					if err != nil || len(ents) != 4 {
-						t.Errorf("cold readdir after drain: %d entries, %v (want 4)", len(ents), err)
-					}
-				})
-				standbyMirrors(t, d, sb)
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				if err := d.CheckCacheCoherence(tb.Env.Now()); err != nil {
-					t.Fatal(err)
 				}
 			})
 		}
@@ -182,13 +120,7 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 		delay := delay
 		t.Run(fmt.Sprintf("delay-%s", delay), func(t *testing.T) {
 			tb, d, sb := standbyReadsRig(t, 2000+int64(delay/time.Millisecond), 2, delay)
-			core.Drained(tb, "setup", func(p *sim.Proc) {
-				for _, dir := range []string{"/w", "/v"} {
-					if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), dir, 0777); err != nil {
-						t.Error(err)
-					}
-				}
-			})
+			core.Play(t, tb, d, core.Mkdir(0, "/w", 0777), core.Mkdir(0, "/v", 0777))
 			name := func(i int) string {
 				if i%2 == 0 {
 					return fmt.Sprintf("/w/n%d", i%4)
@@ -252,31 +184,14 @@ func TestStandbyReadsUnderConcurrency(t *testing.T) {
 // possibly rolled-back — state, never the pre-crash one.
 func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 	tb, d, sb := standbyReadsRig(t, 3000, 2, 5*time.Millisecond)
-	A, C := d.Mounts[0], d.Mounts[2]
-	ctxA, ctxC := cluster.Ctx(0, 1), cluster.Ctx(2, 1)
-
-	core.Drained(tb, "build", func(p *sim.Proc) {
-		if err := A.Mkdir(p, ctxA, "/out", 0777); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 30; i++ {
-			f, err := A.Create(p, ctxA, fmt.Sprintf("/out/f%02d", i), 0644)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.WriteAt(p, 0, 1024)
-			f.Close(p)
-		}
-	})
+	core.Play(t, tb, d, core.Dir(0, "/out", 0777, 30, "f%02d", 1024)...)
 
 	// Listers on two nodes race the crash and the replay: a listing may
 	// find the plane down (a crashed shard answers ErrNotExist until its
 	// log is replayed), but one that returns entries must return all 30,
 	// with attributes — the tables vanish and reappear between listings,
 	// never under one.
-	out := inoOf(t, tb, d, "/out")
+	out := core.Ino(t, tb, d, "/out")
 	recovered := false
 	whole, down := 0, 0
 	for k := 0; k < 8; k++ {
@@ -306,32 +221,10 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 
 	// The namespace the recovered primary serves is the oracle; the
 	// cold-cache node must read exactly it.
-	var oracle []vfs.DirEntry
-	core.Drained(tb, "oracle", func(p *sim.Proc) {
-		ents, err := A.Readdir(p, ctxA, "/out")
-		if err != nil {
-			t.Errorf("readdir after recovery: %v", err)
-			return
-		}
-		oracle = ents
-	})
-	tb.Run() // resync rebuild drains
-	core.Drained(tb, "verify", func(p *sim.Proc) {
-		ents, err := C.Readdir(p, ctxC, "/out")
-		if err != nil {
-			t.Errorf("cold readdir after recovery: %v", err)
-			return
-		}
-		if fmt.Sprint(ents) != fmt.Sprint(oracle) {
-			t.Errorf("recovered namespace diverges:\n oracle: %v\n read:   %v", oracle, ents)
-		}
-		for _, e := range ents {
-			attr, err := C.Stat(p, ctxC, "/out/"+e.Name)
-			if err != nil || attr.Ino != e.Ino {
-				t.Errorf("stat %s after recovery: %+v, %v", e.Name, attr, err)
-			}
-		}
-	})
+	oracle := core.View(t, tb, d, 0, "/out")
+	if read := core.View(t, tb, d, 2, "/out"); read != oracle {
+		t.Errorf("recovered namespace diverges:\n oracle: %s\n read:   %s", oracle, read)
+	}
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,24 +238,8 @@ func TestStandbyReadsAcrossPrimaryCrash(t *testing.T) {
 // shape.
 func TestStandbyReadsAcrossReshard(t *testing.T) {
 	tb, d, sb := standbyReadsRig(t, 4000, 2, time.Millisecond)
-	A, C := d.Mounts[0], d.Mounts[2]
-	ctxA := cluster.Ctx(0, 1)
-
-	core.Drained(tb, "build", func(p *sim.Proc) {
-		if err := A.Mkdir(p, ctxA, "/out", 0777); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 40; i++ {
-			f, err := A.Create(p, ctxA, fmt.Sprintf("/out/f%02d", i), 0644)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.Close(p)
-		}
-	})
-
+	core.Play(t, tb, d, core.Dir(0, "/out", 0777, 40, "f%02d", 0)...)
+	C := d.Mounts[2]
 	for pid := 1; pid <= 3; pid++ {
 		pid := pid
 		tb.Env.Spawn("reader", func(p *sim.Proc) {
@@ -386,15 +263,15 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 	if got := len(sb.Replicas); got != 4 {
 		t.Fatalf("standby has %d replicas after grow, want 4", got)
 	}
-	core.Drained(tb, "verify-settled", func(p *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			name := fmt.Sprintf("/out/f%02d", i)
-			attr, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 9), name)
-			if err != nil || attr.Mode != 0644 {
-				t.Errorf("read %s after settle: %+v, %v", name, attr, err)
-			}
+	names := make([]string, 40)
+	for i := range names {
+		names[i] = fmt.Sprintf("/out/f%02d", i)
+	}
+	for i, attr := range core.Attrs(t, tb, d, 1, names...) {
+		if attr.Mode != 0644 {
+			t.Errorf("read %s after settle: %+v", names[i], attr)
 		}
-	})
+	}
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,37 +284,19 @@ func TestStandbyReadsAcrossReshard(t *testing.T) {
 // is ever partial.
 func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	tb, d, sb := standbyReadsRig(t, 5000, 2, time.Millisecond)
-	A, C := d.Mounts[0], d.Mounts[2]
-	ctxA, ctxC := cluster.Ctx(0, 1), cluster.Ctx(2, 1)
-
-	core.Drained(tb, "build", func(p *sim.Proc) {
-		if err := A.Mkdir(p, ctxA, "/out", 0777); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 20; i++ {
-			f, err := A.Create(p, ctxA, fmt.Sprintf("/out/f%02d", i), 0644)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.Close(p)
-		}
-	})
-	core.Drained(tb, "serve", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			if _, err := C.Stat(p, ctxC, fmt.Sprintf("/out/f%02d", i)); err != nil {
-				t.Errorf("pre-failover read: %v", err)
-			}
-		}
-	})
+	core.Play(t, tb, d, core.Dir(0, "/out", 0777, 20, "f%02d", 0)...)
+	reads := make([]trace.Op, 20)
+	for i := range reads {
+		reads[i] = core.Stat(2, fmt.Sprintf("/out/f%02d", i))
+	}
+	core.Play(t, tb, d, reads...)
 	standbyMirrors(t, d, sb)
 
 	// The failover happens under listers: requests in flight across the
 	// switch finish on the dead plane (whole if they already took their
 	// snapshot, ErrNotExist if they arrive after the crash), later ones
 	// on the promoted plane — and no listing is ever partial.
-	out := inoOf(t, tb, d, "/out")
+	out := core.Ino(t, tb, d, "/out")
 	promoted := false
 	before, after := 0, 0
 	for _, n := range []int{0, 1} {
@@ -465,19 +324,7 @@ func TestStandbyPromoteWhileServingReads(t *testing.T) {
 	if before == 0 || after == 0 {
 		t.Fatalf("%d whole listings before the failover, %d after: the listers did not straddle it", before, after)
 	}
-	core.Drained(tb, "after-promote", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			if _, err := C.Stat(p, ctxC, fmt.Sprintf("/out/f%02d", i)); err != nil {
-				t.Errorf("post-promote read: %v", err)
-			}
-		}
-		f, err := C.Create(p, ctxC, "/out/post", 0644)
-		if err != nil {
-			t.Errorf("post-promote create: %v", err)
-		} else {
-			f.Close(p)
-		}
-	})
+	core.Play(t, tb, d, append(reads, core.Create(2, "/out/post", 0644))...)
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

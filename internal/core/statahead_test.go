@@ -8,6 +8,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -35,20 +36,23 @@ func lsRig(t *testing.T, seed int64, tweak func(*params.Config)) (*cluster.Testb
 	return tb, d
 }
 
-// lsL is one `ls -l` of /d from node 1 by process pid: the listing, then
-// a stat of the first `stats` entries in listing order.
-func lsL(t *testing.T, p *sim.Proc, d *Deployment, pid, stats int) {
+// lsL is one `ls -l` of /d from node 1 by process pid, as one drained
+// phase: the listing, then a stat of the first `stats` entries in
+// listing order.
+func lsL(t *testing.T, tb *cluster.Testbed, d *Deployment, pid, stats int) {
 	t.Helper()
-	m, ctx := d.Mounts[1], cluster.Ctx(1, pid)
-	ents, err := m.Readdir(p, ctx, "/d")
-	if err != nil || len(ents) != lsFiles {
-		t.Fatalf("readdir: %d entries, %v", len(ents), err)
-	}
-	for _, e := range ents[:stats] {
-		if _, err := m.Stat(p, ctx, "/d/"+e.Name); err != nil {
-			t.Fatalf("stat %s: %v", e.Name, err)
+	Drained(tb, "ls", func(p *sim.Proc) {
+		m, ctx := d.Mounts[1], cluster.Ctx(1, pid)
+		ents, err := m.Readdir(p, ctx, "/d")
+		if err != nil || len(ents) != lsFiles {
+			t.Fatalf("readdir: %d entries, %v", len(ents), err)
 		}
-	}
+		for _, e := range ents[:stats] {
+			if _, err := m.Stat(p, ctx, "/d/"+e.Name); err != nil {
+				t.Fatalf("stat %s: %v", e.Name, err)
+			}
+		}
+	})
 }
 
 // tally is what one step cost: service requests by kind, the
@@ -94,10 +98,11 @@ func (lt *leaseTable) holderCount(head int32) int {
 	return n
 }
 
-// since runs fn drained and returns what it added to every counter.
-func since(tb *cluster.Testbed, d *Deployment, fn func(p *sim.Proc)) tally {
+// since runs step's phases and returns what they added to every
+// counter.
+func since(d *Deployment, step func()) tally {
 	a := snapshot(d)
-	Drained(tb, "step", fn)
+	step()
 	b := snapshot(d)
 	return tally{
 		requests: b.requests - a.requests, getattrs: b.getattrs - a.getattrs, lookups: b.lookups - a.lookups,
@@ -108,21 +113,15 @@ func since(tb *cluster.Testbed, d *Deployment, fn func(p *sim.Proc)) tally {
 
 func TestNamesOnlyListingInstallsNothing(t *testing.T) {
 	tb, d := lsRig(t, 1, Leases)
-	Drained(tb, "more-types", func(p *sim.Proc) {
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		if err := m.Mkdir(p, ctx, "/d/sub", 0755); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Symlink(p, ctx, "f0", "/d/sym"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	Play(t, tb, d, Mkdir(0, "/d/sub", 0755), Op(0, trace.Symlink, "f0", "/d/sym"))
 	var ents []vfs.DirEntry
-	got := since(tb, d, func(p *sim.Proc) {
-		var err error
-		if ents, err = d.Mounts[1].Readdir(p, cluster.Ctx(1, 1), "/d"); err != nil {
-			t.Fatal(err)
-		}
+	got := since(d, func() {
+		Drained(tb, "list", func(p *sim.Proc) {
+			var err error
+			if ents, err = d.Mounts[1].Readdir(p, cluster.Ctx(1, 1), "/d"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if want := (tally{requests: 1}); got != want {
 		t.Fatalf("a names-only listing cost %+v, want %+v", got, want)
@@ -160,7 +159,7 @@ func TestStataheadLsL(t *testing.T) {
 		// entry, plus the listing itself, which rides the lease node 1
 		// already holds on /d.
 		const installs = 2*lsFiles + 1
-		cold := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+		cold := since(d, func() { lsL(t, tb, d, 1, lsFiles) })
 		// The cold pass's names-only listing is installed too, on the
 		// same lease, and so is the first entry's attribute, which the
 		// plus listing re-grants: two installs more, and no lease-table
@@ -170,7 +169,7 @@ func TestStataheadLsL(t *testing.T) {
 			t.Fatalf("cold ls -l cost %+v, want %+v", cold, want)
 		}
 		for pass := 2; pass <= 3; pass++ {
-			again := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+			again := since(d, func() { lsL(t, tb, d, 1, lsFiles) })
 			// Re-granting a held lease adds nothing to the lease table.
 			want := tally{requests: 1, plus: 1, installs: installs}
 			if again != want {
@@ -186,20 +185,16 @@ func TestStataheadLsL(t *testing.T) {
 // installed serves without a round trip.
 func TestStataheadAdviceIsConsumed(t *testing.T) {
 	tb, d := lsRig(t, 3, Leases)
-	Drained(tb, "advise", func(p *sim.Proc) { lsL(t, p, d, 1, 2) })
-	plus := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	lsL(t, tb, d, 1, 2)
+	plus := since(d, func() { lsL(t, tb, d, 1, 0) })
 	// 2 N entry leases plus the listing, riding node 1's lease on /d.
 	if want := (tally{requests: 1, plus: 1, installs: 2*lsFiles + 1}); plus != want {
 		t.Fatalf("advised listing cost %+v, want %+v", plus, want)
 	}
 	// The process's next stat is not of the first entry: nothing earned.
-	Drained(tb, "stat-other", func(p *sim.Proc) {
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), fmt.Sprintf("/d/f%d", lsFiles-1)); err != nil {
-			t.Fatal(err)
-		}
-	})
+	Play(t, tb, d, Stat(1, fmt.Sprintf("/d/f%d", lsFiles-1)))
 	// Nothing changed /d since: the cached listing serves it.
-	plain := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	plain := since(d, func() { lsL(t, tb, d, 1, 0) })
 	if want := (tally{hits: 1}); plain != want {
 		t.Fatalf("listing after unclaimed advice cost %+v, want %+v", plain, want)
 	}
@@ -215,25 +210,19 @@ func TestStataheadAdviceIsConsumed(t *testing.T) {
 // listing.
 func TestStataheadIsPerProcess(t *testing.T) {
 	tb, d := lsRig(t, 4, Leases)
-	Drained(tb, "pid1-lists", func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
-	sweep := func(pid int) func(p *sim.Proc) {
-		return func(p *sim.Proc) {
-			for _, name := range []string{"/d/f0", "/d/f1"} {
-				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, pid), name); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	lsL(t, tb, d, 1, 0)
+	sweep := func(pid int) func() {
+		return func() { Play(t, tb, d, By(pid, Stat(1, "/d/f0")), By(pid, Stat(1, "/d/f1"))) }
 	}
-	other := since(tb, d, sweep(2))
+	other := since(d, sweep(2))
 	if want := (tally{requests: 2, getattrs: 2, installs: 2, leases: 2}); other != want {
 		t.Fatalf("another process's two stats cost %+v, want two plain getattrs %+v", other, want)
 	}
-	own := since(tb, d, sweep(1))
+	own := since(d, sweep(1))
 	if want := (tally{}); own != want {
 		t.Fatalf("the lister's cached two-entry sweep cost %+v, want nothing", own)
 	}
-	next := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	next := since(d, func() { lsL(t, tb, d, 1, 0) })
 	if next.plus != 1 || next.stataheads != 0 || next.requests != 1 {
 		t.Fatalf("listing after a cached two-entry sweep cost %+v, want one plus listing", next)
 	}
@@ -247,17 +236,9 @@ func TestStataheadIsPerProcess(t *testing.T) {
 func TestStataheadOnePerDirectory(t *testing.T) {
 	tb, d := lsRig(t, 8, Leases)
 	for pid := 1; pid <= 2; pid++ {
-		Drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, pid, 1) })
+		lsL(t, tb, d, pid, 1)
 	}
-	got := since(tb, d, func(p *sim.Proc) {
-		for pid := 1; pid <= 2; pid++ {
-			tb.Env.Spawn("stat", func(p *sim.Proc) {
-				if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, pid), "/d/f1"); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	})
+	got := since(d, func() { Play(t, tb, d, Stat(1, "/d/f1"), By(2, Stat(1, "/d/f1"))) })
 	// The first entry's attribute lease is node 1's already, from the
 	// first process's getattr; the plus listing re-grants it.
 	if want := (tally{requests: 1, plus: 1, stataheads: 1, installs: 2*lsFiles + 1, leases: 2*lsFiles - 1}); got != want {
@@ -275,17 +256,9 @@ func TestStataheadOnePerDirectory(t *testing.T) {
 // single RPC reports the truth.
 func TestStataheadFirstEntryUnlinked(t *testing.T) {
 	tb, d := lsRig(t, 5, Leases)
-	Drained(tb, "list", func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
-	Drained(tb, "unlink", func(p *sim.Proc) {
-		if err := d.Mounts[0].Unlink(p, cluster.Ctx(0, 1), "/d/f1"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	got := since(tb, d, func(p *sim.Proc) {
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/d/f1"); err != vfs.ErrNotExist {
-			t.Fatalf("stat of the unlinked second entry: %v, want ErrNotExist", err)
-		}
-	})
+	lsL(t, tb, d, 1, 1)
+	Play(t, tb, d, Op(0, trace.Unlink, "/d/f1", ""))
+	got := since(d, func() { Expect(t, tb, d, vfs.ErrNotExist, Stat(1, "/d/f1")) })
 	if got.stataheads != 1 || got.plus != 1 || got.getattrs != 1 {
 		t.Fatalf("stat of the unlinked second entry cost %+v, want one statahead and one getattr", got)
 	}
@@ -301,26 +274,24 @@ func TestStataheadFirstEntryUnlinked(t *testing.T) {
 // other entry recalls nothing from the lister.
 func TestStataheadLoneFirstStat(t *testing.T) {
 	tb, d := lsRig(t, 9, Leases)
-	got := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 1) })
+	got := since(d, func() { lsL(t, tb, d, 1, 1) })
 	// The names-only listing rides node 1's lease on /d; the getattr
 	// installs and leases the one attribute.
 	if want := (tally{requests: 2, getattrs: 1, installs: 2, leases: 1}); got != want {
 		t.Fatalf("listing plus a lone first-entry stat cost %+v, want %+v", got, want)
 	}
-	mutate := since(tb, d, func(p *sim.Proc) {
-		for i := 1; i < lsFiles; i++ {
-			if _, err := d.Mounts[0].Chmod(p, cluster.Ctx(0, 1), fmt.Sprintf("/d/f%d", i), 0600); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
+	var chmods []trace.Op
+	for i := 1; i < lsFiles; i++ {
+		chmods = append(chmods, Chmod(0, fmt.Sprintf("/d/f%d", i), 0600))
+	}
+	mutate := since(d, func() { Play(t, tb, d, chmods...) })
 	// Node 1 leases f0 alone, which no chmod touches: nothing to recall.
 	if want := (tally{requests: lsFiles - 1}); mutate != want {
 		t.Fatalf("chmods from node 0 cost %+v, want %+v: no recall from the lister", mutate, want)
 	}
 	// Nothing was advised: the next listing is names-only again, served
 	// from the listing node 1 cached.
-	next := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, 0) })
+	next := since(d, func() { lsL(t, tb, d, 1, 0) })
 	if want := (tally{hits: 1}); next != want {
 		t.Fatalf("listing after a lone first-entry stat cost %+v, want %+v", next, want)
 	}
@@ -334,17 +305,11 @@ func TestStataheadNeedsListingOrder(t *testing.T) {
 	tb, d := lsRig(t, 10, Leases)
 	for i, order := range [][]string{{"f0", "f2", "f1"}, {"f1", "f0", "f2"}} {
 		pid := i + 1
-		got := since(tb, d, func(p *sim.Proc) {
-			m, ctx := d.Mounts[1], cluster.Ctx(1, pid)
-			if _, err := m.Readdir(p, ctx, "/d"); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range order {
-				if _, err := m.Stat(p, ctx, "/d/"+name); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		ops := []trace.Op{By(pid, Op(1, trace.Readdir, "/d", ""))}
+		for _, name := range order {
+			ops = append(ops, By(pid, Stat(1, "/d/"+name)))
+		}
+		got := since(d, func() { Play(t, tb, d, ops...) })
 		if got.plus != 0 || got.stataheads != 0 || d.FSs[1].advised.Len() != 0 {
 			t.Fatalf("stats in order %v cost %+v with %d directories advised, want no plus listing", order, got, d.FSs[1].advised.Len())
 		}
@@ -356,28 +321,18 @@ func TestStataheadNeedsListingOrder(t *testing.T) {
 // one plain getattr and the next listing stays names-only.
 func TestStataheadSingleEntryListing(t *testing.T) {
 	tb, d := lsRig(t, 11, Leases)
-	Drained(tb, "fill", func(p *sim.Proc) {
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		if err := m.Mkdir(p, ctx, "/e", 0777); err != nil {
-			t.Fatal(err)
-		}
-		f, err := m.Create(p, ctx, "/e/only", 0644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Close(p)
-		if _, err := d.Mounts[1].Stat(p, cluster.Ctx(1, 1), "/e"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
-	got := since(tb, d, func(p *sim.Proc) {
-		if ents, err := m.Readdir(p, ctx, "/e"); err != nil || len(ents) != 1 {
-			t.Fatalf("readdir: %d entries, %v", len(ents), err)
-		}
-		if _, err := m.Stat(p, ctx, "/e/only"); err != nil {
-			t.Fatal(err)
-		}
+	Play(t, tb, d, Mkdir(0, "/e", 0777), Create(0, "/e/only", 0644))
+	Play(t, tb, d, Stat(1, "/e"))
+	got := since(d, func() {
+		Drained(tb, "list-and-stat", func(p *sim.Proc) {
+			m, ctx := d.Mounts[1], cluster.Ctx(1, 1)
+			if ents, err := m.Readdir(p, ctx, "/e"); err != nil || len(ents) != 1 {
+				t.Fatalf("readdir: %d entries, %v", len(ents), err)
+			}
+			if _, err := m.Stat(p, ctx, "/e/only"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if want := (tally{requests: 2, getattrs: 1, installs: 2, leases: 1}); got != want {
 		t.Fatalf("one-entry listing and stat cost %+v, want %+v", got, want)
@@ -385,11 +340,7 @@ func TestStataheadSingleEntryListing(t *testing.T) {
 	if n := len(d.FSs[1].listed); n != 0 {
 		t.Fatalf("%d listings remembered, want none", n)
 	}
-	next := since(tb, d, func(p *sim.Proc) {
-		if _, err := m.Readdir(p, ctx, "/e"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	next := since(d, func() { Play(t, tb, d, Op(1, trace.Readdir, "/e", "")) })
 	if want := (tally{hits: 1}); next != want {
 		t.Fatalf("listing after the stat cost %+v, want %+v", next, want)
 	}
@@ -401,7 +352,7 @@ func TestStataheadSingleEntryListing(t *testing.T) {
 func TestStataheadNeedsACache(t *testing.T) {
 	tb, d := lsRig(t, 6, func(*params.Config) {})
 	for pass := 1; pass <= 2; pass++ {
-		got := since(tb, d, func(p *sim.Proc) { lsL(t, p, d, 1, lsFiles) })
+		got := since(d, func() { lsL(t, tb, d, 1, lsFiles) })
 		if want := (tally{requests: 1 + lsFiles, getattrs: lsFiles}); got != want {
 			t.Fatalf("ls -l pass %d without a cache cost %+v, want %+v", pass, got, want)
 		}
@@ -424,29 +375,14 @@ func TestStandbyNamesOnlyListing(t *testing.T) {
 			tb, d := Rig(t, 7, 2, Shards(shards))
 			sb := DeployStandby(tb, d, 10*time.Millisecond)
 			tb.Run()
-			m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 			const subdirs = 6
-			var dir vfs.Ino
-			Drained(tb, "fill", func(p *sim.Proc) {
-				if err := m.Mkdir(p, ctx, "/d", 0777); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < subdirs; i++ {
-					if err := m.Mkdir(p, ctx, fmt.Sprintf("/d/sub%d", i), 0755); err != nil {
-						t.Fatal(err)
-					}
-				}
-				f, err := m.Create(p, ctx, "/d/f", 0644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Close(p)
-				attr, err := m.Stat(p, ctx, "/d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				dir = attr.Ino
-			})
+			fill := []trace.Op{Mkdir(0, "/d", 0777)}
+			for i := 0; i < subdirs; i++ {
+				fill = append(fill, Mkdir(0, fmt.Sprintf("/d/sub%d", i), 0755))
+			}
+			Play(t, tb, d, append(fill, Create(0, "/d/f", 0644))...)
+			dir := Ino(t, tb, d, "/d")
+			m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 			foreign := 0
 			for _, s := range d.Service.Shards() {
 				s.dentries.Each(func(k dentryKey, de dentryRow) {

@@ -19,8 +19,8 @@ import (
 // shard's store.
 
 // storeWorkload is the mixed mutate/stat/readdir workload the
-// cost-identity comparison runs (same shape as the dormant-reshard
-// pin, so a drift in either knob shows up the same way).
+// cost-identity comparison and the dormant-reshard pin
+// (TestReshardDormantCostIdentical) run.
 func storeWorkload(t *testing.T, store string, shards int) (time.Duration, int64) {
 	t.Helper()
 	tb, d := core.Rig(t, 42, 2, core.Shards(shards), func(c *params.Config) { c.COFS.MetadataStore = store })
@@ -107,12 +107,8 @@ func TestReaddirOffTheTransactionMutex(t *testing.T) {
 	const entries = 512
 	tb, d := core.Rig(t, 21, 3)
 	svc := d.Service
-	core.Drained(tb, "mkdir", func(p *sim.Proc) {
-		if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/big", 0777); err != nil {
-			t.Error(err)
-		}
-	})
-	big := inoOf(t, tb, d, "/big")
+	core.Play(t, tb, d, core.Mkdir(0, "/big", 0777))
+	big := core.Ino(t, tb, d, "/big")
 	core.Drained(tb, "build", func(p *sim.Proc) {
 		ctx := cluster.Ctx(0, 1)
 		for i := 0; i < entries; i++ {

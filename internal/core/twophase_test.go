@@ -10,7 +10,7 @@ import (
 	"cofs/internal/lock"
 	"cofs/internal/params"
 	"cofs/internal/sim"
-	"cofs/internal/stats"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -29,18 +29,11 @@ import (
 //     match an absolute pin, so uncontended lock acquisition charges
 //     nothing.
 
-// raceOffsets is the sweep of start delays for the second mutation of
-// each replay: 0 to 3ms in 150µs steps, densely covering the first
-// mutation's validate→commit window (a cross-shard rename spends a few
-// hundred µs to low ms between its validation reads and its last
-// commit, depending on queueing).
-func raceOffsets() []time.Duration {
-	var out []time.Duration
-	for d := time.Duration(0); d <= 3*time.Millisecond; d += 150 * time.Microsecond {
-		out = append(out, d)
-	}
-	return out
-}
+// Each replay sweeps the second mutation's start offset (core.Sweep)
+// from 0 to 3 ms in 150µs steps, densely covering the first mutation's
+// validate→commit window (a cross-shard rename spends a few hundred µs
+// to low ms between its validation reads and its last commit, depending
+// on queueing).
 
 // TestRenameRenameRaceInterleaving replays two concurrent renames of
 // different sources onto the same destination name. Unlocked, both
@@ -50,66 +43,25 @@ func raceOffsets() []time.Duration {
 // the destination dentry's lock serializes the two renames: the loser
 // sees the winner's entry and replaces it properly.
 func TestRenameRenameRaceInterleaving(t *testing.T) {
-	type outcome struct {
-		invErr   error
-		zOK      bool // /c/z resolves
-		srcsGone bool // /a/x and /b/y both ENOENT
-		counters *stats.Counters
-	}
-	run := func(delta time.Duration) outcome {
-		tb, d := core.Rig(t, 31, 2, core.Shards(2), core.NoKernelEntries)
-		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		core.Drained(tb, "setup", func(p *sim.Proc) {
-			for _, dir := range []string{"/a", "/b", "/c"} {
-				if err := d.Mounts[0].Mkdir(p, ctx0, dir, 0777); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, file := range []string{"/a/x", "/b/y"} {
-				f, err := d.Mounts[0].Create(p, ctx0, file, 0644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Close(p)
-			}
-		})
-		tb.Env.Spawn("renameA", func(p *sim.Proc) {
-			d.Mounts[0].Rename(p, ctx0, "/a/x", "/c/z")
-		})
-		tb.Env.SpawnAfter("renameB", delta, func(p *sim.Proc) {
-			d.Mounts[1].Rename(p, ctx1, "/b/y", "/c/z")
-		})
-		tb.Run()
-		var out outcome
-		out.invErr = d.Service.CheckInvariants()
-		core.Drained(tb, "verify", func(p *sim.Proc) {
-			_, zErr := d.Mounts[0].Stat(p, ctx0, "/c/z")
-			_, xErr := d.Mounts[0].Stat(p, ctx0, "/a/x")
-			_, yErr := d.Mounts[0].Stat(p, ctx0, "/b/y")
-			out.zOK = zErr == nil
-			out.srcsGone = xErr == vfs.ErrNotExist && yErr == vfs.ErrNotExist
-		})
-		out.counters = d.Counters()
-		return out
-	}
-
 	var conflicts int64
-	for _, delta := range raceOffsets() {
-		out := run(delta)
-		if out.invErr != nil {
-			t.Fatalf("offset %v: lock-ordered protocol broke invariants: %v", delta, out.invErr)
+	core.Sweep(t, 150*time.Microsecond, func(delta time.Duration) {
+		tb, d := core.Rig(t, 31, 2, core.Shards(2), core.NoKernelEntries)
+		core.Play(t, tb, d, core.Mkdir(0, "/a", 0777), core.Mkdir(0, "/b", 0777), core.Mkdir(0, "/c", 0777),
+			core.Create(0, "/a/x", 0644), core.Create(0, "/b/y", 0644))
+		core.Race(tb, d, core.Op(0, trace.Rename, "/a/x", "/c/z"), core.At(delta, core.Op(1, trace.Rename, "/b/y", "/c/z")))
+		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatalf("lock-ordered protocol broke invariants: %v", err)
 		}
 		// Either serial order moves both sources and leaves exactly one
 		// of the two files at the destination.
-		if !out.zOK || !out.srcsGone {
-			t.Fatalf("offset %v: final namespace is not a serial outcome: z=%v srcsGone=%v",
-				delta, out.zOK, out.srcsGone)
+		core.Play(t, tb, d, core.Stat(0, "/c/z"))
+		core.Expect(t, tb, d, vfs.ErrNotExist, core.Stat(0, "/a/x"), core.Stat(0, "/b/y"))
+		c := d.Counters()
+		conflicts += c.Get("mds.lock-conflicts")
+		if c.Get("mds.lock-acquires") == 0 {
+			t.Fatal("no row locks were taken")
 		}
-		conflicts += out.counters.Get("mds.lock-conflicts")
-		if out.counters.Get("mds.lock-acquires") == 0 {
-			t.Fatalf("offset %v: no row locks were taken", delta)
-		}
-	}
+	})
 	if conflicts == 0 {
 		t.Fatal("no offset made the renames contend a row lock: the replay no longer overlaps them")
 	}
@@ -125,53 +77,21 @@ func TestRenameRenameRaceInterleaving(t *testing.T) {
 // other name keeps a live inode with nlink=1 in either serial order.
 func TestRenameRemoveRaceInterleaving(t *testing.T) {
 	var conflicts int64
-	run := func(delta time.Duration) (nlink int, statErr error, invErr error) {
+	core.Sweep(t, 150*time.Microsecond, func(delta time.Duration) {
 		tb, d := core.Rig(t, 33, 2, core.Shards(2), core.NoKernelEntries)
-		ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-		core.Drained(tb, "setup", func(p *sim.Proc) {
-			for _, dir := range []string{"/a", "/c", "/d"} {
-				if err := d.Mounts[0].Mkdir(p, ctx0, dir, 0777); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, file := range []string{"/a/x", "/c/z"} {
-				f, err := d.Mounts[0].Create(p, ctx0, file, 0644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Close(p)
-			}
-			// The replaced target is reachable under a second name, so a
-			// double unlink of it strands /d/w on a dead inode.
-			if err := d.Mounts[0].Link(p, ctx0, "/c/z", "/d/w"); err != nil {
-				t.Fatal(err)
-			}
-		})
-		tb.Env.Spawn("rename", func(p *sim.Proc) {
-			d.Mounts[0].Rename(p, ctx0, "/a/x", "/c/z")
-		})
-		tb.Env.SpawnAfter("remove", delta, func(p *sim.Proc) {
-			d.Mounts[1].Unlink(p, ctx1, "/c/z")
-		})
-		tb.Run()
-		invErr = d.Service.CheckInvariants()
-		core.Drained(tb, "verify", func(p *sim.Proc) {
-			attr, err := d.Mounts[0].Stat(p, ctx0, "/d/w")
-			nlink, statErr = attr.Nlink, err
-		})
+		// The replaced target is reachable under a second name, so a
+		// double unlink of it strands /d/w on a dead inode.
+		core.Play(t, tb, d, core.Mkdir(0, "/a", 0777), core.Mkdir(0, "/c", 0777), core.Mkdir(0, "/d", 0777),
+			core.Create(0, "/a/x", 0644), core.Create(0, "/c/z", 0644), core.Op(0, trace.Link, "/c/z", "/d/w"))
+		core.Race(tb, d, core.Op(0, trace.Rename, "/a/x", "/c/z"), core.At(delta, core.Op(1, trace.Unlink, "/c/z", "")))
+		if err := d.Service.CheckInvariants(); err != nil {
+			t.Fatalf("lock-ordered protocol broke invariants: %v", err)
+		}
+		if w := core.Attrs(t, tb, d, 0, "/d/w")[0]; w.Nlink != 1 {
+			t.Fatalf("surviving hard link wrong: nlink=%d", w.Nlink)
+		}
 		conflicts += d.Counters().Get("mds.lock-conflicts")
-		return nlink, statErr, invErr
-	}
-
-	for _, delta := range raceOffsets() {
-		nlink, statErr, invErr := run(delta)
-		if invErr != nil {
-			t.Fatalf("offset %v: lock-ordered protocol broke invariants: %v", delta, invErr)
-		}
-		if statErr != nil || nlink != 1 {
-			t.Fatalf("offset %v: surviving hard link wrong: nlink=%d, %v", delta, nlink, statErr)
-		}
-	}
+	})
 	if conflicts == 0 {
 		t.Fatal("no offset made the rename and the remove contend a row lock: the replay no longer overlaps them")
 	}
@@ -189,64 +109,38 @@ func TestRenameRemoveRaceInterleaving(t *testing.T) {
 // regime where group-commit overlap matters.
 func TestCreateCreateOverlapInterleaving(t *testing.T) {
 	overlapped := 0
-	for _, delta := range raceOffsets() {
+	core.Sweep(t, 150*time.Microsecond, func(delta time.Duration) {
 		tb, d := core.Rig(t, 37, 2, core.Shards(2), core.NoKernelEntries, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
-		ctx0 := cluster.Ctx(0, 1)
-		var parent vfs.Attr
-		core.Drained(tb, "setup", func(p *sim.Proc) {
-			if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
-				t.Fatal(err)
-			}
-			var err error
-			if parent, err = d.Mounts[0].Stat(p, ctx0, "/shared"); err != nil {
-				t.Fatal(err)
-			}
-		})
+		core.Play(t, tb, d, core.Mkdir(0, "/shared", 0777))
+		parent := core.Ino(t, tb, d, "/shared")
 		// Watch every grant of the parent's inode row: a second Shared
 		// holder beside the first is the overlap itself.
 		rl := d.Service.RowLocks()
 		both := false
 		rl.OnGrant = func(_ *sim.Proc, key lock.RowKey, mode lock.Mode) {
-			if key.Name == "" && key.ID == uint64(parent.Ino) && mode == lock.ModeShared {
+			if key.Name == "" && key.ID == uint64(parent) && mode == lock.ModeShared {
 				if sh, _ := rl.Holders(key); sh == 2 {
 					both = true
 				}
 			}
 		}
 		// Node i creates /shared/<name> i·delta after the start.
-		for i, name := range []string{"a", "b"} {
-			path := "/shared/" + name
-			tb.Env.SpawnAfter("create"+name, time.Duration(i)*delta, func(p *sim.Proc) {
-				f, err := d.Mounts[i].Create(p, cluster.Ctx(i, 1), path, 0644)
-				if err != nil {
-					t.Errorf("offset %v: create %s: %v", delta, path, err)
-					return
-				}
-				f.Close(p)
-			})
-		}
-		tb.Run()
+		core.Play(t, tb, d, core.Create(0, "/shared/a", 0644), core.At(delta, core.Create(1, "/shared/b", 0644)))
 		if err := d.Service.CheckInvariants(); err != nil {
-			t.Fatalf("offset %v: invariants: %v", delta, err)
+			t.Fatalf("invariants: %v", err)
 		}
-		core.Drained(tb, "verify", func(p *sim.Proc) {
-			for _, path := range []string{"/shared/a", "/shared/b"} {
-				if _, err := d.Mounts[0].Stat(p, ctx0, path); err != nil {
-					t.Fatalf("offset %v: lost create %s: %v", delta, path, err)
-				}
-			}
-		})
+		core.Play(t, tb, d, core.Stat(0, "/shared/a"), core.Stat(0, "/shared/b"))
 		c := d.Counters()
 		if n := c.Get("mds.lock-conflicts"); n != 0 {
-			t.Fatalf("offset %v: a create parked %d times: same-directory creates no longer overlap", delta, n)
+			t.Fatalf("a create parked %d times: same-directory creates no longer overlap", n)
 		}
 		if c.Get("mds.lock-shared") == 0 {
-			t.Fatalf("offset %v: no shared row locks were taken", delta)
+			t.Fatal("no shared row locks were taken")
 		}
 		if both {
 			overlapped++
 		}
-	}
+	})
 	if overlapped == 0 {
 		t.Fatal("at no offset did both creates hold the parent row at once: the replay no longer overlaps them")
 	}
@@ -263,29 +157,16 @@ func TestCreateCreateOverlapInterleaving(t *testing.T) {
 func TestCreateStormGroupCommitBatching(t *testing.T) {
 	const creates = 4
 	tb, d := core.Rig(t, 41, creates, core.Shards(2), core.NoKernelEntries, func(cfg *params.Config) { cfg.COFS.LogFlushInterval = 0 })
-	ctx0 := cluster.Ctx(0, 1)
-	core.Drained(tb, "setup", func(p *sim.Proc) {
-		if err := d.Mounts[0].Mkdir(p, ctx0, "/shared", 0777); err != nil {
-			t.Fatal(err)
-		}
-	})
+	core.Play(t, tb, d, core.Mkdir(0, "/shared", 0777))
 	var base int64
 	for _, s := range d.Service.Shards() {
 		base -= s.Disk.Syncs
 	}
-	for i := 0; i < creates; i++ {
-		i := i
-		tb.Env.SpawnAfter(fmt.Sprintf("create%d", i), time.Duration(i)*50*time.Microsecond, func(p *sim.Proc) {
-			ctx := cluster.Ctx(i, 1)
-			f, err := d.Mounts[i].Create(p, ctx, fmt.Sprintf("/shared/f%d", i), 0644)
-			if err != nil {
-				t.Errorf("create %d: %v", i, err)
-				return
-			}
-			f.Close(p)
-		})
+	storm := make([]trace.Op, creates)
+	for i := range storm {
+		storm[i] = core.At(time.Duration(i)*50*time.Microsecond, core.Create(i, fmt.Sprintf("/shared/f%d", i), 0644))
 	}
-	tb.Run()
+	core.Play(t, tb, d, storm...)
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,45 +200,18 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
 			tb, d := core.Rig(t, 55, 2, core.Shards(tc.shards), core.NoKernelEntries)
-			ctx := cluster.Ctx(0, 1)
-			core.Drained(tb, "workload", func(p *sim.Proc) {
-				m := d.Mounts[0]
-				// Directory creates spread across shards by DirTarget:
-				// some land remote (createRemoteDir), some local.
-				for i := 0; i < 6; i++ {
-					if err := m.MkdirAll(p, ctx, fmt.Sprintf("/t/d%d", i), 0777); err != nil {
-						t.Fatal(err)
-					}
-					f, err := m.Create(p, ctx, fmt.Sprintf("/t/d%d/f", i), 0644)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.Close(p)
-				}
-				// Cross-directory (and cross-shard) links, renames —
-				// plain and replacing — removes and rmdirs.
-				if err := m.Link(p, ctx, "/t/d0/f", "/t/d1/g"); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Rename(p, ctx, "/t/d2/f", "/t/d3/r"); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Rename(p, ctx, "/t/d4/f", "/t/d3/f"); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Unlink(p, ctx, "/t/d1/g"); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Unlink(p, ctx, "/t/d5/f"); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Rmdir(p, ctx, "/t/d5"); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m.Readdir(p, ctx, "/t"); err != nil {
-					t.Fatal(err)
-				}
-			})
+			// Directory creates spread across shards by DirTarget: some
+			// land remote (createRemoteDir), some local. Then
+			// cross-directory (and cross-shard) links, renames — plain
+			// and replacing — removes and rmdirs.
+			var ops []trace.Op
+			for i := 0; i < 6; i++ {
+				ops = append(ops, core.Mkdir(0, fmt.Sprintf("/t/d%d", i), 0777), core.Create(0, fmt.Sprintf("/t/d%d/f", i), 0644))
+			}
+			core.Play(t, tb, d, append(ops, core.Op(0, trace.Link, "/t/d0/f", "/t/d1/g"),
+				core.Op(0, trace.Rename, "/t/d2/f", "/t/d3/r"), core.Op(0, trace.Rename, "/t/d4/f", "/t/d3/f"),
+				core.Op(0, trace.Unlink, "/t/d1/g", ""), core.Op(0, trace.Unlink, "/t/d5/f", ""),
+				core.Op(0, trace.Rmdir, "/t/d5", ""), core.Op(0, trace.Readdir, "/t", ""))...)
 			c := d.Counters()
 			if c.Get("mds.lock-acquires") == 0 {
 				t.Fatal("workload took no row locks: it no longer exercises the lock layer")
@@ -390,12 +244,8 @@ func TestUnshardedRacesRestOnAtomicTransactions(t *testing.T) {
 		const procs = 16
 		tb, d := core.Rig(t, 43, 4, core.Shards(1), core.NoKernelEntries)
 		svc := d.Service
-		core.Drained(tb, "setup", func(p *sim.Proc) {
-			if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
-				t.Fatal(err)
-			}
-		})
-		parent := inoOf(t, tb, d, "/d")
+		core.Play(t, tb, d, core.Mkdir(0, "/d", 0777))
+		parent := core.Ino(t, tb, d, "/d")
 		var won vfs.Attr
 		wins, exists := 0, 0
 		for i := 0; i < procs; i++ {
@@ -417,59 +267,38 @@ func TestUnshardedRacesRestOnAtomicTransactions(t *testing.T) {
 		if wins != 1 || exists != procs-1 {
 			t.Fatalf("%d mkdirs of one name: %d succeeded, %d EEXIST", procs, wins, exists)
 		}
-		core.Drained(tb, "verify", func(p *sim.Proc) {
-			attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), "/d")
-			if err != nil || attr.Nlink != 3 || attr.Mtime != won.Mtime {
-				t.Errorf("parent after the race: nlink %d mtime %v (%v), want nlink 3 and the winner's instant %v",
-					attr.Nlink, attr.Mtime, err, won.Mtime)
-			}
-		})
-		if err := svc.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		if attr := core.Attrs(t, tb, d, 0, "/d")[0]; attr.Nlink != 3 || attr.Mtime != won.Mtime {
+			t.Errorf("parent after the race: nlink %d mtime %v, want nlink 3 and the winner's instant %v",
+				attr.Nlink, attr.Mtime, won.Mtime)
 		}
+		core.CheckPlane(t, tb, d, core.PlaneTables)
 	})
 
 	t.Run("RmdirVsCreate", func(t *testing.T) {
 		emptied, kept := 0, 0
 		for _, rmdirFirst := range []bool{true, false} {
-			for _, delta := range raceOffsets() {
+			core.Sweep(t, 150*time.Microsecond, func(delta time.Duration) {
 				tb, d := core.Rig(t, 47, 2, core.Shards(1), core.NoKernelEntries)
-				ctx0, ctx1 := cluster.Ctx(0, 1), cluster.Ctx(1, 1)
-				core.Drained(tb, "setup", func(p *sim.Proc) {
-					if err := d.Mounts[0].Mkdir(p, ctx0, "/d", 0777); err != nil {
-						t.Fatal(err)
-					}
-				})
+				core.Play(t, tb, d, core.Mkdir(0, "/d", 0777))
+				rmdir, create := core.Op(0, trace.Rmdir, "/d", ""), core.Create(1, "/d/f", 0644)
 				var rmErr, crErr error
-				rmdir := func(p *sim.Proc) { rmErr = d.Mounts[0].Rmdir(p, ctx0, "/d") }
-				create := func(p *sim.Proc) {
-					f, err := d.Mounts[1].Create(p, ctx1, "/d/f", 0644)
-					if crErr = err; err == nil {
-						f.Close(p)
-					}
+				if rmdirFirst {
+					errs := core.Race(tb, d, rmdir, core.At(delta, create))
+					rmErr, crErr = errs[0], errs[1]
+				} else {
+					errs := core.Race(tb, d, create, core.At(delta, rmdir))
+					crErr, rmErr = errs[0], errs[1]
 				}
-				first, second := rmdir, create
-				if !rmdirFirst {
-					first, second = create, rmdir
-				}
-				tb.Env.Spawn("first", first)
-				tb.Env.SpawnAfter("second", delta, second)
-				tb.Run()
 				switch {
 				case rmErr == nil && crErr == vfs.ErrNotExist:
 					emptied++
 				case rmErr == vfs.ErrNotEmpty && crErr == nil:
 					kept++
 				default:
-					t.Fatalf("rmdirFirst=%v offset %v: rmdir %v, create %v: not a serial outcome", rmdirFirst, delta, rmErr, crErr)
+					t.Fatalf("rmdirFirst=%v: rmdir %v, create %v: not a serial outcome", rmdirFirst, rmErr, crErr)
 				}
-				if err := d.Service.CheckInvariants(); err != nil {
-					t.Fatalf("rmdirFirst=%v offset %v: %v", rmdirFirst, delta, err)
-				}
-				if rep := runFsck(tb, d); !rep.OK() {
-					t.Fatalf("rmdirFirst=%v offset %v: fsck not clean:\n%s", rmdirFirst, delta, rep)
-				}
-			}
+				core.CheckPlane(t, tb, d, core.PlaneTables|core.PlaneFsck)
+			})
 		}
 		if emptied == 0 || kept == 0 {
 			t.Fatalf("%d races removed the directory and %d kept it: the sweep no longer covers both orders", emptied, kept)

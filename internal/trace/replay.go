@@ -312,7 +312,7 @@ func play(t Target, streams []stream, timed, failFast, prologue bool, done func(
 					}
 				}
 				t0 := p.Now()
-				err := replayOp(p, m, ctx, op)
+				err := Do(p, m, ctx, op)
 				done(op, p.Now()-t0, err)
 				if err != nil && failFast {
 					break
@@ -330,8 +330,8 @@ func opError(op Op, err error) error {
 	return fmt.Errorf("%s %s (node %d): %w", op.Kind, op.Path, op.Node, err)
 }
 
-// replayOp issues one operation against a mount.
-func replayOp(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, op Op) error {
+// Do issues one operation against a mount.
+func Do(p *sim.Proc, m *vfs.Mount, ctx vfs.Ctx, op Op) error {
 	switch op.Kind {
 	case Create:
 		f, err := m.Create(p, ctx, op.Path, op.Mode)

@@ -124,8 +124,9 @@ type Trace struct {
 }
 
 // Validate checks structural well-formedness: kinds are known, node and
-// pid are non-negative, paths are absolute, two-path kinds carry Path2,
-// times are non-decreasing per (node, pid) stream.
+// pid are non-negative, paths are absolute (a symlink's target, its
+// Path, need only be non-empty), two-path kinds carry Path2, times are
+// non-decreasing per (node, pid) stream.
 func (t *Trace) Validate() error {
 	last := make(map[[2]int]time.Duration)
 	for i, op := range t.Ops {
@@ -135,7 +136,10 @@ func (t *Trace) Validate() error {
 		if op.Node < 0 || op.PID < 0 {
 			return fmt.Errorf("trace: op %d: negative node %d or pid %d", i, op.Node, op.PID)
 		}
-		if !strings.HasPrefix(op.Path, "/") {
+		switch {
+		case op.Kind == Symlink && op.Path == "":
+			return fmt.Errorf("trace: op %d: symlink needs a target", i)
+		case op.Kind != Symlink && !strings.HasPrefix(op.Path, "/"):
 			return fmt.Errorf("trace: op %d: path %q is not absolute", i, op.Path)
 		}
 		switch op.Kind {

@@ -7,6 +7,10 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"cofs/internal/params"
+	"cofs/internal/sim"
+	"cofs/internal/vfs"
 )
 
 func TestKindStringRoundTrip(t *testing.T) {
@@ -97,6 +101,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad bytes", "0 0 1 write /f nope"},
 		{"bad mode", "0 0 1 chmod /f 9z"},
 		{"relative path", "0 0 1 stat f"},
+		{"relative symlink path", "0 0 1 symlink f0 d/sym"},
 		{"time backwards", "5 0 1 stat /f\n2 0 1 stat /f"},
 		{"negative node", "0 -1 1 create /d/x"},
 		{"negative pid", "0 0 -1 create /d/x"},
@@ -115,6 +120,28 @@ func TestDecodeSkipsCommentsAndBlanks(t *testing.T) {
 	}
 	if len(tr.Ops) != 1 {
 		t.Fatalf("ops = %d, want 1", len(tr.Ops))
+	}
+}
+
+// TestSymlinkRelativeTarget: a symlink's Path is its target, which
+// Mount.Symlink takes as it is, so a relative one decodes, encodes back
+// to the same line and replays.
+func TestSymlinkRelativeTarget(t *testing.T) {
+	const text = "0 0 1 mkdir /d 755\n1 0 1 symlink f0 /d/sym\n"
+	tr, err := Decode(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, body, _ := strings.Cut(buf.String(), "\n"); body != text {
+		t.Fatalf("encoded %q, want %q", body, text)
+	}
+	target := Target{Env: sim.NewEnv(1), Mounts: []*vfs.Mount{vfs.NewMount(vfs.NewMemFS(), params.FUSEParams{})}}
+	if res, err := Replay(target, tr, ReplayOptions{}); err != nil || res.Errors != 0 {
+		t.Fatalf("replay: %v, %+v", err, res)
 	}
 }
 
