@@ -244,22 +244,32 @@ func (c *MDSCluster) ReshardStats() reshard.Stats { return c.rstats }
 // shard redirects (ErrWrongEpoch) and routed refetches and retries —
 // the misrouted round trip is the price of the race, one extra hop.
 
+// maxRedirects bounds the consecutive redirects routed follows for one
+// operation. Each retry runs off a freshly fetched map, so a redirect
+// needs a migration step to land between the fetch and the request: the
+// reshard tests, benchmarks and tools never see two in a row. A shard
+// that keeps bouncing the current map is a broken plane, and the
+// operation fails with ErrWrongEpoch instead of spinning forever.
+const maxRedirects = 64
+
 // routed runs op against the shard the session's map version assigns
-// ino, refetching the map and retrying on a redirect. op returns the
-// operation's error so routed can spot the redirect; results travel in
-// the caller's closure. A session whose map version predates a shrink's
-// retirement can name a shard that no longer exists — its channel was
-// dropped with the shard — which is the same race as a redirect, paid
-// the same way: refetch and re-route.
-func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *Service) error) {
-	for {
+// ino, refetching the map and retrying on a redirect, and returns op's
+// error. op returns the operation's error so routed can spot the
+// redirect; results travel in the caller's closure. A session whose map
+// version predates a shrink's retirement can name a shard that no
+// longer exists — its channel was dropped with the shard — which is the
+// same race as a redirect, paid the same way: refetch and re-route.
+// After maxRedirects refetches the operation fails with ErrWrongEpoch.
+func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *Service) error) error {
+	for redirects := 0; ; redirects++ {
 		si := sess.view.Of(uint64(ino))
-		if si >= len(c.shards) || si >= len(sess.conns) {
-			sess.refetchMap(p, c)
-			continue
+		if si < len(c.shards) && si < len(sess.conns) {
+			if err := op(c.shards[si]); err != ErrWrongEpoch {
+				return err
+			}
 		}
-		if op(c.shards[si]) != ErrWrongEpoch {
-			return
+		if redirects == maxRedirects {
+			return ErrWrongEpoch
 		}
 		sess.refetchMap(p, c)
 	}
@@ -269,7 +279,7 @@ func (c *MDSCluster) routed(p *sim.Proc, sess *Session, ino vfs.Ino, op func(s *
 func (c *MDSCluster) Lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name string) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.lookup", parent)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, parent, func(s *Service) error {
+	err = c.routed(p, sess, parent, func(s *Service) error {
 		attr, err = s.Lookup(p, sess, parent, name)
 		return err
 	})
@@ -280,7 +290,7 @@ func (c *MDSCluster) Lookup(p *sim.Proc, sess *Session, parent vfs.Ino, name str
 func (c *MDSCluster) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.getattr", id)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, id, func(s *Service) error {
+	err = c.routed(p, sess, id, func(s *Service) error {
 		attr, err = s.Getattr(p, sess, id)
 		return err
 	})
@@ -292,7 +302,7 @@ func (c *MDSCluster) Getattr(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.A
 func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, set vfs.SetAttr) (attr vfs.Attr, upath string, err error) {
 	ob := c.obsBegin(p, sess, "op.setattr", id)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, id, func(s *Service) error {
+	err = c.routed(p, sess, id, func(s *Service) error {
 		attr, upath, err = s.Setattr(p, sess, ctx, id, set)
 		return err
 	})
@@ -304,7 +314,7 @@ func (c *MDSCluster) Setattr(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino
 func (c *MDSCluster) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, t vfs.FileType, mode uint32, upath, target string) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.create", parent)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, parent, func(s *Service) error {
+	err = c.routed(p, sess, parent, func(s *Service) error {
 		attr, err = s.Create(p, sess, ctx, parent, name, t, mode, upath, target)
 		return err
 	})
@@ -315,7 +325,7 @@ func (c *MDSCluster) Create(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.
 func (c *MDSCluster) Readlink(p *sim.Proc, sess *Session, id vfs.Ino) (tgt string, err error) {
 	ob := c.obsBegin(p, sess, "op.readlink", id)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, id, func(s *Service) error {
+	err = c.routed(p, sess, id, func(s *Service) error {
 		tgt, err = s.Readlink(p, sess, id)
 		return err
 	})
@@ -326,7 +336,7 @@ func (c *MDSCluster) Readlink(p *sim.Proc, sess *Session, id vfs.Ino) (tgt strin
 func (c *MDSCluster) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.Attr, upath string, err error) {
 	ob := c.obsBegin(p, sess, "op.open", id)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, id, func(s *Service) error {
+	err = c.routed(p, sess, id, func(s *Service) error {
 		attr, upath, err = s.OpenInfo(p, sess, id)
 		return err
 	})
@@ -338,7 +348,7 @@ func (c *MDSCluster) OpenInfo(p *sim.Proc, sess *Session, id vfs.Ino) (attr vfs.
 func (c *MDSCluster) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino, name string, rmdir bool, want vfs.Ino) (upath string, id vfs.Ino, err error) {
 	ob := c.obsBegin(p, sess, "op.remove", parent)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, parent, func(s *Service) error {
+	err = c.routed(p, sess, parent, func(s *Service) error {
 		upath, id, err = s.Remove(p, sess, ctx, parent, name, rmdir, want)
 		return err
 	})
@@ -350,7 +360,7 @@ func (c *MDSCluster) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.
 func (c *MDSCluster) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino, srcName string, dstDir vfs.Ino, dstName string) (upath string, id vfs.Ino, err error) {
 	ob := c.obsBegin(p, sess, "op.rename", srcDir)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, srcDir, func(s *Service) error {
+	err = c.routed(p, sess, srcDir, func(s *Service) error {
 		upath, id, err = s.Rename(p, sess, ctx, srcDir, srcName, dstDir, dstName)
 		return err
 	})
@@ -362,7 +372,7 @@ func (c *MDSCluster) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.
 func (c *MDSCluster) Link(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino, parent vfs.Ino, name string) (attr vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.link", parent)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, parent, func(s *Service) error {
+	err = c.routed(p, sess, parent, func(s *Service) error {
 		attr, err = s.Link(p, sess, ctx, id, parent, name)
 		return err
 	})
@@ -386,7 +396,7 @@ func (c *MDSCluster) Readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.In
 func (c *MDSCluster) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.Ino, plus bool) (ents []vfs.DirEntry, attrs []vfs.Attr, err error) {
 	ob := c.obsBegin(p, sess, "op.readdir", dir)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, dir, func(s *Service) error {
+	err = c.routed(p, sess, dir, func(s *Service) error {
 		ents, attrs, err = s.readdir(p, sess, ctx, dir, plus)
 		return err
 	})
@@ -394,14 +404,12 @@ func (c *MDSCluster) readdir(p *sim.Proc, sess *Session, ctx vfs.Ctx, dir vfs.In
 }
 
 // WriteBack records a writer's size/mtime at close on id's shard.
-func (c *MDSCluster) WriteBack(p *sim.Proc, sess *Session, id vfs.Ino, size int64, mtime time.Duration) (err error) {
+func (c *MDSCluster) WriteBack(p *sim.Proc, sess *Session, id vfs.Ino, size int64, mtime time.Duration) error {
 	ob := c.obsBegin(p, sess, "op.writeback", id)
 	defer c.obsEnd(p, ob)
-	c.routed(p, sess, id, func(s *Service) error {
-		err = s.WriteBack(p, sess, id, size, mtime)
-		return err
+	return c.routed(p, sess, id, func(s *Service) error {
+		return s.WriteBack(p, sess, id, size, mtime)
 	})
-	return err
 }
 
 // CountObjects returns (files, dirs) aggregated over every shard, one

@@ -47,3 +47,20 @@ func TestMetadataRPCAllocs(t *testing.T) {
 	})
 	tb.Run()
 }
+
+// TestPermanentRedirectFails: a plane whose shards bounce every request,
+// even one routed by the current map, fails the operation with
+// ErrWrongEpoch after maxRedirects map refetches instead of retrying
+// forever. Swapping the two shards' ids makes each disown the rows the
+// map gives it.
+func TestPermanentRedirectFails(t *testing.T) {
+	tb, d := Rig(t, 1, 2, Shards(2))
+	Play(t, tb, d, Create(0, "/f", 0644))
+	c := d.Service
+	c.shards[0].shardID, c.shards[1].shardID = c.shards[1].shardID, c.shards[0].shardID
+	refetches := c.rstats.Refetches
+	Expect(t, tb, d, ErrWrongEpoch, Stat(1, "/f"))
+	if got := c.rstats.Refetches - refetches; got != maxRedirects {
+		t.Fatalf("%d map refetches, want %d", got, maxRedirects)
+	}
+}

@@ -1,21 +1,35 @@
 // Package lru implements a small generic LRU cache with hit/miss
-// statistics, used for the simulated client and server buffer caches.
+// statistics. Every cache of the model is one: the kernel dentry cache
+// in front of each mount, the client's attribute, dentry, listing and
+// advised caches, the pfs client and server caches, and the token cache.
+//
+// Entries live in a slab of nodes linked by index into a recency list.
+// An open-addressing slot array indexes the slab: each slot holds a
+// 32-bit hash tag and a node index, and a tag match is confirmed
+// against the key in the node, so every key is stored once. Nothing
+// observable depends on the slot layout or the hash seed: Keys, Oldest,
+// RemoveFunc and eviction walk the recency list.
 package lru
+
+import "hash/maphash"
 
 // Cache is a fixed-capacity least-recently-used cache. Not safe for
 // concurrent use; simulation code is single-threaded.
 //
-// Entries live in a slab of nodes linked by index, not in a
-// container/list of heap-allocated elements: once the slab has grown to
-// capacity, Put/Get/Remove churn allocates nothing, which matters for
-// the dcache sitting on every simulated FUSE walk.
+// Once the slab and the slot array have grown to capacity, Put/Get/Remove
+// churn allocates nothing, which matters for the dcache sitting on every
+// simulated FUSE walk.
 type Cache[K comparable, V any] struct {
 	capacity int
 	nodes    []node[K, V]
-	items    map[K]int32
-	head     int32 // most recently used, -1 when empty
-	tail     int32 // least recently used, -1 when empty
-	free     []int32
+	// slots is the index: a power-of-two array probed linearly from a
+	// key's home slot (tag & mask). A slot is tag<<32 | node index+1,
+	// or 0 when empty. It doubles at ¾ load.
+	slots []uint64
+	seed  maphash.Seed
+	head  int32 // most recently used, -1 when empty
+	tail  int32 // least recently used, -1 when empty
+	free  []int32
 
 	Hits      int64
 	Misses    int64
@@ -39,9 +53,78 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	}
 	return &Cache[K, V]{
 		capacity: capacity,
-		items:    make(map[K]int32),
+		seed:     maphash.MakeSeed(),
 		head:     -1,
 		tail:     -1,
+	}
+}
+
+func (c *Cache[K, V]) tag(key K) uint32 { return uint32(maphash.Comparable(c.seed, key)) }
+
+// lookup returns the slot holding key and its node, or the empty slot
+// that ends key's probe run and -1. The slot array must not be empty.
+func (c *Cache[K, V]) lookup(key K, tag uint32) (int, int32) {
+	mask := len(c.slots) - 1
+	for s := int(tag) & mask; ; s = (s + 1) & mask {
+		e := c.slots[s]
+		if e == 0 {
+			return s, -1
+		}
+		if uint32(e>>32) == tag {
+			if i := int32(e) - 1; c.nodes[i].key == key {
+				return s, i
+			}
+		}
+	}
+}
+
+// find returns key's node, or -1.
+func (c *Cache[K, V]) find(key K) int32 {
+	if len(c.slots) == 0 {
+		return -1
+	}
+	_, i := c.lookup(key, c.tag(key))
+	return i
+}
+
+// slotOf returns the slot that indexes node i.
+func (c *Cache[K, V]) slotOf(i int32) int {
+	mask := len(c.slots) - 1
+	s := int(c.tag(c.nodes[i].key)) & mask
+	for int32(c.slots[s]) != i+1 {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// unslot empties slot s and shifts the rest of its probe run back over
+// the gap, so no tombstone is left (Knuth, TAOCP vol. 3, §6.4,
+// Algorithm R): an entry moves into the gap unless its home slot lies
+// cyclically after the gap and at or before the entry.
+func (c *Cache[K, V]) unslot(s int) {
+	mask := len(c.slots) - 1
+	for j := (s + 1) & mask; c.slots[j] != 0; j = (j + 1) & mask {
+		if home := int(c.slots[j]>>32) & mask; (j-home)&mask >= (j-s)&mask {
+			c.slots[s] = c.slots[j]
+			s = j
+		}
+	}
+	c.slots[s] = 0
+}
+
+// grow doubles the slot array, re-placing every entry by its stored tag.
+func (c *Cache[K, V]) grow() {
+	old := c.slots
+	c.slots = make([]uint64, max(8, 2*len(old)))
+	mask := len(c.slots) - 1
+	for _, e := range old {
+		if e != 0 {
+			s := int(e>>32) & mask
+			for c.slots[s] != 0 {
+				s = (s + 1) & mask
+			}
+			c.slots[s] = e
+		}
 	}
 }
 
@@ -81,7 +164,7 @@ func (c *Cache[K, V]) moveToFront(i int32) {
 
 // Get returns the value for key, marking it most recently used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
-	if i, ok := c.items[key]; ok {
+	if i := c.find(key); i >= 0 {
 		c.Hits++
 		c.moveToFront(i)
 		return c.nodes[i].val, true
@@ -93,7 +176,7 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Peek returns the value without updating recency or statistics.
 func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	if i, ok := c.items[key]; ok {
+	if i := c.find(key); i >= 0 {
 		return c.nodes[i].val, true
 	}
 	var zero V
@@ -113,20 +196,21 @@ func (c *Cache[K, V]) Oldest() (K, V, bool) {
 }
 
 // Contains reports whether key is cached, without side effects.
-func (c *Cache[K, V]) Contains(key K) bool {
-	_, ok := c.items[key]
-	return ok
-}
+func (c *Cache[K, V]) Contains(key K) bool { return c.find(key) >= 0 }
 
 // Put inserts or updates key, marking it most recently used. It evicts the
 // least recently used entry if the cache is over capacity.
 func (c *Cache[K, V]) Put(key K, val V) {
-	if i, ok := c.items[key]; ok {
+	if (c.Len()+1)*4 > len(c.slots)*3 {
+		c.grow()
+	}
+	tag := c.tag(key)
+	s, i := c.lookup(key, tag)
+	if i >= 0 {
 		c.moveToFront(i)
 		c.nodes[i].val = val
 		return
 	}
-	var i int32
 	if n := len(c.free); n > 0 {
 		i = c.free[n-1]
 		c.free = c.free[:n-1]
@@ -136,21 +220,24 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	}
 	c.nodes[i].key = key
 	c.nodes[i].val = val
-	c.items[key] = i
+	c.slots[s] = uint64(tag)<<32 | uint64(i+1)
 	c.pushFront(i)
-	if len(c.items) > c.capacity {
+	if c.Len() > c.capacity {
 		c.evictOldest()
 	}
 }
 
 // Remove deletes key if present, without calling OnEvict.
 func (c *Cache[K, V]) Remove(key K) bool {
-	i, ok := c.items[key]
-	if !ok {
+	if len(c.slots) == 0 {
+		return false
+	}
+	s, i := c.lookup(key, c.tag(key))
+	if i < 0 {
 		return false
 	}
 	c.unlink(i)
-	delete(c.items, key)
+	c.unslot(s)
 	c.release(i)
 	return true
 }
@@ -166,7 +253,7 @@ func (c *Cache[K, V]) RemoveFunc(pred func(K) bool) int {
 		next := c.nodes[i].next
 		if pred(c.nodes[i].key) {
 			c.unlink(i)
-			delete(c.items, c.nodes[i].key)
+			c.unslot(c.slotOf(i))
 			c.release(i)
 			removed++
 		}
@@ -175,21 +262,21 @@ func (c *Cache[K, V]) RemoveFunc(pred func(K) bool) int {
 	return removed
 }
 
-// release returns slot i to the free list, dropping key/value references.
+// release returns node i to the free list, dropping key/value references.
 func (c *Cache[K, V]) release(i int32) {
 	c.nodes[i] = node[K, V]{}
 	c.free = append(c.free, i)
 }
 
 // Len returns the number of cached entries.
-func (c *Cache[K, V]) Len() int { return len(c.items) }
+func (c *Cache[K, V]) Len() int { return len(c.nodes) - len(c.free) }
 
 // Capacity returns the configured capacity.
 func (c *Cache[K, V]) Capacity() int { return c.capacity }
 
 // Clear drops every entry without calling OnEvict.
 func (c *Cache[K, V]) Clear() {
-	clear(c.items)
+	clear(c.slots)
 	c.nodes = c.nodes[:0]
 	c.free = c.free[:0]
 	c.head, c.tail = -1, -1
@@ -197,7 +284,7 @@ func (c *Cache[K, V]) Clear() {
 
 // Keys returns the cached keys from most to least recently used.
 func (c *Cache[K, V]) Keys() []K {
-	keys := make([]K, 0, len(c.items))
+	keys := make([]K, 0, c.Len())
 	for i := c.head; i >= 0; i = c.nodes[i].next {
 		keys = append(keys, c.nodes[i].key)
 	}
@@ -211,7 +298,7 @@ func (c *Cache[K, V]) evictOldest() {
 	}
 	key, val := c.nodes[i].key, c.nodes[i].val
 	c.unlink(i)
-	delete(c.items, key)
+	c.unslot(c.slotOf(i))
 	c.release(i)
 	c.Evictions++
 	if c.OnEvict != nil {

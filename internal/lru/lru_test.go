@@ -1,6 +1,13 @@
 package lru
 
 import (
+	"container/list"
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -165,4 +172,240 @@ func TestGetReflectsLastPut(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// modelCache is the reference the slot-array cache is checked against:
+// a container/list in recency order (front most recent) and a map.
+type modelCache struct {
+	capacity                int
+	order                   *list.List // of [2]int{key, val}
+	at                      map[int]*list.Element
+	hits, misses, evictions int64
+	evicted                 [][2]int
+}
+
+func (m *modelCache) get(k int, promote bool) (int, bool) {
+	e, ok := m.at[k]
+	if !ok {
+		return 0, false
+	}
+	if promote {
+		m.order.MoveToFront(e)
+	}
+	return e.Value.([2]int)[1], true
+}
+
+func (m *modelCache) put(k, v int) {
+	if e, ok := m.at[k]; ok {
+		e.Value = [2]int{k, v}
+		m.order.MoveToFront(e)
+		return
+	}
+	m.at[k] = m.order.PushFront([2]int{k, v})
+	if m.order.Len() > m.capacity {
+		old := m.order.Remove(m.order.Back()).([2]int)
+		delete(m.at, old[0])
+		m.evictions++
+		m.evicted = append(m.evicted, old)
+	}
+}
+
+func (m *modelCache) remove(k int) bool {
+	e, ok := m.at[k]
+	if ok {
+		m.order.Remove(e)
+		delete(m.at, k)
+	}
+	return ok
+}
+
+func (m *modelCache) keys() []int {
+	var keys []int
+	for e := m.order.Front(); e != nil; e = e.Next() {
+		keys = append(keys, e.Value.([2]int)[0])
+	}
+	return keys
+}
+
+// TestMatchesModel runs seeded random operation sequences against the
+// cache and the reference and compares every result, the length, the
+// recency order, the eviction sequence and the counters after each
+// step. Slot arrays of 8 to 32 slots at up to ¾ load put most removals
+// in the middle of a probe run, which the backward shift must survive.
+func TestMatchesModel(t *testing.T) {
+	for capacity := 1; capacity <= 16; capacity++ {
+		for seed := uint64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(capacity)))
+			c := New[int, int](capacity)
+			m := &modelCache{capacity: capacity, order: list.New(), at: map[int]*list.Element{}}
+			var evicted [][2]int
+			c.OnEvict = func(k, v int) { evicted = append(evicted, [2]int{k, v}) }
+			keySpace := 2*capacity + 4
+			for step := 0; step < 400; step++ {
+				k := rng.IntN(keySpace)
+				var what string
+				switch op := rng.IntN(100); {
+				case op < 35:
+					what = fmt.Sprintf("Put(%d)", k)
+					c.Put(k, step)
+					m.put(k, step)
+				case op < 60:
+					what = fmt.Sprintf("Get(%d)", k)
+					v, ok := c.Get(k)
+					mv, mok := m.get(k, true)
+					if mok {
+						m.hits++
+					} else {
+						m.misses++
+					}
+					if v != mv || ok != mok {
+						t.Fatalf("cap %d seed %d step %d: %s = %d, %v; want %d, %v", capacity, seed, step, what, v, ok, mv, mok)
+					}
+				case op < 68:
+					what = fmt.Sprintf("Peek(%d)", k)
+					v, ok := c.Peek(k)
+					mv, mok := m.get(k, false)
+					if v != mv || ok != mok {
+						t.Fatalf("cap %d seed %d step %d: %s = %d, %v; want %d, %v", capacity, seed, step, what, v, ok, mv, mok)
+					}
+				case op < 76:
+					what = fmt.Sprintf("Contains(%d)", k)
+					_, mok := m.get(k, false)
+					if ok := c.Contains(k); ok != mok {
+						t.Fatalf("cap %d seed %d step %d: %s = %v", capacity, seed, step, what, ok)
+					}
+				case op < 90:
+					what = fmt.Sprintf("Remove(%d)", k)
+					if ok, mok := c.Remove(k), m.remove(k); ok != mok {
+						t.Fatalf("cap %d seed %d step %d: %s = %v", capacity, seed, step, what, ok)
+					}
+				case op < 95:
+					mod := 2 + rng.IntN(3)
+					what = fmt.Sprintf("RemoveFunc(key %% %d == %d)", mod, k%mod)
+					pred := func(key int) bool { return key%mod == k%mod }
+					want := 0
+					for _, key := range m.keys() {
+						if pred(key) {
+							m.remove(key)
+							want++
+						}
+					}
+					if n := c.RemoveFunc(pred); n != want {
+						t.Fatalf("cap %d seed %d step %d: %s = %d, want %d", capacity, seed, step, what, n, want)
+					}
+				case op < 97:
+					what = "Clear"
+					c.Clear()
+					m.order.Init()
+					clear(m.at)
+				default:
+					what = "Oldest"
+					k, v, ok := c.Oldest()
+					var want [2]int
+					if back := m.order.Back(); back != nil {
+						want = back.Value.([2]int)
+					}
+					if ok != (m.order.Len() > 0) || [2]int{k, v} != want {
+						t.Fatalf("cap %d seed %d step %d: Oldest = %d, %d, %v; want %v", capacity, seed, step, k, v, ok, want)
+					}
+				}
+				if c.Len() != m.order.Len() || !slices.Equal(c.Keys(), m.keys()) {
+					t.Fatalf("cap %d seed %d step %d: after %s keys %v (len %d), want %v", capacity, seed, step, what, c.Keys(), c.Len(), m.keys())
+				}
+				if !slices.Equal(evicted, m.evicted) {
+					t.Fatalf("cap %d seed %d step %d: after %s evicted %v, want %v", capacity, seed, step, what, evicted, m.evicted)
+				}
+				if c.Hits != m.hits || c.Misses != m.misses || c.Evictions != m.evictions {
+					t.Fatalf("cap %d seed %d step %d: after %s counters %d/%d/%d, want %d/%d/%d", capacity, seed, step, what,
+						c.Hits, c.Misses, c.Evictions, m.hits, m.misses, m.evictions)
+				}
+			}
+		}
+	}
+}
+
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates")
+			}
+		}
+	}
+}
+
+// dentKey and dentVal have the shape of the mount's dentry cache entries
+// (vfs.dcacheKey and vfs.dcacheEntry).
+type dentKey struct {
+	dir  uint64
+	name string
+}
+
+type dentVal struct {
+	ino uint64
+	at  int64
+}
+
+func dentKeys(n int) []dentKey {
+	keys := make([]dentKey, n)
+	for i := range keys {
+		keys[i] = dentKey{dir: uint64(i % 64), name: "f" + strconv.Itoa(i)}
+	}
+	return keys
+}
+
+// TestLRUChurnAllocsNothing: a cache at capacity under Put/Get/Remove
+// churn — every Put of a new key evicts — allocates nothing.
+func TestLRUChurnAllocsNothing(t *testing.T) {
+	skipUnderRace(t)
+	const capacity = 1024
+	keys := dentKeys(4 * capacity)
+	c := New[dentKey, dentVal](capacity)
+	next := 0
+	churn := func() {
+		k := keys[next%len(keys)]
+		next++
+		c.Put(k, dentVal{ino: uint64(next)})
+		c.Get(keys[(next+len(keys)/2)%len(keys)])
+		c.Get(k)
+		c.Remove(keys[(next+7)%len(keys)])
+		c.Put(keys[(next+7)%len(keys)], dentVal{})
+	}
+	for range 2 * len(keys) {
+		churn()
+	}
+	if c.Len() != capacity {
+		t.Fatalf("len %d, want the cache full at %d", c.Len(), capacity)
+	}
+	if got := testing.AllocsPerRun(1000, churn); got != 0 {
+		t.Fatalf("churn at capacity allocates %.2f times per step, want 0", got)
+	}
+}
+
+// TestDcacheBytesPerEntry pins the live heap of a full cache shaped like
+// the mount's dentry cache (16384 entries), key strings excluded: the
+// slab node (48 bytes) plus a slot array of two to four 8-byte slots per
+// entry. Indexing the slab with a Go map read about 123 bytes an entry.
+func TestDcacheBytesPerEntry(t *testing.T) {
+	skipUnderRace(t)
+	const capacity = 16384
+	keys := dentKeys(capacity + capacity/4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New[dentKey, dentVal](capacity)
+	for i, k := range keys {
+		c.Put(k, dentVal{ino: uint64(i)})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if c.Len() != capacity {
+		t.Fatalf("len %d, want %d", c.Len(), capacity)
+	}
+	perEntry := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / capacity
+	t.Logf("%.1f live bytes per entry", perEntry)
+	if perEntry > 90 {
+		t.Fatalf("a full dentry-shaped cache holds %.1f live bytes per entry, want at most 90", perEntry)
+	}
+	runtime.KeepAlive(keys)
 }

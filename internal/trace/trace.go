@@ -158,9 +158,17 @@ func (t *Trace) Validate() error {
 }
 
 // Streams groups operations by (node, pid), preserving order. Replay
-// runs one simulated process per stream.
+// runs one simulated process per stream. Each stream is counted first
+// and allocated once, at its exact length.
 func (t *Trace) Streams() map[[2]int][]Op {
-	out := make(map[[2]int][]Op)
+	sizes := make(map[[2]int]int)
+	for _, op := range t.Ops {
+		sizes[[2]int{op.Node, op.PID}]++
+	}
+	out := make(map[[2]int][]Op, len(sizes))
+	for key, n := range sizes {
+		out[key] = make([]Op, 0, n)
+	}
 	for _, op := range t.Ops {
 		key := [2]int{op.Node, op.PID}
 		out[key] = append(out[key], op)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,5 +222,32 @@ func TestMergeSortsByTime(t *testing.T) {
 	m := Merge(a, b)
 	if m.Ops[0].Path != "/y" || m.Ops[1].Path != "/x" {
 		t.Errorf("merge order wrong: %+v", m.Ops)
+	}
+}
+
+// TestStreamsSizedOnce: each stream holds exactly the trace's operations
+// of its (node, pid), in trace order, in a slice allocated at its length.
+func TestStreamsSizedOnce(t *testing.T) {
+	tr := GenMixed(rand.New(rand.NewSource(7)), MixedConfig{Nodes: 3, OpsPerNode: 300, Dirs: 2, MaxBytes: 1 << 16, Spacing: time.Millisecond})
+	for i := range tr.Ops {
+		tr.Ops[i].PID = i % 3 // interleave several streams per node
+	}
+	streams := tr.Streams()
+	want := map[[2]int][]Op{}
+	for _, op := range tr.Ops {
+		key := [2]int{op.Node, op.PID}
+		want[key] = append(want[key], op)
+	}
+	if len(streams) != len(want) || len(want) != 9 {
+		t.Fatalf("%d streams, want %d (9)", len(streams), len(want))
+	}
+	for key, ops := range want {
+		got := streams[key]
+		if !slices.Equal(got, ops) {
+			t.Fatalf("stream %v differs from the trace's ops for it", key)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("stream %v: len %d, cap %d", key, len(got), cap(got))
+		}
 	}
 }
