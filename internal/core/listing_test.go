@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cofs/internal/cluster"
+	"cofs/internal/mdb"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/trace"
@@ -117,6 +118,27 @@ func listOn(t *testing.T, tb *cluster.Testbed, d *Deployment, ctx vfs.Ctx, dir s
 		t.Fatalf("listing %s counted a hit but went to the service", dir)
 	}
 	return hit, err
+}
+
+// TestListingAllocsOneSlice pins the names-only listing snapshot's host
+// cost: listing a 64-entry directory walks the parent index's ordered
+// run in place and allocates exactly the one []vfs.DirEntry it returns —
+// no collected rows, no sort, no copy.
+func TestListingAllocsOneSlice(t *testing.T) {
+	skipUnderRace(t)
+	tb, d := Rig(t, 1, 1)
+	Play(t, tb, d, Dir(0, "/d", 0755, 64, "f%02d", 0)...)
+	dir := Ino(t, tb, d, "/d")
+	dentries := d.Service.shard(dir).dentries
+	// An untimed read handle, as the coherence checker reads with.
+	tx := &mdb.Tx{}
+	var ents []vfs.DirEntry
+	if n := testing.AllocsPerRun(100, func() { ents = listDentries(tx, dentries, dir) }); n != 1 {
+		t.Errorf("listing 64 entries allocates %v, want 1", n)
+	}
+	if len(ents) != 64 || ents[0].Name != "f00" || ents[63].Name != "f63" {
+		t.Errorf("listed %d entries, %v first; want f00..f63", len(ents), ents[:min(len(ents), 1)])
+	}
 }
 
 // TestCachedListingChecksPermission: a listing cached for one user is

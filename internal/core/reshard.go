@@ -346,9 +346,10 @@ func readGroups(p *sim.Proc, from *Service, ids []vfs.Ino) (movedRows, *mdb.Hand
 				mdb.HandoffPut(handoff, from.inodes, id, row)
 				freight.bytes += 160 + int64(len(row.Path))
 			}
-			keys := mdb.IndexScan(tx, from.dentries, "parent", uint64(id))
-			sort.Slice(keys, func(i, j int) bool { return keys[i].Name < keys[j].Name })
-			for _, k := range keys {
+			// The migration reads each entry's row it ships: a table
+			// operation per row, besides the index read.
+			for ent := range mdb.IndexRead(tx, from.dentries, "parent", uint64(id)).All() {
+				k := dentryKey{Parent: ent.Parent, Name: ent.Name}
 				if de, ok := mdb.Get(tx, from.dentries, k); ok {
 					freight.dents = append(freight.dents, de)
 					mdb.HandoffPut(handoff, from.dentries, k, de)

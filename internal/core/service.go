@@ -161,7 +161,7 @@ func newShard(net *netsim.Net, host *netsim.Host, cfg params.Config, c *MDSClust
 	}
 	s.inodes = mdb.NewTable[vfs.Ino, inodeRow](db, "inode", mdb.DiscCopies)
 	s.dentries = mdb.NewTable[dentryKey, dentryRow](db, "dentry", mdb.DiscCopies)
-	s.dentries.AddIndex("parent", func(r dentryRow) uint64 { return uint64(r.Parent) })
+	s.dentries.AddIndex("parent", func(r dentryRow) uint64 { return uint64(r.Parent) }, byName)
 
 	if shardID == 0 {
 		// Bootstrap the root directory outside simulated time.
@@ -714,7 +714,7 @@ func (s *Service) Remove(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent vfs.Ino
 					out.err = vfs.ErrNotDir
 					return
 				}
-				if mdb.IndexLen(tx, s.dentries, "parent", uint64(id)) > 0 {
+				if mdb.IndexRead(tx, s.dentries, "parent", uint64(id)).Len() > 0 {
 					out.err = vfs.ErrNotEmpty
 					return
 				}
@@ -822,7 +822,7 @@ func (s *Service) Rename(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir vfs.Ino
 						out.err = vfs.ErrIsDir
 						return
 					}
-					if mdb.IndexLen(tx, s.dentries, "parent", uint64(existing)) > 0 {
+					if mdb.IndexRead(tx, s.dentries, "parent", uint64(existing)).Len() > 0 {
 						out.err = vfs.ErrNotEmpty
 						return
 					}
@@ -1067,15 +1067,18 @@ func listingBytes(entries int, plus bool) int64 {
 	return 96 + int64(entries)*perEntry
 }
 
+// byName is the parent index's row order: names are unique within a
+// directory, so it is total within each bucket.
+func byName(a, b dentryRow) int { return strings.Compare(a.Name, b.Name) }
+
 // listDentries reads dir's entries inside a snapshot: one index read of
 // the dentry rows off the parent index, whatever the directory's size,
-// ordered by name (unique within a directory, so the order is
-// deterministic whatever the index yields).
+// in the index's name order.
 func listDentries(tx *mdb.Tx, dentries *mdb.Table[dentryKey, dentryRow], dir vfs.Ino) []vfs.DirEntry {
-	rows := mdb.IndexRead(tx, dentries, "parent", uint64(dir), func(a, b dentryRow) int { return strings.Compare(a.Name, b.Name) })
-	ents := make([]vfs.DirEntry, len(rows))
-	for i, de := range rows {
-		ents[i] = vfs.DirEntry{Name: de.Name, Ino: de.Child, Type: de.Type}
+	rows := mdb.IndexRead(tx, dentries, "parent", uint64(dir))
+	ents := make([]vfs.DirEntry, 0, rows.Len())
+	for de := range rows.All() {
+		ents = append(ents, vfs.DirEntry{Name: de.Name, Ino: de.Child, Type: de.Type})
 	}
 	return ents
 }

@@ -306,7 +306,7 @@ func (s *Service) peerDirEmpty(p *sim.Proc, ts *Service, id vfs.Ino) bool {
 	return peerCall(p, s, ts, 128, 64, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) bool {
 		e := false
 		ts.DB.Transaction(p, func(tx *mdb.Tx) {
-			e = mdb.IndexLen(tx, ts.dentries, "parent", uint64(id)) == 0
+			e = mdb.IndexRead(tx, ts.dentries, "parent", uint64(id)).Len() == 0
 		})
 		return e
 	})

@@ -5,6 +5,11 @@
 // log with group commit on the service node's local ext3-like disk, plus
 // crash recovery by log replay.
 //
+// A secondary index keeps each bucket's rows in the row order it was
+// registered with, like Mnesia's ordered_set, so an index read
+// (IndexRead, Mnesia's index_read) walks the bucket in place: nothing is
+// collected or sorted per read.
+//
 // The store is deliberately single-node (as deployed in the paper).
 // Both transaction kinds — read-write (Transaction) and read-only
 // snapshot (View) — run their closure without yielding at one virtual
@@ -17,6 +22,7 @@ package mdb
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"time"
@@ -257,16 +263,33 @@ type Table[K comparable, V any] struct {
 	tblName string
 	class   Storage
 	data    map[K]V
-	indexes []*index[K, V]
+	indexes []*index[V]
 	// slab is the chunk the next logged entry is carved from. Entries
 	// are never reused: a chunk is freed when no record refers to it.
 	slab []entry[K, V]
 }
 
-type index[K comparable, V any] struct {
+// index maps a bucket value to the rows that extract to it, each
+// bucket held as a run in the index's row order.
+type index[V any] struct {
 	name    string
 	extract func(V) uint64
-	buckets map[uint64]map[K]struct{}
+	order   func(a, b V) int
+	buckets map[uint64]sortedRun[V]
+}
+
+// runChunk is the most rows one chunk of a run holds.
+const runChunk = 128
+
+// sortedRun is one index bucket's rows in index order: a sequence of
+// sorted, non-empty chunks of at most runChunk rows, each chunk's rows
+// ordered before the next chunk's. A chunk grows by append and splits
+// in half when full, so an insert moves at most one chunk's rows
+// whatever the bucket holds; a chunk that empties is dropped. The index
+// map holds it by value, so a bucket costs no allocation of its own.
+type sortedRun[V any] struct {
+	chunks [][]V
+	n      int
 }
 
 // NewTable registers a table with the database. Creating a DiscCopies
@@ -288,16 +311,20 @@ func NewTable[K comparable, V any](db *DB, name string, class Storage) *Table[K,
 	return t
 }
 
-// AddIndex registers a secondary index computed by extract. Must be
-// called before any rows are inserted.
-func (t *Table[K, V]) AddIndex(name string, extract func(V) uint64) {
+// AddIndex registers a secondary index computed by extract, whose
+// buckets keep their rows in the order order gives. order must be total
+// within a bucket — compare a field unique among the rows that share an
+// extracted value — and adding a row it ties with another panics. Must
+// be called before any rows are inserted.
+func (t *Table[K, V]) AddIndex(name string, extract func(V) uint64, order func(a, b V) int) {
 	if len(t.data) > 0 {
 		panic("mdb: AddIndex on non-empty table")
 	}
-	t.indexes = append(t.indexes, &index[K, V]{
+	t.indexes = append(t.indexes, &index[V]{
 		name:    name,
 		extract: extract,
-		buckets: make(map[uint64]map[K]struct{}),
+		order:   order,
+		buckets: make(map[uint64]sortedRun[V]),
 	})
 }
 
@@ -318,7 +345,7 @@ func (t *Table[K, V]) rows() int        { return len(t.data) }
 func (t *Table[K, V]) clear() {
 	t.data = make(map[K]V)
 	for _, ix := range t.indexes {
-		ix.buckets = make(map[uint64]map[K]struct{})
+		ix.buckets = make(map[uint64]sortedRun[V])
 	}
 }
 
@@ -335,40 +362,107 @@ func (t *Table[K, V]) applyWAL(rec walRec) {
 func (t *Table[K, V]) put(key K, val V) {
 	if old, ok := t.data[key]; ok {
 		for _, ix := range t.indexes {
-			ix.remove(key, old)
+			ix.remove(old)
 		}
 	}
 	t.data[key] = val
 	for _, ix := range t.indexes {
-		ix.add(key, val)
+		ix.add(val)
 	}
 }
 
 func (t *Table[K, V]) del(key K) {
 	if old, ok := t.data[key]; ok {
 		for _, ix := range t.indexes {
-			ix.remove(key, old)
+			ix.remove(old)
 		}
 		delete(t.data, key)
 	}
 }
 
-func (ix *index[K, V]) add(key K, val V) {
+// add inserts a row into its bucket's run. Every row of a key leaves
+// the index before the key's next row enters it, so a row the order
+// ties with belongs to another key: the order is not total, and a later
+// remove could drop the wrong row.
+func (ix *index[V]) add(val V) {
 	b := ix.extract(val)
-	if ix.buckets[b] == nil {
-		ix.buckets[b] = make(map[K]struct{})
+	r := ix.buckets[b]
+	if !r.add(val, ix.order) {
+		panic(fmt.Sprintf("mdb: index %s orders two rows of bucket %d as equal (%v); its order must be total", ix.name, b, val))
 	}
-	ix.buckets[b][key] = struct{}{}
+	ix.buckets[b] = r
 }
 
-func (ix *index[K, V]) remove(key K, val V) {
+// remove deletes a row, which must be in the index, from its bucket's
+// run, dropping the bucket when it empties.
+func (ix *index[V]) remove(val V) {
 	b := ix.extract(val)
-	if m, ok := ix.buckets[b]; ok {
-		delete(m, key)
-		if len(m) == 0 {
-			delete(ix.buckets, b)
+	r := ix.buckets[b]
+	if !r.remove(val, ix.order) {
+		panic(fmt.Sprintf("mdb: index %s has no row %v in bucket %d", ix.name, val, b))
+	}
+	if r.n == 0 {
+		delete(ix.buckets, b)
+	} else {
+		ix.buckets[b] = r
+	}
+}
+
+// chunk returns the index of the chunk that holds v or would take it:
+// the first whose last row is not ordered before v, else the last.
+func (r *sortedRun[V]) chunk(v V, order func(a, b V) int) int {
+	return sort.Search(len(r.chunks)-1, func(c int) bool {
+		ch := r.chunks[c]
+		return order(ch[len(ch)-1], v) >= 0
+	})
+}
+
+// add inserts v in order, reporting false — and inserting nothing — if
+// the run holds a row order ties with it.
+func (r *sortedRun[V]) add(v V, order func(a, b V) int) bool {
+	if len(r.chunks) == 0 {
+		r.chunks = append(r.chunks, []V{v})
+		r.n = 1
+		return true
+	}
+	c := r.chunk(v, order)
+	i, tie := slices.BinarySearchFunc(r.chunks[c], v, order)
+	if tie {
+		return false
+	}
+	if len(r.chunks[c]) == runChunk {
+		const half = runChunk / 2
+		lo := r.chunks[c]
+		hi := make([]V, half, runChunk)
+		copy(hi, lo[half:])
+		clear(lo[half:])
+		r.chunks[c] = lo[:half]
+		r.chunks = slices.Insert(r.chunks, c+1, hi)
+		if i > half {
+			c, i = c+1, i-half
 		}
 	}
+	r.chunks[c] = slices.Insert(r.chunks[c], i, v)
+	r.n++
+	return true
+}
+
+// remove deletes the row order ties with v, reporting whether there
+// was one.
+func (r *sortedRun[V]) remove(v V, order func(a, b V) int) bool {
+	if len(r.chunks) == 0 {
+		return false
+	}
+	c := r.chunk(v, order)
+	i, found := slices.BinarySearchFunc(r.chunks[c], v, order)
+	if !found {
+		return false
+	}
+	if r.chunks[c] = slices.Delete(r.chunks[c], i, i+1); len(r.chunks[c]) == 0 {
+		r.chunks = slices.Delete(r.chunks, c, c+1)
+	}
+	r.n--
+	return true
 }
 
 // Tx is a transaction handle. Operations performed through it are
@@ -499,53 +593,43 @@ func Delete[K comparable, V any](tx *Tx, t *Table[K, V], key K) {
 	tx.write(t.rec(walDelete, key, zero), t.class)
 }
 
-// IndexScan returns the primary keys whose indexed value equals bucket,
-// for one table operation whatever their number, in the order the index
-// map yields them: callers sort by a key of their own (a migration
-// orders a directory's entries by name).
-//
-// Unlike Get, the index reads serve the committed index only: a
-// transaction's own uncommitted Puts and Deletes are NOT reflected (they
-// reach the index at commit). Query the index before mutating related
-// rows in the same transaction.
-func IndexScan[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) []K {
-	b := t.indexBucket(tx, indexName, bucket)
-	keys := make([]K, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
+// Rows is a read-only view of one index bucket's committed rows, in the
+// index's order. It reads the index in place, so it is valid only inside
+// the transaction closure that obtained it: a commit rewrites the
+// index.
+type Rows[V any] struct{ r sortedRun[V] }
+
+// Len is the number of rows in the bucket.
+func (rs Rows[V]) Len() int { return rs.r.n }
+
+// All yields the bucket's rows in index order.
+func (rs Rows[V]) All() iter.Seq[V] {
+	return func(yield func(V) bool) {
+		for _, ch := range rs.r.chunks {
+			for _, v := range ch {
+				if !yield(v) {
+					return
+				}
+			}
+		}
 	}
-	return keys
 }
 
 // IndexRead returns the committed rows whose indexed value equals
-// bucket, sorted by cmp: Mnesia's index_read, one table operation
+// bucket, in the index's order: Mnesia's index_read, one table operation
 // however many rows the bucket holds (a directory listing reads its
-// entries' rows this way). cmp must order the bucket's rows totally —
-// compare a field unique within it — so the result never depends on map
-// order. It serves the committed index only, like IndexScan.
-func IndexRead[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64, cmp func(a, b V) int) []V {
-	b := t.indexBucket(tx, indexName, bucket)
-	rows := make([]V, 0, len(b))
-	for k := range b {
-		rows = append(rows, t.data[k])
-	}
-	slices.SortFunc(rows, cmp)
-	return rows
-}
-
-// IndexLen counts the bucket's keys (emptiness checks); one table
-// operation, like IndexScan.
-func IndexLen[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) int {
-	return len(t.indexBucket(tx, indexName, bucket))
-}
-
-// indexBucket charges one table operation and returns the committed key
-// set of bucket in the named index (nil when empty).
-func (t *Table[K, V]) indexBucket(tx *Tx, indexName string, bucket uint64) map[K]struct{} {
+// entries' rows this way). The rows are read in place, not collected or
+// sorted.
+//
+// Unlike Get, the index serves committed rows only: a transaction's own
+// uncommitted Puts and Deletes are NOT reflected (they reach the index
+// at commit). Query the index before mutating related rows in the same
+// transaction.
+func IndexRead[K comparable, V any](tx *Tx, t *Table[K, V], indexName string, bucket uint64) Rows[V] {
 	tx.charge()
 	for _, ix := range t.indexes {
 		if ix.name == indexName {
-			return ix.buckets[bucket]
+			return Rows[V]{ix.buckets[bucket]}
 		}
 	}
 	panic(fmt.Sprintf("mdb: table %s has no index %s", t.tblName, indexName))

@@ -2,6 +2,8 @@ package mdb
 
 import (
 	"cmp"
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -52,9 +54,8 @@ func TestConcurrentTransactionsSerializable(t *testing.T) {
 }
 
 // TestIndexMatchesBruteForce keeps a secondary index consistent with a
-// brute-force scan across random put/delete sequences: the bucket's
-// keys, its rows and its count each match the scan, for one table
-// operation each.
+// brute-force scan across random put/delete sequences: the bucket's rows
+// and its count each match the scan, for one table operation each.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	type op struct {
 		Key    uint8
@@ -68,7 +69,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		env := sim.NewEnv(1)
 		db, _ := newDB(env)
 		tbl := NewTable[uint8, kv](db, "t", RamCopies)
-		tbl.AddIndex("b", func(v kv) uint64 { return uint64(v.Val % 4) })
+		tbl.AddIndex("b", func(v kv) uint64 { return uint64(v.Val % 4) }, byKey)
 		ok := true
 		env.Spawn("t", func(p *sim.Proc) {
 			for _, o := range ops {
@@ -83,20 +84,15 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			}
 			db.Transaction(p, func(tx *Tx) {
 				for bucket := uint64(0); bucket < 4; bucket++ {
-					var wantKeys []uint8
 					var wantRows []kv
 					for _, r := range SelectKeys(tx, tbl, func(k uint8, v kv) bool { return uint64(v.Val%4) == bucket }) {
-						wantKeys = append(wantKeys, r.Key)
 						wantRows = append(wantRows, r.Val)
 					}
-					slices.Sort(wantKeys)
 					slices.SortFunc(wantRows, byKey)
 					before := tx.ops
-					keys := IndexScan(tx, tbl, "b", bucket)
-					rows := IndexRead(tx, tbl, "b", bucket, byKey)
-					n := IndexLen(tx, tbl, "b", bucket)
-					slices.Sort(keys)
-					if tx.ops != before+3 || n != len(wantKeys) || !slices.Equal(keys, wantKeys) || !slices.Equal(rows, wantRows) {
+					rows := readIndex(tx, tbl, "b", bucket)
+					n := IndexRead(tx, tbl, "b", bucket).Len()
+					if tx.ops != before+2 || n != len(wantRows) || !slices.Equal(rows, wantRows) {
 						ok = false
 						return
 					}
@@ -109,6 +105,136 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOrderedIndexMatchesSortOnRead holds the ordered index to the
+// listing it replaced — a bucket's rows collected and sorted on read —
+// on buckets large enough to split chunks and to empty them: each seed
+// fills three buckets with 600-odd rows, then runs rounds of random
+// puts (new keys, rewrites and moves between buckets), deletes, range
+// deletes that empty whole chunks, crashes with log replay, and
+// checkpoints. After every round each bucket's view must equal the
+// sorted scan, and every run must keep its chunk invariants.
+func TestOrderedIndexMatchesSortOnRead(t *testing.T) {
+	type kv struct {
+		Key    uint16
+		Bucket uint8
+	}
+	byKey := func(a, b kv) int { return cmp.Compare(a.Key, b.Key) }
+	const buckets, keys = 3, 2048
+	maxChunks := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		env := sim.NewEnv(1)
+		db, _ := newDB(env)
+		tbl := NewTable[uint16, kv](db, "t", DiscCopies)
+		tbl.AddIndex("b", func(v kv) uint64 { return uint64(v.Bucket) }, byKey)
+		ix := tbl.indexes[0]
+		ok := true
+		check := func(p *sim.Proc, round int) {
+			db.View(p, func(tx *Tx) {
+				for b := uint64(0); b < buckets; b++ {
+					var want []kv
+					for _, r := range SelectKeys(tx, tbl, func(_ uint16, v kv) bool { return uint64(v.Bucket) == b }) {
+						want = append(want, r.Val)
+					}
+					slices.SortFunc(want, byKey)
+					if got := readIndex(tx, tbl, "b", b); !slices.Equal(got, want) {
+						t.Errorf("seed %d round %d bucket %d: index holds %d rows, the sorted scan %d", seed, round, b, len(got), len(want))
+						ok = false
+					}
+					r := ix.buckets[b]
+					maxChunks = max(maxChunks, len(r.chunks))
+					if err := runInvariants(r, byKey); err != nil {
+						t.Errorf("seed %d round %d bucket %d: %v", seed, round, b, err)
+						ok = false
+					}
+				}
+				for b, r := range ix.buckets {
+					if b >= buckets || r.n == 0 {
+						t.Errorf("seed %d round %d: stray bucket %d of %d rows", seed, round, b, r.n)
+						ok = false
+					}
+				}
+			})
+		}
+		env.Spawn("t", func(p *sim.Proc) {
+			// Fill: every key once, shuffled, dealt to the buckets in turn.
+			perm := rng.Perm(keys)
+			for i := 0; i < keys; i += 64 {
+				db.Transaction(p, func(tx *Tx) {
+					for j, k := range perm[i : i+64] {
+						Put(tx, tbl, uint16(k), kv{uint16(k), uint8((i + j) % buckets)})
+					}
+				})
+			}
+			check(p, 0)
+			for round := 1; round <= 12 && ok; round++ {
+				switch rng.Intn(6) {
+				case 0:
+					db.Crash()
+					db.Recover(p)
+				case 1:
+					db.Checkpoint(p)
+				case 2:
+					lo := rng.Intn(keys)
+					db.Transaction(p, func(tx *Tx) {
+						for k := lo; k < min(lo+300, keys); k++ {
+							Delete(tx, tbl, uint16(k))
+						}
+					})
+				default:
+					db.Transaction(p, func(tx *Tx) {
+						for range 400 {
+							k := uint16(rng.Intn(keys + keys/4))
+							if rng.Intn(4) == 0 {
+								Delete(tx, tbl, k)
+							} else {
+								Put(tx, tbl, k, kv{k, uint8(rng.Intn(buckets))})
+							}
+						}
+					})
+				}
+				check(p, round)
+			}
+		})
+		env.MustRun()
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if maxChunks < 5 {
+		t.Fatalf("no run grew past %d chunks: the buckets never split", maxChunks)
+	}
+}
+
+// runInvariants checks a run's shape: non-empty chunks of at most
+// runChunk rows, strictly ordered within each chunk and across
+// neighbours, whose lengths sum to its count.
+func runInvariants[V any](r sortedRun[V], order func(a, b V) int) error {
+	n := 0
+	for c, ch := range r.chunks {
+		if len(ch) == 0 || len(ch) > runChunk {
+			return fmt.Errorf("chunk %d of %d holds %d rows", c, len(r.chunks), len(ch))
+		}
+		for i := 1; i < len(ch); i++ {
+			if order(ch[i-1], ch[i]) >= 0 {
+				return fmt.Errorf("chunk %d is out of order at row %d", c, i)
+			}
+		}
+		if c > 0 {
+			prev := r.chunks[c-1]
+			if order(prev[len(prev)-1], ch[0]) >= 0 {
+				return fmt.Errorf("chunk %d does not follow chunk %d", c, c-1)
+			}
+		}
+		n += len(ch)
+	}
+	if n != r.n {
+		return fmt.Errorf("chunks hold %d rows, the run counts %d", n, r.n)
+	}
+	return nil
 }
 
 // TestAsyncFlushEventuallyDurable: with Mnesia-style async logging,

@@ -23,6 +23,17 @@ type row struct {
 // byName orders rows of one parent bucket, whose names are unique.
 func byName(a, b row) int { return strings.Compare(a.Name, b.Name) }
 
+// readIndex collects a bucket's rows the way a listing does: into one
+// slice sized by the view.
+func readIndex[K comparable, V any](tx *Tx, t *Table[K, V], index string, bucket uint64) []V {
+	rows := IndexRead(tx, t, index, bucket)
+	out := make([]V, 0, rows.Len())
+	for v := range rows.All() {
+		out = append(out, v)
+	}
+	return out
+}
+
 func newDB(env *sim.Env) (*DB, *disk.Disk) {
 	d := disk.New(env, "mdb", params.Default().Disk)
 	return New(env, d, 10*time.Microsecond), d
@@ -93,7 +104,7 @@ func TestSecondaryIndex(t *testing.T) {
 	env := sim.NewEnv(1)
 	db, _ := newDB(env)
 	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
-	tbl.AddIndex("parent", func(v row) uint64 { return uint64(v.Parent) })
+	tbl.AddIndex("parent", func(v row) uint64 { return uint64(v.Parent) }, byName)
 	run(t, func(p *sim.Proc) {
 		_ = p
 	})
@@ -106,7 +117,7 @@ func TestSecondaryIndex(t *testing.T) {
 			Put(tx, tbl, 3, row{Parent: 20, Name: "c"})
 		})
 		db.Transaction(p, func(tx *Tx) {
-			rows := IndexRead(tx, tbl, "parent", 10, byName)
+			rows := readIndex(tx, tbl, "parent", 10)
 			if len(rows) != 2 || rows[0].Name != "a" || rows[1].Name != "b" {
 				t.Errorf("index rows = %v", rows)
 			}
@@ -114,16 +125,16 @@ func TestSecondaryIndex(t *testing.T) {
 			Put(tx, tbl, 2, row{Parent: 20, Name: "b"})
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := IndexScan(tx, tbl, "parent", 10); len(got) != 1 {
+			if got := readIndex(tx, tbl, "parent", 10); len(got) != 1 {
 				t.Errorf("bucket 10 = %v", got)
 			}
-			if got := IndexScan(tx, tbl, "parent", 20); len(got) != 2 {
+			if got := readIndex(tx, tbl, "parent", 20); len(got) != 2 || got[0].Name != "b" || got[1].Name != "c" {
 				t.Errorf("bucket 20 = %v", got)
 			}
 			Delete(tx, tbl, 3)
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := IndexScan(tx, tbl, "parent", 20); len(got) != 1 {
+			if got := readIndex(tx, tbl, "parent", 20); len(got) != 1 {
 				t.Errorf("after delete bucket 20 = %v", got)
 			}
 		})
@@ -312,33 +323,32 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 }
 
 // TestIndexIgnoresUncommittedWrites pins the documented sharp edge:
-// IndexScan serves the committed index, not the transaction's own
-// pending write set. Callers must query before mutating.
+// the index serves committed rows, not the transaction's own pending
+// write set. Callers must query before mutating.
 func TestIndexIgnoresUncommittedWrites(t *testing.T) {
 	env := sim.NewEnv(1)
 	db := New(env, nil, 0)
-	type row struct{ Parent int }
 	tbl := NewTable[int, row](db, "t", RamCopies)
-	tbl.AddIndex("parent", func(v row) uint64 { return uint64(v.Parent) })
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byName)
 	env.Spawn("t", func(p *sim.Proc) {
 		db.Transaction(p, func(tx *Tx) {
-			Put(tx, tbl, 1, row{Parent: 7})
-			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 0 {
-				t.Errorf("uncommitted put visible via index: %d keys", got)
+			Put(tx, tbl, 1, row{Parent: 7, Name: "a"})
+			if got := IndexRead(tx, tbl, "parent", 7).Len(); got != 0 {
+				t.Errorf("uncommitted put visible via index: %d rows", got)
 			}
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 1 {
-				t.Errorf("committed put not visible via index: %d keys", got)
+			if got := IndexRead(tx, tbl, "parent", 7).Len(); got != 1 {
+				t.Errorf("committed put not visible via index: %d rows", got)
 			}
 			Delete(tx, tbl, 1)
-			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 1 {
-				t.Errorf("uncommitted delete visible via index: %d keys", got)
+			if got := IndexRead(tx, tbl, "parent", 7).Len(); got != 1 {
+				t.Errorf("uncommitted delete visible via index: %d rows", got)
 			}
 		})
 		db.Transaction(p, func(tx *Tx) {
-			if got := len(IndexScan(tx, tbl, "parent", 7)); got != 0 {
-				t.Errorf("committed delete not applied to index: %d keys", got)
+			if got := IndexRead(tx, tbl, "parent", 7).Len(); got != 0 {
+				t.Errorf("committed delete not applied to index: %d rows", got)
 			}
 		})
 	})
@@ -353,8 +363,8 @@ func TestIndexReadIgnoresUncommittedWrites(t *testing.T) {
 	env := sim.NewEnv(1)
 	db := New(env, nil, 0)
 	tbl := NewTable[int, row](db, "t", RamCopies)
-	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
-	read := func(tx *Tx) []row { return IndexRead(tx, tbl, "parent", 7, byName) }
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byName)
+	read := func(tx *Tx) []row { return readIndex(tx, tbl, "parent", 7) }
 	env.Spawn("t", func(p *sim.Proc) {
 		db.Transaction(p, func(tx *Tx) {
 			Put(tx, tbl, 1, row{Parent: 7, Name: "a"})
@@ -387,6 +397,26 @@ func TestIndexReadIgnoresUncommittedWrites(t *testing.T) {
 	env.MustRun()
 }
 
+// TestIndexOrderMustBeTotal plants two rows of one bucket that the
+// index's order ties: the second add must panic, naming the index,
+// because a later remove of either row could drop the other.
+func TestIndexOrderMustBeTotal(t *testing.T) {
+	env := sim.NewEnv(1)
+	db, _ := newDB(env)
+	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
+	byLen := func(a, b row) int { return len(a.Name) - len(b.Name) }
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byLen)
+	tbl.Bootstrap(1, row{Parent: 7, Name: "ab"})
+	tbl.Bootstrap(2, row{Parent: 8, Name: "cd"}) // another bucket: no tie
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "index parent orders two rows of bucket 7 as equal") {
+			t.Fatalf("tied add panicked with %q, want the tie named", msg)
+		}
+	}()
+	tbl.Bootstrap(3, row{Parent: 7, Name: "ef"})
+}
+
 // fillBucket puts rows f0..f(n-1) under parent 7 of a fresh table, in
 // the order perm gives, one transaction each.
 func fillBucket(p *sim.Proc, db *DB, tbl *Table[uint64, row], perm []int) {
@@ -405,12 +435,12 @@ func TestIndexReadChargesOneOp(t *testing.T) {
 		env := sim.NewEnv(1)
 		db, _ := newDB(env)
 		tbl := NewTable[uint64, row](db, "dentry", RamCopies)
-		tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+		tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byName)
 		env.Spawn("t", func(p *sim.Proc) {
 			fillBucket(p, db, tbl, rand.New(rand.NewSource(1)).Perm(n))
 			var rows []row
 			start := p.Now()
-			db.View(p, func(tx *Tx) { rows = IndexRead(tx, tbl, "parent", 7, byName) })
+			db.View(p, func(tx *Tx) { rows = readIndex(tx, tbl, "parent", 7) })
 			if took := p.Now() - start; took != db.opTime || len(rows) != n {
 				t.Errorf("%d-row bucket: read %d rows in %v, want %d in one op time (%v)", n, len(rows), took, n, db.opTime)
 			}
@@ -420,9 +450,8 @@ func TestIndexReadChargesOneOp(t *testing.T) {
 }
 
 // TestIndexReadOrderIndependent: the rows of a bucket come back in the
-// caller's order however they were inserted — ascending, descending or
-// shuffled, into tables whose maps grew differently — never in map
-// order.
+// index's order however they were inserted — ascending, descending or
+// shuffled — never in insertion or map order.
 func TestIndexReadOrderIndependent(t *testing.T) {
 	const n = 64
 	asc, desc := make([]int, n), make([]int, n)
@@ -434,11 +463,11 @@ func TestIndexReadOrderIndependent(t *testing.T) {
 		env := sim.NewEnv(1)
 		db, _ := newDB(env)
 		tbl := NewTable[uint64, row](db, "dentry", RamCopies)
-		tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+		tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byName)
 		var got []row
 		env.Spawn("t", func(p *sim.Proc) {
 			fillBucket(p, db, tbl, perm)
-			db.View(p, func(tx *Tx) { got = IndexRead(tx, tbl, "parent", 7, byName) })
+			db.View(p, func(tx *Tx) { got = readIndex(tx, tbl, "parent", 7) })
 		})
 		env.MustRun()
 		if !slices.IsSortedFunc(got, byName) || len(got) != n {

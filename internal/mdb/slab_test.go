@@ -1,8 +1,10 @@
 package mdb
 
 import (
+	"fmt"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +54,7 @@ func TestTransactionAllocsPerOp(t *testing.T) {
 	db := NewAsync(env, disk.New(env, "mdb", params.Default().Disk), 0, time.Hour)
 	inodes := NewTable[uint64, inodeRow](db, "inode", DiscCopies)
 	dentries := NewTable[dentryKey, dentryRow](db, "dentry", DiscCopies)
-	dentries.AddIndex("parent", func(r dentryRow) uint64 { return r.Parent })
+	dentries.AddIndex("parent", func(r dentryRow) uint64 { return r.Parent }, func(a, b dentryRow) int { return strings.Compare(a.Name, b.Name) })
 	mappings := NewTable[uint64, string](db, "mapping", DiscCopies)
 	// A row that stays keeps the directory's index bucket alive.
 	dentries.Bootstrap(dentryKey{1, "keep"}, dentryRow{Parent: 1, Name: "keep", Child: 2})
@@ -89,30 +91,50 @@ func TestTransactionAllocsPerOp(t *testing.T) {
 	}
 }
 
-// TestIndexAddRemoveAllocsNothing pins the typed index key: adding and
-// removing a row under a bucket that stays non-empty allocates nothing.
+// TestIndexAddRemoveAllocsNothing pins the index's host cost: adding
+// and removing a row under a bucket that stays non-empty allocates
+// nothing, in a one-row bucket and in a 16 384-row one whose chunk takes
+// the row without splitting or emptying. The large bucket is filled the
+// way metarates fills a shared directory — names created round-robin by
+// rank — so its inserts land mid-run, not at its end.
 func TestIndexAddRemoveAllocsNothing(t *testing.T) {
 	skipUnderRace(t)
 	env := sim.NewEnv(1)
 	db, _ := newDB(env)
 	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
-	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byName)
 	tbl.Bootstrap(1, row{Parent: 7, Name: "keep"})
-	ix, v := tbl.indexes[0], row{Parent: 7, Name: "x"}
-	if n := testing.AllocsPerRun(1000, func() { ix.add(2, v); ix.remove(2, v) }); n != 0 {
-		t.Fatalf("index add+remove allocates %v, want 0", n)
+	const ranks, perRank = 16, 1024
+	for i := 0; i < perRank; i++ {
+		for r := 0; r < ranks; r++ {
+			tbl.Bootstrap(uint64(2+r*perRank+i), row{Parent: 8, Name: fmt.Sprintf("metarates.%04d.%06d", r, i)})
+		}
+	}
+	ix := tbl.indexes[0]
+	big := ix.buckets[8]
+	if big.n != ranks*perRank || len(big.chunks) < big.n/runChunk {
+		t.Fatalf("bucket 8 holds %d rows in %d chunks, want %d rows in at least %d", big.n, len(big.chunks), ranks*perRank, big.n/runChunk)
+	}
+	mid := row{Parent: 8, Name: fmt.Sprintf("metarates.%04d.%06d", ranks/2, perRank)}
+	if ch := big.chunks[big.chunk(mid, byName)]; len(ch) == runChunk || len(ch) == 0 {
+		t.Fatalf("the mid-run row's chunk holds %d rows; the pin wants one it fits without a split", len(ch))
+	}
+	for _, v := range []row{{Parent: 7, Name: "x"}, mid} {
+		if n := testing.AllocsPerRun(1000, func() { ix.add(v); ix.remove(v) }); n != 0 {
+			t.Errorf("index add+remove of %q allocates %v, want 0", v.Name, n)
+		}
 	}
 }
 
 // TestIndexReadAllocsOneSlice pins the row read's cost in host memory:
-// reading a 64-row bucket allocates the one slice it returns (sorting
-// it allocates nothing), and an empty bucket allocates nothing.
+// reading a 64-row bucket into a slice allocates that one slice (the
+// view itself allocates nothing), and an empty bucket allocates nothing.
 func TestIndexReadAllocsOneSlice(t *testing.T) {
 	skipUnderRace(t)
 	env := sim.NewEnv(1)
 	db, _ := newDB(env)
 	tbl := NewTable[uint64, row](db, "dentry", RamCopies)
-	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent })
+	tbl.AddIndex("parent", func(v row) uint64 { return v.Parent }, byName)
 	for i := 0; i < 64; i++ {
 		tbl.Bootstrap(uint64(100+i), row{Parent: 7, Name: "f" + strconv.Itoa(i)})
 	}
@@ -122,7 +144,7 @@ func TestIndexReadAllocsOneSlice(t *testing.T) {
 		bucket uint64
 		want   float64
 	}{{7, 1}, {8, 0}} {
-		if n := testing.AllocsPerRun(100, func() { IndexRead(tx, tbl, "parent", c.bucket, byName) }); n != c.want {
+		if n := testing.AllocsPerRun(100, func() { readIndex(tx, tbl, "parent", c.bucket) }); n != c.want {
 			t.Errorf("IndexRead of bucket %d allocates %v, want %v", c.bucket, n, c.want)
 		}
 	}
