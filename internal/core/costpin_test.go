@@ -1,10 +1,14 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"cofs/internal/core"
 	"cofs/internal/experiments"
 	"cofs/internal/params"
+	"cofs/internal/sim"
 )
 
 // TestStoreAbsoluteCostPin holds the default deployment to the absolute
@@ -30,5 +34,34 @@ func TestStoreAbsoluteCostPin(t *testing.T) {
 	}
 	if sum.MeanMs() != want {
 		t.Fatalf("default store drifted from the recorded baseline: %v vms/op, want %v", sum.MeanMs(), want)
+	}
+}
+
+// TestInstallerNotSpecial: the deployment's object tree is formatted as
+// state, so the node it was formatted from is an ordinary client. Once
+// each node has made its own directory, a create and a stat in it cost
+// node 0 exactly the virtual time and network messages they cost node
+// 1; an installer that kept the bucket paths it resolved while
+// installing would pay less. Rig itself runs nothing: a drain after it
+// pops no event.
+func TestInstallerNotSpecial(t *testing.T) {
+	// No FUSE crossing cost: its jitter is one stream both nodes draw
+	// from in turn, so it would tell their turns apart, not the nodes.
+	tb, d := core.Rig(t, 1, 2, func(c *params.Config) { c.FUSE.CrossingTime = 0 })
+	tb.Run()
+	if st := tb.Env.Stats(); st != (sim.Stats{}) || tb.Env.Now() != 0 {
+		t.Fatalf("the deployment ran simulated work: %+v, clock at %v", st, tb.Env.Now())
+	}
+	core.Play(t, tb, d, core.Mkdir(0, "/n0", 0777), core.Mkdir(1, "/n1", 0777))
+	cost := func(node int) (time.Duration, int64) {
+		start, msgs := tb.Env.Now(), tb.Net.Messages
+		path := fmt.Sprintf("/n%d/f", node)
+		core.Play(t, tb, d, core.Create(node, path, 0644), core.Stat(node, path))
+		return tb.Env.Now() - start, tb.Net.Messages - msgs
+	}
+	t0, m0 := cost(0)
+	t1, m1 := cost(1)
+	if t0 != t1 || m0 != m1 {
+		t.Fatalf("node 0 paid (%v, %d msgs), node 1 paid (%v, %d msgs): the installer is special", t0, m0, t1, m1)
 	}
 }

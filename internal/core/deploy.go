@@ -6,7 +6,6 @@ import (
 
 	"cofs/internal/cluster"
 	"cofs/internal/obs"
-	"cofs/internal/sim"
 	"cofs/internal/stats"
 	"cofs/internal/vfs"
 )
@@ -44,26 +43,18 @@ func Deploy(tb *cluster.Testbed, place Placement) *Deployment {
 	svc := newMDSCluster(tb, "cofs-mds", max(cfg.COFS.MetadataShards, 1), newScope(cfg.COFS), &objectNames{})
 	svc.obs.planes = append(svc.obs.planes, svc)
 	d := &Deployment{Service: svc}
-	// Install-time initialization: pre-create the hash (and random)
-	// levels of the object tree from one node, so runtime creates land
-	// in directories that already exist. The installing client then
-	// relinquishes its tokens — otherwise every other node's first use
-	// of a bucket would pay a revocation against the installer. The
-	// install drains before Deploy returns. Every client then shares
-	// one read-only set of the pre-created directories.
+	// Install-time initialization: the hash (and random) levels of the
+	// object tree are formatted into the file system before any client
+	// mounts it, so runtime creates land in directories that already
+	// exist. Formatting is state, not simulated work: no process, no
+	// token held, nothing to drain. Every client then shares one
+	// read-only set of the pre-created directories.
 	dirs := place.InitDirs()
+	tb.FS.Format(0, 0700, dirs)
 	installed := make(map[string]bool, len(dirs))
-	tb.Env.Spawn("cofs-init", func(p *sim.Proc) {
-		ctx := vfs.Ctx{UID: 0, Node: 0}
-		for _, dir := range dirs {
-			if err := tb.Mounts[0].MkdirAll(p, ctx, dir, 0700); err != nil {
-				panic(fmt.Sprintf("cofs init: %v", err))
-			}
-			installed[dir] = true
-		}
-		tb.Clients[0].Relinquish(p)
-	})
-	tb.Env.MustRun()
+	for _, dir := range dirs {
+		installed[dir] = true
+	}
 	for i, node := range tb.Nodes {
 		fs := NewFS(svc, node, i, tb.Mounts[i], place,
 			cfg.COFS, tb.Env.RNG(fmt.Sprintf("cofs.place.%d", i)))

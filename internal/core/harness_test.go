@@ -22,8 +22,9 @@ import (
 // node sees, and CheckPlane holds the plane to itself.
 
 // Rig deploys COFS on a testbed of nodes nodes seeded with seed, under
-// the default parameters changed by each tweak in turn, and drains the
-// deployment's install-time initialization.
+// the default parameters changed by each tweak in turn. The deployment
+// formats its object tree as state, so the rig starts at virtual time
+// 0 with nothing to drain.
 func Rig(t testing.TB, seed int64, nodes int, tweaks ...func(*params.Config)) (*cluster.Testbed, *Deployment) {
 	t.Helper()
 	cfg := params.Default()
@@ -31,9 +32,7 @@ func Rig(t testing.TB, seed int64, nodes int, tweaks ...func(*params.Config)) (*
 		tweak(&cfg)
 	}
 	tb := cluster.New(seed, nodes, cfg)
-	d := Deploy(tb, nil)
-	tb.Run()
-	return tb, d
+	return tb, Deploy(tb, nil)
 }
 
 // Shards is the tweak that deploys n metadata shards.

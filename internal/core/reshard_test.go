@@ -388,8 +388,8 @@ func TestReshardDormantCostIdentical(t *testing.T) {
 		now    time.Duration
 		msgs   int64
 	}{
-		{1, 1420867801 * time.Nanosecond, 502},
-		{4, 1449293373 * time.Nanosecond, 524},
+		{1, 209692761 * time.Nanosecond, 208},
+		{4, 239913983 * time.Nanosecond, 228},
 	} {
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {
 			if now, msgs := storeWorkload(t, "", tc.shards); now != tc.now || msgs != tc.msgs {

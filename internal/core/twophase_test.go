@@ -194,8 +194,8 @@ func TestTxnLocksUncontendedCostIdentical(t *testing.T) {
 		now    time.Duration
 		msgs   int64
 	}{
-		{2, 1421295190 * time.Nanosecond, 610},
-		{4, 1457514147 * time.Nanosecond, 648},
+		{2, 211254593 * time.Nanosecond, 274},
+		{4, 236482764 * time.Nanosecond, 330},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%dshards", tc.shards), func(t *testing.T) {

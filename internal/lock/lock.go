@@ -293,20 +293,6 @@ func (m *Manager) Release(p *sim.Proc, c Client, r Resource) {
 	})
 }
 
-// ReleaseAll removes c from every token it holds, in one RPC. This is
-// the bulk variant of Release, used when a client relinquishes its
-// entire working set (e.g. after an installation task), so later users
-// of those resources get uncontended grants instead of revocations.
-func (m *Manager) ReleaseAll(p *sim.Proc, c Client) {
-	netsim.Call(p, m.net, c.Host(), m.host, 64, 64, func(p *sim.Proc) struct{} {
-		p.Sleep(m.cpuPer)
-		for _, t := range m.tokens {
-			m.remove(t, c)
-		}
-		return struct{}{}
-	})
-}
-
 // ReleaseLocal removes c's holdership without network traffic; used when
 // the manager and client decide the token is gone as part of another
 // exchange (e.g. object deletion piggybacked on an RPC already paid for).

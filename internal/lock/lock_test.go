@@ -296,44 +296,6 @@ func TestManyTokensIndependent(t *testing.T) {
 	}
 }
 
-func TestReleaseAllDropsEveryHoldership(t *testing.T) {
-	rg := newRig(t, 2, 0)
-	resources := []Resource{{Kind: 1, ID: 1}, {Kind: 1, ID: 2}, {Kind: 2, ID: 1}}
-	rg.env.Spawn("acq", func(p *sim.Proc) {
-		for _, r := range resources {
-			rg.mgr.Acquire(p, rg.clients[0], r, ModeExclusive)
-		}
-		rg.mgr.Acquire(p, rg.clients[1], Resource{Kind: 3, ID: 9}, ModeExclusive)
-	})
-	rg.env.MustRun()
-
-	rg.env.Spawn("release", func(p *sim.Proc) {
-		rg.clients[0].cache.Clear()
-		rg.mgr.ReleaseAll(p, rg.clients[0])
-	})
-	rg.env.MustRun()
-	for _, r := range resources {
-		if n := rg.mgr.Holders(r); n != 0 {
-			t.Errorf("resource %v still has %d holders after ReleaseAll", r, n)
-		}
-	}
-	// The other client's token is untouched.
-	if n := rg.mgr.Holders(Resource{Kind: 3, ID: 9}); n != 1 {
-		t.Errorf("unrelated holdership dropped: holders=%d, want 1", n)
-	}
-	// A later exclusive acquire by the other client needs no revocation.
-	rg.env.Spawn("reacquire", func(p *sim.Proc) {
-		rg.mgr.Acquire(p, rg.clients[1], resources[0], ModeExclusive)
-	})
-	rg.env.MustRun()
-	if rg.clients[0].revokes != 0 {
-		t.Errorf("released client was revoked %d times", rg.clients[0].revokes)
-	}
-	if err := rg.mgr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCacheClear(t *testing.T) {
 	c := NewCacheSized(8)
 	for i := 0; i < 5; i++ {

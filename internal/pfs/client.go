@@ -147,40 +147,6 @@ func (c *Client) dropBlocks(r lock.Resource) {
 
 func (c *Client) cpu(p *sim.Proc) { p.Sleep(c.srv.cfg.PFS.ClientCPUPerOp) }
 
-// Relinquish flushes all dirty metadata and voluntarily gives up every
-// token this client holds, clearing its caches. It is the
-// administrative analogue of GPFS token aging: a client that finished a
-// one-off task (such as installing COFS's object tree) steps out of the
-// way so later users of those directories get uncontended grants
-// instead of paying revocation round trips against it.
-func (c *Client) Relinquish(p *sim.Proc) {
-	// Flush dirty resources in deterministic order.
-	dirtyRes := make([]lock.Resource, 0, len(c.dirty))
-	for r := range c.dirty {
-		dirtyRes = append(dirtyRes, r)
-	}
-	sort.Slice(dirtyRes, func(i, j int) bool {
-		if dirtyRes[i].Kind != dirtyRes[j].Kind {
-			return dirtyRes[i].Kind < dirtyRes[j].Kind
-		}
-		return dirtyRes[i].ID < dirtyRes[j].ID
-	})
-	for _, r := range dirtyRes {
-		lvl := c.dirty[r]
-		c.Stats.MetaFlushes++
-		home := c.flushHome(r)
-		c.srv.flushMeta(p, c.host, home, lvl == dirtyDurable)
-		delete(c.dirty, r)
-	}
-	// Drop local caches and the token table, then release holdership at
-	// the manager in one bulk RPC (this also covers tokens the LRU had
-	// already forgotten but the manager still recorded).
-	c.inoCache.Clear()
-	c.dirBlocks.Clear()
-	c.tokens.Clear()
-	c.srv.Tokens.ReleaseAll(p, c)
-}
-
 // pin marks a granted token as in use so revocations wait; the pinned
 // section must never acquire another token (bounded work only), which
 // keeps pin/revoke cycles impossible.
@@ -515,10 +481,7 @@ func (c *Client) Mkdir(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode 
 	if _, ok := din.entries[name]; ok {
 		return vfs.Attr{}, vfs.ErrExist
 	}
-	in := c.srv.allocInode(c.node, vfs.TypeDir, mode, ctx.UID, ctx.GID)
-	in.attr.Nlink = 2
-	din.entries[name] = in.attr.Ino
-	din.attr.Nlink++
+	in := c.srv.mkdir(c.node, din, name, mode, ctx.UID, ctx.GID)
 	din.attr.Mtime = p.Now()
 	return in.attr, nil
 }

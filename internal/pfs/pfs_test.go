@@ -2,11 +2,14 @@ package pfs_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime/debug"
 	"testing"
 	"time"
 
 	"cofs/internal/cluster"
+	"cofs/internal/core"
+	"cofs/internal/lock"
 	"cofs/internal/params"
 	"cofs/internal/sim"
 	"cofs/internal/stats"
@@ -539,78 +542,73 @@ func TestTokenInvariantsAfterMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestRelinquishMakesNextUserCheap verifies the install-time admin path:
-// after node 0 builds a directory tree and relinquishes, node 1's first
-// creates in those directories trigger no revocations against node 0.
-func TestRelinquishMakesNextUserCheap(t *testing.T) {
-	tb := cluster.New(3, 2, params.Default())
-	ctx0 := cluster.Ctx(0, 1)
-	ctx1 := cluster.Ctx(1, 1)
-	tb.Env.Spawn("install", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			if err := tb.Mounts[0].MkdirAll(p, ctx0, fmt.Sprintf("/inst/d%02d", i), 0777); err != nil {
-				panic(err)
-			}
-		}
-		tb.Clients[0].Relinquish(p)
-	})
-	tb.Run()
+// TestFormatEqualsInstall holds Server.Format to the install it
+// replaces: a MkdirAll of every directory from node 0, in one process,
+// through the bare mount. Both must leave the same namespace (inode
+// numbers, types, modes, owners, link counts and entries) and the same
+// directory blocks, in the same recency order, in every server's
+// buffer cache, with no inode block cached. Format must take no token.
+func TestFormatEqualsInstall(t *testing.T) {
+	def := params.Default().COFS
+	for _, tc := range []struct {
+		name  string
+		place core.Placement
+	}{
+		{"hash-defaults", core.HashPlacement{Fanout: def.DirFanout, RandomSubdirs: def.RandomSubdirs}},
+		{"hash-fanout-4096", core.HashPlacement{Fanout: 4096, RandomSubdirs: def.RandomSubdirs}},
+		{"node-hash", core.NodeHashPlacement{Fanout: def.DirFanout}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirs := tc.place.InitDirs()
+			installed := cluster.New(1, 1, params.Default())
+			installed.Env.Spawn("install", func(p *sim.Proc) {
+				for _, dir := range dirs {
+					if err := installed.Mounts[0].MkdirAll(p, vfs.Ctx{UID: 0, Node: 0}, dir, 0700); err != nil {
+						panic(err)
+					}
+				}
+			})
+			installed.Run()
+			formatted := cluster.New(1, 1, params.Default())
+			formatted.FS.Format(0, 0700, dirs)
 
-	before := tb.Clients[0].Stats.Revocations
-	tb.Env.Spawn("use", func(p *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			f, err := tb.Mounts[1].Create(p, ctx1, fmt.Sprintf("/inst/d%02d/f", i), 0644)
-			if err != nil {
-				panic(err)
+			if st := formatted.Env.Stats(); st != (sim.Stats{}) || formatted.Env.Now() != 0 {
+				t.Fatalf("Format ran simulated work: %+v at %v", st, formatted.Env.Now())
 			}
-			f.Close(p)
-		}
-	})
-	tb.Run()
-	if got := tb.Clients[0].Stats.Revocations - before; got != 0 {
-		t.Errorf("installer was revoked %d times after Relinquish, want 0", got)
+			want, got := installed.FS.Namespace(), formatted.FS.Namespace()
+			if len(got) != len(want) {
+				t.Fatalf("formatted %d inodes, the install made %d", len(got), len(want))
+			}
+			for ino, w := range want {
+				if g := got[ino]; !reflect.DeepEqual(g, w) {
+					t.Fatalf("inode %d: formatted %+v, installed %+v", ino, g, w)
+				}
+			}
+			gf, gd := formatted.FS.CountObjects()
+			wf, wd := installed.FS.CountObjects()
+			if gf != wf || gd != wd {
+				t.Errorf("CountObjects: formatted (%d, %d), installed (%d, %d)", gf, gd, wf, wd)
+			}
+			for _, tb := range []*cluster.Testbed{installed, formatted} {
+				if err := tb.FS.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for h := range formatted.Servers {
+				w, g := installed.FS.DirCacheKeys(h), formatted.FS.DirCacheKeys(h)
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("server %d dir cache: formatted %d blocks, installed %d, or in another order", h, len(g), len(w))
+				}
+				if n, m := formatted.FS.InodeCacheLen(h), installed.FS.InodeCacheLen(h); n != 0 || m != 0 {
+					t.Errorf("server %d inode cache: formatted %d blocks, installed %d, want 0", h, n, m)
+				}
+			}
+			// Every holder a token manager records came from a grant.
+			if st := formatted.FS.Tokens.Stats; st != (lock.Stats{}) {
+				t.Errorf("Format took tokens: %+v", st)
+			}
+		})
 	}
-	if err := tb.FS.Tokens.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.FS.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRelinquishFlushesDirtyState: relinquishing after mutations must
-// not lose them — another client sees every file.
-func TestRelinquishFlushesDirtyState(t *testing.T) {
-	tb := cluster.New(5, 2, params.Default())
-	ctx0 := cluster.Ctx(0, 1)
-	tb.Env.Spawn("write-then-relinquish", func(p *sim.Proc) {
-		if err := tb.Mounts[0].Mkdir(p, ctx0, "/d", 0777); err != nil {
-			panic(err)
-		}
-		for i := 0; i < 10; i++ {
-			f, err := tb.Mounts[0].Create(p, ctx0, fmt.Sprintf("/d/f%d", i), 0644)
-			if err != nil {
-				panic(err)
-			}
-			f.WriteAt(p, 0, 4096)
-			f.Close(p)
-		}
-		tb.Clients[0].Relinquish(p)
-	})
-	tb.Run()
-	tb.Env.Spawn("verify", func(p *sim.Proc) {
-		ctx1 := cluster.Ctx(1, 1)
-		for i := 0; i < 10; i++ {
-			attr, err := tb.Mounts[1].Stat(p, ctx1, fmt.Sprintf("/d/f%d", i))
-			if err != nil {
-				panic(err)
-			}
-			if attr.Size != 4096 {
-				t.Errorf("f%d size=%d, want 4096", i, attr.Size)
-			}
-		}
-	})
-	tb.Run()
 }
 
 // TestReaddirSurvivesConcurrentUnlink: a lister sleeps fetching each

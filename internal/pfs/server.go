@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"strings"
 	"time"
 
 	"cofs/internal/blockstore"
@@ -176,6 +177,54 @@ func (s *Server) allocInode(node int, t vfs.FileType, mode, uid, gid uint32) *in
 	}
 	s.inodes[ino] = in
 	return in
+}
+
+// mkdir links a new directory, allocated from node's regions, into din
+// under name.
+func (s *Server) mkdir(node int, din *inode, name string, mode, uid, gid uint32) *inode {
+	in := s.allocInode(node, vfs.TypeDir, mode, uid, gid)
+	in.attr.Nlink = 2
+	din.entries[name] = in.attr.Ino
+	din.attr.Nlink++
+	return in
+}
+
+// Format lays dirs out as root-owned directories of the given mode,
+// each with its missing parents, the way a format tool (pvfs2-mkspace,
+// mkfs.lustre, mmcrfs) writes a file system before any client mounts
+// it. It runs no simulated work and takes no tokens. The inodes come
+// from node's regions in the order a serial MkdirAll of dirs from node
+// would take them, and the home servers' buffer caches end holding the
+// directory blocks that MkdirAll leaves there, in the same order: each
+// path component, inserted or walked, reads the parent's block its
+// name hashes to through a client-sized block cache of the formatter's
+// own, and writes it through the server's cache on a miss there or,
+// past the delegation limit, on every mutation.
+func (s *Server) Format(node int, mode uint32, dirs []string) {
+	own := lru.New[dirBlockKey, struct{}](s.cfg.PFS.ClientDirCacheBlocks)
+	for _, dir := range dirs {
+		din := s.inodes[RootIno]
+		for rest := dir; rest != ""; {
+			var name string
+			name, rest, _ = strings.Cut(rest, "/")
+			if name == "" {
+				continue
+			}
+			key := s.dirBlockOf(din.attr.Ino, len(din.entries), name)
+			_, hit := own.Get(key)
+			if !hit {
+				own.Put(key, struct{}{})
+			}
+			if !hit || len(din.entries) >= s.cfg.PFS.CreateDelegationMaxEntries {
+				s.dirCaches[s.homeHost(key.dir)].Put(key, struct{}{})
+			}
+			ino, ok := din.entries[name]
+			if !ok {
+				ino = s.mkdir(node, din, name, mode, 0, 0).attr.Ino
+			}
+			din = s.inodes[ino]
+		}
+	}
 }
 
 // mix64 is a splitmix64-style finalizer used to spread object ids across
