@@ -16,8 +16,8 @@ import (
 
 // The tests of this package share one harness, exported like
 // export_test.go so the external tests use it too: Rig deploys, Drained
-// runs one drained phase, Race runs file operations through the
-// replayer's trace.Do, and Expect and Play check what they return,
+// runs one drained phase, Race runs file operations on the replayer's
+// scheduler, trace.Race, and Expect and Play check what they return,
 // Sweep steps a race across its window, Attrs, Ino and View read what a
 // node sees, and CheckPlane holds the plane to itself.
 
@@ -64,29 +64,10 @@ func Drained(tb *cluster.Testbed, name string, fn func(p *sim.Proc)) {
 	tb.Run()
 }
 
-// Race runs ops as racing processes and drains the run: the ops of one
-// stream (node, pid) run in order on one process, which starts at the
-// stream's first op's At after the call, and the streams are spawned in
-// the order they first appear. It returns each op's error.
+// Race runs ops as racing streams on the replayer's scheduler,
+// trace.Race, drains the run and returns each op's error.
 func Race(tb *cluster.Testbed, d *Deployment, ops ...trace.Op) []error {
-	errs := make([]error, len(ops))
-	spawned := make(map[[2]int]bool)
-	for i, op := range ops {
-		if spawned[[2]int{op.Node, op.PID}] {
-			continue
-		}
-		spawned[[2]int{op.Node, op.PID}] = true
-		tb.Env.SpawnAfter(fmt.Sprintf("race.n%d.p%d", op.Node, op.PID), op.At, func(p *sim.Proc) {
-			m, ctx := d.Mounts[op.Node], cluster.Ctx(op.Node, op.PID)
-			for j := i; j < len(ops); j++ {
-				if ops[j].Node == op.Node && ops[j].PID == op.PID {
-					errs[j] = trace.Do(p, m, ctx, ops[j])
-				}
-			}
-		})
-	}
-	tb.Run()
-	return errs
+	return trace.Race(trace.Target{Env: tb.Env, Mounts: d.Mounts}, ops)
 }
 
 // Expect runs ops as Race does and fails t unless every one returns

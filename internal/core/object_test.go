@@ -9,6 +9,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -45,14 +46,11 @@ func withFaultyUnder(tb *cluster.Testbed, d *Deployment) *faultyUnder {
 	return u
 }
 
-// mkdirD makes /d through node 0 and returns its inode number.
-func mkdirD(t *testing.T, p *sim.Proc, d *Deployment) vfs.Ino {
+// mkdirD makes /d from node 0 and returns its inode number.
+func mkdirD(t *testing.T, tb *cluster.Testbed, d *Deployment) vfs.Ino {
 	t.Helper()
-	attr, err := d.FSs[0].Mkdir(p, cluster.Ctx(0, 1), RootID, "d", 0755)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return attr.Ino
+	Play(t, tb, d, Mkdir(0, "/d", 0755))
+	return Ino(t, tb, d, "/d")
 }
 
 // TestCreateOverlapsObject: with an underlying file system far slower
@@ -62,8 +60,8 @@ func TestCreateOverlapsObject(t *testing.T) {
 	// RandomSubdirs 1: one bucket per (node, pid, parent).
 	tb, d := Rig(t, 1, 1, slowUnder, func(c *params.Config) { c.COFS.RandomSubdirs = 1 })
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
+	dir := mkdirD(t, tb, d)
 	Drained(tb, "overlap", func(p *sim.Proc) {
-		dir := mkdirD(t, p, d)
 		if _, h, err := fs.Create(p, ctx, dir, "warm", 0644); err != nil || fs.Release(p, ctx, h) != nil {
 			t.Fatalf("warm-up create: %v", err)
 		}
@@ -103,21 +101,14 @@ func TestCreateOverlapsObject(t *testing.T) {
 func TestCreateUndoesFailedObject(t *testing.T) {
 	tb, d := Rig(t, 1, 1)
 	u := withFaultyUnder(tb, d)
-	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
-	Drained(tb, "undo", func(p *sim.Proc) {
-		dir := mkdirD(t, p, d)
-		u.err = errUnderFull
-		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); !errors.Is(err, errUnderFull) {
-			t.Fatalf("create over a failing underlay: %v, want %v", err, errUnderFull)
-		}
-		if _, err := fs.Lookup(p, ctx, dir, "f"); err != vfs.ErrNotExist {
-			t.Fatalf("lookup of the failed create's name: %v, want %v", err, vfs.ErrNotExist)
-		}
-		u.err = nil
-		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); err != nil {
-			t.Fatalf("re-create once the underlay recovers: %v", err)
-		}
-	})
+	mkdirD(t, tb, d)
+	u.err = errUnderFull
+	if err := Race(tb, d, Create(0, "/d/f", 0644))[0]; !errors.Is(err, errUnderFull) {
+		t.Fatalf("create over a failing underlay: %v, want %v", err, errUnderFull)
+	}
+	Expect(t, tb, d, vfs.ErrNotExist, Stat(0, "/d/f"))
+	u.err = nil
+	Play(t, tb, d, Create(0, "/d/f", 0644))
 	CheckPlane(t, tb, d, PlaneFsck)
 }
 
@@ -128,32 +119,25 @@ func TestCreateUndoesFailedObject(t *testing.T) {
 func TestCreateUndoSparesRenamedOnto(t *testing.T) {
 	tb, d := Rig(t, 1, 2)
 	u := withFaultyUnder(tb, d)
-	fs, ctx, other := d.FSs[0], cluster.Ctx(0, 1), d.FSs[1]
-	Drained(tb, "undo after rename", func(p *sim.Proc) {
-		dir := mkdirD(t, p, d)
-		g, h, err := other.Create(p, cluster.Ctx(1, 1), dir, "g", 0644)
-		if err != nil || other.Release(p, cluster.Ctx(1, 1), h) != nil {
-			t.Fatalf("create g: %v", err)
-		}
-		// The object fails 50 ms in, long after the name committed; g
-		// is renamed onto the name 20 ms in.
-		u.err, u.delay = errUnderFull, 50*time.Millisecond
-		p.Env().SpawnAfter("rename", 20*time.Millisecond, func(p *sim.Proc) {
-			if err := other.Rename(p, cluster.Ctx(1, 1), dir, "g", dir, "f"); err != nil {
-				t.Errorf("rename g onto f: %v", err)
-			}
-		})
-		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); !errors.Is(err, errUnderFull) {
-			t.Fatalf("create over a failing underlay: %v, want %v", err, errUnderFull)
-		}
-		if attr, err := fs.Lookup(p, ctx, dir, "f"); err != nil || attr.Ino != g.Ino {
-			t.Fatalf("lookup of f after the undo: %+v, %v; want the renamed file %d", attr, err, g.Ino)
-		}
-		d.DrainRemovals(p)
-	})
+	mkdirD(t, tb, d)
+	Play(t, tb, d, Create(1, "/d/g", 0644))
+	g := Ino(t, tb, d, "/d/g")
+	// The object fails 50 ms in, long after the name committed; g is
+	// renamed onto the name 20 ms in.
+	u.err, u.delay = errUnderFull, 50*time.Millisecond
+	errs := Race(tb, d, Create(0, "/d/f", 0644), At(20*time.Millisecond, Op(1, trace.Rename, "/d/g", "/d/f")))
+	if !errors.Is(errs[0], errUnderFull) || errs[1] != nil {
+		t.Fatalf("create over a failing underlay: %v, rename of g onto f: %v; want %v, nil", errs[0], errs[1], errUnderFull)
+	}
+	if f := Ino(t, tb, d, "/d/f"); f != g {
+		t.Fatalf("f after the undo is inode %d, want the renamed file %d", f, g)
+	}
 	// The rename's own removal (of the replaced, never-made object)
-	// runs on node 1.
-	if got := fs.removing.Acquires; got != 0 {
+	// runs on node 1; without it the rename came after the undo.
+	if got := d.FSs[1].removing.Acquires; got != 1 {
+		t.Fatalf("node 1 started %d removals, want 1: the rename replaced no file, so the test lost its overlap", got)
+	}
+	if got := d.FSs[0].removing.Acquires; got != 0 {
 		t.Fatalf("node 0 started %d removals, want 0: the failed object was never made", got)
 	}
 	CheckPlane(t, tb, d, PlaneFsck)
@@ -165,8 +149,8 @@ func TestCreateRemovesObjectOfFailedCommit(t *testing.T) {
 	tb, d := Rig(t, 1, 1)
 	u := withFaultyUnder(tb, d)
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
+	dir := mkdirD(t, tb, d)
 	Drained(tb, "commit fails", func(p *sim.Proc) {
-		dir := mkdirD(t, p, d)
 		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); err != nil {
 			t.Fatal(err)
 		}
@@ -192,8 +176,8 @@ func TestCreateOfLeasedNameExists(t *testing.T) {
 	tb, d := Rig(t, 1, 1, func(c *params.Config) { c.COFS.AttrLease = time.Second })
 	u := withFaultyUnder(tb, d)
 	fs, ctx := d.FSs[0], cluster.Ctx(0, 1)
+	dir := mkdirD(t, tb, d)
 	Drained(tb, "leased", func(p *sim.Proc) {
-		dir := mkdirD(t, p, d)
 		if _, _, err := fs.Create(p, ctx, dir, "f", 0644); err != nil {
 			t.Fatal(err)
 		}
@@ -224,8 +208,8 @@ func TestCreateInReadOnlyDirRefused(t *testing.T) {
 		t.Run(fmt.Sprintf("lease=%v", lease), func(t *testing.T) {
 			tb, d := Rig(t, 1, 1, func(c *params.Config) { c.COFS.AttrLease = lease })
 			fs, m, ctx := d.FSs[0], d.Mounts[0], cluster.Ctx(0, 1)
+			dir := mkdirD(t, tb, d)
 			Drained(tb, "read-only dir", func(p *sim.Proc) {
-				dir := mkdirD(t, p, d)
 				f, err := m.Create(p, ctx, "/d/f", 0666)
 				if err != nil {
 					t.Fatal(err)
@@ -269,8 +253,8 @@ func TestObjectNamesSurviveReattach(t *testing.T) {
 		tb.Cfg.COFS, tb.Env.RNG("cofs.place.0"))
 	ctx := cluster.Ctx(0, 1)
 	var paths [2]string
+	dir := mkdirD(t, tb, d)
 	Drained(tb, "reattach", func(p *sim.Proc) {
-		dir := mkdirD(t, p, d)
 		for i, fs := range []*FS{old, fresh} {
 			attr, h, err := fs.Create(p, ctx, dir, fmt.Sprintf("f%d", i), 0644)
 			if err != nil {
@@ -307,11 +291,7 @@ func TestObjectNamesSurviveReattach(t *testing.T) {
 func TestCrashWithCreatesInFlight(t *testing.T) {
 	for at := time.Millisecond; at <= 9*time.Millisecond; at += 1100 * time.Microsecond {
 		tb, d := Rig(t, 5, 2, func(c *params.Config) { c.COFS.LogFlushInterval = 0 })
-		Drained(tb, "mkdir", func(p *sim.Proc) {
-			if err := d.Mounts[0].Mkdir(p, cluster.Ctx(0, 1), "/d", 0777); err != nil {
-				t.Fatal(err)
-			}
-		})
+		Play(t, tb, d, Mkdir(0, "/d", 0777))
 		inFlight, hit := 0, 0
 		for n := 0; n < 2; n++ {
 			m, ctx := d.Mounts[n], cluster.Ctx(n, 1)

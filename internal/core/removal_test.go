@@ -8,6 +8,7 @@ import (
 	"cofs/internal/cluster"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -32,30 +33,29 @@ func underExists(t *testing.T, p *sim.Proc, tb *cluster.Testbed, upath string) b
 	return err == nil
 }
 
-// createFiles creates /d/f0 … /d/f<n-1> from node 0 and returns their
-// underlying paths.
-func createFiles(t *testing.T, p *sim.Proc, d *Deployment, n int) []string {
+// createFiles sets up /d with the empty files f0 … f<n-1> from node 0
+// and returns their underlying paths.
+func createFiles(t *testing.T, tb *cluster.Testbed, d *Deployment, n int) []string {
 	t.Helper()
-	m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-	if err := m.Mkdir(p, ctx, "/d", 0755); err != nil {
-		t.Fatal(err)
-	}
-	var upaths []string
-	for i := 0; i < n; i++ {
-		f, err := m.Create(p, ctx, fmt.Sprintf("/d/f%d", i), 0644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Fatal(err)
-		}
-		upath, ok := d.Service.Mapping(f.Ino())
+	Play(t, tb, d, Dir(0, "/d", 0755, n, "f%d", 0)...)
+	upaths := make([]string, n)
+	for i := range upaths {
+		upath, ok := d.Service.Mapping(Ino(t, tb, d, fmt.Sprintf("/d/f%d", i)))
 		if !ok {
 			t.Fatalf("/d/f%d has no mapping", i)
 		}
-		upaths = append(upaths, upath)
+		upaths[i] = upath
 	}
 	return upaths
+}
+
+// unlinks is node 0's unlink of /d/f0 … /d/f<n-1>, in order.
+func unlinks(n int) []trace.Op {
+	ops := make([]trace.Op, n)
+	for i := range ops {
+		ops[i] = Op(0, trace.Unlink, fmt.Sprintf("/d/f%d", i), "")
+	}
+	return ops
 }
 
 // TestRemovalBound: with maxPendingRemovals removals in flight on a
@@ -66,9 +66,8 @@ func TestRemovalBound(t *testing.T) {
 	fs := d.FSs[0]
 	const n = maxPendingRemovals + 1
 	fast, slow := tb.Cfg.PFS.ClientCPUPerOp/10, tb.Cfg.PFS.ClientCPUPerOp/2
-	var upaths []string
+	upaths := createFiles(t, tb, d, n)
 	Drained(tb, "bound", func(p *sim.Proc) {
-		upaths = createFiles(t, p, d, n)
 		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
 		for i := 0; i < n; i++ {
 			t0 := p.Now()
@@ -110,8 +109,8 @@ func TestRemovalBound(t *testing.T) {
 // A file already gone is not a failure.
 func TestRemovalFailuresCounted(t *testing.T) {
 	tb, d := Rig(t, 1, 1)
+	upaths := createFiles(t, tb, d, 2)
 	Drained(tb, "fail", func(p *sim.Proc) {
-		upaths := createFiles(t, p, d, 2)
 		under, root := tb.Mounts[0], vfs.Ctx{UID: 0}
 		// f0's underlying file becomes a directory, which the PFS
 		// refuses to unlink; f1's is gone before COFS removes it.
@@ -123,14 +122,8 @@ func TestRemovalFailuresCounted(t *testing.T) {
 		if err := under.Mkdir(p, root, upaths[0], 0755); err != nil {
 			t.Fatal(err)
 		}
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		for i := range upaths {
-			if err := m.Unlink(p, ctx, fmt.Sprintf("/d/f%d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d.DrainRemovals(p)
 	})
+	Play(t, tb, d, unlinks(2)...)
 	c := d.Counters()
 	if got := c.Get("core.removals"); got != 2 {
 		t.Fatalf("core.removals = %d, want 2", got)
@@ -146,41 +139,29 @@ func TestRemovalFailuresCounted(t *testing.T) {
 // fsck is clean afterwards.
 func TestRecreateDuringRemoval(t *testing.T) {
 	tb, d := Rig(t, 1, 1, slowUnder)
-	var oldPath, newPath string
-	overlapped := false
-	Drained(tb, "recreate", func(p *sim.Proc) {
-		oldPath = createFiles(t, p, d, 1)[0]
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		dir, err := m.Stat(p, ctx, "/d")
-		if err != nil {
-			t.Fatal(err)
+	oldPath := createFiles(t, tb, d, 1)[0]
+	dir := Ino(t, tb, d, "/d")
+	// Watch the old removal finish: by then the new name must be in the
+	// service's tables. The watcher starts 25 ms in: the unlink has
+	// started the removal, which takes over 50 ms.
+	var seen vfs.Ino
+	tb.Env.Spawn("watch", func(p *sim.Proc) {
+		p.Sleep(25 * time.Millisecond)
+		if d.FSs[0].removing.InUse() == 0 {
+			t.Error("the watcher found no removal in flight")
 		}
-		if err := m.Unlink(p, ctx, "/d/f0"); err != nil {
-			t.Fatal(err)
-		}
-		// Watch the old removal finish: by then the new name must be in
-		// the service's tables.
-		tb.Env.Spawn("watch", func(p *sim.Proc) {
-			d.FSs[0].DrainRemovals(p)
-			_, overlapped = d.Service.shards[0].dentries.Peek(dentryKey{Parent: dir.Ino, Name: "f0"})
-		})
-		f, err := m.Create(p, ctx, "/d/f0", 0644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(p, 0, 4096); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(p); err != nil {
-			t.Fatal(err)
-		}
-		newPath, _ = d.Service.Mapping(f.Ino())
-		if newPath == "" || newPath == oldPath {
-			t.Fatalf("re-created file maps to %q, old file to %q: want a new path", newPath, oldPath)
-		}
+		d.FSs[0].DrainRemovals(p)
+		row, _ := d.Service.shards[0].dentries.Peek(dentryKey{Parent: dir, Name: "f0"})
+		seen = row.Child
 	})
-	if !overlapped {
+	Play(t, tb, d, Op(0, trace.Unlink, "/d/f0", ""), Write(0, "/d/f0", 4096))
+	newIno := Ino(t, tb, d, "/d/f0")
+	if seen != newIno {
 		t.Fatal("the old file's removal finished before the re-create committed: the test lost its overlap")
+	}
+	newPath, _ := d.Service.Mapping(newIno)
+	if newPath == "" || newPath == oldPath {
+		t.Fatalf("re-created file maps to %q, old file to %q: want a new path", newPath, oldPath)
 	}
 	Drained(tb, "check", func(p *sim.Proc) {
 		if underExists(t, p, tb, oldPath) {
@@ -189,11 +170,10 @@ func TestRecreateDuringRemoval(t *testing.T) {
 		if !underExists(t, p, tb, newPath) {
 			t.Fatalf("re-created file %s was removed", newPath)
 		}
-		attr, err := d.Mounts[0].Stat(p, cluster.Ctx(0, 1), "/d/f0")
-		if err != nil || attr.Size != 4096 {
-			t.Fatalf("re-created /d/f0: %+v, %v", attr, err)
-		}
 	})
+	if attr := Attrs(t, tb, d, 0, "/d/f0")[0]; attr.Size != 4096 {
+		t.Fatalf("re-created /d/f0: %+v", attr)
+	}
 	CheckPlane(t, tb, d, PlaneFsck)
 }
 
@@ -205,37 +185,28 @@ func TestRecreateDuringRemoval(t *testing.T) {
 func TestCrashWithRemovalsInFlight(t *testing.T) {
 	tb, d := Rig(t, 1, 1, slowUnder, func(c *params.Config) { c.COFS.LogFlushInterval = 0 })
 	const n = maxPendingRemovals
-	Drained(tb, "crash", func(p *sim.Proc) {
-		createFiles(t, p, d, n)
-		m, ctx := d.Mounts[0], cluster.Ctx(0, 1)
-		for i := 0; i < n; i++ {
-			if err := m.Unlink(p, ctx, fmt.Sprintf("/d/f%d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	createFiles(t, tb, d, n)
+	// The crash comes 30 ms in: after the unlinks returned (13 ms),
+	// before the first of their removals finished (52 ms).
+	tb.Env.Spawn("crash", func(p *sim.Proc) {
+		p.Sleep(30 * time.Millisecond)
 		if got := d.FSs[0].removing.InUse(); got != n {
-			t.Fatalf("%d removals in flight at the crash, want %d", got, n)
+			t.Errorf("%d removals in flight at the crash, want %d", got, n)
 		}
 		d.Service.Crash()
 		d.Service.Recover(p)
 		d.Service.AdoptIDCounter()
-		rep := Fsck(p, d.Service, tb.Mounts[0])
-		if len(rep.Missing) != 0 || rep.TableErr != nil {
-			t.Fatalf("after recovery, removals in flight: %v", rep)
-		}
-		for i := 0; i < n; i++ {
-			if _, err := m.Stat(p, ctx, fmt.Sprintf("/d/f%d", i)); err != vfs.ErrNotExist {
-				t.Fatalf("/d/f%d after recovery: %v, want %v", i, err, vfs.ErrNotExist)
-			}
-		}
-		d.DrainRemovals(p)
-		if rep := Fsck(p, d.Service, tb.Mounts[0]); !rep.OK() {
-			t.Fatalf("after the drain: %v", rep)
+		if rep := Fsck(p, d.Service, tb.Mounts[0]); len(rep.Missing) != 0 || rep.TableErr != nil {
+			t.Errorf("after recovery, removals in flight: %v", rep)
 		}
 	})
-	if err := d.Service.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	Play(t, tb, d, unlinks(n)...)
+	var stats []trace.Op
+	for i := 0; i < n; i++ {
+		stats = append(stats, Stat(0, fmt.Sprintf("/d/f%d", i)))
 	}
+	Expect(t, tb, d, vfs.ErrNotExist, stats...)
+	CheckPlane(t, tb, d, PlaneTables|PlaneFsck)
 }
 
 // TestCreateCloseUnlinkAllocs pins the client's per-file cost at the

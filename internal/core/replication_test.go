@@ -2,12 +2,15 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"cofs/internal/cluster"
 	"cofs/internal/core"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 	"cofs/internal/vfs"
 )
 
@@ -17,53 +20,13 @@ func TestStandbyTracksPrimary(t *testing.T) {
 	tb, d := core.Rig(t, 5, 2)
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
-
-	ctx := cluster.Ctx(0, 1)
-	tb.Env.Spawn("workload", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		if err := m.MkdirAll(p, ctx, "/out", 0777); err != nil {
-			t.Errorf("mkdir: %v", err)
-			return
-		}
-		for i := 0; i < 50; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/out/f%02d", i), 0644)
-			if err != nil {
-				t.Errorf("create %d: %v", i, err)
-				return
-			}
-			if _, err := f.WriteAt(p, 0, 4096); err != nil {
-				t.Errorf("write %d: %v", i, err)
-			}
-			if err := f.Close(p); err != nil {
-				t.Errorf("close %d: %v", i, err)
-			}
-		}
-		if err := m.Unlink(p, ctx, "/out/f00"); err != nil {
-			t.Errorf("unlink: %v", err)
-		}
-	})
-	tb.Run()
-
-	if lag := sb.Lag(); lag != 0 {
-		t.Fatalf("replica lag after drain = %d, want 0", lag)
+	core.Play(t, tb, d, append(core.Dir(0, "/out", 0777, 50, "f%02d", 4096), core.Op(0, trace.Unlink, "/out/f00", ""))...)
+	mappings := 0
+	d.Service.EachMapping(func(vfs.Ino, string) { mappings++ })
+	if mappings != 49 {
+		t.Fatalf("primary has %d mappings, want 49", mappings)
 	}
-	// The standby's tables must mirror the primary's mappings exactly.
-	var primary, standby []string
-	d.Service.EachMapping(func(id vfs.Ino, upath string) {
-		primary = append(primary, fmt.Sprintf("%d=%s", id, upath))
-	})
-	sb.Cluster.EachMapping(func(id vfs.Ino, upath string) {
-		standby = append(standby, fmt.Sprintf("%d=%s", id, upath))
-	})
-	if len(primary) != 49 {
-		t.Fatalf("primary has %d mappings, want 49", len(primary))
-	}
-	if fmt.Sprint(primary) != fmt.Sprint(standby) {
-		t.Errorf("standby mappings diverge from primary:\n primary: %v\n standby: %v", primary, standby)
-	}
-	if err := sb.Cluster.CheckInvariants(); err != nil {
-		t.Errorf("standby invariants: %v", err)
-	}
+	standbyMirrors(t, d, sb)
 }
 
 // TestFailoverPromotion kills the primary mid-workload, promotes the
@@ -74,68 +37,33 @@ func TestFailoverPromotion(t *testing.T) {
 	tb, d := core.Rig(t, 9, 2)
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
-
-	ctx := cluster.Ctx(0, 1)
-	tb.Env.Spawn("phase1", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		if err := m.MkdirAll(p, ctx, "/ckpt", 0777); err != nil {
-			t.Errorf("mkdir: %v", err)
-			return
-		}
-		for i := 0; i < 30; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/ckpt/pre-%02d", i), 0644)
-			if err != nil {
-				t.Errorf("create: %v", err)
-				return
-			}
-			f.WriteAt(p, 0, 1024)
-			f.Close(p)
-		}
-	})
-	tb.Run()
+	core.Play(t, tb, d, core.Dir(0, "/ckpt", 0777, 30, "pre-%02d", 1024)...)
 
 	// Primary dies; the deployment promotes the standby.
 	d.Service.Crash()
-	lost := sb.Promote(d)
-	if lost != 0 {
+	if lost := sb.Promote(d); lost != 0 {
 		t.Logf("failover lost %d unshipped records (allowed)", lost)
 	}
 
-	ctx2 := cluster.Ctx(1, 7)
-	tb.Env.Spawn("phase2", func(p *sim.Proc) {
-		m := d.Mounts[1]
-		// Pre-crash files are visible through the promoted service.
-		for i := 0; i < 30; i++ {
-			attr, err := m.Stat(p, ctx, fmt.Sprintf("/ckpt/pre-%02d", i))
-			if err != nil {
-				t.Errorf("stat pre-%02d after failover: %v", i, err)
-				return
-			}
-			if attr.Size != 1024 {
-				t.Errorf("pre-%02d size = %d, want 1024", i, attr.Size)
-			}
+	// Pre-crash files are visible from node 1 through the promoted
+	// service, and new creates there land in it.
+	var pre []string
+	var post []trace.Op
+	for i := 0; i < 30; i++ {
+		pre = append(pre, fmt.Sprintf("/ckpt/pre-%02d", i))
+	}
+	for i, attr := range core.Attrs(t, tb, d, 1, pre...) {
+		if attr.Size != 1024 {
+			t.Errorf("%s size = %d, want 1024", pre[i], attr.Size)
 		}
-		// New creates work and land in the promoted service.
-		for i := 0; i < 10; i++ {
-			f, err := m.Create(p, ctx2, fmt.Sprintf("/ckpt/post-%02d", i), 0644)
-			if err != nil {
-				t.Errorf("create after failover: %v", err)
-				return
-			}
-			f.WriteAt(p, 0, 2048)
-			f.Close(p)
-		}
-		ents, err := m.Readdir(p, ctx2, "/ckpt")
-		if err != nil {
-			t.Errorf("readdir: %v", err)
-			return
-		}
-		if len(ents) != 40 {
-			t.Errorf("entries after failover = %d, want 40", len(ents))
-		}
-	})
-	tb.Run()
-
+	}
+	for i := 0; i < 10; i++ {
+		post = append(post, core.By(7, core.Write(1, fmt.Sprintf("/ckpt/post-%02d", i), 2048)))
+	}
+	core.Play(t, tb, d, post...)
+	if n := strings.Count(core.View(t, tb, d, 1, "/ckpt"), "\n"); n != 40 {
+		t.Errorf("entries after failover = %d, want 40", n)
+	}
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Errorf("promoted service invariants: %v", err)
 	}
@@ -147,43 +75,27 @@ func TestFailoverIDCounterNoCollision(t *testing.T) {
 	tb, d := core.Rig(t, 3, 1)
 	sb := core.DeployStandby(tb, d, time.Millisecond)
 	tb.Run()
-
-	ctx := cluster.Ctx(0, 1)
 	seen := make(map[vfs.Ino]bool)
-	tb.Env.Spawn("pre", func(p *sim.Proc) {
-		m := d.Mounts[0]
+	// create makes 20 files named by format and fails t on an id that
+	// any earlier file had.
+	create := func(format string) {
+		var paths []string
+		var ops []trace.Op
 		for i := 0; i < 20; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/f%02d", i), 0644)
-			if err != nil {
-				t.Errorf("create: %v", err)
-				return
-			}
-			if seen[f.Ino()] {
-				t.Errorf("duplicate ino %d before failover", f.Ino())
-			}
-			seen[f.Ino()] = true
-			f.Close(p)
+			paths = append(paths, fmt.Sprintf(format, i))
+			ops = append(ops, core.Create(0, paths[i], 0644))
 		}
-	})
-	tb.Run()
-
+		core.Play(t, tb, d, ops...)
+		for i, attr := range core.Attrs(t, tb, d, 0, paths...) {
+			if seen[attr.Ino] {
+				t.Errorf("%s reuses ino %d", paths[i], attr.Ino)
+			}
+			seen[attr.Ino] = true
+		}
+	}
+	create("/f%02d")
 	sb.Promote(d)
-	tb.Env.Spawn("post", func(p *sim.Proc) {
-		m := d.Mounts[0]
-		for i := 0; i < 20; i++ {
-			f, err := m.Create(p, ctx, fmt.Sprintf("/g%02d", i), 0644)
-			if err != nil {
-				t.Errorf("create after promote: %v", err)
-				return
-			}
-			if seen[f.Ino()] {
-				t.Errorf("ino %d reused after failover", f.Ino())
-			}
-			seen[f.Ino()] = true
-			f.Close(p)
-		}
-	})
-	tb.Run()
+	create("/g%02d")
 }
 
 // TestDeployStandbyMidMigrationRefused pins the deploy-time guard: a
@@ -225,8 +137,8 @@ func TestDeployStandbyMidMigrationRefused(t *testing.T) {
 	}
 }
 
-// standbyCrashRig is crashRig plus an attached standby plane. The
-// probe and the sweep below must deploy identically — the standby's
+// standbyCrashRig is crashRig plus an attached standby plane. A probe
+// and the run it probes must deploy identically — the standby's
 // shipping traffic is part of the schedule the probe measures.
 func standbyCrashRig(t *testing.T, seed int64, shards int, delay time.Duration) (*cluster.Testbed, *core.Deployment, *core.Standby) {
 	t.Helper()
@@ -243,75 +155,30 @@ func standbyCrashRig(t *testing.T, seed int64, shards int, delay time.Duration) 
 // end settled at the target shape — including retiring its own drained
 // shards on the shrink.
 func TestPromoteMidMigration(t *testing.T) {
-	cases := []struct {
-		name        string
-		from, to    int
-		dirs, files int
-	}{
-		{"grow-2to4", 2, 4, 8, 24},
-		{"shrink-4to2", 4, 2, 16, 48},
+	var sb *core.Standby // the standby of the rig deployed last
+	rig := func(t *testing.T, seed int64, shards int) (*cluster.Testbed, *core.Deployment) {
+		tb, d, s := standbyCrashRig(t, seed, shards, time.Millisecond)
+		sb = s
+		return tb, d
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			seed := 7500 + int64(tc.from*10+tc.to)
-			// Probe: learn every step point of this migration with the
-			// standby attached.
-			var points []core.ReshardPoint
-			{
-				tb, d, _ := standbyCrashRig(t, seed, tc.from, time.Millisecond)
-				buildTree(t, tb, d, tc.dirs, tc.files)
-				d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
-					points = append(points, at)
-					return false
-				})
-				core.Drained(tb, "probe-reshard", func(p *sim.Proc) {
-					if err := d.Service.Reshard(p, tc.to); err != nil {
-						t.Fatalf("probe reshard: %v", err)
-					}
-				})
-			}
-			if len(points) == 0 {
-				t.Fatal("probe migration fired no step points")
-			}
-			for k := range points {
-				k := k
-				t.Run(fmt.Sprintf("at-%02d-%s", k, points[k]), func(t *testing.T) {
-					tb, d, sb := standbyCrashRig(t, seed, tc.from, time.Millisecond)
-					paths := buildTree(t, tb, d, tc.dirs, tc.files)
-					d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
-						return seq == k
-					})
-					core.Drained(tb, "reshard-interrupt", func(p *sim.Proc) {
-						if err := d.Service.Reshard(p, tc.to); err != core.ErrReshardInterrupted {
-							t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
-						}
-					})
-					// The step drained the shipping pipeline, so the
-					// standby holds everything the primaries committed.
-					if lag := sb.Lag(); lag != 0 {
-						t.Fatalf("lag after drain = %d, want 0", lag)
-					}
-					d.Service.Crash()
-					if lost := sb.Promote(d); lost != 0 {
-						t.Fatalf("promote lost %d records after a drained pipeline", lost)
-					}
-					// Drain the promoted plane's spawned mid-reshard
-					// recovery, then hold it to the full contract.
-					tb.Run()
-					assertRecovered(t, tb, d, paths, tc.to)
-					if tc.to < tc.from {
-						names := hostNames(tb)
-						for i := tc.to; i < tc.from; i++ {
-							if names[fmt.Sprintf("cofs-mds-standby%d", i)] {
-								t.Errorf("retired standby host cofs-mds-standby%d still on the testbed", i)
-							}
-						}
-					}
-				})
-			}
-		})
-	}
+	sweepReshardSteps(t, 7500, rig, func(*sim.Proc, *core.Deployment) {}, func(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []string, tc stepCase) {
+		// The step drained the shipping pipeline, so the standby holds
+		// everything the primaries committed.
+		if lag := sb.Lag(); lag != 0 {
+			t.Fatalf("lag after drain = %d, want 0", lag)
+		}
+		d.Service.Crash()
+		if lost := sb.Promote(d); lost != 0 {
+			t.Fatalf("promote lost %d records after a drained pipeline", lost)
+		}
+		// Drain the promoted plane's spawned mid-reshard recovery, then
+		// hold it to the full contract.
+		tb.Run()
+		assertRecovered(t, tb, d, paths, tc.to)
+		if tc.to < tc.from {
+			assertRetired(t, tb, "cofs-mds-standby%d", tc)
+		}
+	})
 }
 
 // TestPromoteRollsForwardUnshippedImport pins the one recovery case
@@ -326,40 +193,14 @@ func TestPromoteRollsForwardUnshippedImport(t *testing.T) {
 	// runs the pumps dry) before the reshard begins.
 	tb, d, sb := standbyCrashRig(t, 7600, 2, 50*time.Millisecond)
 	paths := buildTree(t, tb, d, 8, 24)
-	installedAt := -1
-	{
-		// Probe on a twin rig so this rig's schedule stays untouched.
-		var points []core.ReshardPoint
-		tbp, dp, _ := standbyCrashRig(t, 7600, 2, 50*time.Millisecond)
-		buildTree(t, tbp, dp, 8, 24)
-		dp.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
-			points = append(points, at)
-			return false
-		})
-		core.Drained(tbp, "probe-reshard", func(p *sim.Proc) {
-			if err := dp.Service.Reshard(p, 4); err != nil {
-				t.Fatalf("probe reshard: %v", err)
-			}
-		})
-		for seq, at := range points {
-			if at == core.ReshardInstalled {
-				installedAt = seq
-				break
-			}
-		}
-	}
+	// Probe on a twin rig so this rig's schedule stays untouched.
+	tbp, dp, _ := standbyCrashRig(t, 7600, 2, 50*time.Millisecond)
+	installedAt := slices.Index(countReshardSteps(t, tbp, dp, 4, 8, 24), core.ReshardInstalled)
 	if installedAt < 0 {
 		t.Fatal("probe migration never installed an epoch")
 	}
-	d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
-		return seq == installedAt
-	})
 	var lost int
-	core.Drained(tb, "reshard-die-promote", func(p *sim.Proc) {
-		if err := d.Service.Reshard(p, 4); err != core.ErrReshardInterrupted {
-			t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
-			return
-		}
+	reshardUntil(t, tb, d, 4, installedAt, func(p *sim.Proc) {
 		// Die and promote without yielding: the batch's import is
 		// committed at the primary and the epoch is installed, but no
 		// ship pump has fired — the standby's new owner shard has never

@@ -9,6 +9,7 @@ import (
 	"cofs/internal/core"
 	"cofs/internal/params"
 	"cofs/internal/sim"
+	"cofs/internal/trace"
 )
 
 // These tests pin the crash-consistency half of online resharding
@@ -33,13 +34,13 @@ func crashRig(t *testing.T, seed int64, shards int) (*cluster.Testbed, *core.Dep
 	})
 }
 
-// countReshardSteps probes one migration with a counting hook: the
-// returned slice maps hook sequence numbers to the points they fire at,
-// so the sweep (same seed, same tree) knows every instant it can crash
-// at. The probe's migration runs to completion.
-func countReshardSteps(t *testing.T, seed int64, from, to, dirs, files int) []core.ReshardPoint {
+// countReshardSteps probes one migration of a fresh rig with a counting
+// hook: it builds the tree, reshards to to and returns the points the
+// hook fired at, by sequence number, so a run on the same rig and tree
+// knows every instant it can stop at. The probe's migration runs to
+// completion.
+func countReshardSteps(t *testing.T, tb *cluster.Testbed, d *core.Deployment, to, dirs, files int) []core.ReshardPoint {
 	t.Helper()
-	tb, d := crashRig(t, seed, from)
 	buildTree(t, tb, d, dirs, files)
 	var points []core.ReshardPoint
 	d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
@@ -55,6 +56,66 @@ func countReshardSteps(t *testing.T, seed int64, from, to, dirs, files int) []co
 		t.Fatal("probe migration fired no step points")
 	}
 	return points
+}
+
+// reshardUntil reshards d to to, stops the migration at its step k, runs
+// die in the reshard's process the moment the step returns, and drains.
+func reshardUntil(t *testing.T, tb *cluster.Testbed, d *core.Deployment, to, k int, die func(p *sim.Proc)) {
+	t.Helper()
+	d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool { return seq == k })
+	core.Drained(tb, "reshard-interrupt", func(p *sim.Proc) {
+		if err := d.Service.Reshard(p, to); err != core.ErrReshardInterrupted {
+			t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
+			return
+		}
+		die(p)
+	})
+}
+
+// stepCase is one migration of the step sweep. The shrink needs a wider
+// tree: hash placement must populate the drained shards' stride classes
+// or there is nothing to move back.
+type stepCase struct {
+	name        string
+	from, to    int
+	dirs, files int
+}
+
+// sweepReshardSteps runs a 2→4 grow and a 4→2 shrink, seeded seedBase
+// plus 10·from+to, and stops each at every step point of its migration,
+// one subtest at-<k>-<point> per point: it deploys with rig, builds the
+// tree, stops the migration at step k with die (reshardUntil), and
+// holds the plane to recovered afterwards.
+func sweepReshardSteps(t *testing.T, seedBase int64, rig func(t *testing.T, seed int64, shards int) (*cluster.Testbed, *core.Deployment),
+	die func(p *sim.Proc, d *core.Deployment), recovered func(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []string, tc stepCase)) {
+	for _, tc := range []stepCase{{"grow-2to4", 2, 4, 8, 24}, {"shrink-4to2", 4, 2, 16, 48}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := seedBase + int64(tc.from*10+tc.to)
+			tb, d := rig(t, seed, tc.from)
+			points := countReshardSteps(t, tb, d, tc.to, tc.dirs, tc.files)
+			t.Logf("%s: %d step points", tc.name, len(points))
+			for k := range points {
+				t.Run(fmt.Sprintf("at-%02d-%s", k, points[k]), func(t *testing.T) {
+					tb, d := rig(t, seed, tc.from)
+					paths := buildTree(t, tb, d, tc.dirs, tc.files)
+					reshardUntil(t, tb, d, tc.to, k, func(p *sim.Proc) { die(p, d) })
+					recovered(t, tb, d, paths, tc)
+				})
+			}
+		})
+	}
+}
+
+// assertRetired fails t if a host named by format and a drained shard's
+// index is still on the testbed after tc's shrink.
+func assertRetired(t *testing.T, tb *cluster.Testbed, format string, tc stepCase) {
+	t.Helper()
+	names := hostNames(tb)
+	for i := tc.to; i < tc.from; i++ {
+		if name := fmt.Sprintf(format, i); names[name] {
+			t.Errorf("retired host %s still on the testbed", name)
+		}
+	}
 }
 
 // hostNames returns the names currently on the testbed network.
@@ -97,17 +158,11 @@ func assertRecovered(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path
 		t.Fatalf("fsck after recovery:\n%s", rep)
 	}
 	// The recovered plane serves new work with fresh ids on every node.
-	core.Drained(tb, "post-create", func(p *sim.Proc) {
-		for n, m := range d.Mounts {
-			ctx := cluster.Ctx(n, 1)
-			f, err := m.Create(p, ctx, fmt.Sprintf("/d000/post-%d", n), 0644)
-			if err != nil {
-				t.Errorf("node %d: create after recovery: %v", n, err)
-				return
-			}
-			f.Close(p)
-		}
-	})
+	var creates []trace.Op
+	for n := range d.Mounts {
+		creates = append(creates, core.Create(n, fmt.Sprintf("/d000/post-%d", n), 0644))
+	}
+	core.Play(t, tb, d, creates...)
 	if err := d.Service.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after post-recovery creates: %v", err)
 	}
@@ -119,58 +174,22 @@ func assertRecovered(t *testing.T, tb *cluster.Testbed, d *core.Deployment, path
 // deletes of the interrupted batch may be unflushed), and requires
 // recovery to the exact oracle every time.
 func TestReshardCrashReplay(t *testing.T) {
-	// The shrink needs a wider tree: hash placement must populate the
-	// drained shards' stride classes or there is nothing to move back.
-	cases := []struct {
-		name        string
-		from, to    int
-		dirs, files int
-	}{
-		{"grow-2to4", 2, 4, 8, 24},
-		{"shrink-4to2", 4, 2, 16, 48},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			seed := 7100 + int64(tc.from*10+tc.to)
-			points := countReshardSteps(t, seed, tc.from, tc.to, tc.dirs, tc.files)
-			t.Logf("%s: %d crash points", tc.name, len(points))
-			for k := range points {
-				k := k
-				t.Run(fmt.Sprintf("at-%02d-%s", k, points[k]), func(t *testing.T) {
-					tb, d := crashRig(t, seed, tc.from)
-					paths := buildTree(t, tb, d, tc.dirs, tc.files)
-					d.Service.OnReshardStep(func(seq int, at core.ReshardPoint) bool {
-						return seq == k
-					})
-					core.Drained(tb, "reshard-crash-recover", func(p *sim.Proc) {
-						if err := d.Service.Reshard(p, tc.to); err != core.ErrReshardInterrupted {
-							t.Errorf("reshard returned %v, want ErrReshardInterrupted", err)
-							return
-						}
-						// Crash immediately — no drain, so commits inside
-						// the async flush window (notably the interrupted
-						// batch's source deletes) are genuinely lost.
-						d.Service.Crash()
-						d.Service.Recover(p)
-						d.Service.AdoptIDCounter()
-					})
-					assertRecovered(t, tb, d, paths, tc.to)
-					if tc.to < tc.from {
-						names := hostNames(tb)
-						for i := tc.to; i < tc.from; i++ {
-							if names[fmt.Sprintf("cofs-mds%d", i)] {
-								t.Errorf("retired shard host cofs-mds%d still on the testbed", i)
-							}
-						}
-						if got := d.Service.ReshardStats().Retired; got != int64(tc.from-tc.to) {
-							t.Errorf("Retired = %d, want %d", got, tc.from-tc.to)
-						}
-					}
-				})
+	sweepReshardSteps(t, 7100, crashRig, func(p *sim.Proc, d *core.Deployment) {
+		// Crash immediately — no drain, so commits inside the async
+		// flush window (notably the interrupted batch's source deletes)
+		// are genuinely lost.
+		d.Service.Crash()
+		d.Service.Recover(p)
+		d.Service.AdoptIDCounter()
+	}, func(t *testing.T, tb *cluster.Testbed, d *core.Deployment, paths []string, tc stepCase) {
+		assertRecovered(t, tb, d, paths, tc.to)
+		if tc.to < tc.from {
+			assertRetired(t, tb, "cofs-mds%d", tc)
+			if got := d.Service.ReshardStats().Retired; got != int64(tc.from-tc.to) {
+				t.Errorf("Retired = %d, want %d", got, tc.from-tc.to)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestReshardWALHandoffAccounting pins the exactly-once WAL accounting:

@@ -36,12 +36,15 @@ import (
 // on queueing).
 
 // TestRenameRenameRaceInterleaving replays two concurrent renames of
-// different sources onto the same destination name. Unlocked, both
-// could validate the destination as absent and both install it — the
-// second install silently overwriting the first, stranding a file with
-// nlink=1 and no dentry ("inode N nlink=1, 0 dentries"). Lock-ordered,
-// the destination dentry's lock serializes the two renames: the loser
-// sees the winner's entry and replaces it properly.
+// different sources onto the same destination name. Lock-ordered, the
+// destination dentry's lock serializes them: at every offset the plane
+// keeps its invariants and ends in one of the two serial outcomes, row
+// locks are taken, and at some offset the renames contend one, so the
+// replay does overlap them. It does not reproduce the unlocked
+// protocol's lost update (both validate the destination as absent, the
+// second install overwrites the first: "inode N nlink=1, 0 dentries"):
+// with row locks made no-ops every offset still ends in a serial
+// outcome, and only the two lock checks fail.
 func TestRenameRenameRaceInterleaving(t *testing.T) {
 	var conflicts int64
 	core.Sweep(t, 150*time.Microsecond, func(delta time.Duration) {

@@ -70,14 +70,14 @@ func (r *ReplayResult) Report() string {
 	return out
 }
 
-// Replay drives the target from the trace: one simulated process per
-// (node, pid) stream, spawned in (node, pid) order, operations in
-// recorded order. A failed operation is counted and its stream goes on
-// (recorded applications often race deletes). Mkdir operations replay
-// as mkdir -p during a serial prologue (directory skeletons are setup,
-// not the measured workload — the paper's benchmarks likewise
-// pre-create the shared directory); a prologue failure ends the replay
-// and is returned.
+// Replay drives the target from the trace. Mkdir operations replay as
+// mkdir -p during a serial prologue (directory skeletons are setup, not
+// the measured workload — the paper's benchmarks likewise pre-create
+// the shared directory); a prologue failure ends the replay and is
+// returned. The rest play as one simulated process per (node, pid)
+// stream, spawned in (node, pid) order, operations in recorded order.
+// A failed operation is counted and its stream goes on (recorded
+// applications often race deletes).
 func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -88,10 +88,12 @@ func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 	res := &ReplayResult{PerKind: make(map[Kind]*stats.Summary)}
 
 	// Prologue: directory skeleton, serial, unmeasured.
-	var dirs []Op
+	var dirs, rest []Op
 	for _, op := range tr.Ops {
 		if op.Kind == Mkdir {
 			dirs = append(dirs, op)
+		} else {
+			rest = append(rest, op)
 		}
 	}
 	var prologueErr error
@@ -109,7 +111,7 @@ func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 		return nil, prologueErr
 	}
 
-	streams := streamsOf(tr.Ops)
+	streams := streamsOf(rest)
 	sort.Slice(streams, func(i, j int) bool {
 		if streams[i].node != streams[j].node {
 			return streams[i].node < streams[j].node
@@ -117,7 +119,7 @@ func Replay(t Target, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 		return streams[i].pid < streams[j].pid
 	})
 	start := t.Env.Now()
-	end := play(t, streams, opts.Timed, false, true, func(op Op, d time.Duration, err error) {
+	end := play(t, streams, opts.Timed, false, func(op Op, d time.Duration, err error) {
 		kindSummary(res.PerKind, op.Kind).Add(d)
 		res.Ops++
 		if err != nil {
@@ -225,7 +227,7 @@ func Run(t Target, phases []Phase, hook func(p *sim.Proc, phase string)) (*Resul
 		}
 		var err error
 		start := t.Env.Now()
-		end := play(t, streamsOf(ph.Ops), false, true, false, func(op Op, d time.Duration, opErr error) {
+		end := play(t, streamsOf(ph.Ops), false, true, func(op Op, d time.Duration, opErr error) {
 			switch {
 			case opErr != nil:
 				if err == nil {
@@ -291,25 +293,26 @@ func streamsOf(ops []Op) []stream {
 
 // play spawns one process per stream, in order, runs the simulation
 // until everything spawned is done (a barrier) and returns the instant
-// the last stream finished. Each operation's latency and error go to
-// done, inline, so it sees them in completion order. timed paces every
-// stream by its operations' At offsets from the call; failFast ends a
-// stream at its first error; with prologue, Mkdir operations are passed
-// over (Replay ran them beforehand).
-func play(t Target, streams []stream, timed, failFast, prologue bool, done func(op Op, d time.Duration, err error)) time.Duration {
+// the last stream finished. It is the one loop that issues a stream's
+// operations. Each operation's latency and error go to done, inline, so
+// it sees them in completion order. timed paces every stream by its
+// operations' At offsets from the call: a stream starts at its first
+// operation's At, and a later operation waits for its At only if the
+// stream's clock has not reached it yet. failFast ends a stream at its
+// first error.
+func play(t Target, streams []stream, timed, failFast bool, done func(op Op, d time.Duration, err error)) time.Duration {
 	start := t.Env.Now()
 	end := start
 	for _, s := range streams {
 		m, ctx := t.Mounts[s.node], cluster.Ctx(s.node, s.pid)
-		t.Env.Spawn(fmt.Sprintf("trace.n%d.p%d", s.node, s.pid), func(p *sim.Proc) {
+		var delay time.Duration
+		if timed {
+			delay = s.ops[0].At
+		}
+		t.Env.SpawnAfter(fmt.Sprintf("trace.n%d.p%d", s.node, s.pid), delay, func(p *sim.Proc) {
 			for _, op := range s.ops {
-				if prologue && op.Kind == Mkdir {
-					continue
-				}
-				if timed {
-					if wait := start + op.At - p.Now(); wait > 0 {
-						p.Sleep(wait)
-					}
+				if wait := start + op.At - p.Now(); timed && wait > 0 {
+					p.Sleep(wait)
 				}
 				t0 := p.Now()
 				err := Do(p, m, ctx, op)
@@ -323,6 +326,28 @@ func play(t Target, streams []stream, timed, failFast, prologue bool, done func(
 	}
 	t.Env.MustRun()
 	return end
+}
+
+// Race plays ops as racing streams and returns each op's error, in the
+// order of ops. The ops of one stream (node, pid) run in order on one
+// process, the streams spawned in the order they first appear; it is a
+// timed play, so a stream starts at its first op's At after the call,
+// and a failed op does not end its stream. It drains the simulation.
+func Race(t Target, ops []Op) []error {
+	// Each stream's ops complete in order, so each stream's indices into
+	// ops, in order, say where its next error goes.
+	pending := make(map[[2]int][]int)
+	for i, op := range ops {
+		k := [2]int{op.Node, op.PID}
+		pending[k] = append(pending[k], i)
+	}
+	errs := make([]error, len(ops))
+	play(t, streamsOf(ops), true, false, func(op Op, _ time.Duration, err error) {
+		k := [2]int{op.Node, op.PID}
+		errs[pending[k][0]] = err
+		pending[k] = pending[k][1:]
+	})
+	return errs
 }
 
 // opError names the failed operation.

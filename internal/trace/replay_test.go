@@ -305,3 +305,93 @@ func TestRunFailsAtFirstError(t *testing.T) {
 		t.Error("Run accepted a stream on a node the target has no mount for")
 	}
 }
+
+// issueClock is a file system whose creates each cost 1 ms of virtual
+// time and record the instant they were issued, by name.
+type issueClock struct {
+	vfs.Filesystem
+	issued map[string]time.Duration
+}
+
+func (c *issueClock) Create(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string, mode uint32) (vfs.Attr, vfs.Handle, error) {
+	c.issued[name] = p.Now()
+	p.Sleep(time.Millisecond)
+	return c.Filesystem.Create(p, ctx, dir, name, mode)
+}
+
+// TestRaceSchedule pins Race's scheduler on interleaved streams: every
+// op's error comes back in input order, a stream starts at its first
+// op's At, a later op waits for its At only if its stream is behind it,
+// and a failed op does not end its stream.
+func TestRaceSchedule(t *testing.T) {
+	fs := &issueClock{Filesystem: vfs.NewMemFS(), issued: map[string]time.Duration{}}
+	env := sim.NewEnv(1)
+	tgt := trace.Target{Env: env, Mounts: []*vfs.Mount{vfs.NewMount(fs, params.FUSEParams{})}}
+	env.Spawn("offset", func(p *sim.Proc) { p.Sleep(5 * time.Millisecond) })
+	env.MustRun()
+	a := func(at time.Duration, kind trace.Kind, path string) trace.Op {
+		return trace.Op{PID: 1, At: at, Kind: kind, Path: path, Mode: 0644}
+	}
+	b := func(kind trace.Kind, path string) trace.Op {
+		return trace.Op{PID: 2, Kind: kind, Path: path, Mode: 0644}
+	}
+	errs := trace.Race(tgt, []trace.Op{
+		a(2*time.Millisecond, trace.Create, "/a0"),  // stream a starts 2 ms in
+		b(trace.Stat, "/missing"),                   // fails at once
+		a(2*time.Millisecond, trace.Create, "/a1"),  // a is at 3 ms: no wait
+		b(trace.Create, "/b0"),                      // b goes on past its failure
+		a(10*time.Millisecond, trace.Create, "/a2"), // a is at 4 ms: waits
+		b(trace.Unlink, "/missing"),
+	})
+	want := []error{nil, vfs.ErrNotExist, nil, nil, nil, vfs.ErrNotExist}
+	if !reflect.DeepEqual(errs, want) {
+		t.Errorf("errors %v, want %v in input order", errs, want)
+	}
+	const ms = time.Millisecond
+	wantAt := map[string]time.Duration{"a0": 7 * ms, "a1": 8 * ms, "a2": 15 * ms, "b0": 5 * ms}
+	if !reflect.DeepEqual(fs.issued, wantAt) {
+		t.Errorf("creates issued at %v, want %v (offsets from the Race's start at 5ms)", fs.issued, wantAt)
+	}
+	if now := env.Now(); now != 16*ms {
+		t.Errorf("Race drained at %v, want 16ms", now)
+	}
+}
+
+// TestReplayPrologueStreamsPinned pins Replay's whole result, in both
+// modes, for streams that begin with mkdirs, one of them made of
+// nothing else: the prologue runs every mkdir, and the streams run only
+// what is left, paced from the end of the prologue.
+func TestReplayPrologueStreamsPinned(t *testing.T) {
+	const ms = time.Millisecond
+	tr := &trace.Trace{Ops: []trace.Op{
+		{Node: 0, PID: 1, Kind: trace.Mkdir, Path: "/a", Mode: 0777},
+		{Node: 1, PID: 1, Kind: trace.Mkdir, Path: "/b/c", Mode: 0777},
+		{Node: 1, PID: 2, At: ms, Kind: trace.Mkdir, Path: "/d", Mode: 0777},
+		{Node: 0, PID: 1, At: 2 * ms, Kind: trace.Create, Path: "/a/f", Mode: 0644},
+		{Node: 1, PID: 2, At: 3 * ms, Kind: trace.WriteFile, Path: "/d/g", Mode: 0644, Bytes: 4096},
+		{Node: 0, PID: 1, At: 3 * ms, Kind: trace.Stat, Path: "/d/g"},
+		{Node: 1, PID: 2, At: 9 * ms, Kind: trace.Stat, Path: "/a/f"},
+	}}
+	for _, c := range []struct {
+		timed   bool
+		elapsed time.Duration
+		sums    map[trace.Kind]time.Duration
+	}{
+		{false, 33238729, map[trace.Kind]time.Duration{trace.Create: 4740737, trace.WriteFile: 8304034, trace.Stat: 50864421}},
+		{true, 35763917, map[trace.Kind]time.Duration{trace.Create: 4740737, trace.WriteFile: 8302580, trace.Stat: 50916251}},
+	} {
+		tb := cluster.New(1, 2, params.Default())
+		res, err := trace.Replay(trace.Target{Env: tb.Env, Mounts: tb.Mounts}, tr, trace.ReplayOptions{Timed: c.timed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := map[trace.Kind]time.Duration{}
+		for k, s := range res.PerKind {
+			sums[k] = s.Sum()
+		}
+		if res.Elapsed != c.elapsed || res.Ops != 4 || res.Errors != 0 || res.PerKind[trace.Stat].N() != 2 || !reflect.DeepEqual(sums, c.sums) {
+			t.Errorf("timed=%v: elapsed %d, %d ops, %d errors, latency sums %v; want %d, 4, 0, %v",
+				c.timed, res.Elapsed, res.Ops, res.Errors, sums, c.elapsed, c.sums)
+		}
+	}
+}
