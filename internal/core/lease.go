@@ -425,7 +425,10 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 		return
 	}
 	now := p.Now()
-	victims := s.recalled[:0]
+	var victims []*Session
+	if n := len(s.recalls); n > 0 {
+		victims, s.recalls = s.recalls[n-1], s.recalls[:n-1]
+	}
 	for _, key := range keys {
 		if except != nil {
 			except.cache.revoke(key)
@@ -439,13 +442,14 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 		}
 	}
 	if len(victims) == 0 {
-		s.recalled = victims
+		if victims != nil {
+			s.recalls = append(s.recalls, victims)
+		}
 		return
 	}
-	// The buffer leaves the shard while the recalls are on the wire: a
-	// revoke another operation commits on this shard meanwhile starts one
-	// of its own.
-	s.recalled = nil
+	// The buffer stays out of the free list while the recalls are on the
+	// wire: a revoke another operation commits on this shard meanwhile
+	// takes another.
 	s.host.CPU.Release(p)
 	for _, sess := range victims {
 		// The invalidation already happened above; the callback charges
@@ -454,5 +458,5 @@ func (s *Service) revokeLeases(p *sim.Proc, except *Session, keys ...leaseKey) {
 	}
 	s.host.CPU.Acquire(p)
 	clear(victims)
-	s.recalled = victims[:0]
+	s.recalls = append(s.recalls, victims[:0])
 }

@@ -95,29 +95,63 @@ func TestLeaseRevokeFreesHolders(t *testing.T) {
 
 // TestLeaseRecallAllocsNothing pins the recall path: a mutation's revoke
 // of a name and an inode that two other clients hold leases on — two
-// victims, each recalled once — allocates nothing. The lease table
-// returns its victims in a buffer of its own, and revokeLeases dedups
-// them in a buffer the shard keeps from one revoke to the next.
+// victims, each recalled once — allocates nothing, and neither do two
+// such revokes of two files overlapping on the shard, the second
+// committed while the first's recalls are on the wire. The lease table
+// returns its victims in a buffer of its own, and each revokeLeases
+// dedups them in a buffer it takes from the shard's free list and puts
+// back when its recalls are done.
 func TestLeaseRecallAllocsNothing(t *testing.T) {
 	skipUnderRace(t)
 	tb, d := Rig(t, 1, 3, Leases)
 	tb.Env.Spawn("pin", func(p *sim.Proc) {
 		svc, mutator := d.Service, d.FSs[0].Session()
-		attr, err := svc.Create(p, mutator, cluster.Ctx(0, 1), RootID, "f", vfs.TypeRegular, 0644, "", "")
-		if err != nil {
-			panic(err)
+		var files []vfs.Attr
+		for _, name := range []string{"f", "g"} {
+			attr, err := svc.Create(p, mutator, cluster.Ctx(0, 1), RootID, name, vfs.TypeRegular, 0644, "", "")
+			if err != nil {
+				panic(err)
+			}
+			files = append(files, attr)
 		}
-		s := svc.shard(attr.Ino)
+		s := svc.shard(files[0].Ino)
+		if svc.shard(files[1].Ino) != s {
+			t.Fatal("the two files live on different shards")
+		}
 		revocations := s.Stats.Revocations
-		recall := func() {
+		lease := func(name string) {
 			for _, fs := range d.FSs[1:] {
-				if _, err := svc.Lookup(p, fs.Session(), RootID, "f"); err != nil {
+				if _, err := svc.Lookup(p, fs.Session(), RootID, name); err != nil {
 					panic(err)
 				}
 			}
+		}
+		revoke := func(p *sim.Proc, name string, ino vfs.Ino) {
 			s.host.CPU.Acquire(p)
-			s.revokeLeases(p, mutator, dentLease(RootID, "f"), attrLease(attr.Ino))
+			s.revokeLeases(p, mutator, dentLease(RootID, name), attrLease(ino))
 			s.host.CPU.Release(p)
+		}
+		recall := func() {
+			lease("f")
+			revoke(p, "f", files[0].Ino)
+		}
+		// The overlapping revoke of g runs on a recycled process, woken
+		// by the revoke of f releasing the shard's CPU for its recalls.
+		overlapped, done := false, sim.NewCond(tb.Env)
+		second := func(p *sim.Proc) {
+			revoke(p, "g", files[1].Ino)
+			overlapped = true
+			done.Signal()
+		}
+		overlap := func() {
+			lease("f")
+			lease("g")
+			overlapped = false
+			tb.Env.Go("second", second)
+			revoke(p, "f", files[0].Ino)
+			for !overlapped {
+				done.Wait(p)
+			}
 		}
 		recall()
 		if n := testing.AllocsPerRun(100, recall); n > 0.05 {
@@ -126,6 +160,13 @@ func TestLeaseRecallAllocsNothing(t *testing.T) {
 		// Two sessions, two keys each, over 102 rounds.
 		if got := s.Stats.Revocations - revocations; got != 2*2*102 {
 			t.Errorf("%d revocations, want %d", got, 2*2*102)
+		}
+		overlap()
+		if len(s.recalls) != 2 {
+			t.Errorf("%d idle victim buffers after overlapping recalls, want 2", len(s.recalls))
+		}
+		if n := testing.AllocsPerRun(100, overlap); n > 0.05 {
+			t.Errorf("two overlapping recalls allocate %v, want 0", n)
 		}
 	})
 	tb.Run()

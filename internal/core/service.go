@@ -116,9 +116,10 @@ type Service struct {
 	// shard's rows (nil unless COFSParams.AttrLease is set; see
 	// lease.go).
 	leases *leaseTable
-	// recalled is revokeLeases' victim buffer, reused from one revoke to
-	// the next (nil while a revoke's recalls are on the wire).
-	recalled []*Session
+	// recalls holds revokeLeases' idle victim buffers: a revoke takes
+	// one and puts it back when its recalls are off the wire, so
+	// overlapping revokes each reuse their own.
+	recalls [][]*Session
 	// peers are this shard's channels to the other shards of the plane
 	// (two-phase protocol traffic), indexed by shard id; nil for self.
 	peers []*rpc.Conn

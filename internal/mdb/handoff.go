@@ -14,8 +14,8 @@ import "cofs/internal/sim"
 
 // Handoff is the durability history shipped with one migration batch: a
 // checkpoint cursor over the moved row set — one compacted put record
-// per live row, exactly the prefix a Checkpoint of the source would
-// have written for those rows. Compaction (current value rather than
+// per live row, exactly the image a Checkpoint of the source would have
+// dumped for those rows. Compaction (current value rather than
 // full history) is safe because the rows are under the migration's
 // exclusive locks: no writer can extend their history while the cursor
 // is in flight.

@@ -3,7 +3,15 @@
 // primary-key access and secondary indexes, serializable transactions,
 // dirty (lock-free) reads, and — for disc-copies tables — a write-ahead
 // log with group commit on the service node's local ext3-like disk, plus
-// crash recovery by log replay.
+// crash recovery.
+//
+// The log is no-force undo logging on in-memory rows (the no-force half
+// of ARIES). The host keeps only the log's tail some reader still needs
+// — past the durable cursor, or not yet shipped to a standby — and each
+// record carries what undoes it: the row it replaced, or none. A crash
+// undoes the unflushed tail and sets the rows aside as the durable
+// image; recovery charges the scan of the whole log, as a replay would,
+// and puts the image back.
 //
 // A secondary index keeps each bucket's rows in the row order it was
 // registered with, like Mnesia's ordered_set, so an index read
@@ -50,8 +58,8 @@ const (
 )
 
 // walRec is one logged write. kv is the *entry[K, V] of the named
-// table's types; the entry is immutable once logged, because the WAL,
-// a replica's copy of it and a Handoff may all share it.
+// table's types; its key and value are immutable once logged, because
+// the WAL, a replica's shipping batch and a Handoff may all share it.
 type walRec struct {
 	table string
 	op    walOp
@@ -59,10 +67,15 @@ type walRec struct {
 }
 
 // entry is a logged key and value (the value is the zero V for a
-// delete).
+// delete) and, once it lands in a DiscCopies table, its undo: the row
+// it replaced (prev, if had). Only the database the record lands in
+// writes the undo, and only Crash reads it — for the records past the
+// durable cursor, of which each entry is at most one.
 type entry[K comparable, V any] struct {
-	key K
-	val V
+	key  K
+	val  V
+	prev V
+	had  bool
 }
 
 // entrySlabChunk is the entry count of one slab chunk (Table.rec).
@@ -71,10 +84,22 @@ const entrySlabChunk = 256
 type table interface {
 	name() string
 	storage() Storage
-	applyWAL(rec walRec)
+	// apply writes rec's row (a standby's apply, a durable record).
+	apply(rec walRec)
+	// land writes rec's row and keeps its undo in the entry.
+	land(rec walRec)
+	// undo puts back the row rec replaced.
+	undo(rec walRec)
+	// crash sets the rows aside as the durable image and clears the
+	// table.
+	crash()
+	// restore puts the durable image back in place of the rows.
+	restore()
 	clear()
 	rows() int
-	snapshotWAL() []walRec
+	// copyTo puts every row — the durable image's while one is set
+	// aside — into dst, a table of the same types, in key order.
+	copyTo(dst table)
 }
 
 // DB is a collection of tables sharing a WAL.
@@ -96,6 +121,11 @@ type DB struct {
 	// write yields; if a crash came meanwhile, the log it wrote is gone,
 	// so it advances no cursor and rewrites no log.
 	crashes int
+	// crashed is set from a Crash to the Recover that follows it: the
+	// disc tables' durable image is set aside and the records from log
+	// offset crashAt on landed since. Nothing folds meanwhile.
+	crashed bool
+	crashAt int
 
 	// flushInterval > 0 selects Mnesia-style asynchronous log flushing:
 	// commits return immediately and a background dump forces the log
@@ -104,6 +134,7 @@ type DB struct {
 	// makes). flushInterval == 0 forces the log on every commit.
 	flushInterval  time.Duration
 	flushScheduled bool
+	flushFn        func(p *sim.Proc) // flush, bound once (NewAsync)
 
 	// replicas receive committed WAL records (see replica.go).
 	replicas []*Replica
@@ -117,8 +148,8 @@ type DB struct {
 	// staged counts WAL records imported by a live row migration but
 	// not yet sealed by an epoch install; handedOff counts records
 	// whose rows a migration moved to another shard (see handoff.go).
-	// Both are bookkeeping over wal, which Checkpoint folds into its
-	// image.
+	// Both are bookkeeping over the log's logical length, which
+	// Checkpoint rewrites as its image.
 	staged    int
 	handedOff int
 
@@ -168,7 +199,8 @@ func (db *DB) SetTrace(tr *obs.Tracer, group string) {
 
 // CommitSeq is the database's absolute commit sequence: the total
 // number of WAL records ever appended, monotone across Checkpoint's
-// log rewrite and rolled back with the truncated tail on Crash. The
+// log rewrite and rolled back with the truncated tail on Crash, whether
+// or not the host still holds the records. The
 // cooperative scheduler makes any observed value transaction-aligned —
 // a transaction's records are appended without yielding.
 func (db *DB) CommitSeq() int64 { return db.seqBase + int64(db.wal.len()) }
@@ -178,32 +210,36 @@ func (db *DB) CommitSeq() int64 { return db.seqBase + int64(db.wal.len()) }
 func NewAsync(env *sim.Env, d *disk.Disk, opTime, interval time.Duration) *DB {
 	db := New(env, d, opTime)
 	db.flushInterval = interval
+	db.flushFn = db.flush
 	return db
 }
 
 // maybeScheduleFlush arms one background flush when unflushed log
-// records exist. The flusher writes the tail sequentially, syncs, and
-// re-arms itself if more records arrived meanwhile.
+// records exist.
 func (db *DB) maybeScheduleFlush() {
 	if db.flushScheduled || db.flushed >= db.CommitSeq() {
 		return
 	}
 	db.flushScheduled = true
-	db.env.SpawnAfter("mdb.logflush", db.flushInterval, func(p *sim.Proc) {
-		target, crashes := db.CommitSeq(), db.crashes
-		db.LogFlushes++
-		if db.trace != nil {
-			db.trace.Begin(p, db.traceGroup, "wal.flush", -1)
-		}
-		db.disk.Write(p, 0, (target-db.flushed)*64)
-		db.disk.Sync(p)
-		if db.trace != nil {
-			db.trace.End(p)
-		}
-		db.markFlushed(target, crashes)
-		db.flushScheduled = false
-		db.maybeScheduleFlush()
-	})
+	db.env.SpawnAfter("mdb.logflush", db.flushInterval, db.flushFn)
+}
+
+// flush is the background dump: it writes the tail sequentially, syncs,
+// and re-arms itself if more records arrived meanwhile.
+func (db *DB) flush(p *sim.Proc) {
+	target, crashes := db.CommitSeq(), db.crashes
+	db.LogFlushes++
+	if db.trace != nil {
+		db.trace.Begin(p, db.traceGroup, "wal.flush", -1)
+	}
+	db.disk.Write(p, 0, (target-db.flushed)*64)
+	db.disk.Sync(p)
+	if db.trace != nil {
+		db.trace.End(p)
+	}
+	db.markFlushed(target, crashes)
+	db.flushScheduled = false
+	db.maybeScheduleFlush()
 }
 
 // markFlushed records that the log is on disk up to commit sequence
@@ -213,7 +249,26 @@ func (db *DB) maybeScheduleFlush() {
 func (db *DB) markFlushed(seq int64, crashes int) {
 	if seq > db.flushed && crashes == db.crashes {
 		db.flushed = seq
+		db.fold()
 	}
+}
+
+// fold drops the log records every reader is past: the durable cursor,
+// and each attached replica still shipping by offset (not stopped, no
+// resync pending — a resync rebuilds from state, not records). Nothing
+// folds between a Crash and its Recover, which puts back the durable
+// image and re-applies the records landed since.
+func (db *DB) fold() {
+	if db.crashed {
+		return
+	}
+	lo := int(db.flushed - db.seqBase)
+	for _, r := range db.replicas {
+		if !r.stopped && !r.resync {
+			lo = min(lo, r.shipped)
+		}
+	}
+	db.wal.fold(lo)
 }
 
 // commitLog makes a durable transaction's log tail durable the way the
@@ -241,7 +296,7 @@ func (db *DB) forceLog(p *sim.Proc) {
 }
 
 // scanLog charges reading the log back for recovery: one sequential
-// scan, positioned once, then streamed.
+// scan of its logical length, positioned once, then streamed.
 func (db *DB) scanLog(p *sim.Proc) {
 	if db.disk != nil {
 		db.disk.Read(p, 0, int64(db.wal.len())*64)
@@ -267,6 +322,8 @@ type Table[K comparable, V any] struct {
 	// slab is the chunk the next logged entry is carved from. Entries
 	// are never reused: a chunk is freed when no record refers to it.
 	slab []entry[K, V]
+	// image is the durable image a Crash set aside, until Recover.
+	image map[K]V
 }
 
 // index maps a bucket value to the rows that extract to it, each
@@ -276,6 +333,7 @@ type index[V any] struct {
 	extract func(V) uint64
 	order   func(a, b V) int
 	buckets map[uint64]sortedRun[V]
+	image   map[uint64]sortedRun[V] // the buckets of the durable image
 }
 
 // runChunk is the most rows one chunk of a run holds.
@@ -344,18 +402,86 @@ func (t *Table[K, V]) rows() int        { return len(t.data) }
 
 func (t *Table[K, V]) clear() {
 	t.data = make(map[K]V)
+	t.image = nil
+	for _, ix := range t.indexes {
+		ix.buckets = make(map[uint64]sortedRun[V])
+		ix.image = nil
+	}
+}
+
+func (t *Table[K, V]) apply(rec walRec) { t.write(rec, false) }
+
+func (t *Table[K, V]) land(rec walRec) { t.write(rec, t.class == DiscCopies) }
+
+// write writes rec's row; with undo it keeps the row it replaced in the
+// record's entry.
+func (t *Table[K, V]) write(rec walRec, undo bool) {
+	e := rec.kv.(*entry[K, V])
+	old, had := t.data[e.key]
+	if undo {
+		e.prev, e.had = old, had
+	}
+	if had {
+		for _, ix := range t.indexes {
+			ix.remove(old)
+		}
+	}
+	if rec.op == walDelete {
+		if had {
+			delete(t.data, e.key)
+		}
+		return
+	}
+	t.data[e.key] = e.val
+	for _, ix := range t.indexes {
+		ix.add(e.val)
+	}
+}
+
+func (t *Table[K, V]) undo(rec walRec) {
+	if e := rec.kv.(*entry[K, V]); e.had {
+		t.put(e.key, e.prev)
+	} else {
+		t.del(e.key)
+	}
+}
+
+func (t *Table[K, V]) crash() {
+	if t.class == DiscCopies {
+		t.image = t.data
+		for _, ix := range t.indexes {
+			ix.image = ix.buckets
+		}
+	}
+	t.data = make(map[K]V)
 	for _, ix := range t.indexes {
 		ix.buckets = make(map[uint64]sortedRun[V])
 	}
 }
 
-func (t *Table[K, V]) applyWAL(rec walRec) {
-	e := rec.kv.(*entry[K, V])
-	switch rec.op {
-	case walPut:
-		t.put(e.key, e.val)
-	case walDelete:
-		t.del(e.key)
+func (t *Table[K, V]) restore() {
+	if t.image == nil {
+		return
+	}
+	t.data, t.image = t.image, nil
+	for _, ix := range t.indexes {
+		ix.buckets, ix.image = ix.image, nil
+	}
+}
+
+func (t *Table[K, V]) copyTo(dst table) {
+	d := dst.(*Table[K, V])
+	rows := t.data
+	if t.image != nil {
+		rows = t.image
+	}
+	keys := make([]K, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
+	}
+	sortFormatted(keys)
+	for _, k := range keys {
+		d.put(k, rows[k])
 	}
 }
 
@@ -495,6 +621,7 @@ func (db *DB) atomically(p *sim.Proc, view bool, fn func(tx *Tx)) (ops int, dura
 		panic("mdb: transaction closure yielded")
 	}
 	db.land(tx.log)
+	clear(tx.log) // the reused buffer must not pin entries the log folds
 	return tx.ops, tx.durable
 }
 
@@ -502,7 +629,7 @@ func (db *DB) atomically(p *sim.Proc, view bool, fn func(tx *Tx)) (ops int, dura
 // step: no view or transaction can observe part of them.
 func (db *DB) land(recs []walRec) {
 	for _, rec := range recs {
-		db.tables[rec.table].applyWAL(rec)
+		db.tables[rec.table].land(rec)
 	}
 	db.wal.pushAll(recs)
 }
@@ -693,69 +820,97 @@ func DirtyGet[K comparable, V any](p *sim.Proc, t *Table[K, V], key K) (V, bool)
 func (t *Table[K, V]) Len() int { return len(t.data) }
 
 // Crash simulates a service-node crash: every table loses its in-memory
-// contents. Durable state survives in the flushed WAL. Attached replicas
-// are forced to resynchronize — the truncated WAL invalidates their
-// shipped offsets, and a standby must converge to the state the primary
-// can actually recover, not to the pre-crash tail it may have seen.
+// contents. Durable state survives: the records past the durable cursor
+// are undone, newest first, the disc tables are set aside as the
+// durable image and the log is truncated to the cursor. Attached
+// replicas are forced to resynchronize — the truncated WAL invalidates
+// their shipped offsets, and a standby must converge to the state the
+// primary can actually recover, not to the pre-crash tail it may have
+// seen.
 func (db *DB) Crash() {
-	db.crashes++
-	for _, t := range db.tables {
-		t.clear()
+	if db.crashed {
+		db.restore() // a crash before recovery: the image is what the log holds
 	}
-	db.wal.truncate(int(db.flushed - db.seqBase))
+	db.crashes++
+	flushed := int(db.flushed - db.seqBase)
+	for i := db.wal.len() - 1; i >= flushed; i-- {
+		rec := db.wal.at(i)
+		if t := db.tables[rec.table]; t.storage() == DiscCopies {
+			t.undo(rec)
+		}
+	}
+	for _, t := range db.tables {
+		t.crash()
+	}
+	db.wal.truncate(flushed)
+	db.crashed, db.crashAt = true, db.wal.len()
 	for _, r := range db.replicas {
 		r.resync = true
 		r.pump()
 	}
 }
 
-// Recover replays the flushed WAL into disc-copies tables, charging the
-// log read to the calling process. Ram-copies tables stay empty (as with
-// Mnesia after a restart).
+// Recover reads the log back, charging the scan to the calling process,
+// and brings the disc-copies tables back to what replaying it gives:
+// the durable image, then every record that landed since the crash.
+// Ram-copies tables stay as the crash left them (as with Mnesia after a
+// restart).
 func (db *DB) Recover(p *sim.Proc) {
 	db.scanLog(p)
-	db.wal.each(0, db.wal.len(), func(rec walRec) {
+	if db.crashed {
+		db.restore()
+	}
+	db.fold()
+}
+
+// restore puts the durable image back into the disc-copies tables and
+// re-applies the records that landed since the crash, the ones past
+// the durable cursor keeping their undo against the restored rows.
+func (db *DB) restore() {
+	for _, t := range db.tables {
+		t.restore()
+	}
+	seq := db.seqBase + int64(db.crashAt)
+	db.wal.each(db.crashAt, db.wal.len(), func(rec walRec) {
 		if t := db.tables[rec.table]; t.storage() == DiscCopies {
-			t.applyWAL(rec)
+			if seq >= db.flushed {
+				t.land(rec)
+			} else {
+				t.apply(rec)
+			}
 		}
+		seq++
 	})
+	db.crashed = false
 }
 
 // Checkpoint writes an image of the disc-copies tables and rewrites the
-// WAL as that image, charging the write to the calling process. The
-// image holds the rows of the instant the checkpoint starts; records
-// that land while it is on the disk stay in the log after it, exactly
-// as durable as they were.
+// WAL as that image — one record per row — charging the write to the
+// calling process. The image holds the rows of the instant the
+// checkpoint starts; records that land while it is on the disk stay in
+// the log after it, exactly as durable as they were.
 func (db *DB) Checkpoint(p *sim.Proc) {
-	// The image is a snapshot prefix: replaying it must still
-	// reconstruct the tables, so it holds every durable row. Tables are
-	// visited in name order for determinism.
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
+	if db.crashed {
+		db.restore() // the image to dump is the recovered one
 	}
-	sort.Strings(names)
-	var image []walRec
-	for _, name := range names {
-		t := db.tables[name]
-		if t.storage() != DiscCopies {
-			continue
+	rows := 0
+	for _, t := range db.tables {
+		if t.storage() == DiscCopies {
+			rows += t.rows()
 		}
-		image = append(image, t.snapshotWAL()...)
 	}
 	at, mark, crashes := db.CommitSeq(), db.wal.len(), db.crashes
 	staged, handedOff := db.staged, db.handedOff
-	db.dumpImage(p, int64(len(image)))
+	db.dumpImage(p, int64(rows))
 	if crashes != db.crashes {
 		return // the image and the log it would replace died with the crash
 	}
-	db.wal.each(mark, db.wal.len(), func(rec walRec) { image = append(image, rec) })
 	// Rebase the commit sequence so it keeps counting from where it
 	// was: a replica's shipped sequence stays comparable before and
 	// after the rewrite, and the image ends at sequence at — which is
 	// what the dump made durable.
 	seq := db.CommitSeq()
-	db.wal.reset(image)
+	db.wal.rebase(mark, rows)
 	db.seqBase = seq - int64(db.wal.len())
 	db.markFlushed(at, crashes)
 	// The image holds exactly the rows the tables did: staged imports
@@ -764,23 +919,12 @@ func (db *DB) Checkpoint(p *sim.Proc) {
 	db.staged = max(db.staged-staged, 0)
 	db.handedOff = max(db.handedOff-handedOff, 0)
 	db.notifyCheckpoint()
+	db.fold()
 }
 
-// snapshotWAL emits put records reconstructing the table.
-func (t *Table[K, V]) snapshotWAL() []walRec {
-	keys := make([]K, 0, len(t.data))
-	for k := range t.data {
-		keys = append(keys, k)
-	}
-	sortFormatted(keys)
-	out := make([]walRec, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, t.rec(walPut, k, t.data[k]))
-	}
-	return out
-}
-
-// WALLen reports the current log length (for tests and cofsctl).
+// WALLen reports the log's logical length: every record appended since
+// the last Checkpoint rewrite, whether or not the host still holds it
+// (for tests and cofsctl).
 func (db *DB) WALLen() int { return db.wal.len() }
 
 // KV pairs a key with its value for SelectKeys results.
@@ -813,6 +957,7 @@ func (t *Table[K, V]) Bootstrap(key K, val V) {
 	t.put(key, val)
 	t.db.wal.push(t.rec(walPut, key, val))
 	t.db.flushed = t.db.CommitSeq()
+	t.db.fold()
 }
 
 // Peek reads a row without timing charges (inspection/invariant checks).

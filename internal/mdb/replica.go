@@ -1,6 +1,7 @@
 package mdb
 
 import (
+	"sort"
 	"time"
 
 	"cofs/internal/sim"
@@ -23,9 +24,9 @@ type Replica struct {
 	dst   *DB
 	delay time.Duration
 
-	shipped  int  // src.wal records applied to dst
+	shipped  int  // src.wal records applied to dst; the primary keeps the rest
 	inflight bool // a ship is scheduled
-	resync   bool // primary checkpointed: dst must be rebuilt
+	resync   bool // primary checkpointed or crashed: dst must be rebuilt
 	stopped  bool
 
 	// applied is the primary's absolute commit sequence (DB.CommitSeq)
@@ -55,15 +56,18 @@ func Replicate(env *sim.Env, src, dst *DB, delay time.Duration) *Replica {
 	r := &Replica{env: env, src: src, dst: dst, delay: delay,
 		shipMu: sim.NewMutex(env, "mdb.ship")}
 	src.replicas = append(src.replicas, r)
-	// Records already in the primary's WAL (bootstrap rows) ship on the
-	// first commit; nothing to do eagerly.
+	// The primary's log so far ships in the first round, from its
+	// state if the host no longer holds the records.
 	r.pump()
 	return r
 }
 
-// Stop detaches the replica: no further records ship. Call before
-// promoting the standby.
-func (r *Replica) Stop() { r.stopped = true }
+// Stop detaches the replica: no further records ship, and the primary
+// keeps none for it. Call before promoting the standby.
+func (r *Replica) Stop() {
+	r.stopped = true
+	r.src.fold()
+}
 
 // Flush ships everything pending synchronously, charging the apply to
 // the calling process. Shard retirement uses it: a drained primary's
@@ -115,7 +119,8 @@ func (r *Replica) pump() {
 }
 
 // ship applies the pending WAL tail to the standby, charging the apply
-// cost to the shipping process.
+// cost to the shipping process: a quarter of a table operation per
+// logical record, then the standby's log write.
 func (r *Replica) ship(p *sim.Proc) {
 	// One round at a time: a concurrent round (Flush vs the scheduled
 	// timer) must wait, then re-read the cursors — a round whose work
@@ -125,53 +130,106 @@ func (r *Replica) ship(p *sim.Proc) {
 	if r.stopped {
 		return
 	}
+	src, dst := r.src, r.dst
+	// A replica that has shipped keeps its records: only a resync or a
+	// first round may find them folded.
+	rebuild := r.resync || r.shipped < src.wal.lo
+	if rebuild && !r.resync && r.shipped > 0 {
+		panic("mdb: the primary folded records a replica had not shipped")
+	}
+	if rebuild && dst.crashed {
+		dst.restore() // the rebuild lands on the standby's whole state
+	}
 	if r.resync {
-		// The primary checkpointed: its WAL was rewritten as a
-		// snapshot, so record offsets no longer line up. Rebuild the
+		// The primary checkpointed or crashed: its WAL was rewritten or
+		// truncated, so record offsets no longer line up. Rebuild the
 		// standby from scratch. The applied sequence is zeroed until
-		// the rebuild completes — the apply loop below yields, and a
+		// the rebuild's charge completes — the loop below yields, and a
 		// half-rebuilt standby must not claim to have applied anything.
-		for _, t := range r.dst.tables {
+		for _, t := range dst.tables {
 			t.clear()
 		}
-		r.dst.wal.reset(nil)
+		dst.wal.reset(0)
 		r.shipped = 0
 		r.applied = 0
 		r.resync = false
 	}
-	target := r.src.wal.len()
+	target := src.wal.len()
 	if r.shipped >= target {
 		return
 	}
+	n := target - r.shipped
 	// Capture the applied sequence this round establishes before the
 	// apply loop yields: a checkpoint rebase or crash truncation
 	// mid-round changes the source's sequence accounting, but the
 	// absolute sequence of the records this round set out to ship does
 	// not move (a crash also re-flags resync, which rebuilds).
-	seq := r.src.seqBase + int64(target)
-	// Copy the batch out before the apply loop yields: a primary crash
-	// during the sleeps below truncates (and zeroes) the source log, and
-	// this round must still ship the records it set out to ship.
-	batch := make([]walRec, 0, target-r.shipped)
-	r.src.wal.each(r.shipped, target, func(rec walRec) { batch = append(batch, rec) })
-	for _, rec := range batch {
-		if t, ok := r.dst.tables[rec.table]; ok {
-			t.applyWAL(rec)
+	seq := src.seqBase + int64(target)
+	if rebuild {
+		// The records are gone — rewritten, truncated, or folded before
+		// this replica attached — so the standby takes the primary's
+		// state at target instead, at once: it serves no reads, so no
+		// one sees the rows land ahead of the charge for them.
+		src.copyState(dst)
+		if dst.opTime > 0 {
+			for range n {
+				p.Sleep(dst.opTime / 4) // bulk apply is cheaper than queries
+			}
 		}
-		if r.dst.opTime > 0 {
-			p.Sleep(r.dst.opTime / 4) // bulk apply is cheaper than queries
+		dst.wal.reset(dst.wal.len() + n)
+	} else {
+		// Copy the batch out before the apply loop yields: a primary
+		// crash during the sleeps below truncates the source log, and
+		// this round must still ship the records it set out to ship.
+		batch := make([]walRec, 0, n)
+		src.wal.each(r.shipped, target, func(rec walRec) { batch = append(batch, rec) })
+		for _, rec := range batch {
+			if t, ok := dst.tables[rec.table]; ok {
+				t.apply(rec)
+			}
+			if dst.opTime > 0 {
+				p.Sleep(dst.opTime / 4)
+			}
 		}
+		// The standby logs what it applied so its own recovery works.
+		dst.wal.pushAll(batch)
 	}
-	// The standby logs what it applied so its own recovery works.
-	r.dst.wal.pushAll(batch)
-	if r.dst.disk != nil {
-		r.dst.disk.Write(p, 0, int64(len(batch))*64)
+	// The standby's log is durable as it lands: a standby crash during
+	// the write below keeps what it applied.
+	dst.flushed = dst.CommitSeq()
+	dst.fold()
+	if dst.disk != nil {
+		dst.disk.Write(p, 0, int64(n)*64)
 	}
-	r.dst.flushed = r.dst.CommitSeq()
 	r.shipped = target
 	r.applied = seq
 	r.Ships++
-	r.Records += int64(len(batch))
+	r.Records += int64(n)
+	src.fold()
+}
+
+// copyState puts this database's state at the log's end into dst's
+// tables of the same names, table by table in name order: the rows —
+// while crashed, the durable image — then, while crashed, the records
+// that landed since the crash.
+func (db *DB) copyState(dst *DB) {
+	names := make([]string, 0, len(db.tables))
+	for name := range db.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if d, ok := dst.tables[name]; ok {
+			db.tables[name].copyTo(d)
+		}
+	}
+	if db.crashed {
+		db.wal.each(db.crashAt, db.wal.len(), func(rec walRec) {
+			if d, ok := dst.tables[rec.table]; ok && d.storage() == DiscCopies {
+				d.apply(rec)
+			}
+		})
+	}
 }
 
 // notifyCommit is called by the primary after each transaction commit.
@@ -182,7 +240,7 @@ func (db *DB) notifyCommit() {
 }
 
 // notifyCheckpoint is called by the primary after Checkpoint rewrote the
-// WAL: replicas must resynchronize from the snapshot.
+// WAL: replicas must resynchronize from the primary's state.
 func (db *DB) notifyCheckpoint() {
 	for _, r := range db.replicas {
 		r.resync = true

@@ -2,11 +2,13 @@ package mdb
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"cofs/internal/disk"
 	"cofs/internal/params"
@@ -91,6 +93,111 @@ func TestTransactionAllocsPerOp(t *testing.T) {
 	}
 }
 
+// TestAsyncFlushAllocsOnlyItsProc pins the background flush's host
+// cost: its function is bound once, so a warm flush — a commit, then
+// the dump that makes it durable — allocates only the Proc it runs on.
+func TestAsyncFlushAllocsOnlyItsProc(t *testing.T) {
+	skipUnderRace(t)
+	env := sim.NewEnv(1)
+	db := NewAsync(env, disk.New(env, "mdb", params.Default().Disk), 0, time.Millisecond)
+	tbl := NewTable[int, int](db, "t", DiscCopies)
+	env.Spawn("t", func(p *sim.Proc) {
+		flush := func() {
+			db.Transaction(p, func(tx *Tx) { Put(tx, tbl, 1, 1) })
+			p.Sleep(10 * time.Millisecond)
+		}
+		flush()
+		flushes := db.LogFlushes
+		if n := testing.AllocsPerRun(100, flush); n != 1 {
+			t.Errorf("a warm flush allocates %v, want the 1 of its Proc", n)
+		}
+		if got := db.LogFlushes - flushes; got != 101 {
+			t.Errorf("%d flushes ran, want 101", got)
+		}
+	})
+	env.MustRun()
+}
+
+// TestLogRetainsOnlyUnreadTail pins what the host keeps of the log. With
+// no replica, 10 000 flushed commits — on the synchronous and the
+// asynchronous WAL, after one transaction of two chunks' worth of puts
+// that grows the reused write-set buffer — leave no record held and at
+// most one live slab chunk per table: every chunk a flushed record's
+// entry was carved from is garbage once the record folds. With a lagging replica the primary
+// holds exactly the records the standby lacks, and Stop releases them.
+func TestLogRetainsOnlyUnreadTail(t *testing.T) {
+	for _, interval := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("interval=%v", interval), func(t *testing.T) {
+			env := sim.NewEnv(1)
+			db := NewAsync(env, disk.New(env, "mdb", params.Default().Disk), 0, interval)
+			tbl := NewTable[int, int](db, "t", DiscCopies)
+			var chunks []weak.Pointer[entry[int, int]]
+			// track keeps a weak pointer to each slab chunk the table
+			// carves from.
+			track := func() {
+				if c := &tbl.slab[0]; len(chunks) == 0 || chunks[len(chunks)-1].Value() != c {
+					chunks = append(chunks, weak.Make(c))
+				}
+			}
+			env.Spawn("t", func(p *sim.Proc) {
+				db.Transaction(p, func(tx *Tx) {
+					for i := range 2 * entrySlabChunk {
+						Put(tx, tbl, i, i)
+						track()
+					}
+				})
+				for i := 0; i < 10000; i++ {
+					db.Transaction(p, func(tx *Tx) { Put(tx, tbl, i%64, i) })
+					track()
+				}
+			})
+			env.MustRun()
+			if n := db.wal.retained(); n != 0 || db.WALLen() != 2*entrySlabChunk+10000 {
+				t.Fatalf("the log holds %d of %d records after every flush, want 0 of %d", n, db.WALLen(), 2*entrySlabChunk+10000)
+			}
+			runtime.GC()
+			live := 0
+			for _, c := range chunks {
+				if c.Value() != nil {
+					live++
+				}
+			}
+			if live > 1 || len(chunks) < 10000/entrySlabChunk {
+				t.Errorf("%d of %d slab chunks live, want at most 1", live, len(chunks))
+			}
+			runtime.KeepAlive(db)
+		})
+	}
+	t.Run("lagging replica", func(t *testing.T) {
+		env, src, _, st, _, rep := replPair(t, 10*time.Second)
+		env.Spawn("writer", func(p *sim.Proc) {
+			for _, commits := range []int{1000, 300} {
+				for i := 0; i < commits; i++ {
+					src.Transaction(p, func(tx *Tx) { Put(tx, st, i, "v") })
+				}
+				p.Sleep(time.Second) // flushed, not shipped
+				if n := src.wal.retained(); n != rep.Lag() || n != commits {
+					t.Errorf("the primary holds %d records for a lag of %d, want %d", n, rep.Lag(), commits)
+				}
+				p.Sleep(10 * time.Second) // shipped
+				if n := src.wal.retained(); n != 0 || rep.Lag() != 0 {
+					t.Errorf("the primary holds %d records for a lag of %d after a ship, want 0", n, rep.Lag())
+				}
+			}
+			src.Transaction(p, func(tx *Tx) { Put(tx, st, 0, "w") })
+			p.Sleep(time.Second)
+			if n := src.wal.retained(); n != 1 {
+				t.Errorf("the primary holds %d records for the unshipped commit, want 1", n)
+			}
+			rep.Stop()
+			if n := src.wal.retained(); n != 0 {
+				t.Errorf("the primary holds %d records for a stopped replica, want 0", n)
+			}
+		})
+		env.MustRun()
+	})
+}
+
 // TestIndexAddRemoveAllocsNothing pins the index's host cost: adding
 // and removing a row under a bucket that stays non-empty allocates
 // nothing, in a one-row bucket and in a 16 384-row one whose chunk takes
@@ -173,32 +280,44 @@ func TestRecoverKeepsFlushedValue(t *testing.T) {
 }
 
 // TestReplicaAppliesLoggedValues re-puts one key across several slab
-// chunks before the replica ships: the standby must apply and log each
-// record with the value it was written with.
+// chunks in rounds the replica ships between: while the standby lags,
+// the primary's retained window must hold each record with the value it
+// was written with, and after each round the standby must hold the last
+// one — and recover it from its own log.
 func TestReplicaAppliesLoggedValues(t *testing.T) {
-	const puts = 3 * entrySlabChunk
-	env, src, dst, st, dt, _ := replPair(t, time.Millisecond)
+	const rounds = 3
+	env, src, dst, st, dt, rep := replPair(t, time.Millisecond)
 	env.Spawn("writer", func(p *sim.Proc) {
-		for i := 0; i < puts; i++ {
-			src.Transaction(p, func(tx *Tx) { Put(tx, st, 1, strconv.Itoa(i)) })
+		for round := 0; round < rounds; round++ {
+			first := round * entrySlabChunk
+			for i := first; i < first+entrySlabChunk; i++ {
+				src.Transaction(p, func(tx *Tx) { Put(tx, st, 1, strconv.Itoa(i)) })
+			}
+			if n := src.wal.retained(); n != rep.Lag() || n != entrySlabChunk {
+				t.Fatalf("round %d: the primary retains %d records for a lag of %d, want %d", round, n, rep.Lag(), entrySlabChunk)
+			}
+			i := first
+			src.wal.each(rep.shipped, src.wal.len(), func(rec walRec) {
+				if got := rec.kv.(*entry[int, string]).val; got != strconv.Itoa(i) {
+					t.Errorf("retained record %d carries %q, want %q", i, got, strconv.Itoa(i))
+				}
+				i++
+			})
+			p.Sleep(time.Second) // the replica ships and the log flushes
+			if v, ok := dt.Peek(1); !ok || v != strconv.Itoa(first+entrySlabChunk-1) {
+				t.Errorf("round %d: standby holds (%q, %v), want (%q, true)", round, v, ok, strconv.Itoa(first+entrySlabChunk-1))
+			}
 		}
 	})
 	env.MustRun()
-	if dst.wal.len() != puts {
-		t.Fatalf("standby logged %d records, want %d", dst.wal.len(), puts)
+	if dst.wal.len() != rounds*entrySlabChunk {
+		t.Fatalf("standby logged %d records, want %d", dst.wal.len(), rounds*entrySlabChunk)
 	}
-	i := 0
-	dst.wal.each(0, puts, func(rec walRec) {
-		if got := rec.kv.(*entry[int, string]).val; got != strconv.Itoa(i) {
-			t.Errorf("standby record %d carries %q, want %q", i, got, strconv.Itoa(i))
-		}
-		i++
-	})
 	dst.Crash()
 	env.Spawn("recover", func(p *sim.Proc) { dst.Recover(p) })
 	env.MustRun()
-	if v, ok := dt.Peek(1); !ok || v != strconv.Itoa(puts-1) {
-		t.Errorf("standby recovered (%q, %v), want (%q, true)", v, ok, strconv.Itoa(puts-1))
+	if v, ok := dt.Peek(1); !ok || v != strconv.Itoa(rounds*entrySlabChunk-1) {
+		t.Errorf("standby recovered (%q, %v), want (%q, true)", v, ok, strconv.Itoa(rounds*entrySlabChunk-1))
 	}
 }
 

@@ -1,31 +1,47 @@
 package mdb
 
-// walChunkSize is the record count per WAL chunk. The log used to be
-// one flat []walRec; at million-file scale it grows to millions of
-// records, and every append-driven doubling re-copied and re-zeroed
-// the whole history (the top allocation site of the storm profile).
-// Fixed-size chunks cap each allocation at walChunkSize records and
-// never copy old ones. The representation is invisible to the
-// simulation: virtual costs depend only on record counts.
-const walChunkSize = 4096
+// walChunkSize is the record count per WAL chunk. The retained window
+// is held in fixed-size chunks, so a window that grows never re-copies
+// the records it holds, and emptied chunks are reused for the next
+// records instead of being reallocated.
+const walChunkSize = 1024
 
-// walLog is an append-mostly log of WAL records stored in fixed-size
-// chunks. Every chunk except the last holds exactly walChunkSize
-// records, so record i lives at chunks[i/walChunkSize][i%walChunkSize].
+// walLog is the WAL as the host holds it: a logical record count and a
+// retained window. n counts every record appended since the last
+// Checkpoint rewrite; CommitSeq, WALLen, the recovery scan and the
+// flush and force byte counts read it. Only records from offset lo on
+// are held: the tail some reader still needs (DB.fold says which).
+// Records before lo are folded into the tables — no slot refers to
+// them any longer, so the slab chunks their entries were carved from
+// can die. Record i (lo <= i < n) lives at
+// chunks[(i-base)/walChunkSize][(i-base)%walChunkSize]; slots before lo
+// are zeroed.
 type walLog struct {
 	chunks [][]walRec
+	base   int
+	lo     int
 	n      int
+	// free holds emptied chunks for the window to grow into again.
+	free [][]walRec
 }
 
 func (l *walLog) len() int { return l.n }
 
+// retained is the number of records the window holds.
+func (l *walLog) retained() int { return l.n - l.lo }
+
 func (l *walLog) push(rec walRec) {
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == walChunkSize {
-		l.chunks = append(l.chunks, make([]walRec, 0, walChunkSize))
-		last++
+	c := (l.n - l.base) / walChunkSize
+	if c == len(l.chunks) {
+		var ch []walRec
+		if n := len(l.free); n > 0 {
+			ch, l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			ch = make([]walRec, 0, walChunkSize)
+		}
+		l.chunks = append(l.chunks, ch)
 	}
-	l.chunks[last] = append(l.chunks[last], rec)
+	l.chunks[c] = append(l.chunks[c], rec)
 	l.n++
 }
 
@@ -35,42 +51,89 @@ func (l *walLog) pushAll(recs []walRec) {
 	}
 }
 
-// each calls fn for records [from, to) in log order.
+// at returns record i, which must not be folded.
+func (l *walLog) at(i int) walRec {
+	i -= l.base
+	return l.chunks[i/walChunkSize][i%walChunkSize]
+}
+
+// each calls fn for records [from, to) in log order. from must not be
+// folded.
 func (l *walLog) each(from, to int, fn func(walRec)) {
+	if from < l.lo {
+		panic("mdb: reading folded WAL records")
+	}
 	for i := from; i < to; i++ {
-		fn(l.chunks[i/walChunkSize][i%walChunkSize])
+		fn(l.at(i))
 	}
 }
 
-// truncate drops records [n, len). Dropped slots are zeroed so the
-// truncated tail does not pin the slab chunks its entries were carved
-// from.
-func (l *walLog) truncate(n int) {
-	if n >= l.n {
+// zero clears the slots of records [from, to).
+func (l *walLog) zero(from, to int) {
+	for i := from - l.base; i < to-l.base; {
+		c, off := i/walChunkSize, i%walChunkSize
+		end := min(walChunkSize, off+to-l.base-i)
+		clear(l.chunks[c][off:end])
+		i += end - off
+	}
+}
+
+// recycle moves chunks [from, to), which must be zeroed, to the free
+// list.
+func (l *walLog) recycle(from, to int) {
+	for _, ch := range l.chunks[from:to] {
+		l.free = append(l.free, ch[:0])
+	}
+	m := from + copy(l.chunks[from:], l.chunks[to:])
+	clear(l.chunks[m:])
+	l.chunks = l.chunks[:m]
+}
+
+// fold drops records [lo, to): no reader needs them.
+func (l *walLog) fold(to int) {
+	to = min(to, l.n)
+	if to <= l.lo {
 		return
 	}
-	keep := (n + walChunkSize - 1) / walChunkSize
-	for i := keep; i < len(l.chunks); i++ {
-		l.chunks[i] = nil
+	l.zero(l.lo, to)
+	l.lo = to
+	if k := (to - l.base) / walChunkSize; k > 0 {
+		l.recycle(0, k)
+		l.base += k * walChunkSize
 	}
-	l.chunks = l.chunks[:keep]
-	if off := n % walChunkSize; off != 0 {
-		c := l.chunks[keep-1]
-		for i := off; i < len(c); i++ {
-			c[i] = walRec{}
-		}
-		l.chunks[keep-1] = c[:off]
-	}
-	l.n = n
 }
 
-// reset replaces the whole log with recs (checkpoint snapshot rebuild,
-// standby resync).
-func (l *walLog) reset(recs []walRec) {
-	for i := range l.chunks {
-		l.chunks[i] = nil
+// truncate drops records [m, len). They must not be folded.
+func (l *walLog) truncate(m int) {
+	if m >= l.n {
+		return
 	}
-	l.chunks = l.chunks[:0]
-	l.n = 0
-	l.pushAll(recs)
+	if m < l.lo {
+		panic("mdb: truncating folded WAL records")
+	}
+	l.zero(m, l.n)
+	k := (m - l.base + walChunkSize - 1) / walChunkSize
+	l.recycle(k, len(l.chunks))
+	if k > 0 {
+		l.chunks[k-1] = l.chunks[k-1][:m-l.base-(k-1)*walChunkSize]
+	}
+	l.n = m
+}
+
+// rebase folds records [lo, mark) and renumbers the rest so offset mark
+// becomes to (Checkpoint's rewrite: the image takes the place of the
+// log before mark).
+func (l *walLog) rebase(mark, to int) {
+	l.fold(mark)
+	d := to - mark
+	l.base += d
+	l.lo += d
+	l.n += d
+}
+
+// reset makes the log n records long, none of them retained.
+func (l *walLog) reset(n int) {
+	l.zero(l.lo, l.n)
+	l.recycle(0, len(l.chunks))
+	l.base, l.lo, l.n = n, n, n
 }
