@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"cofs/internal/cluster"
@@ -437,83 +436,6 @@ func TestCOFSStatFastAndFlat(t *testing.T) {
 	tb.Env.MustRun()
 	if got := sum.MeanMs(); got > 2.0 {
 		t.Fatalf("COFS parallel stat %.3fms, paper reports ~1ms", got)
-	}
-}
-
-func TestCOFSMemFSOracleProperty(t *testing.T) {
-	// Random namespace operation sequences must produce identical
-	// results on COFS and on the MemFS reference.
-	type op struct {
-		Kind byte
-		A, B uint8
-	}
-	f := func(ops []op) bool {
-		tb, d := core.Rig(t, 1, 1)
-		m := d.Mounts[0]
-		oracle := vfs.NewMemFS()
-		om := vfs.NewMount(oracle, params.FUSEParams{})
-		ok := true
-		name := func(x uint8) string { return fmt.Sprintf("/n%d", x%12) }
-		tb.Env.Spawn("prop", func(p *sim.Proc) {
-			for _, o := range ops {
-				var e1, e2 error
-				switch o.Kind % 6 {
-				case 0:
-					f1, err := m.Create(p, ctx, name(o.A), 0644)
-					e1 = err
-					if err == nil {
-						f1.Close(p)
-					}
-					f2, err := om.Create(p, ctx, name(o.A), 0644)
-					e2 = err
-					if err == nil {
-						f2.Close(p)
-					}
-				case 1:
-					e1 = m.Unlink(p, ctx, name(o.A))
-					e2 = om.Unlink(p, ctx, name(o.A))
-				case 2:
-					e1 = m.Mkdir(p, ctx, name(o.A), 0755)
-					e2 = om.Mkdir(p, ctx, name(o.A), 0755)
-				case 3:
-					e1 = m.Rename(p, ctx, name(o.A), name(o.B))
-					e2 = om.Rename(p, ctx, name(o.A), name(o.B))
-				case 4:
-					e1 = m.Rmdir(p, ctx, name(o.A))
-					e2 = om.Rmdir(p, ctx, name(o.A))
-				case 5:
-					_, e1 = m.Stat(p, ctx, name(o.A))
-					_, e2 = om.Stat(p, ctx, name(o.A))
-				}
-				if e1 != e2 {
-					ok = false
-					return
-				}
-			}
-			// Final listings must agree.
-			l1, err1 := m.Readdir(p, ctx, "/")
-			l2, err2 := om.Readdir(p, ctx, "/")
-			if (err1 == nil) != (err2 == nil) || len(l1) != len(l2) {
-				ok = false
-				return
-			}
-			for i := range l1 {
-				if l1[i].Name != l2[i].Name || l1[i].Type != l2[i].Type {
-					ok = false
-					return
-				}
-			}
-		})
-		if err := tb.Env.Run(); err != nil {
-			return false
-		}
-		if err := d.Service.CheckInvariants(); err != nil {
-			return false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

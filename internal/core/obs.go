@@ -16,10 +16,11 @@ import (
 // metadata plane. Deploy builds one scope per deployment and hands it to
 // every plane at construction; shards, channels and lock tables are
 // wired as they are built, so a layer cannot exist unwired. The tracer
-// and registry are nil by default and every hook below nil-checks them,
-// so a deployment that never enables them pays nothing — no
-// allocations, no virtual time, bit-identical costs
-// (docs/observability.md, "Zero cost when off").
+// and registry are nil by default: a nil tracer's span calls return at
+// once and every metrics hook below nil-checks the registry, so a
+// deployment that never enables them pays nothing — no allocations, no
+// virtual time, bit-identical costs (docs/observability.md, "Zero cost
+// when off").
 //
 // Span taxonomy rooted here:
 //
@@ -113,9 +114,7 @@ func (o *scope) rowLocks(env *sim.Env) *lock.RowLocks {
 	tr, m := o.tr, o.m
 	if tr != nil || m != nil {
 		rl.OnWait = func(p *sim.Proc, key lock.RowKey, mode lock.Mode, start time.Duration) {
-			if tr != nil {
-				tr.Complete(p, "", "lock.wait", start, key.Shard)
-			}
+			tr.Complete(p, "", "lock.wait", start, key.Shard)
 			if m != nil {
 				m.Observe("lock.wait", key.Shard, p.Now()-start)
 			}
@@ -150,9 +149,7 @@ func (c *MDSCluster) obsBegin(p *sim.Proc, sess *Session, op string, ino vfs.Ino
 		return opObs{}
 	}
 	shard := c.Of(ino)
-	if o.tr != nil {
-		o.tr.Begin(p, sess.host.Name, op, shard)
-	}
+	o.tr.Begin(p, sess.host.Name, op, shard)
 	if o.m != nil {
 		o.m.AddRequest(shard, p.Now())
 	}
@@ -166,38 +163,8 @@ func (c *MDSCluster) obsEnd(p *sim.Proc, ob opObs) {
 		return
 	}
 	o := c.obs
-	if o.tr != nil {
-		o.tr.End(p)
-	}
+	o.tr.End(p)
 	if o.m != nil {
 		o.m.Observe(ob.op, ob.shard, p.Now()-ob.start)
-	}
-}
-
-// span opens a named child span on the calling proc's track when the
-// plane traces, reporting whether it did — pass the result to spanEnd.
-// The server-side helpers (twophase.go, reshard.go) use it so their
-// phase spans nest inside whatever the client opened.
-func (s *Service) span(p *sim.Proc, name string) bool {
-	if s.cluster.obs.tr == nil {
-		return false
-	}
-	s.cluster.obs.tr.Begin(p, "", name, s.shardID)
-	return true
-}
-
-// spanEnd closes a span opened by span (no-op when open is false).
-func (s *Service) spanEnd(p *sim.Proc, open bool) {
-	if open {
-		s.cluster.obs.tr.End(p)
-	}
-}
-
-// spanNext ends the current phase span and opens a sibling (no-op when
-// open is false) — the two-phase protocol walks validate→prepare→commit
-// with it.
-func (s *Service) spanNext(p *sim.Proc, open bool, name string) {
-	if open {
-		s.cluster.obs.tr.Next(p, name)
 	}
 }

@@ -299,10 +299,8 @@ func (c *MDSCluster) moveBatch(p *sim.Proc, batch []reshard.Move) error {
 		reqs = append(reqs, lock.X(c.shards[0].inoKey(vfs.Ino(mv.Group))))
 	}
 	reqs = lock.SortReqs(reqs)
-	if c.obs.tr != nil {
-		c.obs.tr.Begin(p, "", "reshard.batch", -1)
-		defer c.obs.tr.End(p)
-	}
+	c.obs.tr.Begin(p, "", "reshard.batch", -1)
+	defer c.obs.tr.End(p)
 	c.rowLocks.Acquire(p, reqs, nil)
 	defer c.rowLocks.Release(p, reqs)
 
@@ -369,8 +367,8 @@ func readGroups(p *sim.Proc, from *Service, ids []vfs.Ino) (movedRows, *mdb.Hand
 // released for the flight).
 func (c *MDSCluster) shipHandoff(p *sim.Proc, from, to *Service, freight movedRows, handoff *mdb.Handoff) {
 	from.Stats.PeerCalls++
-	open := to.span(p, "reshard.handoff")
-	defer to.spanEnd(p, open)
+	to.cluster.obs.tr.Begin(p, "", "reshard.handoff", to.shardID)
+	defer to.cluster.obs.tr.End(p)
 	from.host.CPU.Release(p)
 	from.peers[to.shardID].Call(p, rpc.Request{
 		Op: rpc.OpHandoff, ReqBytes: freight.bytes + handoffFrame(handoff), CPU: to.cfg.ServiceCPUPerOp,

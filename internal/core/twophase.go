@@ -74,8 +74,8 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		// row (Shared: its nlink/mtime bump is atomic in the phase-2
 		// transaction; Shared keeps concurrent mkdirs of different
 		// names overlapping while still excluding an rmdir of parent).
-		open := s.span(p, "2pc.validate")
-		defer s.spanEnd(p, open)
+		s.cluster.obs.tr.Begin(p, "", "2pc.validate", s.shardID)
+		defer s.cluster.obs.tr.End(p)
 		txn := s.lockRows(p, lock.X(s.dentKey(parent, name)), lock.S(s.inoKey(parent)))
 		defer txn.release(p)
 		var out attrReply
@@ -102,7 +102,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 		}
 		// Phase 1: the owning shard prepares the inode row (with, for a
 		// regular file, the client's underlying path in it).
-		s.spanNext(p, open, "2pc.prepare")
+		s.cluster.obs.tr.Next(p, "2pc.prepare")
 		row := peerCall(p, s, ts, 160, 160, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) inodeRow {
 			var row inodeRow
 			ts.DB.Transaction(p, func(tx *mdb.Tx) {
@@ -121,7 +121,7 @@ func (s *Service) createRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent v
 			})
 			return row
 		})
-		s.spanNext(p, open, "2pc.commit")
+		s.cluster.obs.tr.Next(p, "2pc.commit")
 		// Phase 2: commit the dentry and parent bookkeeping. The
 		// re-validation is defensive: the row locks held since phase 0
 		// keep every conflicting mutation out, and a failure would
@@ -171,8 +171,8 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 	r := call(p, s, sess, rpc.OpRemove, 160, 128, func(p *sim.Proc) removeReply {
 		var out removeReply
 		key := dentryKey{Parent: parent, Name: name}
-		open := s.span(p, "2pc.validate")
-		defer s.spanEnd(p, open)
+		s.cluster.obs.tr.Begin(p, "", "2pc.validate", s.shardID)
+		defer s.cluster.obs.tr.End(p)
 		txn := s.lockRows(p, lock.X(s.dentKey(parent, name)), lock.S(s.inoKey(parent)))
 		defer txn.release(p)
 		var de dentryRow
@@ -229,12 +229,12 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 			// its shard. Prepare: check emptiness there (read-only).
 			// Commit: retire the dentry here first, then the inode.
 			ts := s.peer(id)
-			s.spanNext(p, open, "2pc.prepare")
+			s.cluster.obs.tr.Next(p, "2pc.prepare")
 			if !s.peerDirEmpty(p, ts, id) {
 				out.err = vfs.ErrNotEmpty
 				return out
 			}
-			s.spanNext(p, open, "2pc.commit")
+			s.cluster.obs.tr.Next(p, "2pc.commit")
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
 				mdb.Delete(tx, s.dentries, key)
 				if din, ok := mdb.Get(tx, s.inodes, parent); ok {
@@ -248,7 +248,7 @@ func (s *Service) removeSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, parent 
 			return out
 		}
 
-		s.spanNext(p, open, "2pc.commit")
+		s.cluster.obs.tr.Next(p, "2pc.commit")
 		if s.owns(id) {
 			// Co-located file: finish in one local transaction.
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
@@ -373,8 +373,8 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 		// its inode stays), so it needs no lock; a replaced target's
 		// row is rewritten and joins the footprint once discovered
 		// below.
-		open := s.span(p, "2pc.validate")
-		defer s.spanEnd(p, open)
+		s.cluster.obs.tr.Begin(p, "", "2pc.validate", s.shardID)
+		defer s.cluster.obs.tr.End(p)
 		txn := s.lockRows(p,
 			lock.X(s.dentKey(srcDir, srcName)), lock.X(s.dentKey(dstDir, dstName)),
 			lock.S(s.inoKey(srcDir)), lock.S(s.inoKey(dstDir)))
@@ -491,7 +491,7 @@ func (s *Service) renameSharded(p *sim.Proc, sess *Session, ctx vfs.Ctx, srcDir 
 		}
 
 		// ---- apply phase: dentry swap and parent bookkeeping ----
-		s.spanNext(p, open, "2pc.commit")
+		s.cluster.obs.tr.Next(p, "2pc.commit")
 		if D == s {
 			s.DB.Transaction(p, func(tx *mdb.Tx) {
 				mdb.Delete(tx, s.dentries, srcKey)
@@ -599,8 +599,8 @@ func (s *Service) linkRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino
 		// commit (both Shared — the bumps are atomic per transaction,
 		// and Shared excludes the Exclusive reclaim paths that could
 		// invalidate the validation between the phases).
-		open := s.span(p, "2pc.validate")
-		defer s.spanEnd(p, open)
+		s.cluster.obs.tr.Begin(p, "", "2pc.validate", s.shardID)
+		defer s.cluster.obs.tr.End(p)
 		txn := s.lockRows(p, lock.X(s.dentKey(parent, name)), lock.S(s.inoKey(parent)), lock.S(s.inoKey(id)))
 		defer txn.release(p)
 		if out.err = s.claim(parent); out.err != nil {
@@ -642,7 +642,7 @@ func (s *Service) linkRemote(p *sim.Proc, sess *Session, ctx vfs.Ctx, id vfs.Ino
 			return out
 		}
 		// Phase 2: commit — bump nlink at the owner, insert the dentry.
-		s.spanNext(p, open, "2pc.commit")
+		s.cluster.obs.tr.Next(p, "2pc.commit")
 		out = peerCall(p, s, ts, 128, 192, ts.cfg.ServiceCPUPerOp, func(p *sim.Proc) attrReply {
 			var rr attrReply
 			ts.DB.Transaction(p, func(tx *mdb.Tx) {

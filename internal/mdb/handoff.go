@@ -56,13 +56,9 @@ func (db *DB) ImportHandoff(p *sim.Proc, h *Handoff) {
 	db.staged += h.Len()
 	db.pay(p, h.Len())
 	db.Commits++
-	if db.trace != nil {
-		db.trace.Begin(p, db.traceGroup, "wal.sync", -1)
-		db.forceLog(p)
-		db.trace.End(p)
-	} else {
-		db.forceLog(p)
-	}
+	db.trace.Begin(p, db.traceGroup, "wal.sync", -1)
+	db.forceLog(p)
+	db.trace.End(p)
 	db.notifyCommit()
 }
 

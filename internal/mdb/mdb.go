@@ -229,14 +229,10 @@ func (db *DB) maybeScheduleFlush() {
 func (db *DB) flush(p *sim.Proc) {
 	target, crashes := db.CommitSeq(), db.crashes
 	db.LogFlushes++
-	if db.trace != nil {
-		db.trace.Begin(p, db.traceGroup, "wal.flush", -1)
-	}
+	db.trace.Begin(p, db.traceGroup, "wal.flush", -1)
 	db.disk.Write(p, 0, (target-db.flushed)*64)
 	db.disk.Sync(p)
-	if db.trace != nil {
-		db.trace.End(p)
-	}
+	db.trace.End(p)
 	db.markFlushed(target, crashes)
 	db.flushScheduled = false
 	db.maybeScheduleFlush()
@@ -666,13 +662,9 @@ func (db *DB) Transaction(p *sim.Proc, fn func(tx *Tx)) {
 	db.pay(p, ops)
 	if durable {
 		db.Commits++
-		if db.trace != nil {
-			db.trace.Begin(p, db.traceGroup, "wal.commit", -1)
-			db.commitLog(p)
-			db.trace.End(p)
-		} else {
-			db.commitLog(p)
-		}
+		db.trace.Begin(p, db.traceGroup, "wal.commit", -1)
+		db.commitLog(p)
+		db.trace.End(p)
 		db.notifyCommit()
 	}
 }

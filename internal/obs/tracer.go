@@ -5,10 +5,11 @@
 //
 // Everything here is stamped in virtual time (sim.Proc.Now), so a trace
 // of a deterministic run is itself deterministic: same seed, same
-// bytes. Both halves are nil-by-default hooks — a deployment that does
-// not enable them (params.COFSParams.Trace/Metrics) never calls into
-// this package, keeping the disabled path allocation-free and
-// bit-identical (the same convention as lock.RowLocks.OnGrant).
+// bytes. Both halves are nil by default. A nil Tracer's span calls
+// return at once, so a layer calls them unconditionally; the metrics
+// hooks are nil-checked where they are wired. A deployment that does
+// not enable them (params.COFSParams.Trace/Metrics) keeps the disabled
+// path allocation-free and bit-identical.
 package obs
 
 import (
@@ -157,8 +158,13 @@ func (tr *track) fold(name string, dur time.Duration) {
 // Begin opens a span named name on the calling proc's track, stamped at
 // the proc's current virtual time. group labels the process lane the
 // track renders under (only the proc's first span decides it); shard >=
-// 0 rides along as the span's "shard" argument, -1 means none.
+// 0 rides along as the span's "shard" argument, -1 means none. Begin,
+// Next, End and Complete return at once on a nil tracer, so a layer
+// that traces calls them unconditionally.
 func (t *Tracer) Begin(p *sim.Proc, group, name string, shard int) {
+	if t == nil {
+		return
+	}
 	t.Spans++
 	t.trackOf(p, group).push(name, p.Now(), shard)
 }
@@ -167,6 +173,9 @@ func (t *Tracer) Begin(p *sim.Proc, group, name string, shard int) {
 // no parent left open is a top-level span and competes for the
 // slowest-spans table.
 func (t *Tracer) End(p *sim.Proc) {
+	if t == nil {
+		return
+	}
 	tr := t.byProc[p]
 	if tr == nil || len(tr.stack) == 0 {
 		panic("obs: End with no open span")
@@ -188,6 +197,9 @@ func (t *Tracer) End(p *sim.Proc) {
 // transport uses it to walk a call through its send/queue/serve/recv
 // phases without re-resolving the track.
 func (t *Tracer) Next(p *sim.Proc, name string) {
+	if t == nil {
+		return
+	}
 	tr := t.byProc[p]
 	if tr == nil || len(tr.stack) == 0 {
 		panic("obs: Next with no open span")
@@ -222,6 +234,9 @@ func (t *Tracer) Next(p *sim.Proc, name string) {
 // for the whole [start, now] window, so its track gained no events in
 // between and the appended pair keeps the track's timestamps monotonic.
 func (t *Tracer) Complete(p *sim.Proc, group, name string, start time.Duration, shard int) {
+	if t == nil {
+		return
+	}
 	t.Spans++
 	tr := t.trackOf(p, group)
 	now := p.Now()

@@ -137,34 +137,23 @@ func Dial(net *netsim.Net, local, remote *netsim.Host, batch bool) *Conn {
 func (c *Conn) Call(p *sim.Proc, r Request) {
 	c.Stats.Calls++
 	c.Stats.Wire++
-	tr := c.Trace
-	if tr != nil {
-		tr.Begin(p, "", "rpc.send", -1)
-	}
+	c.Trace.Begin(p, "", "rpc.send", -1)
 	c.net.Transfer(p, c.local, c.remote, r.ReqBytes)
 	if c.Queue != nil {
 		c.Queue.Set(int64(c.remote.CPU.QueueLen()))
 	}
-	if tr != nil {
-		tr.Next(p, "rpc.queue")
-	}
+	c.Trace.Next(p, "rpc.queue")
 	c.remote.CPU.Acquire(p)
-	if tr != nil {
-		tr.Next(p, "rpc.serve")
-	}
+	c.Trace.Next(p, "rpc.serve")
 	if r.CPU > 0 {
 		p.Sleep(r.CPU)
 	}
 	r.Run(p)
 	resp := r.respSize()
 	c.remote.CPU.Release(p)
-	if tr != nil {
-		tr.Next(p, "rpc.recv")
-	}
+	c.Trace.Next(p, "rpc.recv")
 	c.net.Transfer(p, c.remote, c.local, resp)
-	if tr != nil {
-		tr.End(p)
-	}
+	c.Trace.End(p)
 }
 
 // Callback sends a server→client notification on the channel (a lease

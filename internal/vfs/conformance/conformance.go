@@ -26,7 +26,8 @@
 //	}
 //
 // Every subtest receives a fresh System, so tests are independent and
-// order-insensitive.
+// order-insensitive. Oracle (oracle.go) is the differential half: seeded
+// random op sequences checked against vfs.MemFS.
 package conformance
 
 import (

@@ -1,6 +1,8 @@
 package conformance
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -195,5 +197,68 @@ func TestSuiteCatchesTornReaddir(t *testing.T) {
 		func() vfs.Filesystem { return vfs.NewMemFS() })), "ReaddirIsOneSnapshot")
 	if whole.Skipped || len(whole.Failures) > 0 {
 		t.Errorf("ReaddirIsOneSnapshot = %+v, want a clean pass on the reference file system", whole)
+	}
+}
+
+// nlinkFS wraps the reference file system with hard links that do not
+// count: Link binds the new name, but a regular file's Nlink reads 1
+// however many names it has.
+type nlinkFS struct {
+	vfs.Filesystem
+}
+
+func (f nlinkFS) Getattr(p *sim.Proc, ctx vfs.Ctx, ino vfs.Ino) (vfs.Attr, error) {
+	return oneLink(f.Filesystem.Getattr(p, ctx, ino))
+}
+
+func (f nlinkFS) Lookup(p *sim.Proc, ctx vfs.Ctx, dir vfs.Ino, name string) (vfs.Attr, error) {
+	return oneLink(f.Filesystem.Lookup(p, ctx, dir, name))
+}
+
+func oneLink(a vfs.Attr, err error) (vfs.Attr, error) {
+	if a.Type == vfs.TypeRegular {
+		a.Nlink = 1
+	}
+	return a, err
+}
+
+// metaSeeds are as many sequences as each caller of Oracle runs.
+var metaSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25}
+
+// TestSuiteOracleCatchesBrokenProviders: the oracle must report a
+// divergence, at a step, against a rename that drops the replaced
+// target and against links that leave Nlink unchanged; running the
+// first diverging seed alone must report the same divergence.
+func TestSuiteOracleCatchesBrokenProviders(t *testing.T) {
+	for name, fs := range map[string]func() vfs.Filesystem{
+		"broken-rename": func() vfs.Filesystem { return brokenFS{vfs.NewMemFS()} },
+		"broken-nlink":  func() vfs.Filesystem { return nlinkFS{vfs.NewMemFS()} },
+	} {
+		pr := metaProvider(name, Capabilities{Hardlinks: true}, fs)
+		results, _ := oracleResults(t, pr, metaSeeds)
+		i := slices.IndexFunc(results, func(r CaseResult) bool { return len(r.Failures) > 0 })
+		if i < 0 {
+			t.Errorf("%s: no divergence over %d seeds", name, len(metaSeeds))
+			continue
+		}
+		first := results[i]
+		if !strings.Contains(first.Failures[0], "step ") {
+			t.Errorf("%s %s: divergence %q names no step", name, first.Name, first.Failures[0])
+		}
+		if again, _ := oracleResults(t, pr, metaSeeds[i:i+1]); !reflect.DeepEqual(again[0], first) {
+			t.Errorf("%s: %s replayed as %+v, first run %+v", name, first.Name, again[0], first)
+		}
+		t.Logf("%s %s: %.200s", name, first.Name, first.Failures[0])
+	}
+}
+
+// TestSuiteOracleReferenceAgreesWithItself: MemFS against MemFS shows
+// no divergence.
+func TestSuiteOracleReferenceAgreesWithItself(t *testing.T) {
+	results, _ := oracleResults(t, metaProvider("memfs", Capabilities{Hardlinks: true}, func() vfs.Filesystem { return vfs.NewMemFS() }), metaSeeds)
+	for _, r := range results {
+		if len(r.Failures) > 0 {
+			t.Errorf("MemFS diverged from itself at %s: %v", r.Name, r.Failures)
+		}
 	}
 }
